@@ -246,17 +246,6 @@ class ClosedFunction:
         """True iff the term set is closed under coefficient-and-rate conjugation."""
         return self.conjugate() == self
 
-    def coordinates_used(self):
-        used = set()
-        for (k, z) in self.terms:
-            for i in range(NCOORD):
-                if k[i] or z[i]:
-                    used.add(i + 1)
-        return used
-
-    def is_polynomial(self):
-        return all(z == _ZRATE for (_, z) in self.terms)
-
     # -- evaluation --------------------------------------------------------
     def eval(self, point, require_real=True):
         """Floating evaluation at a 4-point; checks the imaginary residue."""

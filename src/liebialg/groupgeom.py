@@ -37,9 +37,6 @@ class InvariantFrame:
     XR: list  # right-invariant vector fields, XR[j][l] = component on d_l
     XL: list  # left-invariant vector fields
 
-    def field_rows(self, side):
-        return self.XL if side == "L" else self.XR
-
 
 def _neg(m):
     return [[-x for x in row] for row in m]

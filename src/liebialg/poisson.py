@@ -9,6 +9,7 @@ import numpy as np
 from .closedfun import (
     ClosedFunction,
     cfm_eval,
+    cfm_is_zero,
     cfm_mul,
     cfm_sub,
     cfm_transpose,
@@ -19,20 +20,6 @@ from .core import StructureConstants
 from .errors import InputError
 from .groupgeom import DoubleAdjointBlocks, InvariantFrame
 from .rmatrix import TensorElement
-
-GENERIC_POINT = (
-    Fraction(1, 3),
-    Fraction(1, 5),
-    Fraction(1, 7),
-    Fraction(1, 11),
-)
-FALLBACK_POINTS = (
-    (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5), Fraction(-1, 7)),
-    (Fraction(-2, 3), Fraction(1, 4), Fraction(-1, 5), Fraction(1, 6)),
-    (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)),
-    (Fraction(-1, 2), Fraction(2, 3), Fraction(-3, 4), Fraction(4, 5)),
-    (Fraction(3, 7), Fraction(-5, 11), Fraction(7, 13), Fraction(-9, 17)),
-)
 
 
 @dataclass
@@ -124,86 +111,26 @@ def linearization_check(pb: PoissonBivector, fd: StructureConstants) -> bool:
 @dataclass
 class SymplecticReport:
     symplectic: bool
-    witness_point: tuple = None
-    det_value: float = 0.0
-    det_exact: Fraction = None  # set when the determinant is polynomial
-    closed_ok: bool = None
-    max_rank: int = 0
+    closed_ok: bool = None  # set when symplectic
+    max_rank: int = 0  # generic rank of P: 0, 2 or 4
 
     def __bool__(self):
         return self.symplectic
 
 
-def _numeric_rank(m, tol=1e-9):
-    s = np.linalg.svd(np.array(m, dtype=float), compute_uv=False)
-    return int(np.sum(s > tol * max(1.0, float(s[0]) if len(s) else 1.0)))
+def symplectic_classify(pb: PoissonBivector) -> SymplecticReport:
+    """Exact classification of a 4x4 bivector.
 
-
-def symplectic_classify(pb: PoissonBivector, seed=0, npoints=20) -> SymplecticReport:
-    """Invertibility at a deterministic generic point (with fallbacks) plus a
-    numeric closedness check of Omega = P^{-1} at sampled points."""
-    from .closedfun import cfm_det
-
-    det_cf = cfm_det(pb.P)
-    polynomial = det_cf.is_polynomial()
-    max_rank = 0
-    for point in (GENERIC_POINT,) + FALLBACK_POINTS:
-        fpt = [float(x) for x in point]
-        m = np.array(cfm_eval(pb.P, fpt))
-        max_rank = max(max_rank, _numeric_rank(m))
-        if polynomial:
-            dv = _eval_polynomial_exact(det_cf, point)
-            nonzero = dv != 0
-            det_val = float(dv)
-        else:
-            dv = None
-            det_val = det_cf.eval(fpt)
-            nonzero = abs(det_val) > 1e-9
-        if nonzero:
-            ok = _closedness_check(pb, seed=seed, npoints=npoints)
-            return SymplecticReport(True, point, det_val, dv, ok, 4)
-    return SymplecticReport(False, None, 0.0, None, None, max_rank)
-
-
-def _eval_polynomial_exact(f: ClosedFunction, point) -> Fraction:
-    acc = Fraction(0)
-    for (k, z), c in f.terms.items():
-        if any(z):
-            raise InputError("not a polynomial")
-        v = c.re
-        for i in range(4):
-            if k[i]:
-                v *= Fraction(point[i]) ** k[i]
-        acc += v
-    return acc
-
-
-def _closedness_check(pb: PoissonBivector, seed=0, npoints=20, tol=1e-9):
-    """dOmega_ijk = d_i Omega_jk - d_j Omega_ik + d_k Omega_ij = 0 numerically,
-    using dOmega = -P^-1 (dP) P^-1 with analytic dP."""
-    rng = np.random.default_rng(seed)
+    P is generically invertible iff its Pfaffian P12 P34 - P13 P24 + P14 P23
+    is a nonzero closed function; otherwise its generic rank is 2 or 0.  For
+    invertible P, Omega = P^{-1} is closed iff P satisfies the Poisson-Jacobi
+    identity.
+    """
     p = pb.P
-    n = len(p)
-    dp = [[[p[i][j].diff(l + 1) for j in range(n)] for i in range(n)] for l in range(n)]
-    checked = 0
-    while checked < npoints:
-        pt = rng.uniform(-0.6, 0.6, size=4)
-        pm = np.array(cfm_eval(p, list(pt)))
-        if abs(np.linalg.det(pm)) < 1e-6:
-            continue
-        pinv = np.linalg.inv(pm)
-        domega = []
-        for l in range(n):
-            dpl = np.array(cfm_eval(dp[l], list(pt)))
-            domega.append(-pinv @ dpl @ pinv)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    v = domega[i][j][k] - domega[j][i][k] + domega[k][i][j]
-                    if abs(v) > tol:
-                        return False
-        checked += 1
-    return True
+    pf = p[0][1] * p[2][3] - p[0][2] * p[1][3] + p[0][3] * p[1][2]
+    if pf:
+        return SymplecticReport(True, poisson_jacobi_check(pb).passed, 4)
+    return SymplecticReport(False, None, 0 if cfm_is_zero(p) else 2)
 
 
 def omega_at(pb: PoissonBivector, point):

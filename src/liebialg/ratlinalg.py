@@ -45,10 +45,6 @@ def mat_mul(a, b):
     return out
 
 
-def mat_vec(a, v):
-    return [sum((x * y for x, y in zip(row, v) if x and y), ZERO) for row in a]
-
-
 def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -59,10 +55,6 @@ def mat_sub(a, b):
 
 def mat_scale(c, a):
     return [[c * x for x in row] for row in a]
-
-
-def mat_eq(a, b):
-    return a == b
 
 
 def is_zero_matrix(a):

@@ -98,12 +98,6 @@ class RSolutionSet:
     kernel_basis: list
     empty: bool
 
-    def member(self, coeffs):
-        out = self.particular
-        for c, k in zip(coeffs, self.kernel_basis):
-            out = out + k.scale(c)
-        return out
-
 
 def _coboundary_residuals(r, f: StructureConstants, fd: StructureConstants):
     """Matrices Xadj_i^T r + r Xadj_i - Yt_i for each i."""

@@ -101,6 +101,9 @@ def test_jacobi_detects_corruption(a47_setup):
     rep = poisson_jacobi_check(corrupted)
     assert not rep.passed
     assert (1, 2, 3) in rep.residuals
+    cl = symplectic_classify(corrupted)
+    assert cl.symplectic
+    assert cl.closed_ok is False
 
 
 def test_linearization_worked_values(a47_setup):
