@@ -9,82 +9,155 @@ entries are represented through complex exponential rates (cos x =
 (e^{ix}+e^{-ix})/2 and so on), which keeps multiplication, differentiation
 and the zero test exact: the functions x^k e^{zx} are linearly independent,
 so a function is zero iff its canonical term map is empty.
+
+Coefficients and rates are CRats: elements (a + b i)/d of Q(i) kept as a
+reduced int triple (a, b, d) with d > 0 and gcd(a, b, d) = 1.  A CRat is a
+tuple, so a term key (monomial, rates) is a tuple of ints and int triples
+that Python hashes without calling back into this module.
 """
 
 from fractions import Fraction
+from math import gcd
+from operator import add
 import cmath
 
 from .errors import EvalError, InputError, NonUnitDeterminant, UnsupportedSpectrum
 
 NCOORD = 4
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
-class CRat:
-    """Complex number with exact rational real and imaginary parts."""
+def _reduced(a, b, d):
+    """CRat (a + b i)/d from ints with d > 0, divided by gcd(a, b, d)."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    return _new(CRat, (a, b, d))
 
-    __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+class CRat(tuple):
+    """Complex rational (a + b i)/d, stored as the int triple (a, b, d).
+
+    The triple is canonical: d > 0 and gcd(a, b, d) = 1, so zero is
+    (0, 0, 1) and two CRats are equal iff their triples are.  Hashing is
+    tuple hashing; equality with another CRat is tuple equality, and ints
+    and Fractions compare by value.  `re` and `im` are exact Fractions.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, re=0, im=0):
+        if type(re) is int and type(im) is int:
+            return _new(cls, (re, im, 1))
+        if not isinstance(re, Fraction):
+            re = Fraction(re)
+        if not isinstance(im, Fraction):
+            im = Fraction(im)
+        # re and im are in lowest terms, so over lcm(p, q) the triple is too
+        p, q = re.denominator, im.denominator
+        if p == q:
+            return _new(cls, (re.numerator, im.numerator, p))
+        d = p * q // gcd(p, q)
+        return _new(cls, (re.numerator * (d // p), im.numerator * (d // q), d))
+
+    def __getnewargs__(self):
+        return (self.re, self.im)
+
+    @property
+    def re(self):
+        return Fraction(self[0], self[2])
+
+    @property
+    def im(self):
+        return Fraction(self[1], self[2])
 
     def __add__(self, o):
-        o = _crat(o)
-        return CRat(self.re + o.re, self.im + o.im)
+        if type(o) is not CRat:
+            o = _crat(o)
+        a1, b1, d1 = self
+        a2, b2, d2 = o
+        if not (a2 or b2):
+            return self
+        if not (a1 or b1):
+            return o
+        if d1 == d2:
+            return _reduced(a1 + a2, b1 + b2, d1)
+        return _reduced(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, o):
-        o = _crat(o)
-        return CRat(self.re - o.re, self.im - o.im)
+        return self + -_crat(o)
 
     def __rsub__(self, o):
         return _crat(o) - self
 
     def __mul__(self, o):
-        o = _crat(o)
-        return CRat(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+        if type(o) is not CRat:
+            o = _crat(o)
+        a1, b1, d1 = self
+        a2, b2, d2 = o
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
 
     __rmul__ = __mul__
 
     def __truediv__(self, o):
-        o = _crat(o)
-        n = o.re * o.re + o.im * o.im
+        if type(o) is not CRat:
+            o = _crat(o)
+        a1, b1, d1 = self
+        a2, b2, d2 = o
+        n = a2 * a2 + b2 * b2
         if not n:
             raise ZeroDivisionError("complex-rational division by zero")
-        return CRat(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
+        # (a1 + b1 i)/d1 * d2 (a2 - b2 i)/n
+        return _reduced((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, d1 * n)
 
     def __neg__(self):
-        return CRat(-self.re, -self.im)
+        a, b, d = self
+        return _new(CRat, (-a, -b, d))
 
     def conjugate(self):
-        return CRat(self.re, -self.im)
+        a, b, d = self
+        return _new(CRat, (a, -b, d))
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self[0] or self[1])
 
     def __eq__(self, o):
-        o = _crat(o)
-        return self.re == o.re and self.im == o.im
+        if type(o) is not CRat:
+            if not isinstance(o, (int, Fraction)):
+                return NotImplemented
+            o = CRat(o)
+        return _tuple_eq(self, o)
 
-    def __hash__(self):
-        return hash((self.re, self.im))
+    def __ne__(self, o):
+        eq = self.__eq__(o)
+        return eq if eq is NotImplemented else not eq
+
+    __hash__ = tuple.__hash__
+
+    def _unordered(self, o):
+        return NotImplemented
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
     def is_real(self):
-        return not self.im
+        return not self[1]
 
     def to_complex(self):
-        return complex(self.re, self.im)
+        a, b, d = self
+        return complex(a / d, b / d)
 
     def __repr__(self):
-        if not self.im:
+        if not self[1]:
             return f"CRat({self.re})"
         return f"CRat({self.re}, {self.im})"
+
+
+_new = tuple.__new__
+_tuple_eq = tuple.__eq__
 
 
 CR_ZERO = CRat(0)
@@ -171,10 +244,7 @@ class ClosedFunction:
         t = {}
         for (k1, z1), c1 in self.terms.items():
             for (k2, z2), c2 in o.terms.items():
-                key = (
-                    tuple(a + b for a, b in zip(k1, k2)),
-                    tuple(a + b for a, b in zip(z1, z2)),
-                )
+                key = (tuple(map(add, k1, k2)), tuple(map(add, z1, z2)))
                 c = c1 * c2
                 s = t.get(key)
                 c2v = c if s is None else s + c
@@ -244,7 +314,14 @@ class ClosedFunction:
 
     def is_real(self):
         """True iff the term set is closed under coefficient-and-rate conjugation."""
-        return self.conjugate() == self
+        t = self.terms
+        for (k, z), c in t.items():
+            if any(r[1] for r in z):
+                if t.get((k, tuple(r.conjugate() for r in z))) != c.conjugate():
+                    return False
+            elif c[1]:
+                return False
+        return True
 
     # -- evaluation --------------------------------------------------------
     def eval(self, point, require_real=True):
@@ -254,12 +331,12 @@ class ClosedFunction:
         total = 0j
         scale = 0.0
         for (k, z), c in self.terms.items():
-            v = complex(c.re, c.im)
+            v = c.to_complex()
             for i in range(NCOORD):
                 if k[i]:
                     v *= point[i] ** k[i]
                 if z[i]:
-                    v *= cmath.exp(complex(z[i].re, z[i].im) * point[i])
+                    v *= cmath.exp(z[i].to_complex() * point[i])
             total += v
             scale += abs(v)
         if require_real and abs(total.imag) > 1e-12 * (1.0 + scale):

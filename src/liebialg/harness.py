@@ -21,7 +21,7 @@ from .core import (
     pairing_ad_invariant,
 )
 from .closedfun import cfm_eq
-from .errors import InputError
+from .errors import EvalError, InputError, NonUnitDeterminant, UnsupportedSpectrum
 from .groupgeom import (
     GroupChart,
     blocks_pairing_residual,
@@ -43,6 +43,10 @@ from .rmatrix import (
     rank3_eq,
     solve_coboundary,
 )
+
+# what deriving one table entry may raise on a bad or unsupported input; the
+# entry fails and its campaign carries on
+ENTRY_ERRORS = (InputError, UnsupportedSpectrum, NonUnitDeterminant, EvalError)
 
 # rows that must match the printed payload exactly (not merely match-or-flag)
 FRAME_SPOT_CHECKS = (
@@ -130,12 +134,13 @@ class RunReport:
 
 
 class Workbench:
-    """Caches frames and adjoint blocks across verification passes."""
+    """Caches frames, adjoint blocks and bivectors across verification passes."""
 
     def __init__(self, reg: "corpus_mod.Corpus"):
         self.reg = reg
         self._frames = {}
         self._blocks = {}
+        self._bivectors = {}
 
     @staticmethod
     def _key(name, binding):
@@ -157,6 +162,14 @@ class Workbench:
         return self._blocks[k]
 
     def bivector(self, g, dual, method, binding):
+        """The bivector of (g, dual) by `method`; only successes are cached,
+        so a failing pair raises again on every request."""
+        k = (self._key(g, binding), dual, method)
+        if k not in self._bivectors:
+            self._bivectors[k] = self._build_bivector(g, dual, method, binding)
+        return self._bivectors[k]
+
+    def _build_bivector(self, g, dual, method, binding):
         f = self.reg.instantiate(g, binding)
         fd = self.reg.instantiate(dual, binding)
         if method == "sklyanin":
@@ -345,6 +358,10 @@ def verify_table5(reg, bench=None, seed=0):
     return rep
 
 
+def _entry_error_detail(ex):
+    return f"{type(ex).__name__}: {ex}"
+
+
 @_timed
 def verify_table67(reg, bench=None, seed=0):
     """Bivectors: derivation, Jacobi, linearization, method agreement, and
@@ -353,54 +370,58 @@ def verify_table67(reg, bench=None, seed=0):
     rep = RunReport("table67")
     for pe in reg.poisson:
         t0 = time.perf_counter()
-        status, detail = "pass", ""
-        discrepancies = []
-        for b in reg.grid_bindings(pe.g, pe.dual, cap=1):
-            try:
-                P = bench.bivector(pe.g, pe.dual, pe.method, b)
-            except InputError as ex:
-                status, detail = "fail", str(ex)
-                break
-            fd = reg.instantiate(pe.dual, b)
-            if not poisson_jacobi_check(P).passed:
-                status, detail = "fail", f"Poisson Jacobi fails at {b}"
-                break
-            if not linearization_check(P, fd):
-                status, detail = "fail", f"linearization mismatch at {b}"
-                break
-            if (pe.g, pe.dual) in reg.rmatrices:
-                P2 = bench.bivector(pe.g, pe.dual, "pi", b)
-                if not cfm_eq(P.P, P2.P):
-                    status, detail = "fail", f"Sklyanin and adjoint-block bivectors differ at {b}"
-                    break
-            printed = pe.closed_matrix(b)
-            for i in range(4):
-                for j in range(i + 1, 4):
-                    if printed[i][j] != P.P[i][j]:
-                        discrepancies.append(
-                            Discrepancy(
-                                pe.name,
-                                f"{{x{i+1},x{j+1}}} at {b or 'no params'}",
-                                render_closed_function(printed[i][j]),
-                                render_closed_function(P.P[i][j]),
-                            )
-                        )
-        if status == "pass" and discrepancies:
-            if pe.status == "flagged":
-                status, detail = "flagged", pe.note
-            elif (pe.g, pe.dual) in DESIGNATED_POISSON_ROWS:
-                status, detail = "fail", "designated row differs from the printed brackets"
-            else:
-                status, detail = "fail", "printed brackets differ from the derivation"
-        if status != "fail":
-            # whether non-membership rows are genuinely degenerate is not
-            # stated anywhere, so the computed rank is always reported
-            rank = symplectic_classify(P).max_rank
-            detail = f"{detail} [rank {rank}]".strip() if detail else f"rank {rank}"
+        try:
+            status, detail, discrepancies = _check_poisson_entry(reg, bench, pe)
+        except ENTRY_ERRORS as ex:
+            status, detail, discrepancies = "fail", _entry_error_detail(ex), []
         rep.results.append(
             EntryResult(pe.name, status, detail, discrepancies, time.perf_counter() - t0)
         )
     return rep
+
+
+def _check_poisson_entry(reg, bench, pe):
+    status, detail = "pass", ""
+    discrepancies = []
+    for b in reg.grid_bindings(pe.g, pe.dual, cap=1):
+        P = bench.bivector(pe.g, pe.dual, pe.method, b)
+        fd = reg.instantiate(pe.dual, b)
+        if not poisson_jacobi_check(P).passed:
+            status, detail = "fail", f"Poisson Jacobi fails at {b}"
+            break
+        if not linearization_check(P, fd):
+            status, detail = "fail", f"linearization mismatch at {b}"
+            break
+        if (pe.g, pe.dual) in reg.rmatrices:
+            P2 = bench.bivector(pe.g, pe.dual, "pi", b)
+            if not cfm_eq(P.P, P2.P):
+                status, detail = "fail", f"Sklyanin and adjoint-block bivectors differ at {b}"
+                break
+        printed = pe.closed_matrix(b)
+        for i in range(4):
+            for j in range(i + 1, 4):
+                if printed[i][j] != P.P[i][j]:
+                    discrepancies.append(
+                        Discrepancy(
+                            pe.name,
+                            f"{{x{i+1},x{j+1}}} at {b or 'no params'}",
+                            render_closed_function(printed[i][j]),
+                            render_closed_function(P.P[i][j]),
+                        )
+                    )
+    if status == "pass" and discrepancies:
+        if pe.status == "flagged":
+            status, detail = "flagged", pe.note
+        elif (pe.g, pe.dual) in DESIGNATED_POISSON_ROWS:
+            status, detail = "fail", "designated row differs from the printed brackets"
+        else:
+            status, detail = "fail", "printed brackets differ from the derivation"
+    if status != "fail":
+        # whether non-membership rows are genuinely degenerate is not
+        # stated anywhere, so the computed rank is always reported
+        rank = symplectic_classify(P).max_rank
+        detail = f"{detail} [rank {rank}]".strip() if detail else f"rank {rank}"
+    return status, detail, discrepancies
 
 
 @_timed
@@ -414,26 +435,30 @@ def verify_table89(reg, bench=None, seed=0):
             continue
         for (g, dual) in entry.pairs:
             t0 = time.perf_counter()
-            status, detail = "pass", ""
-            for b in reg.grid_bindings(g, dual, cap=1):
-                P = bench.bivector_any(g, dual, b)
-                cl = symplectic_classify(P)
-                if not cl.symplectic:
-                    status, detail = "fail", f"degenerate at {b} (rank {cl.max_rank})"
-                    break
-                if cl.closed_ok is False:
-                    status, detail = "fail", f"inverse two-form not closed at {b}"
-                    break
-                if table == "table8":
-                    P2 = bench.bivector_any(dual, g, b)
-                    cl2 = symplectic_classify(P2)
-                    if not cl2.symplectic:
-                        status, detail = "fail", f"swapped pair degenerate at {b}"
-                        break
+            try:
+                status, detail = _check_membership_pair(reg, bench, table, g, dual)
+            except ENTRY_ERRORS as ex:
+                status, detail = "fail", _entry_error_detail(ex)
             rep.results.append(
                 EntryResult(f"{table} ({g}, {dual})", status, detail, seconds=time.perf_counter() - t0)
             )
     return rep
+
+
+def _check_membership_pair(reg, bench, table, g, dual):
+    for b in reg.grid_bindings(g, dual, cap=1):
+        P = bench.bivector_any(g, dual, b)
+        cl = symplectic_classify(P)
+        if not cl.symplectic:
+            return "fail", f"degenerate at {b} (rank {cl.max_rank})"
+        if cl.closed_ok is False:
+            return "fail", f"inverse two-form not closed at {b}"
+        if table == "table8":
+            P2 = bench.bivector_any(dual, g, b)
+            cl2 = symplectic_classify(P2)
+            if not cl2.symplectic:
+                return "fail", f"swapped pair degenerate at {b}"
+    return "pass", ""
 
 
 @_timed

@@ -1,10 +1,32 @@
 """Command-line surface: exit codes, JSON output, determinism."""
 
+import hashlib
 import json
 
 import pytest
 
+from liebialg import corpus as corpus_mod
 from liebialg.cli import main
+from liebialg.errors import UnsupportedSpectrum
+from liebialg.harness import Workbench
+
+# ad X4 acts on span(X1, X2) with eigenvalues +-sqrt(2), outside Q + iQ
+SQRT2_CORPUS = """
+algebra R2
+  bracket 1 4 -> 1 2
+  bracket 2 4 -> 2 1
+
+algebra 4A_1
+
+poisson R2 4A_1 pi
+
+poisson 4A_1 4A_1 pi
+
+membership table8
+  pair R2 4A_1
+"""
+
+CONTRACT_SHA256 = "c1dce0def27159364b7362a5b3cdb390de97b23b01380c5a9ef57301f0d18c3c"
 
 
 def test_verify_table1_exit_zero(capsys):
@@ -45,6 +67,37 @@ def test_verify_deterministic_output(capsys):
 def test_verify_symplectic_tables_independent_of_seed(seed):
     # a sampled closedness check once failed table8/table9 rows at these seeds
     assert main(["--json", "--seed", seed, "verify", "--table", "8-9"]) == 0
+
+
+def test_verify_all_contract_report(capsys):
+    # the behaviour contract: the full seed-0 report is byte-identical
+    assert main(["--seed", "0", "--json", "verify", "--table", "all"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 527
+    assert hashlib.sha256(out.encode()).hexdigest() == CONTRACT_SHA256
+
+
+def test_verify_unsupported_spectrum_fails_only_its_entry(tmp_path, capsys):
+    path = tmp_path / "sqrt2.txt"
+    path.write_text(SQRT2_CORPUS)
+    assert main(["--corpus", str(path), "--json", "verify", "--table", "6-9"]) == 1
+    recs = {r["entry"]: r for r in map(json.loads, capsys.readouterr().out.splitlines())}
+    for entry in ("pb(R2, 4A_1)[pi]", "table8 (R2, 4A_1)"):
+        assert recs[entry]["status"] == "fail"
+        assert recs[entry]["detail"].startswith("UnsupportedSpectrum: ")
+    # the campaign carried on past the failing entry
+    assert recs["pb(4A_1, 4A_1)[pi]"]["status"] == "pass"
+
+
+def test_workbench_caches_bivectors_but_not_failures(tmp_path):
+    path = tmp_path / "sqrt2.txt"
+    path.write_text(SQRT2_CORPUS)
+    wb = Workbench(corpus_mod.load(str(path)))
+    for _ in range(2):
+        with pytest.raises(UnsupportedSpectrum):
+            wb.bivector("R2", "4A_1", "pi", {})
+    P = wb.bivector("4A_1", "4A_1", "pi", {})
+    assert wb.bivector("4A_1", "4A_1", "pi", {}) is P
 
 
 def test_verify_vacuous_pass_on_empty_corpus(tmp_path, capsys):

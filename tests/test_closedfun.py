@@ -1,5 +1,8 @@
 """Closed-function engine: canonical arithmetic, calculus, matrix exponentials."""
 
+import copy
+import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -199,3 +202,131 @@ def test_inverse_of_exponential_matrix():
     e = cf_matexp(m, 2)
     inv = cfm_inverse_unitdet(e)
     assert cfm_eq(cfm_mul(e, inv), cfm_identity(3))
+
+
+# --------------------------------------------------------------------------
+# CRat against a (Fraction, Fraction) reference
+# --------------------------------------------------------------------------
+
+
+def _hypothesis():
+    hyp = pytest.importorskip("hypothesis")
+    fracs = hyp.strategies.fractions(max_denominator=10**4)
+    pairs = hyp.strategies.tuples(fracs, fracs)
+    return hyp.given, hyp.settings(max_examples=150, deadline=None), hyp.strategies, pairs
+
+
+def _ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _ref_div(x, y):
+    n = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n)
+
+
+def _pair(c):
+    return (c.re, c.im)
+
+
+def _assert_canonical(c):
+    a, b, d = c
+    assert type(c) is CRat and d > 0 and math.gcd(a, b, d) == 1
+
+
+def test_crat_arithmetic_matches_fraction_pairs():
+    given, settings, st, pairs = _hypothesis()
+
+    @settings
+    @given(pairs, pairs, st.integers(-50, 50))
+    def check(x, y, n):
+        cx, cy = CRat(*x), CRat(*y)
+        results = {
+            "add": (cx + cy, (x[0] + y[0], x[1] + y[1])),
+            "sub": (cx - cy, (x[0] - y[0], x[1] - y[1])),
+            "mul": (cx * cy, _ref_mul(x, y)),
+            "neg": (-cx, (-x[0], -x[1])),
+            "conj": (cx.conjugate(), (x[0], -x[1])),
+            "radd": (n + cx, (n + x[0], x[1])),
+            "rsub": (n - cx, (n - x[0], -x[1])),
+            "rmul": (n * cx, (n * x[0], n * x[1])),
+        }
+        if any(y):
+            results["div"] = (cx / cy, _ref_div(x, y))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                cx / cy
+        for name, (got, want) in results.items():
+            _assert_canonical(got)
+            assert _pair(got) == want, name
+        assert bool(cx) == any(x)
+        assert cx.is_real() == (not x[1])
+        assert cx.to_complex() == complex(*x)  # bit-identical floats
+
+    check()
+
+
+def test_crat_equality_with_ints_fractions_and_crats():
+    given, settings, st, pairs = _hypothesis()
+
+    @settings
+    @given(pairs, pairs, st.integers(-5, 5))
+    def check(x, y, n):
+        cx = CRat(*x)
+        assert (cx == CRat(*y)) == (x == y)
+        assert (cx != CRat(*y)) == (x != y)
+        assert (cx == y[0]) == (y[0] == cx) == (x == (y[0], 0))
+        assert (cx == n) == (n == cx) == (x == (n, 0))
+        assert (cx != n) == (x != (n, 0))
+
+    check()
+    with pytest.raises(TypeError):
+        CRat(1) < CRat(2)  # Q(i) has no order, whatever the triples say
+
+
+def test_crat_canonical_form():
+    given, settings, st, pairs = _hypothesis()
+
+    @settings
+    @given(pairs, st.integers(1, 10**6))
+    def check(x, k):
+        # the same value reached by different routes
+        routes = [
+            CRat(*x),
+            CRat(x[0]) + CRat(0, x[1]),
+            CRat(*x) * k / k,
+            (CRat(*x) - CRat(Fraction(1, k), 1)) + CRat(Fraction(1, k), 1),
+        ]
+        for c in routes:
+            _assert_canonical(c)
+            assert tuple(c) == tuple(routes[0])
+            assert hash(c) == hash(routes[0])
+
+    check()
+    assert tuple(CRat(0)) == tuple(CRat(5) - CRat(5)) == (0, 0, 1)
+
+
+def test_crat_repr_text():
+    given, settings, st, pairs = _hypothesis()
+
+    @settings
+    @given(pairs)
+    def check(x):
+        want = f"CRat({x[0]})" if not x[1] else f"CRat({x[0]}, {x[1]})"
+        assert repr(CRat(*x)) == want
+
+    check()
+
+
+def test_crat_pickle_and_copy_roundtrip():
+    given, settings, st, pairs = _hypothesis()
+
+    @settings
+    @given(pairs)
+    def check(x):
+        c = CRat(*x)
+        for back in (pickle.loads(pickle.dumps(c)), copy.deepcopy(c), copy.copy(c)):
+            _assert_canonical(back)
+            assert back == c and tuple(back) == tuple(c)
+
+    check()
