@@ -21,7 +21,13 @@ from math import gcd
 from operator import add
 import cmath
 
-from .errors import EvalError, InputError, NonUnitDeterminant, UnsupportedSpectrum
+from .errors import (
+    EvalError,
+    InputError,
+    InvariantError,
+    NonUnitDeterminant,
+    UnsupportedSpectrum,
+)
 
 NCOORD = 4
 
@@ -766,8 +772,8 @@ def _verify_matexp(e, m, coord):
         for j in range(n):
             v = e[i][j].eval_at_zero()
             if v != (CR_ONE if i == j else CR_ZERO):
-                raise AssertionError("matexp(0) != I")
+                raise InvariantError("matexp(0) != I")
     de = cfm_diff(e, coord)
     me = cfm_mul(cfm_from_frac(m), e)
     if not cfm_eq(de, me):
-        raise AssertionError("matexp does not satisfy its defining ODE")
+        raise InvariantError("matexp does not satisfy its defining ODE")

@@ -9,10 +9,12 @@ Conventions (fixed throughout the package):
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import mul
 import random
 
 from . import ratlinalg as rl
-from .errors import InputError
+from .errors import InputError, InvariantError
 
 Rat = Fraction
 
@@ -59,14 +61,19 @@ class StructureConstants:
             ]
         return self._nonzero
 
+    def scaled_nonzero(self):
+        """(D, [(i, j, k, D * value)]) over :meth:`nonzero`, with D the lcm of
+        the denominators, so that every scaled value is an int."""
+        nz = self.nonzero()
+        den = lcm(*[v.denominator for (_, _, _, v) in nz])
+        return den, [(i, j, k, v.numerator * (den // v.denominator)) for (i, j, k, v) in nz]
+
     def is_antisymmetric(self):
-        d = self.dim
-        return all(
-            self.f[i][j][k] == -self.f[j][i][k]
-            for i in range(d)
-            for j in range(i, d)
-            for k in range(d)
-        )
+        # f_ij^k = -f_ji^k pairs entry (i, j, k) with (j, i, k); a pair of
+        # zeros holds, so only nonzero entries need a look, and a nonzero
+        # f_ii^k is its own partner and fails
+        f = self.f
+        return all(f[j][i][k] == -v for (i, j, k, v) in self.nonzero())
 
     def is_abelian(self):
         return not self.nonzero()
@@ -133,8 +140,8 @@ def jacobi_check(sc: StructureConstants) -> JacobiReport:
     """Residual J_ijm^n = sum_k (f_ij^k f_km^n + f_ik^n f_mj^k + f_jk^n f_im^k)."""
     if not sc.is_antisymmetric():
         raise InputError("structure constants are not antisymmetric")
-    d = sc.dim
-    nz = sc.nonzero()
+    # the sums run on the ints D f_ij^k, so every value below is D^2 J
+    den, nz = sc.scaled_nonzero()
     # T_ijm^n = sum_k f_ij^k f_km^n over nonzero entries only; the full
     # residual is the cyclic sum J_ijm^n = T_ijm^n + T_jmi^n + T_mij^n,
     # which equals the three-term form stated in the docstring.
@@ -145,7 +152,7 @@ def jacobi_check(sc: StructureConstants) -> JacobiReport:
     for (i, j, k, v) in nz:
         for (m, n, w) in by_first.get(k, ()):
             key = (i, j, m, n)
-            acc[key] = acc.get(key, rl.ZERO) + v * w
+            acc[key] = acc.get(key, 0) + v * w
     total = {}
     for (i, j, m, n), v in acc.items():
         # T_ijm^n enters J at the slots (i,j,m), (m,i,j) and (j,m,i)
@@ -156,7 +163,11 @@ def jacobi_check(sc: StructureConstants) -> JacobiReport:
                 total[key] = t
             elif s is not None:
                 del total[key]
-    res = {(i + 1, j + 1, m + 1, n + 1): v for (i, j, m, n), v in total.items()}
+    den2 = den * den
+    res = {
+        (i + 1, j + 1, m + 1, n + 1): Fraction(v, den2)
+        for (i, j, m, n), v in total.items()
+    }
     return JacobiReport(not res, res)
 
 
@@ -173,8 +184,10 @@ def mixed_jacobi_check(f: StructureConstants, fd: StructureConstants):
     if f.dim != fd.dim:
         raise InputError("dimension mismatch")
     d = f.dim
-    fnz = f.nonzero()
-    gnz = fd.nonzero()
+    # both evaluations run on the ints D1 f and D2 ft, so every value below
+    # is D1 D2 times the residual
+    d1, fnz = f.scaled_nonzero()
+    d2, gnz = fd.scaled_nonzero()
     g_by_upper = {}
     g_by_second = {}
     for (a, b, c, w) in gnz:
@@ -201,28 +214,32 @@ def mixed_jacobi_check(f: StructureConstants, fd: StructureConstants):
             # +f_mk^j fd^im_l and -f_ml^j fd^im_k (i and j swapped)
             bump((j, i, x, y), v * w)
             bump((j, i, y, x), -v * w)
-    res = {(i + 1, j + 1, k + 1, l + 1): v for (i, j, k, l), v in acc.items()}
+    scale = d1 * d2
+    res = {
+        (i + 1, j + 1, k + 1, l + 1): Fraction(v, scale)
+        for (i, j, k, l), v in acc.items()
+    }
 
     # independent matrix-form evaluation; the two residuals must agree
-    xt = fd.adjoints()
-    ys = [f.y_matrix(k) for k in range(d)]
+    xt = [[[0] * d for _ in range(d)] for _ in range(d)]  # D2 Xt^i
+    ys = [[[0] * d for _ in range(d)] for _ in range(d)]  # D1 Y^k
+    for (i, j, k, w) in gnz:
+        xt[i][j][k] = -w
+    for (i, j, k, v) in fnz:
+        ys[k][i][j] = -v
     xt_t = [rl.transpose(m) for m in xt]
-    p1 = [[rl.mat_mul(ys[j], xt[i]) for i in range(d)] for j in range(d)]
-    p2 = [[rl.mat_mul(xt_t[i], ys[j]) for j in range(d)] for i in range(d)]
+    ys_kl = [[[y[k][l] for y in ys] for l in range(d)] for k in range(d)]
+    p1 = [[rl.int_mat_mul(ys[j], xt[i]) for i in range(d)] for j in range(d)]
+    p2 = [[rl.int_mat_mul(xt_t[i], ys[j]) for j in range(d)] for i in range(d)]
     for i in range(d):
         for j in range(d):
-            lhs = rl.zeros(d, d)
-            for l in range(d):
-                if xt[i][j][l]:
-                    lhs = rl.mat_add(lhs, rl.mat_scale(xt[i][j][l], ys[l]))
-            rhs = rl.mat_sub(
-                rl.mat_add(rl.mat_sub(p1[j][i], p1[i][j]), p2[i][j]), p2[j][i]
-            )
+            xij = xt[i][j]
             for k in range(d):
                 for l in range(d):
-                    want = acc.get((i, j, k, l), rl.ZERO)
-                    if lhs[k][l] - rhs[k][l] != want:
-                        raise AssertionError(
+                    lhs = sum(map(mul, xij, ys_kl[k][l]))  # (Xt^i)^j_m (Y^m)_kl
+                    rhs = p1[j][i][k][l] - p1[i][j][k][l] + p2[i][j][k][l] - p2[j][i][k][l]
+                    if lhs - rhs != acc.get((i, j, k, l), 0):
+                        raise InvariantError(
                             "index-form and matrix-form mixed residuals disagree"
                         )
     return JacobiReport(not res, res)
@@ -244,18 +261,15 @@ def build_double(f: StructureConstants, fd: StructureConstants) -> DoubleAlgebra
     d = f.dim
     n = 2 * d
     sc = StructureConstants(n)
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                sc.f[i][j][k] = f.f[i][j][k]
-                sc.f[d + i][d + j][d + k] = fd.f[i][j][k]
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                sc.f[i][d + j][k] = fd.f[j][k][i]
-                sc.f[d + j][i][k] = -fd.f[j][k][i]
-                sc.f[i][d + j][d + k] = f.f[k][i][j]
-                sc.f[d + j][i][d + k] = -f.f[k][i][j]
+    s = sc.f  # zero apart from the entries written below
+    for (k, i, j, v) in f.nonzero():
+        s[k][i][j] = v
+        s[i][d + j][d + k] = v  # f_ki^j Xt^k in [X_i, Xt^j]
+        s[d + j][i][d + k] = -v
+    for (j, k, i, w) in fd.nonzero():
+        s[d + j][d + k][d + i] = w
+        s[i][d + j][k] = w  # ft^jk_i X_k in [X_i, Xt^j]
+        s[d + j][i][k] = -w
     sc._nonzero = None
     pairing = rl.zeros(n, n)
     for i in range(d):
@@ -268,20 +282,17 @@ def pairing_ad_invariant(dbl: DoubleAlgebra):
     """<[Z,W],V> + <W,[Z,V]> = 0 for all basis triples.
 
     The canonical pairing couples index m to m +- dim only, so the sum
-    collapses to two structure-tensor entries per triple.
+    collapses to two structure-tensor entries per triple,
+    f_zw^v' + f_zv^w' = 0 with ' the coupled index.  The map
+    (z, a, b) -> (z, b', a') pairs the two entries and is an involution,
+    so checking each nonzero entry against its partner covers every
+    triple; a nonzero entry that is its own partner fails.
     """
     n = dbl.sc.dim
     d = n // 2
     f = dbl.sc.f
     conj = [m + d if m < d else m - d for m in range(n)]
-    for z in range(n):
-        fz = f[z]
-        for w in range(n):
-            fzw = fz[w]
-            for v in range(n):
-                if fzw[conj[v]] + fz[v][conj[w]]:
-                    return False
-    return True
+    return all(f[z][conj[b]][conj[a]] == -v for (z, a, b, v) in dbl.sc.nonzero())
 
 
 @dataclass

@@ -25,6 +25,12 @@ class EvalError(ValueError):
     """Evaluation hit a singular locus (division by zero)."""
 
 
+class InvariantError(Exception):
+    """An internal consistency check failed: a defect of the program, not of
+    its input.  Not a ValueError, so the CLI never reports it as a usage
+    error."""
+
+
 class CorpusSyntaxError(ValueError):
     """Corpus text failed to parse; carries location info."""
 

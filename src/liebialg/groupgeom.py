@@ -18,7 +18,7 @@ from .closedfun import (
     cfm_transpose,
 )
 from .core import StructureConstants, build_double, jacobi_check, mixed_jacobi_check
-from .errors import InputError
+from .errors import InputError, InvariantError
 
 
 @dataclass
@@ -142,11 +142,11 @@ def double_adjoint(f: StructureConstants, fd: StructureConstants) -> DoubleAdjoi
     d = [row[n:] for row in m[n:]]
     upper_right = [row[n:] for row in m[:n]]
     if not cfm_is_zero(upper_right):
-        raise AssertionError("primal block leaked into the dual column space")
+        raise InvariantError("primal block leaked into the dual column space")
     blocks = DoubleAdjointBlocks(a, b, d, m)
     # invariance of the canonical pairing forces d = (a^-1)^T
     if not cfm_is_zero(blocks_pairing_residual(blocks)):
-        raise AssertionError("pairing relation d = (a^-1)^T violated")
+        raise InvariantError("pairing relation d = (a^-1)^T violated")
     return blocks
 
 

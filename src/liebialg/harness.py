@@ -21,7 +21,13 @@ from .core import (
     pairing_ad_invariant,
 )
 from .closedfun import cfm_eq
-from .errors import EvalError, InputError, NonUnitDeterminant, UnsupportedSpectrum
+from .errors import (
+    EvalError,
+    InputError,
+    InvariantError,
+    NonUnitDeterminant,
+    UnsupportedSpectrum,
+)
 from .groupgeom import (
     GroupChart,
     blocks_pairing_residual,
@@ -44,9 +50,15 @@ from .rmatrix import (
     solve_coboundary,
 )
 
-# what deriving one table entry may raise on a bad or unsupported input; the
-# entry fails and its campaign carries on
-ENTRY_ERRORS = (InputError, UnsupportedSpectrum, NonUnitDeterminant, EvalError)
+# what deriving one table entry may raise on a bad or unsupported input or a
+# broken internal invariant; the entry fails and its campaign carries on
+ENTRY_ERRORS = (
+    InputError,
+    UnsupportedSpectrum,
+    NonUnitDeterminant,
+    EvalError,
+    InvariantError,
+)
 
 # rows that must match the printed payload exactly (not merely match-or-flag)
 FRAME_SPOT_CHECKS = (
@@ -199,6 +211,18 @@ def _timed(fn):
     return wrapper
 
 
+def _run_entry(name, check, *args):
+    """One table entry: `check(*args)` returns (status, detail,
+    discrepancies); an ENTRY_ERRORS exception fails this entry alone, with
+    the exception class in its detail."""
+    t0 = time.perf_counter()
+    try:
+        status, detail, discrepancies = check(*args)
+    except ENTRY_ERRORS as ex:
+        status, detail, discrepancies = "fail", f"{type(ex).__name__}: {ex}", []
+    return EntryResult(name, status, detail, discrepancies, time.perf_counter() - t0)
+
+
 @_timed
 def verify_table1(reg, seed=0):
     """Base algebras: Jacobi identity and a nondegenerate closed two-form."""
@@ -206,19 +230,19 @@ def verify_table1(reg, seed=0):
     for name, entry in sorted(reg.algebras.items()):
         if "." in name or name == "4A_1":
             continue  # dual variants are exercised through tables 2-9
-        t0 = time.perf_counter()
-        status, detail = "pass", ""
-        for b in reg.grid_bindings(name):
-            sc = entry.structure_constants(b)
-            if not jacobi_check(sc).passed:
-                status, detail = "fail", f"Jacobi fails at {b}"
-                break
-            sym = find_symplectic(sc, seed=seed)
-            if not sym.found:
-                status, detail = "fail", f"no symplectic form at {b} (rank {sym.max_rank})"
-                break
-        rep.results.append(EntryResult(name, status, detail, seconds=time.perf_counter() - t0))
+        rep.results.append(_run_entry(name, _check_algebra, reg, name, entry, seed))
     return rep
+
+
+def _check_algebra(reg, name, entry, seed):
+    for b in reg.grid_bindings(name):
+        sc = entry.structure_constants(b)
+        if not jacobi_check(sc).passed:
+            return "fail", f"Jacobi fails at {b}", []
+        sym = find_symplectic(sc, seed=seed)
+        if not sym.found:
+            return "fail", f"no symplectic form at {b} (rank {sym.max_rank})", []
+    return "pass", "", []
 
 
 @_timed
@@ -226,27 +250,24 @@ def verify_table2(reg, seed=0):
     """Bracket/cobracket pairs: mixed Jacobi and the double's Jacobi identity."""
     rep = RunReport("table2")
     for be in reg.bialgebras:
-        t0 = time.perf_counter()
-        status, detail = "pass", ""
-        for b in reg.grid_bindings(be.g, be.dual):
-            f = reg.instantiate(be.g, b)
-            fd = reg.instantiate(be.dual, b)
-            if not mixed_jacobi_check(f, fd).passed:
-                status, detail = "fail", f"mixed Jacobi fails at {b}"
-                break
-            dbl = build_double(f, fd)
-            if not jacobi_check(dbl.sc).passed:
-                status, detail = "fail", f"double Jacobi fails at {b}"
-                break
-            if not pairing_ad_invariant(dbl):
-                status, detail = "fail", f"pairing not ad-invariant at {b}"
-                break
-        res = EntryResult(be.name, status, detail, seconds=time.perf_counter() - t0)
-        if status == "pass" and be.status == "flagged":
-            res.status = "flagged"
-            res.detail = be.note
-        rep.results.append(res)
+        rep.results.append(_run_entry(be.name, _check_bialgebra, reg, be))
     return rep
+
+
+def _check_bialgebra(reg, be):
+    for b in reg.grid_bindings(be.g, be.dual):
+        f = reg.instantiate(be.g, b)
+        fd = reg.instantiate(be.dual, b)
+        if not mixed_jacobi_check(f, fd).passed:
+            return "fail", f"mixed Jacobi fails at {b}", []
+        dbl = build_double(f, fd)
+        if not jacobi_check(dbl.sc).passed:
+            return "fail", f"double Jacobi fails at {b}", []
+        if not pairing_ad_invariant(dbl):
+            return "fail", f"pairing not ad-invariant at {b}", []
+    if be.status == "flagged":
+        return "flagged", be.note, []
+    return "pass", "", []
 
 
 @_timed
@@ -254,47 +275,38 @@ def verify_table34(reg, seed=0):
     """r-matrix rows: membership, classification, and dual-direction solves."""
     rep = RunReport("table34")
     for (g, dual), e in sorted(reg.rmatrices.items()):
-        t0 = time.perf_counter()
-        status, detail = "pass", ""
-        discrepancies = []
-        for b in reg.grid_bindings(g, dual, cap=2):
-            f = reg.instantiate(g, b)
-            fd = reg.instantiate(dual, b)
-            sol = solve_coboundary(f, fd)
-            if sol.empty:
-                status, detail = "fail", f"defining system inconsistent at {b}"
-                break
-            if solve_coboundary(fd, f).empty and (dual, g) in reg.rmatrices:
-                status, detail = "fail", f"dual-direction system inconsistent at {b}"
-                break
-            for combo in product(corpus_mod.RFREE_GRID, repeat=len(e.rfree)):
-                bb = dict(b)
-                bb.update(dict(zip(e.rfree, combo)))
-                r = e.tensor(bb)
-                if not generates_cocommutator(r, f, fd):
-                    status, detail = "fail", f"printed r not in the solution set at {bb}"
-                    break
-                cl = classify_r(r, f)
-                expected = e.expected_schouten(bb)
-                if expected is None:
-                    if cl.kind != "triangular":
-                        status, detail = "fail", f"expected triangular, got {cl.kind} ({cl.violation})"
-                        break
-                else:
-                    if not rank3_eq(cl.schouten, expected):
-                        status, detail = "fail", "[[r,r]] differs from the printed certificate"
-                        break
-                    if cl.kind != "quasitriangular":
-                        status, detail = "fail", f"nonzero [[r,r]] not quasi-triangular: {cl.violation}"
-                        break
-            if status != "pass":
-                break
-        res = EntryResult(e.name, status, detail, discrepancies, time.perf_counter() - t0)
-        if status == "pass" and e.status == "flagged":
-            res.status = "flagged"
-            res.detail = e.note
-        rep.results.append(res)
+        rep.results.append(_run_entry(e.name, _check_rmatrix_row, reg, g, dual, e))
     return rep
+
+
+def _check_rmatrix_row(reg, g, dual, e):
+    for b in reg.grid_bindings(g, dual, cap=2):
+        f = reg.instantiate(g, b)
+        fd = reg.instantiate(dual, b)
+        sol = solve_coboundary(f, fd)
+        if sol.empty:
+            return "fail", f"defining system inconsistent at {b}", []
+        if solve_coboundary(fd, f).empty and (dual, g) in reg.rmatrices:
+            return "fail", f"dual-direction system inconsistent at {b}", []
+        for combo in product(corpus_mod.RFREE_GRID, repeat=len(e.rfree)):
+            bb = dict(b)
+            bb.update(dict(zip(e.rfree, combo)))
+            r = e.tensor(bb)
+            if not generates_cocommutator(r, f, fd):
+                return "fail", f"printed r not in the solution set at {bb}", []
+            cl = classify_r(r, f)
+            expected = e.expected_schouten(bb)
+            if expected is None:
+                if cl.kind != "triangular":
+                    return "fail", f"expected triangular, got {cl.kind} ({cl.violation})", []
+            else:
+                if not rank3_eq(cl.schouten, expected):
+                    return "fail", "[[r,r]] differs from the printed certificate", []
+                if cl.kind != "quasitriangular":
+                    return "fail", f"nonzero [[r,r]] not quasi-triangular: {cl.violation}", []
+    if e.status == "flagged":
+        return "flagged", e.note, []
+    return "pass", "", []
 
 
 def _compare_frame(reg, bench, name, binding):
@@ -323,43 +335,40 @@ def verify_table5(reg, bench=None, seed=0):
     bench = bench or Workbench(reg)
     rep = RunReport("table5")
     for name, fe in sorted(reg.frames.items()):
-        t0 = time.perf_counter()
-        bindings = reg.grid_bindings(name, cap=1)
-        status, detail = "pass", ""
-        discrepancies = []
-        for b in bindings:
-            discrepancies.extend(_compare_frame(reg, bench, name, b))
-            f = reg.instantiate(name, b)
-            bad = frame_bracket_residuals(bench.frame(name, b), f)
-            if bad:
-                status, detail = "fail", f"frame bracket relations fail: {bad[:3]}"
-                break
-        if status == "pass" and discrepancies:
-            if fe.status == "flagged":
-                status = "flagged"
-                detail = fe.note
-            else:
-                status, detail = "fail", "printed frame differs from the derivation"
-        rep.results.append(
-            EntryResult(f"frame {name}", status, detail, discrepancies, time.perf_counter() - t0)
-        )
-    # spot-check set: exact match mandatory except the recorded flagged slot
+        rep.results.append(_run_entry(f"frame {name}", _check_frame, reg, bench, name, fe))
+    # spot-check set: exact match mandatory except the recorded flagged slot;
+    # a corpus without one of these frames skips its spot check
     for name, binding in FRAME_SPOT_CHECKS:
-        t0 = time.perf_counter()
-        disc = _compare_frame(reg, bench, name, binding)
-        allowed = [d for d in disc if "x3^3" in d.expected]
-        status = "pass" if len(disc) == len(allowed) else "fail"
-        detail = "" if status == "pass" else f"{len(disc)-len(allowed)} unexpected mismatches"
-        if name == "A_4_11_b" and not allowed:
-            status, detail = "fail", "expected flagged x3^3 discrepancy was not reported"
-        rep.results.append(
-            EntryResult(f"frame-spot {name}", status, detail, disc, time.perf_counter() - t0)
-        )
+        if name in reg.frames:
+            rep.results.append(
+                _run_entry(f"frame-spot {name}", _spot_check_frame, reg, bench, name, binding)
+            )
     return rep
 
 
-def _entry_error_detail(ex):
-    return f"{type(ex).__name__}: {ex}"
+def _check_frame(reg, bench, name, fe):
+    discrepancies = []
+    for b in reg.grid_bindings(name, cap=1):
+        discrepancies.extend(_compare_frame(reg, bench, name, b))
+        f = reg.instantiate(name, b)
+        bad = frame_bracket_residuals(bench.frame(name, b), f)
+        if bad:
+            return "fail", f"frame bracket relations fail: {bad[:3]}", discrepancies
+    if not discrepancies:
+        return "pass", "", discrepancies
+    if fe.status == "flagged":
+        return "flagged", fe.note, discrepancies
+    return "fail", "printed frame differs from the derivation", discrepancies
+
+
+def _spot_check_frame(reg, bench, name, binding):
+    disc = _compare_frame(reg, bench, name, binding)
+    allowed = [d for d in disc if "x3^3" in d.expected]
+    if name == "A_4_11_b" and not allowed:
+        return "fail", "expected flagged x3^3 discrepancy was not reported", disc
+    if len(disc) == len(allowed):
+        return "pass", "", disc
+    return "fail", f"{len(disc)-len(allowed)} unexpected mismatches", disc
 
 
 @_timed
@@ -369,14 +378,7 @@ def verify_table67(reg, bench=None, seed=0):
     bench = bench or Workbench(reg)
     rep = RunReport("table67")
     for pe in reg.poisson:
-        t0 = time.perf_counter()
-        try:
-            status, detail, discrepancies = _check_poisson_entry(reg, bench, pe)
-        except ENTRY_ERRORS as ex:
-            status, detail, discrepancies = "fail", _entry_error_detail(ex), []
-        rep.results.append(
-            EntryResult(pe.name, status, detail, discrepancies, time.perf_counter() - t0)
-        )
+        rep.results.append(_run_entry(pe.name, _check_poisson_entry, reg, bench, pe))
     return rep
 
 
@@ -434,13 +436,10 @@ def verify_table89(reg, bench=None, seed=0):
         if entry is None:
             continue
         for (g, dual) in entry.pairs:
-            t0 = time.perf_counter()
-            try:
-                status, detail = _check_membership_pair(reg, bench, table, g, dual)
-            except ENTRY_ERRORS as ex:
-                status, detail = "fail", _entry_error_detail(ex)
             rep.results.append(
-                EntryResult(f"{table} ({g}, {dual})", status, detail, seconds=time.perf_counter() - t0)
+                _run_entry(
+                    f"{table} ({g}, {dual})", _check_membership_pair, reg, bench, table, g, dual
+                )
             )
     return rep
 
@@ -450,20 +449,29 @@ def _check_membership_pair(reg, bench, table, g, dual):
         P = bench.bivector_any(g, dual, b)
         cl = symplectic_classify(P)
         if not cl.symplectic:
-            return "fail", f"degenerate at {b} (rank {cl.max_rank})"
+            return "fail", f"degenerate at {b} (rank {cl.max_rank})", []
         if cl.closed_ok is False:
-            return "fail", f"inverse two-form not closed at {b}"
+            return "fail", f"inverse two-form not closed at {b}", []
         if table == "table8":
             P2 = bench.bivector_any(dual, g, b)
             cl2 = symplectic_classify(P2)
             if not cl2.symplectic:
-                return "fail", f"swapped pair degenerate at {b}"
-    return "pass", ""
+                return "fail", f"swapped pair degenerate at {b}", []
+    return "pass", "", []
 
 
 @_timed
 def verify_integrable(reg, seed=0, flow=True):
     """Darboux form, symmetry closure, Leibniz, and conservation under flow."""
+    rep = RunReport("integrable")
+    for ex_id in (1, 2):
+        rep.results.append(
+            _run_entry(f"example {ex_id}", _check_example, reg, ex_id, seed, flow)
+        )
+    return rep
+
+
+def _check_example(reg, ex_id, seed, flow):
     from .integrable import (
         closure_check,
         darboux_check,
@@ -472,29 +480,21 @@ def verify_integrable(reg, seed=0, flow=True):
         load_example,
     )
 
-    rep = RunReport("integrable")
-    for ex_id in (1, 2):
-        t0 = time.perf_counter()
-        ex = load_example(reg, ex_id)
-        status, detail = "pass", ""
-        dar = darboux_check(ex, seed=seed)
-        if not dar.passed:
-            status, detail = "fail", f"Darboux residual {dar.max_residual:.2e}"
-        clo = closure_check(ex, seed=seed)
-        if status == "pass" and not clo.passed:
-            status, detail = "fail", f"closure residual {clo.max_residual:.2e}"
-        lei_ok, lei = leibniz_check(ex, seed=seed)
-        if status == "pass" and not lei_ok:
-            status, detail = "fail", f"Leibniz residual {lei:.2e}"
-        if status == "pass" and flow:
-            fl = flow_conserve(ex, hamiltonian=2)
-            drift = fl.max_drift()
-            if drift > 1e-6:
-                status, detail = "fail", f"conserved drift {drift:.2e}"
-        rep.results.append(
-            EntryResult(f"example {ex_id}", status, detail, seconds=time.perf_counter() - t0)
-        )
-    return rep
+    ex = load_example(reg, ex_id)
+    dar = darboux_check(ex, seed=seed)
+    if not dar.passed:
+        return "fail", f"Darboux residual {dar.max_residual:.2e}", []
+    clo = closure_check(ex, seed=seed)
+    if not clo.passed:
+        return "fail", f"closure residual {clo.max_residual:.2e}", []
+    lei_ok, lei = leibniz_check(ex, seed=seed)
+    if not lei_ok:
+        return "fail", f"Leibniz residual {lei:.2e}", []
+    if flow:
+        drift = flow_conserve(ex, hamiltonian=2).max_drift()
+        if drift > 1e-6:
+            return "fail", f"conserved drift {drift:.2e}", []
+    return "pass", "", []
 
 
 TABLES = {

@@ -1,13 +1,23 @@
-"""Exact linear algebra over the rationals (lists of lists of Fraction)."""
+"""Exact linear algebra over the rationals (lists of lists of Fraction).
+
+Elimination runs on Python ints, not on Fractions.  Each row is scaled by
+the lcm of its denominators; a row is cleared against a pivot row by an
+integer combination and then divided by the gcd of its entries, so the
+entries stay small ints (integer-preserving elimination after E. H.
+Bareiss, Math. Comp. 22, 1968, with the row gcd as the divisor).  Scaling
+rows does not change the row space, and the reduced row echelon form of a
+matrix is unique, so dividing each pivot row by its pivot when it is
+written out gives exactly the Fractions that rational Gauss-Jordan
+elimination gives.  `rref`, `nullspace`, `solve_affine`, `inverse` and
+`det` return Fractions only.
+"""
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def zeros(rows, cols):
@@ -19,10 +29,6 @@ def identity(n):
     for i in range(n):
         m[i][i] = ONE
     return m
-
-
-def copy_matrix(m):
-    return [row[:] for row in m]
 
 
 def transpose(m):
@@ -45,6 +51,18 @@ def mat_mul(a, b):
     return out
 
 
+def int_mat_mul(a, b):
+    """Product of two matrices of ints."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def scaled_ints(m):
+    """(D, D * m as rows of ints), with D the lcm of the denominators of m."""
+    den = lcm(*[x.denominator for row in m for x in row])
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in m]
+
+
 def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -61,64 +79,89 @@ def is_zero_matrix(a):
     return all(not x for row in a for x in row)
 
 
-def det(m):
-    """Determinant by fraction-preserving Gaussian elimination."""
-    n = len(m)
-    a = copy_matrix(m)
-    sign = ONE
-    d = ONE
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
+def _int_row(row):
+    """The row times the lcm l of its denominators, as ints, and l."""
+    l = lcm(*[x.denominator for x in row])
+    return [x.numerator * (l // x.denominator) for x in row], l
+
+
+def _gauss_jordan(a, cols):
+    """Reduce the int rows `a` in place until each pivot is the only nonzero
+    entry of its column, with the pivot rows first.
+
+    A row with entry q in the pivot column is replaced by p*row - q*pivot_row
+    (p the pivot) and divided by the gcd g of its entries.  Returns the pivot
+    columns and (num, den): the steps multiplied the determinant by num/den.
+    """
+    rows = len(a)
+    pivots = []
+    num = den = 1
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        piv = next((i for i in range(r, rows) if a[i][c]), None)
         if piv is None:
-            return ZERO
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        p = a[col][col]
-        d *= p
-        for r in range(col + 1, n):
-            f = a[r][col] / p
-            if f:
-                ar, ac = a[r], a[col]
-                for c in range(col, n):
-                    ar[c] -= f * ac[c]
-    return sign * d
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            num = -num
+        top = a[r]
+        p = top[c]
+        for i, row in enumerate(a):
+            q = row[c]
+            if q and i != r:
+                row = [p * x - q * y for x, y in zip(row, top)]
+                g = gcd(*row)
+                if g > 1:
+                    row = [x // g for x in row]
+                    den *= g
+                a[i] = row
+                num *= p
+        pivots.append(c)
+    return pivots, num, den
+
+
+def det(m):
+    """Determinant by the integer elimination of :func:`rref`."""
+    n = len(m)
+    a = []
+    scale = 1
+    for row in m:
+        ints, l = _int_row(row)
+        a.append(ints)
+        scale *= l
+    pivots, num, den = _gauss_jordan(a, n)
+    if len(pivots) < n:
+        return ZERO
+    diag = 1
+    for i in range(n):
+        diag *= a[i][i]
+    # the elimination left diag(a) = det(m) * scale * num / den
+    return Fraction(diag * den, num * scale)
 
 
 def rref(m):
     """Reduced row echelon form; returns (matrix, pivot column list)."""
-    a = copy_matrix(m)
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        p = a[r][c]
-        a[r] = [x / p for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return a, pivots
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    a = [_int_row(row)[0] for row in m]
+    pivots = _gauss_jordan(a, cols)[0]
+    red = [
+        [Fraction(x, a[r][c]) if x else ZERO for x in a[r]]
+        for r, c in enumerate(pivots)
+    ]
+    red.extend([ZERO] * cols for _ in range(rows - len(pivots)))
+    return red, pivots
 
 
 def rank(m):
-    return len(rref(m)[1])
+    cols = len(m[0]) if m else 0
+    return len(_gauss_jordan([_int_row(row)[0] for row in m], cols)[0])
 
 
-def nullspace(m):
-    """Basis of the right nullspace, one vector per free column."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    red, pivots = rref(m)
+def _kernel_basis(red, pivots, cols):
+    """Right nullspace basis read off a reduced row echelon form."""
     pivset = set(pivots)
     basis = []
     for free in range(cols):
@@ -132,21 +175,28 @@ def nullspace(m):
     return basis
 
 
+def nullspace(m):
+    """Basis of the right nullspace, one vector per free column."""
+    cols = len(m[0]) if m else 0
+    return _kernel_basis(*rref(m), cols)
+
+
 def solve_affine(a, b):
     """Solve a x = b exactly.
 
-    Returns (particular, nullspace_basis) or None when inconsistent.
+    Returns (particular, nullspace_basis) or None when inconsistent.  With
+    no pivot in the last column, the left block of the reduced augmented
+    matrix is the reduced form of a, so one reduction gives both.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    aug = [a[i][:] + [frac(b[i])] for i in range(rows)]
-    red, pivots = rref(aug)
+    red, pivots = rref([list(a[i]) + [b[i]] for i in range(rows)])
     if cols in pivots:
         return None
     part = [ZERO] * cols
     for r, pc in enumerate(pivots):
         part[pc] = red[r][cols]
-    return part, nullspace(a)
+    return part, _kernel_basis(red, pivots, cols)
 
 
 def inverse(m):

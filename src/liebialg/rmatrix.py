@@ -99,22 +99,37 @@ class RSolutionSet:
     empty: bool
 
 
-def _coboundary_residuals(r, f: StructureConstants, fd: StructureConstants):
-    """Matrices Xadj_i^T r + r Xadj_i - Yt_i for each i."""
+def _ad_action(r, f: StructureConstants):
+    """(s, [s (Xadj_i^T r + r Xadj_i) for each i]) for the matrix r, with s
+    a positive int that makes every entry an int."""
     d = f.dim
-    out = []
-    for i in range(d):
-        x = f.adjoint(i)
-        xt = rl.transpose(x)
-        lhs = rl.mat_add(rl.mat_mul(xt, r), rl.mat_mul(r, x))
-        yt = [[-fd.f[a][b][i] for b in range(d)] for a in range(d)]
-        out.append(rl.mat_sub(lhs, yt))
+    d1, fnz = f.scaled_nonzero()
+    dr, ri = rl.scaled_ints(r)
+    out = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for (i, p, q, v) in fnz:
+        # d1 (Xadj_i)_p^q = -v enters (Xadj_i^T r)^qb and (r Xadj_i)^bq
+        o = out[i]
+        oq, rp = o[q], ri[p]
+        for b in range(d):
+            oq[b] -= v * rp[b]
+            o[b][q] -= ri[b][p] * v
+    return d1 * dr, out
+
+
+def _coboundary_residuals(r, f: StructureConstants, fd: StructureConstants):
+    """Matrices s (Xadj_i^T r + r Xadj_i - Yt_i) for each i, with s a
+    positive int that makes every entry an int."""
+    s, out = _ad_action(r, f)
+    d2, gnz = fd.scaled_nonzero()
+    out = [[[x * d2 for x in row] for row in m] for m in out]
+    for (a, b, i, w) in gnz:
+        out[i][a][b] += w * s  # -Yt_i^ab = ft^ab_i
     return out
 
 
 def generates_cocommutator(r: TensorElement, f, fd) -> bool:
     """Exact membership test: r solves the defining system for (f, fd)."""
-    return all(rl.is_zero_matrix(m) for m in _coboundary_residuals(r.r, f, fd))
+    return not any(any(row) for m in _coboundary_residuals(r.r, f, fd) for row in m)
 
 
 def solve_coboundary(f: StructureConstants, fd: StructureConstants) -> RSolutionSet:
@@ -123,23 +138,22 @@ def solve_coboundary(f: StructureConstants, fd: StructureConstants) -> RSolution
         raise InputError("dimension mismatch")
     d = f.dim
     n = d * d
-    rows = []
-    rhs = []
-    for i in range(d):
-        x = f.adjoint(i)
-        for a in range(d):
-            for b in range(d):
-                row = [rl.ZERO] * n
-                # (Xadj_i^T r)^ab = sum_k x[k][a] r[k][b]
-                for k in range(d):
-                    if x[k][a]:
-                        row[k * d + b] += x[k][a]
-                # (r Xadj_i)^ab = sum_j r[a][j] x[j][b]
-                for j in range(d):
-                    if x[j][b]:
-                        row[a * d + j] += x[j][b]
-                rows.append(row)
-                rhs.append(-fd.f[a][b][i])
+    # equation (i, a, b) is row i n + a d + b, times d1 d2 so that every
+    # coefficient is an int; scaling an equation leaves the solutions as
+    # they are
+    d1, fnz = f.scaled_nonzero()
+    d2, gnz = fd.scaled_nonzero()
+    rows = [[0] * n for _ in range(d * n)]
+    rhs = [0] * (d * n)
+    for (i, p, q, v) in fnz:
+        x = -v * d2  # d1 d2 (Xadj_i)_p^q
+        base = i * n
+        for b in range(d):
+            # (Xadj_i^T r)^qb gains x r^pb, (r Xadj_i)^bq gains r^bp x
+            rows[base + q * d + b][p * d + b] += x
+            rows[base + b * d + q][b * d + p] += x
+    for (a, b, i, w) in gnz:
+        rhs[i * n + a * d + b] = -w * d1
     sol = rl.solve_affine(rows, rhs)
     if sol is None:
         return RSolutionSet(None, [], True)
@@ -156,13 +170,22 @@ def schouten(r: TensorElement, f: StructureConstants):
 
     S^abc = f_ik^a r^ib r^kc + f_jk^b r^aj r^kc + f_jl^c r^aj r^bl
     """
+    return _unscale3(*_schouten_ints(r, f))
+
+
+def _unscale3(s, t):
+    """The rank-3 tensor t / s as Fractions."""
+    return [[[Fraction(x, s) if x else rl.ZERO for x in row] for row in p] for p in t]
+
+
+def _schouten_ints(r: TensorElement, f: StructureConstants):
+    """(s, s [[r, r]] as ints), with s a positive int."""
     if not r.is_antisymmetric():
         raise InputError("Schouten bracket input must be antisymmetric")
     d = r.dim
-    rr = r.r
-    ff = f.f
-    out = [[[rl.ZERO] * d for _ in range(d)] for _ in range(d)]
-    nz = f.nonzero()
+    dr, rr = rl.scaled_ints(r.r)
+    d1, nz = f.scaled_nonzero()
+    out = [[[0] * d for _ in range(d)] for _ in range(d)]
     for (i, k, a, v) in nz:
         for b in range(d):
             rib = rr[i][b]
@@ -187,7 +210,7 @@ def schouten(r: TensorElement, f: StructureConstants):
             for b in range(d):
                 if rr[b][l]:
                     out[a][b][c] += v * raj * rr[b][l]
-    return out
+    return d1 * dr * dr, out
 
 
 def rank3_zero(t):
@@ -236,29 +259,27 @@ def rank3_add(s, t):
 
 def ad_invariant_symmetric(rs: TensorElement, f: StructureConstants) -> bool:
     """Xadj_i^T rs + rs Xadj_i = 0 for all i."""
-    for i in range(f.dim):
-        x = f.adjoint(i)
-        m = rl.mat_add(rl.mat_mul(rl.transpose(x), rs.r), rl.mat_mul(rs.r, x))
-        if not rl.is_zero_matrix(m):
-            return False
-    return True
+    return not any(any(row) for m in _ad_action(rs.r, f)[1] for row in m)
 
 
 def ad_invariant_rank3(t, f: StructureConstants) -> bool:
-    """The adjoint action extended as a derivation to g^(x)3 annihilates t."""
+    """The adjoint action extended as a derivation to g^(x)3 annihilates t:
+
+    sum_m (f_im^a t^mbc + f_im^b t^amc + f_im^c t^abm) = 0 for all i, a, b, c.
+    """
     d = f.dim
-    for i in range(d):
-        for a in range(d):
-            for b in range(d):
-                for c in range(d):
-                    v = rl.ZERO
-                    for m in range(d):
-                        v += f.f[i][m][a] * t[m][b][c]
-                        v += f.f[i][m][b] * t[a][m][c]
-                        v += f.f[i][m][c] * t[a][b][m]
-                    if v:
-                        return False
-    return True
+    _, flat = rl.scaled_ints([row for p in t for row in p])
+    ti = [flat[a * d : (a + 1) * d] for a in range(d)]
+    _, nz = f.scaled_nonzero()
+    out = [[[[0] * d for _ in range(d)] for _ in range(d)] for _ in range(d)]
+    for (i, m, x, w) in nz:
+        o = out[i]
+        for u in range(d):
+            for v in range(d):
+                o[x][u][v] += w * ti[m][u][v]
+                o[u][x][v] += w * ti[u][m][v]
+                o[u][v][x] += w * ti[u][v][m]
+    return not any(any(row) for oi in out for p in oi for row in p)
 
 
 @dataclass
@@ -276,15 +297,17 @@ def classify_r(r: TensorElement, f: StructureConstants) -> RClassification:
     rs = r.symmetric_part()
     ra = r.antisymmetric_part()
     sym_ok = ad_invariant_symmetric(rs, f)
-    s = schouten(ra, f)
+    # the checks below run on the int tensor scale * [[r_a, r_a]]
+    scale, si = _schouten_ints(ra, f)
+    s = _unscale3(scale, si)
     if not sym_ok:
         return RClassification(
             "invalid", s, False, violation="symmetric part is not ad-invariant"
         )
-    if rank3_zero(s):
+    if rank3_zero(si):
         return RClassification("triangular", s, True)
-    anti = is_totally_antisymmetric(s)
-    inv = ad_invariant_rank3(s, f)
+    anti = is_totally_antisymmetric(si)
+    inv = ad_invariant_rank3(si, f)
     if anti and inv:
         return RClassification("quasitriangular", s, True, anti, inv)
     violation = []
@@ -303,12 +326,12 @@ def cocommutator_from_r(r: TensorElement, f: StructureConstants) -> StructureCon
     """
     d = f.dim
     fd = StructureConstants(d)
-    for i in range(d):
-        x = f.adjoint(i)
-        m = rl.mat_add(rl.mat_mul(rl.transpose(x), r.r), rl.mat_mul(r.r, x))
+    s, action = _ad_action(r.r, f)
+    for i, m in enumerate(action):
         for a in range(d):
             for b in range(d):
-                fd.f[a][b][i] = -m[a][b]
+                if m[a][b]:
+                    fd.f[a][b][i] = Fraction(-m[a][b], s)
     fd._nonzero = None
     if not fd.is_antisymmetric():
         raise InputError(

@@ -6,8 +6,10 @@ import json
 import pytest
 
 from liebialg import corpus as corpus_mod
+from liebialg import groupgeom, harness, integrable
+from liebialg.closedfun import cfm_identity
 from liebialg.cli import main
-from liebialg.errors import UnsupportedSpectrum
+from liebialg.errors import InvariantError, UnsupportedSpectrum
 from liebialg.harness import Workbench
 
 # ad X4 acts on span(X1, X2) with eigenvalues +-sqrt(2), outside Q + iQ
@@ -24,6 +26,27 @@ poisson 4A_1 4A_1 pi
 
 membership table8
   pair R2 4A_1
+"""
+
+IDENTITY_FRAME = "".join(f"  x{side} {i} = d{i}\n" for side in "lr" for i in range(1, 5))
+
+# the R2 algebra of SQRT2_CORPUS and the abelian one, each with a frame
+SQRT2_FRAMES_CORPUS = f"""
+algebra R2
+  bracket 1 4 -> 1 2
+  bracket 2 4 -> 2 1
+
+algebra 4A_1
+
+frame R2
+{IDENTITY_FRAME}
+frame 4A_1
+{IDENTITY_FRAME}"""
+
+ABELIAN_CORPUS = """
+algebra 4A_1
+
+poisson 4A_1 4A_1 pi
 """
 
 CONTRACT_SHA256 = "c1dce0def27159364b7362a5b3cdb390de97b23b01380c5a9ef57301f0d18c3c"
@@ -87,6 +110,49 @@ def test_verify_unsupported_spectrum_fails_only_its_entry(tmp_path, capsys):
         assert recs[entry]["detail"].startswith("UnsupportedSpectrum: ")
     # the campaign carried on past the failing entry
     assert recs["pb(4A_1, 4A_1)[pi]"]["status"] == "pass"
+
+
+def test_verify_table5_unsupported_spectrum_fails_only_its_frame(tmp_path, capsys):
+    path = tmp_path / "frames.txt"
+    path.write_text(SQRT2_FRAMES_CORPUS)
+    assert main(["--corpus", str(path), "--json", "verify", "--table", "5"]) == 1
+    recs = {r["entry"]: r for r in map(json.loads, capsys.readouterr().out.splitlines())}
+    assert set(recs) == {"frame R2", "frame 4A_1"}
+    assert recs["frame R2"]["status"] == "fail"
+    assert recs["frame R2"]["detail"].startswith("UnsupportedSpectrum: ")
+    assert recs["frame 4A_1"]["status"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "table, module, name",
+    [
+        ("1", harness, "find_symplectic"),
+        ("2", harness, "mixed_jacobi_check"),
+        ("3-4", harness, "solve_coboundary"),
+        ("integrable", integrable, "darboux_check"),
+    ],
+)
+def test_verify_entry_error_fails_each_entry_not_the_run(table, module, name, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise InvariantError("planted")
+
+    monkeypatch.setattr(module, name, broken)
+    assert main(["--json", "verify", "--table", table]) == 1
+    recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert recs
+    for rec in recs:
+        assert (rec["status"], rec["detail"]) == ("fail", "InvariantError: planted")
+
+
+def test_invariant_failure_fails_its_entry(tmp_path, monkeypatch, capsys):
+    assert not issubclass(InvariantError, ValueError)  # never a usage error
+    monkeypatch.setattr(groupgeom, "blocks_pairing_residual", lambda blocks: cfm_identity(4))
+    path = tmp_path / "abelian.txt"
+    path.write_text(ABELIAN_CORPUS)
+    assert main(["--corpus", str(path), "--json", "verify", "--table", "6"]) == 1
+    (rec,) = map(json.loads, capsys.readouterr().out.splitlines())
+    assert rec["status"] == "fail"
+    assert rec["detail"].startswith("InvariantError: ")
 
 
 def test_workbench_caches_bivectors_but_not_failures(tmp_path):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -243,3 +244,126 @@ def test_adjoint_set_definitions():
             for j in range(4):
                 assert adj.Y[k][i][j] == -adj.Y[k][j][i]
                 assert adj.Y[k][i][j] == -A47.f[i][j][k]
+
+
+# --- the integer-scaled checks against brute-force Fraction sums ----------
+
+
+def _copy(sc):
+    return StructureConstants(sc.dim, [[row[:] for row in p] for p in sc.f])
+
+
+def _perturbed(rng, sc):
+    """sc with one antisymmetric pair of entries moved by a rational whose
+    denominator is 2, 3 or 6."""
+    out = _copy(sc)
+    i, j = rng.sample(range(sc.dim), 2)
+    k = rng.randrange(sc.dim)
+    delta = Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((2, 3, 6)))
+    out.f[i][j][k] += delta
+    out.f[j][i][k] -= delta
+    out._nonzero = None
+    return out
+
+
+def _bruteforce_jacobi(sc):
+    """J_ijm^n = sum_k (f_ij^k f_km^n + f_ik^n f_mj^k + f_jk^n f_im^k)."""
+    f, r = sc.f, range(sc.dim)
+    res = {}
+    for i, j, m, n in product(r, repeat=4):
+        v = sum(
+            (f[i][j][k] * f[k][m][n] + f[i][k][n] * f[m][j][k] + f[j][k][n] * f[i][m][k] for k in r),
+            Fraction(0),
+        )
+        if v:
+            res[(i + 1, j + 1, m + 1, n + 1)] = v
+    return res
+
+
+def _bruteforce_mixed(f, fd):
+    """f_kl^m ft^ij_m - (f_mk^i ft^jm_l - f_ml^i ft^jm_k - f_mk^j ft^im_l + f_ml^j ft^im_k)."""
+    a, g, r = f.f, fd.f, range(f.dim)
+    res = {}
+    for i, j, k, l in product(r, repeat=4):
+        v = sum(
+            (
+                a[k][l][m] * g[i][j][m]
+                - a[m][k][i] * g[j][m][l]
+                + a[m][l][i] * g[j][m][k]
+                + a[m][k][j] * g[i][m][l]
+                - a[m][l][j] * g[i][m][k]
+                for m in r
+            ),
+            Fraction(0),
+        )
+        if v:
+            res[(i + 1, j + 1, k + 1, l + 1)] = v
+    return res
+
+
+def _bruteforce_pairing_ok(dbl):
+    """<[Z,W],V> + <W,[Z,V]> = 0 over all basis triples, pairing as a matrix."""
+    f, p, r = dbl.sc.f, dbl.pairing, range(dbl.sc.dim)
+    return all(
+        sum((f[z][w][u] * p[u][v] + p[w][u] * f[z][v][u] for u in r), Fraction(0)) == 0
+        for z, w, v in product(r, repeat=3)
+    )
+
+
+def _assert_fraction_dict(got, want):
+    assert got == want
+    assert all(type(v) is Fraction for v in got.values())
+
+
+PAIRS = (
+    (A41, StructureConstants.from_brackets(4, {(1, 2): [(1, 3), (1, 4)]})),
+    (A47, A47I),
+    (A41, ABELIAN),
+)
+
+
+def test_jacobi_and_mixed_residuals_match_bruteforce_on_perturbed_pairs():
+    rng = random.Random(5)
+    for trial in range(40):
+        f0, fd0 = PAIRS[trial % len(PAIRS)]
+        f, fd = _copy(f0), _copy(fd0)
+        for _ in range(rng.randint(0, 2)):
+            if rng.random() < 0.5:
+                f = _perturbed(rng, f)
+            else:
+                fd = _perturbed(rng, fd)
+        for sc in (f, fd):
+            _assert_fraction_dict(jacobi_check(sc).residual, _bruteforce_jacobi(sc))
+        _assert_fraction_dict(mixed_jacobi_check(f, fd).residual, _bruteforce_mixed(f, fd))
+        if trial % 10 == 0:  # the 8-dimensional sums are slow
+            dbl = build_double(f, fd)
+            _assert_fraction_dict(jacobi_check(dbl.sc).residual, _bruteforce_jacobi(dbl.sc))
+            assert pairing_ad_invariant(dbl) is _bruteforce_pairing_ok(dbl) is True
+
+
+def test_is_antisymmetric_rejects_any_single_entry_corruption():
+    rng = random.Random(9)
+    for sc in (A41, A47, A47I):
+        assert sc.is_antisymmetric()
+        for i, j, k in product(range(4), repeat=3):
+            bad = _copy(sc)
+            bad.f[i][j][k] += Fraction(rng.choice((-1, 1)), rng.choice((2, 3, 6)))
+            assert not bad.is_antisymmetric(), (i, j, k)  # i == j: a nonzero f_ii^k
+
+
+def test_pairing_ad_invariant_rejects_any_single_entry_corruption():
+    rng = random.Random(13)
+    dbl = build_double(A47, A47I)
+    n = dbl.sc.dim
+    assert pairing_ad_invariant(dbl)
+    triples = [tuple(rng.randrange(n) for _ in range(3)) for _ in range(20)]
+    for z in range(n):
+        triples.append((z, z, rng.randrange(n)))  # a diagonal f_zz^k
+        a = rng.randrange(n)
+        triples.append((z, a, (a + n // 2) % n))  # an entry that is its own partner
+    for z, a, b in triples:
+        bad = build_double(A47, A47I)
+        bad.sc.f[z][a][b] += Fraction(rng.choice((-1, 1)), rng.choice((2, 3, 6)))
+        bad.sc._nonzero = None
+        assert not _bruteforce_pairing_ok(bad)
+        assert not pairing_ad_invariant(bad), (z, a, b)

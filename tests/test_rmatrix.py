@@ -186,3 +186,114 @@ def test_free_parameters_stay_in_solution_set(reg):
     for combo in product((Fraction(0), Fraction(1), Fraction(-2)), repeat=len(e.rfree)):
         r = e.tensor(dict(zip(e.rfree, combo)))
         assert generates_cocommutator(r, f, fd)
+
+
+# --- the integer-scaled checks against brute-force Fraction sums ----------
+
+
+def _random_algebra(rng):
+    """A41, A47 or A47I with one antisymmetric pair of entries moved by a rational
+    whose denominator is 2, 3 or 6 (the Jacobi identity may fail)."""
+    base = rng.choice((A41, A47, A47I))
+    f = [[row[:] for row in p] for p in base.f]
+    i, j = rng.sample(range(4), 2)
+    k = rng.randrange(4)
+    delta = Fraction(rng.choice((-1, 1)), rng.choice((2, 3, 6)))
+    f[i][j][k] += delta
+    f[j][i][k] -= delta
+    return StructureConstants(4, f)
+
+
+def _random_r(rng, antisymmetric=True):
+    r = [[Fraction(0)] * 4 for _ in range(4)]
+    for _ in range(rng.randint(1, 5)):
+        i, j = rng.randrange(4), rng.randrange(4)
+        c = Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 6)))
+        r[i][j] += c
+        if antisymmetric:
+            r[j][i] -= c
+    return TensorElement(4, r)
+
+
+def _bruteforce_schouten(r, f):
+    """S^abc = f_ik^a r^ib r^kc + f_jk^b r^aj r^kc + f_jl^c r^aj r^bl."""
+    ff, rr, n = f.f, r.r, range(4)
+    return [
+        [
+            [
+                sum(
+                    (
+                        ff[i][k][a] * rr[i][b] * rr[k][c]
+                        + ff[i][k][b] * rr[a][i] * rr[k][c]
+                        + ff[i][k][c] * rr[a][i] * rr[b][k]
+                        for i in n
+                        for k in n
+                    ),
+                    Fraction(0),
+                )
+                for c in n
+            ]
+            for b in n
+        ]
+        for a in n
+    ]
+
+
+def _bruteforce_ad_action(r, f, i):
+    """Xadj_i^T r + r Xadj_i with (Xadj_i)_j^k = -f_ij^k."""
+    x = [[-f.f[i][j][k] for k in range(4)] for j in range(4)]
+    n = range(4)
+    return [
+        [sum((x[k][a] * r[k][b] + r[a][k] * x[k][b] for k in n), Fraction(0)) for b in n]
+        for a in n
+    ]
+
+
+def _bruteforce_rank3_invariant(t, f):
+    n = range(4)
+    return all(
+        sum(
+            (f.f[i][m][a] * t[m][b][c] + f.f[i][m][b] * t[a][m][c] + f.f[i][m][c] * t[a][b][m] for m in n),
+            Fraction(0),
+        )
+        == 0
+        for i, a, b, c in product(n, repeat=4)
+    )
+
+
+def test_schouten_matches_bruteforce():
+    rng = random.Random(17)
+    for _ in range(60):
+        f = _random_algebra(rng)
+        r = _random_r(rng)
+        s = schouten(r, f)
+        assert s == _bruteforce_schouten(r, f)
+        assert all(type(x) is Fraction for p in s for row in p for x in row)
+        assert ad_invariant_rank3(s, f) is _bruteforce_rank3_invariant(s, f)
+
+
+def test_rank3_invariance_matches_bruteforce_on_certificates():
+    rng = random.Random(19)
+    g = StructureConstants.from_brackets(4, {(1, 2): [(-1, 4)], (1, 4): [(-1, 2)]})
+    for _ in range(40):
+        t = wedge3(*rng.sample((1, 2, 3, 4), 3), Fraction(rng.randint(1, 3), rng.choice((2, 3, 6))))
+        for f in (g, _random_algebra(rng)):
+            assert ad_invariant_rank3(t, f) is _bruteforce_rank3_invariant(t, f)
+    assert ad_invariant_rank3(wedge3(1, 2, 4, Fraction(-1, 6)), g)
+
+
+def test_coboundary_and_invariance_checks_match_bruteforce():
+    rng = random.Random(23)
+    for _ in range(60):
+        f = _random_algebra(rng)
+        r = _random_r(rng, antisymmetric=rng.random() < 0.5)
+        fd = cocommutator_from_r(r, f) if r.is_antisymmetric() else _random_algebra(rng)
+        want = all(
+            _bruteforce_ad_action(r.r, f, i)[a][b] == -fd.f[a][b][i]
+            for i, a, b in product(range(4), repeat=3)
+        )
+        assert generates_cocommutator(r, f, fd) is want
+        rs = r.symmetric_part()
+        assert ad_invariant_symmetric(rs, f) is all(
+            not x for i in range(4) for row in _bruteforce_ad_action(rs.r, f, i) for x in row
+        )
