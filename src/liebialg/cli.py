@@ -1,6 +1,8 @@
 """Command-line entry point: verification campaigns, derivations, examples.
 
 Exit codes: 0 all pass (flagged rows do not fail a run), 1 any failure,
+including a derivation the exact machinery cannot carry through (an
+unsupported spectrum, a non-unit determinant, a singular evaluation),
 2 input / usage errors.
 """
 
@@ -10,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from . import corpus as corpus_mod
-from .errors import CorpusSyntaxError, InputError
+from .errors import ComputationError, CorpusSyntaxError, InputError
 from .harness import Workbench, verify_tables
 from .render import render_closed_function
 
@@ -221,6 +223,9 @@ def main(argv=None):
     except (InputError, CorpusSyntaxError, FileNotFoundError, ValueError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
+    except ComputationError as ex:
+        print(f"error: {type(ex).__name__}: {ex}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

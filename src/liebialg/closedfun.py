@@ -309,6 +309,29 @@ class ClosedFunction:
                     del acc[key]
         return ClosedFunction(acc)
 
+    def integral(self, i):
+        """Exact integral from 0 to x_i in x_i (1-based), the other
+        coordinates held fixed: the antiderivative vanishing on x_i = 0."""
+        if not 1 <= i <= NCOORD:
+            raise InputError(f"coordinate index {i} out of range")
+        idx = i - 1
+        acc = {}
+        for (k, z), c in self.terms.items():
+            p, lam = k[idx], z[idx]
+            if not lam:
+                _accumulate(acc, (_with(k, idx, p + 1), z), c / (p + 1))
+                continue
+            # int s^p e^{lam s} = e^{lam s} sum_j w_j s^{p-j} with
+            # w_j = c (-1)^j p!/(p-j)! / lam^(j+1); at s = 0 it is w_p
+            inv = CR_ONE / lam
+            w = c * inv
+            for j in range(p + 1):
+                _accumulate(acc, (_with(k, idx, p - j), z), w)
+                if j < p:
+                    w = -w * (p - j) * inv
+            _accumulate(acc, (_with(k, idx, 0), _with(z, idx, CR_ZERO)), -w)
+        return ClosedFunction(acc)
+
     # -- structure ---------------------------------------------------------
     def conjugate(self):
         return ClosedFunction(
@@ -367,6 +390,22 @@ class ClosedFunction:
 
 
 _CF_ZERO = ClosedFunction({})
+
+
+def _with(t, idx, v):
+    """Tuple t with slot idx replaced by v."""
+    return t[:idx] + (v,) + t[idx + 1 :]
+
+
+def _accumulate(acc, key, v):
+    """acc[key] += v in a term map, dropping a coefficient that cancels."""
+    s = acc.get(key)
+    if s is not None:
+        v = s + v
+    if v:
+        acc[key] = v
+    elif s is not None:
+        del acc[key]
 
 
 def cf_const(c):

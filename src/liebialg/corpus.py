@@ -32,7 +32,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .core import StructureConstants
-from .errors import CorpusSyntaxError, InputError
+from .errors import CorpusSyntaxError, EvalError, InputError
 from .exprtree import Expr, parse_expr, to_text
 from .rmatrix import TensorElement
 
@@ -252,7 +252,10 @@ def parse(text, filename="<corpus>"):
             continue
         if current is None:
             err(f"payload line outside any block: {head!r}", lineno)
-        _payload_line(current, head, words, line, err, lineno, filename)
+        try:
+            _payload_line(current, head, words, line, err, lineno, filename)
+        except EvalError as ex:  # a constant division by zero in the text
+            err(str(ex), lineno)
     close()
     return entries
 

@@ -5,7 +5,13 @@ class InputError(ValueError):
     """Raised when an argument violates a documented precondition."""
 
 
-class UnsupportedSpectrum(ValueError):
+class ComputationError(Exception):
+    """A well-formed input that the exact machinery cannot carry through:
+    an unsupported spectrum, a non-unit determinant, a singular evaluation.
+    Not a ValueError, so the CLI never reports it as a usage error."""
+
+
+class UnsupportedSpectrum(ComputationError):
     """A matrix eigenvalue lies outside the rational / rational-imaginary field.
 
     Carries the unfactorable remainder of the characteristic polynomial in
@@ -17,11 +23,11 @@ class UnsupportedSpectrum(ValueError):
         self.factor = factor
 
 
-class NonUnitDeterminant(ValueError):
+class NonUnitDeterminant(ComputationError):
     """A symbolic matrix determinant is not a single exponential term."""
 
 
-class EvalError(ValueError):
+class EvalError(ComputationError):
     """Evaluation hit a singular locus (division by zero)."""
 
 

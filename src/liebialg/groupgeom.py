@@ -7,17 +7,26 @@ with matrices acting on the right of row vectors (row = input basis index).
 
 from dataclasses import dataclass
 
-from . import ratlinalg as rl
 from .closedfun import (
     cf_matexp,
+    cfm_diff,
+    cfm_eq,
+    cfm_from_frac,
     cfm_identity,
     cfm_inverse_unitdet,
     cfm_is_zero,
     cfm_mul,
     cfm_sub,
     cfm_transpose,
+    cfm_zeros,
 )
-from .core import StructureConstants, build_double, jacobi_check, mixed_jacobi_check
+from .core import (
+    DoubleAlgebra,
+    StructureConstants,
+    build_double,
+    jacobi_check,
+    mixed_jacobi_check,
+)
 from .errors import InputError, InvariantError
 
 
@@ -36,6 +45,9 @@ class InvariantFrame:
     Lmat: list  # left-invariant one-form coefficients L^i_j
     XR: list  # right-invariant vector fields, XR[j][l] = component on d_l
     XL: list  # left-invariant vector fields
+    exp_pos: list  # exp_pos[i] = exp(x_{i+1} Xadj_{i+1}), a 4x4 CFMatrix
+    exp_neg: list  # exp_neg[i] = exp(-x_{i+1} Xadj_{i+1}), its inverse
+    base: StructureConstants
 
 
 def _neg(m):
@@ -71,7 +83,7 @@ def invariant_frame(chart: GroupChart) -> InvariantFrame:
     lmat = [[lcols[j][i] for j in range(n)] for i in range(n)]
     xr = cfm_transpose(cfm_inverse_unitdet(rmat))
     xl = cfm_transpose(cfm_inverse_unitdet(lmat))
-    return InvariantFrame(rmat, lmat, xr, xl)
+    return InvariantFrame(rmat, lmat, xr, xl, exp_pos, exp_neg, f)
 
 
 def vf_commutator(v, w):
@@ -122,35 +134,77 @@ class DoubleAdjointBlocks:
     a: list  # 4x4 CFMatrix, g-to-g block of Ad_{g^-1}
     b: list  # dual-to-g block
     d: list  # dual-to-dual block
-    full: list  # the whole 8x8 matrix
+    ainv: list  # a^-1
 
 
-def double_adjoint(f: StructureConstants, fd: StructureConstants) -> DoubleAdjointBlocks:
+def double_adjoint(
+    frame: InvariantFrame, f: StructureConstants, fd: StructureConstants
+) -> DoubleAdjointBlocks:
     """Ad_{g^-1} on the double as the ordered product
-    exp(x1 Xadj_1) ... exp(x4 Xadj_4) of the double's adjoint matrices."""
+    exp(x1 Xadj_1) ... exp(x4 Xadj_4) of the double's adjoint matrices,
+    each factor from `double_exp_factor` on the frame of g."""
+    if frame.base != f:
+        raise InputError("frame belongs to another algebra")
     if not mixed_jacobi_check(f, fd).passed:
         raise InputError("pair fails the mixed Jacobi identity")
     dbl = build_double(f, fd)
     if not jacobi_check(dbl.sc).passed:
         raise InputError("double fails the Jacobi identity")
     n = f.dim
-    m = cfm_identity(2 * n)
-    for i in range(n):
-        m = cfm_mul(m, cf_matexp(dbl.sc.adjoint(i), i + 1))
-    a = [row[:n] for row in m[:n]]
-    b = [row[:n] for row in m[n:]]
-    d = [row[n:] for row in m[n:]]
+    m = double_exp_factor(frame, dbl, 0)
+    for i in range(1, n):
+        m = cfm_mul(m, double_exp_factor(frame, dbl, i))
     upper_right = [row[n:] for row in m[:n]]
     if not cfm_is_zero(upper_right):
         raise InvariantError("primal block leaked into the dual column space")
-    blocks = DoubleAdjointBlocks(a, b, d, m)
+    a = [row[:n] for row in m[:n]]
+    b = [row[:n] for row in m[n:]]
+    d = [row[n:] for row in m[n:]]
+    blocks = DoubleAdjointBlocks(a, b, d, cfm_inverse_unitdet(a))
     # invariance of the canonical pairing forces d = (a^-1)^T
     if not cfm_is_zero(blocks_pairing_residual(blocks)):
         raise InvariantError("pairing relation d = (a^-1)^T violated")
     return blocks
 
 
+def double_exp_factor(frame: InvariantFrame, dbl: DoubleAlgebra, i):
+    """exp(x Xadj) for Xadj the double's adjoint matrix of X_{i+1} and
+    x = x_{i+1}, from the frame of g (0-based i).
+
+    Xadj = [[A, 0], [B, -A^T]] with A = Xadj_{i+1} of g and B[j][k] =
+    -ft^jk_{i+1}, so its exponential is [[E, 0], [F, E_-^T]] with
+    E = exp(x A) and E_- = exp(-x A) held by the frame and
+
+        F(x) = E_-(x)^T int_0^x E(s)^T B E(s) ds
+
+    (C. Van Loan, Computing integrals involving the matrix exponential, IEEE
+    TAC 1978).  E and E_- passed their own exact checks; F is checked
+    exactly against F(0) = 0 and F' = B E - A^T F."""
+    n = frame.base.dim
+    coord = i + 1
+    a = frame.base.adjoint(i)
+    full = dbl.sc.adjoint(i)
+    b = [row[:n] for row in full[n:]]
+    want = [row + [0] * n for row in a]
+    want += [b[j] + [-a[k][j] for k in range(n)] for j in range(n)]
+    if full != want:
+        raise InvariantError("the double's adjoint is not [[A, 0], [B, -A^T]]")
+    e, em = frame.exp_pos[i], frame.exp_neg[i]
+    zero = low = cfm_zeros(n, n)
+    if any(any(row) for row in b):
+        bcf = cfm_from_frac(b)
+        inner = cfm_mul(cfm_transpose(e), cfm_mul(bcf, e))
+        low = cfm_mul(cfm_transpose(em), [[x.integral(coord) for x in row] for row in inner])
+        if any(x.eval_at_zero() for row in low for x in row):
+            raise InvariantError("lower-left block of the double's exponential is nonzero at 0")
+        at = cfm_from_frac(cfm_transpose(a))
+        if not cfm_eq(cfm_diff(low, coord), cfm_sub(cfm_mul(bcf, e), cfm_mul(at, low))):
+            raise InvariantError(
+                "lower-left block of the double's exponential fails F' = B E - A^T F"
+            )
+    return [r + z for r, z in zip(e, zero)] + [r + t for r, t in zip(low, cfm_transpose(em))]
+
+
 def blocks_pairing_residual(blocks: DoubleAdjointBlocks):
     """d - (a^-1)^T, identically zero by invariance of the pairing."""
-    ainv = cfm_inverse_unitdet(blocks.a)
-    return cfm_sub(blocks.d, cfm_transpose(ainv))
+    return cfm_sub(blocks.d, cfm_transpose(blocks.ainv))

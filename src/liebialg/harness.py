@@ -21,16 +21,9 @@ from .core import (
     pairing_ad_invariant,
 )
 from .closedfun import cfm_eq
-from .errors import (
-    EvalError,
-    InputError,
-    InvariantError,
-    NonUnitDeterminant,
-    UnsupportedSpectrum,
-)
+from .errors import ComputationError, InputError, InvariantError
 from .groupgeom import (
     GroupChart,
-    blocks_pairing_residual,
     double_adjoint,
     frame_bracket_residuals,
     invariant_frame,
@@ -52,13 +45,7 @@ from .rmatrix import (
 
 # what deriving one table entry may raise on a bad or unsupported input or a
 # broken internal invariant; the entry fails and its campaign carries on
-ENTRY_ERRORS = (
-    InputError,
-    UnsupportedSpectrum,
-    NonUnitDeterminant,
-    EvalError,
-    InvariantError,
-)
+ENTRY_ERRORS = (InputError, ComputationError, InvariantError)
 
 # rows that must match the printed payload exactly (not merely match-or-flag)
 FRAME_SPOT_CHECKS = (
@@ -146,12 +133,11 @@ class RunReport:
 
 
 class Workbench:
-    """Caches frames, adjoint blocks and bivectors across verification passes."""
+    """Caches frames and bivectors across verification passes."""
 
     def __init__(self, reg: "corpus_mod.Corpus"):
         self.reg = reg
         self._frames = {}
-        self._blocks = {}
         self._bivectors = {}
 
     @staticmethod
@@ -164,14 +150,6 @@ class Workbench:
             sc = self.reg.instantiate(name, binding)
             self._frames[k] = invariant_frame(GroupChart(sc))
         return self._frames[k]
-
-    def blocks(self, g, dual, binding):
-        k = (self._key(g, binding), dual)
-        if k not in self._blocks:
-            f = self.reg.instantiate(g, binding)
-            fd = self.reg.instantiate(dual, binding)
-            self._blocks[k] = double_adjoint(f, fd)
-        return self._blocks[k]
 
     def bivector(self, g, dual, method, binding):
         """The bivector of (g, dual) by `method`; only successes are cached,
@@ -191,7 +169,8 @@ class Workbench:
             return sklyanin_bivector(
                 self.frame(g, binding), sol.particular.antisymmetric_part(), f
             )
-        return pi_bivector(self.blocks(g, dual, binding), self.frame(g, binding), f)
+        frame = self.frame(g, binding)
+        return pi_bivector(double_adjoint(frame, f, fd), frame, f)
 
     def bivector_any(self, g, dual, binding):
         """Sklyanin when an r-matrix row exists for the pair, else the

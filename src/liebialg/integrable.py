@@ -132,10 +132,7 @@ def flow_conserve(
         if not any(fij):
             conserved.append(j)
     x = np.array(start, dtype=float)
-    try:
-        q0 = [q.evalf(tuple(x)) for q in ex.qfuncs]
-    except EvalError:
-        raise
+    q0 = [q.evalf(tuple(x)) for q in ex.qfuncs]
     drifts = {i: 0.0 for i in range(1, 5)}
     steps = int(round(t_end / dt)) if dt > 0 else 0
     traj = []

@@ -13,7 +13,6 @@ from .closedfun import (
     cfm_mul,
     cfm_sub,
     cfm_transpose,
-    cfm_inverse_unitdet,
     cfm_scale,
 )
 from .core import StructureConstants
@@ -60,8 +59,7 @@ def sklyanin_bivector(frame: InvariantFrame, r: TensorElement, base=None) -> Poi
 
 def pi_bivector(blocks: DoubleAdjointBlocks, frame: InvariantFrame, base=None) -> PoissonBivector:
     """P^kl = (-b a^-1)^ij XR_i^k XR_j^l from the double's adjoint blocks."""
-    ainv = cfm_inverse_unitdet(blocks.a)
-    pi = cfm_scale(Fraction(-1), cfm_mul(blocks.b, ainv))
+    pi = cfm_scale(Fraction(-1), cfm_mul(blocks.b, blocks.ainv))
     xr = frame.XR
     p = cfm_mul(cfm_transpose(xr), cfm_mul(pi, xr))
     return PoissonBivector(p, base, "pi")

@@ -2,14 +2,23 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import liebialg
 from liebialg import corpus as corpus_mod
 from liebialg import groupgeom, harness, integrable
-from liebialg.closedfun import cfm_identity
+from liebialg.closedfun import ClosedFunction, cfm_identity
 from liebialg.cli import main
-from liebialg.errors import InvariantError, UnsupportedSpectrum
+from liebialg.errors import (
+    EvalError,
+    InvariantError,
+    NonUnitDeterminant,
+    UnsupportedSpectrum,
+)
 from liebialg.harness import Workbench
 
 # ad X4 acts on span(X1, X2) with eigenvalues +-sqrt(2), outside Q + iQ
@@ -47,6 +56,22 @@ ABELIAN_CORPUS = """
 algebra 4A_1
 
 poisson 4A_1 4A_1 pi
+"""
+
+# (A_4_1, A_4_1.i) with its printed adjoint-block brackets
+A41_CORPUS = """
+algebra A_4_1
+  bracket 2 4 -> 1 1
+  bracket 3 4 -> 1 2
+
+algebra A_4_1.i
+  bracket 1 2 -> 1 3
+  bracket 2 3 -> 1 4
+
+poisson A_4_1 A_4_1.i pi
+  pb 1 2 = x3 + x4^3/6
+  pb 1 3 = -x4^2/2
+  pb 2 3 = x4
 """
 
 CONTRACT_SHA256 = "c1dce0def27159364b7362a5b3cdb390de97b23b01380c5a9ef57301f0d18c3c"
@@ -155,6 +180,27 @@ def test_invariant_failure_fails_its_entry(tmp_path, monkeypatch, capsys):
     assert rec["detail"].startswith("InvariantError: ")
 
 
+def test_dropped_integral_term_fails_its_entry(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "a41.txt"
+    path.write_text(A41_CORPUS)
+    argv = ["--corpus", str(path), "--json", "verify", "--table", "6"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    exact = ClosedFunction.integral
+
+    def lossy(self, i):
+        terms = dict(exact(self, i).terms)
+        if terms:
+            del terms[next(iter(terms))]
+        return ClosedFunction(terms)
+
+    monkeypatch.setattr(ClosedFunction, "integral", lossy)
+    assert main(argv) == 1
+    (rec,) = map(json.loads, capsys.readouterr().out.splitlines())
+    assert rec["status"] == "fail"
+    assert rec["detail"].startswith("InvariantError: ")
+
+
 def test_workbench_caches_bivectors_but_not_failures(tmp_path):
     path = tmp_path / "sqrt2.txt"
     path.write_text(SQRT2_CORPUS)
@@ -225,6 +271,36 @@ def test_derive_unknown_algebra_exit_two(capsys):
 
 def test_derive_unbound_parameter_exit_two(capsys):
     assert main(["derive", "fields", "--algebra", "A_4_9_b"]) == 2
+
+
+def test_derive_unsupported_spectrum_exit_one(tmp_path, capsys):
+    for cls in (UnsupportedSpectrum, NonUnitDeterminant, EvalError):
+        assert not issubclass(cls, ValueError)  # never a usage error
+    path = tmp_path / "sqrt2.txt"
+    path.write_text(SQRT2_CORPUS)
+    argv = ["--corpus", str(path), "derive", "poisson", "--algebra", "R2",
+            "--dual", "4A_1", "--method", "pi"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: UnsupportedSpectrum: ")
+
+
+def test_corpus_constant_division_by_zero_exit_two(tmp_path, capsys):
+    path = tmp_path / "div0.txt"
+    path.write_text("algebra X\n  bracket 1 2 -> 1/0 3\n")
+    assert main(["--corpus", str(path), "verify", "--table", "1"]) == 2
+    assert "div0.txt:2:" in capsys.readouterr().err
+
+
+def test_python_m_liebialg_help():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(liebialg.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    done = subprocess.run(
+        [sys.executable, "-m", "liebialg", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: liebialg")
 
 
 def test_derive_requires_dual_for_rmatrix(capsys):

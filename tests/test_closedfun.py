@@ -188,6 +188,49 @@ def test_matexp_unsupported_spectrum():
     assert exc.value.factor is not None
 
 
+def test_integral_of_polynomial_times_exponential():
+    x = cf_coord(2)
+    f = x * cf_exp({2: 1}) * cf_coord(4)
+    # int_0^x2 s e^s ds = (x2 - 1) e^x2 + 1, times x4
+    want = ((x - cf_const(1)) * cf_exp({2: 1}) + cf_const(1)) * cf_coord(4)
+    assert f.integral(2) == want
+    assert cf_cos({1: 1}).integral(1) == cf_sin({1: 1})
+    assert cf_coord(3, 2).integral(3) == cf_coord(3, 3).scale(Fraction(1, 3))
+    assert ClosedFunction.zero().integral(1).is_zero()
+
+
+def _on_hyperplane(f, i):
+    """Term map of f restricted to x_i = 0 (0-based slot i)."""
+    acc = {}
+    for (k, z), c in f.terms.items():
+        if not k[i]:
+            key = (k, z[:i] + (CRat(0),) + z[i + 1 :])
+            acc[key] = acc.get(key, CRat(0)) + c
+    return {key: c for key, c in acc.items() if c}
+
+
+def test_integral_inverts_diff_and_vanishes_at_zero():
+    given, settings, st, pairs = _hypothesis()
+    small = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    zero = st.just((Fraction(0), Fraction(0)))
+    rate = st.one_of(zero, st.tuples(small, st.just(Fraction(0))), st.tuples(small, small))
+    four = lambda s: st.lists(s, min_size=4, max_size=4)  # noqa: E731
+    term = st.tuples(st.tuples(small, small), four(st.integers(0, 3)), four(rate))
+
+    @settings
+    @given(st.lists(term, max_size=5), st.integers(1, 4))
+    def check(terms, i):
+        f = ClosedFunction.zero()
+        for c, k, z in terms:
+            if any(c):
+                f = f + ClosedFunction({(tuple(k), tuple(CRat(*r) for r in z)): CRat(*c)})
+        g = f.integral(i)
+        assert g.diff(i) == f
+        assert _on_hyperplane(g, i - 1) == {}
+
+    check()
+
+
 def test_inverse_requires_unit_determinant():
     bad = cfm_identity(2)
     bad[0][0] = cf_const(1) + cf_coord(1)

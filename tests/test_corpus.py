@@ -101,6 +101,12 @@ def test_syntax_error_location():
     assert exc.value.line == 2
 
 
+def test_constant_division_by_zero_is_located():
+    with pytest.raises(CorpusSyntaxError) as exc:
+        corpus_mod.parse("algebra x\n  bracket 1 2 -> 1/0 3\n", filename="f.txt")
+    assert exc.value.line == 2
+
+
 def test_unknown_keyword_rejected():
     with pytest.raises(CorpusSyntaxError):
         corpus_mod.parse("algebra x\n  nonsense 1 2 3\n")

@@ -4,14 +4,15 @@ import random
 
 import pytest
 
-from liebialg.closedfun import cfm_eval, cfm_is_zero
-from liebialg.core import StructureConstants
+from liebialg.closedfun import cf_matexp, cfm_eq, cfm_eval, cfm_is_zero
+from liebialg.core import StructureConstants, build_double
 from liebialg.errors import InputError
 from liebialg.exprtree import parse_expr
 from liebialg.groupgeom import (
     GroupChart,
     blocks_pairing_residual,
     double_adjoint,
+    double_exp_factor,
     frame_bracket_residuals,
     invariant_frame,
 )
@@ -64,7 +65,7 @@ def test_frame_bracket_relations_on_sample(reg):
 def test_double_adjoint_block_structure(reg):
     f = reg.instantiate("A_4_1")
     fd = reg.instantiate("A_4_1.i")
-    blocks = double_adjoint(f, fd)
+    blocks = double_adjoint(invariant_frame(GroupChart(f)), f, fd)
     assert cfm_is_zero(blocks_pairing_residual(blocks))
     for i in range(4):
         for j in range(4):
@@ -75,7 +76,7 @@ def test_double_adjoint_block_structure(reg):
 
 def test_double_adjoint_with_trivial_dual_is_plain_adjoint(reg):
     f = reg.instantiate("A_4_7")
-    blocks = double_adjoint(f, StructureConstants(4))
+    blocks = double_adjoint(invariant_frame(GroupChart(f)), f, StructureConstants(4))
     assert cfm_is_zero(blocks.b)
     assert cfm_is_zero(blocks_pairing_residual(blocks))
 
@@ -83,7 +84,36 @@ def test_double_adjoint_with_trivial_dual_is_plain_adjoint(reg):
 def test_double_adjoint_rejects_incompatible_pair():
     fd = StructureConstants.from_brackets(4, {(3, 4): [(1, 1)]})
     with pytest.raises(InputError):
-        double_adjoint(A41, fd)
+        double_adjoint(invariant_frame(GroupChart(A41)), A41, fd)
+
+
+# one pair per kind of spectrum the factors are built on
+FACTOR_SAMPLE = (
+    ("A_4_7", "A_4_7.i"),  # real
+    ("VII0+R", "II+R.xiv"),  # +-i on x3, where the dual acts: trigonometric
+    ("A_4_12", "A_4_12.ii"),  # complex and real rates on one coordinate
+    ("A_4_1", "A_4_1.i"),  # nilpotent
+    ("A_4_2_m1", "A_4_2_m1.i"),  # a Jordan block at a nonzero eigenvalue
+    ("A_4_7", None),  # trivial dual
+)
+
+
+@pytest.mark.parametrize("g, dual", FACTOR_SAMPLE)
+def test_double_exp_factors_match_matexp_of_double_adjoint(reg, bench, g, dual):
+    binding = reg.grid_bindings(g, dual, cap=1)[0] if dual else {}
+    f = reg.instantiate(g, binding)
+    fd = reg.instantiate(dual, binding) if dual else StructureConstants(4)
+    frame = bench.frame(g, binding)
+    dbl = build_double(f, fd)
+    for i in range(4):
+        want = cf_matexp(dbl.sc.adjoint(i), i + 1)
+        assert cfm_eq(double_exp_factor(frame, dbl, i), want), (g, dual, i)
+
+
+def test_double_adjoint_rejects_foreign_frame(reg):
+    f = reg.instantiate("A_4_7")
+    with pytest.raises(InputError):
+        double_adjoint(invariant_frame(GroupChart(A41)), f, reg.instantiate("A_4_7.i"))
 
 
 def test_a_block_homomorphism_surrogate(reg):
@@ -94,7 +124,7 @@ def test_a_block_homomorphism_surrogate(reg):
 
     rng = random.Random(9)
     f = reg.instantiate("A_4_7")
-    blocks = double_adjoint(f, reg.instantiate("A_4_7.i"))
+    blocks = double_adjoint(invariant_frame(GroupChart(f)), f, reg.instantiate("A_4_7.i"))
     for _ in range(10):
         axis = rng.randrange(4)
         t = rng.uniform(-0.9, 0.9)

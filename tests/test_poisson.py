@@ -59,7 +59,7 @@ def test_sklyanin_phase_space_example(reg, bench):
 def test_pi_zero_dual_gives_zero(reg):
     f = reg.instantiate("A_4_7")
     fr = invariant_frame(GroupChart(f))
-    blocks = double_adjoint(f, StructureConstants(4))
+    blocks = double_adjoint(fr, f, StructureConstants(4))
     P = pi_bivector(blocks, fr, f)
     assert all(x.is_zero() for row in P.P for x in row)
 
