@@ -1,9 +1,9 @@
 """Exact workbench for 4-dimensional real Lie bialgebras of symplectic type.
 
 Exact-rational Lie algebra machinery, classical r-matrices, invariant frames
-and Poisson bivectors on the corresponding groups, equivalence witnesses,
-and two integrable systems -- all cross-checked against a transcribed
-reference table corpus.
+and Poisson bivectors on the corresponding groups, equivalence verifiers and
+inequivalence invariants, and two integrable systems -- all cross-checked
+against a transcribed reference table corpus.
 """
 
 from .core import (
@@ -33,8 +33,7 @@ from .poisson import (
     symplectic_classify,
 )
 from .equivalence import (
-    WitnessMatrix,
-    search_witness,
+    invariants,
     verify_automorphism,
     verify_bialgebra_equivalence,
     verify_isomorphism,
@@ -46,7 +45,6 @@ __all__ = [
     "TensorElement",
     "PoissonBivector",
     "GroupChart",
-    "WitnessMatrix",
     "jacobi_check",
     "mixed_jacobi_check",
     "build_double",
@@ -67,7 +65,7 @@ __all__ = [
     "verify_isomorphism",
     "verify_automorphism",
     "verify_bialgebra_equivalence",
-    "search_witness",
+    "invariants",
 ]
 
 __version__ = "0.1.0"

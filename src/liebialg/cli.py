@@ -8,6 +8,7 @@ unsupported spectrum, a non-unit determinant, a singular evaluation),
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -22,6 +23,20 @@ def _parse_param(text):
         raise InputError(f"--param needs name=value, got {text!r}")
     name, val = text.split("=", 1)
     return name.strip(), Fraction(val.strip())
+
+
+def _duration(text):
+    x = float(text)
+    if not (math.isfinite(x) and x >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return x
+
+
+def _step(text):
+    x = _duration(text)
+    if not x:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    return x
 
 
 def _load(args):
@@ -188,7 +203,8 @@ def build_parser():
 
     v = sub.add_parser("verify", help="run table verification campaigns")
     v.add_argument("--table", default="all", help="table selector: all, 1, 2, "
-                   "3-4, 5, 6-7, 8-9, integrable")
+                   "3-4, 5, 6-7, 8-9, integrable, a comma list, or a range "
+                   "A-B of table numbers")
     v.add_argument("--jobs", type=int, default=1,
                    help="campaigns run in up to this many worker processes")
     v.set_defaults(fn=cmd_verify)
@@ -205,9 +221,9 @@ def build_parser():
     i = sub.add_parser("integrable", help="run the integrable-system checks")
     i.add_argument("--example", type=int, choices=[1, 2], required=True)
     i.add_argument("--integrate", action="store_true")
-    i.add_argument("--hamiltonian", type=int, default=2)
-    i.add_argument("--t-end", type=float, default=1.0)
-    i.add_argument("--dt", type=float, default=1e-3)
+    i.add_argument("--hamiltonian", type=int, default=2, choices=[1, 2, 3, 4])
+    i.add_argument("--t-end", type=_duration, default=1.0)
+    i.add_argument("--dt", type=_step, default=1e-3)
     i.add_argument("--csv", help="trajectory dump path")
     i.set_defaults(fn=cmd_integrable)
     return p

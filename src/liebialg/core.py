@@ -85,11 +85,6 @@ class StructureConstants:
     def adjoints(self):
         return [self.adjoint(i) for i in range(self.dim)]
 
-    def y_matrix(self, k):
-        """Matrix (Y^k)_ij = -f_ij^k."""
-        d = self.dim
-        return [[-self.f[i][j][k] for j in range(d)] for i in range(d)]
-
     def bracket_lines(self):
         """Sorted [(i, j, k, coeff)] with i < j, 1-based, for display."""
         return sorted(
@@ -107,24 +102,6 @@ class StructureConstants:
             f"[{i},{j}]->{v}*e{k}" for (i, j, k, v) in self.bracket_lines()
         )
         return f"StructureConstants(dim={self.dim}, {lines or 'abelian'})"
-
-
-@dataclass
-class AdjointSet:
-    """Adjoint matrices of an algebra and (optionally) of its dual."""
-
-    X: list
-    Y: list
-    Xt: list = None
-    Yt: list = None
-
-    @classmethod
-    def build(cls, f: StructureConstants, fd: StructureConstants = None):
-        xs = f.adjoints()
-        ys = [f.y_matrix(k) for k in range(f.dim)]
-        if fd is None:
-            return cls(xs, ys)
-        return cls(xs, ys, fd.adjoints(), [fd.y_matrix(k) for k in range(fd.dim)])
 
 
 @dataclass
@@ -318,18 +295,6 @@ def cocommutator(fd: StructureConstants) -> CocommutatorTensor:
     n = fd.dim
     d = [[[fd.f[j][k][i] for k in range(n)] for j in range(n)] for i in range(n)]
     return CocommutatorTensor(n, d)
-
-
-def cocommutator_to_dual(t: CocommutatorTensor) -> StructureConstants:
-    """Inverse of :func:`cocommutator`."""
-    n = t.dim
-    sc = StructureConstants(n)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                sc.f[j][k][i] = t.d[i][j][k]
-    sc._nonzero = None
-    return sc
 
 
 class TwoFormLA:

@@ -1,32 +1,14 @@
-"""Isomorphism / automorphism / bialgebra-equivalence witnesses.
+"""Isomorphism / automorphism / bialgebra-equivalence witnesses and
+inequivalence invariants.
 
-Verifiers are exact over the rationals.  The witness search is a best-effort
-numeric routine (random restarts + Gauss-Newton polish); any float candidate
-is rationalized by continued fractions and re-verified exactly, so a returned
-witness is always a proof while "none found" is only evidence.
+Verifiers check a given 4x4 witness matrix exactly over the rationals.
+:func:`invariants` refutes an equivalence exactly: pairs with different
+invariants are inequivalent, while equal invariants decide nothing.
 """
-
-from dataclasses import dataclass
-from fractions import Fraction
-
-import numpy as np
 
 from . import ratlinalg as rl
 from .core import StructureConstants
 from .errors import InputError
-
-
-@dataclass
-class WitnessMatrix:
-    m: list  # 4x4 exact rational
-    role: str = ""  # 'C' | 'A' | 'B'
-
-    @classmethod
-    def from_rows(cls, rows, role=""):
-        return cls([[Fraction(x) for x in row] for row in rows], role)
-
-    def det(self):
-        return rl.det(self.m)
 
 
 def _require_invertible(m):
@@ -57,222 +39,88 @@ def _maps_dual(c, src: StructureConstants, dst: StructureConstants) -> bool:
     return True
 
 
-def verify_isomorphism(c: WitnessMatrix, fd: StructureConstants, target: StructureConstants) -> bool:
+def verify_isomorphism(c, fd: StructureConstants, target: StructureConstants) -> bool:
     """Exact check that X'^i = C^i_j X^j carries fd onto target."""
-    _require_invertible(c.m)
-    return _maps_dual(c.m, fd, target)
+    _require_invertible(c)
+    return _maps_dual(c, fd, target)
 
 
-def verify_automorphism(a: WitnessMatrix, f: StructureConstants) -> bool:
+def verify_automorphism(a, f: StructureConstants) -> bool:
     """A_i^k A_j^l f_kl^m = f_ij^n A_n^m with the A(X_i) = A_i^j X_j reading."""
-    _require_invertible(a.m)
-    return _maps_dual(a.m, f, f)
+    _require_invertible(a)
+    return _maps_dual(a, f, f)
 
 
 def verify_bialgebra_equivalence(
-    t: WitnessMatrix, f: StructureConstants, fd1: StructureConstants, fd2: StructureConstants
+    t, f: StructureConstants, fd1: StructureConstants, fd2: StructureConstants
 ) -> bool:
     """T^T must be an automorphism of f and T must map fd1 onto fd2."""
-    _require_invertible(t.m)
-    at = WitnessMatrix(rl.transpose(t.m), "A")
-    return verify_automorphism(at, f) and _maps_dual(t.m, fd1, fd2)
+    _require_invertible(t)
+    return verify_automorphism(rl.transpose(t), f) and _maps_dual(t, fd1, fd2)
 
 
 # --------------------------------------------------------------------------
-# numeric search
+# inequivalence invariants
 # --------------------------------------------------------------------------
 
 
-def _as_array(sc):
-    return np.array([[[float(x) for x in row] for row in plane] for plane in sc.f])
+def _basis(vectors):
+    """Reduced basis rows of the span of the vectors."""
+    red, pivots = rl.rref(vectors)
+    return red[: len(pivots)]
 
 
-def _dual_map_residual(c, fsrc, fdst):
-    lhs = np.einsum("ik,jl,klm->ijm", c, c, fsrc)
-    rhs = np.einsum("ijn,nm->ijm", fdst, c)
-    return (lhs - rhs).ravel()
+def _bracket(sc: StructureConstants, us, vs):
+    """Basis of [U, V], with U and V spanned by the rows us and vs."""
+    out = []
+    for u in us:
+        for v in vs:
+            w = [rl.ZERO] * sc.dim
+            for i, j, k, val in sc.nonzero():
+                if u[i] and v[j]:
+                    w[k] += u[i] * v[j] * val
+            out.append(w)
+    return _basis(out)
 
 
-def _residual(kind, x, algebras, det_target=None):
-    c = x.reshape(4, 4)
-    if kind == "iso":
-        src, dst = algebras
-        out = _dual_map_residual(c, src, dst)
-    elif kind == "auto":
-        (f,) = algebras
-        out = _dual_map_residual(c, f, f)
-    elif kind == "equiv":
-        f, fd1, fd2 = algebras
-        out = np.concatenate(
-            [_dual_map_residual(c.T, f, f), _dual_map_residual(c, fd1, fd2)]
-        )
-    else:
-        raise InputError(f"unknown search kind {kind!r}")
-    if det_target is not None:
-        # keeps Gauss-Newton away from the singular (e.g. zero) solutions
-        out = np.concatenate([out, [np.linalg.det(c) - det_target]])
+def _characteristic_ideals(sc: StructureConstants):
+    """[g,g], [g,[g,g]] and the centre z(g): every automorphism of g maps
+    each of them onto itself."""
+    d = sc.dim
+    g = rl.identity(d)
+    derived = _bracket(sc, g, g)
+    centre = rl.nullspace(
+        [[sc.f[i][j][k] for i in range(d)] for j in range(d) for k in range(d)]
+    )
+    return [derived, _bracket(sc, g, derived), centre]
+
+
+def _annihilator_dims(sc: StructureConstants, dual: StructureConstants):
+    """For each characteristic ideal I of sc and A = ann(I) in the dual space:
+    dim A, dim [dual, A], dim [A, A] and dim (A n [dual, dual])."""
+    d = dual.dim
+    whole = rl.identity(d)
+    derived = _bracket(dual, whole, whole)
+    out = []
+    for ideal in _characteristic_ideals(sc):
+        ann = rl.nullspace(ideal) if ideal else whole
+        out += [
+            len(ann),
+            len(_bracket(dual, whole, ann)),
+            len(_bracket(dual, ann, ann)),
+            len(ann) + len(derived) - len(_basis(ann + derived)),
+        ]
     return out
 
 
-def _gauss_newton(kind, x0, algebras, det_target, iters=80, free=None):
-    """Damped Gauss-Newton on the (masked) witness entries."""
-    x = x0.copy()
-    n = x.size
-    if free is None:
-        free = list(range(n))
-    h = 1e-7
-    r = _residual(kind, x, algebras, det_target)
-    best = np.linalg.norm(r)
-    for _ in range(iters):
-        if np.max(np.abs(r)) < 1e-13:
-            break
-        jac = np.zeros((r.size, len(free)))
-        for col, k in enumerate(free):
-            xp = x.copy()
-            xp[k] += h
-            jac[:, col] = (_residual(kind, xp, algebras, det_target) - r) / h
-        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        if not np.all(np.isfinite(step)):
-            break
-        scale = 1.0
-        improved = False
-        for _ in range(10):
-            xt = x.copy()
-            for col, k in enumerate(free):
-                xt[k] += scale * step[col]
-            rt = _residual(kind, xt, algebras, det_target)
-            nt = np.linalg.norm(rt)
-            if nt < best:
-                x, r, best = xt, rt, nt
-                improved = True
-                break
-            scale *= 0.5
-        if not improved:
-            break
-    return x
+def invariants(f: StructureConstants, fd: StructureConstants) -> tuple:
+    """Exact invariants of the bialgebra (f, fd) under equivalence.
 
-
-_SNAP_BOUNDS = (1, 2, 3, 4, 6, 12)
-
-
-def _snap_to_rational(kind, x, algebras, det_target):
-    """Freeze entries one by one at nearby small rationals, re-polishing the
-    remaining free entries after each freeze.  Returns an exact matrix or None."""
-    x = x.copy()
-    frozen = {}
-    while len(frozen) < x.size:
-        order = sorted(
-            (k for k in range(x.size) if k not in frozen),
-            key=lambda k: min(
-                abs(x[k] - float(Fraction(float(x[k])).limit_denominator(b)))
-                for b in _SNAP_BOUNDS
-            ),
-        )
-        advanced = False
-        for k in order[:4]:
-            val = min(
-                (Fraction(float(x[k])).limit_denominator(b) for b in _SNAP_BOUNDS),
-                key=lambda q: abs(x[k] - float(q)),
-            )
-            xt = x.copy()
-            xt[k] = float(val)
-            free = [m for m in range(x.size) if m not in frozen and m != k]
-            if free:
-                xt = _gauss_newton(kind, xt, algebras, det_target, free=free)
-            rt = _residual(kind, xt, algebras)
-            if np.max(np.abs(rt)) < 1e-10:
-                frozen[k] = val
-                x = xt
-                advanced = True
-                break
-        if not advanced:
-            return None
-    m = [[frozen[i * 4 + j] for j in range(4)] for i in range(4)]
-    return m
-
-
-def _rationalize_matrix(x, bound):
-    return [
-        [Fraction(float(v)).limit_denominator(bound) for v in row]
-        for row in x.reshape(4, 4)
-    ]
-
-
-def _verify(kind, m, algebras):
-    w = WitnessMatrix(m, {"iso": "C", "auto": "A", "equiv": "B"}[kind])
-    try:
-        if kind == "iso":
-            return verify_isomorphism(w, algebras[0], algebras[1])
-        if kind == "auto":
-            return verify_automorphism(w, algebras[0])
-        return verify_bialgebra_equivalence(w, *algebras)
-    except InputError:
-        return False
-
-
-@dataclass
-class SearchResult:
-    witness: WitnessMatrix
-    tries: int
-
-    @property
-    def found(self):
-        return self.witness is not None
-
-
-def search_witness(kind, *algebras, tries=200, seed=0) -> SearchResult:
-    """Random-restart numeric search; returns only exactly re-verified witnesses.
-
-    kind: 'iso' (src, dst), 'auto' (f), 'equiv' (f, fd1, fd2).
+    An equivalence is an automorphism phi of f whose dual map phi* is an
+    isomorphism between the two dual brackets.  phi* maps the annihilator of
+    each characteristic ideal of f onto itself.  phi* also carries each
+    characteristic ideal of one dual bracket onto the same ideal of the
+    other, so phi carries their annihilators onto each other.  Both halves
+    are kept: different tuples certify that two pairs are inequivalent.
     """
-    rng = np.random.default_rng(seed)
-    if kind == "auto" and algebras[0].is_abelian():
-        return SearchResult(WitnessMatrix(rl.identity(4), "A"), 0)
-    exact = algebras
-    algebras = tuple(_as_array(a) for a in algebras)
-    role = {"iso": "C", "auto": "A", "equiv": "B"}[kind]
-    anchor_values = [0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -0.5]
-    for attempt in range(1, tries + 1):
-        # Anchor a random permutation-like pattern at small rationals; this
-        # removes the zero-matrix attractor of the homogeneous bilinear system
-        # and mirrors the free parameters such witness families carry.
-        x0 = rng.normal(scale=0.8, size=16)
-        anchors = {}
-        nonzero = [1.0, -1.0, 2.0, -2.0, 0.5, -0.5]
-        mode = attempt % 4
-        if mode == 0:
-            # one pinned diagonal entry, everything else free
-            d = int(rng.integers(0, 4))
-            anchors[5 * d] = float(rng.choice(nonzero))
-        elif mode == 1:
-            # two pinned diagonal entries (suits triangular witness groups)
-            for d in rng.choice(4, size=2, replace=False):
-                anchors[5 * int(d)] = float(rng.choice(nonzero))
-        elif mode == 2:
-            # full permutation pattern (suits wide groups)
-            for row, col in enumerate(rng.permutation(4)):
-                anchors[4 * row + int(col)] = float(rng.choice(nonzero))
-        else:
-            d = int(rng.integers(0, 4))
-            anchors[5 * d] = float(rng.choice(nonzero))
-            for k in rng.integers(0, 16, size=2):
-                anchors.setdefault(int(k), float(rng.choice(anchor_values)))
-        for k, v in anchors.items():
-            x0[k] = v
-        free = [k for k in range(16) if k not in anchors]
-        x = _gauss_newton(kind, x0, algebras, None, free=free)
-        r = _residual(kind, x, algebras)
-        if np.max(np.abs(r)) > 1e-9:
-            continue
-        c = x.reshape(4, 4)
-        if abs(np.linalg.det(c)) < 1e-6:
-            continue
-        # direct rationalization first, then the snap-and-repair walk
-        for bound in (1, 2, 6, 12, 100, 10**4):
-            m = _rationalize_matrix(x, bound)
-            if rl.det(m) and _verify(kind, m, exact):
-                return SearchResult(WitnessMatrix(m, role), attempt)
-        m = _snap_to_rational(kind, x, algebras, None)
-        if m is not None and rl.det(m) and _verify(kind, m, exact):
-            return SearchResult(WitnessMatrix(m, role), attempt)
-    return SearchResult(None, tries)
+    return tuple(_annihilator_dims(f, fd) + _annihilator_dims(fd, f))

@@ -494,7 +494,15 @@ def _campaign_order(selector):
     if selector in ("all", None):
         keys = ["1", "2", "3", "5", "6", "8", "integrable"]
     else:
-        keys = [k.strip() for k in selector.replace("-", ",").split(",") if k.strip()]
+        keys = []
+        for item in selector.split(","):
+            lo, dash, hi = (part.strip() for part in item.partition("-"))
+            if not dash:
+                keys += [lo] if lo else []
+            elif lo.isdigit() and hi.isdigit() and 1 <= int(lo) <= int(hi) <= 9:
+                keys += [str(n) for n in range(int(lo), int(hi) + 1)]
+            else:
+                raise InputError(f"bad table range {item.strip()!r}")
     fns = []
     for k in keys:
         fn = TABLES.get(k)
@@ -530,7 +538,8 @@ _SELECTOR_OF = {
 
 
 def verify_tables(reg, selector="all", seed=0, jobs=1, corpus_paths=None):
-    """Run the campaigns named by selector ('all', '1', '3-4', 'integrable', ...).
+    """Run the campaigns named by selector ('all', '1', '3-4', '1-5', 'integrable',
+    ...); 'A-B' names every table from A to B.
 
     With jobs > 1 the campaigns run in worker processes (each reloads the
     corpus from corpus_paths); the report order always follows the selector.

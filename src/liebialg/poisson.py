@@ -130,8 +130,3 @@ def symplectic_classify(pb: PoissonBivector) -> SymplecticReport:
         return SymplecticReport(True, poisson_jacobi_check(pb).passed, 4)
     return SymplecticReport(False, None, 0 if cfm_is_zero(p) else 2)
 
-
-def omega_at(pb: PoissonBivector, point):
-    """Symplectic form value Omega(point) with Omega P = -I."""
-    m = pb.eval(point)
-    return -np.linalg.inv(m)

@@ -89,6 +89,33 @@ def test_verify_unknown_table_exit_two(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_verify_table_range_runs_every_table_in_it(capsys):
+    assert main(["--json", "verify", "--table", "1-3"]) == 0
+    tables = [json.loads(line)["table"] for line in capsys.readouterr().out.splitlines()]
+    assert list(dict.fromkeys(tables)) == ["table1", "table2", "table34"]
+
+
+@pytest.mark.parametrize(
+    "selector, campaigns",
+    [
+        ("3-4", ["3"]),
+        ("6-7", ["6"]),
+        ("8-9", ["8"]),
+        ("6-9", ["6", "8"]),
+        ("1-5", ["1", "2", "3", "5"]),
+        ("all", ["1", "2", "3", "5", "6", "8", "integrable"]),
+    ],
+)
+def test_table_selector_campaigns(selector, campaigns):
+    assert [harness._SELECTOR_OF[fn] for fn in harness._campaign_order(selector)] == campaigns
+
+
+@pytest.mark.parametrize("selector", ["9-3", "0-2", "1-10", "3-", "1-integrable"])
+def test_verify_bad_table_range_exit_two(selector, capsys):
+    assert main(["verify", "--table", selector]) == 2
+    assert "bad table range" in capsys.readouterr().err
+
+
 def test_verify_missing_corpus_exit_two(capsys):
     assert main(["--corpus", "/nonexistent/path.txt", "verify", "--table", "1"]) == 2
 
@@ -319,6 +346,27 @@ def test_integrable_zero_duration(capsys):
     )
     assert rc == 0
     assert "drift 0.00e+00" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--hamiltonian", "0"),
+        ("--hamiltonian", "7"),
+        ("--t-end", "inf"),
+        ("--t-end", "-1"),
+        ("--t-end", "nan"),
+        ("--dt", "-1"),
+        ("--dt", "0"),
+        ("--dt", "nan"),
+        ("--dt", "inf"),
+    ],
+)
+def test_integrable_rejects_out_of_range_arguments(flag, value, capsys):
+    with pytest.raises(SystemExit) as ex:
+        main(["integrable", "--example", "1", "--integrate", flag, value])
+    assert ex.value.code == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_integrable_flow_and_csv(tmp_path, capsys):

@@ -11,7 +11,6 @@ from liebialg.groupgeom import GroupChart, double_adjoint, invariant_frame
 from liebialg.poisson import (
     PoissonBivector,
     linearization_check,
-    omega_at,
     pi_bivector,
     poisson_jacobi_check,
     sklyanin_bivector,
@@ -148,16 +147,6 @@ def test_degenerate_pair_reports_rank(reg, bench):
     cl = symplectic_classify(P)
     assert not cl.symplectic
     assert cl.max_rank == 2
-
-
-def test_omega_inverse_convention(reg, bench):
-    import numpy as np
-
-    P = bench.bivector("A_4_7", "A_4_7.i", "sklyanin", {})
-    pt = (0.3, -0.2, 0.4, 0.6)
-    om = omega_at(P, pt)
-    assert np.allclose(om @ P.eval(pt), -np.eye(4), atol=1e-9)
-    assert np.allclose(om, -om.T, atol=1e-12)
 
 
 def test_bivector_constructor_enforces_antisymmetry(reg):
