@@ -353,24 +353,9 @@ class ClosedFunction:
         return True
 
     # -- evaluation --------------------------------------------------------
-    def eval(self, point, require_real=True):
-        """Floating evaluation at a 4-point; checks the imaginary residue."""
-        if require_real and not self.is_real():
-            raise InputError("function is not real")
-        total = 0j
-        scale = 0.0
-        for (k, z), c in self.terms.items():
-            v = c.to_complex()
-            for i in range(NCOORD):
-                if k[i]:
-                    v *= point[i] ** k[i]
-                if z[i]:
-                    v *= cmath.exp(z[i].to_complex() * point[i])
-            total += v
-            scale += abs(v)
-        if require_real and abs(total.imag) > 1e-12 * (1.0 + scale):
-            raise EvalError(f"imaginary residue {total.imag} too large")
-        return total.real
+    def eval(self, point):
+        """Floating value at a 4-point, through cfm_lower."""
+        return cfm_lower([[self]])(*point)[0][0]
 
     def eval_at_zero(self):
         """Exact value at the origin (every exponential equals 1 there)."""
@@ -517,8 +502,41 @@ def cfm_diff(a, i):
     return [[x.diff(i) for x in row] for row in a]
 
 
-def cfm_eval(a, point):
-    return [[x.eval(point) for x in row] for row in a]
+def cfm_lower(a):
+    """One straight-line function of (x1, x2, x3, x4) giving every entry of a
+    as rows of floats.  Each entry runs the term loop `v = c; v *= x**k;
+    v *= cexp(z*x)` over the coordinates in order, `t += v; s += abs(v)`, and
+    raises InputError if it is not real, EvalError if |Im t| > 1e-12 (1 + s)."""
+    consts, lines, rows = [], [], []
+    for row in a:
+        rows.append([])
+        for f in row:
+            if not f.is_real():
+                lines.append("raise InputError('function is not real')")
+            lines.append("t = 0j; s = 0.0")
+            for (k, z), c in f.terms.items():
+                consts.append(c.to_complex())
+                v = f"v = C[{len(consts) - 1}]"
+                for i in range(NCOORD):
+                    if k[i]:
+                        v += f" * x{i + 1} ** {k[i]:d}"
+                    if z[i]:
+                        consts.append(z[i].to_complex())
+                        v += f" * cexp(C[{len(consts) - 1}] * x{i + 1})"
+                lines.append(v + "; t += v; s += abs(v)")
+            lines.append("if abs(t.imag) > 1e-12 * (1.0 + s): "
+                         "raise EvalError(f'imaginary residue {t.imag} too large')")
+            lines.append(f"e{len(lines)} = t.real")
+            rows[-1].append(f"e{len(lines) - 1}")
+    lines.append("return [" + ", ".join(f"[{', '.join(r)}]" for r in rows) + "]")
+    ns = {"C": tuple(consts), "cexp": cmath.exp, "InputError": InputError, "EvalError": EvalError}
+    exec("def f(x1, x2, x3, x4):\n    " + "\n    ".join(lines), ns)
+    return ns.pop("f")  # no cycle through the namespace: freed by refcount
+
+
+def cfm_eval(a, point, lowered=None):
+    """a at point as rows of floats, through `lowered` = cfm_lower(a) if given."""
+    return (lowered or cfm_lower(a))(*point)
 
 
 def cfm_eq(a, b):

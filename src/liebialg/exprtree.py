@@ -25,7 +25,7 @@ _FUNCS = ("exp", "sin", "cos", "sinh", "cosh")
 
 
 class Expr:
-    __slots__ = ("op", "args")
+    __slots__ = ("op", "args", "_fn")
 
     def __init__(self, op, args):
         self.op = op
@@ -67,42 +67,14 @@ class Expr:
 
     # -- numeric evaluation --------------------------------------------------
     def evalf(self, point, params=None):
-        op = self.op
-        if op == "const":
-            return float(self.args[0])
-        if op == "coord":
-            return float(point[self.args[0] - 1])
-        if op == "param":
-            if params is None or self.args[0] not in params:
-                raise EvalError(f"unbound parameter {self.args[0]!r}")
-            return float(params[self.args[0]])
-        if op == "add":
-            return sum(a.evalf(point, params) for a in self.args)
-        if op == "mul":
-            out = 1.0
-            for a in self.args:
-                out *= a.evalf(point, params)
-            return out
-        if op == "div":
-            den = self.args[1].evalf(point, params)
-            if den == 0.0:
-                raise EvalError("division by zero at evaluation point")
-            return self.args[0].evalf(point, params) / den
-        if op == "pow":
-            return self.args[0].evalf(point, params) ** self.args[1]
-        if op == "neg":
-            return -self.args[0].evalf(point, params)
-        if op == "exp":
-            return math.exp(self.args[0].evalf(point, params))
-        if op == "sin":
-            return math.sin(self.args[0].evalf(point, params))
-        if op == "cos":
-            return math.cos(self.args[0].evalf(point, params))
-        if op == "sinh":
-            return math.sinh(self.args[0].evalf(point, params))
-        if op == "cosh":
-            return math.cosh(self.args[0].evalf(point, params))
-        raise InputError(f"unknown node {op}")
+        return self.compiled()(*[float(point[i]) for i in range(4)], params)
+
+    def compiled(self):
+        """This tree as a straight-line function of (x1, x2, x3, x4, params=None)
+        returning a float, generated on first use and kept on the tree."""
+        if not hasattr(self, "_fn"):
+            self._fn = _lower(self)
+        return self._fn
 
     def eval_exact(self, params=None):
         """Exact rational value; defined only for arithmetic-only trees."""
@@ -262,6 +234,58 @@ def _linear_form(e):
         idx = next(i for i, ki in enumerate(k) if ki)
         coeffs[idx + 1] = c.re
     return coeffs
+
+
+def _param(params, name):
+    if params is None or name not in params:
+        raise EvalError(f"unbound parameter {name!r}")
+    return float(params[name])
+
+
+def _lower(root):
+    """Compile root to one assignment per distinct subtree, in the order and
+    with the float operations of a recursive walk (`0 + a + b ...`, a divisor
+    before its dividend).  The source holds only fixed tokens, x1..x4, integer
+    exponents and indices into the constants tuple C."""
+    consts, lines, names = [], [], {}
+
+    def emit(e):
+        if e in names:
+            return names[e]
+        op, args = e.op, e.args
+        if op == "coord":
+            return ("x1", "x2", "x3", "x4")[args[0] - 1]
+        if op in ("const", "param"):
+            consts.append(float(args[0]) if op == "const" else args[0])
+            c = f"C[{len(consts) - 1}]"
+            rhs = c if op == "const" else f"_param(params, {c})"
+        elif op in ("add", "mul"):
+            start, sign = ("0", " + ") if op == "add" else ("1.0", " * ")
+            rhs = sign.join([start] + [emit(a) for a in args])
+        elif op == "div":
+            den = emit(args[1])
+            lines.append(f"if {den} == 0.0: raise EvalError('division by zero at evaluation point')")
+            rhs = f"{emit(args[0])} / {den}"
+        elif op == "pow":
+            base = emit(args[0])
+            if args[1] < 0:
+                lines.append(f"if {base} == 0.0: raise EvalError('zero to a negative power')")
+            rhs = f"{base} ** {args[1]:d}"
+        elif op == "neg":
+            rhs = f"-{emit(args[0])}"
+        elif op in _FUNCS:
+            rhs = f"{op}({emit(args[0])})"
+        else:
+            raise InputError(f"unknown node {op}")
+        lines.append(f"t{len(lines)} = {rhs}")
+        names[e] = f"t{len(lines) - 1}"
+        return names[e]
+
+    lines.append(f"return {emit(root)}")
+    ns = {f: getattr(math, f) for f in _FUNCS}
+    ns.update(C=tuple(consts), _param=_param, EvalError=EvalError)
+    exec("def f(x1, x2, x3, x4, params=None):\n    " + "\n    ".join(lines), ns)
+    return ns.pop("f")  # no cycle through the namespace: freed by refcount
 
 
 # --------------------------------------------------------------------------

@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import StructureConstants
-from .errors import EvalError
-from .exprtree import Expr
+from .errors import EvalError, InputError
+from .exprtree import Expr, mul
 from .poisson import PoissonBivector
 
 CANONICAL_PAIRS = ((1, 3), (2, 4))  # {y1,y3} = {y2,y4} = 1, all else 0
@@ -37,16 +37,24 @@ def sample_points(ex: IntegrableExample, n=20, seed=0):
         p = rng.uniform(-1.0, 1.0, size=4)
         if abs(p[ex.singular_coord - 1]) < 0.1:
             continue
-        pts.append(tuple(p))
+        pts.append(tuple(p.tolist()))
     return pts
+
+
+def _gradient(f: Expr):
+    """(d_1 f .. d_4 f) as a function of a point, differentiated and compiled once."""
+    fns = [f.diff(i).compiled() for i in range(1, 5)]
+    return lambda p: [fn(*p) for fn in fns]
+
+
+def _bracket(pm, df, dg) -> float:
+    return float(sum(pm[i][j] * df[i] * dg[j] for i in range(4) for j in range(4)))
 
 
 def bracket_of(P: PoissonBivector, f: Expr, g: Expr, point) -> float:
     """{f, g}(point) = sum_ij P^ij d_i f d_j g with analytic derivatives."""
-    df = [f.diff(i).evalf(point) for i in range(1, 5)]
-    dg = [g.diff(i).evalf(point) for i in range(1, 5)]
-    pm = P.eval(point)
-    return float(sum(pm[i][j] * df[i] * dg[j] for i in range(4) for j in range(4)))
+    p = [float(x) for x in point]
+    return _bracket(P.eval(p), _gradient(f)(p), _gradient(g)(p))
 
 
 @dataclass
@@ -63,11 +71,14 @@ def darboux_check(ex: IntegrableExample, n=20, seed=0, tol=1e-10) -> ClosureRepo
     """Pushforward brackets of (y1..y4) equal the constant canonical form."""
     worst = 0.0
     table = {}
+    grads = [_gradient(y) for y in ex.darboux]
     for p in sample_points(ex, n, seed):
+        pm = ex.bivector.eval(p)
+        d = [g(p) for g in grads]
         for i in range(1, 5):
             for j in range(i + 1, 5):
                 want = 1.0 if (i, j) in CANONICAL_PAIRS else 0.0
-                got = bracket_of(ex.bivector, ex.darboux[i - 1], ex.darboux[j - 1], p)
+                got = _bracket(pm, d[i - 1], d[j - 1])
                 err = abs(got - want)
                 table[(i, j)] = max(table.get((i, j), 0.0), err)
                 worst = max(worst, err)
@@ -78,12 +89,15 @@ def closure_check(ex: IntegrableExample, n=20, seed=0, tol=1e-10) -> ClosureRepo
     """{Q_i, Q_j} = f_ij^k Q_k against the symmetry algebra constants."""
     worst = 0.0
     table = {}
+    grads = [_gradient(q) for q in ex.qfuncs]
     for p in sample_points(ex, n, seed):
-        qvals = [q.evalf(p) for q in ex.qfuncs]
+        qvals = [q.compiled()(*p) for q in ex.qfuncs]
         scale = 1.0 + max(abs(v) for v in qvals)
+        pm = ex.bivector.eval(p)
+        d = [g(p) for g in grads]
         for i in range(1, 5):
             for j in range(i + 1, 5):
-                got = bracket_of(ex.bivector, ex.qfuncs[i - 1], ex.qfuncs[j - 1], p)
+                got = _bracket(pm, d[i - 1], d[j - 1])
                 want = sum(
                     float(ex.symmetry.f[i - 1][j - 1][k]) * qvals[k] for k in range(4)
                 )
@@ -103,13 +117,12 @@ class FlowReport:
         return max((self.drifts[i] for i in self.conserved), default=0.0)
 
 
-def _rhs(P: PoissonBivector, grad_h, point):
+def _rhs(P: PoissonBivector, grad_h, x):
     # Hamiltonian field taken as X_H = {H, .}: xdot_i = P^{ji} d_j H.  The
     # opposite sign sends the documented example-1 trajectory into the
     # x2 = 0 singular locus at exactly t = 1.
-    pm = P.eval(point)
-    dh = np.array([g.evalf(point) for g in grad_h])
-    return pm.T @ dh
+    p = x.tolist()
+    return P.eval(p).T @ np.array(grad_h(p))
 
 
 def flow_conserve(
@@ -122,8 +135,8 @@ def flow_conserve(
 ) -> FlowReport:
     """Fixed-step RK4 integration of xdot = P grad(Q_h); reports the relative
     drift of every Q whose bracket with the Hamiltonian vanishes identically."""
-    h = ex.qfuncs[hamiltonian - 1]
-    grad_h = [h.diff(i) for i in range(1, 5)]
+    grad_h = _gradient(ex.qfuncs[hamiltonian - 1])
+    qs = [q.compiled() for q in ex.qfuncs]
     conserved = [hamiltonian]
     for j in range(1, 5):
         if j == hamiltonian:
@@ -131,22 +144,25 @@ def flow_conserve(
         fij = ex.symmetry.f[min(hamiltonian, j) - 1][max(hamiltonian, j) - 1]
         if not any(fij):
             conserved.append(j)
+    ratio = t_end / dt if dt > 0 else 0.0
+    if not np.isfinite(ratio):
+        raise InputError(f"t_end / dt = {ratio} is not a finite step count")
+    steps = int(round(ratio))
     x = np.array(start, dtype=float)
-    q0 = [q.evalf(tuple(x)) for q in ex.qfuncs]
+    q0 = [q(*x.tolist()) for q in qs]
     drifts = {i: 0.0 for i in range(1, 5)}
-    steps = int(round(t_end / dt)) if dt > 0 else 0
     traj = []
     if record:
         traj.append((0.0, *x, *q0))
     for s in range(steps):
-        k1 = _rhs(ex.bivector, grad_h, tuple(x))
-        k2 = _rhs(ex.bivector, grad_h, tuple(x + 0.5 * dt * k1))
-        k3 = _rhs(ex.bivector, grad_h, tuple(x + 0.5 * dt * k2))
-        k4 = _rhs(ex.bivector, grad_h, tuple(x + dt * k3))
+        k1 = _rhs(ex.bivector, grad_h, x)
+        k2 = _rhs(ex.bivector, grad_h, x + 0.5 * dt * k1)
+        k3 = _rhs(ex.bivector, grad_h, x + 0.5 * dt * k2)
+        k4 = _rhs(ex.bivector, grad_h, x + dt * k3)
         x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.all(np.isfinite(x)):
             break
-        qv = [q.evalf(tuple(x)) for q in ex.qfuncs]
+        qv = [q(*x.tolist()) for q in qs]
         for i in range(1, 5):
             rel = abs(qv[i - 1] - q0[i - 1]) / (1.0 + abs(q0[i - 1]))
             drifts[i] = max(drifts[i], rel)
@@ -157,18 +173,16 @@ def flow_conserve(
 
 def leibniz_check(ex: IntegrableExample, n=20, seed=0, tol=1e-10):
     """Antisymmetry and the Leibniz rule of the bracket at sampled points."""
-    from .exprtree import mul
-
     worst = 0.0
-    funcs = ex.qfuncs
+    f, g, h = ex.qfuncs[:3]
+    grads = [_gradient(e) for e in (f, g, h, mul(g, h))]
     for p in sample_points(ex, n, seed):
-        f, g, h = funcs[0], funcs[1], funcs[2]
-        anti = bracket_of(ex.bivector, f, g, p) + bracket_of(ex.bivector, g, f, p)
+        pm = ex.bivector.eval(p)
+        df, dg, dh, dgh = (grad(p) for grad in grads)
+        anti = _bracket(pm, df, dg) + _bracket(pm, dg, df)
         worst = max(worst, abs(anti))
-        lhs = bracket_of(ex.bivector, f, mul(g, h), p)
-        rhs = g.evalf(p) * bracket_of(ex.bivector, f, h, p) + h.evalf(p) * bracket_of(
-            ex.bivector, f, g, p
-        )
+        lhs = _bracket(pm, df, dgh)
+        rhs = g.compiled()(*p) * _bracket(pm, df, dh) + h.compiled()(*p) * _bracket(pm, df, dg)
         worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
     return worst < tol, worst
 
@@ -180,8 +194,6 @@ def load_example(reg, ex_id) -> IntegrableExample:
     (phase, symmetry) pair, which the acceptance suite separately proves
     equal to the derived one.
     """
-    from .errors import InputError
-
     fx = reg.fixtures.get(f"example{ex_id}")
     if fx is None:
         raise InputError(f"no fixture for example {ex_id}")

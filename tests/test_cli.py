@@ -379,3 +379,18 @@ def test_integrable_flow_and_csv(tmp_path, capsys):
     assert csv.exists()
     header = csv.read_text().splitlines()[0]
     assert header == "t,x1,x2,x3,x4,Q1,Q2,Q3,Q4"
+
+
+def test_integrable_step_count_overflow_is_a_usage_error():
+    # each argument is finite, but t_end / dt overflows to inf
+    src = os.path.dirname(os.path.dirname(os.path.abspath(liebialg.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    done = subprocess.run(
+        [sys.executable, "-m", "liebialg", "integrable", "--example", "1", "--integrate",
+         "--t-end", "1e300", "--dt", "1e-10"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:")
+    assert "Traceback" not in done.stderr

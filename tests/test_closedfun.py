@@ -20,12 +20,15 @@ from liebialg.closedfun import (
     cf_sin,
     cf_sinh,
     cfm_eq,
+    cfm_eval,
     cfm_identity,
     cfm_inverse_unitdet,
     cfm_mul,
 )
 from liebialg.core import StructureConstants
-from liebialg.errors import NonUnitDeterminant, UnsupportedSpectrum
+from liebialg.errors import EvalError, InputError, NonUnitDeterminant, UnsupportedSpectrum
+
+from evalref import outcome, term_loop
 
 
 def _random_cf(rng, depth=3):
@@ -373,3 +376,74 @@ def test_crat_pickle_and_copy_roundtrip():
             assert back == c and tuple(back) == tuple(c)
 
     check()
+
+
+# --------------------------------------------------------------------------
+# compiled evaluation against the per-term loop (tests/evalref.py)
+# --------------------------------------------------------------------------
+
+
+def _term_maps(st):
+    small = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    zero = st.just((Fraction(0), Fraction(0)))
+    rate = st.one_of(zero, st.tuples(small, st.just(Fraction(0))), st.tuples(small, small))
+    four = lambda s: st.lists(s, min_size=4, max_size=4)  # noqa: E731
+    term = st.tuples(st.tuples(small, small), four(st.integers(0, 3)), four(rate))
+
+    def build(terms, real):
+        f = ClosedFunction.zero()
+        for c, k, z in terms:
+            if any(c):
+                f = f + ClosedFunction({(tuple(k), tuple(CRat(*r) for r in z)): CRat(*c)})
+        return f + f.conjugate() if real else f
+
+    return st.builds(build, st.lists(term, max_size=4), st.booleans())
+
+
+def _ref_matrix(a, point):
+    return [[term_loop(f, point) for f in row] for row in a]
+
+
+def test_compiled_eval_matches_term_loop():
+    given, settings, st, _ = _hypothesis()
+    # an imaginary coordinate trips the residue check of a real function
+    coordinate = st.sampled_from([0.0, -0.0, 0.5, -1.25, 2.0, 3, 0.5j])
+    point = st.lists(coordinate, min_size=4, max_size=4)
+
+    @settings
+    @given(st.lists(_term_maps(st), min_size=4, max_size=4), point)
+    def check(fs, p):
+        for f in fs:
+            assert outcome(f.eval, p) == outcome(term_loop, f, p)
+        a = [fs[:2], fs[2:]]
+        assert outcome(cfm_eval, a, p) == outcome(_ref_matrix, a, p)
+
+    check()
+
+
+def test_compiled_eval_errors():
+    p = [0.1, 0.2, 0.3, 0.4]
+    nonreal = cf_coord(1) * ClosedFunction.const(CRat(1, 1))
+    with pytest.raises(InputError):
+        nonreal.eval(p)
+    with pytest.raises(InputError):
+        cfm_eval([[cf_coord(2), nonreal]], p)
+    with pytest.raises(EvalError):
+        cf_coord(1).eval([0.5j, 0, 0, 0])
+    # at x1 = 0 the two terms of sin x1 are -i/2 and i/2, so the bound on
+    # Im sin(x1) is 1e-12 (1 + |-i/2| + |i/2|) = 2e-12
+    sin = cf_sin({1: 1})
+    for eps, ok in ((1.5e-12, True), (2.5e-12, False)):
+        got = outcome(sin.eval, [eps * 1j, 0, 0, 0])
+        assert got == outcome(term_loop, sin, [eps * 1j, 0, 0, 0])
+        assert got.startswith("EvalError") != ok
+
+
+def test_compiled_bivectors_match_term_loop(reg):
+    from liebialg.integrable import load_example, sample_points
+
+    for ex_id in (1, 2):
+        P = load_example(reg, ex_id).bivector
+        for p in sample_points(load_example(reg, ex_id), 20, 0):
+            want = repr(_ref_matrix(P.P, p))
+            assert repr(P.eval(p).tolist()) == repr(cfm_eval(P.P, p)) == want

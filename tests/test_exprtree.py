@@ -8,8 +8,10 @@ import pytest
 
 from liebialg.closedfun import cf_cos, cf_exp
 from liebialg.errors import CorpusSyntaxError, EvalError, InputError
-from liebialg.exprtree import parse_expr, to_text
+from liebialg.exprtree import _FUNCS, Expr, const, coord, param, parse_expr, to_text
 from liebialg.render import render_closed_function
+
+from evalref import outcome, walk
 
 
 def test_parse_rational_arithmetic():
@@ -107,3 +109,75 @@ def test_render_roundtrip_bit_exact():
 def test_render_zero():
     cf = parse_expr("x1 - x1").to_closed()
     assert render_closed_function(cf) == "0"
+
+
+# --------------------------------------------------------------------------
+# the compiled evaluator against the recursive walk (tests/evalref.py)
+# --------------------------------------------------------------------------
+
+
+def _trees(st):
+    """Raw trees over every node kind, unsimplified, so zero constants,
+    zero divisors and repeated subtrees all occur."""
+    leaf = st.one_of(
+        st.builds(const, st.fractions(-3, 3, max_denominator=4)),
+        st.builds(coord, st.integers(1, 4)),
+        st.builds(param, st.sampled_from(["a", "b", "unbound"])),
+    )
+
+    def grow(kids):
+        many = st.lists(kids, min_size=1, max_size=3).map(tuple)
+        return st.one_of(
+            st.builds(Expr, st.sampled_from(["add", "mul"]), many),
+            st.builds(lambda u, v: Expr("div", (u, v)), kids, kids),
+            st.builds(lambda b, p: Expr("pow", (b, p)), kids, st.integers(-3, 4)),
+            st.builds(lambda u: Expr("neg", (u,)), kids),
+            st.builds(lambda f, u: Expr(f, (u,)), st.sampled_from(_FUNCS), kids),
+            st.builds(lambda u: Expr("add", (u, u)), kids),
+        )
+
+    return st.recursive(leaf, grow, max_leaves=10)
+
+
+def test_compiled_expr_matches_tree_walk():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    value = st.sampled_from([0.0, -0.0, 1.0, -0.5, 0.75, 2.5, -3.0, 40.0])
+    params = {"a": Fraction(1, 3), "b": Fraction(-2)}
+
+    @hyp.settings(max_examples=400, deadline=None)
+    @hyp.given(_trees(st), st.lists(value, min_size=4, max_size=4), st.integers(0, 4))
+    def check(e, point, i):
+        if i:
+            try:
+                e = e.diff(i)
+            except EvalError:  # the quotient rule divides by a constant zero
+                return
+        for bound in (params, None):
+            want = outcome(walk, e, point, bound)
+            if want.startswith("ZeroDivisionError"):
+                want = "EvalError: zero to a negative power"
+            assert outcome(e.evalf, point, bound) == want
+            assert outcome(e.compiled(), *point, bound) == want
+
+    check()
+
+
+def test_compiled_expr_errors():
+    p = (0.0, 1.0, 2.0, 3.0)
+    for src in ("1/x1", "x1^-2", "(x2 - 1)^-1", "x2/(x1*x3)", "q + x2"):
+        with pytest.raises(EvalError):
+            parse_expr(src).evalf(p)
+    assert parse_expr("q*x2").evalf(p, {"q": Fraction(3, 2)}) == 1.5
+
+
+def test_compiled_integrable_functions_match_tree_walk(reg):
+    from liebialg.integrable import load_example, sample_points
+
+    for ex_id in (1, 2):
+        ex = load_example(reg, ex_id)
+        funcs = ex.darboux + ex.qfuncs
+        funcs += [f.diff(i) for f in funcs for i in range(1, 5)]
+        for p in sample_points(ex, 20, 0):
+            for f in funcs:
+                assert repr(f.evalf(p)) == repr(walk(f, p))

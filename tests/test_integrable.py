@@ -2,7 +2,7 @@
 
 import pytest
 
-from liebialg.errors import EvalError
+from liebialg.errors import EvalError, InputError
 from liebialg.exprtree import parse_expr
 from liebialg.integrable import (
     CANONICAL_PAIRS,
@@ -140,3 +140,30 @@ def test_phase_space_bivector_matches_derivation(reg, bench, ex1, ex2):
     assert cfm_eq(ex1.bivector.P, derived1.P)
     derived2 = bench.bivector("A_4_9_1.ii", "A_4_9_m12", "sklyanin", {})
     assert cfm_eq(ex2.bivector.P, derived2.P)
+
+
+def test_derivatives_are_taken_once_per_check_not_per_point(ex1, monkeypatch):
+    from liebialg.exprtree import Expr
+
+    calls = [0]
+    diff = Expr.diff
+
+    def counted(self, i):
+        calls[0] += 1
+        return diff(self, i)
+
+    monkeypatch.setattr(Expr, "diff", counted)
+
+    def count(n):
+        calls[0] = 0
+        darboux_check(ex1, n=n)
+        closure_check(ex1, n=n)
+        leibniz_check(ex1, n=n)
+        return calls[0]
+
+    assert count(20) == count(2) > 0
+
+
+def test_flow_rejects_a_step_count_that_is_not_finite(ex1):
+    with pytest.raises(InputError):
+        flow_conserve(ex1, hamiltonian=2, t_end=1e300, dt=1e-10)
