@@ -39,6 +39,13 @@ def _step(text):
     return x
 
 
+def _jobs(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return n
+
+
 def _load(args):
     return corpus_mod.load(args.corpus)
 
@@ -205,8 +212,10 @@ def build_parser():
     v.add_argument("--table", default="all", help="table selector: all, 1, 2, "
                    "3-4, 5, 6-7, 8-9, integrable, a comma list, or a range "
                    "A-B of table numbers")
-    v.add_argument("--jobs", type=int, default=1,
-                   help="campaigns run in up to this many worker processes")
+    v.add_argument("--jobs", type=_jobs, default=1,
+                   help="worker processes (>= 1); entries are sharded by base "
+                   "algebra, so each worker builds an algebra's frames and "
+                   "bivectors once")
     v.set_defaults(fn=cmd_verify)
 
     d = sub.add_parser("derive", help="derive frames, r-matrices, or bivectors")

@@ -8,6 +8,7 @@ entry marked `status flagged`; it never fails a run.  Mathematical defects
 
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
+import functools
 import time
 
 from itertools import product
@@ -180,14 +181,26 @@ class Workbench:
         return self.bivector(g, dual, "pi", binding)
 
 
-def _timed(fn):
-    def wrapper(*args, **kwargs):
-        t0 = time.perf_counter()
-        rep = fn(*args, **kwargs)
-        rep.seconds = time.perf_counter() - t0
-        return rep
+def _campaign(table):
+    """Makes a campaign of an enumeration of its entries, each a
+    `(name, key, check, args)` tuple whose key names the algebra whose
+    frames and bivectors the check uses.  The campaign runs them in order and
+    is timed; `.entries` keeps the enumeration for `verify_tables --jobs`."""
 
-    return wrapper
+    def wrap(entries):
+        @functools.wraps(entries)
+        def verify(*args, **kwargs):
+            t0 = time.perf_counter()
+            rep = RunReport(table)
+            for name, _key, check, check_args in entries(*args, **kwargs):
+                rep.results.append(_run_entry(name, check, *check_args))
+            rep.seconds = time.perf_counter() - t0
+            return rep
+
+        verify.entries, verify.table = entries, table
+        return verify
+
+    return wrap
 
 
 def _run_entry(name, check, *args):
@@ -202,15 +215,13 @@ def _run_entry(name, check, *args):
     return EntryResult(name, status, detail, discrepancies, time.perf_counter() - t0)
 
 
-@_timed
+@_campaign("table1")
 def verify_table1(reg, seed=0):
     """Base algebras: Jacobi identity and a nondegenerate closed two-form."""
-    rep = RunReport("table1")
     for name, entry in sorted(reg.algebras.items()):
         if "." in name or name == "4A_1":
             continue  # dual variants are exercised through tables 2-9
-        rep.results.append(_run_entry(name, _check_algebra, reg, name, entry, seed))
-    return rep
+        yield name, name, _check_algebra, (reg, name, entry, seed)
 
 
 def _check_algebra(reg, name, entry, seed):
@@ -224,13 +235,11 @@ def _check_algebra(reg, name, entry, seed):
     return "pass", "", []
 
 
-@_timed
+@_campaign("table2")
 def verify_table2(reg, seed=0):
     """Bracket/cobracket pairs: mixed Jacobi and the double's Jacobi identity."""
-    rep = RunReport("table2")
     for be in reg.bialgebras:
-        rep.results.append(_run_entry(be.name, _check_bialgebra, reg, be))
-    return rep
+        yield be.name, be.g, _check_bialgebra, (reg, be)
 
 
 def _check_bialgebra(reg, be):
@@ -249,13 +258,11 @@ def _check_bialgebra(reg, be):
     return "pass", "", []
 
 
-@_timed
+@_campaign("table34")
 def verify_table34(reg, seed=0):
     """r-matrix rows: membership, classification, and dual-direction solves."""
-    rep = RunReport("table34")
     for (g, dual), e in sorted(reg.rmatrices.items()):
-        rep.results.append(_run_entry(e.name, _check_rmatrix_row, reg, g, dual, e))
-    return rep
+        yield e.name, g, _check_rmatrix_row, (reg, g, dual, e)
 
 
 def _check_rmatrix_row(reg, g, dual, e):
@@ -308,21 +315,17 @@ def _compare_frame(reg, bench, name, binding):
     return out
 
 
-@_timed
+@_campaign("table5")
 def verify_table5(reg, bench=None, seed=0):
     """Frames: printed payload comparison plus the structural bracket relations."""
     bench = bench or Workbench(reg)
-    rep = RunReport("table5")
     for name, fe in sorted(reg.frames.items()):
-        rep.results.append(_run_entry(f"frame {name}", _check_frame, reg, bench, name, fe))
+        yield f"frame {name}", name, _check_frame, (reg, bench, name, fe)
     # spot-check set: exact match mandatory except the recorded flagged slot;
     # a corpus without one of these frames skips its spot check
     for name, binding in FRAME_SPOT_CHECKS:
         if name in reg.frames:
-            rep.results.append(
-                _run_entry(f"frame-spot {name}", _spot_check_frame, reg, bench, name, binding)
-            )
-    return rep
+            yield f"frame-spot {name}", name, _spot_check_frame, (reg, bench, name, binding)
 
 
 def _check_frame(reg, bench, name, fe):
@@ -350,15 +353,13 @@ def _spot_check_frame(reg, bench, name, binding):
     return "fail", f"{len(disc)-len(allowed)} unexpected mismatches", disc
 
 
-@_timed
+@_campaign("table67")
 def verify_table67(reg, bench=None, seed=0):
     """Bivectors: derivation, Jacobi, linearization, method agreement, and
     comparison against the printed brackets."""
     bench = bench or Workbench(reg)
-    rep = RunReport("table67")
     for pe in reg.poisson:
-        rep.results.append(_run_entry(pe.name, _check_poisson_entry, reg, bench, pe))
-    return rep
+        yield pe.name, pe.g, _check_poisson_entry, (reg, bench, pe)
 
 
 def _check_poisson_entry(reg, bench, pe):
@@ -405,22 +406,16 @@ def _check_poisson_entry(reg, bench, pe):
     return status, detail, discrepancies
 
 
-@_timed
+@_campaign("table89")
 def verify_table89(reg, bench=None, seed=0):
     """Invertibility of the bivectors named in the membership tables."""
     bench = bench or Workbench(reg)
-    rep = RunReport("table89")
     for table in ("table8", "table9"):
         entry = reg.memberships.get(table)
         if entry is None:
             continue
         for (g, dual) in entry.pairs:
-            rep.results.append(
-                _run_entry(
-                    f"{table} ({g}, {dual})", _check_membership_pair, reg, bench, table, g, dual
-                )
-            )
-    return rep
+            yield f"{table} ({g}, {dual})", g, _check_membership_pair, (reg, bench, table, g, dual)
 
 
 def _check_membership_pair(reg, bench, table, g, dual):
@@ -439,15 +434,11 @@ def _check_membership_pair(reg, bench, table, g, dual):
     return "pass", "", []
 
 
-@_timed
+@_campaign("integrable")
 def verify_integrable(reg, seed=0, flow=True):
     """Darboux form, symmetry closure, Leibniz, and conservation under flow."""
-    rep = RunReport("integrable")
     for ex_id in (1, 2):
-        rep.results.append(
-            _run_entry(f"example {ex_id}", _check_example, reg, ex_id, seed, flow)
-        )
-    return rep
+        yield f"example {ex_id}", f"example {ex_id}", _check_example, (reg, ex_id, seed, flow)
 
 
 def _check_example(reg, ex_id, seed, flow):
@@ -513,17 +504,8 @@ def _campaign_order(selector):
     return fns
 
 
-def _run_campaign(fn, reg, bench, seed):
-    if fn in (verify_table5, verify_table67, verify_table89):
-        return fn(reg, bench, seed=seed)
-    return fn(reg, seed=seed)
-
-
-def _run_campaign_pickled(args):
-    selector, seed, corpus_paths = args
-    reg = corpus_mod.load(corpus_paths)
-    fn = _campaign_order(selector)[0]
-    return _run_campaign(fn, reg, Workbench(reg), seed)
+def _args(fn, reg, bench):
+    return (reg, bench) if fn in (verify_table5, verify_table67, verify_table89) else (reg,)
 
 
 _SELECTOR_OF = {
@@ -537,23 +519,65 @@ _SELECTOR_OF = {
 }
 
 
+def _shards(campaigns, jobs):
+    """Groups the entries of `campaigns` (one entry list per campaign) by key
+    into shards of `(campaign, index, name)`, largest shard first; returns
+    the worker count, at most one per shard, and the shards."""
+    groups = {}
+    for c, entries in enumerate(campaigns):
+        for i, (name, key, *_) in enumerate(entries):
+            groups.setdefault(key, []).append((c, i, name))
+    shards = sorted(groups.values(), key=len, reverse=True)
+    return min(jobs, len(shards)), shards
+
+
+_WORKER = {}
+
+
+def _init_worker(selector, seed, corpus_paths):
+    reg = corpus_mod.load(corpus_paths)
+    bench = Workbench(reg)
+    _WORKER["campaigns"] = [
+        list(fn.entries(*_args(fn, reg, bench), seed=seed)) for fn in _campaign_order(selector)
+    ]
+
+
+def _run_shard(shard):
+    out = []
+    for c, i, name in shard:
+        entries = _WORKER["campaigns"][c]
+        if i >= len(entries) or entries[i][0] != name:
+            raise InvariantError(f"worker corpus has no entry {name!r} at {i}")
+        _name, _key, check, args = entries[i]
+        out.append((c, i, _run_entry(name, check, *args)))
+    return out
+
+
 def verify_tables(reg, selector="all", seed=0, jobs=1, corpus_paths=None):
     """Run the campaigns named by selector ('all', '1', '3-4', '1-5', 'integrable',
     ...); 'A-B' names every table from A to B.
 
-    With jobs > 1 the campaigns run in worker processes (each reloads the
-    corpus from corpus_paths); the report order always follows the selector.
+    With jobs > 1 the entries are sharded by base algebra over worker
+    processes, each of which loads the corpus from corpus_paths once and keeps
+    one Workbench; a campaign's seconds are then the sum of its entries'.  The
+    report order always follows the selector and each campaign's entries.
     """
     fns = _campaign_order(selector)
-    if jobs and jobs > 1 and len(fns) > 1:
+    bench = Workbench(reg)
+    if jobs <= 1:
+        return [fn(*_args(fn, reg, bench), seed=seed) for fn in fns]
+    campaigns = [list(fn.entries(*_args(fn, reg, bench), seed=seed)) for fn in fns]
+    workers, shards = _shards(campaigns, jobs)
+    runs = [RunReport(fn.table, [None] * len(entries)) for fn, entries in zip(fns, campaigns)]
+    if shards:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(fns))) as pool:
-            return list(
-                pool.map(
-                    _run_campaign_pickled,
-                    [(_SELECTOR_OF[fn], seed, corpus_paths) for fn in fns],
-                )
-            )
-    bench = Workbench(reg)
-    return [_run_campaign(fn, reg, bench, seed) for fn in fns]
+        with ProcessPoolExecutor(
+            workers, initializer=_init_worker, initargs=(selector, seed, corpus_paths)
+        ) as pool:
+            for done in pool.map(_run_shard, shards):
+                for c, i, result in done:
+                    runs[c].results[i] = result
+    for rep in runs:
+        rep.seconds = sum(r.seconds for r in rep.results)
+    return runs

@@ -15,6 +15,9 @@ from .exprtree import Expr, mul
 from .poisson import PoissonBivector
 
 CANONICAL_PAIRS = ((1, 3), (2, 4))  # {y1,y3} = {y2,y4} = 1, all else 0
+# RK4 step limit of flow_conserve: 1000 times the default run, about two
+# minutes at 0.1 s per 1000 steps
+MAX_STEPS = 10**6
 
 
 @dataclass
@@ -134,7 +137,11 @@ def flow_conserve(
     record=False,
 ) -> FlowReport:
     """Fixed-step RK4 integration of xdot = P grad(Q_h); reports the relative
-    drift of every Q whose bracket with the Hamiltonian vanishes identically."""
+    drift of every Q whose bracket with the Hamiltonian vanishes identically.
+    Raises InputError before the first step when t_end / dt exceeds MAX_STEPS."""
+    ratio = t_end / dt if dt > 0 else 0.0
+    if not ratio <= MAX_STEPS:  # also rejects inf and nan
+        raise InputError(f"t_end / dt = {ratio:g} exceeds the limit of {MAX_STEPS} steps")
     grad_h = _gradient(ex.qfuncs[hamiltonian - 1])
     qs = [q.compiled() for q in ex.qfuncs]
     conserved = [hamiltonian]
@@ -144,9 +151,6 @@ def flow_conserve(
         fij = ex.symmetry.f[min(hamiltonian, j) - 1][max(hamiltonian, j) - 1]
         if not any(fij):
             conserved.append(j)
-    ratio = t_end / dt if dt > 0 else 0.0
-    if not np.isfinite(ratio):
-        raise InputError(f"t_end / dt = {ratio} is not a finite step count")
     steps = int(round(ratio))
     x = np.array(start, dtype=float)
     q0 = [q(*x.tolist()) for q in qs]

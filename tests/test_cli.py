@@ -155,8 +155,13 @@ def test_verify_all_contract_report(capsys):
 def test_verify_unsupported_spectrum_fails_only_its_entry(tmp_path, capsys):
     path = tmp_path / "sqrt2.txt"
     path.write_text(SQRT2_CORPUS)
-    assert main(["--corpus", str(path), "--json", "verify", "--table", "6-9"]) == 1
-    recs = {r["entry"]: r for r in map(json.loads, capsys.readouterr().out.splitlines())}
+    out = []
+    for jobs in ("1", "2"):  # inside a worker as well as serially
+        argv = ["--corpus", str(path), "--json", "verify", "--table", "6-9", "--jobs", jobs]
+        assert main(argv) == 1
+        out.append(capsys.readouterr().out)
+    assert out[0] == out[1]
+    recs = {r["entry"]: r for r in map(json.loads, out[0].splitlines())}
     for entry in ("pb(R2, 4A_1)[pi]", "table8 (R2, 4A_1)"):
         assert recs[entry]["status"] == "fail"
         assert recs[entry]["detail"].startswith("UnsupportedSpectrum: ")
@@ -167,8 +172,13 @@ def test_verify_unsupported_spectrum_fails_only_its_entry(tmp_path, capsys):
 def test_verify_table5_unsupported_spectrum_fails_only_its_frame(tmp_path, capsys):
     path = tmp_path / "frames.txt"
     path.write_text(SQRT2_FRAMES_CORPUS)
-    assert main(["--corpus", str(path), "--json", "verify", "--table", "5"]) == 1
-    recs = {r["entry"]: r for r in map(json.loads, capsys.readouterr().out.splitlines())}
+    out = []
+    for jobs in ("1", "2"):  # inside a worker as well as serially
+        argv = ["--corpus", str(path), "--json", "verify", "--table", "5", "--jobs", jobs]
+        assert main(argv) == 1
+        out.append(capsys.readouterr().out)
+    assert out[0] == out[1]
+    recs = {r["entry"]: r for r in map(json.loads, out[0].splitlines())}
     assert set(recs) == {"frame R2", "frame 4A_1"}
     assert recs["frame R2"]["status"] == "fail"
     assert recs["frame R2"]["detail"].startswith("UnsupportedSpectrum: ")
@@ -252,6 +262,70 @@ def test_verify_parallel_jobs_matches_serial(capsys):
     assert main(["--json", "verify", "--table", "1,2"]) == 0
     ser = capsys.readouterr().out
     assert par == ser
+    # the whole contract report, sharded
+    assert main(["--seed", "0", "--json", "verify", "--table", "all", "--jobs", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 527
+    assert hashlib.sha256(out.encode()).hexdigest() == CONTRACT_SHA256
+
+
+def test_verify_single_campaign_runs_sharded(capsys):
+    assert main(["--json", "verify", "--table", "6-7", "--jobs", "2"]) == 0
+    par = capsys.readouterr().out
+    assert main(["--json", "verify", "--table", "6-7"]) == 0
+    assert par == capsys.readouterr().out
+
+
+def test_verify_sharded_text_report_times_are_entry_sums():
+    reg = corpus_mod.load()
+    (rep,) = harness.verify_tables(reg, "integrable", jobs=2)
+    assert rep.seconds == sum(r.seconds for r in rep.results) > 0
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", "two", "1.5"])
+def test_verify_rejects_jobs_below_one(jobs, capsys):
+    with pytest.raises(SystemExit) as ex:
+        main(["verify", "--table", "1", "--jobs", jobs])
+    assert ex.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 10**6])
+def test_shards_group_entries_by_algebra(reg, jobs):
+    fns = harness._campaign_order("all")
+    campaigns = [list(fn.entries(*harness._args(fn, reg, Workbench(reg)), seed=0)) for fn in fns]
+    workers, shards = harness._shards(campaigns, jobs)
+    assert workers == min(jobs, len(shards))  # no worker without a shard
+    assert [len(s) for s in shards] == sorted((len(s) for s in shards), reverse=True)
+    # every entry lands in exactly one shard
+    placed = [(c, i) for shard in shards for c, i, _ in shard]
+    assert sorted(placed) == [(c, i) for c, es in enumerate(campaigns) for i in range(len(es))]
+    # table5/67/89 entries of one algebra share a shard
+    algebra = {"table5": lambda a: a[2], "table67": lambda a: a[2].g, "table89": lambda a: a[3]}
+    shard_of_algebra = {}
+    for n, shard in enumerate(shards):
+        for c, i, name in shard:
+            of = algebra.get(fns[c].table)
+            if of:
+                assert shard_of_algebra.setdefault(of(campaigns[c][i][3]), n) == n, name
+    assert len(shard_of_algebra) > 1
+    # reassembly by (campaign, index) reproduces the serial order
+    runs = [[None] * len(es) for es in campaigns]
+    for shard in shards:
+        for c, i, name in shard:
+            runs[c][i] = name
+    assert runs == [[e[0] for e in es] for es in campaigns]
+
+
+def test_worker_rejects_an_entry_it_enumerates_differently(monkeypatch):
+    monkeypatch.setattr(harness, "_WORKER", {})
+    harness._init_worker("1", 0, None)
+    name = harness._WORKER["campaigns"][0][0][0]
+    ((c, i, result),) = harness._run_shard([(0, 0, name)])
+    assert (c, i, result.entry, result.status) == (0, 0, name, "pass")
+    for shard in ([(0, 0, name + "?")], [(0, 10**6, name)]):
+        with pytest.raises(InvariantError):
+            harness._run_shard(shard)
 
 
 def test_derive_poisson_worked_row(capsys):
@@ -379,6 +453,21 @@ def test_integrable_flow_and_csv(tmp_path, capsys):
     assert csv.exists()
     header = csv.read_text().splitlines()[0]
     assert header == "t,x1,x2,x3,x4,Q1,Q2,Q3,Q4"
+
+
+def test_integrable_step_limit_is_a_usage_error():
+    # 1e203 finite steps: the flow would run until killed
+    src = os.path.dirname(os.path.dirname(os.path.abspath(liebialg.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    done = subprocess.run(
+        [sys.executable, "-m", "liebialg", "integrable", "--example", "1", "--integrate",
+         "--t-end", "1e200", "--dt", "1e-3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:") and "limit" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_integrable_step_count_overflow_is_a_usage_error():

@@ -6,6 +6,7 @@ from liebialg.errors import EvalError, InputError
 from liebialg.exprtree import parse_expr
 from liebialg.integrable import (
     CANONICAL_PAIRS,
+    MAX_STEPS,
     bracket_of,
     closure_check,
     darboux_check,
@@ -167,3 +168,12 @@ def test_derivatives_are_taken_once_per_check_not_per_point(ex1, monkeypatch):
 def test_flow_rejects_a_step_count_that_is_not_finite(ex1):
     with pytest.raises(InputError):
         flow_conserve(ex1, hamiltonian=2, t_end=1e300, dt=1e-10)
+
+
+def test_flow_step_limit_is_checked_before_the_first_step(ex1):
+    # 1e203 steps are finite but would run until killed
+    assert MAX_STEPS == 10**6
+    with pytest.raises(InputError, match="limit"):
+        flow_conserve(ex1, hamiltonian=2, t_end=1e200, dt=1e-3)
+    with pytest.raises(InputError, match="limit"):
+        flow_conserve(ex1, hamiltonian=2, t_end=(MAX_STEPS + 1) * 1e-3, dt=1e-3)
