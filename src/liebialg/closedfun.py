@@ -4,11 +4,12 @@ A ClosedFunction is a finite sum of terms
 
     c * x1^k1 x2^k2 x3^k3 x4^k4 * exp(z1 x1 + z2 x2 + z3 x3 + z4 x4)
 
-with c and the rates z_i complex-rational.  Trigonometric and hyperbolic
+with c and the rates z_i complex-rational and integer exponents k_i, which
+may be negative (Laurent terms: 1/x2 is x2^-1).  Trigonometric and hyperbolic
 entries are represented through complex exponential rates (cos x =
 (e^{ix}+e^{-ix})/2 and so on), which keeps multiplication, differentiation
-and the zero test exact: the functions x^k e^{zx} are linearly independent,
-so a function is zero iff its canonical term map is empty.
+and the zero test exact: the functions x^k e^{zx} with k in Z^4 are linearly
+independent, so a function is zero iff its canonical term map is empty.
 
 Coefficients and rates are CRats: elements (a + b i)/d of Q(i) kept as a
 reduced int triple (a, b, d) with d > 0 and gcd(a, b, d) = 1.  A CRat is a
@@ -260,6 +261,16 @@ class ClosedFunction:
                     del t[key]
         return ClosedFunction(t)
 
+    def reciprocal(self):
+        """1/f of a single term f = c x^k e^{z.x}, which is c^-1 x^-k e^{-z.x};
+        EvalError for the zero function, InputError for several terms."""
+        if len(self.terms) != 1:
+            if not self.terms:
+                raise EvalError("division by zero")
+            raise InputError(f"1/f leaves the closed class: f has {len(self.terms)} terms")
+        ((k, z), c), = self.terms.items()
+        return ClosedFunction({(tuple(-e for e in k), tuple(-v for v in z)): CR_ONE / c})
+
     def scale(self, c):
         c = _crat(c)
         if not c:
@@ -311,13 +322,16 @@ class ClosedFunction:
 
     def integral(self, i):
         """Exact integral from 0 to x_i in x_i (1-based), the other
-        coordinates held fixed: the antiderivative vanishing on x_i = 0."""
+        coordinates held fixed: the antiderivative vanishing on x_i = 0.
+        InputError if a term has a negative power of x_i."""
         if not 1 <= i <= NCOORD:
             raise InputError(f"coordinate index {i} out of range")
         idx = i - 1
         acc = {}
         for (k, z), c in self.terms.items():
             p, lam = k[idx], z[idx]
+            if p < 0:
+                raise InputError(f"integral from 0 of a negative power of x{i}")
             if not lam:
                 _accumulate(acc, (_with(k, idx, p + 1), z), c / (p + 1))
                 continue
@@ -358,9 +372,12 @@ class ClosedFunction:
         return cfm_lower([[self]])(*point)[0][0]
 
     def eval_at_zero(self):
-        """Exact value at the origin (every exponential equals 1 there)."""
+        """Exact value at the origin (every exponential equals 1 there);
+        InputError if a term has a negative exponent, a pole there."""
         acc = CR_ZERO
         for (k, _), c in self.terms.items():
+            if min(k) < 0:
+                raise InputError("a term with a negative exponent has a pole at the origin")
             if k == _ZEXP:
                 acc = acc + c
         return acc
@@ -506,13 +523,16 @@ def cfm_lower(a):
     """One straight-line function of (x1, x2, x3, x4) giving every entry of a
     as rows of floats.  Each entry runs the term loop `v = c; v *= x**k;
     v *= cexp(z*x)` over the coordinates in order, `t += v; s += abs(v)`, and
-    raises InputError if it is not real, EvalError if |Im t| > 1e-12 (1 + s)."""
+    raises InputError if it is not real, EvalError at a pole (x_i = 0 with a
+    negative power of x_i) or if |Im t| > 1e-12 (1 + s)."""
     consts, lines, rows = [], [], []
     for row in a:
         rows.append([])
         for f in row:
             if not f.is_real():
                 lines.append("raise InputError('function is not real')")
+            for i in sorted({i for k, _ in f.terms for i in range(NCOORD) if k[i] < 0}):
+                lines.append(f"if x{i + 1} == 0: raise EvalError('pole at x{i + 1} = 0')")
             lines.append("t = 0j; s = 0.0")
             for (k, z), c in f.terms.items():
                 consts.append(c.to_complex())
@@ -568,10 +588,9 @@ def _invert_unit(f):
     """Inverse of a single-term closed function c * x^0 * exp(z.x)."""
     if len(f.terms) != 1:
         raise NonUnitDeterminant(f"determinant has {len(f.terms)} terms")
-    (k, z), c = next(iter(f.terms.items()))
-    if k != _ZEXP:
+    if next(iter(f.terms))[0] != _ZEXP:
         raise NonUnitDeterminant("determinant carries a monomial factor")
-    return ClosedFunction({(_ZEXP, tuple(-v for v in z)): CR_ONE / c})
+    return f.reciprocal()
 
 
 def cfm_inverse_unitdet(a):

@@ -11,7 +11,6 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from operator import mul
-import random
 
 from . import ratlinalg as rl
 from .errors import InputError, InvariantError
@@ -401,11 +400,15 @@ class SymplecticReport:
         return self.witness is not None
 
 
-def find_symplectic(f: StructureConstants, random_tries=30, seed=0) -> SymplecticReport:
+def find_symplectic(f: StructureConstants) -> SymplecticReport:
     """Closed two-form basis plus one nondegenerate witness if one exists.
 
-    Search order: coefficient vectors in {1,-1,2,-2,0}^k, then seeded random
-    rationals; determinant tested exactly.
+    Searches the coefficient vectors of the basis in {1,-1,2,-2,0}^k, in that
+    order, with the determinant tested exactly.  The grid decides existence
+    for dim <= 8: the Pfaffian of sum c_i w_i has degree <= dim/2 < 5 in each
+    c_i, so if it is not identically 0 it is nonzero somewhere on the grid
+    (Alon, Combinatorial Nullstellensatz, 1999).  The same holds for the
+    sub-Pfaffians, so max_rank is the largest rank of any closed two-form.
     """
     if not jacobi_check(f).passed:
         raise InputError("structure constants fail the Jacobi identity")
@@ -426,15 +429,6 @@ def find_symplectic(f: StructureConstants, random_tries=30, seed=0) -> Symplecti
     from itertools import product
 
     for coeffs in product([1, -1, 2, -2, 0], repeat=k):
-        if not any(coeffs):
-            continue
-        cand = combine(coeffs)
-        if cand.det():
-            return SymplecticReport(basis, cand, d)
-        max_rank = max(max_rank, rl.rank(cand.w))
-    rng = random.Random(seed)
-    for _ in range(random_tries):
-        coeffs = [Fraction(rng.randint(-12, 12), rng.randint(1, 12)) for _ in range(k)]
         if not any(coeffs):
             continue
         cand = combine(coeffs)

@@ -3,7 +3,8 @@
 Node set: constants, coordinates x1..x4, named parameters, +, -, *, /,
 integer powers, exp, sin, cos, sinh, cosh.  Trees evaluate numerically with
 analytic derivatives and convert to ClosedFunction whenever they stay inside
-that class (no quotients by non-constants, linear arguments to exp/trig).
+that class (quotients and negative powers of single terms only, linear
+arguments to exp/trig).
 """
 
 from fractions import Fraction
@@ -166,28 +167,12 @@ class Expr:
                 acc = acc * a.to_closed()
             return acc
         if op == "div":
-            den = self.args[1].to_closed()
-            if len(den.terms) == 0:
-                raise EvalError("division by zero")
-            if not _is_constant_cf(den):
-                raise InputError("quotient by a non-constant leaves the closed class")
-            c = next(iter(den.terms.values()))
-            from .closedfun import CR_ONE
-
-            return self.args[0].to_closed().scale(CR_ONE / c)
+            return self.args[0].to_closed() * self.args[1].to_closed().reciprocal()
         if op == "pow":
             base = self.args[0].to_closed()
             p = self.args[1]
             if p < 0:
-                if len(base.terms) != 1:
-                    raise InputError("negative power of a non-unit term")
-                from .closedfun import CR_ONE
-
-                (k, z), c = next(iter(base.terms.items()))
-                if k != (0, 0, 0, 0):
-                    raise InputError("negative power of a monomial term")
-                inv = ClosedFunction({(k, tuple(-v for v in z)): CR_ONE / c})
-                base, p = inv, -p
+                base, p = base.reciprocal(), -p
             acc = cf_const(1)
             for _ in range(p):
                 acc = acc * base
@@ -208,19 +193,12 @@ class Expr:
         raise InputError(f"unknown node {op}")
 
 
-def _is_constant_cf(f):
-    if len(f.terms) != 1:
-        return False
-    (k, z), _ = next(iter(f.terms.items()))
-    return k == (0, 0, 0, 0) and not any(z)
-
-
 def _linear_form(e):
     """Argument of exp/trig: homogeneous linear with rational coefficients."""
     f = e.to_closed()
     coeffs = {}
     for (k, z), c in f.terms.items():
-        if any(zi for zi in z):
+        if any(zi for zi in z) or min(k) < 0:
             raise InputError("exp/trig argument must be polynomial")
         deg = sum(k)
         if deg == 0:

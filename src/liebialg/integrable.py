@@ -1,17 +1,18 @@
 """Darboux coordinates, dynamical functions, bracket closure, and flow tests.
 
-Everything here is numerical with analytic derivatives: the Darboux and Q
-functions contain quotients, which live in expression trees rather than in
-the canonical closed-function class.
+The Darboux and Q functions are closed functions with Laurent terms (their
+denominators are single terms such as 2*x2^2), so every bracket identity is
+decided exactly, by == on closed functions.  Only the RK4 flow is numeric.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .closedfun import ClosedFunction
 from .core import StructureConstants
 from .errors import EvalError, InputError
-from .exprtree import Expr, mul
+from .exprtree import Expr
 from .poisson import PoissonBivector
 
 CANONICAL_PAIRS = ((1, 3), (2, 4))  # {y1,y3} = {y2,y4} = 1, all else 0
@@ -28,20 +29,7 @@ class IntegrableExample:
     qfuncs: list  # Q1..Q4 as Expr
     symmetry: StructureConstants
     invariant_sets: list  # [(i, j)] 1-based pairs of Poisson-commuting Qs
-    singular_coord: int  # coordinate that must stay away from 0
     name: str = ""
-
-
-def sample_points(ex: IntegrableExample, n=20, seed=0):
-    """Uniform points on [-1,1]^4 with |x_singular| >= 0.1, deterministic."""
-    rng = np.random.default_rng(seed)
-    pts = []
-    while len(pts) < n:
-        p = rng.uniform(-1.0, 1.0, size=4)
-        if abs(p[ex.singular_coord - 1]) < 0.1:
-            continue
-        pts.append(tuple(p.tolist()))
-    return pts
 
 
 def _gradient(f: Expr):
@@ -50,64 +38,79 @@ def _gradient(f: Expr):
     return lambda p: [fn(*p) for fn in fns]
 
 
-def _bracket(pm, df, dg) -> float:
-    return float(sum(pm[i][j] * df[i] * dg[j] for i in range(4) for j in range(4)))
+def _grad(f: ClosedFunction):
+    return [f.diff(i) for i in range(1, 5)]
 
 
-def bracket_of(P: PoissonBivector, f: Expr, g: Expr, point) -> float:
-    """{f, g}(point) = sum_ij P^ij d_i f d_j g with analytic derivatives."""
-    p = [float(x) for x in point]
-    return _bracket(P.eval(p), _gradient(f)(p), _gradient(g)(p))
+def _bracket(pm, df, dg) -> ClosedFunction:
+    acc = ClosedFunction.zero()
+    for i in range(4):
+        for j in range(4):
+            if pm[i][j] and df[i] and dg[j]:
+                acc = acc + pm[i][j] * df[i] * dg[j]
+    return acc
+
+
+def bracket(P: PoissonBivector, f: ClosedFunction, g: ClosedFunction) -> ClosedFunction:
+    """Exact {f, g} = sum_ij P^ij d_i f d_j g."""
+    return _bracket(P.P, _grad(f), _grad(g))
 
 
 @dataclass
 class ClosureReport:
-    passed: bool
-    max_residual: float
-    table: dict = field(default_factory=dict)  # (i, j) -> worst residual
+    failing: list  # labels "{a,b}" of the brackets whose identity fails
 
-    def __bool__(self):
-        return self.passed
+    @property
+    def passed(self):
+        return not self.failing
 
 
-def darboux_check(ex: IntegrableExample, n=20, seed=0, tol=1e-10) -> ClosureReport:
+def _pairs_check(P, funcs, name, want):
+    """The brackets {f_i, f_j}, i < j, of closed functions against
+    want(i, j), each differentiated once."""
+    grads = [_grad(f) for f in funcs]
+    return ClosureReport([
+        f"{{{name}{i},{name}{j}}}"
+        for i in range(1, 5)
+        for j in range(i + 1, 5)
+        if _bracket(P.P, grads[i - 1], grads[j - 1]) != want(i, j)
+    ])
+
+
+def darboux_check(ex: IntegrableExample) -> ClosureReport:
     """Pushforward brackets of (y1..y4) equal the constant canonical form."""
-    worst = 0.0
-    table = {}
-    grads = [_gradient(y) for y in ex.darboux]
-    for p in sample_points(ex, n, seed):
-        pm = ex.bivector.eval(p)
-        d = [g(p) for g in grads]
-        for i in range(1, 5):
-            for j in range(i + 1, 5):
-                want = 1.0 if (i, j) in CANONICAL_PAIRS else 0.0
-                got = _bracket(pm, d[i - 1], d[j - 1])
-                err = abs(got - want)
-                table[(i, j)] = max(table.get((i, j), 0.0), err)
-                worst = max(worst, err)
-    return ClosureReport(worst < tol, worst, table)
+    return _pairs_check(
+        ex.bivector, [y.to_closed() for y in ex.darboux], "y",
+        lambda i, j: ClosedFunction.const(int((i, j) in CANONICAL_PAIRS)),
+    )
 
 
-def closure_check(ex: IntegrableExample, n=20, seed=0, tol=1e-10) -> ClosureReport:
+def closure_check(ex: IntegrableExample) -> ClosureReport:
     """{Q_i, Q_j} = f_ij^k Q_k against the symmetry algebra constants."""
-    worst = 0.0
-    table = {}
-    grads = [_gradient(q) for q in ex.qfuncs]
-    for p in sample_points(ex, n, seed):
-        qvals = [q.compiled()(*p) for q in ex.qfuncs]
-        scale = 1.0 + max(abs(v) for v in qvals)
-        pm = ex.bivector.eval(p)
-        d = [g(p) for g in grads]
-        for i in range(1, 5):
-            for j in range(i + 1, 5):
-                got = _bracket(pm, d[i - 1], d[j - 1])
-                want = sum(
-                    float(ex.symmetry.f[i - 1][j - 1][k]) * qvals[k] for k in range(4)
-                )
-                err = abs(got - want) / scale
-                table[(i, j)] = max(table.get((i, j), 0.0), err)
-                worst = max(worst, err)
-    return ClosureReport(worst < tol, worst, table)
+    qs = [q.to_closed() for q in ex.qfuncs]
+    f = ex.symmetry.f
+    return _pairs_check(
+        ex.bivector, qs, "Q",
+        lambda i, j: sum(map(ClosedFunction.scale, qs, f[i - 1][j - 1]), ClosedFunction.zero()),
+    )
+
+
+def conserved(ex: IntegrableExample, hamiltonian: int) -> list:
+    """The Hamiltonian and every Q_j with f_hj = 0, 1-based: the functions
+    whose bracket with Q_h the symmetry algebra says vanishes."""
+    h = hamiltonian
+    return [h] + [j for j in range(1, 5) if j != h and not any(ex.symmetry.f[h - 1][j - 1])]
+
+
+def commuting_check(ex: IntegrableExample, hamiltonian: int) -> ClosureReport:
+    """{Q_j, Q_h} is identically 0 for every j in conserved(ex, h)."""
+    grads = [_grad(q.to_closed()) for q in ex.qfuncs]
+    h = hamiltonian
+    return ClosureReport([
+        f"{{Q{j},Q{h}}}"
+        for j in conserved(ex, h)
+        if _bracket(ex.bivector.P, grads[j - 1], grads[h - 1])
+    ])
 
 
 @dataclass
@@ -137,20 +140,14 @@ def flow_conserve(
     record=False,
 ) -> FlowReport:
     """Fixed-step RK4 integration of xdot = P grad(Q_h); reports the relative
-    drift of every Q whose bracket with the Hamiltonian vanishes identically.
+    drift of every Q in conserved(ex, h), whose bracket with the Hamiltonian
+    commuting_check proves identically 0.
     Raises InputError before the first step when t_end / dt exceeds MAX_STEPS."""
     ratio = t_end / dt if dt > 0 else 0.0
     if not ratio <= MAX_STEPS:  # also rejects inf and nan
         raise InputError(f"t_end / dt = {ratio:g} exceeds the limit of {MAX_STEPS} steps")
     grad_h = _gradient(ex.qfuncs[hamiltonian - 1])
     qs = [q.compiled() for q in ex.qfuncs]
-    conserved = [hamiltonian]
-    for j in range(1, 5):
-        if j == hamiltonian:
-            continue
-        fij = ex.symmetry.f[min(hamiltonian, j) - 1][max(hamiltonian, j) - 1]
-        if not any(fij):
-            conserved.append(j)
     steps = int(round(ratio))
     x = np.array(start, dtype=float)
     q0 = [q(*x.tolist()) for q in qs]
@@ -172,23 +169,20 @@ def flow_conserve(
             drifts[i] = max(drifts[i], rel)
         if record:
             traj.append(((s + 1) * dt, *x, *qv))
-    return FlowReport(drifts, conserved, traj if record else None)
+    return FlowReport(drifts, conserved(ex, hamiltonian), traj if record else None)
 
 
-def leibniz_check(ex: IntegrableExample, n=20, seed=0, tol=1e-10):
-    """Antisymmetry and the Leibniz rule of the bracket at sampled points."""
-    worst = 0.0
-    f, g, h = ex.qfuncs[:3]
-    grads = [_gradient(e) for e in (f, g, h, mul(g, h))]
-    for p in sample_points(ex, n, seed):
-        pm = ex.bivector.eval(p)
-        df, dg, dh, dgh = (grad(p) for grad in grads)
-        anti = _bracket(pm, df, dg) + _bracket(pm, dg, df)
-        worst = max(worst, abs(anti))
-        lhs = _bracket(pm, df, dgh)
-        rhs = g.compiled()(*p) * _bracket(pm, df, dh) + h.compiled()(*p) * _bracket(pm, df, dg)
-        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
-    return worst < tol, worst
+def leibniz_check(ex: IntegrableExample) -> ClosureReport:
+    """Antisymmetry {Q1,Q2} = -{Q2,Q1} and the Leibniz rule
+    {Q1,Q2Q3} = Q2{Q1,Q3} + Q3{Q1,Q2}, as identities."""
+    f, g, h = (q.to_closed() for q in ex.qfuncs[:3])
+    pm = ex.bivector.P
+    df, dg, dh, dgh = (_grad(e) for e in (f, g, h, g * h))
+    fg = _bracket(pm, df, dg)
+    failing = [] if fg == -_bracket(pm, dg, df) else ["{Q1,Q2}"]
+    if _bracket(pm, df, dgh) != g * _bracket(pm, df, dh) + h * fg:
+        failing.append("{Q1,Q2Q3}")
+    return ClosureReport(failing)
 
 
 def load_example(reg, ex_id) -> IntegrableExample:
@@ -220,7 +214,6 @@ def load_example(reg, ex_id) -> IntegrableExample:
         qfuncs=qfuncs,
         symmetry=reg.instantiate(symmetry),
         invariant_sets=pairs,
-        singular_coord=int(fx.vals["singular"].eval_exact()),
         name=f"example {ex_id}",
     )
 

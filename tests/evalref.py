@@ -55,6 +55,9 @@ def walk(e, point, params=None):
 def term_loop(f, point):
     if not f.is_real():
         raise InputError("function is not real")
+    for i in sorted({i for k, _ in f.terms for i in range(4) if k[i] < 0}):
+        if point[i] == 0:
+            raise EvalError(f"pole at x{i + 1} = 0")
     total = 0j
     scale = 0.0
     for (k, z), c in f.terms.items():

@@ -24,12 +24,10 @@ from liebialg.harness import (
     verify_table89,
 )
 from liebialg.integrable import (
-    bracket_of,
     closure_check,
     darboux_check,
     flow_conserve,
     load_example,
-    sample_points,
 )
 
 
@@ -121,14 +119,14 @@ def test_criterion_7_integrable_examples(reg):
     details = []
     for ex_id in (1, 2):
         ex = load_example(reg, ex_id)
-        dar = darboux_check(ex, n=20, seed=0, tol=1e-10)
-        clo = closure_check(ex, n=20, seed=0, tol=1e-10)
+        dar = darboux_check(ex)
+        clo = closure_check(ex)
         fl = flow_conserve(ex, hamiltonian=2, t_end=1.0, dt=1e-3)
         drift = fl.drifts[1]
         ok = ok and dar.passed and clo.passed and drift < 1e-6
         details.append(
-            f"ex{ex_id}: darboux {dar.max_residual:.1e}, closure "
-            f"{clo.max_residual:.1e}, Q1 drift {drift:.1e}"
+            f"ex{ex_id}: darboux failing {dar.failing}, closure failing "
+            f"{clo.failing}, Q1 drift {drift:.1e}"
         )
     _announce("criterion 7 (integrable examples 1-2)", ok, "; ".join(details))
 

@@ -293,7 +293,7 @@ def test_verify_rejects_jobs_below_one(jobs, capsys):
 @pytest.mark.parametrize("jobs", [1, 2, 10**6])
 def test_shards_group_entries_by_algebra(reg, jobs):
     fns = harness._campaign_order("all")
-    campaigns = [list(fn.entries(*harness._args(fn, reg, Workbench(reg)), seed=0)) for fn in fns]
+    campaigns = [list(fn.entries(*harness._args(fn, reg, Workbench(reg)))) for fn in fns]
     workers, shards = harness._shards(campaigns, jobs)
     assert workers == min(jobs, len(shards))  # no worker without a shard
     assert [len(s) for s in shards] == sorted((len(s) for s in shards), reverse=True)
@@ -319,7 +319,7 @@ def test_shards_group_entries_by_algebra(reg, jobs):
 
 def test_worker_rejects_an_entry_it_enumerates_differently(monkeypatch):
     monkeypatch.setattr(harness, "_WORKER", {})
-    harness._init_worker("1", 0, None)
+    harness._init_worker("1", None)
     name = harness._WORKER["campaigns"][0][0][0]
     ((c, i, result),) = harness._run_shard([(0, 0, name)])
     assert (c, i, result.entry, result.status) == (0, 0, name, "pass")
@@ -414,6 +414,25 @@ def test_integrable_example_checks(capsys):
     assert "darboux pass" in out and "closure pass" in out
 
 
+def test_integrable_names_the_failing_brackets(tmp_path, capsys):
+    # example 2 with the printed y2, which has x3 where x2 closes the brackets
+    data = liebialg.__path__[0] + "/data"
+    for name in os.listdir(data):
+        if name.endswith(".txt"):
+            text = open(os.path.join(data, name), encoding="utf-8").read()
+            (tmp_path / name).write_text(text.replace(
+                "y2 = -(2*exp(x3)*x1*x4 + x2)/x1", "y2 = -(2*exp(x3)*x1*x4 + x3)/x1"
+            ))
+    assert main(["--corpus", str(tmp_path), "integrable", "--example", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "example 2: darboux FAIL {y1,y2} {y2,y3} {y2,y4}\n" in out
+    assert "example 2: closure pass" in out
+    assert main(["--corpus", str(tmp_path), "--json", "verify", "--table", "integrable"]) == 1
+    recs = {r["entry"]: r for r in map(json.loads, capsys.readouterr().out.splitlines())}
+    assert recs["example 1"]["status"] == "pass"
+    assert recs["example 2"]["detail"] == "Darboux brackets fail: {y1,y2}, {y2,y3}, {y2,y4}"
+
+
 def test_integrable_zero_duration(capsys):
     rc = main(
         ["integrable", "--example", "1", "--integrate", "--t-end", "0", "--dt", "1e-3"]
@@ -483,3 +502,26 @@ def test_integrable_step_count_overflow_is_a_usage_error():
     assert done.returncode == 2
     assert done.stderr.startswith("error:")
     assert "Traceback" not in done.stderr
+
+
+def test_no_module_samples_at_random():
+    # every verdict is exact: no module may import random or call np.random
+    import ast
+
+    pkg = os.path.dirname(os.path.abspath(liebialg.__file__))
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py"):
+            continue
+        tree = ast.parse(open(os.path.join(pkg, name), encoding="utf-8").read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Attribute) and node.attr == "random":
+                mods = ["np.random"]
+            else:
+                continue
+            assert not any(m.split(".")[0] == "random" or m.endswith(".random") for m in mods), (
+                f"{name}:{node.lineno} samples at random"
+            )

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from liebialg.closedfun import cf_cos, cf_exp
+from liebialg.closedfun import cf_const, cf_coord, cf_cos, cf_exp
 from liebialg.errors import CorpusSyntaxError, EvalError, InputError
 from liebialg.exprtree import _FUNCS, Expr, const, coord, param, parse_expr, to_text
 from liebialg.render import render_closed_function
@@ -57,8 +57,26 @@ def test_division_by_zero_constant():
 
 
 def test_nonconstant_quotient_stays_out_of_closed_class():
-    with pytest.raises(InputError):
-        parse_expr("x1/x2").to_closed()
+    # only a single term has an inverse in the closed class
+    for src in ("x1/(x1 + x2)", "(1 + exp(x1))^-1", "x1/cos(x2)"):
+        with pytest.raises(InputError):
+            parse_expr(src).to_closed()
+
+
+def test_quotient_by_a_single_term_is_a_laurent_term():
+    f = parse_expr("exp(-x4)*(x1 + x2*x3)/(2*x2^2)").to_closed()
+    want = (cf_coord(1) * cf_coord(2, -2) + cf_coord(3) * cf_coord(2, -1)) * cf_exp({4: -1})
+    assert f == want.scale(Fraction(1, 2))
+    assert parse_expr("x2^-2").to_closed() == parse_expr("1/(x2*x2)").to_closed() == cf_coord(2, -2)
+    assert parse_expr("(2*exp(x1))^-1").to_closed() == cf_exp({1: -1}).scale(Fraction(1, 2))
+    assert parse_expr("x1/x1").to_closed() == cf_const(1)
+    for src in ("x1/0", "x1/(x2 - x2)", "(x1 - x1)^-2"):
+        with pytest.raises(EvalError):
+            parse_expr(src).to_closed()
+    # an exp argument stays a linear form: a Laurent term is not one
+    for src in ("exp(x1^2/x2)", "exp(x1/x2)"):
+        with pytest.raises(InputError):
+            parse_expr(src).to_closed()
 
 
 def test_exp_argument_must_be_linear():
@@ -171,13 +189,13 @@ def test_compiled_expr_errors():
     assert parse_expr("q*x2").evalf(p, {"q": Fraction(3, 2)}) == 1.5
 
 
-def test_compiled_integrable_functions_match_tree_walk(reg):
-    from liebialg.integrable import load_example, sample_points
+def test_compiled_integrable_functions_match_tree_walk(reg, points):
+    from liebialg.integrable import load_example
 
     for ex_id in (1, 2):
         ex = load_example(reg, ex_id)
         funcs = ex.darboux + ex.qfuncs
         funcs += [f.diff(i) for f in funcs for i in range(1, 5)]
-        for p in sample_points(ex, 20, 0):
+        for p in points:
             for f in funcs:
                 assert repr(f.evalf(p)) == repr(walk(f, p))
