@@ -434,6 +434,8 @@ def cf_cos(coeffs):
     z = _linear_rates(coeffs)
     zi = tuple(v * CR_I for v in z)
     zmi = tuple(-v for v in zi)
+    if zmi == zi:  # cos 0 = 1
+        return ClosedFunction({(_ZEXP, zi): CR_ONE})
     half = CRat(Fraction(1, 2))
     return ClosedFunction({(_ZEXP, zi): half, (_ZEXP, zmi): half})
 
@@ -442,6 +444,8 @@ def cf_sin(coeffs):
     z = _linear_rates(coeffs)
     zi = tuple(v * CRat(0, 1) for v in z)
     zmi = tuple(-v for v in zi)
+    if zmi == zi:  # sin 0 = 0
+        return _CF_ZERO
     c = CRat(0, Fraction(-1, 2))  # 1/(2i)
     return ClosedFunction({(_ZEXP, zi): c, (_ZEXP, zmi): -c})
 
@@ -554,9 +558,9 @@ def cfm_lower(a):
     return ns.pop("f")  # no cycle through the namespace: freed by refcount
 
 
-def cfm_eval(a, point, lowered=None):
-    """a at point as rows of floats, through `lowered` = cfm_lower(a) if given."""
-    return (lowered or cfm_lower(a))(*point)
+def cfm_eval(a, point):
+    """a at point as rows of floats, through cfm_lower(a)."""
+    return cfm_lower(a)(*point)
 
 
 def cfm_eq(a, b):

@@ -1,14 +1,14 @@
 """Expression trees over the chart coordinates, with an exact-friendly parser.
 
 Node set: constants, coordinates x1..x4, named parameters, +, -, *, /,
-integer powers, exp, sin, cos, sinh, cosh.  Trees evaluate numerically with
-analytic derivatives and convert to ClosedFunction whenever they stay inside
-that class (quotients and negative powers of single terms only, linear
-arguments to exp/trig).
+integer powers, exp, sin, cos, sinh, cosh.  A tree is a parse result: it
+substitutes parameters, evaluates exactly when it is arithmetic only, and
+converts to ClosedFunction whenever it stays inside that class (quotients
+and negative powers of single terms only, linear arguments to exp/trig).
+Derivatives and numeric values are taken on the closed function.
 """
 
 from fractions import Fraction
-import math
 
 from .closedfun import (
     ClosedFunction,
@@ -26,7 +26,7 @@ _FUNCS = ("exp", "sin", "cos", "sinh", "cosh")
 
 
 class Expr:
-    __slots__ = ("op", "args", "_fn")
+    __slots__ = ("op", "args")
 
     def __init__(self, op, args):
         self.op = op
@@ -41,18 +41,6 @@ class Expr:
     def __repr__(self):
         return to_text(self)
 
-    # -- helpers ------------------------------------------------------------
-    def params_used(self):
-        if self.op == "param":
-            return {self.args[0]}
-        if self.op in ("const", "coord"):
-            return set()
-        out = set()
-        for a in self.args:
-            if isinstance(a, Expr):
-                out |= a.params_used()
-        return out
-
     def subs_params(self, binding):
         """Replace parameters by exact rationals; unknown names stay symbolic."""
         if self.op == "param":
@@ -65,17 +53,6 @@ class Expr:
             a.subs_params(binding) if isinstance(a, Expr) else a for a in self.args
         )
         return Expr(self.op, new)
-
-    # -- numeric evaluation --------------------------------------------------
-    def evalf(self, point, params=None):
-        return self.compiled()(*[float(point[i]) for i in range(4)], params)
-
-    def compiled(self):
-        """This tree as a straight-line function of (x1, x2, x3, x4, params=None)
-        returning a float, generated on first use and kept on the tree."""
-        if not hasattr(self, "_fn"):
-            self._fn = _lower(self)
-        return self._fn
 
     def eval_exact(self, params=None):
         """Exact rational value; defined only for arithmetic-only trees."""
@@ -104,50 +81,6 @@ class Expr:
             return -self.args[0].eval_exact(params)
         raise InputError(f"node {op!r} has no exact rational value")
 
-    # -- differentiation ------------------------------------------------------
-    def diff(self, i):
-        op = self.op
-        if op in ("const", "param"):
-            return _ZERO
-        if op == "coord":
-            return _ONE if self.args[0] == i else _ZERO
-        if op == "add":
-            return add(*[a.diff(i) for a in self.args])
-        if op == "mul":
-            terms = []
-            for n, a in enumerate(self.args):
-                da = a.diff(i)
-                if da is _ZERO or da == _ZERO:
-                    continue
-                factors = list(self.args)
-                factors[n] = da
-                terms.append(mul(*factors))
-            return add(*terms) if terms else _ZERO
-        if op == "div":
-            u, v = self.args
-            du, dv = u.diff(i), v.diff(i)
-            num = add(mul(du, v), neg(mul(u, dv)))
-            return div(num, mul(v, v))
-        if op == "pow":
-            base, p = self.args
-            if p == 0:
-                return _ZERO
-            return mul(const(p), Expr("pow", (base, p - 1)), base.diff(i))
-        if op == "neg":
-            return neg(self.args[0].diff(i))
-        if op == "exp":
-            return mul(self.args[0].diff(i), self)
-        if op == "sin":
-            return mul(self.args[0].diff(i), Expr("cos", self.args))
-        if op == "cos":
-            return neg(mul(self.args[0].diff(i), Expr("sin", self.args)))
-        if op == "sinh":
-            return mul(self.args[0].diff(i), Expr("cosh", self.args))
-        if op == "cosh":
-            return mul(self.args[0].diff(i), Expr("sinh", self.args))
-        raise InputError(f"unknown node {op}")
-
-    # -- conversion to the canonical closed class ------------------------------
     def to_closed(self) -> ClosedFunction:
         op = self.op
         if op == "const":
@@ -192,6 +125,16 @@ class Expr:
             return cf_cosh(coeffs)
         raise InputError(f"unknown node {op}")
 
+    # bench/run.py --trace 1 counts the calls of diff and evalf by name, so
+    # both stay, as thin views of the closed function
+    def diff(self, i) -> ClosedFunction:
+        """d/dx_i of this tree as a closed function."""
+        return self.to_closed().diff(i)
+
+    def evalf(self, point, params=None):
+        """Float value at a 4-point, through the closed function's evaluator."""
+        return self.subs_params(params or {}).to_closed().eval(point)
+
 
 def _linear_form(e):
     """Argument of exp/trig: homogeneous linear with rational coefficients."""
@@ -212,58 +155,6 @@ def _linear_form(e):
         idx = next(i for i, ki in enumerate(k) if ki)
         coeffs[idx + 1] = c.re
     return coeffs
-
-
-def _param(params, name):
-    if params is None or name not in params:
-        raise EvalError(f"unbound parameter {name!r}")
-    return float(params[name])
-
-
-def _lower(root):
-    """Compile root to one assignment per distinct subtree, in the order and
-    with the float operations of a recursive walk (`0 + a + b ...`, a divisor
-    before its dividend).  The source holds only fixed tokens, x1..x4, integer
-    exponents and indices into the constants tuple C."""
-    consts, lines, names = [], [], {}
-
-    def emit(e):
-        if e in names:
-            return names[e]
-        op, args = e.op, e.args
-        if op == "coord":
-            return ("x1", "x2", "x3", "x4")[args[0] - 1]
-        if op in ("const", "param"):
-            consts.append(float(args[0]) if op == "const" else args[0])
-            c = f"C[{len(consts) - 1}]"
-            rhs = c if op == "const" else f"_param(params, {c})"
-        elif op in ("add", "mul"):
-            start, sign = ("0", " + ") if op == "add" else ("1.0", " * ")
-            rhs = sign.join([start] + [emit(a) for a in args])
-        elif op == "div":
-            den = emit(args[1])
-            lines.append(f"if {den} == 0.0: raise EvalError('division by zero at evaluation point')")
-            rhs = f"{emit(args[0])} / {den}"
-        elif op == "pow":
-            base = emit(args[0])
-            if args[1] < 0:
-                lines.append(f"if {base} == 0.0: raise EvalError('zero to a negative power')")
-            rhs = f"{base} ** {args[1]:d}"
-        elif op == "neg":
-            rhs = f"-{emit(args[0])}"
-        elif op in _FUNCS:
-            rhs = f"{op}({emit(args[0])})"
-        else:
-            raise InputError(f"unknown node {op}")
-        lines.append(f"t{len(lines)} = {rhs}")
-        names[e] = f"t{len(lines) - 1}"
-        return names[e]
-
-    lines.append(f"return {emit(root)}")
-    ns = {f: getattr(math, f) for f in _FUNCS}
-    ns.update(C=tuple(consts), _param=_param, EvalError=EvalError)
-    exec("def f(x1, x2, x3, x4, params=None):\n    " + "\n    ".join(lines), ns)
-    return ns.pop("f")  # no cycle through the namespace: freed by refcount
 
 
 # --------------------------------------------------------------------------

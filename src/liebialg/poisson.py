@@ -4,13 +4,9 @@ symplectic classification."""
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .closedfun import (
     ClosedFunction,
-    cfm_eval,
     cfm_is_zero,
-    cfm_lower,
     cfm_mul,
     cfm_sub,
     cfm_transpose,
@@ -27,7 +23,6 @@ class PoissonBivector:
     P: list  # 4x4 CFMatrix, P[i][j] = {x_{i+1}, x_{j+1}}
     base: StructureConstants
     provenance: str  # 'sklyanin(...)' | 'pi(...)'
-    _lowered: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.P)
@@ -43,12 +38,6 @@ class PoissonBivector:
     def bracket(self, i, j):
         """{x_i, x_j} as a closed function (1-based)."""
         return self.P[i - 1][j - 1]
-
-    def eval(self, point):
-        """P at point as a numpy array, through cfm_lower(P) made once."""
-        if self._lowered is None:
-            self._lowered = cfm_lower(self.P)
-        return np.array(cfm_eval(self.P, [float(x) for x in point], self._lowered))
 
 
 def sklyanin_bivector(frame: InvariantFrame, r: TensorElement, base=None) -> PoissonBivector:

@@ -1,11 +1,13 @@
 """Reference numeric evaluators for the differential tests.
 
-`walk` is the recursive tree walk that `Expr.evalf` used to be, and
-`term_loop` the per-term loop of `ClosedFunction.eval`.  The compiled
-evaluators must return the same floats and raise the same errors; the one
-intended difference is that the walk leaks a bare ZeroDivisionError for a
-zero base raised to a negative power, where the compiled code raises
-EvalError.
+`walk` evaluates an expression tree node by node in floats, with no
+simplification, and `term_loop` runs the per-term loop of
+`ClosedFunction.eval`.  `walk` is the oracle of `Expr.to_closed`: the closed
+function, evaluated through `cfm_lower`, must agree with the walk wherever
+the walk has a value, and may raise only where the walk does too (it may
+extend the tree: x1/x1 is 1 at x1 = 0, where the walk divides by zero).
+`term_loop` is the oracle of `cfm_lower` itself, which must return the same
+floats and raise the same errors.
 """
 
 import cmath

@@ -525,3 +525,14 @@ def test_no_module_samples_at_random():
             assert not any(m.split(".")[0] == "random" or m.endswith(".random") for m in mods), (
                 f"{name}:{node.lineno} samples at random"
             )
+
+
+def test_loading_the_corpus_does_not_import_numpy():
+    # numpy is imported lazily, only to find roots of a characteristic polynomial
+    src = os.path.dirname(os.path.dirname(os.path.abspath(liebialg.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    code = "import sys; from liebialg import corpus; corpus.load(); print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

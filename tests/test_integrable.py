@@ -99,6 +99,15 @@ def test_example2_print_slip_fails_exactly_its_brackets(ex2):
     ]
 
 
+def test_q1_and_q2_commute_by_the_symmetry_constants(ex1, ex2):
+    # f_12 = 0 in both symmetry algebras, so {Q1, Q2} = 0 is the (1, 2)
+    # identity of closure_check
+    for ex in (ex1, ex2):
+        assert not any(ex.symmetry.f[0][1])
+        q1, q2 = (q.to_closed() for q in ex.qfuncs[:2])
+        assert bracket(ex.bivector, q1, q2) == ClosedFunction.zero()
+
+
 def test_leibniz_and_antisymmetry(ex1, ex2):
     assert leibniz_check(ex1).passed
     assert leibniz_check(ex2).passed

@@ -21,6 +21,7 @@ from liebialg.closedfun import ClosedFunction, CRat  # noqa: E402
 from liebialg.exprtree import parse_expr, to_text  # noqa: E402
 from liebialg.integrable import (  # noqa: E402
     CANONICAL_PAIRS,
+    _hamiltonian_field,
     bracket,
     closure_check,
     darboux_check,
@@ -133,3 +134,13 @@ def test_fixture_brackets_simplify_to_the_exact_verdicts(examples):
         assert closure == closure_check(ex).failing
         verdicts.append(darboux + closure)
     assert verdicts == [[], [], ["{y1,y2}", "{y2,y3}", "{y2,y4}"]]
+
+
+def test_hamiltonian_field_matches_sympy(examples):
+    # the field the RK4 flow integrates, X_H^i = {H, x_i}, for H = Q2
+    for ex in examples:
+        P = [[to_sympy(p) for p in row] for row in ex.bivector.P]
+        h = from_text(ex.qfuncs[1])
+        field = _hamiltonian_field(ex.bivector, ex.qfuncs[1].to_closed())
+        for xi, component in zip(X, field):
+            assert is_zero(to_sympy(component) - sympy_bracket(P, h, xi))
