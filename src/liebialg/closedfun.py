@@ -503,10 +503,6 @@ def cfm_mul(a, b):
     return out
 
 
-def cfm_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def cfm_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -617,40 +613,56 @@ def cfm_inverse_unitdet(a):
 
 
 # --------------------------------------------------------------------------
-# Symbolic matrix exponential exp(x_coord * M) for exact rational M
+# Symbolic matrix exponential exp(x_coord * M) for exact rational M, computed
+# on CRat matrices: the spectrum over Q(i), then Putzer's recursion
 # --------------------------------------------------------------------------
 
 
-def _char_poly(m):
-    """Monic characteristic polynomial coefficients [1, c1, ..., cn]
-    via the Faddeev-LeVerrier recursion (exact)."""
-    from . import ratlinalg as rl
+def _mat_mul(a, b):
+    """Product of two CRat matrices, skipping zero entries."""
+    out = []
+    for row in a:
+        acc = [CR_ZERO] * len(b[0])
+        for x, brow in zip(row, b):
+            if x:
+                for j, y in enumerate(brow):
+                    if y:
+                        acc[j] = acc[j] + x * y
+        out.append(acc)
+    return out
 
+
+def _shifted(a, c):
+    """a + c I for a square CRat matrix a."""
+    return [[x + c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(a)]
+
+
+def _char_poly(m):
+    """Monic characteristic polynomial coefficients [1, c1, ..., cn] of a
+    CRat matrix, as CRats, via the Faddeev-LeVerrier recursion (exact)."""
     n = len(m)
-    coeffs = [Fraction(1)]
-    a = [row[:] for row in m]
-    ident = rl.identity(n)
-    work = a
+    coeffs = [CR_ONE]
+    work = m
     for k in range(1, n + 1):
-        c = -sum(work[i][i] for i in range(n)) / k
+        c = -sum((work[i][i] for i in range(n)), CR_ZERO) / k
         coeffs.append(c)
         if k < n:
-            work = rl.mat_mul(m, rl.mat_add(work, rl.mat_scale(c, ident)))
+            work = _mat_mul(m, _shifted(work, c))
     return coeffs
 
 
 def _poly_eval_crat(coeffs, z: CRat) -> CRat:
     acc = CR_ZERO
     for c in coeffs:
-        acc = acc * z + _crat(c)
+        acc = acc * z + c
     return acc
 
 
 def _poly_deflate(coeffs, root: CRat):
     """Synthetic division by (lambda - root) over Q(i); requires exact root."""
-    out = [_crat(coeffs[0])]
+    out = [coeffs[0]]
     for c in coeffs[1:]:
-        out.append(out[-1] * root + _crat(c))
+        out.append(out[-1] * root + c)
     rem = out.pop()
     if rem:
         raise ArithmeticError("not a root")
@@ -671,11 +683,11 @@ def _root_candidates(value):
     return cands
 
 
-def _spectrum(coeffs_frac):
-    """Roots with multiplicity over Q(i); raises UnsupportedSpectrum otherwise."""
-    import numpy as np
-
-    work = [_crat(c) for c in coeffs_frac]
+def _spectrum(coeffs):
+    """Roots with multiplicity over Q(i) of the polynomial with CRat
+    coefficients `coeffs` (highest degree first); raises UnsupportedSpectrum
+    otherwise."""
+    work = list(coeffs)
     roots = []  # list of (CRat, multiplicity)
 
     def try_root(cand):
@@ -688,14 +700,16 @@ def _spectrum(coeffs_frac):
             roots.append((cand, mult))
         return mult
 
-    # Strip rational root 0 quickly, then go through numeric candidates.
+    # Strip root 0 exactly, then go through numeric candidates: numpy is
+    # imported only for a nonzero root, so a nilpotent matrix never loads it.
     try_root(CR_ZERO)
     guard = 0
     while len(work) > 1:
+        import numpy as np
+
         guard += 1
         if guard > 64:
             break
-        deg = len(work) - 1
         if any(not c.is_real() for c in work):
             # Remaining factor over Q(i): numeric roots of the complex poly.
             arr = np.array([c.to_complex() for c in work])
@@ -723,127 +737,36 @@ def _spectrum(coeffs_frac):
     return roots
 
 
-def _is_nilpotent(m):
-    from . import ratlinalg as rl
-
-    n = len(m)
-    p = [row[:] for row in m]
-    for _ in range(n):
-        if rl.is_zero_matrix(p):
-            return True
-        p = rl.mat_mul(p, m)
-    return rl.is_zero_matrix(p)
-
-
-def _falling(j, t):
-    out = 1
-    for s in range(t):
-        out *= j - s
-    return out
-
-
 def cf_matexp(m, coord):
     """exp(x_coord * M) as a matrix of closed functions of x_coord alone.
 
-    Nilpotent matrices are summed directly; otherwise the characteristic
-    polynomial is factored over Q + iQ and exp is rebuilt by confluent
-    (Hermite) interpolation on the spectrum.  The result is verified to
-    satisfy exp(0) = I and d/dx exp = M exp exactly.
+    Putzer's algorithm (E. J. Putzer, Amer. Math. Monthly 73, 1966): with the
+    eigenvalues l_1, ..., l_n of M over Q + iQ, listed with multiplicity,
+    exp(xM) = sum_k r_k(x) P_k, where P_1 = I, P_{k+1} = (M - l_k) P_k,
+    r_1 = e^{l_1 x} and r_k = e^{l_k x} int_0^x e^{-l_k s} r_{k-1}(s) ds.
+    The sum stops at the first zero P_k, so a nilpotent M costs its index of
+    nilpotency.  The result is verified to satisfy exp(0) = I and
+    d/dx exp = M exp exactly.
     """
-    from . import ratlinalg as rl
-
     n = len(m)
-    m = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in m]
-    if _is_nilpotent(m):
-        out = cfm_identity(n)
-        power = rl.identity(n)
-        fact = 1
-        for k in range(1, n):
-            power = rl.mat_mul(power, m)
-            if rl.is_zero_matrix(power):
+    mc = [[_crat(x) for x in row] for row in m]
+    lams = [lam for lam, mult in _spectrum(_char_poly(mc)) for _ in range(mult)]
+    result = cfm_zeros(n, n)
+    p = [[CR_ONE if i == j else CR_ZERO for j in range(n)] for i in range(n)]
+    r = None
+    for k, lam in enumerate(lams):
+        e = cf_exp({coord: lam})
+        r = e if r is None else e * (e.reciprocal() * r).integral(coord)
+        result = [
+            [f + r.scale(c) if c else f for f, c in zip(frow, prow)]
+            for frow, prow in zip(result, p)
+        ]
+        if k + 1 < n:
+            p = _mat_mul(_shifted(mc, -lam), p)
+            if not any(any(row) for row in p):
                 break
-            fact *= k
-            xk = cf_coord(coord, k).scale(Fraction(1, fact))
-            out = cfm_add(out, [[xk.scale(e) if e else _CF_ZERO for e in row] for row in power])
-        result = out
-    else:
-        coeffs = _char_poly(m)
-        roots = _spectrum(coeffs)
-        rows = []
-        rhs = []
-        for lam, mult in roots:
-            for t in range(mult):
-                rows.append(
-                    [
-                        (
-                            CR_ZERO
-                            if j < t
-                            else _crat(_falling(j, t)) * _crat_pow(lam, j - t)
-                        )
-                        for j in range(n)
-                    ]
-                )
-                f = ClosedFunction(
-                    {
-                        (
-                            _kexp_coord(coord, t),
-                            _rate_coord(coord, lam),
-                        ): CR_ONE
-                    }
-                )
-                rhs.append(f)
-        cs = _solve_crat_system(rows, rhs)
-        result = cfm_zeros(n, n)
-        power = rl.identity(n)
-        for j in range(n):
-            cj = cs[j]
-            if cj:
-                result = cfm_add(
-                    result, [[cj.scale(e) if e else _CF_ZERO for e in row] for row in power]
-                )
-            if j < n - 1:
-                power = rl.mat_mul(power, m)
     _verify_matexp(result, m, coord)
     return result
-
-
-def _kexp_coord(coord, power):
-    k = [0] * NCOORD
-    k[coord - 1] = power
-    return tuple(k)
-
-
-def _rate_coord(coord, lam):
-    z = [CR_ZERO] * NCOORD
-    z[coord - 1] = lam
-    return tuple(z)
-
-
-def _crat_pow(z, p):
-    acc = CR_ONE
-    for _ in range(p):
-        acc = acc * z
-    return acc
-
-
-def _solve_crat_system(rows, rhs):
-    """Gaussian elimination with CRat pivots and ClosedFunction right sides."""
-    n = len(rows)
-    a = [row[:] for row in rows]
-    b = rhs[:]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col])
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        b[col] = b[col].scale(CR_ONE / p)
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                b[r] = b[r] - b[col].scale(f)
-    return b
 
 
 def _verify_matexp(e, m, coord):

@@ -505,17 +505,6 @@ def _args(fn, reg, bench):
     return (reg, bench) if fn in (verify_table5, verify_table67, verify_table89) else (reg,)
 
 
-_SELECTOR_OF = {
-    verify_table1: "1",
-    verify_table2: "2",
-    verify_table34: "3",
-    verify_table5: "5",
-    verify_table67: "6",
-    verify_table89: "8",
-    verify_integrable: "integrable",
-}
-
-
 def _shards(campaigns, jobs):
     """Groups the entries of `campaigns` (one entry list per campaign) by key
     into shards of `(campaign, index, name)`, largest shard first; returns

@@ -35,22 +35,6 @@ def transpose(m):
     return [list(col) for col in zip(*m)]
 
 
-def mat_mul(a, b):
-    n, k, p = len(a), len(b), len(b[0])
-    out = zeros(n, p)
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for j in range(k):
-            x = ai[j]
-            if x:
-                bj = b[j]
-                for l in range(p):
-                    if bj[l]:
-                        oi[l] += x * bj[l]
-    return out
-
-
 def int_mat_mul(a, b):
     """Product of two matrices of ints."""
     cols = list(zip(*b))

@@ -1,5 +1,5 @@
-"""Differential tests of the Laurent closed-function kernel and the exact
-integrable checks against sympy.
+"""Differential tests of the Laurent closed-function kernel, the exact matrix
+exponential and the exact integrable checks against sympy.
 
 A closed function becomes the sympy sum of its terms c x^k exp(z . x); two
 sympy expressions agree when their difference, expanded with the
@@ -17,7 +17,7 @@ sympy = pytest.importorskip("sympy")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from liebialg.closedfun import ClosedFunction, CRat  # noqa: E402
+from liebialg.closedfun import ClosedFunction, CRat, cf_matexp  # noqa: E402
 from liebialg.exprtree import parse_expr, to_text  # noqa: E402
 from liebialg.integrable import (  # noqa: E402
     CANONICAL_PAIRS,
@@ -85,6 +85,82 @@ def test_laurent_product_and_diff_match_sympy(f, g, i):
     if f.terms and len(f.terms) == 1:
         assert is_zero(to_sympy(f.reciprocal()) * to_sympy(f) - 1)
 
+
+
+# --------------------------------------------------------------------------
+# cf_matexp against S exp(xJ) S^-1, with exp(xJ) written out block by block
+# --------------------------------------------------------------------------
+
+RATIONAL = st.builds(sympy.Rational, st.integers(-3, 3), st.integers(1, 2))
+
+
+def _jordan(k, lam, x):
+    """J_k(lam) and exp(x J_k(lam)): e^{lam x} x^(c-r)/(c-r)! above the diagonal."""
+    J, E = sympy.zeros(k), sympy.zeros(k)
+    for r in range(k):
+        J[r, r] = lam
+        if r + 1 < k:
+            J[r, r + 1] = 1
+        for c in range(r, k):
+            E[r, c] = sympy.exp(lam * x) * x ** (c - r) / sympy.factorial(c - r)
+    return J, E
+
+
+def _rotation(a, b, x):
+    """[[a, -b], [b, a]] and its exponential e^{ax} times the rotation by bx."""
+    J = sympy.Matrix([[a, -b], [b, a]])
+    c, s = sympy.cos(b * x), sympy.sin(b * x)
+    return J, sympy.exp(a * x) * sympy.Matrix([[c, -s], [s, c]])
+
+
+def _complex_pair(a, b, x):
+    """[[C, I], [0, C]] with C a rotation-scaling block: exp is [[E, xE], [0, E]]."""
+    C, E = _rotation(a, b, x)
+    J, expJ = sympy.diag(C, C), sympy.diag(E, E)
+    J[:2, 2:] = sympy.eye(2)
+    expJ[:2, 2:] = x * E
+    return J, expJ
+
+
+@st.composite
+def _block(draw, room, x):
+    kinds = ["jordan", "zero"] + ["rotation"] * (room >= 2) + ["pair"] * (room >= 4)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "zero":
+        k = draw(st.integers(1, room))
+        return sympy.zeros(k), sympy.eye(k)
+    if kind == "jordan":
+        return _jordan(draw(st.integers(1, min(room, 3))), draw(RATIONAL), x)
+    a, b = draw(RATIONAL), draw(RATIONAL.filter(bool))
+    return (_rotation if kind == "rotation" else _complex_pair)(a, b, x)
+
+
+@st.composite
+def conjugated_exponentials(draw):
+    """(coord, M, exp(x_coord M)) with M = S J S^-1, J block-diagonal and S a
+    small-integer invertible matrix."""
+    coord = draw(st.integers(1, 4))
+    x = X[coord - 1]
+    n = draw(st.integers(1, 4))
+    blocks = []
+    while sum(J.rows for J, _ in blocks) < n:
+        blocks.append(draw(_block(n - sum(J.rows for J, _ in blocks), x)))
+    J = sympy.diag(*[J for J, _ in blocks])
+    E = sympy.diag(*[E for _, E in blocks])
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    S = draw(st.lists(row, min_size=n, max_size=n).map(sympy.Matrix).filter(lambda s: s.det() != 0))
+    Sinv = S.inv()
+    return coord, S * J * Sinv, S * E * Sinv
+
+
+@settings(max_examples=25, deadline=None)
+@given(conjugated_exponentials())
+def test_matexp_matches_the_conjugated_block_exponential(case):
+    coord, M, want = case
+    got = cf_matexp([[Fraction(int(v.p), int(v.q)) for v in M.row(i)] for i in range(M.rows)], coord)
+    for i in range(M.rows):
+        for j in range(M.cols):
+            assert is_zero((to_sympy(got[i][j]) - want[i, j]).rewrite(sympy.exp))
 
 @pytest.fixture(scope="module")
 def examples(reg):
