@@ -22,7 +22,10 @@ def _parse_param(text):
     if "=" not in text:
         raise InputError(f"--param needs name=value, got {text!r}")
     name, val = text.split("=", 1)
-    return name.strip(), Fraction(val.strip())
+    try:
+        return name.strip(), Fraction(val.strip())
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
 
 
 def _duration(text):

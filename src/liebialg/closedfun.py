@@ -249,16 +249,7 @@ class ClosedFunction:
         if not self.terms or not o.terms:
             return _CF_ZERO
         t = {}
-        for (k1, z1), c1 in self.terms.items():
-            for (k2, z2), c2 in o.terms.items():
-                key = (tuple(map(add, k1, k2)), tuple(map(add, z1, z2)))
-                c = c1 * c2
-                s = t.get(key)
-                c2v = c if s is None else s + c
-                if c2v:
-                    t[key] = c2v
-                elif s is not None:
-                    del t[key]
+        _mul_into(t, self, o)
         return ClosedFunction(t)
 
     def reciprocal(self):
@@ -346,6 +337,19 @@ class ClosedFunction:
             _accumulate(acc, (_with(k, idx, 0), _with(z, idx, CR_ZERO)), -w)
         return ClosedFunction(acc)
 
+    def reflect(self, i):
+        """f with x_i -> -x_i (1-based): a term c x^k e^{z.x} becomes
+        c (-1)^{k_i} x^k e^{z'.x}, with z' the rates z with z_i negated."""
+        if not 1 <= i <= NCOORD:
+            raise InputError(f"coordinate index {i} out of range")
+        idx = i - 1
+        return ClosedFunction(
+            {
+                (k, _with(z, idx, -z[idx]) if z[idx] else z): -c if k[idx] & 1 else c
+                for (k, z), c in self.terms.items()
+            }
+        )
+
     # -- structure ---------------------------------------------------------
     def conjugate(self):
         return ClosedFunction(
@@ -397,6 +401,21 @@ _CF_ZERO = ClosedFunction({})
 def _with(t, idx, v):
     """Tuple t with slot idx replaced by v."""
     return t[:idx] + (v,) + t[idx + 1 :]
+
+
+def _mul_into(t, f, g):
+    """t += f * g on term maps, dropping coefficients that cancel."""
+    for (k1, z1), c1 in f.terms.items():
+        for (k2, z2), c2 in g.terms.items():
+            key = (tuple(map(add, k1, k2)), tuple(map(add, z1, z2)))
+            c = c1 * c2
+            s = t.get(key)
+            if s is not None:
+                c = s + c
+            if c:
+                t[key] = c
+            elif s is not None:
+                del t[key]
 
 
 def _accumulate(acc, key, v):
@@ -477,11 +496,11 @@ def cf_sinh(coeffs):
 
 
 def cfm_from_frac(m):
-    return [[cf_const(x) for x in row] for row in m]
+    return [[cf_const(x) if x else _CF_ZERO for x in row] for row in m]
 
 
 def cfm_identity(n):
-    return [[cf_const(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    return [[cf_const(1) if i == j else _CF_ZERO for j in range(n)] for i in range(n)]
 
 
 def cfm_zeros(rows, cols):
@@ -489,16 +508,17 @@ def cfm_zeros(rows, cols):
 
 
 def cfm_mul(a, b):
-    n, k, p = len(a), len(b), len(b[0])
+    """a b, each entry one term map that every product adds into."""
     out = []
-    for i in range(n):
+    for arow in a:
         row = []
-        for j in range(p):
-            acc = _CF_ZERO
-            for l in range(k):
-                if a[i][l] and b[l][j]:
-                    acc = acc + a[i][l] * b[l][j]
-            row.append(acc)
+        for j in range(len(b[0])):
+            t = {}
+            for x, brow in zip(arow, b):
+                y = brow[j]
+                if x.terms and y.terms:
+                    _mul_into(t, x, y)
+            row.append(ClosedFunction(t) if t else _CF_ZERO)
         out.append(row)
     return out
 
@@ -517,6 +537,11 @@ def cfm_transpose(a):
 
 def cfm_diff(a, i):
     return [[x.diff(i) for x in row] for row in a]
+
+
+def cfm_reflect(a, i):
+    """a with x_i -> -x_i in every entry."""
+    return [[x.reflect(i) for x in row] for row in a]
 
 
 def cfm_lower(a):
@@ -767,6 +792,16 @@ def cf_matexp(m, coord):
                 break
     _verify_matexp(result, m, coord)
     return result
+
+
+def cf_matexp_pm(m, coord):
+    """(exp(x M), exp(-x M)) for x = x_coord.  The second is the reflection
+    of the first in x_coord, since exp(-x M) is exp(x M) at -x; it passes the
+    same exact check as a cf_matexp result of -M."""
+    e = cf_matexp(m, coord)
+    em = cfm_reflect(e, coord)
+    _verify_matexp(em, [[-x for x in row] for row in m], coord)
+    return e, em
 
 
 def _verify_matexp(e, m, coord):

@@ -8,7 +8,7 @@ with matrices acting on the right of row vectors (row = input basis index).
 from dataclasses import dataclass
 
 from .closedfun import (
-    cf_matexp,
+    cf_matexp_pm,
     cfm_diff,
     cfm_eq,
     cfm_from_frac,
@@ -46,12 +46,10 @@ class InvariantFrame:
     XR: list  # right-invariant vector fields, XR[j][l] = component on d_l
     XL: list  # left-invariant vector fields
     exp_pos: list  # exp_pos[i] = exp(x_{i+1} Xadj_{i+1}), a 4x4 CFMatrix
-    exp_neg: list  # exp_neg[i] = exp(-x_{i+1} Xadj_{i+1}), its inverse
+    # exp_neg[i] = exp(-x_{i+1} Xadj_{i+1}), the inverse of exp_pos[i] and
+    # its reflection x_{i+1} -> -x_{i+1}
+    exp_neg: list
     base: StructureConstants
-
-
-def _neg(m):
-    return [[-x for x in row] for row in m]
 
 
 def invariant_frame(chart: GroupChart) -> InvariantFrame:
@@ -59,12 +57,16 @@ def invariant_frame(chart: GroupChart) -> InvariantFrame:
 
     R column j is row j of the ordered product of exp(-x_m Xadj_m) for
     m = j-1 .. 1; L column j is row j of exp(x_m Xadj_m) for m = j+1 .. n.
+    One exponential per coordinate: exp(-x_m Xadj_m) is the reflection
+    x_m -> -x_m of exp(x_m Xadj_m) (`cf_matexp_pm`), and both are checked
+    exactly.
     """
     f = chart.base
     n = f.dim
     adj = f.adjoints()
-    exp_neg = [cf_matexp(_neg(adj[i]), i + 1) for i in range(n)]
-    exp_pos = [cf_matexp(adj[i], i + 1) for i in range(n)]
+    pairs = [cf_matexp_pm(adj[i], i + 1) for i in range(n)]
+    exp_pos = [e for e, _ in pairs]
+    exp_neg = [em for _, em in pairs]
 
     rcols = []
     prod = cfm_identity(n)

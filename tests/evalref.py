@@ -7,12 +7,15 @@ function, evaluated through `cfm_lower`, must agree with the walk wherever
 the walk has a value, and may raise only where the walk does too (it may
 extend the tree: x1/x1 is 1 at x1 = 0, where the walk divides by zero).
 `term_loop` is the oracle of `cfm_lower` itself, which must return the same
-floats and raise the same errors.
+floats and raise the same errors.  `cfm_mul_sum` is the entry-wise matrix
+product, a sum of ClosedFunction products, and the oracle of the fused
+`cfm_mul`.
 """
 
 import cmath
 import math
 
+from liebialg.closedfun import ClosedFunction
 from liebialg.errors import EvalError, InputError
 
 _FUNCS = {"exp": math.exp, "sin": math.sin, "cos": math.cos, "sinh": math.sinh,
@@ -83,3 +86,18 @@ def outcome(fn, *args):
         return repr(fn(*args))
     except (ArithmeticError, ValueError, EvalError) as exc:
         return f"{type(exc).__name__}: {exc}"
+
+
+def cfm_mul_sum(a, b):
+    """a b with each entry the running sum of the products a[i][l] * b[l][j]."""
+    out = []
+    for arow in a:
+        row = []
+        for j in range(len(b[0])):
+            acc = ClosedFunction.zero()
+            for x, brow in zip(arow, b):
+                if x and brow[j]:
+                    acc = acc + x * brow[j]
+            row.append(acc)
+        out.append(row)
+    return out

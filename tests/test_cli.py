@@ -374,6 +374,17 @@ def test_derive_unbound_parameter_exit_two(capsys):
     assert main(["derive", "fields", "--algebra", "A_4_9_b"]) == 2
 
 
+def test_derive_zero_denominator_parameter_exit_two(capsys):
+    with pytest.raises(SystemExit) as ex:
+        main(["derive", "fields", "--algebra", "A_4_11_b", "--param", "b=1/0"])
+    assert ex.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "liebialg derive: error: argument --param: zero denominator in 'b=1/0'"
+    ]
+
+
 def test_derive_unsupported_spectrum_exit_one(tmp_path, capsys):
     for cls in (UnsupportedSpectrum, NonUnitDeterminant, EvalError):
         assert not issubclass(cls, ValueError)  # never a usage error

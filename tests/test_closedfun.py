@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from liebialg import closedfun
 from liebialg.closedfun import (
     CRat,
     ClosedFunction,
@@ -17,6 +18,7 @@ from liebialg.closedfun import (
     cf_cosh,
     cf_exp,
     cf_matexp,
+    cf_matexp_pm,
     cf_sin,
     cf_sinh,
     cfm_eq,
@@ -26,11 +28,17 @@ from liebialg.closedfun import (
     cfm_mul,
 )
 from liebialg.core import StructureConstants
-from liebialg.errors import EvalError, InputError, NonUnitDeterminant, UnsupportedSpectrum
+from liebialg.errors import (
+    EvalError,
+    InputError,
+    InvariantError,
+    NonUnitDeterminant,
+    UnsupportedSpectrum,
+)
 from liebialg.exprtree import parse_expr
 from liebialg.render import render_closed_function
 
-from evalref import outcome, term_loop
+from evalref import cfm_mul_sum, outcome, term_loop
 
 
 def _random_cf(rng, depth=3):
@@ -172,6 +180,18 @@ def test_matexp_inverse_identity_on_corpus_adjoints(reg):
             assert cfm_eq(cfm_mul(e, em), cfm_identity(4))
 
 
+def test_matexp_pm_checks_the_reflected_exponential(monkeypatch):
+    m = [[Fraction(0)] * 4 for _ in range(4)]
+    m[0][0] = Fraction(1, 2)
+    m[1][2], m[2][1] = Fraction(1), Fraction(-1)
+    e, em = cf_matexp_pm(m, 2)
+    assert cfm_eq(cfm_mul(e, em), cfm_identity(4))
+    # exp(x M) itself is not exp(-x M): the exact check rejects it
+    monkeypatch.setattr(closedfun, "cfm_reflect", lambda a, i: a)
+    with pytest.raises(InvariantError):
+        cf_matexp_pm(m, 2)
+
+
 def test_matexp_split_exponents_numerically():
     rng = random.Random(5)
     m = [[Fraction(0)] * 4 for _ in range(4)]
@@ -309,6 +329,44 @@ def test_compiled_eval_at_a_pole_is_an_eval_error():
             cfm_eval([[cf_coord(3), f]], p)
     # no guard without a negative exponent: x2 at x2 = 0 is 0
     assert cfm_eval([[cf_coord(2), cf_coord(2, 2)]], [1.0, 0.0, 1.0, 1.0]) == [[0.0, 0.0]]
+
+
+def test_fused_product_matches_the_sum_of_products():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    # three keys and coefficients +-1, +-2, so that products collide and cancel
+    z0 = (CRat(0),) * 4
+    keys = [((0, 0, 0, 0), z0), ((1, 0, 0, 0), z0), ((0, 0, 0, 0), (CRat(1),) + z0[1:])]
+    coeff = st.sampled_from([CRat(-2), CRat(-1), CRat(1), CRat(2)])
+    entry = st.one_of(
+        st.just(ClosedFunction.zero()),
+        st.dictionaries(st.sampled_from(keys), coeff, min_size=1, max_size=2).map(ClosedFunction),
+    )
+
+    def matrix(rows, cols):
+        return st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+    pairs = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)).flatmap(
+        lambda d: st.tuples(matrix(d[0], d[1]), matrix(d[1], d[2]))
+    )
+    f = ClosedFunction({keys[0]: CRat(1), keys[2]: CRat(-1)})
+    cancelled = []
+
+    @hyp.settings(max_examples=150, deadline=None)
+    @hyp.given(pairs)
+    @hyp.example(([[f, f]], [[f], [-f]]))
+    def check(ab):
+        a, b = ab
+        got, want = cfm_mul(a, b), cfm_mul_sum(a, b)
+        assert [[g.terms for g in row] for row in got] == [[w.terms for w in row] for row in want]
+        assert all(c for row in got for g in row for c in g.terms.values())
+        for i, row in enumerate(got):
+            for j, g in enumerate(row):
+                products = {key for x, brow in zip(a[i], b) for key in (x * brow[j]).terms}
+                cancelled.append(len(g.terms) < len(products))
+
+    check()
+    assert any(cancelled)
 
 
 def test_inverse_of_exponential_matrix():

@@ -1,5 +1,6 @@
 """Differential tests of the Laurent closed-function kernel, the exact matrix
-exponential and the exact integrable checks against sympy.
+exponential, the invariant frames and the exact integrable checks against
+sympy.
 
 A closed function becomes the sympy sum of its terms c x^k exp(z . x); two
 sympy expressions agree when their difference, expanded with the
@@ -17,7 +18,7 @@ sympy = pytest.importorskip("sympy")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from liebialg.closedfun import ClosedFunction, CRat, cf_matexp  # noqa: E402
+from liebialg.closedfun import ClosedFunction, CRat, cf_matexp, cf_matexp_pm, cfm_reflect  # noqa: E402
 from liebialg.exprtree import parse_expr, to_text  # noqa: E402
 from liebialg.integrable import (  # noqa: E402
     CANONICAL_PAIRS,
@@ -86,6 +87,13 @@ def test_laurent_product_and_diff_match_sympy(f, g, i):
         assert is_zero(to_sympy(f.reciprocal()) * to_sympy(f) - 1)
 
 
+@settings(max_examples=30, deadline=None)
+@given(laurent(), st.integers(1, 4))
+def test_reflect_matches_sympy_substitution(f, i):
+    x = X[i - 1]
+    assert is_zero(to_sympy(f.reflect(i)) - to_sympy(f).subs(x, -x))
+    assert f.reflect(i).reflect(i) == f
+
 
 # --------------------------------------------------------------------------
 # cf_matexp against S exp(xJ) S^-1, with exp(xJ) written out block by block
@@ -153,14 +161,64 @@ def conjugated_exponentials(draw):
     return coord, S * J * Sinv, S * E * Sinv
 
 
+def _fractions(M):
+    return [[Fraction(int(v.p), int(v.q)) for v in M.row(i)] for i in range(M.rows)]
+
+
 @settings(max_examples=25, deadline=None)
 @given(conjugated_exponentials())
 def test_matexp_matches_the_conjugated_block_exponential(case):
     coord, M, want = case
-    got = cf_matexp([[Fraction(int(v.p), int(v.q)) for v in M.row(i)] for i in range(M.rows)], coord)
+    got = cf_matexp(_fractions(M), coord)
     for i in range(M.rows):
         for j in range(M.cols):
             assert is_zero((to_sympy(got[i][j]) - want[i, j]).rewrite(sympy.exp))
+
+
+@settings(max_examples=25, deadline=None)
+@given(conjugated_exponentials())
+def test_matexp_of_minus_m_is_the_reflection(case):
+    coord, M, _ = case
+    e, em = cf_matexp(_fractions(M), coord), cf_matexp(_fractions(-M), coord)
+    reflected = cfm_reflect(e, coord)
+    assert [[f.terms for f in row] for row in reflected] == [[f.terms for f in row] for row in em]
+    assert cf_matexp_pm(_fractions(M), coord) == (e, em)
+
+
+# --------------------------------------------------------------------------
+# Invariant frames against R and L rebuilt from sympy's matrix exponential
+# --------------------------------------------------------------------------
+
+
+def _sympy_one_forms(sc):
+    """R and L of the chart g = e^{x1 X1} ... e^{x4 X4}, assembled as in
+    `invariant_frame` from sympy's exp(+-x_m ad X_m)."""
+    n = sc.dim
+    adj = [sympy.Matrix(a) for a in sc.adjoints()]
+    R, L = sympy.zeros(n), sympy.zeros(n)
+    prod = sympy.eye(n)
+    R[:, 0] = prod.row(0).T
+    for j in range(1, n):
+        prod = (-X[j - 1] * adj[j - 1]).exp() * prod
+        R[:, j] = prod.row(j).T
+    prod = sympy.eye(n)
+    L[:, n - 1] = prod.row(n - 1).T
+    for j in range(n - 2, -1, -1):
+        prod = (X[j + 1] * adj[j + 1]).exp() * prod
+        L[:, j] = prod.row(j).T
+    return R, L
+
+
+@pytest.mark.parametrize("name", ["A_4_1", "A_4_2_m1", "VII0+R", "A_4_12"])
+def test_frame_inverts_the_sympy_one_forms(reg, bench, name):
+    # nilpotent, real spectrum, complex spectrum, and a mixed real/complex one
+    binding = reg.grid_bindings(name, cap=1)[0]
+    frame = bench.frame(name, binding)
+    R, L = _sympy_one_forms(reg.instantiate(name, binding))
+    for one_forms, fields in ((R, frame.XR), (L, frame.XL)):
+        fields_T = sympy.Matrix([[to_sympy(f) for f in row] for row in fields]).T
+        residual = one_forms * fields_T - sympy.eye(4)
+        assert all(is_zero(v.rewrite(sympy.exp)) for v in residual)
 
 @pytest.fixture(scope="module")
 def examples(reg):
