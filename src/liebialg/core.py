@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from operator import mul
 
 from . import ratlinalg as rl
 from .errors import InputError, InvariantError
@@ -20,6 +19,12 @@ Rat = Fraction
 
 def _as_frac(x):
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _forms(nz):
+    """(nz, (D, [(i, j, k, D * value)])) with D the lcm of the denominators."""
+    den = lcm(*[v.denominator for (_, _, _, v) in nz])
+    return nz, (den, [(i, j, k, v.numerator * (den // v.denominator)) for (i, j, k, v) in nz])
 
 
 class StructureConstants:
@@ -48,38 +53,56 @@ class StructureConstants:
         sc._nonzero = None
         return sc
 
+    @classmethod
+    def from_entries(cls, dim, entries):
+        """Build from 0-based (i, j, k, value), each (i, j, k) at most once and
+        every value nonzero; the cached forms come from the entries, so no
+        scan of the dense tensor follows."""
+        sc = cls(dim)
+        nz = sorted(entries)
+        for (i, j, k, v) in nz:
+            sc.f[i][j][k] = v
+        sc._nonzero = _forms(nz)
+        return sc
+
+    def _cached(self):
+        # the nonzero list and the integer form share one slot, so setting
+        # `_nonzero = None` after an in-place edit clears both
+        if self._nonzero is None:
+            self._nonzero = _forms(
+                [
+                    (i, j, k, v)
+                    for i, plane in enumerate(self.f)
+                    for j, row in enumerate(plane)
+                    for k, v in enumerate(row)
+                    if v
+                ]
+            )
+        return self._nonzero
+
     def nonzero(self):
         """Cached list of (i, j, k, value) with value != 0 (all pairs i, j)."""
-        if self._nonzero is None:
-            self._nonzero = [
-                (i, j, k, self.f[i][j][k])
-                for i in range(self.dim)
-                for j in range(self.dim)
-                for k in range(self.dim)
-                if self.f[i][j][k]
-            ]
-        return self._nonzero
+        return self._cached()[0]
 
     def scaled_nonzero(self):
         """(D, [(i, j, k, D * value)]) over :meth:`nonzero`, with D the lcm of
-        the denominators, so that every scaled value is an int."""
-        nz = self.nonzero()
-        den = lcm(*[v.denominator for (_, _, _, v) in nz])
-        return den, [(i, j, k, v.numerator * (den // v.denominator)) for (i, j, k, v) in nz]
+        the denominators, so that every scaled value is an int; cached."""
+        return self._cached()[1]
 
     def is_antisymmetric(self):
         # f_ij^k = -f_ji^k pairs entry (i, j, k) with (j, i, k); a pair of
         # zeros holds, so only nonzero entries need a look, and a nonzero
         # f_ii^k is its own partner and fails
-        f = self.f
-        return all(f[j][i][k] == -v for (i, j, k, v) in self.nonzero())
+        ints = self.scaled_nonzero()[1]
+        at = {(i, j, k): w for (i, j, k, w) in ints}
+        return all(at.get((j, i, k)) == -w for (i, j, k, w) in ints)
 
     def is_abelian(self):
         return not self.nonzero()
 
     def adjoint(self, i):
         """Matrix (Xadj_i)_j^k = -f_ij^k (row j, col k)."""
-        return [[-x for x in row] for row in self.f[i]]
+        return [[-x if x else rl.ZERO for x in row] for row in self.f[i]]
 
     def adjoints(self):
         return [self.adjoint(i) for i in range(self.dim)]
@@ -147,19 +170,29 @@ def jacobi_check(sc: StructureConstants) -> JacobiReport:
     return JacobiReport(not res, res)
 
 
+def _bump(acc, key, v):
+    """acc[key] += v, with a zero sum dropped from acc."""
+    s = acc.get(key)
+    v = v if s is None else s + v
+    if v:
+        acc[key] = v
+    elif s is not None:
+        del acc[key]
+
+
 def mixed_jacobi_check(f: StructureConstants, fd: StructureConstants):
     """Compatibility of a bracket/cobracket pair, checked two independent ways.
 
     Index form: f_kl^m ft^ij_m = f_mk^i ft^jm_l - f_ml^i ft^jm_k
                                - f_mk^j ft^im_l + f_ml^j ft^im_k
     Matrix form: (Xt^i)^j_l Y^l = -(Xt^j)^T Y^i + Y^j Xt^i - Y^i Xt^j + (Xt^i)^T Y^j
-    Both evaluations must agree entry by entry.
+    Both evaluations run over nonzero entries only and must agree entry by
+    entry; the matrix form is :func:`_matrix_residual`.
     """
     if not f.is_antisymmetric() or not fd.is_antisymmetric():
         raise InputError("structure constants are not antisymmetric")
     if f.dim != fd.dim:
         raise InputError("dimension mismatch")
-    d = f.dim
     # both evaluations run on the ints D1 f and D2 ft, so every value below
     # is D1 D2 times the residual
     d1, fnz = f.scaled_nonzero()
@@ -170,26 +203,17 @@ def mixed_jacobi_check(f: StructureConstants, fd: StructureConstants):
         g_by_upper.setdefault(c, []).append((a, b, w))
         g_by_second.setdefault(b, []).append((a, c, w))
     acc = {}
-
-    def bump(key, v):
-        s = acc.get(key)
-        v = v if s is None else s + v
-        if v:
-            acc[key] = v
-        elif s is not None:
-            del acc[key]
-
     for (k, l, m, v) in fnz:
         for (i, j, w) in g_by_upper.get(m, ()):
-            bump((i, j, k, l), v * w)
+            _bump(acc, (i, j, k, l), v * w)
     for (m, x, i, v) in fnz:
         # -f_mk^i fd^jm_l with x = k, + f_ml^i fd^jm_k with x = l
         for (j, y, w) in g_by_second.get(m, ()):
-            bump((i, j, x, y), -v * w)
-            bump((i, j, y, x), v * w)
+            _bump(acc, (i, j, x, y), -v * w)
+            _bump(acc, (i, j, y, x), v * w)
             # +f_mk^j fd^im_l and -f_ml^j fd^im_k (i and j swapped)
-            bump((j, i, x, y), v * w)
-            bump((j, i, y, x), -v * w)
+            _bump(acc, (j, i, x, y), v * w)
+            _bump(acc, (j, i, y, x), -v * w)
     scale = d1 * d2
     res = {
         (i + 1, j + 1, k + 1, l + 1): Fraction(v, scale)
@@ -197,28 +221,42 @@ def mixed_jacobi_check(f: StructureConstants, fd: StructureConstants):
     }
 
     # independent matrix-form evaluation; the two residuals must agree
-    xt = [[[0] * d for _ in range(d)] for _ in range(d)]  # D2 Xt^i
-    ys = [[[0] * d for _ in range(d)] for _ in range(d)]  # D1 Y^k
-    for (i, j, k, w) in gnz:
-        xt[i][j][k] = -w
-    for (i, j, k, v) in fnz:
-        ys[k][i][j] = -v
-    xt_t = [rl.transpose(m) for m in xt]
-    ys_kl = [[[y[k][l] for y in ys] for l in range(d)] for k in range(d)]
-    p1 = [[rl.int_mat_mul(ys[j], xt[i]) for i in range(d)] for j in range(d)]
-    p2 = [[rl.int_mat_mul(xt_t[i], ys[j]) for j in range(d)] for i in range(d)]
-    for i in range(d):
-        for j in range(d):
-            xij = xt[i][j]
-            for k in range(d):
-                for l in range(d):
-                    lhs = sum(map(mul, xij, ys_kl[k][l]))  # (Xt^i)^j_m (Y^m)_kl
-                    rhs = p1[j][i][k][l] - p1[i][j][k][l] + p2[i][j][k][l] - p2[j][i][k][l]
-                    if lhs - rhs != acc.get((i, j, k, l), 0):
-                        raise InvariantError(
-                            "index-form and matrix-form mixed residuals disagree"
-                        )
+    if _matrix_residual(fnz, gnz) != acc:
+        raise InvariantError("index-form and matrix-form mixed residuals disagree")
     return JacobiReport(not res, res)
+
+
+def _matrix_residual(fnz, gnz):
+    """The mixed residual in matrix form, summed over nonzero entries only:
+
+    R^ij = (Xt^i)^j_m Y^m + (Xt^j)^T Y^i - Y^j Xt^i + Y^i Xt^j - (Xt^i)^T Y^j
+
+    with (Xt^a)_m^c = -ft^am_c and (Y^b)_r^c = -f_rc^b, on the scaled ints
+    `fnz` of f and `gnz` of ft.  Returns {(i, j, k, l): R^ij_kl}, 0-based,
+    zeros dropped.
+    """
+    xt = [(a, m, c, -w) for (a, m, c, w) in gnz]  # (Xt^a)_m^c
+    ys = [(b, r, c, -v) for (r, c, b, v) in fnz]  # (Y^b)_r^c
+    xt_rows = {}
+    ys_of = {}
+    for (a, m, c, x) in xt:
+        xt_rows.setdefault(m, []).append((a, c, x))
+    for (b, r, c, y) in ys:
+        ys_of.setdefault(b, []).append((r, c, y))
+    acc = {}
+    for (i, j, m, x) in xt:  # (Xt^i)^j_m Y^m
+        for (k, l, y) in ys_of.get(m, ()):
+            _bump(acc, (i, j, k, l), x * y)
+    for (b, r, c, y) in ys:
+        # (Y^b Xt^a)_rl = sum_m (Y^b)_rm (Xt^a)_ml, here m = c
+        for (a, l, x) in xt_rows.get(c, ()):
+            _bump(acc, (a, b, r, l), -y * x)
+            _bump(acc, (b, a, r, l), y * x)
+        # ((Xt^a)^T Y^b)_kc = sum_m (Xt^a)_mk (Y^b)_mc, here m = r
+        for (a, k, x) in xt_rows.get(r, ()):
+            _bump(acc, (a, b, k, c), -x * y)
+            _bump(acc, (b, a, k, c), x * y)
+    return acc
 
 
 @dataclass
@@ -236,17 +274,14 @@ def build_double(f: StructureConstants, fd: StructureConstants) -> DoubleAlgebra
         raise InputError("structure constants are not antisymmetric")
     d = f.dim
     n = 2 * d
-    sc = StructureConstants(n)
-    s = sc.f  # zero apart from the entries written below
+    entries = []  # the six blocks below never share an index triple
     for (k, i, j, v) in f.nonzero():
-        s[k][i][j] = v
-        s[i][d + j][d + k] = v  # f_ki^j Xt^k in [X_i, Xt^j]
-        s[d + j][i][d + k] = -v
+        # f_ki^j Xt^k in [X_i, Xt^j]
+        entries += ((k, i, j, v), (i, d + j, d + k, v), (d + j, i, d + k, -v))
     for (j, k, i, w) in fd.nonzero():
-        s[d + j][d + k][d + i] = w
-        s[i][d + j][k] = w  # ft^jk_i X_k in [X_i, Xt^j]
-        s[d + j][i][k] = -w
-    sc._nonzero = None
+        # ft^jk_i X_k in [X_i, Xt^j]
+        entries += ((d + j, d + k, d + i, w), (i, d + j, k, w), (d + j, i, k, -w))
+    sc = StructureConstants.from_entries(n, entries)
     pairing = rl.zeros(n, n)
     for i in range(d):
         pairing[i][d + i] = rl.ONE

@@ -500,10 +500,11 @@ def serialize(entries):
             lines.append(f"bialgebra {e.g} {e.dual}")
         elif e.kind == "rmatrix":
             lines.append(f"rmatrix {e.g} {e.dual}")
-            body = " ; ".join(
-                f"{to_text(expr)} {i} {knd} {j}" for (expr, i, j, knd) in e.terms
-            )
-            lines.append(f"  r {body}")
+            if e.terms:  # a block without an r line reads as r = 0
+                body = " ; ".join(
+                    f"{to_text(expr)} {i} {knd} {j}" for (expr, i, j, knd) in e.terms
+                )
+                lines.append(f"  r {body}")
             if e.rfree:
                 lines.append("  rfree " + " ".join(e.rfree))
             if e.schouten_terms is None:

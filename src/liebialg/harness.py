@@ -498,6 +498,9 @@ def _campaign_order(selector):
             raise InputError(f"unknown table selector {k!r}")
         if fn not in fns:
             fns.append(fn)
+    if not fns:
+        # a run that checks nothing must not read as a pass
+        raise InputError(f"table selector {selector!r} names no table")
     return fns
 
 

@@ -14,7 +14,6 @@ elimination gives.  `rref`, `nullspace`, `solve_affine`, `inverse` and
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -33,12 +32,6 @@ def identity(n):
 
 def transpose(m):
     return [list(col) for col in zip(*m)]
-
-
-def int_mat_mul(a, b):
-    """Product of two matrices of ints."""
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def scaled_ints(m):

@@ -324,15 +324,17 @@ def cocommutator_from_r(r: TensorElement, f: StructureConstants) -> StructureCon
     Raises InputError when the result is not antisymmetric, which signals a
     non-ad-invariant symmetric part of r.
     """
-    d = f.dim
-    fd = StructureConstants(d)
     s, action = _ad_action(r.r, f)
-    for i, m in enumerate(action):
-        for a in range(d):
-            for b in range(d):
-                if m[a][b]:
-                    fd.f[a][b][i] = Fraction(-m[a][b], s)
-    fd._nonzero = None
+    fd = StructureConstants.from_entries(
+        f.dim,
+        [
+            (a, b, i, Fraction(-x, s))
+            for i, m in enumerate(action)
+            for a, row in enumerate(m)
+            for b, x in enumerate(row)
+            if x
+        ],
+    )
     if not fd.is_antisymmetric():
         raise InputError(
             "induced cobracket is not antisymmetric: symmetric part of r is "

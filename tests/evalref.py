@@ -9,11 +9,14 @@ extend the tree: x1/x1 is 1 at x1 = 0, where the walk divides by zero).
 `term_loop` is the oracle of `cfm_lower` itself, which must return the same
 floats and raise the same errors.  `cfm_mul_sum` is the entry-wise matrix
 product, a sum of ClosedFunction products, and the oracle of the fused
-`cfm_mul`.
+`cfm_mul`.  `mixed_matrix_dense` evaluates the matrix form of the mixed
+Jacobi residual with full matrix products over every slot, the oracle of the
+sparse `core._matrix_residual`.
 """
 
 import cmath
 import math
+from operator import mul
 
 from liebialg.closedfun import ClosedFunction
 from liebialg.errors import EvalError, InputError
@@ -100,4 +103,37 @@ def cfm_mul_sum(a, b):
                     acc = acc + x * brow[j]
             row.append(acc)
         out.append(row)
+    return out
+
+
+def _int_mat_mul(a, b):
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def mixed_matrix_dense(d, fnz, gnz):
+    """R^ij = (Xt^i)^j_m Y^m + (Xt^j)^T Y^i - Y^j Xt^i + Y^i Xt^j - (Xt^i)^T Y^j
+    on the dense d x d matrices D2 Xt^i and D1 Y^k built from the scaled ints
+    `fnz` of f and `gnz` of ft; {(i, j, k, l): R^ij_kl}, 0-based, zeros
+    dropped."""
+    xt = [[[0] * d for _ in range(d)] for _ in range(d)]  # D2 Xt^i
+    ys = [[[0] * d for _ in range(d)] for _ in range(d)]  # D1 Y^k
+    for (i, j, k, w) in gnz:
+        xt[i][j][k] = -w
+    for (i, j, k, v) in fnz:
+        ys[k][i][j] = -v
+    xt_t = [[list(col) for col in zip(*m)] for m in xt]
+    ys_kl = [[[y[k][l] for y in ys] for l in range(d)] for k in range(d)]
+    p1 = [[_int_mat_mul(ys[j], xt[i]) for i in range(d)] for j in range(d)]
+    p2 = [[_int_mat_mul(xt_t[i], ys[j]) for j in range(d)] for i in range(d)]
+    out = {}
+    for i in range(d):
+        for j in range(d):
+            xij = xt[i][j]
+            for k in range(d):
+                for l in range(d):
+                    lhs = sum(map(mul, xij, ys_kl[k][l]))  # (Xt^i)^j_m (Y^m)_kl
+                    rhs = p1[j][i][k][l] - p1[i][j][k][l] + p2[i][j][k][l] - p2[j][i][k][l]
+                    if lhs - rhs:
+                        out[(i, j, k, l)] = lhs - rhs
     return out

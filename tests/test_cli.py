@@ -116,6 +116,15 @@ def test_verify_bad_table_range_exit_two(selector, capsys):
     assert "bad table range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("selector", ["", ",", " , "])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_verify_empty_table_selector_exit_two(selector, json_flag, capsys):
+    assert main([*json_flag, "verify", "--table", selector]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: table selector {selector!r} names no table"]
+
+
 def test_verify_missing_corpus_exit_two(capsys):
     assert main(["--corpus", "/nonexistent/path.txt", "verify", "--table", "1"]) == 2
 

@@ -1,11 +1,14 @@
 """Exact-core checks: Jacobi identities, doubles, cocommutators, two-forms."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from evalref import mixed_matrix_dense
+from liebialg import core
 from liebialg.core import (
     StructureConstants,
     TwoFormLA,
@@ -18,7 +21,7 @@ from liebialg.core import (
     mixed_jacobi_check,
     pairing_ad_invariant,
 )
-from liebialg.errors import InputError
+from liebialg.errors import InputError, InvariantError
 
 A41 = StructureConstants.from_brackets(4, {(2, 4): [(1, 1)], (3, 4): [(1, 2)]})
 A47 = StructureConstants.from_brackets(
@@ -106,11 +109,13 @@ def test_build_double_fails_for_incompatible_pair():
     assert not jacobi_check(build_double(A41, fd).sc).passed
 
 
-def test_double_jacobi_iff_parts_pass_random_perturbations():
+def _random_perturbations():
+    """100 seeded draws of (A41, ...) or (A47, A47I) with one antisymmetric
+    pair of entries of the algebra or of the dual moved by an int in
+    [-2, 2]; a draw with i == j yields nothing."""
     rng = random.Random(7)
     base_pairs = [(A41, StructureConstants.from_brackets(4, {(1, 2): [(1, 3), (1, 4)]})),
                   (A47, A47I)]
-    checked = 0
     for _ in range(100):
         f0, fd0 = base_pairs[rng.randrange(len(base_pairs))]
         f = StructureConstants(4, [[row[:] for row in p] for p in f0.f])
@@ -124,6 +129,12 @@ def test_double_jacobi_iff_parts_pass_random_perturbations():
         target.f[i][j][k] += delta
         target.f[j][i][k] -= delta
         target._nonzero = None
+        yield f, fd
+
+
+def test_double_jacobi_iff_parts_pass_random_perturbations():
+    checked = 0
+    for f, fd in _random_perturbations():
         parts_ok = (
             jacobi_check(f).passed
             and jacobi_check(fd).passed
@@ -364,3 +375,85 @@ def test_pairing_ad_invariant_rejects_any_single_entry_corruption():
         bad.sc._nonzero = None
         assert not _bruteforce_pairing_ok(bad)
         assert not pairing_ad_invariant(bad), (z, a, b)
+
+
+# --- the sparse matrix form against the dense reference --------------------
+
+
+def _scaled_cases():
+    """The random perturbations above, then those of `PAIRS` with rational
+    entries, each pair in both orders, so that the algebra and the dual both
+    play f and ft."""
+    rng = random.Random(11)
+    cases = list(_random_perturbations())
+    for trial in range(30):
+        f, fd = (_copy(sc) for sc in PAIRS[trial % len(PAIRS)])
+        for _ in range(rng.randint(1, 2)):
+            if rng.random() < 0.5:
+                f = _perturbed(rng, f)
+            else:
+                fd = _perturbed(rng, fd)
+        cases.append((f, fd))
+    for f, fd in cases:
+        yield f, fd
+        yield fd, f
+
+
+def test_sparse_matrix_residual_matches_dense_and_index_form():
+    failing = 0
+    for f, fd in _scaled_cases():
+        d1, fnz = f.scaled_nonzero()
+        d2, gnz = fd.scaled_nonzero()
+        dense = mixed_matrix_dense(4, fnz, gnz)
+        assert core._matrix_residual(fnz, gnz) == dense
+        index = {
+            (i + 1, j + 1, k + 1, l + 1): Fraction(v, d1 * d2)
+            for (i, j, k, l), v in dense.items()
+        }
+        assert mixed_jacobi_check(f, fd).residual == index
+        failing += bool(dense)
+    assert 40 < failing < 250  # both verdicts are drawn
+
+
+def test_mixed_jacobi_raises_when_the_two_forms_disagree(monkeypatch):
+    fd = StructureConstants.from_brackets(4, {(1, 2): [(1, 3), (1, 4)]})
+    monkeypatch.setattr(core, "_matrix_residual", lambda fnz, gnz: {(0, 0, 0, 0): 1})
+    with pytest.raises(InvariantError):
+        mixed_jacobi_check(A41, fd)
+
+
+# --- the cached nonzero list and integer form -------------------------------
+
+
+def _fresh_forms(sc):
+    """(nonzero list, integer form) recomputed from the dense tensor."""
+    nz = [
+        (i, j, k, sc.f[i][j][k])
+        for i, j, k in product(range(sc.dim), repeat=3)
+        if sc.f[i][j][k]
+    ]
+    den = math.lcm(*[v.denominator for (_, _, _, v) in nz])
+    return nz, (den, [(i, j, k, int(v * den)) for (i, j, k, v) in nz])
+
+
+def _assert_coherent(sc, rng):
+    assert (sc.nonzero(), sc.scaled_nonzero()) == _fresh_forms(sc)
+    i, j = rng.sample(range(sc.dim), 2)
+    k = rng.randrange(sc.dim)
+    delta = Fraction(rng.choice((-1, 1)), rng.choice((2, 3, 5)))
+    sc.f[i][j][k] += delta
+    sc.f[j][i][k] -= delta
+    sc._nonzero = None
+    assert (sc.nonzero(), sc.scaled_nonzero()) == _fresh_forms(sc)
+    assert sc.is_antisymmetric()
+
+
+def test_cached_forms_follow_the_tensor_on_the_corpus(reg):
+    rng = random.Random(17)
+    for name in reg.algebras:
+        binding = reg.grid_bindings(name, cap=1)[0]
+        _assert_coherent(reg.instantiate(name, binding), rng)
+    for be in reg.bialgebras:
+        binding = reg.grid_bindings(be.g, be.dual, cap=1)[0]
+        dbl = build_double(reg.instantiate(be.g, binding), reg.instantiate(be.dual, binding))
+        _assert_coherent(dbl.sc, rng)

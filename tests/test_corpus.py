@@ -1,6 +1,7 @@
 """Corpus format: parsing, diagnostics, canonical serialization, instantiation."""
 
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -223,3 +224,62 @@ def test_json_export_roundtrippable_text(reg):
 def test_q_zero_binding_rejected_for_scaled_dual(reg):
     with pytest.raises(InputError):
         reg.instantiate("A_4_3.iii", {"q": Fraction(0)})
+
+
+# --- token-level fuzzing of the packaged corpus text -------------------------
+
+
+def test_rmatrix_block_without_r_line_round_trips():
+    # serialize wrote a bare "  r " for it, which parse rejects
+    entries = corpus_mod.parse("rmatrix demo demo_dual\n  schouten zero\n")
+    assert entries[0].terms == []
+    once = corpus_mod.serialize(entries)
+    assert corpus_mod.serialize(corpus_mod.parse(once)) == once
+
+
+def _packaged_texts():
+    pkg = resources.files("liebialg").joinpath("data")
+    return [
+        (item.name, item.read_text("utf-8"))
+        for item in sorted(pkg.iterdir(), key=lambda p: p.name)
+        if item.name.endswith(".txt")
+    ]
+
+
+def test_parse_of_edited_corpus_text_rejects_or_round_trips():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    texts = _packaged_texts()
+    vocab = sorted({tok for _, text in texts for tok in text.split()})
+    vocab += ["", "1/0", "0/0", "x9", "->", "=", ";", ",", "#", "--", "(", ")", "99", "-0"]
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True)
+    @hyp.given(st.data())
+    def check(data):
+        name, text = data.draw(st.sampled_from(texts))
+        lines = text.splitlines()
+        at = data.draw(st.integers(0, len(lines) - 1))
+        line = lines[at]
+        indent = line[: len(line) - len(line.lstrip())]
+        toks = line.split()
+        op = data.draw(st.sampled_from(("replace", "delete", "insert", "truncate")))
+        pos = data.draw(st.integers(0, max(len(toks) - 1, 0)))
+        if op == "truncate":
+            line = line[: data.draw(st.integers(0, len(line)))]
+        else:
+            if op == "insert" or not toks:
+                toks.insert(pos, data.draw(st.sampled_from(vocab)))
+            elif op == "replace":
+                toks[pos] = data.draw(st.sampled_from(vocab))
+            else:
+                del toks[pos]
+            line = indent + " ".join(toks)
+        lines[at] = line
+        try:
+            entries = corpus_mod.parse("\n".join(lines), filename=name)
+        except CorpusSyntaxError:
+            return
+        once = corpus_mod.serialize(entries)
+        assert corpus_mod.serialize(corpus_mod.parse(once)) == once
+
+    check()

@@ -1,7 +1,9 @@
-"""The benchmark's tracer wraps package functions by name: every name it
-lists must still resolve in liebialg, or `bench/run.py --trace 1` stops with
-an AttributeError."""
+"""Source-level guards.  The benchmark's tracer wraps package functions by
+name: every name it lists must still resolve in liebialg, or
+`bench/run.py --trace 1` stops with an AttributeError.  Only `core` writes the
+cached forms of a `StructureConstants`."""
 
+import glob
 import importlib
 import importlib.util
 import os
@@ -9,7 +11,9 @@ import sys
 
 import pytest
 
-BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH = os.path.join(ROOT, "bench")
+PACKAGE = os.path.join(ROOT, "src", "liebialg")
 
 
 @pytest.fixture(scope="module")
@@ -41,3 +45,15 @@ def test_every_traced_name_resolves(bench_run):
     assert len(names) > 30
     for name in names:
         assert callable(_resolve(name)), name
+
+
+def test_only_core_touches_the_cached_forms():
+    # a second writer of `_nonzero` could leave the nonzero list and the
+    # integer form stale after an edit of `.f`
+    paths = sorted(glob.glob(os.path.join(PACKAGE, "**", "*.py"), recursive=True))
+    assert os.path.join(PACKAGE, "core.py") in paths
+    for path in paths:
+        if os.path.basename(path) == "core.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            assert "._nonzero" not in fh.read(), os.path.relpath(path, ROOT)
