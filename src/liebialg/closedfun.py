@@ -774,7 +774,7 @@ def cf_matexp(m, coord):
     d/dx exp = M exp exactly.
     """
     n = len(m)
-    mc = [[_crat(x) for x in row] for row in m]
+    mc = [[_crat(x) if x else CR_ZERO for x in row] for row in m]
     lams = [lam for lam, mult in _spectrum(_char_poly(mc)) for _ in range(mult)]
     result = cfm_zeros(n, n)
     p = [[CR_ONE if i == j else CR_ZERO for j in range(n)] for i in range(n)]
@@ -800,7 +800,7 @@ def cf_matexp_pm(m, coord):
     same exact check as a cf_matexp result of -M."""
     e = cf_matexp(m, coord)
     em = cfm_reflect(e, coord)
-    _verify_matexp(em, [[-x for x in row] for row in m], coord)
+    _verify_matexp(em, [[-x if x else x for x in row] for row in m], coord)
     return e, em
 
 

@@ -42,7 +42,6 @@ class GroupChart:
 @dataclass
 class InvariantFrame:
     Rmat: list  # right-invariant one-form coefficients R^i_j (row i, col j)
-    Lmat: list  # left-invariant one-form coefficients L^i_j
     XR: list  # right-invariant vector fields, XR[j][l] = component on d_l
     XL: list  # left-invariant vector fields
     exp_pos: list  # exp_pos[i] = exp(x_{i+1} Xadj_{i+1}), a 4x4 CFMatrix
@@ -53,13 +52,15 @@ class InvariantFrame:
 
 
 def invariant_frame(chart: GroupChart) -> InvariantFrame:
-    """Assemble R, L symbolically and invert to the frame fields.
+    """Assemble R symbolically and invert it to the frame fields.
 
     R column j is row j of the ordered product of exp(-x_m Xadj_m) for
-    m = j-1 .. 1; L column j is row j of exp(x_m Xadj_m) for m = j+1 .. n.
-    One exponential per coordinate: exp(-x_m Xadj_m) is the reflection
-    x_m -> -x_m of exp(x_m Xadj_m) (`cf_matexp_pm`), and both are checked
-    exactly.
+    m = j-1 .. 1, and XR = (R^-1)^T.  One more factor completes the product to
+    Ad(g)^-1 = exp(-x4 Xadj_4) exp(-x3 Xadj_3) exp(-x2 Xadj_2) exp(-x1 Xadj_1),
+    and theta_L = Ad_{g^-1} theta_R gives XL = Ad(g)^-1 XR with no second
+    inverse.  exp(-x_m Xadj_m) is the reflection x_m -> -x_m of exp(x_m Xadj_m)
+    (`cf_matexp_pm`); both pass their exact ODE checks, so the reversed
+    product is the exact inverse of Ad(g).
     """
     f = chart.base
     n = f.dim
@@ -68,24 +69,16 @@ def invariant_frame(chart: GroupChart) -> InvariantFrame:
     exp_pos = [e for e, _ in pairs]
     exp_neg = [em for _, em in pairs]
 
-    rcols = []
     prod = cfm_identity(n)
-    rcols.append(prod[0])
+    rcols = [prod[0]]
     for j in range(1, n):
         prod = cfm_mul(exp_neg[j - 1], prod)
         rcols.append(prod[j])
-    lcols = [None] * n
-    prod = cfm_identity(n)
-    lcols[n - 1] = prod[n - 1]
-    for j in range(n - 2, -1, -1):
-        prod = cfm_mul(exp_pos[j + 1], prod)
-        lcols[j] = prod[j]
+    ad_inv = cfm_mul(exp_neg[n - 1], prod)
 
-    rmat = [[rcols[j][i] for j in range(n)] for i in range(n)]
-    lmat = [[lcols[j][i] for j in range(n)] for i in range(n)]
+    rmat = cfm_transpose(rcols)
     xr = cfm_transpose(cfm_inverse_unitdet(rmat))
-    xl = cfm_transpose(cfm_inverse_unitdet(lmat))
-    return InvariantFrame(rmat, lmat, xr, xl, exp_pos, exp_neg, f)
+    return InvariantFrame(rmat, xr, cfm_mul(ad_inv, xr), exp_pos, exp_neg, f)
 
 
 def vf_commutator(v, w):
@@ -135,8 +128,12 @@ def frame_bracket_residuals(frame: InvariantFrame, f: StructureConstants):
 class DoubleAdjointBlocks:
     a: list  # 4x4 CFMatrix, g-to-g block of Ad_{g^-1}
     b: list  # dual-to-g block
-    d: list  # dual-to-dual block
-    ainv: list  # a^-1
+    d: list  # dual-to-dual block, (a^-1)^T by invariance of the pairing
+
+    @property
+    def ainv(self):
+        """a^-1, read off as d^T; `double_adjoint` checks a d^T = I."""
+        return cfm_transpose(self.d)
 
 
 def double_adjoint(
@@ -144,7 +141,12 @@ def double_adjoint(
 ) -> DoubleAdjointBlocks:
     """Ad_{g^-1} on the double as the ordered product
     exp(x1 Xadj_1) ... exp(x4 Xadj_4) of the double's adjoint matrices,
-    each factor from `double_exp_factor` on the frame of g."""
+    each factor [[E, 0], [F, E_-^T]] from `double_exp_factor` on the frame of
+    g.  The product stays block lower triangular, so it is accumulated block
+    by block, with no 8x8 matrix formed:
+
+        a <- a E,   b <- b E + d F = [b | d] [E; F],   d <- d E_-^T.
+    """
     if frame.base != f:
         raise InputError("frame belongs to another algebra")
     if not mixed_jacobi_check(f, fd).passed:
@@ -152,26 +154,22 @@ def double_adjoint(
     dbl = build_double(f, fd)
     if not jacobi_check(dbl.sc).passed:
         raise InputError("double fails the Jacobi identity")
-    n = f.dim
-    m = double_exp_factor(frame, dbl, 0)
-    for i in range(1, n):
-        m = cfm_mul(m, double_exp_factor(frame, dbl, i))
-    upper_right = [row[n:] for row in m[:n]]
-    if not cfm_is_zero(upper_right):
-        raise InvariantError("primal block leaked into the dual column space")
-    a = [row[:n] for row in m[:n]]
-    b = [row[:n] for row in m[n:]]
-    d = [row[n:] for row in m[n:]]
-    blocks = DoubleAdjointBlocks(a, b, d, cfm_inverse_unitdet(a))
+    a, b, d = double_exp_factor(frame, dbl, 0)
+    for i in range(1, f.dim):
+        e, low, et = double_exp_factor(frame, dbl, i)
+        b = cfm_mul([rb + rd for rb, rd in zip(b, d)], e + low)
+        a = cfm_mul(a, e)
+        d = cfm_mul(d, et)
+    blocks = DoubleAdjointBlocks(a, b, d)
     # invariance of the canonical pairing forces d = (a^-1)^T
     if not cfm_is_zero(blocks_pairing_residual(blocks)):
-        raise InvariantError("pairing relation d = (a^-1)^T violated")
+        raise InvariantError("pairing relation a d^T = I violated")
     return blocks
 
 
 def double_exp_factor(frame: InvariantFrame, dbl: DoubleAlgebra, i):
-    """exp(x Xadj) for Xadj the double's adjoint matrix of X_{i+1} and
-    x = x_{i+1}, from the frame of g (0-based i).
+    """The blocks (E, F, E_-^T) of exp(x Xadj) for Xadj the double's adjoint
+    matrix of X_{i+1} and x = x_{i+1}, from the frame of g (0-based i).
 
     Xadj = [[A, 0], [B, -A^T]] with A = Xadj_{i+1} of g and B[j][k] =
     -ft^jk_{i+1}, so its exponential is [[E, 0], [F, E_-^T]] with
@@ -192,7 +190,7 @@ def double_exp_factor(frame: InvariantFrame, dbl: DoubleAlgebra, i):
     if full != want:
         raise InvariantError("the double's adjoint is not [[A, 0], [B, -A^T]]")
     e, em = frame.exp_pos[i], frame.exp_neg[i]
-    zero = low = cfm_zeros(n, n)
+    low = cfm_zeros(n, n)
     if any(any(row) for row in b):
         bcf = cfm_from_frac(b)
         inner = cfm_mul(cfm_transpose(e), cfm_mul(bcf, e))
@@ -204,9 +202,9 @@ def double_exp_factor(frame: InvariantFrame, dbl: DoubleAlgebra, i):
             raise InvariantError(
                 "lower-left block of the double's exponential fails F' = B E - A^T F"
             )
-    return [r + z for r, z in zip(e, zero)] + [r + t for r, t in zip(low, cfm_transpose(em))]
+    return e, low, cfm_transpose(em)
 
 
 def blocks_pairing_residual(blocks: DoubleAdjointBlocks):
-    """d - (a^-1)^T, identically zero by invariance of the pairing."""
-    return cfm_sub(blocks.d, cfm_transpose(blocks.ainv))
+    """a d^T - I, identically zero by invariance of the pairing."""
+    return cfm_sub(cfm_mul(blocks.a, blocks.ainv), cfm_identity(len(blocks.a)))

@@ -11,14 +11,22 @@ floats and raise the same errors.  `cfm_mul_sum` is the entry-wise matrix
 product, a sum of ClosedFunction products, and the oracle of the fused
 `cfm_mul`.  `mixed_matrix_dense` evaluates the matrix form of the mixed
 Jacobi residual with full matrix products over every slot, the oracle of the
-sparse `core._matrix_residual`.
+sparse `core._matrix_residual`.  `left_fields_by_adjugate` builds the
+left-invariant one-forms from the suffix products of exp(x_m Xadj_m) and
+inverts them by cofactor adjugate, the oracle of the frame's XL = Ad(g)^-1 XR.
 """
 
 import cmath
 import math
 from operator import mul
 
-from liebialg.closedfun import ClosedFunction
+from liebialg.closedfun import (
+    ClosedFunction,
+    cfm_identity,
+    cfm_inverse_unitdet,
+    cfm_mul,
+    cfm_transpose,
+)
 from liebialg.errors import EvalError, InputError
 
 _FUNCS = {"exp": math.exp, "sin": math.sin, "cos": math.cos, "sinh": math.sinh,
@@ -137,3 +145,16 @@ def mixed_matrix_dense(d, fnz, gnz):
                     if lhs - rhs:
                         out[(i, j, k, l)] = lhs - rhs
     return out
+
+
+def left_fields_by_adjugate(frame):
+    """XL = (L^-1)^T, where L column j is row j of the ordered product of
+    exp(x_m Xadj_m) for m = j+1 .. n (1-based j)."""
+    n = len(frame.exp_pos)
+    lcols = [None] * n
+    prod = cfm_identity(n)
+    lcols[n - 1] = prod[n - 1]
+    for j in range(n - 2, -1, -1):
+        prod = cfm_mul(frame.exp_pos[j + 1], prod)
+        lcols[j] = prod[j]
+    return cfm_transpose(cfm_inverse_unitdet(cfm_transpose(lcols)))

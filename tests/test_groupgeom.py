@@ -4,9 +4,18 @@ import random
 
 import pytest
 
-from liebialg.closedfun import cf_matexp, cfm_eq, cfm_eval, cfm_is_zero
+from evalref import left_fields_by_adjugate
+from liebialg import groupgeom
+from liebialg.closedfun import (
+    cf_matexp,
+    cfm_eq,
+    cfm_eval,
+    cfm_inverse_unitdet,
+    cfm_is_zero,
+    cfm_zeros,
+)
 from liebialg.core import StructureConstants, build_double
-from liebialg.errors import InputError
+from liebialg.errors import InputError, InvariantError, NonUnitDeterminant
 from liebialg.exprtree import parse_expr
 from liebialg.groupgeom import (
     GroupChart,
@@ -47,7 +56,7 @@ def test_a41_frame_matches_reference_fields():
 
 def test_one_forms_are_identity_at_origin():
     fr = invariant_frame(GroupChart(A41))
-    for mat in (fr.Rmat, fr.Lmat):
+    for mat in (fr.Rmat, fr.XL):
         for i in range(4):
             for j in range(4):
                 v = mat[i][j].eval_at_zero()
@@ -107,7 +116,9 @@ def test_double_exp_factors_match_matexp_of_double_adjoint(reg, bench, g, dual):
     dbl = build_double(f, fd)
     for i in range(4):
         want = cf_matexp(dbl.sc.adjoint(i), i + 1)
-        assert cfm_eq(double_exp_factor(frame, dbl, i), want), (g, dual, i)
+        e, low, et = double_exp_factor(frame, dbl, i)
+        got = [r + z for r, z in zip(e, cfm_zeros(4, 4))] + [r + t for r, t in zip(low, et)]
+        assert cfm_eq(got, want), (g, dual, i)
 
 
 def test_double_adjoint_rejects_foreign_frame(reg):
@@ -149,3 +160,50 @@ def test_all_corpus_frames_satisfy_bracket_relations(reg, bench):
         binding = reg.grid_bindings(name, cap=1)[0]
         sc = reg.instantiate(name, binding)
         assert frame_bracket_residuals(bench.frame(name, binding), sc) == []
+
+
+def test_left_fields_match_the_adjugate_of_the_left_one_forms(reg, bench):
+    checked = 0
+    for name in sorted(reg.algebras):
+        binding = reg.grid_bindings(name, cap=1)[0]
+        try:
+            frame = bench.frame(name, binding)
+        except NonUnitDeterminant:
+            continue  # R has no unit determinant, so neither does L
+        assert cfm_eq(frame.XL, left_fields_by_adjugate(frame)), name
+        checked += 1
+    assert checked > 90
+
+
+def test_dual_block_transpose_is_the_adjugate_inverse(reg, bench):
+    pairs = sorted({(e.g, e.dual) for e in reg.bialgebras})
+    for g, dual in random.Random(4).sample(pairs, 12):
+        binding = reg.grid_bindings(g, dual, cap=1)[0]
+        f, fd = reg.instantiate(g, binding), reg.instantiate(dual, binding)
+        blocks = double_adjoint(bench.frame(g, binding), f, fd)
+        assert cfm_eq(blocks.ainv, cfm_inverse_unitdet(blocks.a)), (g, dual)
+
+
+def test_corrupted_dual_block_fails_the_pairing_check(reg, monkeypatch):
+    f, fd = reg.instantiate("A_4_7"), reg.instantiate("A_4_7.i")
+    exact_factor = groupgeom.double_exp_factor
+    exact_residual = groupgeom.blocks_pairing_residual
+    residuals = []
+
+    def corrupted(frame, dbl, i):
+        e, low, et = exact_factor(frame, dbl, i)
+        if i == 2:
+            et = [row[:] for row in et]
+            et[0][1] = et[0][1] + _cf("x3")
+        return e, low, et
+
+    def recorded(blocks):
+        residuals.append(exact_residual(blocks))
+        return residuals[-1]
+
+    monkeypatch.setattr(groupgeom, "double_exp_factor", corrupted)
+    monkeypatch.setattr(groupgeom, "blocks_pairing_residual", recorded)
+    with pytest.raises(InvariantError):
+        double_adjoint(invariant_frame(GroupChart(f)), f, fd)
+    (residual,) = residuals
+    assert not cfm_is_zero(residual)

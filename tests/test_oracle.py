@@ -191,8 +191,9 @@ def test_matexp_of_minus_m_is_the_reflection(case):
 
 
 def _sympy_one_forms(sc):
-    """R and L of the chart g = e^{x1 X1} ... e^{x4 X4}, assembled as in
-    `invariant_frame` from sympy's exp(+-x_m ad X_m)."""
+    """R and L of the chart g = e^{x1 X1} ... e^{x4 X4} from sympy's
+    exp(+-x_m ad X_m): R as `invariant_frame` assembles it, L from the suffix
+    products of `evalref.left_fields_by_adjugate`."""
     n = sc.dim
     adj = [sympy.Matrix(a) for a in sc.adjoints()]
     R, L = sympy.zeros(n), sympy.zeros(n)

@@ -1,7 +1,9 @@
 """Source-level guards.  The benchmark's tracer wraps package functions by
 name: every name it lists must still resolve in liebialg, or
 `bench/run.py --trace 1` stops with an AttributeError.  Only `core` writes the
-cached forms of a `StructureConstants`."""
+cached forms of a `StructureConstants`.  The frame path inverts one matrix by
+adjugate per frame and none per double, which the trace's
+`closedfun.cfm_inverse_unitdet.calls` counts."""
 
 import glob
 import importlib
@@ -10,6 +12,8 @@ import os
 import sys
 
 import pytest
+
+from liebialg import groupgeom
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "bench")
@@ -57,3 +61,22 @@ def test_only_core_touches_the_cached_forms():
             continue
         with open(path, encoding="utf-8") as fh:
             assert "._nonzero" not in fh.read(), os.path.relpath(path, ROOT)
+
+
+def test_one_adjugate_per_frame_and_none_per_double(reg, monkeypatch):
+    calls = []
+    exact = groupgeom.cfm_inverse_unitdet
+
+    def counted(a):
+        calls.append(len(a))
+        return exact(a)
+
+    monkeypatch.setattr(groupgeom, "cfm_inverse_unitdet", counted)
+    for g, dual in (("A_4_7", "A_4_7.i"), ("VII0+R", "II+R.xiv"), ("A_4_1", "A_4_1.i")):
+        binding = reg.grid_bindings(g, dual, cap=1)[0]
+        f, fd = reg.instantiate(g, binding), reg.instantiate(dual, binding)
+        frame = groupgeom.invariant_frame(groupgeom.GroupChart(f))
+        assert calls == [4], g
+        groupgeom.double_adjoint(frame, f, fd)
+        assert calls == [4], (g, dual)
+        calls.clear()
