@@ -495,10 +495,6 @@ def cf_sinh(coeffs):
 # --------------------------------------------------------------------------
 
 
-def cfm_from_frac(m):
-    return [[cf_const(x) if x else _CF_ZERO for x in row] for row in m]
-
-
 def cfm_identity(n):
     return [[cf_const(1) if i == j else _CF_ZERO for j in range(n)] for i in range(n)]
 
@@ -523,6 +519,24 @@ def cfm_mul(a, b):
     return out
 
 
+def cfm_const_mul(m, a):
+    """m a for a constant matrix m of rationals or CRats: each entry sums the
+    terms of a[l][j] scaled by the nonzero m[i][l], so no constant
+    ClosedFunction is made and no term key is recomputed."""
+    out = []
+    for mrow in m:
+        ts = [{} for _ in a[0]]
+        for c, arow in zip(mrow, a):
+            if not c:
+                continue
+            c = _crat(c)
+            for t, f in zip(ts, arow):
+                for key, v in f.terms.items():
+                    _accumulate(t, key, c * v)
+        out.append([ClosedFunction(t) if t else _CF_ZERO for t in ts])
+    return out
+
+
 def cfm_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -536,12 +550,12 @@ def cfm_transpose(a):
 
 
 def cfm_diff(a, i):
-    return [[x.diff(i) for x in row] for row in a]
+    return [[x.diff(i) if x.terms else x for x in row] for row in a]
 
 
 def cfm_reflect(a, i):
     """a with x_i -> -x_i in every entry."""
-    return [[x.reflect(i) for x in row] for row in a]
+    return [[x.reflect(i) if x.terms else x for x in row] for row in a]
 
 
 def cfm_lower(a):
@@ -610,11 +624,20 @@ def cfm_det(a):
 
 
 def _invert_unit(f):
-    """Inverse of a single-term closed function c * x^0 * exp(z.x)."""
-    if len(f.terms) != 1:
-        raise NonUnitDeterminant(f"determinant has {len(f.terms)} terms")
-    if next(iter(f.terms))[0] != _ZEXP:
-        raise NonUnitDeterminant("determinant carries a monomial factor")
+    """Inverse of a single-term closed function c * x^0 * exp(z.x).  The
+    inverse of any other determinant has a pole at the origin or is no finite
+    sum of terms: NonUnitDeterminant names the determinant."""
+    if len(f.terms) != 1 or next(iter(f.terms))[0] != _ZEXP:
+        from .render import render_closed_function
+
+        try:
+            text = render_closed_function(f)
+        except InputError:  # a determinant that is not real has no text form
+            text = f"a complex function of {len(f.terms)} terms"
+        raise NonUnitDeterminant(
+            f"determinant {text} is not a single exponential term, "
+            "so the inverse leaves the closed class"
+        )
     return f.reciprocal()
 
 
@@ -639,40 +662,52 @@ def cfm_inverse_unitdet(a):
 
 # --------------------------------------------------------------------------
 # Symbolic matrix exponential exp(x_coord * M) for exact rational M, computed
-# on CRat matrices: the spectrum over Q(i), then Putzer's recursion
+# on sparse CRat matrices {(i, j): CRat} that hold the nonzero entries only:
+# the spectrum over Q(i), then Putzer's recursion
 # --------------------------------------------------------------------------
 
 
+def _sparse(m):
+    """The nonzero entries of a dense rational matrix, as {(i, j): CRat}."""
+    return {(i, j): _crat(x) for i, row in enumerate(m) for j, x in enumerate(row) if x}
+
+
 def _mat_mul(a, b):
-    """Product of two CRat matrices, skipping zero entries."""
-    out = []
-    for row in a:
-        acc = [CR_ZERO] * len(b[0])
-        for x, brow in zip(row, b):
-            if x:
-                for j, y in enumerate(brow):
-                    if y:
-                        acc[j] = acc[j] + x * y
-        out.append(acc)
+    """Product of two sparse CRat matrices, over their nonzero entries only;
+    an entry that cancels is dropped."""
+    brows = {}
+    for (l, j), y in b.items():
+        brows.setdefault(l, []).append((j, y))
+    out = {}
+    for (i, l), x in a.items():
+        for j, y in brows.get(l, ()):
+            _accumulate(out, (i, j), x * y)
     return out
 
 
-def _shifted(a, c):
-    """a + c I for a square CRat matrix a."""
-    return [[x + c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(a)]
+def _shifted(a, c, n):
+    """a + c I for a sparse n x n CRat matrix a."""
+    out = dict(a)
+    if c:
+        for i in range(n):
+            _accumulate(out, (i, i), c)
+    return out
 
 
-def _char_poly(m):
+def _char_poly(m, n):
     """Monic characteristic polynomial coefficients [1, c1, ..., cn] of a
-    CRat matrix, as CRats, via the Faddeev-LeVerrier recursion (exact)."""
-    n = len(m)
+    sparse n x n CRat matrix, as CRats, via the Faddeev-LeVerrier recursion
+    (exact).  Once the work matrix is zero every later coefficient is."""
     coeffs = [CR_ONE]
     work = m
     for k in range(1, n + 1):
-        c = -sum((work[i][i] for i in range(n)), CR_ZERO) / k
+        if not work:
+            coeffs += [CR_ZERO] * (n + 1 - k)
+            break
+        c = -sum((work.get((i, i), CR_ZERO) for i in range(n)), CR_ZERO) / k
         coeffs.append(c)
         if k < n:
-            work = _mat_mul(m, _shifted(work, c))
+            work = _mat_mul(m, _shifted(work, c, n))
     return coeffs
 
 
@@ -699,13 +734,14 @@ def _rationalize(x, bound):
 
 
 def _root_candidates(value):
-    """Complex float -> candidate CRat roots, small denominators first."""
-    cands = []
+    """Complex float -> distinct candidate CRat roots, small denominators
+    first, each rationalized only when the one before was not a root."""
+    seen = []
     for bound in (1, 12, 100, 10**4, 10**6):
         c = CRat(_rationalize(value.real, bound), _rationalize(value.imag, bound))
-        if c not in cands:
-            cands.append(c)
-    return cands
+        if c not in seen:
+            seen.append(c)
+            yield c
 
 
 def _spectrum(coeffs):
@@ -769,27 +805,33 @@ def cf_matexp(m, coord):
     eigenvalues l_1, ..., l_n of M over Q + iQ, listed with multiplicity,
     exp(xM) = sum_k r_k(x) P_k, where P_1 = I, P_{k+1} = (M - l_k) P_k,
     r_1 = e^{l_1 x} and r_k = e^{l_k x} int_0^x e^{-l_k s} r_{k-1}(s) ds.
-    The sum stops at the first zero P_k, so a nilpotent M costs its index of
-    nilpotency.  The result is verified to satisfy exp(0) = I and
-    d/dx exp = M exp exactly.
+    The dense rational M is read once into its nonzero entries {(i, j): CRat};
+    the characteristic polynomial and every P_k are such maps, r_k is added
+    into the entries of P_k that are nonzero, and the sum stops at the first
+    empty P_k, so a nilpotent M costs its index of nilpotency.  The result is
+    verified to satisfy exp(0) = I and d/dx exp = M exp exactly.
     """
     n = len(m)
-    mc = [[_crat(x) if x else CR_ZERO for x in row] for row in m]
-    lams = [lam for lam, mult in _spectrum(_char_poly(mc)) for _ in range(mult)]
-    result = cfm_zeros(n, n)
-    p = [[CR_ONE if i == j else CR_ZERO for j in range(n)] for i in range(n)]
+    mc = _sparse(m)
+    lams = [lam for lam, mult in _spectrum(_char_poly(mc, n)) for _ in range(mult)]
+    acc = {}  # {(i, j): term map of the sum so far}
+    p = {(i, i): CR_ONE for i in range(n)}
     r = None
     for k, lam in enumerate(lams):
         e = cf_exp({coord: lam})
         r = e if r is None else e * (e.reciprocal() * r).integral(coord)
-        result = [
-            [f + r.scale(c) if c else f for f, c in zip(frow, prow)]
-            for frow, prow in zip(result, p)
-        ]
+        for ij, c in p.items():
+            t = acc.setdefault(ij, {})
+            for key, v in r.terms.items():
+                _accumulate(t, key, v * c)
         if k + 1 < n:
-            p = _mat_mul(_shifted(mc, -lam), p)
-            if not any(any(row) for row in p):
+            p = _mat_mul(_shifted(mc, -lam, n), p)
+            if not p:
                 break
+    result = cfm_zeros(n, n)
+    for (i, j), t in acc.items():
+        if t:
+            result[i][j] = ClosedFunction(t)
     _verify_matexp(result, m, coord)
     return result
 
@@ -805,13 +847,11 @@ def cf_matexp_pm(m, coord):
 
 
 def _verify_matexp(e, m, coord):
-    n = len(m)
-    for i in range(n):
-        for j in range(n):
-            v = e[i][j].eval_at_zero()
-            if v != (CR_ONE if i == j else CR_ZERO):
+    """Exact check that e = exp(x_coord M): e(0) = I and e' = M e, where M e
+    scales the terms of e over the nonzero entries of M (cfm_const_mul)."""
+    for i, row in enumerate(e):
+        for j, f in enumerate(row):
+            if (f.eval_at_zero() != (CR_ONE if i == j else CR_ZERO)) if f.terms else i == j:
                 raise InvariantError("matexp(0) != I")
-    de = cfm_diff(e, coord)
-    me = cfm_mul(cfm_from_frac(m), e)
-    if not cfm_eq(de, me):
+    if not cfm_eq(cfm_diff(e, coord), cfm_const_mul(m, e)):
         raise InvariantError("matexp does not satisfy its defining ODE")

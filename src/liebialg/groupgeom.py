@@ -9,9 +9,9 @@ from dataclasses import dataclass
 
 from .closedfun import (
     cf_matexp_pm,
+    cfm_const_mul,
     cfm_diff,
     cfm_eq,
-    cfm_from_frac,
     cfm_identity,
     cfm_inverse_unitdet,
     cfm_is_zero,
@@ -179,7 +179,11 @@ def double_exp_factor(frame: InvariantFrame, dbl: DoubleAlgebra, i):
 
     (C. Van Loan, Computing integrals involving the matrix exponential, IEEE
     TAC 1978).  E and E_- passed their own exact checks; F is checked
-    exactly against F(0) = 0 and F' = B E - A^T F."""
+    exactly against F(0) = 0 and F' = B E - A^T F.  From any integrand X E,
+    F' = E_-^T X E - A^T F, so the integrand is built as (E^T B) E and the
+    check's B E apart from it: a wrong constant product fails the check.  The
+    products by B, B^T and A^T run over their nonzero entries
+    (`cfm_const_mul`)."""
     n = frame.base.dim
     coord = i + 1
     a = frame.base.adjoint(i)
@@ -192,13 +196,13 @@ def double_exp_factor(frame: InvariantFrame, dbl: DoubleAlgebra, i):
     e, em = frame.exp_pos[i], frame.exp_neg[i]
     low = cfm_zeros(n, n)
     if any(any(row) for row in b):
-        bcf = cfm_from_frac(b)
-        inner = cfm_mul(cfm_transpose(e), cfm_mul(bcf, e))
+        etb = cfm_transpose(cfm_const_mul(cfm_transpose(b), e))
+        inner = cfm_mul(etb, e)
         low = cfm_mul(cfm_transpose(em), [[x.integral(coord) for x in row] for row in inner])
         if any(x.eval_at_zero() for row in low for x in row):
             raise InvariantError("lower-left block of the double's exponential is nonzero at 0")
-        at = cfm_from_frac(cfm_transpose(a))
-        if not cfm_eq(cfm_diff(low, coord), cfm_sub(cfm_mul(bcf, e), cfm_mul(at, low))):
+        be = cfm_const_mul(b, e)
+        if not cfm_eq(cfm_diff(low, coord), cfm_sub(be, cfm_const_mul(cfm_transpose(a), low))):
             raise InvariantError(
                 "lower-left block of the double's exponential fails F' = B E - A^T F"
             )

@@ -9,7 +9,9 @@ extend the tree: x1/x1 is 1 at x1 = 0, where the walk divides by zero).
 `term_loop` is the oracle of `cfm_lower` itself, which must return the same
 floats and raise the same errors.  `cfm_mul_sum` is the entry-wise matrix
 product, a sum of ClosedFunction products, and the oracle of the fused
-`cfm_mul`.  `mixed_matrix_dense` evaluates the matrix form of the mixed
+`cfm_mul`.  `cfm_from_frac` makes a constant matrix a matrix of constant
+closed functions, so that `cfm_mul(cfm_from_frac(m), a)` is the dense oracle
+of the sparse `cfm_const_mul(m, a)`.  `mixed_matrix_dense` evaluates the matrix form of the mixed
 Jacobi residual with full matrix products over every slot, the oracle of the
 sparse `core._matrix_residual`.  `left_fields_by_adjugate` builds the
 left-invariant one-forms from the suffix products of exp(x_m Xadj_m) and
@@ -22,6 +24,7 @@ from operator import mul
 
 from liebialg.closedfun import (
     ClosedFunction,
+    cf_const,
     cfm_identity,
     cfm_inverse_unitdet,
     cfm_mul,
@@ -112,6 +115,11 @@ def cfm_mul_sum(a, b):
             row.append(acc)
         out.append(row)
     return out
+
+
+def cfm_from_frac(m):
+    """A rational or CRat matrix as constant closed functions."""
+    return [[cf_const(x) for x in row] for row in m]
 
 
 def _int_mat_mul(a, b):

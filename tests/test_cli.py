@@ -405,6 +405,17 @@ def test_derive_unsupported_spectrum_exit_one(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: UnsupportedSpectrum: ")
 
 
+def test_derive_fields_names_a_non_unit_determinant(capsys):
+    # R of VII0+R.iii has determinant 1 - q x2, which vanishes at x2 = 1/q
+    assert main(["derive", "fields", "--algebra", "VII0+R.iii", "--param", "q=-2"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = [line for line in err.splitlines() if "error:" in line]
+    assert len(lines) == 1
+    assert lines[0].startswith("error: NonUnitDeterminant: determinant 1 + 2*x2 ")
+    assert "leaves the closed class" in lines[0]
+
+
 def test_corpus_constant_division_by_zero_exit_two(tmp_path, capsys):
     path = tmp_path / "div0.txt"
     path.write_text("algebra X\n  bracket 1 2 -> 1/0 3\n")
@@ -522,6 +533,78 @@ def test_integrable_step_count_overflow_is_a_usage_error():
     assert done.returncode == 2
     assert done.stderr.startswith("error:")
     assert "Traceback" not in done.stderr
+
+
+def test_fuzzed_command_lines_exit_0_1_or_2_without_a_traceback(tmp_path, monkeypatch):
+    """Drawn argv over the subcommands, their flags, bad values, table
+    selectors and unknown names, on commands that each take well under a
+    second: every run ends in exit code 0, 1 or 2 and prints no traceback."""
+    import contextlib
+    import io
+
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    # derandomize fixes the seed; the local constant pool of imported modules
+    # would still make the draws depend on which tests were collected
+    from hypothesis.internal.conjecture import providers
+
+    monkeypatch.setattr(providers.HypothesisProvider, "_maybe_draw_constant", lambda *a, **k: None)
+
+    def opt(flag, values):
+        return st.one_of(st.just([]), st.sampled_from(values).map(lambda v: [flag, v]))
+
+    names = ["4A_1", "A_4_1", "A_4_1.i", "A_4_9_b", "VII0+R.iii", "NOPE", ""]
+    params = ["b=1/3", "q=-2", "q=1", "b=1/0", "b", "=1", "b=x", "b=1/3=2"]
+    global_flags = st.tuples(
+        st.booleans(),
+        opt("--seed", ["0", "7", "-1", "x"]),
+        opt("--corpus", [str(tmp_path / "missing.txt"), str(tmp_path)]),
+    ).map(lambda t: (["--json"] if t[0] else []) + t[1] + t[2])
+    # no default selector: it runs every table
+    verify = st.tuples(
+        st.sampled_from(["1", "integrable", "1,integrable", "1-1", "", ",", "zz", "99",
+                         "0-2", "9-3", "3-", "1-integrable"]),
+        opt("--jobs", ["1", "0", "-1", "x"]),
+    ).map(lambda t: ["verify", "--table", t[0]] + t[1])
+    derive = st.tuples(
+        st.sampled_from(["fields", "rmatrix", "poisson", "frames"]),
+        st.sampled_from(names),
+        opt("--dual", names),
+        opt("--method", ["auto", "pi", "sklyanin", "exact"]),
+        st.lists(st.sampled_from(params), max_size=2),
+    ).map(lambda t: ["derive", t[0], "--algebra", t[1]] + t[2] + t[3]
+          + [a for p in t[4] for a in ("--param", p)])
+    integrable = st.tuples(
+        opt("--example", ["1", "2", "3", "x"]),
+        st.sampled_from([[], ["--integrate"]]),
+        opt("--t-end", ["0", "0.01", "-1", "nan", "1e200", "x"]),
+        opt("--dt", ["1e-3", "0", "-1", "1e-10"]),
+        opt("--hamiltonian", ["1", "4", "5"]),
+        opt("--csv", [str(tmp_path / "no" / "dir" / "t.csv")]),
+    ).map(lambda t: ["integrable"] + [a for part in t for a in part])
+    other = st.sampled_from([[], ["bogus"], ["-h"], ["verify", "--nope"], ["derive"]])
+    argvs = st.tuples(global_flags, st.one_of(verify, derive, integrable, other)).map(
+        lambda t: t[0] + t[1]
+    )
+
+    seen = set()
+
+    @hyp.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hyp.given(argvs)
+    @hyp.example(["derive", "fields", "--algebra", "VII0+R.iii", "--param", "q=-2"])
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as ex:  # argparse: usage errors and --help
+                rc = ex.code
+        assert rc in (0, 1, 2), (argv, rc)
+        assert "Traceback" not in err.getvalue(), argv
+        seen.add(rc)
+
+    check()
+    assert seen == {0, 1, 2}
 
 
 def test_no_module_samples_at_random():

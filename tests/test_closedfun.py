@@ -192,6 +192,39 @@ def test_matexp_pm_checks_the_reflected_exponential(monkeypatch):
         cf_matexp_pm(m, 2)
 
 
+def _dropping_one_product(exact):
+    """The sparse CRat product `exact` with its first product x * y left out."""
+
+    def dropped(a, b):
+        out = dict(exact(a, b))
+        for (i, l), x in a.items():
+            for (k, j), y in b.items():
+                if k == l:
+                    v = out.get((i, j), CRat(0)) - x * y
+                    if v:
+                        out[(i, j)] = v
+                    else:
+                        del out[(i, j)]
+                    return out
+        return out
+
+    return dropped
+
+
+def test_matexp_checks_its_sparse_products(reg, monkeypatch):
+    # nilpotent, and a Jordan block at a nonzero eigenvalue
+    a41 = StructureConstants.from_brackets(4, {(2, 4): [(1, 1)], (3, 4): [(1, 2)]})
+    a42 = reg.instantiate("A_4_2_m1")
+    cases = [(a41.adjoint(3), 4), (a42.adjoint(3), 4)]
+    for m, coord in cases:
+        assert cfm_eq(cfm_mul(cf_matexp(m, coord), cf_matexp([[-x for x in r] for r in m], coord)),
+                      cfm_identity(4))
+    monkeypatch.setattr(closedfun, "_mat_mul", _dropping_one_product(closedfun._mat_mul))
+    for m, coord in cases:
+        with pytest.raises(InvariantError):
+            cf_matexp(m, coord)
+
+
 def test_matexp_split_exponents_numerically():
     rng = random.Random(5)
     m = [[Fraction(0)] * 4 for _ in range(4)]

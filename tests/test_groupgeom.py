@@ -207,3 +207,33 @@ def test_corrupted_dual_block_fails_the_pairing_check(reg, monkeypatch):
         double_adjoint(invariant_frame(GroupChart(f)), f, fd)
     (residual,) = residuals
     assert not cfm_is_zero(residual)
+
+
+@pytest.mark.parametrize("side", ["B E", "B^T E"])
+def test_corrupted_constant_product_fails_the_lower_block_check(reg, bench, monkeypatch, side):
+    # the check's B E and the integrand's E^T B = (B^T E)^T are separate
+    # products, so a wrong one of either makes F' differ from B E - A^T F
+    f, fd = reg.instantiate("A_4_7"), reg.instantiate("A_4_7.i")
+    frame, dbl = bench.frame("A_4_7", {}), build_double(f, fd)
+    exact = groupgeom.cfm_const_mul
+    checked = []
+    for i in range(4):
+        b = [row[:4] for row in dbl.sc.adjoint(i)[4:]]
+        bt = [list(col) for col in zip(*b)]
+        if b == bt:
+            continue  # a corruption could not tell the two products apart
+        double_exp_factor(frame, dbl, i)  # passes with the exact products
+        target = b if side == "B E" else bt
+
+        def corrupted(m, a, _target=target, _coord=i + 1):
+            out = exact(m, a)
+            if m == _target:
+                out[0][0] = out[0][0] + _cf(f"x{_coord}")
+            return out
+
+        with monkeypatch.context() as mp:
+            mp.setattr(groupgeom, "cfm_const_mul", corrupted)
+            with pytest.raises(InvariantError, match="F' = B E - A\\^T F"):
+                double_exp_factor(frame, dbl, i)
+        checked.append(i)
+    assert len(checked) >= 2

@@ -18,7 +18,17 @@ sympy = pytest.importorskip("sympy")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from liebialg.closedfun import ClosedFunction, CRat, cf_matexp, cf_matexp_pm, cfm_reflect  # noqa: E402
+from liebialg.closedfun import (  # noqa: E402
+    ClosedFunction,
+    CRat,
+    _char_poly,
+    _sparse,
+    cf_matexp,
+    cf_matexp_pm,
+    cfm_const_mul,
+    cfm_mul,
+    cfm_reflect,
+)
 from liebialg.exprtree import parse_expr, to_text  # noqa: E402
 from liebialg.integrable import (  # noqa: E402
     CANONICAL_PAIRS,
@@ -28,6 +38,8 @@ from liebialg.integrable import (  # noqa: E402
     darboux_check,
     load_example,
 )
+
+from evalref import cfm_from_frac  # noqa: E402
 
 X = sympy.symbols("x1:5")
 
@@ -183,6 +195,83 @@ def test_matexp_of_minus_m_is_the_reflection(case):
     reflected = cfm_reflect(e, coord)
     assert [[f.terms for f in row] for row in reflected] == [[f.terms for f in row] for row in em]
     assert cf_matexp_pm(_fractions(M), coord) == (e, em)
+
+
+# --------------------------------------------------------------------------
+# The sparse characteristic polynomial and constant products on sparse
+# 4x4 and 8x8 matrices with a known kind of spectrum
+# --------------------------------------------------------------------------
+
+SMALL = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def sparse_matrices(draw):
+    """A sparse n x n matrix (n = 4 or 8) of Fractions or CRats: zero,
+    nilpotent (strictly upper triangular), triangular with a real or a Q(i)
+    diagonal, or rotation-scaling blocks [[a, -b], [b, a]] (eigenvalues
+    a +- bi) with couplings above them; rows and columns then permuted
+    together, which keeps the spectrum and the sparsity."""
+    n = draw(st.sampled_from([4, 8]))
+    kind = draw(st.sampled_from(["zero", "nilpotent", "real", "complex", "rotation"]))
+    m = [[Fraction(0)] * n for _ in range(n)]
+    if kind != "zero":
+        block = (lambda i: i // 2) if kind == "rotation" else (lambda i: i)
+        upper = [(i, j) for i in range(n) for j in range(n) if block(i) < block(j)]
+        for i, j in draw(st.lists(st.sampled_from(upper), max_size=n, unique=True)):
+            m[i][j] = draw(SMALL)
+    if kind in ("real", "complex"):
+        for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)):
+            m[i][i] = CRat(draw(SMALL), draw(SMALL)) if kind == "complex" else draw(SMALL)
+    if kind == "rotation":
+        for i in range(0, n, 2):
+            a, b = draw(SMALL), draw(SMALL.filter(bool))
+            m[i][i] = m[i + 1][i + 1] = a
+            m[i][i + 1], m[i + 1][i] = -b, b
+    perm = draw(st.permutations(range(n)))
+    return [[m[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+
+
+def _sympy_matrix(m):
+    return sympy.Matrix([[_q(CRat(x) if not isinstance(x, CRat) else x) for x in row] for row in m])
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_matrices())
+def test_sparse_char_poly_matches_sympy(m):
+    lam = sympy.Symbol("lam")
+    want = _sympy_matrix(m).charpoly(lam).all_coeffs()
+    got = _char_poly(_sparse(m), len(m))
+    assert len(got) == len(want) == len(m) + 1
+    assert all(sympy.expand(_q(g) - w) == 0 for g, w in zip(got, want)), (m, got, want)
+
+
+# three term keys and coefficients that collide and cancel under scaling
+_KEYS = [
+    ((0, 0, 0, 0), (CRat(0),) * 4),
+    ((1, 0, 0, 0), (CRat(0),) * 4),
+    ((0, 0, 0, 0), (CRat(0, 1),) + (CRat(0),) * 3),
+]
+_ENTRY = st.one_of(
+    st.just(ClosedFunction.zero()),
+    st.dictionaries(
+        st.sampled_from(_KEYS),
+        st.sampled_from([CRat(-2), CRat(-1), CRat(1), CRat(2), CRat(1, 1)]),
+        min_size=1,
+        max_size=3,
+    ).map(ClosedFunction),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_constant_product_matches_the_dense_product(m, data):
+    n = len(m)
+    cols = data.draw(st.integers(1, 4))
+    a = data.draw(st.lists(st.lists(_ENTRY, min_size=cols, max_size=cols), min_size=n, max_size=n))
+    got, want = cfm_const_mul(m, a), cfm_mul(cfm_from_frac(m), a)
+    assert [[g.terms for g in row] for row in got] == [[w.terms for w in row] for row in want]
+    assert all(c for row in got for g in row for c in g.terms.values())
 
 
 # --------------------------------------------------------------------------

@@ -3,17 +3,21 @@ name: every name it lists must still resolve in liebialg, or
 `bench/run.py --trace 1` stops with an AttributeError.  Only `core` writes the
 cached forms of a `StructureConstants`.  The frame path inverts one matrix by
 adjugate per frame and none per double, which the trace's
-`closedfun.cfm_inverse_unitdet.calls` counts."""
+`closedfun.cfm_inverse_unitdet.calls` counts.  A frame computes its four
+exponentials through the module global `closedfun.cf_matexp`, each from a
+dense Fraction matrix, which the trace's `closedfun.cf_matexp4.calls` and
+`closedfun.cf_matexp.distinct_ratio` count and key."""
 
 import glob
 import importlib
 import importlib.util
 import os
 import sys
+from fractions import Fraction
 
 import pytest
 
-from liebialg import groupgeom
+from liebialg import closedfun, groupgeom
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "bench")
@@ -79,4 +83,24 @@ def test_one_adjugate_per_frame_and_none_per_double(reg, monkeypatch):
         assert calls == [4], g
         groupgeom.double_adjoint(frame, f, fd)
         assert calls == [4], (g, dual)
+        calls.clear()
+
+
+def test_four_dense_exponentials_per_frame(reg, monkeypatch):
+    calls = []
+    exact = closedfun.cf_matexp
+
+    def counted(m, coord):
+        calls.append((m, coord))
+        return exact(m, coord)
+
+    monkeypatch.setattr(closedfun, "cf_matexp", counted)
+    for g in ("A_4_7", "VII0+R", "A_4_1", "A_4_12"):
+        f = reg.instantiate(g, reg.grid_bindings(g, cap=1)[0])
+        groupgeom.invariant_frame(groupgeom.GroupChart(f))
+        assert [coord for _, coord in calls] == [1, 2, 3, 4], g
+        for m, _ in calls:
+            assert type(m) is list and len(m) == 4, g
+            assert all(type(row) is list and len(row) == 4 for row in m), g
+            assert all(type(x) is Fraction for row in m for x in row), g
         calls.clear()
