@@ -18,18 +18,25 @@ from .harness import Workbench, verify_tables
 from .render import render_closed_function
 
 
+# argparse reports an ArgumentTypeError raised by a type function with its
+# own message; any other ValueError only as "invalid <function name> value"
 def _parse_param(text):
-    if "=" not in text:
-        raise InputError(f"--param needs name=value, got {text!r}")
-    name, val = text.split("=", 1)
+    name, eq, val = text.partition("=")
+    if not (eq and name.strip()):
+        raise argparse.ArgumentTypeError(f"needs NAME=RAT, got {text!r}")
     try:
         return name.strip(), Fraction(val.strip())
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{val.strip()!r} is not a rational number") from None
 
 
 def _duration(text):
-    x = float(text)
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if not (math.isfinite(x) and x >= 0):
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
     return x
@@ -43,7 +50,10 @@ def _step(text):
 
 
 def _jobs(text):
-    n = int(text)
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return n
@@ -107,11 +117,7 @@ def cmd_derive(args):
             for i in range(4):
                 out[f"{side}_{i+1}"] = _field_text(rows[i])
     elif args.what == "rmatrix":
-        from .rmatrix import solve_coboundary
-
-        f = reg.instantiate(args.algebra, binding)
-        fd = reg.instantiate(args.dual, binding)
-        sol = solve_coboundary(f, fd)
+        sol = bench.coboundary(args.algebra, args.dual, binding)
         if sol.empty:
             out["solution"] = "none (system inconsistent)"
         else:
@@ -121,7 +127,7 @@ def cmd_derive(args):
     elif args.what == "poisson":
         method = args.method
         if method == "auto":
-            method = "sklyanin" if (args.algebra, args.dual) in reg.rmatrices else "pi"
+            method = bench.method(args.algebra, args.dual)
         P = bench.bivector(args.algebra, args.dual, method, binding)
         for i in range(4):
             for j in range(i + 1, 4):
@@ -215,8 +221,8 @@ def build_parser():
                    "A-B of table numbers")
     v.add_argument("--jobs", type=_jobs, default=1,
                    help="worker processes (>= 1); entries are sharded by base "
-                   "algebra, so each worker builds an algebra's frames and "
-                   "bivectors once")
+                   "algebra, so each worker's Workbench computes what an "
+                   "algebra's entries share once")
     v.set_defaults(fn=cmd_verify)
 
     d = sub.add_parser("derive", help="derive frames, r-matrices, or bivectors")

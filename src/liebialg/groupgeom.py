@@ -51,7 +51,7 @@ class InvariantFrame:
     base: StructureConstants
 
 
-def invariant_frame(chart: GroupChart) -> InvariantFrame:
+def invariant_frame(chart: GroupChart, matexp_pm=None) -> InvariantFrame:
     """Assemble R symbolically and invert it to the frame fields.
 
     R column j is row j of the ordered product of exp(-x_m Xadj_m) for
@@ -60,12 +60,14 @@ def invariant_frame(chart: GroupChart) -> InvariantFrame:
     and theta_L = Ad_{g^-1} theta_R gives XL = Ad(g)^-1 XR with no second
     inverse.  exp(-x_m Xadj_m) is the reflection x_m -> -x_m of exp(x_m Xadj_m)
     (`cf_matexp_pm`); both pass their exact ODE checks, so the reversed
-    product is the exact inverse of Ad(g).
+    product is the exact inverse of Ad(g).  `matexp_pm` stands in for
+    `cf_matexp_pm`, say a memo of it.
     """
     f = chart.base
     n = f.dim
     adj = f.adjoints()
-    pairs = [cf_matexp_pm(adj[i], i + 1) for i in range(n)]
+    matexp_pm = matexp_pm or cf_matexp_pm
+    pairs = [matexp_pm(adj[i], i + 1) for i in range(n)]
     exp_pos = [e for e, _ in pairs]
     exp_neg = [em for _, em in pairs]
 
@@ -137,7 +139,7 @@ class DoubleAdjointBlocks:
 
 
 def double_adjoint(
-    frame: InvariantFrame, f: StructureConstants, fd: StructureConstants
+    frame: InvariantFrame, f: StructureConstants, fd: StructureConstants, dbl=None
 ) -> DoubleAdjointBlocks:
     """Ad_{g^-1} on the double as the ordered product
     exp(x1 Xadj_1) ... exp(x4 Xadj_4) of the double's adjoint matrices,
@@ -146,14 +148,19 @@ def double_adjoint(
     by block, with no 8x8 matrix formed:
 
         a <- a E,   b <- b E + d F = [b | d] [E; F],   d <- d E_-^T.
+
+    `dbl`, when given, is the double of (f, fd) whose mixed Jacobi and
+    Jacobi identities the caller has checked; otherwise both are checked
+    here.
     """
     if frame.base != f:
         raise InputError("frame belongs to another algebra")
-    if not mixed_jacobi_check(f, fd).passed:
-        raise InputError("pair fails the mixed Jacobi identity")
-    dbl = build_double(f, fd)
-    if not jacobi_check(dbl.sc).passed:
-        raise InputError("double fails the Jacobi identity")
+    if dbl is None:
+        if not mixed_jacobi_check(f, fd).passed:
+            raise InputError("pair fails the mixed Jacobi identity")
+        dbl = build_double(f, fd)
+        if not jacobi_check(dbl.sc).passed:
+            raise InputError("pair fails the double Jacobi identity")
     a, b, d = double_exp_factor(frame, dbl, 0)
     for i in range(1, f.dim):
         e, low, et = double_exp_factor(frame, dbl, i)

@@ -21,7 +21,7 @@ from .core import (
     mixed_jacobi_check,
     pairing_ad_invariant,
 )
-from .closedfun import cfm_eq
+from .closedfun import cf_matexp_pm, cfm_eq
 from .errors import ComputationError, InputError, InvariantError
 from .groupgeom import (
     GroupChart,
@@ -133,66 +133,162 @@ class RunReport:
         return n
 
 
+def _memo(memo, key, compute):
+    """memo[key], from compute() on the first request; a compute() that
+    raises stores nothing, so the next request raises again."""
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
+def _bkey(binding):
+    return tuple(sorted(binding.items()))
+
+
 class Workbench:
-    """Caches frames and bivectors across verification passes."""
+    """The intermediates that campaigns, and the two constructions of a
+    bivector, share.  One Workbench lives for one `verify_tables` call (one
+    per worker process with `--jobs`) or one `liebialg derive`.
+
+    Each memo is a dict keyed by what its result depends on:
+
+      sc          structure constants per (algebra, binding)
+      frame       invariant frame per (algebra, binding)
+      matexp_pm   (exp(x M), exp(-x M)) per (entries of M, coordinate)
+      coboundary  r-matrix solution set per ordered (g, dual, binding)
+      double      verdicts of mixed Jacobi and of the double's Jacobi per
+                  (g, dual, binding), not the 8-dimensional double itself
+      bivector    bivector per (g, dual, method, binding)
+      jacobi      Poisson-Jacobi verdict per bivector
+      symplectic  symplectic classification per bivector
+
+    Only results are memoized: a request whose computation raises raises
+    again on the next request.  Results are shared, not copied, so callers
+    must not edit them.
+    """
 
     def __init__(self, reg: "corpus_mod.Corpus"):
         self.reg = reg
+        self._sc = {}
         self._frames = {}
+        self._matexps = {}
+        self._coboundaries = {}
+        self._doubles = {}
         self._bivectors = {}
+        self._jacobi = {}
+        self._symplectic = {}
 
-    @staticmethod
-    def _key(name, binding):
-        return (name, tuple(sorted(binding.items())))
+    def sc(self, name, binding):
+        """The structure constants of `name` at `binding`."""
+        return _memo(
+            self._sc, (name, _bkey(binding)), lambda: self.reg.instantiate(name, binding)
+        )
 
     def frame(self, name, binding):
-        k = self._key(name, binding)
-        if k not in self._frames:
-            sc = self.reg.instantiate(name, binding)
-            self._frames[k] = invariant_frame(GroupChart(sc))
-        return self._frames[k]
+        return _memo(
+            self._frames,
+            (name, _bkey(binding)),
+            lambda: invariant_frame(GroupChart(self.sc(name, binding)), self.matexp_pm),
+        )
+
+    def matexp_pm(self, m, coord):
+        """`cf_matexp_pm(m, coord)`, keyed by the nonzero entries of the
+        rational matrix m."""
+        key = (coord, len(m)) + tuple(
+            (i, j, x.numerator, x.denominator)
+            for i, row in enumerate(m)
+            for j, x in enumerate(row)
+            if x
+        )
+        return _memo(self._matexps, key, lambda: cf_matexp_pm(m, coord))
+
+    def coboundary(self, g, dual, binding):
+        """The r-matrix solution set of the ordered pair (g, dual)."""
+        return _memo(
+            self._coboundaries,
+            (g, dual, _bkey(binding)),
+            lambda: solve_coboundary(self.sc(g, binding), self.sc(dual, binding)),
+        )
+
+    def double(self, g, dual, binding):
+        """(double, failed) for the pair (g, dual): `failed` is None when
+        the pair passes mixed Jacobi and its double passes Jacobi, else the
+        first that fails, 'mixed Jacobi' or 'double Jacobi'; `double` is the
+        8-dimensional double when both pass, else None.  Only the verdict
+        is memoized; the double is rebuilt on every later request."""
+        f, fd = self.sc(g, binding), self.sc(dual, binding)
+        k = (g, dual, _bkey(binding))
+        dbl = None
+        if k not in self._doubles:
+            failed = "mixed Jacobi"
+            if mixed_jacobi_check(f, fd).passed:
+                dbl = build_double(f, fd)
+                failed = None if jacobi_check(dbl.sc).passed else "double Jacobi"
+            self._doubles[k] = failed
+        failed = self._doubles[k]
+        return (None if failed else dbl or build_double(f, fd)), failed
 
     def bivector(self, g, dual, method, binding):
-        """The bivector of (g, dual) by `method`; only successes are cached,
-        so a failing pair raises again on every request."""
-        k = (self._key(g, binding), dual, method)
-        if k not in self._bivectors:
-            self._bivectors[k] = self._build_bivector(g, dual, method, binding)
-        return self._bivectors[k]
+        """The bivector of (g, dual) by `method`."""
+        return _memo(
+            self._bivectors,
+            (g, dual, method, _bkey(binding)),
+            lambda: self._build_bivector(g, dual, method, binding),
+        )
 
     def _build_bivector(self, g, dual, method, binding):
-        f = self.reg.instantiate(g, binding)
-        fd = self.reg.instantiate(dual, binding)
+        f = self.sc(g, binding)
         if method == "sklyanin":
-            sol = solve_coboundary(f, fd)
+            sol = self.coboundary(g, dual, binding)
             if sol.empty:
                 raise InputError(f"({g}, {dual}) admits no r-matrix")
             return sklyanin_bivector(
                 self.frame(g, binding), sol.particular.antisymmetric_part(), f
             )
         frame = self.frame(g, binding)
-        return pi_bivector(double_adjoint(frame, f, fd), frame, f)
+        dbl, failed = self.double(g, dual, binding)
+        if failed:
+            raise InputError(f"pair fails the {failed} identity")
+        return pi_bivector(double_adjoint(frame, f, self.sc(dual, binding), dbl), frame, f)
 
-    def bivector_any(self, g, dual, binding):
+    def method(self, g, dual):
         """Sklyanin when an r-matrix row exists for the pair, else the
         adjoint-block construction."""
-        if (g, dual) in self.reg.rmatrices:
-            return self.bivector(g, dual, "sklyanin", binding)
-        return self.bivector(g, dual, "pi", binding)
+        return "sklyanin" if (g, dual) in self.reg.rmatrices else "pi"
+
+    def bivector_any(self, g, dual, binding):
+        """The bivector of (g, dual) by `method(g, dual)`."""
+        return self.bivector(g, dual, self.method(g, dual), binding)
+
+    # the two memos below are keyed by the identity of the bivector; each
+    # entry holds the bivector, so its id is not reused while it is memoized
+
+    def jacobi(self, P):
+        """Whether the bivector P passes Poisson-Jacobi."""
+        return _memo(self._jacobi, id(P), lambda: (P, poisson_jacobi_check(P).passed))[1]
+
+    def symplectic(self, P):
+        """`symplectic_classify(P)`, reusing P's Poisson-Jacobi verdict."""
+        return _memo(
+            self._symplectic, id(P), lambda: (P, symplectic_classify(P, lambda: self.jacobi(P)))
+        )[1]
 
 
 def _campaign(table):
-    """Makes a campaign of an enumeration of its entries, each a
-    `(name, key, check, args)` tuple whose key names the algebra whose
-    frames and bivectors the check uses.  The campaign runs them in order and
-    is timed; `.entries` keeps the enumeration for `verify_tables --jobs`."""
+    """Makes a campaign of an enumeration `entries(reg, bench)` of its
+    entries, each a `(name, key, check, args)` tuple whose key names the
+    algebra whose Workbench memos the check uses.  The campaign
+    `verify(reg, bench=None)` runs them in order on `bench` (a fresh
+    Workbench by default) and is timed; `.entries` keeps the enumeration for
+    `verify_tables --jobs`."""
 
     def wrap(entries):
         @functools.wraps(entries)
-        def verify(*args, **kwargs):
+        def verify(reg, bench=None):
             t0 = time.perf_counter()
             rep = RunReport(table)
-            for name, _key, check, check_args in entries(*args, **kwargs):
+            bench = Workbench(reg) if bench is None else bench
+            for name, _key, check, check_args in entries(reg, bench):
                 rep.results.append(_run_entry(name, check, *check_args))
             rep.seconds = time.perf_counter() - t0
             return rep
@@ -216,17 +312,17 @@ def _run_entry(name, check, *args):
 
 
 @_campaign("table1")
-def verify_table1(reg):
+def verify_table1(reg, bench):
     """Base algebras: Jacobi identity and a nondegenerate closed two-form."""
-    for name, entry in sorted(reg.algebras.items()):
+    for name in sorted(reg.algebras):
         if "." in name or name == "4A_1":
             continue  # dual variants are exercised through tables 2-9
-        yield name, name, _check_algebra, (reg, name, entry)
+        yield name, name, _check_algebra, (reg, bench, name)
 
 
-def _check_algebra(reg, name, entry):
+def _check_algebra(reg, bench, name):
     for b in reg.grid_bindings(name):
-        sc = entry.structure_constants(b)
+        sc = bench.sc(name, b)
         if not jacobi_check(sc).passed:
             return "fail", f"Jacobi fails at {b}", []
         sym = find_symplectic(sc)
@@ -236,21 +332,17 @@ def _check_algebra(reg, name, entry):
 
 
 @_campaign("table2")
-def verify_table2(reg):
+def verify_table2(reg, bench):
     """Bracket/cobracket pairs: mixed Jacobi and the double's Jacobi identity."""
     for be in reg.bialgebras:
-        yield be.name, be.g, _check_bialgebra, (reg, be)
+        yield be.name, be.g, _check_bialgebra, (reg, bench, be)
 
 
-def _check_bialgebra(reg, be):
+def _check_bialgebra(reg, bench, be):
     for b in reg.grid_bindings(be.g, be.dual):
-        f = reg.instantiate(be.g, b)
-        fd = reg.instantiate(be.dual, b)
-        if not mixed_jacobi_check(f, fd).passed:
-            return "fail", f"mixed Jacobi fails at {b}", []
-        dbl = build_double(f, fd)
-        if not jacobi_check(dbl.sc).passed:
-            return "fail", f"double Jacobi fails at {b}", []
+        dbl, failed = bench.double(be.g, be.dual, b)
+        if failed:
+            return "fail", f"{failed} fails at {b}", []
         if not pairing_ad_invariant(dbl):
             return "fail", f"pairing not ad-invariant at {b}", []
     if be.status == "flagged":
@@ -259,20 +351,18 @@ def _check_bialgebra(reg, be):
 
 
 @_campaign("table34")
-def verify_table34(reg):
+def verify_table34(reg, bench):
     """r-matrix rows: membership, classification, and dual-direction solves."""
     for (g, dual), e in sorted(reg.rmatrices.items()):
-        yield e.name, g, _check_rmatrix_row, (reg, g, dual, e)
+        yield e.name, g, _check_rmatrix_row, (reg, bench, g, dual, e)
 
 
-def _check_rmatrix_row(reg, g, dual, e):
+def _check_rmatrix_row(reg, bench, g, dual, e):
     for b in reg.grid_bindings(g, dual, cap=2):
-        f = reg.instantiate(g, b)
-        fd = reg.instantiate(dual, b)
-        sol = solve_coboundary(f, fd)
-        if sol.empty:
+        f, fd = bench.sc(g, b), bench.sc(dual, b)
+        if bench.coboundary(g, dual, b).empty:
             return "fail", f"defining system inconsistent at {b}", []
-        if solve_coboundary(fd, f).empty and (dual, g) in reg.rmatrices:
+        if bench.coboundary(dual, g, b).empty and (dual, g) in reg.rmatrices:
             return "fail", f"dual-direction system inconsistent at {b}", []
         for combo in product(corpus_mod.RFREE_GRID, repeat=len(e.rfree)):
             bb = dict(b)
@@ -316,9 +406,8 @@ def _compare_frame(reg, bench, name, binding):
 
 
 @_campaign("table5")
-def verify_table5(reg, bench=None):
+def verify_table5(reg, bench):
     """Frames: printed payload comparison plus the structural bracket relations."""
-    bench = bench or Workbench(reg)
     for name, fe in sorted(reg.frames.items()):
         yield f"frame {name}", name, _check_frame, (reg, bench, name, fe)
     # spot-check set: exact match mandatory except the recorded flagged slot;
@@ -332,8 +421,7 @@ def _check_frame(reg, bench, name, fe):
     discrepancies = []
     for b in reg.grid_bindings(name, cap=1):
         discrepancies.extend(_compare_frame(reg, bench, name, b))
-        f = reg.instantiate(name, b)
-        bad = frame_bracket_residuals(bench.frame(name, b), f)
+        bad = frame_bracket_residuals(bench.frame(name, b), bench.sc(name, b))
         if bad:
             return "fail", f"frame bracket relations fail: {bad[:3]}", discrepancies
     if not discrepancies:
@@ -354,10 +442,9 @@ def _spot_check_frame(reg, bench, name, binding):
 
 
 @_campaign("table67")
-def verify_table67(reg, bench=None):
+def verify_table67(reg, bench):
     """Bivectors: derivation, Jacobi, linearization, method agreement, and
     comparison against the printed brackets."""
-    bench = bench or Workbench(reg)
     for pe in reg.poisson:
         yield pe.name, pe.g, _check_poisson_entry, (reg, bench, pe)
 
@@ -367,11 +454,10 @@ def _check_poisson_entry(reg, bench, pe):
     discrepancies = []
     for b in reg.grid_bindings(pe.g, pe.dual, cap=1):
         P = bench.bivector(pe.g, pe.dual, pe.method, b)
-        fd = reg.instantiate(pe.dual, b)
-        if not poisson_jacobi_check(P).passed:
+        if not bench.jacobi(P):
             status, detail = "fail", f"Poisson Jacobi fails at {b}"
             break
-        if not linearization_check(P, fd):
+        if not linearization_check(P, bench.sc(pe.dual, b)):
             status, detail = "fail", f"linearization mismatch at {b}"
             break
         if (pe.g, pe.dual) in reg.rmatrices:
@@ -401,15 +487,14 @@ def _check_poisson_entry(reg, bench, pe):
     if status != "fail":
         # whether non-membership rows are genuinely degenerate is not
         # stated anywhere, so the computed rank is always reported
-        rank = symplectic_classify(P).max_rank
+        rank = bench.symplectic(P).max_rank
         detail = f"{detail} [rank {rank}]".strip() if detail else f"rank {rank}"
     return status, detail, discrepancies
 
 
 @_campaign("table89")
-def verify_table89(reg, bench=None):
+def verify_table89(reg, bench):
     """Invertibility of the bivectors named in the membership tables."""
-    bench = bench or Workbench(reg)
     for table in ("table8", "table9"):
         entry = reg.memberships.get(table)
         if entry is None:
@@ -420,22 +505,19 @@ def verify_table89(reg, bench=None):
 
 def _check_membership_pair(reg, bench, table, g, dual):
     for b in reg.grid_bindings(g, dual, cap=1):
-        P = bench.bivector_any(g, dual, b)
-        cl = symplectic_classify(P)
+        cl = bench.symplectic(bench.bivector_any(g, dual, b))
         if not cl.symplectic:
             return "fail", f"degenerate at {b} (rank {cl.max_rank})", []
         if cl.closed_ok is False:
             return "fail", f"inverse two-form not closed at {b}", []
         if table == "table8":
-            P2 = bench.bivector_any(dual, g, b)
-            cl2 = symplectic_classify(P2)
-            if not cl2.symplectic:
+            if not bench.symplectic(bench.bivector_any(dual, g, b)).symplectic:
                 return "fail", f"swapped pair degenerate at {b}", []
     return "pass", "", []
 
 
 @_campaign("integrable")
-def verify_integrable(reg):
+def verify_integrable(reg, bench):
     """Darboux form, symmetry closure, Leibniz, and the functions that commute
     with the Hamiltonian Q2, each an exact identity."""
     for ex_id in (1, 2):
@@ -504,10 +586,6 @@ def _campaign_order(selector):
     return fns
 
 
-def _args(fn, reg, bench):
-    return (reg, bench) if fn in (verify_table5, verify_table67, verify_table89) else (reg,)
-
-
 def _shards(campaigns, jobs):
     """Groups the entries of `campaigns` (one entry list per campaign) by key
     into shards of `(campaign, index, name)`, largest shard first; returns
@@ -526,9 +604,7 @@ _WORKER = {}
 def _init_worker(selector, corpus_paths):
     reg = corpus_mod.load(corpus_paths)
     bench = Workbench(reg)
-    _WORKER["campaigns"] = [
-        list(fn.entries(*_args(fn, reg, bench))) for fn in _campaign_order(selector)
-    ]
+    _WORKER["campaigns"] = [list(fn.entries(reg, bench)) for fn in _campaign_order(selector)]
 
 
 def _run_shard(shard):
@@ -554,8 +630,8 @@ def verify_tables(reg, selector="all", jobs=1, corpus_paths=None):
     fns = _campaign_order(selector)
     bench = Workbench(reg)
     if jobs <= 1:
-        return [fn(*_args(fn, reg, bench)) for fn in fns]
-    campaigns = [list(fn.entries(*_args(fn, reg, bench))) for fn in fns]
+        return [fn(reg, bench) for fn in fns]
+    campaigns = [list(fn.entries(reg, bench)) for fn in fns]
     workers, shards = _shards(campaigns, jobs)
     runs = [RunReport(fn.table, [None] * len(entries)) for fn, entries in zip(fns, campaigns)]
     if shards:

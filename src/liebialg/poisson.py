@@ -110,17 +110,20 @@ class SymplecticReport:
         return self.symplectic
 
 
-def symplectic_classify(pb: PoissonBivector) -> SymplecticReport:
+def symplectic_classify(pb: PoissonBivector, jacobi=None) -> SymplecticReport:
     """Exact classification of a 4x4 bivector.
 
     P is generically invertible iff its Pfaffian P12 P34 - P13 P24 + P14 P23
     is a nonzero closed function; otherwise its generic rank is 2 or 0.  For
     invertible P, Omega = P^{-1} is closed iff P satisfies the Poisson-Jacobi
-    identity.
+    identity.  `jacobi`, when given, returns that verdict for P (say from a
+    memo) in place of a `poisson_jacobi_check`; it is called only for
+    invertible P.
     """
     p = pb.P
     pf = p[0][1] * p[2][3] - p[0][2] * p[1][3] + p[0][3] * p[1][2]
     if pf:
-        return SymplecticReport(True, poisson_jacobi_check(pb).passed, 4)
+        closed = jacobi() if jacobi else poisson_jacobi_check(pb).passed
+        return SymplecticReport(True, closed, 4)
     return SymplecticReport(False, None, 0 if cfm_is_zero(p) else 2)
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -302,22 +303,34 @@ def test_verify_rejects_jobs_below_one(jobs, capsys):
 @pytest.mark.parametrize("jobs", [1, 2, 10**6])
 def test_shards_group_entries_by_algebra(reg, jobs):
     fns = harness._campaign_order("all")
-    campaigns = [list(fn.entries(*harness._args(fn, reg, Workbench(reg)))) for fn in fns]
+    campaigns = [list(fn.entries(reg, Workbench(reg))) for fn in fns]
     workers, shards = harness._shards(campaigns, jobs)
     assert workers == min(jobs, len(shards))  # no worker without a shard
     assert [len(s) for s in shards] == sorted((len(s) for s in shards), reverse=True)
     # every entry lands in exactly one shard
     placed = [(c, i) for shard in shards for c, i, _ in shard]
     assert sorted(placed) == [(c, i) for c, es in enumerate(campaigns) for i in range(len(es))]
-    # table5/67/89 entries of one algebra share a shard
-    algebra = {"table5": lambda a: a[2], "table67": lambda a: a[2].g, "table89": lambda a: a[3]}
+    # table2/34/5/67/89 entries of one base algebra share a shard, so a
+    # worker's Workbench memos serve all of them
+    algebra = {
+        "table2": lambda a: a[2].g,
+        "table34": lambda a: a[2],
+        "table5": lambda a: a[2],
+        "table67": lambda a: a[2].g,
+        "table89": lambda a: a[3],
+    }
     shard_of_algebra = {}
+    tables_of_algebra = {}
     for n, shard in enumerate(shards):
         for c, i, name in shard:
             of = algebra.get(fns[c].table)
             if of:
-                assert shard_of_algebra.setdefault(of(campaigns[c][i][3]), n) == n, name
+                g = of(campaigns[c][i][3])
+                assert shard_of_algebra.setdefault(g, n) == n, name
+                tables_of_algebra.setdefault(g, set()).add(fns[c].table)
     assert len(shard_of_algebra) > 1
+    # the grouping is not vacuous: some algebra has entries in all five
+    assert set(algebra) in tables_of_algebra.values()
     # reassembly by (campaign, index) reproduces the serial order
     runs = [[None] * len(es) for es in campaigns]
     for shard in shards:
@@ -535,6 +548,33 @@ def test_integrable_step_count_overflow_is_a_usage_error():
     assert "Traceback" not in done.stderr
 
 
+# an identifier that starts with an underscore, such as `_parse_param`
+PRIVATE_NAME = re.compile(r"(?<![\w./-])_[A-Za-z]\w*")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["derive", "fields", "--algebra", "A_4_9_b", "--param", "b=x"],
+         "argument --param: 'x' is not a rational number"),
+        (["derive", "fields", "--algebra", "A_4_9_b", "--param", "b"],
+         "argument --param: needs NAME=RAT, got 'b'"),
+        (["derive", "fields", "--algebra", "A_4_9_b", "--param", "=1"],
+         "argument --param: needs NAME=RAT, got '=1'"),
+        (["verify", "--jobs", "x"], "argument --jobs: must be an integer >= 1, got 'x'"),
+        (["integrable", "--example", "1", "--t-end", "x"], "argument --t-end: not a number: 'x'"),
+        (["integrable", "--example", "1", "--dt", "x"], "argument --dt: not a number: 'x'"),
+    ],
+)
+def test_bad_option_value_names_the_problem(argv, message, capsys):
+    with pytest.raises(SystemExit) as ex:
+        main(argv)
+    assert ex.value.code == 2
+    (line,) = [l for l in capsys.readouterr().err.splitlines() if "error:" in l]
+    assert line.endswith("error: " + message)
+    assert not PRIVATE_NAME.search(line)
+
+
 def test_fuzzed_command_lines_exit_0_1_or_2_without_a_traceback(tmp_path, monkeypatch):
     """Drawn argv over the subcommands, their flags, bad values, table
     selectors and unknown names, on commands that each take well under a
@@ -592,6 +632,8 @@ def test_fuzzed_command_lines_exit_0_1_or_2_without_a_traceback(tmp_path, monkey
     @hyp.settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @hyp.given(argvs)
     @hyp.example(["derive", "fields", "--algebra", "VII0+R.iii", "--param", "q=-2"])
+    @hyp.example(["derive", "fields", "--algebra", "A_4_9_b", "--param", "b=x"])
+    @hyp.example(["verify", "--table", "1", "--jobs", "x"])
     def check(argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -601,6 +643,10 @@ def test_fuzzed_command_lines_exit_0_1_or_2_without_a_traceback(tmp_path, monkey
                 rc = ex.code
         assert rc in (0, 1, 2), (argv, rc)
         assert "Traceback" not in err.getvalue(), argv
+        for line in err.getvalue().splitlines():
+            if "error:" in line:
+                # says what is wrong, not which private converter refused it
+                assert not PRIVATE_NAME.search(line), (argv, line)
         seen.add(rc)
 
     check()

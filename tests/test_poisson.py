@@ -142,6 +142,22 @@ def test_symplectic_worked_pairs(reg, bench):
     assert symplectic_classify(P2).symplectic
 
 
+def test_symplectic_classify_reads_a_known_jacobi_verdict(reg, bench):
+    asked = []
+
+    def verdict():
+        asked.append(1)
+        return False
+
+    P = bench.bivector("A_4_7", "A_4_7.i", "sklyanin", {})
+    cl = symplectic_classify(P, verdict)
+    assert (cl.symplectic, cl.closed_ok, asked) == (True, False, [1])
+    # a degenerate bivector needs no verdict
+    P = bench.bivector("A_4_1", "A_4_1.i", "pi", {})
+    assert symplectic_classify(P, verdict).max_rank == 2
+    assert asked == [1]
+
+
 def test_degenerate_pair_reports_rank(reg, bench):
     P = bench.bivector("A_4_1", "A_4_1.i", "pi", {})
     cl = symplectic_classify(P)
