@@ -183,12 +183,30 @@ def _crat(x):
 
 
 class ClosedFunction:
-    """Immutable canonical term map {(monomial exponents, rates): coefficient}."""
+    """Immutable canonical term map {(monomial exponents, rates): coefficient}
+    with a cache of its first partial derivatives.
 
-    __slots__ = ("terms",)
+    Nothing changes after construction: `terms` cannot be rebound, only this
+    module builds term maps, and no term map is edited once it is wrapped.
+    That makes the derivative cache sound: `diff(i)` computes the partial in
+    x_i once per instance and keeps it, so an instance holds at most four
+    cached derivatives.  The derivative of the zero function is the shared
+    zero, returned with no work and no cache.
+    """
+
+    __slots__ = ("terms", "_d")
 
     def __init__(self, terms=None):
-        self.terms = terms or {}
+        _set_terms(self, terms or {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ClosedFunction is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"ClosedFunction is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (ClosedFunction, (self.terms,))
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -282,34 +300,21 @@ class ClosedFunction:
 
     # -- calculus ----------------------------------------------------------
     def diff(self, i):
-        """Exact partial derivative with respect to x_i (1-based)."""
+        """Exact partial derivative with respect to x_i (1-based), computed
+        once per instance and coordinate."""
         if not 1 <= i <= NCOORD:
             raise InputError(f"coordinate index {i} out of range")
-        idx = i - 1
-        out = _CF_ZERO
-        acc = {}
-        for (k, z), c in self.terms.items():
-            if k[idx]:
-                kk = list(k)
-                kk[idx] -= 1
-                key = (tuple(kk), z)
-                v = c * k[idx]
-                s = acc.get(key)
-                v = v if s is None else s + v
-                if v:
-                    acc[key] = v
-                elif s is not None:
-                    del acc[key]
-            if z[idx]:
-                key = (k, z)
-                v = c * z[idx]
-                s = acc.get(key)
-                v = v if s is None else s + v
-                if v:
-                    acc[key] = v
-                elif s is not None:
-                    del acc[key]
-        return ClosedFunction(acc)
+        if not self.terms:
+            return _CF_ZERO
+        try:
+            cache = self._d
+        except AttributeError:
+            cache = [None] * NCOORD
+            _set_cache(self, cache)
+        d = cache[i - 1]
+        if d is None:
+            d = cache[i - 1] = _derivative(self, i - 1)
+        return d
 
     def integral(self, i):
         """Exact integral from 0 to x_i in x_i (1-based), the other
@@ -395,7 +400,22 @@ class ClosedFunction:
             return f"CF[{len(self.terms)} terms]"
 
 
+_set_terms = ClosedFunction.__dict__["terms"].__set__
+_set_cache = ClosedFunction.__dict__["_d"].__set__
 _CF_ZERO = ClosedFunction({})
+
+
+def _derivative(f, idx):
+    """The partial derivative of a nonzero f in x_{idx+1}, from its terms."""
+    acc = {}
+    for (k, z), c in f.terms.items():
+        if k[idx]:
+            kk = list(k)
+            kk[idx] -= 1
+            _accumulate(acc, (tuple(kk), z), c * k[idx])
+        if z[idx]:
+            _accumulate(acc, (k, z), c * z[idx])
+    return ClosedFunction(acc) if acc else _CF_ZERO
 
 
 def _with(t, idx, v):
@@ -403,10 +423,14 @@ def _with(t, idx, v):
     return t[:idx] + (v,) + t[idx + 1 :]
 
 
-def _mul_into(t, f, g):
-    """t += f * g on term maps, dropping coefficients that cancel."""
+def _mul_into(t, f, g, neg=False):
+    """t += f * g (t -= f * g with `neg`) on term maps, dropping
+    coefficients that cancel."""
+    gterms = g.terms.items()
     for (k1, z1), c1 in f.terms.items():
-        for (k2, z2), c2 in g.terms.items():
+        if neg:
+            c1 = -c1
+        for (k2, z2), c2 in gterms:
             key = (tuple(map(add, k1, k2)), tuple(map(add, z1, z2)))
             c = c1 * c2
             s = t.get(key)
@@ -427,6 +451,21 @@ def _accumulate(acc, key, v):
         acc[key] = v
     elif s is not None:
         del acc[key]
+
+
+def cf_sum_products(products, scaled=()):
+    """sum of s f g over `products`, triples (f, g, s) with s = 1 or -1, plus
+    sum of c h over `scaled`, pairs (c, h) with c rational: one term map
+    that every product and every scaled term adds into."""
+    t = {}
+    for f, g, s in products:
+        if f.terms and g.terms:
+            _mul_into(t, f, g, s < 0)
+    for c, h in scaled:
+        c = _crat(c)
+        for key, v in h.terms.items():
+            _accumulate(t, key, c * v)
+    return ClosedFunction(t) if t else _CF_ZERO
 
 
 def cf_const(c):
@@ -550,7 +589,11 @@ def cfm_transpose(a):
 
 
 def cfm_diff(a, i):
-    return [[x.diff(i) if x.terms else x for x in row] for row in a]
+    """d a / d x_i entry by entry, computed afresh and not cached: the
+    exponential checks differentiate each entry once and only compare."""
+    if not 1 <= i <= NCOORD:
+        raise InputError(f"coordinate index {i} out of range")
+    return [[_derivative(x, i - 1) if x.terms else x for x in row] for row in a]
 
 
 def cfm_reflect(a, i):

@@ -28,6 +28,7 @@ from .core import (
     mixed_jacobi_check,
 )
 from .errors import InputError, InvariantError
+from .multivec import bracket, vector
 
 
 @dataclass
@@ -71,57 +72,40 @@ def invariant_frame(chart: GroupChart, matexp_pm=None) -> InvariantFrame:
     exp_pos = [e for e, _ in pairs]
     exp_neg = [em for _, em in pairs]
 
-    prod = cfm_identity(n)
-    rcols = [prod[0]]
+    # the product starts at exp(-x1 Xadj_1), the first factor times I
+    rcols = [cfm_identity(n)[0]]
+    prod = exp_neg[0]
     for j in range(1, n):
-        prod = cfm_mul(exp_neg[j - 1], prod)
         rcols.append(prod[j])
-    ad_inv = cfm_mul(exp_neg[n - 1], prod)
+        prod = cfm_mul(exp_neg[j], prod)
 
     rmat = cfm_transpose(rcols)
     xr = cfm_transpose(cfm_inverse_unitdet(rmat))
-    return InvariantFrame(rmat, xr, cfm_mul(ad_inv, xr), exp_pos, exp_neg, f)
-
-
-def vf_commutator(v, w):
-    """Commutator of vector fields given as component rows (CFMatrix rows)."""
-    n = len(v)
-    out = []
-    for k in range(n):
-        acc = None
-        for l in range(n):
-            t1 = v[l] * w[k].diff(l + 1)
-            t2 = w[l] * v[k].diff(l + 1)
-            term = t1 - t2
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
+    return InvariantFrame(rmat, xr, cfm_mul(prod, xr), exp_pos, exp_neg, f)
 
 
 def frame_bracket_residuals(frame: InvariantFrame, f: StructureConstants):
-    """Symbolic residuals of [XL_i, XL_j] = f_ij^k XL_k,
-    [XR_i, XR_j] = -f_ij^k XR_k and [XL_i, XR_j] = 0."""
+    """The labels of the nonzero residuals of [XL_i, XL_j] = f_ij^k XL_k
+    ("LL", i, j, k) and [XR_i, XR_j] = -f_ij^k XR_k ("RR", i, j, k), i < j,
+    and of [XL_i, XR_j] = 0 ("LR", i, j, 0), each residual one sparse
+    bracket with the structure-constant term added into it."""
     n = f.dim
+    xl = [vector(row) for row in frame.XL]
+    xr = [vector(row) for row in frame.XR]
     bad = []
     for i in range(n):
         for j in range(i + 1, n):
-            ll = vf_commutator(frame.XL[i], frame.XL[j])
-            rr = vf_commutator(frame.XR[i], frame.XR[j])
+            fij = [(m, c) for m, c in enumerate(f.f[i][j]) if c]
+            ll = bracket(xl[i], xl[j], [(-c, xl[m]) for m, c in fij])
+            rr = bracket(xr[i], xr[j], [(c, xr[m]) for m, c in fij])
             for k in range(n):
-                want_l = ll[k]
-                want_r = rr[k]
-                for m in range(n):
-                    if f.f[i][j][m]:
-                        want_l = want_l - frame.XL[m][k].scale(f.f[i][j][m])
-                        want_r = want_r + frame.XR[m][k].scale(f.f[i][j][m])
-                if want_l:
+                if k in ll:
                     bad.append(("LL", i + 1, j + 1, k + 1))
-                if want_r:
+                if k in rr:
                     bad.append(("RR", i + 1, j + 1, k + 1))
     for i in range(n):
         for j in range(n):
-            lr = vf_commutator(frame.XL[i], frame.XR[j])
-            if any(lr):
+            if bracket(xl[i], xr[j]):
                 bad.append(("LR", i + 1, j + 1, 0))
     return bad
 

@@ -362,7 +362,7 @@ def _check_rmatrix_row(reg, bench, g, dual, e):
         f, fd = bench.sc(g, b), bench.sc(dual, b)
         if bench.coboundary(g, dual, b).empty:
             return "fail", f"defining system inconsistent at {b}", []
-        if bench.coboundary(dual, g, b).empty and (dual, g) in reg.rmatrices:
+        if (dual, g) in reg.rmatrices and bench.coboundary(dual, g, b).empty:
             return "fail", f"dual-direction system inconsistent at {b}", []
         for combo in product(corpus_mod.RFREE_GRID, repeat=len(e.rfree)):
             bb = dict(b)

@@ -9,9 +9,10 @@ it evaluates the exact Hamiltonian field through cfm_lower.
 import math
 from dataclasses import dataclass
 
-from .closedfun import ClosedFunction, cf_coord, cfm_lower
+from .closedfun import ClosedFunction, cfm_lower
 from .core import StructureConstants
 from .errors import EvalError, InputError
+from .multivec import apply, bivector, interior, jet
 from .poisson import PoissonBivector
 
 CANONICAL_PAIRS = ((1, 3), (2, 4))  # {y1,y3} = {y2,y4} = 1, all else 0
@@ -30,22 +31,9 @@ class IntegrableExample:
     name: str = ""
 
 
-def _grad(f: ClosedFunction):
-    return [f.diff(i) for i in range(1, 5)]
-
-
-def _bracket(pm, df, dg) -> ClosedFunction:
-    acc = ClosedFunction.zero()
-    for i in range(4):
-        for j in range(4):
-            if pm[i][j] and df[i] and dg[j]:
-                acc = acc + pm[i][j] * df[i] * dg[j]
-    return acc
-
-
 def bracket(P: PoissonBivector, f: ClosedFunction, g: ClosedFunction) -> ClosedFunction:
-    """Exact {f, g} = sum_ij P^ij d_i f d_j g."""
-    return _bracket(P.P, _grad(f), _grad(g))
+    """Exact {f, g} = sum_ij P^ij d_i f d_j g, as X_f(g) with X_f^j = P^ij d_i f."""
+    return apply(interior(bivector(P.P), jet(f)), jet(g))
 
 
 @dataclass
@@ -59,13 +47,16 @@ class ClosureReport:
 
 def _pairs_check(P, funcs, name, want):
     """The brackets {f_i, f_j}, i < j, of closed functions against
-    want(i, j), each differentiated once."""
-    grads = [_grad(f) for f in funcs]
+    want(i, j), each function differentiated once and each field X_{f_i}
+    built once."""
+    p = bivector(P.P)
+    jets = [jet(f) for f in funcs]
+    fields = [interior(p, d) for d in jets]
     return ClosureReport([
         f"{{{name}{i},{name}{j}}}"
         for i in range(1, 5)
         for j in range(i + 1, 5)
-        if _bracket(P.P, grads[i - 1], grads[j - 1]) != want(i, j)
+        if apply(fields[i - 1], jets[j - 1]) != want(i, j)
     ])
 
 
@@ -96,12 +87,13 @@ def conserved(ex: IntegrableExample, hamiltonian: int) -> list:
 
 def commuting_check(ex: IntegrableExample, hamiltonian: int) -> ClosureReport:
     """{Q_j, Q_h} is identically 0 for every j in conserved(ex, h)."""
-    grads = [_grad(q.to_closed()) for q in ex.qfuncs]
+    jets = [jet(q.to_closed()) for q in ex.qfuncs]
+    p = bivector(ex.bivector.P)
     h = hamiltonian
     return ClosureReport([
         f"{{Q{j},Q{h}}}"
         for j in conserved(ex, h)
-        if _bracket(ex.bivector.P, grads[j - 1], grads[h - 1])
+        if apply(interior(p, jets[j - 1]), jets[h - 1])
     ])
 
 
@@ -119,7 +111,8 @@ def _hamiltonian_field(P: PoissonBivector, h: ClosedFunction) -> list:
     """X_H = {H, .} as closed functions: X_H^i = {H, x_i} = P^{ji} d_j H.
     The opposite sign sends the documented example-1 trajectory into the
     x2 = 0 singular locus at exactly t = 1."""
-    return [bracket(P, h, cf_coord(i)) for i in range(1, 5)]
+    field = interior(bivector(P.P), jet(h))
+    return [field.get(i, ClosedFunction.zero()) for i in range(4)]
 
 
 def flow_conserve(
@@ -168,11 +161,12 @@ def leibniz_check(ex: IntegrableExample) -> ClosureReport:
     """Antisymmetry {Q1,Q2} = -{Q2,Q1} and the Leibniz rule
     {Q1,Q2Q3} = Q2{Q1,Q3} + Q3{Q1,Q2}, as identities."""
     f, g, h = (q.to_closed() for q in ex.qfuncs[:3])
-    pm = ex.bivector.P
-    df, dg, dh, dgh = (_grad(e) for e in (f, g, h, g * h))
-    fg = _bracket(pm, df, dg)
-    failing = [] if fg == -_bracket(pm, dg, df) else ["{Q1,Q2}"]
-    if _bracket(pm, df, dgh) != g * _bracket(pm, df, dh) + h * fg:
+    p = bivector(ex.bivector.P)
+    df, dg, dh, dgh = (jet(e) for e in (f, g, h, g * h))
+    xf = interior(p, df)
+    fg = apply(xf, dg)
+    failing = [] if fg == -apply(interior(p, dg), df) else ["{Q1,Q2}"]
+    if apply(xf, dgh) != g * apply(xf, dh) + h * fg:
         failing.append("{Q1,Q2Q3}")
     return ClosureReport(failing)
 

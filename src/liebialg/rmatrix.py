@@ -102,18 +102,25 @@ class RSolutionSet:
 def _ad_action(r, f: StructureConstants):
     """(s, [s (Xadj_i^T r + r Xadj_i) for each i]) for the matrix r, with s
     a positive int that makes every entry an int."""
+    dr, ri = rl.scaled_ints(r)
+    d1, out = _ad_action_ints(ri, f)
+    return d1 * dr, out
+
+
+def _ad_action_ints(ri, f: StructureConstants):
+    """(d1, [d1 (Xadj_i^T m + m Xadj_i) for each i]) for an int matrix m, with
+    d1 the scale of f's integer form."""
     d = f.dim
     d1, fnz = f.scaled_nonzero()
-    dr, ri = rl.scaled_ints(r)
     out = [[[0] * d for _ in range(d)] for _ in range(d)]
     for (i, p, q, v) in fnz:
-        # d1 (Xadj_i)_p^q = -v enters (Xadj_i^T r)^qb and (r Xadj_i)^bq
+        # d1 (Xadj_i)_p^q = -v enters (Xadj_i^T m)^qb and (m Xadj_i)^bq
         o = out[i]
         oq, rp = o[q], ri[p]
         for b in range(d):
             oq[b] -= v * rp[b]
             o[b][q] -= ri[b][p] * v
-    return d1 * dr, out
+    return d1, out
 
 
 def _coboundary_residuals(r, f: StructureConstants, fd: StructureConstants):
@@ -170,7 +177,7 @@ def schouten(r: TensorElement, f: StructureConstants):
 
     S^abc = f_ik^a r^ib r^kc + f_jk^b r^aj r^kc + f_jl^c r^aj r^bl
     """
-    return _unscale3(*_schouten_ints(r, f))
+    return _unscale3(*_schouten_ints(*rl.scaled_ints(r.r), f))
 
 
 def _unscale3(s, t):
@@ -178,12 +185,12 @@ def _unscale3(s, t):
     return [[[Fraction(x, s) if x else rl.ZERO for x in row] for row in p] for p in t]
 
 
-def _schouten_ints(r: TensorElement, f: StructureConstants):
-    """(s, s [[r, r]] as ints), with s a positive int."""
-    if not r.is_antisymmetric():
+def _schouten_ints(dr, rr, f: StructureConstants):
+    """(s, s [[r, r]] as ints), with s a positive int, for r = rr / dr and rr
+    an antisymmetric int matrix."""
+    d = len(rr)
+    if any(rr[i][j] != -rr[j][i] for i in range(d) for j in range(i, d)):
         raise InputError("Schouten bracket input must be antisymmetric")
-    d = r.dim
-    dr, rr = rl.scaled_ints(r.r)
     d1, nz = f.scaled_nonzero()
     out = [[[0] * d for _ in range(d)] for _ in range(d)]
     for (i, k, a, v) in nz:
@@ -259,7 +266,12 @@ def rank3_add(s, t):
 
 def ad_invariant_symmetric(rs: TensorElement, f: StructureConstants) -> bool:
     """Xadj_i^T rs + rs Xadj_i = 0 for all i."""
-    return not any(any(row) for m in _ad_action(rs.r, f)[1] for row in m)
+    return _ad_annihilates(rl.scaled_ints(rs.r)[1], f)
+
+
+def _ad_annihilates(m, f: StructureConstants) -> bool:
+    """Xadj_i^T m + m Xadj_i = 0 for all i, for an int matrix m."""
+    return not any(any(row) for a in _ad_action_ints(m, f)[1] for row in a)
 
 
 def ad_invariant_rank3(t, f: StructureConstants) -> bool:
@@ -294,11 +306,13 @@ class RClassification:
 
 def classify_r(r: TensorElement, f: StructureConstants) -> RClassification:
     """Triangular / quasi-triangular / invalid with an explicit certificate."""
-    rs = r.symmetric_part()
-    ra = r.antisymmetric_part()
-    sym_ok = ad_invariant_symmetric(rs, f)
+    # with R = D r as ints, 2 D r_s = R + R^T and 2 D r_a = R - R^T
+    dr, ri = rl.scaled_ints(r.r)
+    d = r.dim
+    sym_ok = _ad_annihilates([[ri[i][j] + ri[j][i] for j in range(d)] for i in range(d)], f)
     # the checks below run on the int tensor scale * [[r_a, r_a]]
-    scale, si = _schouten_ints(ra, f)
+    ra = [[ri[i][j] - ri[j][i] for j in range(d)] for i in range(d)]
+    scale, si = _schouten_ints(2 * dr, ra, f)
     s = _unscale3(scale, si)
     if not sym_ok:
         return RClassification(

@@ -16,6 +16,13 @@ Jacobi residual with full matrix products over every slot, the oracle of the
 sparse `core._matrix_residual`.  `left_fields_by_adjugate` builds the
 left-invariant one-forms from the suffix products of exp(x_m Xadj_m) and
 inverts them by cofactor adjugate, the oracle of the frame's XL = Ad(g)^-1 XR.
+The dense Schouten loops are the oracles of the sparse kernel in
+`liebialg.multivec` and of its call sites: `vf_commutator` and
+`frame_bracket_residuals` of vector fields given as component rows,
+`poisson_jacobi_residuals` and `linearization_matches` of a bivector matrix,
+and `poisson_bracket` of two functions.  Each runs over every index, zero
+components included, and differentiates through `fresh_diff`, a new instance
+per call, so no derivative comes from the cache of the function.
 """
 
 import cmath
@@ -166,3 +173,91 @@ def left_fields_by_adjugate(frame):
         prod = cfm_mul(frame.exp_pos[j + 1], prod)
         lcols[j] = prod[j]
     return cfm_transpose(cfm_inverse_unitdet(cfm_transpose(lcols)))
+
+
+def fresh_diff(f, i):
+    """d f / d x_i computed afresh, not read from the cache of f."""
+    return ClosedFunction(dict(f.terms)).diff(i)
+
+
+def vf_commutator(v, w):
+    """[V, W]^k = sum_l V^l d_l W^k - W^l d_l V^k, component by component."""
+    n = len(v)
+    out = []
+    for k in range(n):
+        acc = None
+        for l in range(n):
+            term = v[l] * fresh_diff(w[k], l + 1) - w[l] * fresh_diff(v[k], l + 1)
+            acc = term if acc is None else acc + term
+        out.append(acc)
+    return out
+
+
+def frame_bracket_residuals(frame, f):
+    """Labels of the nonzero residuals of [XL_i, XL_j] = f_ij^k XL_k,
+    [XR_i, XR_j] = -f_ij^k XR_k and [XL_i, XR_j] = 0."""
+    n = f.dim
+    bad = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            ll = vf_commutator(frame.XL[i], frame.XL[j])
+            rr = vf_commutator(frame.XR[i], frame.XR[j])
+            for k in range(n):
+                want_l = ll[k]
+                want_r = rr[k]
+                for m in range(n):
+                    if f.f[i][j][m]:
+                        want_l = want_l - frame.XL[m][k].scale(f.f[i][j][m])
+                        want_r = want_r + frame.XR[m][k].scale(f.f[i][j][m])
+                if want_l:
+                    bad.append(("LL", i + 1, j + 1, k + 1))
+                if want_r:
+                    bad.append(("RR", i + 1, j + 1, k + 1))
+    for i in range(n):
+        for j in range(n):
+            if any(vf_commutator(frame.XL[i], frame.XR[j])):
+                bad.append(("LR", i + 1, j + 1, 0))
+    return bad
+
+
+def poisson_jacobi_residuals(p):
+    """{(i, j, k): J^ijk}, 1-based, i < j < k, for the nonzero
+    J^ijk = sum_l P^il d_l P^jk + P^jl d_l P^ki + P^kl d_l P^ij."""
+    n = len(p)
+    dp = [[[fresh_diff(p[i][j], l + 1) for l in range(n)] for j in range(n)] for i in range(n)]
+    res = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                acc = ClosedFunction.zero()
+                for l in range(n):
+                    acc = acc + p[i][l] * dp[j][k][l]
+                    acc = acc + p[j][l] * dp[k][i][l]
+                    acc = acc + p[k][l] * dp[i][j][l]
+                if acc:
+                    res[(i + 1, j + 1, k + 1)] = acc
+    return res
+
+
+def linearization_matches(p, fd):
+    """d_k P^ij (0) = ft^ij_k for every i, j and k."""
+    n = len(p)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                v = fresh_diff(p[i][j], k + 1).eval_at_zero()
+                if not v.is_real() or v.re != fd.f[i][j][k]:
+                    return False
+    return True
+
+
+def poisson_bracket(p, f, g):
+    """{f, g} = sum_ij P^ij d_i f d_j g, a sum of triple products."""
+    df = [fresh_diff(f, i) for i in range(1, 5)]
+    dg = [fresh_diff(g, i) for i in range(1, 5)]
+    acc = ClosedFunction.zero()
+    for i in range(4):
+        for j in range(4):
+            if p[i][j] and df[i] and dg[j]:
+                acc = acc + p[i][j] * df[i] * dg[j]
+    return acc

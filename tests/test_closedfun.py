@@ -108,6 +108,37 @@ def test_diff_cos_gives_minus_sin():
     assert cf_cos({3: 1}).diff(3) == -cf_sin({3: 1})
 
 
+def test_cached_derivative_equals_a_fresh_one():
+    rng = random.Random(1)
+    for _ in range(100):
+        f = _random_cf(rng)
+        for i in (1, 2, 3, 4):
+            d = f.diff(i)
+            assert f.diff(i) is d  # read from the cache
+            assert d == ClosedFunction(dict(f.terms)).diff(i) == closedfun._derivative(f, i - 1)
+
+
+def test_diff_of_zero_is_the_shared_zero_without_a_cache():
+    zero = ClosedFunction.zero()
+    for f in (zero, ClosedFunction({}), cf_coord(1) - cf_coord(1)):
+        for i in (1, 2, 3, 4):
+            assert f.diff(i) is zero
+        assert not hasattr(f, "_d")
+    assert cf_coord(4, 2).diff(1) is zero  # a partial that vanishes
+
+
+def test_closed_function_is_immutable():
+    f = cf_coord(1) * cf_exp({2: 3})
+    f.diff(2)
+    for name in ("terms", "_d", "other"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, {})
+        with pytest.raises(AttributeError):
+            delattr(f, name)
+    for back in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
+        assert back == f and back.diff(2) == f.diff(2)
+
+
 def test_diff_matches_central_differences():
     rng = random.Random(1)
     h = 1e-6

@@ -1,6 +1,6 @@
-"""Differential tests of the Laurent closed-function kernel, the exact matrix
-exponential, the invariant frames and the exact integrable checks against
-sympy.
+"""Differential tests of the Laurent closed-function kernel, the sparse
+Schouten kernel, the exact matrix exponential, the invariant frames and the
+exact integrable checks against sympy.
 
 A closed function becomes the sympy sum of its terms c x^k exp(z . x); two
 sympy expressions agree when their difference, expanded with the
@@ -30,6 +30,7 @@ from liebialg.closedfun import (  # noqa: E402
     cfm_reflect,
 )
 from liebialg.exprtree import parse_expr, to_text  # noqa: E402
+from liebialg.multivec import bivector, bracket as field_bracket, jacobiator, lie_derivative, vector  # noqa: E402
 from liebialg.integrable import (  # noqa: E402
     CANONICAL_PAIRS,
     _hamiltonian_field,
@@ -105,6 +106,50 @@ def test_reflect_matches_sympy_substitution(f, i):
     x = X[i - 1]
     assert is_zero(to_sympy(f.reflect(i)) - to_sympy(f).subs(x, -x))
     assert f.reflect(i).reflect(i) == f
+
+
+# --------------------------------------------------------------------------
+# The sparse Schouten kernel on drawn fields, against its definitions as
+# derivations: [V, W](h) = V(W(h)) - W(V(h)), (L_V P)(df, dg) =
+# V(P(df, dg)) - P(d(V f), dg) - P(df, d(V g)) and the Jacobiator
+# {x_i, {x_j, x_k}} + cyclic, each at coordinate functions
+# --------------------------------------------------------------------------
+
+PAIRS = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+WEIGHTS = sympy.symbols("t0:14")
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    st.lists(laurent(1), min_size=4, max_size=4),
+    st.lists(laurent(1), min_size=4, max_size=4),
+    st.lists(laurent(1), min_size=6, max_size=6),
+)
+def test_schouten_kernel_matches_sympy(vs, ws, ps):
+    P = [[ClosedFunction.zero()] * 4 for _ in range(4)]
+    for (a, b), f in zip(PAIRS, ps):
+        P[a][b], P[b][a] = f, -f
+    V, W = [to_sympy(f) for f in vs], [to_sympy(f) for f in ws]
+    S = [[to_sympy(f) for f in row] for row in P]
+
+    def along(u, h):
+        return sum(u[c] * sympy.diff(h, X[c]) for c in range(4))
+
+    zero = ClosedFunction.zero()
+    residuals = []
+    vw = field_bracket(vector(vs), vector(ws))
+    for k in range(4):
+        residuals.append(to_sympy(vw.get(k, zero)) - along(V, W[k]) + along(W, V[k]))
+    lv = lie_derivative(vector(vs), bivector(P))
+    for a, b in PAIRS:
+        want = along(V, S[a][b]) - sympy_bracket(S, V[a], X[b]) - sympy_bracket(S, X[a], V[b])
+        residuals.append(to_sympy(lv.get((a, b), zero)) - want)
+    jac = jacobiator(bivector(P))
+    for i, j, k in [(i, j, k) for i, j in PAIRS for k in range(j + 1, 4)]:
+        want = sum(sympy_bracket(S, X[x], S[y][z]) for x, y, z in ((i, j, k), (j, k, i), (k, i, j)))
+        residuals.append(to_sympy(jac.get((i, j, k), zero)) - want)
+    # one zero test: the weights are symbols that no residual contains
+    assert is_zero(sum(t * r for t, r in zip(WEIGHTS, residuals)))
 
 
 # --------------------------------------------------------------------------

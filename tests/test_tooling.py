@@ -6,18 +6,23 @@ adjugate per frame and none per double, which the trace's
 `closedfun.cfm_inverse_unitdet.calls` counts.  A frame computes its four
 exponentials through the module global `closedfun.cf_matexp`, each from a
 dense Fraction matrix, which the trace's `closedfun.cf_matexp4.calls` and
-`closedfun.cf_matexp.distinct_ratio` count and key."""
+`closedfun.cf_matexp.distinct_ratio` count and key.  Only `closedfun` builds
+term maps or touches the derivative cache of a `ClosedFunction`, and one
+verify pass differentiates each function at most once per coordinate and
+never differentiates the zero function."""
 
 import glob
 import importlib
 import importlib.util
 import os
+import re
 import sys
 from fractions import Fraction
 
 import pytest
 
 from liebialg import closedfun, groupgeom
+from liebialg.harness import verify_tables
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "bench")
@@ -65,6 +70,49 @@ def test_only_core_touches_the_cached_forms():
             continue
         with open(path, encoding="utf-8") as fh:
             assert "._nonzero" not in fh.read(), os.path.relpath(path, ROOT)
+
+
+# a ClosedFunction built from a term map, the helpers that fill or derive
+# term maps, the derivative cache, or an edit of a `terms` map
+TERM_MAP_ACCESS = re.compile(
+    r"\bClosedFunction\(|\b(_mul_into|_accumulate|_derivative|_set_terms|_set_cache)\b"
+    r"|\._d\b|\.terms\s*(\[[^\]]*\]\s*)?=[^=]|\.terms\.(update|pop|popitem|clear|setdefault)\("
+    r"|\bdel\b[^\n]*\.terms\b"
+)
+
+
+def test_only_closedfun_touches_term_maps_and_the_derivative_cache():
+    # a term map edited after construction would leave its cached
+    # derivatives stale
+    paths = sorted(glob.glob(os.path.join(PACKAGE, "**", "*.py"), recursive=True))
+    assert os.path.join(PACKAGE, "closedfun.py") in paths
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        hits = TERM_MAP_ACCESS.findall(text)
+        if os.path.basename(path) == "closedfun.py":
+            assert hits  # the pattern still names what closedfun does
+        else:
+            assert not hits, (os.path.relpath(path, ROOT), hits)
+
+
+def test_a_verify_pass_differentiates_each_function_once(reg, monkeypatch):
+    seen, zeros = {}, []
+    derive = closedfun._derivative
+
+    def counted(f, idx):
+        if not f.terms:
+            zeros.append(f)
+        key = (id(f), idx)
+        assert key not in seen, f"{f!r} differentiated twice in x{idx + 1}"
+        seen[key] = f  # holds f, so its id is not reused during the pass
+        return derive(f, idx)
+
+    monkeypatch.setattr(closedfun, "_derivative", counted)
+    reports = verify_tables(reg, "all")
+    assert sum(len(r.results) for r in reports) == 512 + 15
+    assert not zeros
+    assert len(seen) > 1000
 
 
 def test_one_adjugate_per_frame_and_none_per_double(reg, monkeypatch):

@@ -44,6 +44,20 @@ def test_a_verify_pass_computes_each_shared_intermediate_once(reg, monkeypatch):
     assert all(len(args) == 4 and args[3] is not None for args in adjoints)
 
 
+def test_table34_solves_only_the_systems_it_reads(reg, monkeypatch):
+    # the dual direction (dual, g) is solved only where it has a row
+    solves = []
+    _counted(monkeypatch, harness, "solve_coboundary", solves)
+    assert harness.verify_tables(reg, "3")[0].ok
+    needed = set()
+    for g, dual in reg.rmatrices:
+        for b in reg.grid_bindings(g, dual, cap=2):
+            needed.add((g, dual, harness._bkey(b)))
+            if (dual, g) in reg.rmatrices:
+                needed.add((dual, g, harness._bkey(b)))
+    assert len(solves) == len(needed) == 127
+
+
 def _a47(bench):
     return bench.bivector("A_4_7", "A_4_7.i", "sklyanin", {})
 
