@@ -9,6 +9,7 @@ against a transcribed reference table corpus.
 from .core import (
     StructureConstants,
     TwoFormLA,
+    bialgebra_failure,
     build_double,
     ce_differential,
     cocommutator,
@@ -47,6 +48,7 @@ __all__ = [
     "GroupChart",
     "jacobi_check",
     "mixed_jacobi_check",
+    "bialgebra_failure",
     "build_double",
     "cocommutator",
     "ce_differential",

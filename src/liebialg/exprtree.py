@@ -42,17 +42,23 @@ class Expr:
         return to_text(self)
 
     def subs_params(self, binding):
-        """Replace parameters by exact rationals; unknown names stay symbolic."""
-        if self.op == "param":
+        """Replace parameters by exact rationals; unknown names stay symbolic.
+        The tree is rebuilt through the smart constructors, so a factor that
+        becomes 0 prunes its product and a denominator that becomes the
+        constant 0 raises EvalError here."""
+        op = self.op
+        if op == "param":
             if self.args[0] in binding:
                 return const(binding[self.args[0]])
             return self
-        if self.op in ("const", "coord"):
+        if op in ("const", "coord"):
             return self
-        new = tuple(
-            a.subs_params(binding) if isinstance(a, Expr) else a for a in self.args
-        )
-        return Expr(self.op, new)
+        if op == "pow":
+            return powi(self.args[0].subs_params(binding), self.args[1])
+        args = [a.subs_params(binding) for a in self.args]
+        if op in _REBUILD:
+            return _REBUILD[op](*args)
+        return Expr(op, tuple(args))
 
     def eval_exact(self, params=None):
         """Exact rational value; defined only for arithmetic-only trees."""
@@ -241,6 +247,10 @@ def func(name, arg):
     if name not in _FUNCS:
         raise InputError(f"unknown function {name!r}")
     return Expr(name, (arg,))
+
+
+# the constructor that `Expr.subs_params` rebuilds each n-ary node with
+_REBUILD = {"add": add, "mul": mul, "div": div, "neg": neg}
 
 
 # --------------------------------------------------------------------------

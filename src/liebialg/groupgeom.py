@@ -20,13 +20,7 @@ from .closedfun import (
     cfm_transpose,
     cfm_zeros,
 )
-from .core import (
-    DoubleAlgebra,
-    StructureConstants,
-    build_double,
-    jacobi_check,
-    mixed_jacobi_check,
-)
+from .core import StructureConstants, bialgebra_failure, jacobi_check
 from .errors import InputError, InvariantError
 from .multivec import bracket, vector
 
@@ -123,7 +117,7 @@ class DoubleAdjointBlocks:
 
 
 def double_adjoint(
-    frame: InvariantFrame, f: StructureConstants, fd: StructureConstants, dbl=None
+    frame: InvariantFrame, f: StructureConstants, fd: StructureConstants, certified=False
 ) -> DoubleAdjointBlocks:
     """Ad_{g^-1} on the double as the ordered product
     exp(x1 Xadj_1) ... exp(x4 Xadj_4) of the double's adjoint matrices,
@@ -133,21 +127,18 @@ def double_adjoint(
 
         a <- a E,   b <- b E + d F = [b | d] [E; F],   d <- d E_-^T.
 
-    `dbl`, when given, is the double of (f, fd) whose mixed Jacobi and
-    Jacobi identities the caller has checked; otherwise both are checked
-    here.
+    `certified` says that the caller has found (f, fd) a Lie bialgebra
+    (`bialgebra_failure` returned None); otherwise that is checked here.
     """
     if frame.base != f:
         raise InputError("frame belongs to another algebra")
-    if dbl is None:
-        if not mixed_jacobi_check(f, fd).passed:
-            raise InputError("pair fails the mixed Jacobi identity")
-        dbl = build_double(f, fd)
-        if not jacobi_check(dbl.sc).passed:
-            raise InputError("pair fails the double Jacobi identity")
-    a, b, d = double_exp_factor(frame, dbl, 0)
+    if not certified:
+        failed = bialgebra_failure(f, fd)
+        if failed:
+            raise InputError(f"pair fails the {failed} identity")
+    a, b, d = double_exp_factor(frame, fd, 0)
     for i in range(1, f.dim):
-        e, low, et = double_exp_factor(frame, dbl, i)
+        e, low, et = double_exp_factor(frame, fd, i)
         b = cfm_mul([rb + rd for rb, rd in zip(b, d)], e + low)
         a = cfm_mul(a, e)
         d = cfm_mul(d, et)
@@ -158,12 +149,14 @@ def double_adjoint(
     return blocks
 
 
-def double_exp_factor(frame: InvariantFrame, dbl: DoubleAlgebra, i):
+def double_exp_factor(frame: InvariantFrame, fd: StructureConstants, i):
     """The blocks (E, F, E_-^T) of exp(x Xadj) for Xadj the double's adjoint
-    matrix of X_{i+1} and x = x_{i+1}, from the frame of g (0-based i).
+    matrix of X_{i+1} and x = x_{i+1}, from the frame of g and the dual's
+    structure constants fd (0-based i).
 
-    Xadj = [[A, 0], [B, -A^T]] with A = Xadj_{i+1} of g and B[j][k] =
-    -ft^jk_{i+1}, so its exponential is [[E, 0], [F, E_-^T]] with
+    Xadj = [[A, 0], [B, -A^T]] with A = Xadj_{i+1} of g, read from
+    `frame.base`, and B[j][k] = -ft^jk_{i+1}, read from fd (the layout
+    `build_double` gives), so its exponential is [[E, 0], [F, E_-^T]] with
     E = exp(x A) and E_- = exp(-x A) held by the frame and
 
         F(x) = E_-(x)^T int_0^x E(s)^T B E(s) ds
@@ -178,12 +171,7 @@ def double_exp_factor(frame: InvariantFrame, dbl: DoubleAlgebra, i):
     n = frame.base.dim
     coord = i + 1
     a = frame.base.adjoint(i)
-    full = dbl.sc.adjoint(i)
-    b = [row[:n] for row in full[n:]]
-    want = [row + [0] * n for row in a]
-    want += [b[j] + [-a[k][j] for k in range(n)] for j in range(n)]
-    if full != want:
-        raise InvariantError("the double's adjoint is not [[A, 0], [B, -A^T]]")
+    b = [[-row[i] for row in plane] for plane in fd.f]
     e, em = frame.exp_pos[i], frame.exp_neg[i]
     low = cfm_zeros(n, n)
     if any(any(row) for row in b):

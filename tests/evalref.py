@@ -11,9 +11,10 @@ floats and raise the same errors.  `cfm_mul_sum` is the entry-wise matrix
 product, a sum of ClosedFunction products, and the oracle of the fused
 `cfm_mul`.  `cfm_from_frac` makes a constant matrix a matrix of constant
 closed functions, so that `cfm_mul(cfm_from_frac(m), a)` is the dense oracle
-of the sparse `cfm_const_mul(m, a)`.  `mixed_matrix_dense` evaluates the matrix form of the mixed
-Jacobi residual with full matrix products over every slot, the oracle of the
-sparse `core._matrix_residual`.  `left_fields_by_adjugate` builds the
+of the sparse `cfm_const_mul(m, a)`.  `mixed_matrix_residual` evaluates the mixed Jacobi residual in
+matrix form, summed over nonzero entries, and `mixed_matrix_dense` the same
+form with full matrix products over every slot: the two are each other's
+oracle and, together, the oracle of the index form `core.mixed_jacobi_check`.  `left_fields_by_adjugate` builds the
 left-invariant one-forms from the suffix products of exp(x_m Xadj_m) and
 inverts them by cofactor adjugate, the oracle of the frame's XL = Ad(g)^-1 XR.
 The dense Schouten loops are the oracles of the sparse kernel in
@@ -132,6 +133,46 @@ def cfm_from_frac(m):
 def _int_mat_mul(a, b):
     cols = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def _bump(acc, key, v):
+    """acc[key] += v, with a zero sum dropped from acc."""
+    v += acc.pop(key, 0)
+    if v:
+        acc[key] = v
+
+
+def mixed_matrix_residual(fnz, gnz):
+    """The mixed residual in matrix form, summed over nonzero entries only:
+
+    R^ij = (Xt^i)^j_m Y^m + (Xt^j)^T Y^i - Y^j Xt^i + Y^i Xt^j - (Xt^i)^T Y^j
+
+    with (Xt^a)_m^c = -ft^am_c and (Y^b)_r^c = -f_rc^b, on the scaled ints
+    `fnz` of f and `gnz` of ft.  Returns {(i, j, k, l): R^ij_kl}, 0-based,
+    zeros dropped.
+    """
+    xt = [(a, m, c, -w) for (a, m, c, w) in gnz]  # (Xt^a)_m^c
+    ys = [(b, r, c, -v) for (r, c, b, v) in fnz]  # (Y^b)_r^c
+    xt_rows = {}
+    ys_of = {}
+    for (a, m, c, x) in xt:
+        xt_rows.setdefault(m, []).append((a, c, x))
+    for (b, r, c, y) in ys:
+        ys_of.setdefault(b, []).append((r, c, y))
+    acc = {}
+    for (i, j, m, x) in xt:  # (Xt^i)^j_m Y^m
+        for (k, l, y) in ys_of.get(m, ()):
+            _bump(acc, (i, j, k, l), x * y)
+    for (b, r, c, y) in ys:
+        # (Y^b Xt^a)_rl = sum_m (Y^b)_rm (Xt^a)_ml, here m = c
+        for (a, l, x) in xt_rows.get(c, ()):
+            _bump(acc, (a, b, r, l), -y * x)
+            _bump(acc, (b, a, r, l), y * x)
+        # ((Xt^a)^T Y^b)_kc = sum_m (Xt^a)_mk (Y^b)_mc, here m = r
+        for (a, k, x) in xt_rows.get(r, ()):
+            _bump(acc, (a, b, k, c), -x * y)
+            _bump(acc, (b, a, k, c), x * y)
+    return acc
 
 
 def mixed_matrix_dense(d, fnz, gnz):

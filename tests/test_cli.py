@@ -11,7 +11,7 @@ import pytest
 
 import liebialg
 from liebialg import corpus as corpus_mod
-from liebialg import groupgeom, harness, integrable
+from liebialg import core, groupgeom, harness, integrable
 from liebialg.closedfun import ClosedFunction, cfm_identity
 from liebialg.cli import main
 from liebialg.errors import (
@@ -199,7 +199,7 @@ def test_verify_table5_unsupported_spectrum_fails_only_its_frame(tmp_path, capsy
     "table, module, name",
     [
         ("1", harness, "find_symplectic"),
-        ("2", harness, "mixed_jacobi_check"),
+        ("2", core, "mixed_jacobi_check"),
         ("3-4", harness, "solve_coboundary"),
         ("integrable", integrable, "darboux_check"),
     ],

@@ -39,6 +39,25 @@ def test_parse_parameters_and_substitution():
     assert e.subs_params({"b": Fraction(1, 2)}).eval_exact() == Fraction(9, 4)
 
 
+def test_substitution_rebuilds_through_the_smart_constructors():
+    # a factor substituted to 0 prunes its product before any conversion,
+    # even one whose other factor has no closed form
+    e = parse_expr("d1*exp(x1^2) + d2*x3")
+    assert e.subs_params({"d1": 0, "d2": 1}) == coord(3)
+    assert e.subs_params({"d1": 0, "d2": 0}) == const(0)
+    with pytest.raises(InputError):
+        e.subs_params({"d1": 1, "d2": 0}).to_closed()
+    # a denominator that becomes the constant 0 fails at substitution, one
+    # that sums to 0 in the conversion, with the same error class
+    assert parse_expr("-(b*2)/b").subs_params({"b": 3}).eval_exact() == -2
+    with pytest.raises(EvalError, match="division by constant zero"):
+        parse_expr("x1/b").subs_params({"b": 0})
+    with pytest.raises(EvalError):
+        parse_expr("x1/(b - 1)").subs_params({"b": 1}).to_closed()
+    # parameters left unbound stay symbolic
+    assert parse_expr("q*x2").subs_params({}) == parse_expr("q*x2")
+
+
 def test_parse_error_reports_location():
     with pytest.raises(CorpusSyntaxError) as exc:
         parse_expr("1 + $", line=12)

@@ -116,9 +116,40 @@ def test_double_exp_factors_match_matexp_of_double_adjoint(reg, bench, g, dual):
     dbl = build_double(f, fd)
     for i in range(4):
         want = cf_matexp(dbl.sc.adjoint(i), i + 1)
-        e, low, et = double_exp_factor(frame, dbl, i)
+        e, low, et = double_exp_factor(frame, fd, i)
         got = [r + z for r, z in zip(e, cfm_zeros(4, 4))] + [r + t for r, t in zip(low, et)]
         assert cfm_eq(got, want), (g, dual, i)
+
+
+def _dual_block(fd, i):
+    """B[j][k] = -ft^jk_{i+1}, the dual-to-g block of the double's adjoint."""
+    return [[-fd.f[j][k][i] for k in range(4)] for j in range(4)]
+
+
+def test_double_adjoint_matrices_are_block_lower_triangular_on_the_corpus(reg):
+    # the layout [[A, 0], [B, -A^T]] that `double_exp_factor` reads off g and
+    # its dual, against the double that `build_double` assembles
+    checked = 0
+    for be in reg.bialgebras:
+        for binding in reg.grid_bindings(be.g, be.dual):
+            f, fd = reg.instantiate(be.g, binding), reg.instantiate(be.dual, binding)
+            dbl = build_double(f, fd)
+            for i in range(4):
+                a, b = f.adjoint(i), _dual_block(fd, i)
+                want = [row + [0] * 4 for row in a]
+                want += [b[j] + [-a[k][j] for k in range(4)] for j in range(4)]
+                assert dbl.sc.adjoint(i) == want, (be.name, binding, i)
+            checked += 1
+    assert checked == 321
+
+
+def test_direct_double_adjoint_names_a_dual_that_fails_jacobi():
+    # with g abelian mixed Jacobi holds for any dual, so the failure is the
+    # dual's own Jacobi identity, which the double inherits
+    non_lie = StructureConstants.from_brackets(4, {(1, 2): [(1, 1)], (2, 3): [(1, 2)]})
+    f = StructureConstants(4)
+    with pytest.raises(InputError, match="pair fails the double Jacobi identity"):
+        double_adjoint(invariant_frame(GroupChart(f)), f, non_lie)
 
 
 def test_double_adjoint_rejects_foreign_frame(reg):
@@ -190,8 +221,8 @@ def test_corrupted_dual_block_fails_the_pairing_check(reg, monkeypatch):
     exact_residual = groupgeom.blocks_pairing_residual
     residuals = []
 
-    def corrupted(frame, dbl, i):
-        e, low, et = exact_factor(frame, dbl, i)
+    def corrupted(frame, fd, i):
+        e, low, et = exact_factor(frame, fd, i)
         if i == 2:
             et = [row[:] for row in et]
             et[0][1] = et[0][1] + _cf("x3")
@@ -213,16 +244,16 @@ def test_corrupted_dual_block_fails_the_pairing_check(reg, monkeypatch):
 def test_corrupted_constant_product_fails_the_lower_block_check(reg, bench, monkeypatch, side):
     # the check's B E and the integrand's E^T B = (B^T E)^T are separate
     # products, so a wrong one of either makes F' differ from B E - A^T F
-    f, fd = reg.instantiate("A_4_7"), reg.instantiate("A_4_7.i")
-    frame, dbl = bench.frame("A_4_7", {}), build_double(f, fd)
+    fd = reg.instantiate("A_4_7.i")
+    frame = bench.frame("A_4_7", {})
     exact = groupgeom.cfm_const_mul
     checked = []
     for i in range(4):
-        b = [row[:4] for row in dbl.sc.adjoint(i)[4:]]
+        b = _dual_block(fd, i)
         bt = [list(col) for col in zip(*b)]
         if b == bt:
             continue  # a corruption could not tell the two products apart
-        double_exp_factor(frame, dbl, i)  # passes with the exact products
+        double_exp_factor(frame, fd, i)  # passes with the exact products
         target = b if side == "B E" else bt
 
         def corrupted(m, a, _target=target, _coord=i + 1):
@@ -234,6 +265,6 @@ def test_corrupted_constant_product_fails_the_lower_block_check(reg, bench, monk
         with monkeypatch.context() as mp:
             mp.setattr(groupgeom, "cfm_const_mul", corrupted)
             with pytest.raises(InvariantError, match="F' = B E - A\\^T F"):
-                double_exp_factor(frame, dbl, i)
+                double_exp_factor(frame, fd, i)
         checked.append(i)
     assert len(checked) >= 2

@@ -9,7 +9,11 @@ dense Fraction matrix, which the trace's `closedfun.cf_matexp4.calls` and
 `closedfun.cf_matexp.distinct_ratio` count and key.  Only `closedfun` builds
 term maps or touches the derivative cache of a `ClosedFunction`, and one
 verify pass differentiates each function at most once per coordinate and
-never differentiates the zero function."""
+never differentiates the zero function.  A verify pass decides every Lie
+bialgebra on its two 4-dimensional halves: no 8-dimensional tensor reaches
+`jacobi_check`, and only table 2 builds the double, once per pair and
+binding, for its pairing check; the mixed identity has one evaluator in the
+package."""
 
 import glob
 import importlib
@@ -21,7 +25,7 @@ from fractions import Fraction
 
 import pytest
 
-from liebialg import closedfun, groupgeom
+from liebialg import closedfun, core, groupgeom
 from liebialg.harness import verify_tables
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -152,3 +156,30 @@ def test_four_dense_exponentials_per_frame(reg, monkeypatch):
             assert all(type(row) is list and len(row) == 4 for row in m), g
             assert all(type(x) is Fraction for row in m for x in row), g
         calls.clear()
+
+
+def test_a_verify_pass_builds_no_double_beyond_the_pairing_check(reg, monkeypatch):
+    sizes, builders, pairs = [], [], []
+    jacobi, build = core.jacobi_check, core.build_double
+
+    def jacobi_counted(sc):
+        sizes.append(sc.dim)
+        return jacobi(sc)
+
+    def build_counted(f, fd):
+        builders.append(sys._getframe(1).f_code.co_name)
+        pairs.append((f, fd))  # holds both, so their ids are not reused
+        return build(f, fd)
+
+    for name, mod in sorted(sys.modules.items()):
+        if name.split(".")[0] == "liebialg":
+            for attr, counted in (("jacobi_check", jacobi_counted), ("build_double", build_counted)):
+                if hasattr(mod, attr):
+                    monkeypatch.setattr(mod, attr, counted)
+    reports = verify_tables(reg, "all")
+    assert sum(len(r.results) for r in reports) == 512 + 15
+    assert sizes and set(sizes) == {4}
+    assert set(builders) == {"_check_bialgebra"}
+    table2 = sum(len(reg.grid_bindings(be.g, be.dual)) for be in reg.bialgebras)
+    assert len(pairs) == len({(id(f), id(fd)) for f, fd in pairs}) <= table2 == 321
+    assert not hasattr(core, "_matrix_residual")

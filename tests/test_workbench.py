@@ -14,18 +14,19 @@ from liebialg.harness import Workbench
 def _counted(monkeypatch, owner, attr, record):
     exact = getattr(owner, attr)
 
-    def counted(*args):
-        record.append(args)
-        return exact(*args)
+    def counted(*args, **kwargs):
+        record.append(args + tuple(sorted(kwargs.items())))
+        return exact(*args, **kwargs)
 
     monkeypatch.setattr(owner, attr, counted)
 
 
 def test_a_verify_pass_computes_each_shared_intermediate_once(reg, monkeypatch):
-    matexps, solves, mixed, doubles, adjoints = [], [], [], [], []
+    matexps, solves, mixed, lie, doubles, adjoints = [], [], [], [], [], []
     _counted(monkeypatch, closedfun, "cf_matexp", matexps)
     _counted(monkeypatch, harness, "solve_coboundary", solves)
-    _counted(monkeypatch, harness, "mixed_jacobi_check", mixed)
+    _counted(monkeypatch, core, "mixed_jacobi_check", mixed)
+    _counted(monkeypatch, harness, "jacobi_check", lie)
     _counted(monkeypatch, harness, "build_double", doubles)
     _counted(monkeypatch, harness, "double_adjoint", adjoints)
     runs = harness.verify_tables(reg, "all")
@@ -37,11 +38,13 @@ def test_a_verify_pass_computes_each_shared_intermediate_once(reg, monkeypatch):
     # at one binding would count as one input
     assert solves and len(solves) == len(set(solves))
     assert mixed and len(mixed) == len(set(mixed))
-    # one double per table2 binding and one per adjoint-block bivector
+    # one Jacobi check per tensor the Workbench holds
+    assert lie and len(lie) == len({id(sc) for (sc,) in lie})
+    # one double per table2 binding, for its pairing check alone
     table2 = sum(len(reg.grid_bindings(be.g, be.dual)) for be in reg.bialgebras)
-    assert adjoints and len(doubles) <= table2 + len(adjoints)
-    # every adjoint-block bivector gets a double the Workbench has checked
-    assert all(len(args) == 4 and args[3] is not None for args in adjoints)
+    assert len(doubles) == table2
+    # every adjoint-block bivector is of a pair the Workbench has certified
+    assert adjoints and all(args[3:] == (("certified", True),) for args in adjoints)
 
 
 def test_table34_solves_only_the_systems_it_reads(reg, monkeypatch):
@@ -75,7 +78,8 @@ MEMOS = {
     "coboundary": (
         harness, "solve_coboundary", lambda b: b.coboundary("A_4_7", "A_4_7.i", {})
     ),
-    "double": (harness, "mixed_jacobi_check", lambda b: b.double("A_4_7", "A_4_7.i", {})[1]),
+    "lie": (harness, "jacobi_check", lambda b: b.lie(b.sc("A_4_7", {}))),
+    "double": (harness, "bialgebra_failure", lambda b: b.double("A_4_7", "A_4_7.i", {})),
     "bivector": (harness, "sklyanin_bivector", _a47),
     "jacobi": (harness, "poisson_jacobi_check", lambda b: b.jacobi(_a47(b))),
     "symplectic": (harness, "symplectic_classify", lambda b: b.symplectic(_a47(b))),
@@ -113,10 +117,10 @@ def test_a_failed_double_verdict_is_kept_and_fails_the_bivector(reg, monkeypatch
         calls.append((f, fd))
         return core.JacobiReport(False, {(1, 2, 3, 4): Fraction(1)})
 
-    monkeypatch.setattr(harness, "mixed_jacobi_check", fails)
+    monkeypatch.setattr(core, "mixed_jacobi_check", fails)
     bench = Workbench(reg)
     for _ in range(2):
-        assert bench.double("A_4_1", "A_4_1.i", {}) == (None, "mixed Jacobi")
+        assert bench.double("A_4_1", "A_4_1.i", {}) == "mixed Jacobi"
     with pytest.raises(InputError, match="pair fails the mixed Jacobi identity"):
         bench.bivector("A_4_1", "A_4_1.i", "pi", {})
     assert len(calls) == 1
