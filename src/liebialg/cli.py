@@ -100,7 +100,7 @@ def _report_lines(runs, as_json):
 
 def cmd_verify(args):
     reg = _load(args)
-    runs = verify_tables(reg, args.table, jobs=args.jobs, corpus_paths=args.corpus)
+    runs = verify_tables(reg, args.table, jobs=args.jobs)
     for line in _report_lines(runs, args.json):
         print(line)
     return 1 if any(not rep.ok for rep in runs) else 0

@@ -544,18 +544,24 @@ def cfm_zeros(rows, cols):
 
 def cfm_mul(a, b):
     """a b, each entry one term map that every product adds into."""
-    out = []
-    for arow in a:
-        row = []
-        for j in range(len(b[0])):
-            t = {}
-            for x, brow in zip(arow, b):
-                y = brow[j]
-                if x.terms and y.terms:
-                    _mul_into(t, x, y)
-            row.append(ClosedFunction(t) if t else _CF_ZERO)
-        out.append(row)
-    return out
+    return cfm_sum_products([(a, b)])
+
+
+def cfm_sum_products(pairs, neg=False):
+    """The sum of a b over the matrix pairs (a, b), or its negative with
+    `neg`.  Each entry is one term map that every product adds into; each
+    nonzero entry a[i][l] meets only the nonzero entries of row l of b, so
+    no product has a zero factor, and for every pair the products of an
+    entry arrive in the order of l, as a dense loop would add them."""
+    ts = [[{} for _ in pairs[0][1][0]] for _ in pairs[0][0]]
+    for a, b in pairs:
+        bnz = [[(j, y) for j, y in enumerate(brow) if y.terms] for brow in b]
+        for arow, trow in zip(a, ts):
+            for x, nz in zip(arow, bnz):
+                if x.terms:
+                    for j, y in nz:
+                        _mul_into(trow[j], x, y, neg)
+    return [[ClosedFunction(t) if t else _CF_ZERO for t in trow] for trow in ts]
 
 
 def cfm_const_mul(m, a):
@@ -650,20 +656,30 @@ def cfm_is_zero(a):
 
 
 def cfm_det(a):
-    """Determinant by cofactor expansion (intended for n <= 4)."""
+    """Determinant by cofactor expansion over memoized minors (intended for
+    n <= 4)."""
     n = len(a)
-    if n == 1:
-        return a[0][0]
-    if n == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    acc = _CF_ZERO
-    for j in range(n):
-        if not a[0][j]:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in a[1:]]
-        term = a[0][j] * cfm_det(minor)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
+    return _minor(a, tuple(range(n)), tuple(range(n)), {})
+
+
+def _minor(a, rows, cols, memo):
+    """The determinant of a on `rows` x `cols` (tuples of indices), expanded
+    along its first row.  Every minor of two or more rows is one
+    `cf_sum_products` term map, kept in `memo` under (rows, cols), so a
+    minor that several expansions share is computed once.  The empty minor,
+    the cofactor of a 1 x 1 matrix, is 1."""
+    if len(rows) < 2:
+        return a[rows[0]][cols[0]] if rows else cf_const(1)
+    key = (rows, cols)
+    m = memo.get(key)
+    if m is None:
+        r, sub = rows[0], rows[1:]
+        m = memo[key] = cf_sum_products(
+            (a[r][c], _minor(a, sub, cols[:j] + cols[j + 1 :], memo), -1 if j & 1 else 1)
+            for j, c in enumerate(cols)
+            if a[r][c].terms
+        )
+    return m
 
 
 def _invert_unit(f):
@@ -685,22 +701,22 @@ def _invert_unit(f):
 
 
 def cfm_inverse_unitdet(a):
-    """Exact inverse via adjugate; the determinant must be a unit term."""
+    """Exact inverse via adjugate; the determinant must be a unit term.  The
+    determinant and the n^2 cofactors expand over one memo of minors, so
+    each minor is computed once."""
     n = len(a)
-    d = cfm_det(a)
-    dinv = _invert_unit(d)
-    cof = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = [
-                [a[r][c] for c in range(n) if c != j] for r in range(n) if r != i
-            ]
-            m = cfm_det(minor)
-            row.append(m if (i + j) % 2 == 0 else -m)
-        cof.append(row)
-    adjT = cfm_transpose(cof)
-    return [[x * dinv for x in row] for row in adjT]
+    idx = tuple(range(n))
+    memo = {}
+    dinv = _invert_unit(_minor(a, idx, idx, memo))
+    signed = (dinv, -dinv)
+    # inverse[i][j] = (-1)^(i+j) minor(rows != j, cols != i) / det
+    return [
+        [
+            _minor(a, idx[:j] + idx[j + 1 :], idx[:i] + idx[i + 1 :], memo) * signed[(i + j) & 1]
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -856,6 +872,10 @@ def cf_matexp(m, coord):
     """
     n = len(m)
     mc = _sparse(m)
+    if not mc:
+        result = cfm_identity(n)
+        _verify_matexp(result, m, coord)
+        return result
     lams = [lam for lam, mult in _spectrum(_char_poly(mc, n)) for _ in range(mult)]
     acc = {}  # {(i, j): term map of the sum so far}
     p = {(i, i): CR_ONE for i in range(n)}

@@ -17,6 +17,7 @@ from .closedfun import (
     cfm_is_zero,
     cfm_mul,
     cfm_sub,
+    cfm_sum_products,
     cfm_transpose,
     cfm_zeros,
 )
@@ -106,9 +107,11 @@ def frame_bracket_residuals(frame: InvariantFrame, f: StructureConstants):
 
 @dataclass
 class DoubleAdjointBlocks:
+    """Ad_{g^-1} on the double is [[a, 0], [b, d]]; b itself is not kept."""
+
     a: list  # 4x4 CFMatrix, g-to-g block of Ad_{g^-1}
-    b: list  # dual-to-g block
     d: list  # dual-to-dual block, (a^-1)^T by invariance of the pairing
+    pi: list  # -b a^-1, b the dual-to-g block: the bivector in the XR frame
 
     @property
     def ainv(self):
@@ -119,13 +122,19 @@ class DoubleAdjointBlocks:
 def double_adjoint(
     frame: InvariantFrame, f: StructureConstants, fd: StructureConstants, certified=False
 ) -> DoubleAdjointBlocks:
-    """Ad_{g^-1} on the double as the ordered product
-    exp(x1 Xadj_1) ... exp(x4 Xadj_4) of the double's adjoint matrices,
-    each factor [[E, 0], [F, E_-^T]] from `double_exp_factor` on the frame of
-    g.  The product stays block lower triangular, so it is accumulated block
-    by block, with no 8x8 matrix formed:
+    """Ad_{g^-1} on the double as the ordered product G_1 G_2 G_3 G_4 of
+    G_k = exp(x_k Xadj_k) = [[E_k, 0], [F_k, E_-k^T]] (`double_exp_factor`,
+    on the frame of g, with E_-k = E_k^-1).  The product is block lower
+    triangular, [[a, 0], [b, d]] with a = E_1 ... E_4, d = E_-1^T ... E_-4^T
+    and b = sum_k E_-1^T ... E_-(k-1)^T F_k E_(k+1) ... E_4.  With the prefix
+    products P_k = E_-k ... E_-1 (P_0 = I), E_(k+1) ... E_4 a^-1 = P_k and
+    E_-1^T ... E_-(k-1)^T = P_(k-1)^T, so
 
-        a <- a E,   b <- b E + d F = [b | d] [E; F],   d <- d E_-^T.
+        b a^-1 = sum_k P_(k-1)^T F_k P_k   and   d = P_4^T.
+
+    F_k is zero when the dual slice B_k = -ft^.._k is, so the sum runs over
+    the factors whose B_k is nonzero, and b itself is never formed; a is
+    formed for the exact check a d^T = I.
 
     `certified` says that the caller has found (f, fd) a Lie bialgebra
     (`bialgebra_failure` returned None); otherwise that is checked here.
@@ -136,13 +145,21 @@ def double_adjoint(
         failed = bialgebra_failure(f, fd)
         if failed:
             raise InputError(f"pair fails the {failed} identity")
-    a, b, d = double_exp_factor(frame, fd, 0)
-    for i in range(1, f.dim):
-        e, low, et = double_exp_factor(frame, fd, i)
-        b = cfm_mul([rb + rd for rb, rd in zip(b, d)], e + low)
-        a = cfm_mul(a, e)
-        d = cfm_mul(d, et)
-    blocks = DoubleAdjointBlocks(a, b, d)
+    n = f.dim
+    prefix = [None, frame.exp_neg[0]]  # P_k at k; P_0 = I is never formed
+    a = frame.exp_pos[0]
+    for i in range(1, n):
+        prefix.append(cfm_mul(frame.exp_neg[i], prefix[-1]))
+        a = cfm_mul(a, frame.exp_pos[i])
+    terms = []
+    for i in sorted({k for _, _, k, _ in fd.nonzero()}):  # B_(i+1) != 0
+        low = double_exp_factor(frame, fd, i)[1]
+        if i == 0:  # P_0 = I
+            terms.append((low, prefix[1]))
+        else:
+            terms.append((cfm_transpose(prefix[i]), cfm_mul(low, prefix[i + 1])))
+    pi = cfm_sum_products(terms, neg=True) if terms else cfm_zeros(n, n)
+    blocks = DoubleAdjointBlocks(a, cfm_transpose(prefix[n]), pi)
     # invariance of the canonical pairing forces d = (a^-1)^T
     if not cfm_is_zero(blocks_pairing_residual(blocks)):
         raise InvariantError("pairing relation a d^T = I violated")
@@ -166,11 +183,11 @@ def double_exp_factor(frame: InvariantFrame, fd: StructureConstants, i):
     exactly against F(0) = 0 and F' = B E - A^T F.  From any integrand X E,
     F' = E_-^T X E - A^T F, so the integrand is built as (E^T B) E and the
     check's B E apart from it: a wrong constant product fails the check.  The
-    products by B, B^T and A^T run over their nonzero entries
-    (`cfm_const_mul`)."""
+    check's right side is one constant product [B | -A^T] [E; F], with
+    -A^T[j][k] = f_(i+1)k^j.  The products by constant matrices run over
+    their nonzero entries (`cfm_const_mul`)."""
     n = frame.base.dim
     coord = i + 1
-    a = frame.base.adjoint(i)
     b = [[-row[i] for row in plane] for plane in fd.f]
     e, em = frame.exp_pos[i], frame.exp_neg[i]
     low = cfm_zeros(n, n)
@@ -180,8 +197,8 @@ def double_exp_factor(frame: InvariantFrame, fd: StructureConstants, i):
         low = cfm_mul(cfm_transpose(em), [[x.integral(coord) for x in row] for row in inner])
         if any(x.eval_at_zero() for row in low for x in row):
             raise InvariantError("lower-left block of the double's exponential is nonzero at 0")
-        be = cfm_const_mul(b, e)
-        if not cfm_eq(cfm_diff(low, coord), cfm_sub(be, cfm_const_mul(cfm_transpose(a), low))):
+        check = [rb + list(col) for rb, col in zip(b, zip(*frame.base.f[i]))]
+        if not cfm_eq(cfm_diff(low, coord), cfm_const_mul(check, e + low)):
             raise InvariantError(
                 "lower-left block of the double's exponential fails F' = B E - A^T F"
             )

@@ -600,8 +600,7 @@ def _shards(campaigns, jobs):
 _WORKER = {}
 
 
-def _init_worker(selector, corpus_paths):
-    reg = corpus_mod.load(corpus_paths)
+def _init_worker(selector, reg):
     bench = Workbench(reg)
     _WORKER["campaigns"] = [list(fn.entries(reg, bench)) for fn in _campaign_order(selector)]
 
@@ -617,14 +616,15 @@ def _run_shard(shard):
     return out
 
 
-def verify_tables(reg, selector="all", jobs=1, corpus_paths=None):
+def verify_tables(reg, selector="all", jobs=1):
     """Run the campaigns named by selector ('all', '1', '3-4', '1-5', 'integrable',
     ...); 'A-B' names every table from A to B.
 
     With jobs > 1 the entries are sharded by base algebra over worker
-    processes, each of which loads the corpus from corpus_paths once and keeps
-    one Workbench; a campaign's seconds are then the sum of its entries'.  The
-    report order always follows the selector and each campaign's entries.
+    processes, each of which gets the parent's parsed corpus (inherited under
+    fork, pickled under spawn) and keeps one Workbench; a campaign's seconds
+    are then the sum of its entries'.  The report order always follows the
+    selector and each campaign's entries.
     """
     fns = _campaign_order(selector)
     bench = Workbench(reg)
@@ -637,7 +637,7 @@ def verify_tables(reg, selector="all", jobs=1, corpus_paths=None):
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(
-            workers, initializer=_init_worker, initargs=(selector, corpus_paths)
+            workers, initializer=_init_worker, initargs=(selector, reg)
         ) as pool:
             for done in pool.map(_run_shard, shards):
                 for c, i, result in done:

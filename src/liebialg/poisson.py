@@ -2,7 +2,6 @@
 symplectic classification."""
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .closedfun import (
     CR_ZERO,
@@ -11,7 +10,6 @@ from .closedfun import (
     cfm_mul,
     cfm_sub,
     cfm_transpose,
-    cfm_scale,
 )
 from .core import StructureConstants
 from .errors import InputError
@@ -54,10 +52,10 @@ def sklyanin_bivector(frame: InvariantFrame, r: TensorElement, base=None) -> Poi
 
 
 def pi_bivector(blocks: DoubleAdjointBlocks, frame: InvariantFrame, base=None) -> PoissonBivector:
-    """P^kl = (-b a^-1)^ij XR_i^k XR_j^l from the double's adjoint blocks."""
-    pi = cfm_scale(Fraction(-1), cfm_mul(blocks.b, blocks.ainv))
+    """P^kl = (-b a^-1)^ij XR_i^k XR_j^l from the double's adjoint blocks,
+    which hold -b a^-1 as `pi`."""
     xr = frame.XR
-    p = cfm_mul(cfm_transpose(xr), cfm_mul(pi, xr))
+    p = cfm_mul(cfm_transpose(xr), cfm_mul(blocks.pi, xr))
     return PoissonBivector(p, base, "pi")
 
 

@@ -158,15 +158,17 @@ def nullspace(m):
     return _kernel_basis(*rref(m), cols)
 
 
-def solve_affine(a, b):
-    """Solve a x = b exactly.
+def solve_affine(a, b, cols=None):
+    """Solve a x = b exactly, for x of `cols` unknowns (by default the
+    length of a row of a, which a system of no equations needs given).
 
     Returns (particular, nullspace_basis) or None when inconsistent.  With
     no pivot in the last column, the left block of the reduced augmented
     matrix is the reduced form of a, so one reduction gives both.
     """
     rows = len(a)
-    cols = len(a[0]) if rows else 0
+    if cols is None:
+        cols = len(a[0]) if rows else 0
     red, pivots = rref([list(a[i]) + [b[i]] for i in range(rows)])
     if cols in pivots:
         return None

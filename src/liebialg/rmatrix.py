@@ -10,6 +10,7 @@ so a tensor r generates the cocommutator ft^ab_i = -(Xadj_i^T r + r Xadj_i)^ab.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 from . import ratlinalg as rl
 from .core import StructureConstants
@@ -161,7 +162,7 @@ def solve_coboundary(f: StructureConstants, fd: StructureConstants) -> RSolution
             rows[base + b * d + q][b * d + p] += x
     for (a, b, i, w) in gnz:
         rhs[i * n + a * d + b] = -w * d1
-    sol = rl.solve_affine(rows, rhs)
+    sol = rl.solve_affine(*_distinct_equations(rows, rhs), cols=n)
     if sol is None:
         return RSolutionSet(None, [], True)
     part, null = sol
@@ -170,6 +171,22 @@ def solve_coboundary(f: StructureConstants, fd: StructureConstants) -> RSolution
         return TensorElement(d, [list(v[i * d : (i + 1) * d]) for i in range(d)])
 
     return RSolutionSet(unflatten(part), [unflatten(v) for v in null], False)
+
+
+def _distinct_equations(rows, rhs):
+    """The nonzero equations of the int system rows x = rhs, each once, as
+    (rows, rhs): an equation is divided by the gcd of its entries, its first
+    nonzero entry made positive, and kept at its first occurrence.  A zero
+    equation or a multiple of an earlier one leaves the row space as it is,
+    and so the (unique) reduced row echelon form and the solutions."""
+    raw = dict.fromkeys((*row, b) for row, b in zip(rows, rhs) if b or any(row))
+    seen = {}
+    for eq in raw:
+        g = gcd(*eq)
+        if next(filter(None, eq)) < 0:
+            g = -g
+        seen[eq if g == 1 else tuple([x // g for x in eq])] = None
+    return [eq[:-1] for eq in seen], [eq[-1] for eq in seen]
 
 
 def schouten(r: TensorElement, f: StructureConstants):

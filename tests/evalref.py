@@ -17,6 +17,17 @@ form with full matrix products over every slot: the two are each other's
 oracle and, together, the oracle of the index form `core.mixed_jacobi_check`.  `left_fields_by_adjugate` builds the
 left-invariant one-forms from the suffix products of exp(x_m Xadj_m) and
 inverts them by cofactor adjugate, the oracle of the frame's XL = Ad(g)^-1 XR.
+`det_by_cofactors` expands every minor afresh and `inverse_by_cofactors`
+builds the adjugate from n^2 such expansions: the oracles of the memoized
+minors of `cfm_det` and `cfm_inverse_unitdet`.  `double_adjoint_blocks`
+accumulates the blocks (a, b, d) of the double's adjoint factor by factor,
+the oracle of `double_adjoint`'s a, d and -b a^-1.  `coboundary_system` is
+the full d^3-equation system of the coboundary equation, built column by
+column from the action on the unit tensors, and `solve_coboundary_full`
+hands every one of its equations to `solve_affine`: the oracle of
+`solve_coboundary`, which hands over the distinct nonzero ones.
+`render_by_fractions` renders a closed function through Fractions, the
+oracle of `render_closed_function`.
 The dense Schouten loops are the oracles of the sparse kernel in
 `liebialg.multivec` and of its call sites: `vf_commutator` and
 `frame_bracket_residuals` of vector fields given as component rows,
@@ -28,17 +39,22 @@ per call, so no derivative comes from the cache of the function.
 
 import cmath
 import math
+from fractions import Fraction
 from operator import mul
 
+from liebialg import ratlinalg as rl
 from liebialg.closedfun import (
     ClosedFunction,
+    _invert_unit,
     cf_const,
     cfm_identity,
-    cfm_inverse_unitdet,
     cfm_mul,
+    cfm_scale,
     cfm_transpose,
 )
 from liebialg.errors import EvalError, InputError
+from liebialg.groupgeom import double_exp_factor
+from liebialg.rmatrix import _ad_action_ints
 
 _FUNCS = {"exp": math.exp, "sin": math.sin, "cos": math.cos, "sinh": math.sinh,
           "cosh": math.cosh}
@@ -213,7 +229,159 @@ def left_fields_by_adjugate(frame):
     for j in range(n - 2, -1, -1):
         prod = cfm_mul(frame.exp_pos[j + 1], prod)
         lcols[j] = prod[j]
-    return cfm_transpose(cfm_inverse_unitdet(cfm_transpose(lcols)))
+    return cfm_transpose(inverse_by_cofactors(cfm_transpose(lcols)))
+
+
+def det_by_cofactors(a):
+    """Determinant by cofactor expansion along the first row, every minor
+    expanded afresh; the empty determinant is 1."""
+    n = len(a)
+    if n == 0:
+        return cf_const(1)
+    if n == 1:
+        return a[0][0]
+    if n == 2:
+        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    acc = ClosedFunction.zero()
+    for j in range(n):
+        if not a[0][j]:
+            continue
+        minor = [row[:j] + row[j + 1 :] for row in a[1:]]
+        term = a[0][j] * det_by_cofactors(minor)
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
+
+
+def inverse_by_cofactors(a):
+    """The inverse of a matrix with a unit-term determinant as its adjugate,
+    each of the n^2 cofactors expanded afresh, over the determinant."""
+    n = len(a)
+    dinv = _invert_unit(det_by_cofactors(a))
+    cof = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            minor = [[a[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
+            m = det_by_cofactors(minor)
+            row.append(m if (i + j) % 2 == 0 else -m)
+        cof.append(row)
+    return [[x * dinv for x in row] for row in cfm_transpose(cof)]
+
+
+def double_adjoint_blocks(frame, fd):
+    """(a, b, d) of Ad_{g^-1} = [[a, 0], [b, d]] on the double, accumulated
+    over the factors [[E, 0], [F, E_-^T]] of `double_exp_factor`, zero ones
+    included: a <- a E, b <- [b | d] [E; F], d <- d E_-^T."""
+    a, b, d = double_exp_factor(frame, fd, 0)
+    for i in range(1, len(frame.exp_pos)):
+        e, low, et = double_exp_factor(frame, fd, i)
+        b = cfm_mul([rb + rd for rb, rd in zip(b, d)], e + low)
+        a = cfm_mul(a, e)
+        d = cfm_mul(d, et)
+    return a, b, d
+
+
+def minus_b_ainv(frame, fd):
+    """-b a^-1 from `double_adjoint_blocks`, with a^-1 = d^T."""
+    _, b, d = double_adjoint_blocks(frame, fd)
+    return cfm_scale(Fraction(-1), cfm_mul(b, cfm_transpose(d)))
+
+
+def coboundary_system(f, fd):
+    """(rows, rhs) of the coboundary equation Xadj_i^T r + r Xadj_i = Yt_i in
+    the d^2 unknowns r^pb (column p d + b), one equation per (i, a, b), zero
+    and repeated equations included, scaled to ints: column p d + b is the
+    action on the unit tensor E_pb."""
+    d = f.dim
+    n = d * d
+    d1, d2, gnz = f.scaled_nonzero()[0], *fd.scaled_nonzero()
+    rows = [[0] * n for _ in range(d * n)]
+    for col in range(n):
+        unit = [[int(p * d + b == col) for b in range(d)] for p in range(d)]
+        _, act = _ad_action_ints(unit, f)  # d1 (Xadj_i^T E + E Xadj_i)
+        for i in range(d):
+            for a in range(d):
+                for b in range(d):
+                    rows[i * n + a * d + b][col] = act[i][a][b] * d2
+    rhs = [0] * (d * n)
+    for (a, b, i, w) in gnz:
+        rhs[i * n + a * d + b] = -w * d1  # Yt_i^ab = -ft^ab_i
+    return rows, rhs
+
+
+def solve_coboundary_full(f, fd):
+    """`solve_affine` on every equation of `coboundary_system`."""
+    return rl.solve_affine(*coboundary_system(f, fd))
+
+
+def _frac_text(q):
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def _frac_linear_text(coeffs):
+    parts = []
+    for i in sorted(coeffs):
+        q = coeffs[i]
+        if not q:
+            continue
+        mag = abs(q)
+        body = f"x{i+1}" if mag == 1 else f"{_frac_text(mag)}*x{i+1}"
+        if not parts:
+            parts.append(body if q > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if q > 0 else f"- {body}")
+    return " ".join(parts) if parts else "0"
+
+
+def render_by_fractions(f):
+    """The text form of a real closed function, every coefficient and rate
+    read as a Fraction and every term map sorted by (monomial, rates)."""
+    if not f.terms:
+        return "0"
+    if not f.is_real():
+        raise InputError("only real closed functions have a text form")
+    pieces = []
+    seen = set()
+    key = lambda item: (item[0][0], tuple((q.re, q.im) for q in item[0][1]))  # noqa: E731
+    for (k, z), c in sorted(f.terms.items(), key=key):
+        if (k, z) in seen:
+            continue
+        alpha = {i: z[i].re for i in range(4) if z[i].re}
+        beta = {i: z[i].im for i in range(4) if z[i].im}
+        factors = [f"x{i+1}" if p == 1 else f"x{i+1}^{p}" for i, p in enumerate(k) if p]
+        if alpha:
+            factors.append(f"exp({_frac_linear_text(alpha)})")
+        if not beta:
+            if c.im:
+                raise InputError("real function has a stray imaginary coefficient")
+            pieces.append((c.re, factors))
+            seen.add((k, z))
+            continue
+        if beta[min(beta)] < 0:
+            continue
+        zbar = tuple(q.conjugate() for q in z)
+        cbar = f.terms.get((k, zbar))
+        if cbar is None or cbar != c.conjugate():
+            raise InputError("real function lacks a conjugate term")
+        seen.add((k, z))
+        seen.add((k, zbar))
+        arg = _frac_linear_text(beta)
+        if c.re:
+            pieces.append((2 * c.re, factors + [f"cos({arg})"]))
+        if c.im:
+            pieces.append((-2 * c.im, factors + [f"sin({arg})"]))
+    out = []
+    for q, factors in pieces:
+        mag = abs(q)
+        if factors:
+            body = "*".join(factors) if mag == 1 else "*".join([_frac_text(mag)] + factors)
+        else:
+            body = _frac_text(mag)
+        if not out:
+            out.append(body if q > 0 else f"-{body}")
+        else:
+            out.append(f"+ {body}" if q > 0 else f"- {body}")
+    return " ".join(out) if out else "0"
 
 
 def fresh_diff(f, i):

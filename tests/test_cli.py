@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import liebialg
 from liebialg import corpus as corpus_mod
 from liebialg import core, groupgeom, harness, integrable
 from liebialg.closedfun import ClosedFunction, cfm_identity
-from liebialg.cli import main
+from liebialg.cli import _report_lines, main
 from liebialg.errors import (
     EvalError,
     InvariantError,
@@ -339,15 +340,24 @@ def test_shards_group_entries_by_algebra(reg, jobs):
     assert runs == [[e[0] for e in es] for es in campaigns]
 
 
-def test_worker_rejects_an_entry_it_enumerates_differently(monkeypatch):
+def test_worker_rejects_an_entry_it_enumerates_differently(reg, monkeypatch):
     monkeypatch.setattr(harness, "_WORKER", {})
-    harness._init_worker("1", None)
+    harness._init_worker("1", reg)
     name = harness._WORKER["campaigns"][0][0][0]
     ((c, i, result),) = harness._run_shard([(0, 0, name)])
     assert (c, i, result.entry, result.status) == (0, 0, name, "pass")
     for shard in ([(0, 0, name + "?")], [(0, 10**6, name)]):
         with pytest.raises(InvariantError):
             harness._run_shard(shard)
+
+
+def test_a_pickled_corpus_gives_the_same_report(reg):
+    # a spawned worker gets the parent's corpus pickled, a forked one as is
+    back = pickle.loads(pickle.dumps(reg))
+    assert back is not reg and sorted(back.algebras) == sorted(reg.algebras)
+    want = _report_lines(harness.verify_tables(reg, "6-7"), True)
+    assert len(want) > 100
+    assert _report_lines(harness.verify_tables(back, "6-7"), True) == want
 
 
 def test_derive_poisson_worked_row(capsys):

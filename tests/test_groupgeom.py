@@ -1,5 +1,6 @@
 """Invariant frames and the adjoint blocks of the double."""
 
+import dataclasses
 import random
 
 import pytest
@@ -80,13 +81,13 @@ def test_double_adjoint_block_structure(reg):
         for j in range(4):
             assert blocks.a[i][j].eval_at_zero() == (1 if i == j else 0)
             assert blocks.d[i][j].eval_at_zero() == (1 if i == j else 0)
-            assert blocks.b[i][j].eval_at_zero() == 0
+            assert blocks.pi[i][j].eval_at_zero() == 0
 
 
 def test_double_adjoint_with_trivial_dual_is_plain_adjoint(reg):
     f = reg.instantiate("A_4_7")
     blocks = double_adjoint(invariant_frame(GroupChart(f)), f, StructureConstants(4))
-    assert cfm_is_zero(blocks.b)
+    assert cfm_is_zero(blocks.pi)
     assert cfm_is_zero(blocks_pairing_residual(blocks))
 
 
@@ -216,34 +217,37 @@ def test_dual_block_transpose_is_the_adjugate_inverse(reg, bench):
 
 
 def test_corrupted_dual_block_fails_the_pairing_check(reg, monkeypatch):
+    # d = P_4^T is built from the frame's exp(-x_m Xadj_m), a from its
+    # exp(x_m Xadj_m): a wrong entry in one factor of d breaks a d^T = I.
+    # The dual slice of X_1 is zero, so no F' check reads exp(-x1 Xadj_1).
     f, fd = reg.instantiate("A_4_7"), reg.instantiate("A_4_7.i")
-    exact_factor = groupgeom.double_exp_factor
+    assert not any(fd.f[j][k][0] for j in range(4) for k in range(4))
+    frame = invariant_frame(GroupChart(f))
     exact_residual = groupgeom.blocks_pairing_residual
     residuals = []
-
-    def corrupted(frame, fd, i):
-        e, low, et = exact_factor(frame, fd, i)
-        if i == 2:
-            et = [row[:] for row in et]
-            et[0][1] = et[0][1] + _cf("x3")
-        return e, low, et
+    exp_neg = list(frame.exp_neg)
+    exp_neg[0] = [row[:] for row in exp_neg[0]]
+    exp_neg[0][1][0] = exp_neg[0][1][0] + _cf("x1")
+    corrupted = dataclasses.replace(frame, exp_neg=exp_neg)
 
     def recorded(blocks):
         residuals.append(exact_residual(blocks))
         return residuals[-1]
 
-    monkeypatch.setattr(groupgeom, "double_exp_factor", corrupted)
     monkeypatch.setattr(groupgeom, "blocks_pairing_residual", recorded)
+    double_adjoint(frame, f, fd)  # passes with the exact factors
+    residuals.clear()
     with pytest.raises(InvariantError):
-        double_adjoint(invariant_frame(GroupChart(f)), f, fd)
+        double_adjoint(corrupted, f, fd)
     (residual,) = residuals
     assert not cfm_is_zero(residual)
 
 
 @pytest.mark.parametrize("side", ["B E", "B^T E"])
 def test_corrupted_constant_product_fails_the_lower_block_check(reg, bench, monkeypatch, side):
-    # the check's B E and the integrand's E^T B = (B^T E)^T are separate
-    # products, so a wrong one of either makes F' differ from B E - A^T F
+    # the check's B E, part of the one product [B | -A^T] [E; F], and the
+    # integrand's E^T B = (B^T E)^T are separate products, so a wrong one of
+    # either makes F' differ from B E - A^T F
     fd = reg.instantiate("A_4_7.i")
     frame = bench.frame("A_4_7", {})
     exact = groupgeom.cfm_const_mul
@@ -254,7 +258,8 @@ def test_corrupted_constant_product_fails_the_lower_block_check(reg, bench, monk
         if b == bt:
             continue  # a corruption could not tell the two products apart
         double_exp_factor(frame, fd, i)  # passes with the exact products
-        target = b if side == "B E" else bt
+        minus_at = [[-x for x in row] for row in zip(*frame.base.adjoint(i))]
+        target = [rb + ra for rb, ra in zip(b, minus_at)] if side == "B E" else bt
 
         def corrupted(m, a, _target=target, _coord=i + 1):
             out = exact(m, a)

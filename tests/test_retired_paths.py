@@ -1,0 +1,214 @@
+"""Differential tests of the derive path's kernels against the dense paths
+they replaced, kept in `evalref` as oracles: the sparse `cfm_mul` against
+the sum of every product, the memoized minors of `cfm_det` and
+`cfm_inverse_unitdet` against cofactor expansions made afresh,
+`double_adjoint`'s -b a^-1 over the nonzero dual slices against the (a, b, d)
+block accumulation, `solve_coboundary` on the distinct nonzero equations
+against the full system, and `render_closed_function` on int triples against
+the Fraction renderer.  Each runs on every corpus frame or pair at its first
+binding and on hypothesis draws.  Term maps compare as dicts, which ignores
+the order of their keys."""
+
+from fractions import Fraction
+
+import pytest
+
+from evalref import (
+    cfm_mul_sum,
+    det_by_cofactors,
+    inverse_by_cofactors,
+    minus_b_ainv,
+    render_by_fractions,
+    solve_coboundary_full,
+)
+from liebialg.closedfun import (
+    ClosedFunction,
+    CRat,
+    cf_coord,
+    cf_exp,
+    cfm_det,
+    cfm_inverse_unitdet,
+    cfm_mul,
+    cfm_transpose,
+)
+from liebialg.core import StructureConstants
+from liebialg.groupgeom import double_adjoint
+from liebialg.render import render_closed_function
+from liebialg.rmatrix import solve_coboundary
+
+hyp = pytest.importorskip("hypothesis")
+st = hyp.strategies
+
+
+def _maps(m):
+    return [[x.terms for x in row] for row in m]
+
+
+def _first(reg, g, dual=None):
+    return reg.grid_bindings(g, dual, cap=1)[0]
+
+
+@pytest.fixture(scope="module")
+def frames(reg, bench):
+    """Every corpus frame at its first binding, by name."""
+    return {name: bench.frame(name, _first(reg, name)) for name in sorted(reg.frames)}
+
+
+def test_sparse_products_match_the_dense_sum_on_every_corpus_frame(frames):
+    for name, fr in frames.items():
+        prod = fr.exp_neg[0]
+        for e in fr.exp_neg[1:]:
+            got, want = cfm_mul(e, prod), cfm_mul_sum(e, prod)
+            assert _maps(got) == _maps(want), name
+            prod = got
+        assert _maps(cfm_mul(prod, fr.XR)) == _maps(cfm_mul_sum(prod, fr.XR)) == _maps(fr.XL), name
+
+
+def test_shared_minors_match_the_cofactor_expansion_on_every_corpus_frame(frames):
+    for name, fr in frames.items():
+        assert cfm_det(fr.Rmat).terms == det_by_cofactors(fr.Rmat).terms, name
+        want = inverse_by_cofactors(fr.Rmat)
+        assert _maps(cfm_inverse_unitdet(fr.Rmat)) == _maps(want), name
+        assert _maps(fr.XR) == _maps(cfm_transpose(want)), name
+
+
+def test_minus_b_ainv_matches_the_block_accumulation_on_every_corpus_pair(reg, bench):
+    slices, checked = set(), 0
+    for g, dual in sorted({(be.g, be.dual) for be in reg.bialgebras}):
+        binding = _first(reg, g, dual)
+        if bench.double(g, dual, binding):
+            continue  # a flagged row: the pair is no Lie bialgebra
+        f, fd = bench.sc(g, binding), bench.sc(dual, binding)
+        frame = bench.frame(g, binding)
+        blocks = double_adjoint(frame, f, fd, certified=True)
+        assert _maps(blocks.pi) == _maps(minus_b_ainv(frame, fd)), (g, dual)
+        slices.add(len({k for _, _, k, _ in fd.nonzero()}))
+        checked += 1
+    assert checked > 100
+    assert slices == {0, 1, 2, 3, 4}  # every count of nonzero dual slices
+
+
+def _same_solutions(got, want, label):
+    if want is None:
+        assert got.empty, label
+        return
+    part, kernel = want
+    assert not got.empty, label
+    assert len(part) == got.particular.dim**2, label
+    assert [x for row in got.particular.r for x in row] == part, label
+    assert [[x for row in t.r for x in row] for t in got.kernel_basis] == kernel, label
+
+
+def test_distinct_equations_match_the_full_system_on_every_corpus_pair(reg, bench):
+    pairs = set(reg.rmatrices) | {(be.g, be.dual) for be in reg.bialgebras}
+    for g, dual in sorted(pairs):
+        binding = _first(reg, g, dual)
+        f, fd = bench.sc(g, binding), bench.sc(dual, binding)
+        _same_solutions(solve_coboundary(f, fd), solve_coboundary_full(f, fd), (g, dual))
+    assert len(pairs) > 150
+
+
+_SMALL = st.integers(-2, 2)
+
+
+@st.composite
+def _tensors(draw):
+    """A sparse 4-dimensional structure-constant tensor, antisymmetric in its
+    first two indices, with small int entries; the Jacobi identity is not
+    needed by the coboundary equation."""
+    sc = StructureConstants(4)
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = sorted(draw(st.lists(st.integers(0, 3), min_size=2, max_size=2, unique=True)))
+        k, v = draw(st.integers(0, 3)), Fraction(draw(_SMALL))
+        sc.f[i][j][k] = v
+        sc.f[j][i][k] = -v
+    return sc
+
+
+@hyp.settings(max_examples=60, deadline=None)
+@hyp.given(_tensors(), _tensors())
+@hyp.example(StructureConstants(4), StructureConstants(4))  # no equation at all
+def test_distinct_equations_match_the_full_system_on_drawn_tensors(f, fd):
+    _same_solutions(solve_coboundary(f, fd), solve_coboundary_full(f, fd), (f, fd))
+
+
+def _exp_term(draw):
+    """c exp(z . x) with a small nonzero c and small rational real rates."""
+    rates = {i + 1: Fraction(draw(_SMALL), draw(st.integers(1, 3))) for i in range(4)}
+    return cf_exp(rates).scale(draw(st.integers(1, 3)) * (-1) ** draw(st.integers(0, 1)))
+
+
+_ENTRY = st.one_of(
+    st.just(ClosedFunction.zero()),
+    st.builds(
+        lambda c, i, p: cf_coord(i, p).scale(c), _SMALL, st.integers(1, 4), st.integers(0, 2)
+    ),
+    st.builds(lambda c, r: cf_exp({2: r}).scale(c), _SMALL, st.integers(-1, 1)),
+)
+
+
+@st.composite
+def _unit_det_matrices(draw):
+    """L U with L unit lower triangular and U upper triangular with single
+    exponential terms on its diagonal, so det = a single exponential term."""
+    n = draw(st.integers(1, 4))
+    one = ClosedFunction.const(1)
+    low = [[draw(_ENTRY) if c < r else one if c == r else one.zero() for c in range(n)]
+           for r in range(n)]
+    up = [[draw(_ENTRY) if c > r else ClosedFunction.zero() for c in range(n)] for r in range(n)]
+    for i in range(n):
+        up[i][i] = _exp_term(draw)
+    return cfm_mul(low, up)
+
+
+@hyp.settings(max_examples=40, deadline=None)
+@hyp.given(_unit_det_matrices())
+@hyp.example([[cf_exp({1: 2}).scale(3)]])  # the empty cofactor of a 1 x 1 matrix is 1
+def test_shared_minors_match_the_cofactor_expansion_on_drawn_matrices(a):
+    assert cfm_det(a).terms == det_by_cofactors(a).terms
+    assert _maps(cfm_inverse_unitdet(a)) == _maps(inverse_by_cofactors(a))
+
+
+def test_int_triple_renderer_matches_the_fraction_renderer_on_the_corpus(reg, bench, frames):
+    texts = 0
+    for fr in frames.values():
+        for row in fr.XL + fr.XR:
+            for x in row:
+                assert render_closed_function(x) == render_by_fractions(x)
+                texts += 1
+    for pe in reg.poisson:
+        p = bench.bivector(pe.g, pe.dual, pe.method, _first(reg, pe.g, pe.dual)).P
+        for row in p:
+            for x in row:
+                assert render_closed_function(x) == render_by_fractions(x)
+                texts += 1
+    assert texts > 4000
+
+
+_RATE = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+
+
+@st.composite
+def _real_functions(draw):
+    """Sums of real terms c x^k exp(a . x) and of conjugate pairs
+    (u + v i) x^k exp((a + b i) . x) + (u - v i) x^k exp((a - b i) . x),
+    with fractional and negative coefficients and rates."""
+    f = ClosedFunction.zero()
+    for _ in range(draw(st.integers(1, 4))):
+        k = tuple(draw(st.lists(st.integers(-1, 2), min_size=4, max_size=4)))
+        alpha = draw(st.lists(_RATE, min_size=4, max_size=4))
+        beta = draw(st.lists(_RATE, min_size=4, max_size=4)) if draw(st.booleans()) else [0] * 4
+        u, v = draw(_RATE), draw(_RATE)
+        z = tuple(CRat(a, b) for a, b in zip(alpha, beta))
+        if any(beta) and (u or v):
+            zbar = tuple(q.conjugate() for q in z)
+            f = f + ClosedFunction({(k, z): CRat(u, v)}) + ClosedFunction({(k, zbar): CRat(u, -v)})
+        elif u:
+            f = f + ClosedFunction({(k, z): CRat(u)})
+    return f
+
+
+@hyp.settings(max_examples=150, deadline=None)
+@hyp.given(_real_functions())
+def test_int_triple_renderer_matches_the_fraction_renderer_on_drawn_functions(f):
+    assert render_closed_function(f) == render_by_fractions(f)

@@ -13,7 +13,10 @@ never differentiates the zero function.  A verify pass decides every Lie
 bialgebra on its two 4-dimensional halves: no 8-dimensional tensor reaches
 `jacobi_check`, and only table 2 builds the double, once per pair and
 binding, for its pairing check; the mixed identity has one evaluator in the
-package."""
+package.  The derive path does only nonzero work: a 4 x 4 inverse computes
+each minor once, `solve_affine` gets each nonzero coboundary equation once,
+`cfm_mul` multiplies no zero factor, and `double_adjoint` builds no factor
+whose dual slice is zero."""
 
 import glob
 import importlib
@@ -25,7 +28,7 @@ from fractions import Fraction
 
 import pytest
 
-from liebialg import closedfun, core, groupgeom
+from liebialg import closedfun, core, groupgeom, ratlinalg, rmatrix
 from liebialg.harness import verify_tables
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -183,3 +186,110 @@ def test_a_verify_pass_builds_no_double_beyond_the_pairing_check(reg, monkeypatc
     table2 = sum(len(reg.grid_bindings(be.g, be.dual)) for be in reg.bialgebras)
     assert len(pairs) == len({(id(f), id(fd)) for f, fd in pairs}) <= table2 == 321
     assert not hasattr(core, "_matrix_residual")
+
+
+def _first_frames(reg, bench, names):
+    return [bench.frame(g, reg.grid_bindings(g, cap=1)[0]) for g in names]
+
+
+FRAME_SAMPLE = ("A_4_7", "VII0+R", "A_4_1", "A_4_12", "A_4_9_m12.iv", "4A_1")
+
+
+def test_a_4x4_inverse_computes_each_minor_once(reg, bench, monkeypatch):
+    computed, sums = [], []
+    minor, sum_products = closedfun._minor, closedfun.cf_sum_products
+
+    def minor_counted(a, rows, cols, memo):
+        if len(rows) > 1 and (rows, cols) not in memo:
+            computed.append((rows, cols))
+        return minor(a, rows, cols, memo)
+
+    def sum_counted(products, scaled=()):
+        sums.append(1)
+        return sum_products(products, scaled)
+
+    def no_det(a):
+        raise AssertionError("the inverse expands its determinant through cfm_det")
+
+    monkeypatch.setattr(closedfun, "_minor", minor_counted)
+    monkeypatch.setattr(closedfun, "cf_sum_products", sum_counted)
+    monkeypatch.setattr(closedfun, "cfm_det", no_det)
+    for fr in _first_frames(reg, bench, FRAME_SAMPLE):
+        computed.clear()
+        sums.clear()
+        closedfun.cfm_inverse_unitdet(fr.Rmat)
+        assert len(computed) == len(set(computed)) == len(sums)
+        assert sum(len(rows) == 3 for rows, _ in computed) == 16  # every cofactor
+        assert sum(len(rows) == 4 for rows, _ in computed) == 1  # the determinant
+
+
+def test_solve_affine_gets_each_nonzero_coboundary_equation_once(reg, monkeypatch):
+    systems = []
+    solve = ratlinalg.solve_affine
+
+    def recorded(a, b, cols=None):
+        systems.append((a, b))
+        return solve(a, b, cols)
+
+    monkeypatch.setattr(ratlinalg, "solve_affine", recorded)
+    for g, dual in sorted(reg.rmatrices):
+        binding = reg.grid_bindings(g, dual, cap=1)[0]
+        rmatrix.solve_coboundary(reg.instantiate(g, binding), reg.instantiate(dual, binding))
+    assert len(systems) == len(reg.rmatrices)
+    for a, b in systems:
+        # each equation scaled by its first nonzero entry: a zero equation
+        # has none, and proportional ones scale to the same tuple
+        scaled = []
+        for row, rhs in zip(a, b):
+            eq = list(row) + [rhs]
+            lead = next((x for x in eq if x), None)
+            assert lead is not None
+            scaled.append(tuple(Fraction(x, lead) for x in eq))
+        assert len(set(scaled)) == len(scaled)
+    assert sum(len(a) for a, _ in systems) < 32 * len(systems)
+    # a negated or scaled copy is the same equation; 0 = 1 is kept
+    rows, rhs = rmatrix._distinct_equations(
+        [[1, 2], [-2, -4], [0, 0], [3, 6], [0, 0], [0, 3]], [1, -2, 0, 3, 1, 0]
+    )
+    assert (rows, rhs) == ([(1, 2), (0, 0), (0, 1)], [1, 1, 0])
+
+
+def test_cfm_mul_multiplies_no_zero_factor(reg, bench, monkeypatch):
+    calls = []
+    mul_into = closedfun._mul_into
+
+    def checked(t, f, g, neg=False):
+        assert f.terms and g.terms
+        calls.append(1)
+        return mul_into(t, f, g, neg)
+
+    monkeypatch.setattr(closedfun, "_mul_into", checked)
+    for fr in _first_frames(reg, bench, FRAME_SAMPLE):
+        for a, b in ((fr.exp_neg[1], fr.exp_neg[0]), (fr.Rmat, fr.XR), (fr.XL, fr.XR)):
+            calls.clear()
+            closedfun.cfm_mul(a, b)
+            pairs = sum(1 for arow in a for x, brow in zip(arow, b) for y in brow if x and y)
+            assert len(calls) == pairs
+
+
+def test_double_adjoint_builds_no_factor_of_a_zero_dual_slice(reg, bench, monkeypatch):
+    built = []
+    exact = groupgeom.double_exp_factor
+
+    def recorded(frame, fd, i):
+        built.append(i)
+        return exact(frame, fd, i)
+
+    monkeypatch.setattr(groupgeom, "double_exp_factor", recorded)
+    seen = set()
+    for g, dual in (("A_4_7", "A_4_7.i"), ("VII0+R", "II+R.xiv"), ("A_4_1", "A_4_1.i"),
+                    ("A_4_12", "A_4_12.ii"), ("A_4_7", None)):
+        binding = reg.grid_bindings(g, dual, cap=1)[0] if dual else {}
+        f = reg.instantiate(g, binding)
+        fd = reg.instantiate(dual, binding) if dual else core.StructureConstants(4)
+        built.clear()
+        groupgeom.double_adjoint(bench.frame(g, binding), f, fd)
+        nonzero = [k for k in range(4) if any(fd.f[i][j][k] for i in range(4) for j in range(4))]
+        assert built == nonzero, (g, dual)
+        seen.add(len(nonzero))
+    assert 0 in seen and len(seen) > 2
