@@ -425,21 +425,51 @@ def _with(t, idx, v):
 
 def _mul_into(t, f, g, neg=False):
     """t += f * g (t -= f * g with `neg`) on term maps, dropping
-    coefficients that cancel."""
+    coefficients that cancel.  A zero monomial or a zero rate tuple in a
+    factor leaves the other factor's as the key's, and each coefficient
+    product is formed on the int triples, with a gcd only when the
+    denominator is not 1."""
     gterms = g.terms.items()
-    for (k1, z1), c1 in f.terms.items():
+    for (k1, z1), (a1, b1, d1) in f.terms.items():
         if neg:
-            c1 = -c1
-        for (k2, z2), c2 in gterms:
-            key = (tuple(map(add, k1, k2)), tuple(map(add, z1, z2)))
-            c = c1 * c2
+            a1, b1 = -a1, -b1
+        k1_zero = k1 == _ZEXP
+        z1_zero = z1 is _ZRATE or z1 == _ZRATE
+        for (k2, z2), (a2, b2, d2) in gterms:
+            if k1_zero:
+                k = k2
+            elif k2 == _ZEXP:
+                k = k1
+            else:
+                k = tuple(map(add, k1, k2))
+            if z1_zero:
+                z = z2
+            elif z2 is _ZRATE:
+                z = z1
+            else:
+                z = tuple(map(add, z1, z2))
+            if b1 or b2:
+                a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+            else:
+                a, b = a1 * a2, 0
+            d = d1 * d2
+            if d != 1:
+                h = gcd(a, b, d)
+                if h != 1:
+                    a //= h
+                    b //= h
+                    d //= h
+            key = (k, z)
+            c = _new(CRat, (a, b, d))
             s = t.get(key)
-            if s is not None:
-                c = s + c
-            if c:
+            if s is None:  # a product of nonzero coefficients is nonzero
                 t[key] = c
-            elif s is not None:
-                del t[key]
+            else:
+                c = s + c
+                if c:
+                    t[key] = c
+                else:
+                    del t[key]
 
 
 def _accumulate(acc, key, v):
@@ -857,15 +887,64 @@ def _spectrum(coeffs):
     return roots
 
 
+def _blocks(mc, n):
+    """The strongly connected components of the graph i -> j on the nonzero
+    entries (i, j) of a sparse n x n matrix, as tuples of indices, each in
+    increasing order and listed by their smallest index.  Reachability is
+    one bitmask per vertex, closed by Warshall's recursion (n <= 8 here)."""
+    reach = [1 << i for i in range(n)]
+    for i, j in mc:
+        reach[i] |= 1 << j
+    for k in range(n):
+        bit, rk = 1 << k, reach[k]
+        for i in range(n):
+            if reach[i] & bit:
+                reach[i] |= rk
+    blocks, seen = [], 0
+    for i in range(n):
+        if not seen >> i & 1:
+            comp = tuple(j for j in range(i, n) if reach[i] >> j & 1 and reach[j] >> i & 1)
+            for j in comp:
+                seen |= 1 << j
+            blocks.append(comp)
+    return blocks
+
+
+def _eigenvalues(mc, n):
+    """The eigenvalues over Q(i), with multiplicity and equal ones together,
+    of a sparse n x n CRat matrix.  Ordered by its strongly connected
+    components (`_blocks`), the matrix is block triangular, so its spectrum
+    is the union of its diagonal blocks' spectra: a 1 x 1 block gives its
+    diagonal entry, and a larger block the roots of its own characteristic
+    polynomial (`_spectrum`), whose UnsupportedSpectrum names that block's
+    factor."""
+    mult = {}
+    for block in _blocks(mc, n):
+        if len(block) == 1:
+            lam = mc.get((block[0], block[0]), CR_ZERO)
+            mult[lam] = mult.get(lam, 0) + 1
+            continue
+        at = {i: r for r, i in enumerate(block)}
+        sub = {(at[i], at[j]): c for (i, j), c in mc.items() if i in at and j in at}
+        for lam, m in _spectrum(_char_poly(sub, len(block))):
+            mult[lam] = mult.get(lam, 0) + m
+    return [lam for lam, m in mult.items() for _ in range(m)]
+
+
 def cf_matexp(m, coord):
     """exp(x_coord * M) as a matrix of closed functions of x_coord alone.
 
     Putzer's algorithm (E. J. Putzer, Amer. Math. Monthly 73, 1966): with the
     eigenvalues l_1, ..., l_n of M over Q + iQ, listed with multiplicity,
     exp(xM) = sum_k r_k(x) P_k, where P_1 = I, P_{k+1} = (M - l_k) P_k,
-    r_1 = e^{l_1 x} and r_k = e^{l_k x} int_0^x e^{-l_k s} r_{k-1}(s) ds.
-    The dense rational M is read once into its nonzero entries {(i, j): CRat};
-    the characteristic polynomial and every P_k are such maps, r_k is added
+    r_1 = e^{l_1 x} and r_k = e^{l_k x} int_0^x e^{-l_k s} r_{k-1}(s) ds,
+    valid for any order of the eigenvalues.
+    The dense rational M is read once into its nonzero entries {(i, j): CRat}.
+    Its eigenvalues come block by block (`_eigenvalues`): M is block
+    triangular in the order of the strongly connected components of its
+    nonzero pattern, so a 1 x 1 block contributes its diagonal entry with no
+    polynomial, and only a larger block goes through its characteristic
+    polynomial and `_spectrum`.  Every P_k is a sparse map, r_k is added
     into the entries of P_k that are nonzero, and the sum stops at the first
     empty P_k, so a nilpotent M costs its index of nilpotency.  The result is
     verified to satisfy exp(0) = I and d/dx exp = M exp exactly.
@@ -876,7 +955,7 @@ def cf_matexp(m, coord):
         result = cfm_identity(n)
         _verify_matexp(result, m, coord)
         return result
-    lams = [lam for lam, mult in _spectrum(_char_poly(mc, n)) for _ in range(mult)]
+    lams = _eigenvalues(mc, n)
     acc = {}  # {(i, j): term map of the sum so far}
     p = {(i, i): CR_ONE for i in range(n)}
     r = None

@@ -67,16 +67,32 @@ def invariant_frame(chart: GroupChart, matexp_pm=None) -> InvariantFrame:
     exp_pos = [e for e, _ in pairs]
     exp_neg = [em for _, em in pairs]
 
-    # the product starts at exp(-x1 Xadj_1), the first factor times I
-    rcols = [cfm_identity(n)[0]]
-    prod = exp_neg[0]
-    for j in range(1, n):
-        rcols.append(prod[j])
-        prod = cfm_mul(exp_neg[j], prod)
+    # None stands for I while every factor so far has been exp(0) = I
+    ident = cfm_identity(n)
+    central = _central(f)
+    rcols, prod = [], None
+    for j in range(n):
+        rcols.append((ident if prod is None else prod)[j])
+        prod = _times(None if central[j] else exp_neg[j], prod)
 
     rmat = cfm_transpose(rcols)
     xr = cfm_transpose(cfm_inverse_unitdet(rmat))
-    return InvariantFrame(rmat, xr, cfm_mul(prod, xr), exp_pos, exp_neg, f)
+    return InvariantFrame(rmat, xr, _times(prod, xr), exp_pos, exp_neg, f)
+
+
+def _central(f: StructureConstants):
+    """[ad X_i = 0 for each i]: exp(x_i Xadj_i) is then I (`cf_matexp`)."""
+    moved = {i for i, _, _, _ in f.nonzero()}
+    return [i not in moved for i in range(f.dim)]
+
+
+def _times(a, b):
+    """a b, with None for the identity: a factor I is not multiplied."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return cfm_mul(a, b)
 
 
 def frame_bracket_residuals(frame: InvariantFrame, f: StructureConstants):
@@ -146,20 +162,27 @@ def double_adjoint(
         if failed:
             raise InputError(f"pair fails the {failed} identity")
     n = f.dim
-    prefix = [None, frame.exp_neg[0]]  # P_k at k; P_0 = I is never formed
-    a = frame.exp_pos[0]
-    for i in range(1, n):
-        prefix.append(cfm_mul(frame.exp_neg[i], prefix[-1]))
-        a = cfm_mul(a, frame.exp_pos[i])
+    # P_k at k, and a, with None for I: P_0 = I, and the factors of a zero
+    # ad X_k, which are exp(0) = I, are not multiplied
+    central = _central(f)
+    prefix, a = [None], None
+    for i in range(n):
+        if central[i]:
+            prefix.append(prefix[-1])
+        else:
+            prefix.append(_times(frame.exp_neg[i], prefix[-1]))
+            a = _times(a, frame.exp_pos[i])
+    ident = cfm_identity(n)
     terms = []
     for i in sorted({k for _, _, k, _ in fd.nonzero()}):  # B_(i+1) != 0
         low = double_exp_factor(frame, fd, i)[1]
-        if i == 0:  # P_0 = I
-            terms.append((low, prefix[1]))
-        else:
+        if prefix[i] is None:  # P_i = I
+            terms.append((low, ident if prefix[i + 1] is None else prefix[i + 1]))
+        else:  # then P_(i+1) != I too
             terms.append((cfm_transpose(prefix[i]), cfm_mul(low, prefix[i + 1])))
     pi = cfm_sum_products(terms, neg=True) if terms else cfm_zeros(n, n)
-    blocks = DoubleAdjointBlocks(a, cfm_transpose(prefix[n]), pi)
+    d = ident if prefix[n] is None else cfm_transpose(prefix[n])
+    blocks = DoubleAdjointBlocks(ident if a is None else a, d, pi)
     # invariance of the canonical pairing forces d = (a^-1)^T
     if not cfm_is_zero(blocks_pairing_residual(blocks)):
         raise InvariantError("pairing relation a d^T = I violated")
@@ -193,8 +216,12 @@ def double_exp_factor(frame: InvariantFrame, fd: StructureConstants, i):
     low = cfm_zeros(n, n)
     if any(any(row) for row in b):
         etb = cfm_transpose(cfm_const_mul(cfm_transpose(b), e))
-        inner = cfm_mul(etb, e)
-        low = cfm_mul(cfm_transpose(em), [[x.integral(coord) for x in row] for row in inner])
+        # with A = 0, E = E_- = I, so the integrand is E^T B and F its integral
+        central = _central(frame.base)[i]
+        inner = etb if central else cfm_mul(etb, e)
+        low = [[x.integral(coord) for x in row] for row in inner]
+        if not central:
+            low = cfm_mul(cfm_transpose(em), low)
         if any(x.eval_at_zero() for row in low for x in row):
             raise InvariantError("lower-left block of the double's exponential is nonzero at 0")
         check = [rb + list(col) for rb, col in zip(b, zip(*frame.base.f[i]))]

@@ -7,6 +7,7 @@ The defining linear system (per adjoint conventions in core):
 so a tensor r generates the cocommutator ft^ab_i = -(Xadj_i^T r + r Xadj_i)^ab.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -151,18 +152,19 @@ def solve_coboundary(f: StructureConstants, fd: StructureConstants) -> RSolution
     # they are
     d1, fnz = f.scaled_nonzero()
     d2, gnz = fd.scaled_nonzero()
-    rows = [[0] * n for _ in range(d * n)]
-    rhs = [0] * (d * n)
+    # only the equations that a nonzero entry touches, by index, each its n
+    # coefficients followed by its right-hand side
+    eqs = defaultdict(lambda: [0] * (n + 1))
     for (i, p, q, v) in fnz:
         x = -v * d2  # d1 d2 (Xadj_i)_p^q
         base = i * n
         for b in range(d):
             # (Xadj_i^T r)^qb gains x r^pb, (r Xadj_i)^bq gains r^bp x
-            rows[base + q * d + b][p * d + b] += x
-            rows[base + b * d + q][b * d + p] += x
+            eqs[base + q * d + b][p * d + b] += x
+            eqs[base + b * d + q][b * d + p] += x
     for (a, b, i, w) in gnz:
-        rhs[i * n + a * d + b] = -w * d1
-    sol = rl.solve_affine(*_distinct_equations(rows, rhs), cols=n)
+        eqs[i * n + a * d + b][n] = -w * d1
+    sol = rl.solve_affine(*_distinct_equations(eqs[e] for e in sorted(eqs)), cols=n)
     if sol is None:
         return RSolutionSet(None, [], True)
     part, null = sol
@@ -173,13 +175,14 @@ def solve_coboundary(f: StructureConstants, fd: StructureConstants) -> RSolution
     return RSolutionSet(unflatten(part), [unflatten(v) for v in null], False)
 
 
-def _distinct_equations(rows, rhs):
-    """The nonzero equations of the int system rows x = rhs, each once, as
-    (rows, rhs): an equation is divided by the gcd of its entries, its first
-    nonzero entry made positive, and kept at its first occurrence.  A zero
-    equation or a multiple of an earlier one leaves the row space as it is,
-    and so the (unique) reduced row echelon form and the solutions."""
-    raw = dict.fromkeys((*row, b) for row, b in zip(rows, rhs) if b or any(row))
+def _distinct_equations(eqs):
+    """The nonzero equations among `eqs`, int rows of coefficients followed
+    by a right-hand side, each once, as (rows, rhs): an equation is divided
+    by the gcd of its entries, its first nonzero entry made positive, and
+    kept at its first occurrence.  A zero equation or a multiple of an
+    earlier one leaves the row space as it is, and so the (unique) reduced
+    row echelon form and the solutions."""
+    raw = dict.fromkeys(tuple(eq) for eq in eqs if any(eq))
     seen = {}
     for eq in raw:
         g = gcd(*eq)

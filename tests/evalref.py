@@ -27,7 +27,9 @@ column from the action on the unit tensors, and `solve_coboundary_full`
 hands every one of its equations to `solve_affine`: the oracle of
 `solve_coboundary`, which hands over the distinct nonzero ones.
 `render_by_fractions` renders a closed function through Fractions, the
-oracle of `render_closed_function`.
+oracle of `render_closed_function`.  `mul_into_by_crats` adds a product into
+a term map with CRat arithmetic and a key summed slot by slot for every
+pair of terms, the oracle of the inline integer kernel `closedfun._mul_into`.
 The dense Schouten loops are the oracles of the sparse kernel in
 `liebialg.multivec` and of its call sites: `vf_commutator` and
 `frame_bracket_residuals` of vector fields given as component rows,
@@ -40,7 +42,7 @@ per call, so no derivative comes from the cache of the function.
 import cmath
 import math
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
 from liebialg import ratlinalg as rl
 from liebialg.closedfun import (
@@ -139,6 +141,25 @@ def cfm_mul_sum(a, b):
             row.append(acc)
         out.append(row)
     return out
+
+
+def mul_into_by_crats(t, f, g, neg=False):
+    """t += f * g (t -= f * g with `neg`) on term maps: every key summed
+    slot by slot, every coefficient a CRat product, a coefficient that
+    cancels dropped."""
+    for (k1, z1), c1 in f.terms.items():
+        if neg:
+            c1 = -c1
+        for (k2, z2), c2 in g.terms.items():
+            key = (tuple(map(add, k1, k2)), tuple(map(add, z1, z2)))
+            c = c1 * c2
+            s = t.get(key)
+            if s is not None:
+                c = s + c
+            if c:
+                t[key] = c
+            elif s is not None:
+                del t[key]
 
 
 def cfm_from_frac(m):

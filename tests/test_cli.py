@@ -687,15 +687,19 @@ def test_no_module_samples_at_random():
 
 
 def test_loading_the_corpus_does_not_import_numpy():
-    # numpy is imported lazily, only to find nonzero roots of a characteristic
-    # polynomial, so the frames of nilpotent algebras never load it
+    # numpy is imported lazily, only to find nonzero roots of the
+    # characteristic polynomial of a diagonal block of size 2 or more of an
+    # adjoint matrix (at the first binding, 13 corpus frames have one, such
+    # as VII0+R and A_4_12).  A 1 x 1 block gives its diagonal entry, so
+    # neither nilpotent frames nor those with only 1 x 1 blocks and nonzero
+    # eigenvalues (A_4_2_m1, A_4_3, A2+A2) load it.
     src = os.path.dirname(os.path.dirname(os.path.abspath(liebialg.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     code = (
         "import sys; from liebialg import corpus, harness; reg = corpus.load(); "
         "bench = harness.Workbench(reg); "
-        "[bench.frame(name, {}) for name in ('A_4_1', '4A_1', 'II+R')]; "
+        "[bench.frame(name, {}) for name in ('A_4_1', '4A_1', 'II+R', 'A_4_2_m1', 'A_4_3', 'A2+A2')]; "
         "print('numpy' in sys.modules)"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)

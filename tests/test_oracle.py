@@ -1,6 +1,6 @@
 """Differential tests of the Laurent closed-function kernel, the sparse
-Schouten kernel, the exact matrix exponential, the invariant frames and the
-exact integrable checks against sympy.
+Schouten kernel, the exact matrix exponential and its block spectrum, the
+invariant frames and the exact integrable checks against sympy.
 
 A closed function becomes the sympy sum of its terms c x^k exp(z . x); two
 sympy expressions agree when their difference, expanded with the
@@ -21,7 +21,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from liebialg.closedfun import (  # noqa: E402
     ClosedFunction,
     CRat,
+    _blocks,
     _char_poly,
+    _eigenvalues,
     _sparse,
     cf_matexp,
     cf_matexp_pm,
@@ -29,6 +31,7 @@ from liebialg.closedfun import (  # noqa: E402
     cfm_mul,
     cfm_reflect,
 )
+from liebialg.errors import UnsupportedSpectrum  # noqa: E402
 from liebialg.exprtree import parse_expr, to_text  # noqa: E402
 from liebialg.multivec import bivector, bracket as field_bracket, jacobiator, lie_derivative, vector  # noqa: E402
 from liebialg.integrable import (  # noqa: E402
@@ -243,8 +246,8 @@ def test_matexp_of_minus_m_is_the_reflection(case):
 
 
 # --------------------------------------------------------------------------
-# The sparse characteristic polynomial and constant products on sparse
-# 4x4 and 8x8 matrices with a known kind of spectrum
+# The sparse characteristic polynomial, the block spectrum and constant
+# products on sparse 4x4 and 8x8 matrices with a known kind of spectrum
 # --------------------------------------------------------------------------
 
 SMALL = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
@@ -289,6 +292,46 @@ def test_sparse_char_poly_matches_sympy(m):
     got = _char_poly(_sparse(m), len(m))
     assert len(got) == len(want) == len(m) + 1
     assert all(sympy.expand(_q(g) - w) == 0 for g, w in zip(got, want)), (m, got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_matrices())
+def test_block_eigenvalues_match_sympy(m):
+    want = _sympy_matrix(m).eigenvals(multiple=True)
+    got = [_q(c) for c in _eigenvalues(_sparse(m), len(m))]
+    key = sympy.default_sort_key
+    assert sorted(got, key=key) == sorted(map(sympy.expand, want), key=key), m
+
+
+def _pattern(entries):
+    return {(i, j): CRat(1) for i, j in entries}
+
+
+def test_blocks_are_the_strongly_connected_components():
+    assert _blocks({}, 4) == [(0,), (1,), (2,), (3,)]
+    # a diagonal and a triangle: no edge comes back, so every block is 1 x 1
+    assert _blocks(_pattern([(0, 0), (0, 3), (1, 2), (2, 3), (0, 1)]), 4) == [(0,), (1,), (2,), (3,)]
+    # the cycle 0 -> 2 -> 3 -> 0 with 1 feeding into it
+    assert _blocks(_pattern([(0, 2), (2, 3), (3, 0), (1, 0)]), 4) == [(0, 2, 3), (1,)]
+    # two 2-cycles, one coupled to the other, listed by their smallest index
+    assert _blocks(_pattern([(1, 3), (3, 1), (0, 2), (2, 0), (3, 0)]), 4) == [(0, 2), (1, 3)]
+    # an 8-cycle is one block, its chain is eight
+    cycle = [(i, (i + 1) % 8) for i in range(8)]
+    assert _blocks(_pattern(cycle), 8) == [tuple(range(8))]
+    assert _blocks(_pattern(cycle[:-1]), 8) == [(i,) for i in range(8)]
+
+
+def test_an_irrational_block_names_its_own_factor():
+    # diag(3, [[0, 1], [2, 0]], 1/2) with couplings above: the sqrt(2)
+    # block raises, and the factor is its own lambda^2 - 2
+    m = [[Fraction(0)] * 4 for _ in range(4)]
+    m[0][0], m[3][3] = Fraction(3), Fraction(1, 2)
+    m[1][2], m[2][1] = Fraction(1), Fraction(2)
+    m[0][1], m[0][3], m[2][3] = Fraction(5), Fraction(-1), Fraction(7)
+    assert _blocks(_sparse(m), 4) == [(0,), (1, 2), (3,)]
+    with pytest.raises(UnsupportedSpectrum) as exc:
+        cf_matexp(m, 2)
+    assert exc.value.factor == [(1, 0), (0, 0), (-2, 0)]
 
 
 # three term keys and coefficients that collide and cancel under scaling

@@ -7,7 +7,9 @@ block accumulation, `solve_coboundary` on the distinct nonzero equations
 against the full system, and `render_closed_function` on int triples against
 the Fraction renderer.  Each runs on every corpus frame or pair at its first
 binding and on hypothesis draws.  Term maps compare as dicts, which ignores
-the order of their keys."""
+the order of their keys.  The integer term-product kernel `_mul_into` is
+compared with the CRat kernel it replaced on hypothesis draws, both as dicts
+and in insertion order."""
 
 from fractions import Fraction
 
@@ -18,12 +20,16 @@ from evalref import (
     det_by_cofactors,
     inverse_by_cofactors,
     minus_b_ainv,
+    mul_into_by_crats,
     render_by_fractions,
     solve_coboundary_full,
 )
 from liebialg.closedfun import (
+    _ZEXP,
+    _ZRATE,
     ClosedFunction,
     CRat,
+    _mul_into,
     cf_coord,
     cf_exp,
     cfm_det,
@@ -212,3 +218,54 @@ def _real_functions(draw):
 @hyp.given(_real_functions())
 def test_int_triple_renderer_matches_the_fraction_renderer_on_drawn_functions(f):
     assert render_closed_function(f) == render_by_fractions(f)
+
+
+# zero monomials and zero rate tuples equal to, but not the objects
+# `_ZEXP` and `_ZRATE`, beside the shared ones and a few nonzero keys
+_ZEXP_COPY = tuple([0] * 4)
+_ZRATE_COPY = tuple(CRat(0) for _ in range(4))
+_MONOMIALS = [_ZEXP, _ZEXP_COPY, (1, 0, 0, 0), (0, -1, 0, 2), (-1, 0, 0, 0)]
+_RATES = [
+    _ZRATE,
+    _ZRATE_COPY,
+    (CRat(1), CRat(0), CRat(0), CRat(0)),
+    (CRat(0, 1), CRat(0), CRat(0), CRat(0)),
+    (CRat(0, -1), CRat(0), CRat(0), CRat(0)),
+    (CRat(Fraction(-1, 2)), CRat(0), CRat(0, -1), CRat(0)),
+]
+# real, imaginary, complex and fractional coefficients, negatives included,
+# so that products collide and cancel, and products such as 2 (1/2) whose
+# triple must be reduced
+_COEFFS = [CRat(1), CRat(-1), CRat(2), CRat(Fraction(1, 2)), CRat(Fraction(-1, 2)),
+           CRat(Fraction(-2, 3)), CRat(Fraction(3, 2)), CRat(0, 1), CRat(0, -1),
+           CRat(Fraction(1, 2), Fraction(-1, 3)), CRat(2, -1)]
+
+
+def _term_maps(min_size):
+    keys = st.tuples(st.sampled_from(_MONOMIALS), st.sampled_from(_RATES))
+    return st.dictionaries(keys, st.sampled_from(_COEFFS), min_size=min_size, max_size=4).map(
+        ClosedFunction
+    )
+
+
+_F = ClosedFunction({(_ZEXP, _ZRATE): CRat(1, 1), ((1, 0, 0, 0), _ZRATE_COPY): CRat(Fraction(1, 2))})
+_G = ClosedFunction({(_ZEXP_COPY, _RATES[3]): CRat(0, 1), ((0, -1, 0, 2), _ZRATE): CRat(-1)})
+
+
+def _product(f, g, neg=False):
+    t = {}
+    mul_into_by_crats(t, f, g, neg)
+    return ClosedFunction(t)
+
+
+@hyp.settings(max_examples=200, deadline=None)
+@hyp.given(_term_maps(1), _term_maps(1), _term_maps(0), st.booleans())
+@hyp.example(_F, _G, _product(_F, _G, neg=True), False)  # every product cancels
+@hyp.example(_F, _G, _product(_F, _G), True)
+def test_integer_kernel_matches_the_crat_kernel_on_drawn_term_maps(f, g, start, neg):
+    got, want = dict(start.terms), dict(start.terms)
+    _mul_into(got, f, g, neg)
+    mul_into_by_crats(want, f, g, neg)
+    assert got == want
+    assert list(got.items()) == list(want.items())
+    assert all(type(c) is CRat and c for c in got.values())

@@ -16,7 +16,10 @@ binding, for its pairing check; the mixed identity has one evaluator in the
 package.  The derive path does only nonzero work: a 4 x 4 inverse computes
 each minor once, `solve_affine` gets each nonzero coboundary equation once,
 `cfm_mul` multiplies no zero factor, and `double_adjoint` builds no factor
-whose dual slice is zero."""
+whose dual slice is zero.  The frame path multiplies by no identity factor,
+the exp(0) of a zero adjoint, except in the a d^T = I check of an abelian
+g, and a frame whose adjoints have only 1 x 1 diagonal blocks builds no
+characteristic polynomial."""
 
 import glob
 import importlib
@@ -249,7 +252,7 @@ def test_solve_affine_gets_each_nonzero_coboundary_equation_once(reg, monkeypatc
     assert sum(len(a) for a, _ in systems) < 32 * len(systems)
     # a negated or scaled copy is the same equation; 0 = 1 is kept
     rows, rhs = rmatrix._distinct_equations(
-        [[1, 2], [-2, -4], [0, 0], [3, 6], [0, 0], [0, 3]], [1, -2, 0, 3, 1, 0]
+        [[1, 2, 1], [-2, -4, -2], [0, 0, 0], [3, 6, 3], [0, 0, 1], [0, 3, 0]]
     )
     assert (rows, rhs) == ([(1, 2), (0, 0), (0, 1)], [1, 1, 0])
 
@@ -293,3 +296,56 @@ def test_double_adjoint_builds_no_factor_of_a_zero_dual_slice(reg, bench, monkey
         assert built == nonzero, (g, dual)
         seen.add(len(nonzero))
     assert 0 in seen and len(seen) > 2
+
+
+def test_the_frame_path_multiplies_no_identity_factor(reg, monkeypatch):
+    mul, residual = groupgeom.cfm_mul, groupgeom.blocks_pairing_residual
+    products, identity, checks = [], [], []
+
+    def checked(a, b):
+        ident = closedfun.cfm_identity(len(a))
+        if closedfun.cfm_eq(a, ident) or closedfun.cfm_eq(b, ident):
+            identity.append(len(checks))
+        products.append(1)
+        return mul(a, b)
+
+    def counted(blocks):
+        checks.append(1)
+        return residual(blocks)
+
+    monkeypatch.setattr(groupgeom, "cfm_mul", checked)
+    monkeypatch.setattr(groupgeom, "blocks_pairing_residual", counted)
+    pairs = []
+    for g, dual in sorted({(pe.g, pe.dual) for pe in reg.poisson}):
+        binding = reg.grid_bindings(g, dual, cap=1)[0]
+        pairs.append((reg.instantiate(g, binding), reg.instantiate(dual, binding)))
+    # an abelian g with any Lie algebra as its dual is a Lie bialgebra
+    pairs.append((reg.instantiate("4A_1"), reg.instantiate("A_4_7")))
+    central = []
+    for f, fd in pairs:
+        frame = groupgeom.invariant_frame(groupgeom.GroupChart(f))
+        groupgeom.double_adjoint(frame, f, fd)
+        central.append(sum(not any(map(any, a)) for a in f.adjoints()))
+    assert len(checks) == len(pairs)  # the a d^T = I check runs on every call
+    # the one product by I is the a d^T = I I of the abelian pair's check,
+    # made while the last of the checks ran
+    assert identity == [len(pairs)]
+    assert products and 0 in central and central[-1] == 4
+    assert sum(0 < c < 4 for c in central) > 10
+
+
+ONE_BY_ONE = ("A_4_2_m1", "A_4_3", "A2+A2")
+
+
+def test_frames_with_only_1x1_blocks_build_no_characteristic_polynomial(reg, monkeypatch):
+    def no_char_poly(m, n):
+        raise AssertionError("a characteristic polynomial was built")
+
+    monkeypatch.setattr(closedfun, "_char_poly", no_char_poly)
+    for name in ONE_BY_ONE:
+        f = reg.instantiate(name, reg.grid_bindings(name, cap=1)[0])
+        assert any(a[i][i] for a in f.adjoints() for i in range(4))  # a nonzero eigenvalue
+        groupgeom.invariant_frame(groupgeom.GroupChart(f))
+    f = reg.instantiate("VII0+R", reg.grid_bindings("VII0+R", cap=1)[0])
+    with pytest.raises(AssertionError, match="characteristic polynomial"):
+        groupgeom.invariant_frame(groupgeom.GroupChart(f))  # a 2 x 2 rotation block
