@@ -616,10 +616,6 @@ def cfm_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def cfm_scale(c, a):
-    return [[x.scale(c) for x in row] for row in a]
-
-
 def cfm_transpose(a):
     return [list(col) for col in zip(*a)]
 

@@ -97,9 +97,6 @@ class StructureConstants:
         at = {(i, j, k): w for (i, j, k, w) in ints}
         return all(at.get((j, i, k)) == -w for (i, j, k, w) in ints)
 
-    def is_abelian(self):
-        return not self.nonzero()
-
     def adjoint(self, i):
         """Matrix (Xadj_i)_j^k = -f_ij^k (row j, col k)."""
         return [[-x if x else rl.ZERO for x in row] for row in self.f[i]]
@@ -327,16 +324,6 @@ class TwoFormLA:
                 if w[i][j] != -w[j][i]:
                     raise InputError("two-form is not antisymmetric")
 
-    @classmethod
-    def from_pairs(cls, dim, pairs):
-        """Build from {(i, j): coeff} (1-based, i < j)."""
-        w = rl.zeros(dim, dim)
-        for (i, j), c in pairs.items():
-            c = _as_frac(c)
-            w[i - 1][j - 1] += c
-            w[j - 1][i - 1] -= c
-        return cls(dim, w)
-
     def det(self):
         return rl.det(self.w)
 
@@ -370,33 +357,29 @@ def ce_differential(w: TwoFormLA, f: StructureConstants):
     return out
 
 
-def _two_form_basis(dim):
-    return list(combinations(range(dim), 2))
-
-
 def closed_two_forms(f: StructureConstants):
-    """Exact kernel basis of w -> dw on the space of two-forms."""
+    """Exact kernel basis of w -> dw on the space of two-forms.
+
+    dw(X_i, X_j, X_k) is the cyclic sum of -w([X_p, X_q], X_m), so each
+    entry D f_pq^l (p < q) of the integer form puts -D f_pq^l w_lm, times
+    the sign of the permutation that sorts (p, q, m), into the row of the
+    triple {p, q, m}; scaling by D leaves the kernel as it is.
+    """
     d = f.dim
-    pairs = _two_form_basis(d)
-    triples = list(combinations(range(d), 3))
-    rows = []
-    for (i, j, k) in triples:
-        row = []
-        for (a, b) in pairs:
-            w = rl.zeros(d, d)
-            w[a][b] = rl.ONE
-            w[b][a] = -rl.ONE
-            t = rl.ZERO
-            for l in range(d):
-                t -= f.f[i][j][l] * w[l][k]
-                t += f.f[i][k][l] * w[l][j]
-                t -= f.f[j][k][l] * w[l][i]
-            row.append(t)
-        rows.append(row)
-    basis = rl.nullspace(rows) if rows else [
-        [rl.ONE if m == n else rl.ZERO for m in range(len(pairs))]
-        for n in range(len(pairs))
-    ]
+    pairs = list(combinations(range(d), 2))
+    col = {pq: c for c, pq in enumerate(pairs)}
+    row = {t: r for r, t in enumerate(combinations(range(d), 3))}
+    rows = [[0] * len(pairs) for _ in row]
+    for (p, q, l, v) in f.scaled_nonzero()[1]:
+        if p > q:
+            continue
+        for m in range(d):
+            if m in (p, q, l):
+                continue
+            # w_lm = -w_ml, and (p, q, m) is one swap from sorted iff p < m < q
+            s = -v if (l < m) != (p < m < q) else v
+            rows[row[tuple(sorted((p, q, m)))]][col[(min(l, m), max(l, m))]] += s
+    basis = rl.nullspace(rows) if rows else rl.identity(len(pairs))
     forms = []
     for vec in basis:
         w = rl.zeros(d, d)
@@ -405,6 +388,32 @@ def closed_two_forms(f: StructureConstants):
             w[b][a] = -coeff
         forms.append(TwoFormLA(d, w))
     return forms
+
+
+def pfaffian4(m):
+    """Pf(m) = m_12 m_34 - m_13 m_24 + m_14 m_23 of a 4x4 antisymmetric
+    matrix m, with det m = Pf(m)^2; the entries need only + and *."""
+    return m[0][1] * m[2][3] - m[0][2] * m[1][3] + m[0][3] * m[1][2]
+
+
+def _pfaffian_witness(forms):
+    """(witness, max_rank) over the span of the 4x4 two-forms `forms`.
+
+    Pf(sum c_i w_i) = sum_{i<=j} q_ij c_i c_j is a quadratic form in c, with
+    q_ii = Pf(w_i), so it vanishes on the span iff every q_ij = 0.  The
+    witness is the first w_i with q_ii != 0; when there is none, Pf(w_i +
+    w_j) = q_ij, so it is the first such sum with a nonzero Pfaffian.  With
+    no witness every form in the span has rank at most 2, and the rank is 2
+    when some w_i is nonzero.
+    """
+    for w in forms:
+        if pfaffian4(w.w):
+            return w, 4
+    for u, v in combinations(forms, 2):
+        s = rl.mat_add(u.w, v.w)
+        if pfaffian4(s):
+            return TwoFormLA(4, s), 4
+    return None, 2 if any(not rl.is_zero_matrix(w.w) for w in forms) else 0
 
 
 @dataclass
@@ -421,36 +430,17 @@ class SymplecticReport:
 def find_symplectic(f: StructureConstants) -> SymplecticReport:
     """Closed two-form basis plus one nondegenerate witness if one exists.
 
-    Searches the coefficient vectors of the basis in {1,-1,2,-2,0}^k, in that
-    order, with the determinant tested exactly.  The grid decides existence
-    for dim <= 8: the Pfaffian of sum c_i w_i has degree <= dim/2 < 5 in each
-    c_i, so if it is not identically 0 it is nonzero somewhere on the grid
-    (Alon, Combinatorial Nullstellensatz, 1999).  The same holds for the
-    sub-Pfaffians, so max_rank is the largest rank of any closed two-form.
+    In dimension 4 a two-form is nondegenerate iff its Pfaffian is nonzero,
+    and over the closed basis w_i the Pfaffian of sum c_i w_i is a quadratic
+    form in c: a symplectic form exists iff one of its coefficients is
+    nonzero, and the witness is a w_i or a w_i + w_j (`_pfaffian_witness`).
+    max_rank is the largest rank of any closed two-form: 4 with a witness,
+    else 2 for a nonempty basis and 0 for an empty one.
     """
+    if f.dim != 4:
+        raise InputError(f"symplectic search needs dimension 4, not {f.dim}")
     if not jacobi_check(f).passed:
         raise InputError("structure constants fail the Jacobi identity")
     basis = closed_two_forms(f)
-    k = len(basis)
-    d = f.dim
-    max_rank = 0
-    if k == 0:
-        return SymplecticReport(basis, None, 0)
-
-    def combine(coeffs):
-        w = rl.zeros(d, d)
-        for c, form in zip(coeffs, basis):
-            if c:
-                w = rl.mat_add(w, rl.mat_scale(_as_frac(c), form.w))
-        return TwoFormLA(d, w)
-
-    from itertools import product
-
-    for coeffs in product([1, -1, 2, -2, 0], repeat=k):
-        if not any(coeffs):
-            continue
-        cand = combine(coeffs)
-        if cand.det():
-            return SymplecticReport(basis, cand, d)
-        max_rank = max(max_rank, rl.rank(cand.w))
-    return SymplecticReport(basis, None, max_rank)
+    witness, max_rank = _pfaffian_witness(basis)
+    return SymplecticReport(basis, witness, max_rank)

@@ -217,15 +217,6 @@ _BLOCK_KEYWORDS = (
 )
 
 
-def _strip_comment(line):
-    out = []
-    for ch in line:
-        if ch == "#":
-            break
-        out.append(ch)
-    return "".join(out)
-
-
 def parse(text, filename="<corpus>"):
     """Parse corpus text into a list of entries with location diagnostics."""
     entries = []
@@ -241,7 +232,7 @@ def parse(text, filename="<corpus>"):
             current = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         words = line.split()

@@ -14,13 +14,7 @@ import time
 from itertools import product
 
 from . import corpus as corpus_mod
-from .core import (
-    bialgebra_failure,
-    build_double,
-    find_symplectic,
-    jacobi_check,
-    pairing_ad_invariant,
-)
+from .core import bialgebra_failure, find_symplectic, jacobi_check
 from .closedfun import cf_matexp_pm, cfm_eq
 from .errors import ComputationError, InputError, InvariantError
 from .groupgeom import (
@@ -331,8 +325,9 @@ def _check_algebra(reg, bench, name):
 
 @_campaign("table2")
 def verify_table2(reg, bench):
-    """Bracket/cobracket pairs: the Lie bialgebra identities, and the
-    ad-invariance of the pairing on the double."""
+    """Bracket/cobracket pairs: the Lie bialgebra identities.  The canonical
+    pairing on the double is ad-invariant by the construction of
+    `core.build_double` for every antisymmetric pair, so no row checks it."""
     for be in reg.bialgebras:
         yield be.name, be.g, _check_bialgebra, (reg, bench, be)
 
@@ -342,8 +337,6 @@ def _check_bialgebra(reg, bench, be):
         failed = bench.double(be.g, be.dual, b)
         if failed:
             return "fail", f"{failed} fails at {b}", []
-        if not pairing_ad_invariant(build_double(bench.sc(be.g, b), bench.sc(be.dual, b))):
-            return "fail", f"pairing not ad-invariant at {b}", []
     if be.status == "flagged":
         return "flagged", be.note, []
     return "pass", "", []

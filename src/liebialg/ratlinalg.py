@@ -132,11 +132,6 @@ def rref(m):
     return red, pivots
 
 
-def rank(m):
-    cols = len(m[0]) if m else 0
-    return len(_gauss_jordan([_int_row(row)[0] for row in m], cols)[0])
-
-
 def _kernel_basis(red, pivots, cols):
     """Right nullspace basis read off a reduced row echelon form."""
     pivset = set(pivots)

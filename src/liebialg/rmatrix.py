@@ -55,16 +55,6 @@ class TensorElement:
             ],
         )
 
-    def symmetric_part(self):
-        d = self.dim
-        return TensorElement(
-            d,
-            [
-                [(self.r[i][j] + self.r[j][i]) / 2 for j in range(d)]
-                for i in range(d)
-            ],
-        )
-
     def is_antisymmetric(self):
         d = self.dim
         return all(self.r[i][j] == -self.r[j][i] for i in range(d) for j in range(d))
@@ -282,11 +272,6 @@ def rank3_add(s, t):
         [[s[a][b][c] + t[a][b][c] for c in range(d)] for b in range(d)]
         for a in range(d)
     ]
-
-
-def ad_invariant_symmetric(rs: TensorElement, f: StructureConstants) -> bool:
-    """Xadj_i^T rs + rs Xadj_i = 0 for all i."""
-    return _ad_annihilates(rl.scaled_ints(rs.r)[1], f)
 
 
 def _ad_annihilates(m, f: StructureConstants) -> bool:

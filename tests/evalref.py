@@ -37,11 +37,19 @@ The dense Schouten loops are the oracles of the sparse kernel in
 and `poisson_bracket` of two functions.  Each runs over every index, zero
 components included, and differentiates through `fresh_diff`, a new instance
 per call, so no derivative comes from the cache of the function.
+`closed_two_forms_by_fractions` builds the dense Fraction system of w -> dw
+from unit two-forms and `grid_symplectic` searches the span of a list of
+two-forms for a nondegenerate one on the coefficient grid {1, -1, 2, -2,
+0}^k: together the retired symplectic search, the oracle of
+`find_symplectic`'s integer system and Pfaffian quadratic form.  The
+helpers from `two_form` on left the package with no caller there and
+serve the tests alone.
 """
 
 import cmath
 import math
 from fractions import Fraction
+from itertools import combinations, product
 from operator import add, mul
 
 from liebialg import ratlinalg as rl
@@ -51,12 +59,12 @@ from liebialg.closedfun import (
     cf_const,
     cfm_identity,
     cfm_mul,
-    cfm_scale,
     cfm_transpose,
 )
+from liebialg.core import TwoFormLA
 from liebialg.errors import EvalError, InputError
 from liebialg.groupgeom import double_exp_factor
-from liebialg.rmatrix import _ad_action_ints
+from liebialg.rmatrix import TensorElement, _ad_action_ints
 
 _FUNCS = {"exp": math.exp, "sin": math.sin, "cos": math.cos, "sinh": math.sinh,
           "cosh": math.cosh}
@@ -491,3 +499,85 @@ def poisson_bracket(p, f, g):
             if p[i][j] and df[i] and dg[j]:
                 acc = acc + p[i][j] * df[i] * dg[j]
     return acc
+
+
+def closed_two_forms_by_fractions(f):
+    """Kernel basis of w -> dw, one dense Fraction row per triple i < j < k,
+    each column the differential of a unit two-form."""
+    d = f.dim
+    pairs = list(combinations(range(d), 2))
+    rows = []
+    for (i, j, k) in combinations(range(d), 3):
+        row = []
+        for (a, b) in pairs:
+            w = rl.zeros(d, d)
+            w[a][b] = rl.ONE
+            w[b][a] = -rl.ONE
+            t = rl.ZERO
+            for l in range(d):
+                t -= f.f[i][j][l] * w[l][k]
+                t += f.f[i][k][l] * w[l][j]
+                t -= f.f[j][k][l] * w[l][i]
+            row.append(t)
+        rows.append(row)
+    basis = rl.nullspace(rows) if rows else rl.identity(len(pairs))
+    forms = []
+    for vec in basis:
+        w = rl.zeros(d, d)
+        for coeff, (a, b) in zip(vec, pairs):
+            w[a][b] = coeff
+            w[b][a] = -coeff
+        forms.append(TwoFormLA(d, w))
+    return forms
+
+
+def grid_symplectic(forms):
+    """(witness, max_rank) over the span of `forms` by the grid search: the
+    first coefficient vector of {1, -1, 2, -2, 0}^k, in that order, whose
+    combination has a nonzero determinant, else the largest rank met.  The
+    Pfaffian has degree <= 2 in each coefficient and a 4 x 4 entry degree 1,
+    so a grid of 5 values per coefficient meets a nonzero value of each if
+    it has one (Alon, Combinatorial Nullstellensatz, 1999)."""
+    d = 4
+    max_rank = 0
+    for coeffs in product([1, -1, 2, -2, 0], repeat=len(forms)):
+        if not any(coeffs):
+            continue
+        w = rl.zeros(d, d)
+        for c, form in zip(coeffs, forms):
+            if c:
+                w = [[x + c * y for x, y in zip(rw, rf)] for rw, rf in zip(w, form.w)]
+        cand = TwoFormLA(d, w)
+        if cand.det():
+            return cand, d
+        max_rank = max(max_rank, rank(cand.w))
+    return None, max_rank
+
+
+def two_form(pairs, dim=4):
+    """The two-form of {(i, j): coeff} (1-based, i < j)."""
+    w = rl.zeros(dim, dim)
+    for (i, j), c in pairs.items():
+        c = Fraction(c)
+        w[i - 1][j - 1] += c
+        w[j - 1][i - 1] -= c
+    return TwoFormLA(dim, w)
+
+
+def symmetric_part(t):
+    d = t.dim
+    return TensorElement(d, [[(t.r[i][j] + t.r[j][i]) / 2 for j in range(d)] for i in range(d)])
+
+
+def ad_invariant_symmetric(rs, f):
+    """Xadj_i^T rs + rs Xadj_i = 0 for all i."""
+    return not any(any(row) for a in _ad_action_ints(rl.scaled_ints(rs.r)[1], f)[1] for row in a)
+
+
+def rank(m):
+    cols = len(m[0]) if m else 0
+    return len(rl._gauss_jordan([rl._int_row(row)[0] for row in m], cols)[0])
+
+
+def cfm_scale(c, a):
+    return [[x.scale(c) for x in row] for row in a]

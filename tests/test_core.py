@@ -7,10 +7,9 @@ from itertools import product
 
 import pytest
 
-from evalref import mixed_matrix_dense, mixed_matrix_residual
+from evalref import mixed_matrix_dense, mixed_matrix_residual, two_form
 from liebialg.core import (
     StructureConstants,
-    TwoFormLA,
     bialgebra_failure,
     build_double,
     ce_differential,
@@ -93,7 +92,7 @@ def test_mixed_jacobi_dimension_mismatch():
 
 def test_build_double_abelian():
     dbl = build_double(ABELIAN, ABELIAN)
-    assert dbl.sc.is_abelian()
+    assert not dbl.sc.nonzero()
     assert jacobi_check(dbl.sc).passed
 
 
@@ -165,6 +164,42 @@ def test_bialgebra_failure_names_the_first_identity_the_double_fails():
     assert {None, "mixed Jacobi", "double Jacobi"} <= set(labels)
 
 
+def test_the_pairing_is_ad_invariant_on_every_table2_double(reg, bench):
+    bindings = 0
+    for be in reg.bialgebras:
+        for b in reg.grid_bindings(be.g, be.dual):
+            dbl = build_double(bench.sc(be.g, b), bench.sc(be.dual, b))
+            assert pairing_ad_invariant(dbl), (be.name, b)
+            bindings += 1
+    assert bindings == 321
+
+
+def test_the_pairing_is_ad_invariant_on_drawn_pairs_lie_or_not():
+    # the mixed bracket of `build_double` is the coadjoint one, so the
+    # canonical pairing is invariant whether or not the pair is a Lie
+    # bialgebra; table 2 relies on this and checks no double
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    brackets = st.dictionaries(
+        st.tuples(st.integers(1, 4), st.integers(1, 4)).filter(lambda p: p[0] < p[1]),
+        st.lists(st.tuples(st.fractions(-2, 2, max_denominator=2), st.integers(1, 4)), max_size=2),
+        max_size=4,
+    ).map(lambda b: StructureConstants.from_brackets(4, b))
+    non_lie = StructureConstants.from_brackets(4, {(1, 2): [(1, 1)], (2, 3): [(1, 2)]})
+    lie = []
+
+    @hyp.settings(max_examples=200, deadline=None)
+    @hyp.given(brackets, brackets)
+    @hyp.example(A47, A47I)
+    @hyp.example(non_lie, ABELIAN)
+    def check(f, fd):
+        assert pairing_ad_invariant(build_double(f, fd))
+        lie.append(bialgebra_failure(f, fd) is None)
+
+    check()
+    assert True in lie and False in lie
+
+
 def test_cocommutator_components_and_roundtrip():
     fd = StructureConstants.from_brackets(
         4,
@@ -194,19 +229,19 @@ def test_cocommutator_zero():
 
 
 def test_ce_differential_abelian_always_closed():
-    w = TwoFormLA.from_pairs(4, {(1, 2): 1, (3, 4): Fraction(5, 7)})
+    w = two_form({(1, 2): 1, (3, 4): Fraction(5, 7)})
     dw = ce_differential(w, ABELIAN)
     assert all(not x for p in dw for row in p for x in row)
 
 
 def test_ce_differential_closed_witness_a41():
-    w = TwoFormLA.from_pairs(4, {(1, 4): 1, (2, 3): 1})
+    w = two_form({(1, 4): 1, (2, 3): 1})
     dw = ce_differential(w, A41)
     assert all(not x for p in dw for row in p for x in row)
 
 
 def test_ce_differential_nonclosed_value():
-    w = TwoFormLA.from_pairs(4, {(1, 2): 1})
+    w = two_form({(1, 2): 1})
     dw = ce_differential(w, A41)
     assert dw[0][2][3] == 1
 
@@ -217,7 +252,7 @@ def test_ce_differential_matches_bruteforce_antisymmetrization():
         pairs = {}
         for (i, j) in ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)):
             pairs[(i, j)] = Fraction(rng.randint(-3, 3))
-        w = TwoFormLA.from_pairs(4, pairs)
+        w = two_form(pairs)
         dw = ce_differential(w, A47)
         for i in range(4):
             for j in range(4):
@@ -228,11 +263,9 @@ def test_ce_differential_matches_bruteforce_antisymmetrization():
 
 
 def test_ce_differential_linear_in_form():
-    w1 = TwoFormLA.from_pairs(4, {(1, 2): 1, (2, 4): 3})
-    w2 = TwoFormLA.from_pairs(4, {(1, 3): 2, (3, 4): -1})
-    wsum = TwoFormLA.from_pairs(
-        4, {(1, 2): 1, (2, 4): 3, (1, 3): 2, (3, 4): -1}
-    )
+    w1 = two_form({(1, 2): 1, (2, 4): 3})
+    w2 = two_form({(1, 3): 2, (3, 4): -1})
+    wsum = two_form({(1, 2): 1, (2, 4): 3, (1, 3): 2, (3, 4): -1})
     d1 = ce_differential(w1, A47)
     d2 = ce_differential(w2, A47)
     ds = ce_differential(wsum, A47)
@@ -252,10 +285,23 @@ def test_find_symplectic_abelian():
 def test_find_symplectic_a41_witness():
     rep = find_symplectic(A41)
     assert rep.found
-    candidate = TwoFormLA.from_pairs(4, {(1, 4): 1, (2, 3): 1})
+    candidate = two_form({(1, 4): 1, (2, 3): 1})
     dw = ce_differential(candidate, A41)
     assert all(not x for p in dw for row in p for x in row)
     assert candidate.det() == 1
+
+
+def test_find_symplectic_so3_plus_r_has_rank_two():
+    # so(3) + R has closed two-forms, but none is nondegenerate
+    so3r = StructureConstants.from_brackets(4, {(1, 2): [(1, 3)], (2, 3): [(1, 1)], (3, 1): [(1, 2)]})
+    rep = find_symplectic(so3r)
+    assert not rep.found and rep.max_rank == 2 and rep.closed_basis
+
+
+def test_find_symplectic_needs_dimension_four():
+    for dim in (2, 3, 6):
+        with pytest.raises(InputError, match="dimension 4"):
+            find_symplectic(StructureConstants(dim))
 
 
 def test_closed_two_forms_are_closed():

@@ -9,15 +9,21 @@ the Fraction renderer.  Each runs on every corpus frame or pair at its first
 binding and on hypothesis draws.  Term maps compare as dicts, which ignores
 the order of their keys.  The integer term-product kernel `_mul_into` is
 compared with the CRat kernel it replaced on hypothesis draws, both as dicts
-and in insertion order."""
+and in insertion order.  `find_symplectic`'s integer system and Pfaffian
+quadratic form are compared with the Fraction system and grid search they
+replaced, on every corpus algebra at every grid binding and on drawn lists
+of two-forms, degenerate ones included."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from evalref import (
     cfm_mul_sum,
+    closed_two_forms_by_fractions,
     det_by_cofactors,
+    grid_symplectic,
     inverse_by_cofactors,
     minus_b_ainv,
     mul_into_by_crats,
@@ -37,7 +43,13 @@ from liebialg.closedfun import (
     cfm_mul,
     cfm_transpose,
 )
-from liebialg.core import StructureConstants
+from liebialg.core import (
+    StructureConstants,
+    TwoFormLA,
+    _pfaffian_witness,
+    ce_differential,
+    find_symplectic,
+)
 from liebialg.groupgeom import double_adjoint
 from liebialg.render import render_closed_function
 from liebialg.rmatrix import solve_coboundary
@@ -269,3 +281,78 @@ def test_integer_kernel_matches_the_crat_kernel_on_drawn_term_maps(f, g, start, 
     assert got == want
     assert list(got.items()) == list(want.items())
     assert all(type(c) is CRat and c for c in got.values())
+
+
+def test_pfaffian_criterion_matches_the_grid_search_on_every_corpus_algebra(reg, bench):
+    checked = 0
+    for name in sorted(reg.algebras):
+        for b in reg.grid_bindings(name):
+            sc = bench.sc(name, b)
+            if not bench.lie(sc):
+                continue
+            rep = find_symplectic(sc)
+            basis = closed_two_forms_by_fractions(sc)
+            assert [w.w for w in rep.closed_basis] == [w.w for w in basis], (name, b)
+            witness, max_rank = grid_symplectic(basis)
+            assert (rep.found, rep.max_rank) == (witness is not None, max_rank), (name, b)
+            if rep.found:
+                assert rep.witness.det(), (name, b)
+                dw = ce_differential(rep.witness, sc)
+                assert not any(x for p in dw for row in p for x in row), (name, b)
+            checked += 1
+    assert checked == 228
+
+
+def _form(upper):
+    """The 4 x 4 two-form with entries `upper` above the diagonal, in the
+    order (1,2), (1,3), (1,4), (2,3), (2,4), (3,4)."""
+    w = [[0] * 4 for _ in range(4)]
+    for v, (a, b) in zip(upper, combinations(range(4), 2)):
+        w[a][b], w[b][a] = v, -v
+    return TwoFormLA(4, w)
+
+
+def _wedge(u, v, c=1):
+    """c u ^ v, a decomposable form of rank 2 (or 0)."""
+    return _form([c * (u[a] * v[b] - u[b] * v[a]) for a, b in combinations(range(4), 2)])
+
+
+_VEC = st.lists(_SMALL, min_size=4, max_size=4)
+
+
+@st.composite
+def _form_lists(draw):
+    """1-6 forms with small int entries, or 1-4 degenerate ones: multiples
+    of one decomposable form, forms u ^ v_i sharing a factor u (each
+    combination is u ^ (sum c_i v_i), of rank <= 2), or zero forms.  The
+    grid search of a list with no nondegenerate combination visits all 5^k
+    coefficient vectors, hence the smaller degenerate lists."""
+    kind = draw(st.sampled_from(("any", "multiples", "shared", "zero")))
+    if kind == "any":
+        n = draw(st.integers(1, 6))
+        return [_form(draw(st.lists(_SMALL, min_size=6, max_size=6))) for _ in range(n)]
+    n = draw(st.integers(1, 4))
+    if kind == "zero":
+        return [_form([0] * 6)] * n
+    u, v = draw(_VEC), draw(_VEC)
+    if kind == "multiples":
+        return [_wedge(u, v, draw(_SMALL)) for _ in range(n)]
+    return [_wedge(u, draw(_VEC)) for _ in range(n)]
+
+
+@hyp.settings(max_examples=60, deadline=None)
+@hyp.given(_form_lists())
+@hyp.example([])  # no form: rank 0
+@hyp.example([_form([1, 0, 0, 0, 0, 0]), _form([0, 0, 0, 0, 0, 1])])  # only w_1 + w_2 has Pf != 0
+@hyp.example([_wedge((1, 2, 0, -1), (0, 1, 1, 2), c) for c in (1, 2, -1, 1, -2)])
+def test_pfaffian_criterion_matches_the_grid_search_on_drawn_forms(forms):
+    witness, max_rank = _pfaffian_witness(forms)
+    want, want_rank = grid_symplectic(forms)
+    assert (witness is None, max_rank) == (want is None, want_rank)
+    if witness is not None:
+        assert witness.det()
+        sums = [u.w for u in forms] + [
+            [[x + y for x, y in zip(ru, rv)] for ru, rv in zip(u.w, v.w)]
+            for u, v in combinations(forms, 2)
+        ]
+        assert witness.w in sums
