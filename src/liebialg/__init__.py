@@ -11,8 +11,6 @@ from .core import (
     TwoFormLA,
     bialgebra_failure,
     build_double,
-    ce_differential,
-    cocommutator,
     find_symplectic,
     jacobi_check,
     mixed_jacobi_check,
@@ -50,8 +48,6 @@ __all__ = [
     "mixed_jacobi_check",
     "bialgebra_failure",
     "build_double",
-    "cocommutator",
-    "ce_differential",
     "find_symplectic",
     "solve_coboundary",
     "schouten",

@@ -595,21 +595,21 @@ def cfm_sum_products(pairs, neg=False):
 
 
 def cfm_const_mul(m, a):
-    """m a for a constant matrix m of rationals or CRats: each entry sums the
-    terms of a[l][j] scaled by the nonzero m[i][l], so no constant
-    ClosedFunction is made and no term key is recomputed."""
-    out = []
-    for mrow in m:
-        ts = [{} for _ in a[0]]
-        for c, arow in zip(mrow, a):
-            if not c:
-                continue
-            c = _crat(c)
-            for t, f in zip(ts, arow):
-                for key, v in f.terms.items():
-                    _accumulate(t, key, c * v)
-        out.append([ClosedFunction(t) if t else _CF_ZERO for t in ts])
-    return out
+    """m a for a constant matrix m of rationals or CRats, over its nonzero
+    entries (`_sparse_const_mul`)."""
+    return _sparse_const_mul(_sparse(m), len(m), a)
+
+
+def _sparse_const_mul(mc, rows, a):
+    """m a for the constant matrix m with `rows` rows and nonzero entries
+    mc = {(i, l): CRat}: row i adds up the rows l of a scaled by m_il, so no
+    constant ClosedFunction is made and no term key is recomputed."""
+    ts = [[{} for _ in a[0]] for _ in range(rows)]
+    for (i, l), c in mc.items():
+        for t, f in zip(ts[i], a[l]):
+            for key, v in f.terms.items():
+                _accumulate(t, key, c * v)
+    return [[ClosedFunction(t) if t else _CF_ZERO for t in row] for row in ts]
 
 
 def cfm_sub(a, b):
@@ -949,7 +949,7 @@ def cf_matexp(m, coord):
     mc = _sparse(m)
     if not mc:
         result = cfm_identity(n)
-        _verify_matexp(result, m, coord)
+        _verify_matexp(result, mc, coord)
         return result
     lams = _eigenvalues(mc, n)
     acc = {}  # {(i, j): term map of the sum so far}
@@ -970,26 +970,27 @@ def cf_matexp(m, coord):
     for (i, j), t in acc.items():
         if t:
             result[i][j] = ClosedFunction(t)
-    _verify_matexp(result, m, coord)
+    _verify_matexp(result, mc, coord)
     return result
 
 
 def cf_matexp_pm(m, coord):
     """(exp(x M), exp(-x M)) for x = x_coord.  The second is the reflection
     of the first in x_coord, since exp(-x M) is exp(x M) at -x; it passes the
-    same exact check as a cf_matexp result of -M."""
+    same exact check as a cf_matexp result of -M, on the negated nonzero
+    entries of M."""
     e = cf_matexp(m, coord)
     em = cfm_reflect(e, coord)
-    _verify_matexp(em, [[-x if x else x for x in row] for row in m], coord)
+    _verify_matexp(em, {ij: -c for ij, c in _sparse(m).items()}, coord)
     return e, em
 
 
-def _verify_matexp(e, m, coord):
-    """Exact check that e = exp(x_coord M): e(0) = I and e' = M e, where M e
-    scales the terms of e over the nonzero entries of M (cfm_const_mul)."""
+def _verify_matexp(e, mc, coord):
+    """Exact check that e = exp(x_coord M) for M given by its nonzero entries
+    mc = {(i, j): CRat}: e(0) = I and e' = M e (`_sparse_const_mul`)."""
     for i, row in enumerate(e):
         for j, f in enumerate(row):
             if (f.eval_at_zero() != (CR_ONE if i == j else CR_ZERO)) if f.terms else i == j:
                 raise InvariantError("matexp(0) != I")
-    if not cfm_eq(cfm_diff(e, coord), cfm_const_mul(m, e)):
+    if not cfm_eq(cfm_diff(e, coord), _sparse_const_mul(mc, len(e), e)):
         raise InvariantError("matexp does not satisfy its defining ODE")

@@ -1,4 +1,4 @@
-"""Exact multilinear algebra for Lie algebras, duals, cocommutators, and doubles.
+"""Exact multilinear algebra for Lie algebras, their duals, and doubles.
 
 Conventions (fixed throughout the package):
   [X_i, X_j] = f_ij^k X_k           stored as f[i][j][k], 0-based
@@ -286,31 +286,6 @@ def pairing_ad_invariant(dbl: DoubleAlgebra):
     return all(f[z][conj[b]][conj[a]] == -v for (z, a, b, v) in dbl.sc.nonzero())
 
 
-@dataclass
-class CocommutatorTensor:
-    """delta(X_i) = d[i][j][k] X_j (x) X_k with d[i][j][k] = ft^jk_i."""
-
-    dim: int
-    d: list
-
-    def is_antisymmetric(self):
-        n = self.dim
-        return all(
-            self.d[i][j][k] == -self.d[i][k][j]
-            for i in range(n)
-            for j in range(n)
-            for k in range(n)
-        )
-
-
-def cocommutator(fd: StructureConstants) -> CocommutatorTensor:
-    if not fd.is_antisymmetric():
-        raise InputError("structure constants are not antisymmetric")
-    n = fd.dim
-    d = [[[fd.f[j][k][i] for k in range(n)] for j in range(n)] for i in range(n)]
-    return CocommutatorTensor(n, d)
-
-
 class TwoFormLA:
     """Antisymmetric 4x4 rational matrix w_ij = w(X_i, X_j)."""
 
@@ -324,9 +299,6 @@ class TwoFormLA:
                 if w[i][j] != -w[j][i]:
                     raise InputError("two-form is not antisymmetric")
 
-    def det(self):
-        return rl.det(self.w)
-
     def __repr__(self):
         terms = [
             f"{self.w[i][j]}*e{i+1}^e{j+1}"
@@ -335,26 +307,6 @@ class TwoFormLA:
             if self.w[i][j]
         ]
         return "TwoFormLA(" + (" + ".join(terms) or "0") + ")"
-
-
-def ce_differential(w: TwoFormLA, f: StructureConstants):
-    """(dw)(X_i,X_j,X_k) = -w([X_i,X_j],X_k) + w([X_i,X_k],X_j) - w([X_j,X_k],X_i).
-
-    Returns the fully antisymmetric rank-3 tensor as nested lists.
-    """
-    d = f.dim
-    ww = w.w
-    out = [[[rl.ZERO] * d for _ in range(d)] for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                t = rl.ZERO
-                for l in range(d):
-                    t -= f.f[i][j][l] * ww[l][k]
-                    t += f.f[i][k][l] * ww[l][j]
-                    t -= f.f[j][k][l] * ww[l][i]
-                out[i][j][k] = t
-    return out
 
 
 def closed_two_forms(f: StructureConstants):

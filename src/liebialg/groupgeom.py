@@ -5,7 +5,7 @@ by coordinate exponentials uses e^{-x X_i} X_j e^{x X_i} = (e^{x Xadj_i})_j^k X_
 with matrices acting on the right of row vectors (row = input basis index).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .closedfun import (
     cf_matexp_pm,
@@ -37,6 +37,16 @@ class GroupChart:
 
 @dataclass
 class InvariantFrame:
+    """The invariant one-forms and vector fields of a chart, with the
+    exponentials and prefix products they are built from.
+
+    prefix[k] = P_k = exp_neg[k-1] ... exp_neg[0] for k = 0 .. n, None for I:
+    R and XL are read off them, and `double_adjoint` reuses them for every
+    dual.  `_ad` is Ad(g) = exp_pos[0] ... exp_pos[n-1], formed and checked
+    against P_n by the first `double_adjoint` on the frame and kept for the
+    later ones; `dataclasses.replace` does not copy it and frame equality
+    does not see it."""
+
     Rmat: list  # right-invariant one-form coefficients R^i_j (row i, col j)
     XR: list  # right-invariant vector fields, XR[j][l] = component on d_l
     XL: list  # left-invariant vector fields
@@ -44,20 +54,23 @@ class InvariantFrame:
     # exp_neg[i] = exp(-x_{i+1} Xadj_{i+1}), the inverse of exp_pos[i] and
     # its reflection x_{i+1} -> -x_{i+1}
     exp_neg: list
+    prefix: list  # P_0 .. P_n, None for I; P_1 is exp_neg[0], P_n is Ad(g)^-1
     base: StructureConstants
+    _ad: list = field(default=None, init=False, compare=False, repr=False)
 
 
 def invariant_frame(chart: GroupChart, matexp_pm=None) -> InvariantFrame:
     """Assemble R symbolically and invert it to the frame fields.
 
-    R column j is row j of the ordered product of exp(-x_m Xadj_m) for
-    m = j-1 .. 1, and XR = (R^-1)^T.  One more factor completes the product to
+    R column j is row j of the prefix product P_(j-1) = exp(-x_(j-1) Xadj_(j-1))
+    ... exp(-x_1 Xadj_1), and XR = (R^-1)^T.  P_n completes the product to
     Ad(g)^-1 = exp(-x4 Xadj_4) exp(-x3 Xadj_3) exp(-x2 Xadj_2) exp(-x1 Xadj_1),
     and theta_L = Ad_{g^-1} theta_R gives XL = Ad(g)^-1 XR with no second
     inverse.  exp(-x_m Xadj_m) is the reflection x_m -> -x_m of exp(x_m Xadj_m)
     (`cf_matexp_pm`); both pass their exact ODE checks, so the reversed
-    product is the exact inverse of Ad(g).  `matexp_pm` stands in for
-    `cf_matexp_pm`, say a memo of it.
+    product is the exact inverse of Ad(g).  The frame keeps every P_k for
+    `double_adjoint`; Ad(g) itself is left to the first double that needs
+    it.  `matexp_pm` stands in for `cf_matexp_pm`, say a memo of it.
     """
     f = chart.base
     n = f.dim
@@ -70,14 +83,13 @@ def invariant_frame(chart: GroupChart, matexp_pm=None) -> InvariantFrame:
     # None stands for I while every factor so far has been exp(0) = I
     ident = cfm_identity(n)
     central = _central(f)
-    rcols, prod = [], None
+    prefix = [None]
     for j in range(n):
-        rcols.append((ident if prod is None else prod)[j])
-        prod = _times(None if central[j] else exp_neg[j], prod)
+        prefix.append(_times(None if central[j] else exp_neg[j], prefix[j]))
 
-    rmat = cfm_transpose(rcols)
+    rmat = cfm_transpose([(ident if p is None else p)[j] for j, p in enumerate(prefix[:n])])
     xr = cfm_transpose(cfm_inverse_unitdet(rmat))
-    return InvariantFrame(rmat, xr, _times(prod, xr), exp_pos, exp_neg, f)
+    return InvariantFrame(rmat, xr, _times(prefix[n], xr), exp_pos, exp_neg, prefix, f)
 
 
 def _central(f: StructureConstants):
@@ -125,13 +137,14 @@ def frame_bracket_residuals(frame: InvariantFrame, f: StructureConstants):
 class DoubleAdjointBlocks:
     """Ad_{g^-1} on the double is [[a, 0], [b, d]]; b itself is not kept."""
 
-    a: list  # 4x4 CFMatrix, g-to-g block of Ad_{g^-1}
+    a: list  # 4x4 CFMatrix, g-to-g block of Ad_{g^-1}, kept on the frame as `_ad`
     d: list  # dual-to-dual block, (a^-1)^T by invariance of the pairing
     pi: list  # -b a^-1, b the dual-to-g block: the bivector in the XR frame
 
     @property
     def ainv(self):
-        """a^-1, read off as d^T; `double_adjoint` checks a d^T = I."""
+        """a^-1, read off as d^T; `double_adjoint` checks a d^T = I once
+        per frame."""
         return cfm_transpose(self.d)
 
 
@@ -143,14 +156,15 @@ def double_adjoint(
     on the frame of g, with E_-k = E_k^-1).  The product is block lower
     triangular, [[a, 0], [b, d]] with a = E_1 ... E_4, d = E_-1^T ... E_-4^T
     and b = sum_k E_-1^T ... E_-(k-1)^T F_k E_(k+1) ... E_4.  With the prefix
-    products P_k = E_-k ... E_-1 (P_0 = I), E_(k+1) ... E_4 a^-1 = P_k and
-    E_-1^T ... E_-(k-1)^T = P_(k-1)^T, so
+    products P_k = E_-k ... E_-1 (P_0 = I) that the frame keeps,
+    E_(k+1) ... E_4 a^-1 = P_k and E_-1^T ... E_-(k-1)^T = P_(k-1)^T, so
 
         b a^-1 = sum_k P_(k-1)^T F_k P_k   and   d = P_4^T.
 
     F_k is zero when the dual slice B_k = -ft^.._k is, so the sum runs over
-    the factors whose B_k is nonzero, and b itself is never formed; a is
-    formed for the exact check a d^T = I.
+    the factors whose B_k is nonzero, and b itself is never formed.  a and d
+    depend on the frame alone: the first double of a frame forms a, checks
+    a d^T = I exactly and keeps a on the frame, and later duals reuse it.
 
     `certified` says that the caller has found (f, fd) a Lie bialgebra
     (`bialgebra_failure` returned None); otherwise that is checked here.
@@ -162,16 +176,7 @@ def double_adjoint(
         if failed:
             raise InputError(f"pair fails the {failed} identity")
     n = f.dim
-    # P_k at k, and a, with None for I: P_0 = I, and the factors of a zero
-    # ad X_k, which are exp(0) = I, are not multiplied
-    central = _central(f)
-    prefix, a = [None], None
-    for i in range(n):
-        if central[i]:
-            prefix.append(prefix[-1])
-        else:
-            prefix.append(_times(frame.exp_neg[i], prefix[-1]))
-            a = _times(a, frame.exp_pos[i])
+    prefix = frame.prefix
     ident = cfm_identity(n)
     terms = []
     for i in sorted({k for _, _, k, _ in fd.nonzero()}):  # B_(i+1) != 0
@@ -182,10 +187,18 @@ def double_adjoint(
             terms.append((cfm_transpose(prefix[i]), cfm_mul(low, prefix[i + 1])))
     pi = cfm_sum_products(terms, neg=True) if terms else cfm_zeros(n, n)
     d = ident if prefix[n] is None else cfm_transpose(prefix[n])
+    if frame._ad is not None:
+        return DoubleAdjointBlocks(frame._ad, d, pi)
+    # a = E_1 ... E_4, with the factors of a zero ad X_k, exp(0) = I, left out
+    a = None
+    for e, central in zip(frame.exp_pos, _central(f)):
+        if not central:
+            a = _times(a, e)
     blocks = DoubleAdjointBlocks(ident if a is None else a, d, pi)
     # invariance of the canonical pairing forces d = (a^-1)^T
     if not cfm_is_zero(blocks_pairing_residual(blocks)):
         raise InvariantError("pairing relation a d^T = I violated")
+    frame._ad = blocks.a
     return blocks
 
 

@@ -48,6 +48,7 @@ serve the tests alone.
 
 import cmath
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from operator import add, mul
@@ -548,7 +549,7 @@ def grid_symplectic(forms):
             if c:
                 w = [[x + c * y for x, y in zip(rw, rf)] for rw, rf in zip(w, form.w)]
         cand = TwoFormLA(d, w)
-        if cand.det():
+        if two_form_det(cand):
             return cand, d
         max_rank = max(max_rank, rank(cand.w))
     return None, max_rank
@@ -562,6 +563,56 @@ def two_form(pairs, dim=4):
         w[i - 1][j - 1] += c
         w[j - 1][i - 1] -= c
     return TwoFormLA(dim, w)
+
+
+def two_form_det(w):
+    """The determinant of a two-form's matrix."""
+    return rl.det(w.w)
+
+
+@dataclass
+class CocommutatorTensor:
+    """delta(X_i) = d[i][j][k] X_j (x) X_k with d[i][j][k] = ft^jk_i."""
+
+    dim: int
+    d: list
+
+    def is_antisymmetric(self):
+        n = self.dim
+        return all(
+            self.d[i][j][k] == -self.d[i][k][j]
+            for i in range(n)
+            for j in range(n)
+            for k in range(n)
+        )
+
+
+def cocommutator(fd):
+    """The cocommutator tensor of the dual structure constants fd."""
+    if not fd.is_antisymmetric():
+        raise InputError("structure constants are not antisymmetric")
+    n = fd.dim
+    d = [[[fd.f[j][k][i] for k in range(n)] for j in range(n)] for i in range(n)]
+    return CocommutatorTensor(n, d)
+
+
+def ce_differential(w, f):
+    """(dw)(X_i,X_j,X_k) = -w([X_i,X_j],X_k) + w([X_i,X_k],X_j) - w([X_j,X_k],X_i)
+    of a two-form w, as the fully antisymmetric rank-3 tensor in nested
+    lists, by a dense loop over every index."""
+    d = f.dim
+    ww = w.w
+    out = [[[rl.ZERO] * d for _ in range(d)] for _ in range(d)]
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                t = rl.ZERO
+                for l in range(d):
+                    t -= f.f[i][j][l] * ww[l][k]
+                    t += f.f[i][k][l] * ww[l][j]
+                    t -= f.f[j][k][l] * ww[l][i]
+                out[i][j][k] = t
+    return out
 
 
 def symmetric_part(t):

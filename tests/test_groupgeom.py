@@ -9,6 +9,7 @@ from evalref import left_fields_by_adjugate
 from liebialg import groupgeom
 from liebialg.closedfun import (
     cf_matexp,
+    cf_matexp_pm,
     cfm_eq,
     cfm_eval,
     cfm_inverse_unitdet,
@@ -216,31 +217,77 @@ def test_dual_block_transpose_is_the_adjugate_inverse(reg, bench):
         assert cfm_eq(blocks.ainv, cfm_inverse_unitdet(blocks.a)), (g, dual)
 
 
-def test_corrupted_dual_block_fails_the_pairing_check(reg, monkeypatch):
-    # d = P_4^T is built from the frame's exp(-x_m Xadj_m), a from its
-    # exp(x_m Xadj_m): a wrong entry in one factor of d breaks a d^T = I.
-    # The dual slice of X_1 is zero, so no F' check reads exp(-x1 Xadj_1).
-    f, fd = reg.instantiate("A_4_7"), reg.instantiate("A_4_7.i")
-    assert not any(fd.f[j][k][0] for j in range(4) for k in range(4))
-    frame = invariant_frame(GroupChart(f))
-    exact_residual = groupgeom.blocks_pairing_residual
+def _recorded_residuals(monkeypatch):
+    """The a d^T - I of every pairing check `double_adjoint` runs."""
+    exact = groupgeom.blocks_pairing_residual
     residuals = []
-    exp_neg = list(frame.exp_neg)
-    exp_neg[0] = [row[:] for row in exp_neg[0]]
-    exp_neg[0][1][0] = exp_neg[0][1][0] + _cf("x1")
-    corrupted = dataclasses.replace(frame, exp_neg=exp_neg)
 
     def recorded(blocks):
-        residuals.append(exact_residual(blocks))
+        residuals.append(exact(blocks))
         return residuals[-1]
 
     monkeypatch.setattr(groupgeom, "blocks_pairing_residual", recorded)
+    return residuals
+
+
+def test_corrupted_dual_block_fails_the_pairing_check(reg, monkeypatch):
+    # d = P_4^T is built from the frame's prefix products of exp(-x_m Xadj_m),
+    # a from its exp(x_m Xadj_m): a wrong entry in exp(-x1 Xadj_1), made where
+    # the frame computes it, reaches every P_k and breaks a d^T = I.  The
+    # dual slice of X_1 is zero, so no F' check reads exp(-x1 Xadj_1), and
+    # R's first column is e_1, so the wrong entry R^1_2 leaves det R alone.
+    f, fd = reg.instantiate("A_4_7"), reg.instantiate("A_4_7.i")
+    assert not any(fd.f[j][k][0] for j in range(4) for k in range(4))
+
+    def corrupted_pm(m, coord):
+        e, em = cf_matexp_pm(m, coord)
+        if coord == 1:
+            em = [row[:] for row in em]
+            em[1][0] = em[1][0] + _cf("x1")
+        return e, em
+
+    frame = invariant_frame(GroupChart(f))
+    corrupted = invariant_frame(GroupChart(f), corrupted_pm)
+    assert not cfm_eq(corrupted.prefix[4], frame.prefix[4])
+    residuals = _recorded_residuals(monkeypatch)
     double_adjoint(frame, f, fd)  # passes with the exact factors
     residuals.clear()
+    for _ in range(2):  # a frame that failed the check keeps no Ad(g)
+        with pytest.raises(InvariantError):
+            double_adjoint(corrupted, f, fd)
+        assert corrupted._ad is None
+    assert len(residuals) == 2
+    assert not any(cfm_is_zero(r) for r in residuals)
+
+
+def test_a_replaced_frame_carries_no_checked_ad_g(reg, monkeypatch):
+    # a copy with another exp(x1 Xadj_1) must run the pairing check afresh:
+    # the Ad(g) its original passed with is not its own
+    f, fd = reg.instantiate("A_4_7"), reg.instantiate("A_4_7.i")
+    frame = invariant_frame(GroupChart(f))
+    blocks = double_adjoint(frame, f, fd)
+    assert frame._ad is blocks.a
+    assert dataclasses.replace(frame)._ad is None
+    exp_pos = list(frame.exp_pos)
+    exp_pos[0] = [row[:] for row in exp_pos[0]]
+    exp_pos[0][1][0] = exp_pos[0][1][0] + _cf("x1")
+    corrupted = dataclasses.replace(frame, exp_pos=exp_pos)
+    residuals = _recorded_residuals(monkeypatch)
     with pytest.raises(InvariantError):
         double_adjoint(corrupted, f, fd)
-    (residual,) = residuals
-    assert not cfm_is_zero(residual)
+    assert len(residuals) == 1
+    assert double_adjoint(frame, f, fd).a is blocks.a  # the original keeps its own
+    assert len(residuals) == 1
+
+
+def test_frame_equality_ignores_the_checked_ad_g(reg):
+    f, fd = reg.instantiate("A_4_7"), reg.instantiate("A_4_7.i")
+    used, fresh = invariant_frame(GroupChart(f)), invariant_frame(GroupChart(f))
+    assert used == fresh
+    double_adjoint(used, f, fd)
+    assert used._ad is not None and fresh._ad is None
+    assert used == fresh and fresh == used
+    assert "_ad" not in repr(used)
 
 
 @pytest.mark.parametrize("side", ["B E", "B^T E"])

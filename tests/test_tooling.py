@@ -19,7 +19,9 @@ each minor once, `solve_affine` gets each nonzero coboundary equation once,
 whose dual slice is zero.  The frame path multiplies by no identity factor,
 the exp(0) of a zero adjoint, except in the a d^T = I check of an abelian
 g, and a frame whose adjoints have only 1 x 1 diagonal blocks builds no
-characteristic polynomial."""
+characteristic polynomial.  A frame keeps its prefix products for every
+dual: `double_adjoint` forms none, and forms and checks Ad(g) once per
+frame.  Only `groupgeom` writes that checked Ad(g)."""
 
 import glob
 import importlib
@@ -80,6 +82,24 @@ def test_only_core_touches_the_cached_forms():
             continue
         with open(path, encoding="utf-8") as fh:
             assert "._nonzero" not in fh.read(), os.path.relpath(path, ROOT)
+
+
+# an assignment to, or a setattr of, a frame's checked Ad(g)
+AD_WRITE = re.compile(r"\._ad\s*=[^=]|setattr\([^)]*[\"']_ad[\"']")
+
+
+def test_only_groupgeom_writes_the_checked_ad_g():
+    # a second writer could hand later duals an Ad(g) that never passed the
+    # a d^T = I check against the frame's own P_n
+    paths = sorted(glob.glob(os.path.join(PACKAGE, "**", "*.py"), recursive=True))
+    assert os.path.join(PACKAGE, "groupgeom.py") in paths
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            hits = AD_WRITE.findall(fh.read())
+        if os.path.basename(path) == "groupgeom.py":
+            assert hits  # the pattern still names what groupgeom does
+        else:
+            assert not hits, os.path.relpath(path, ROOT)
 
 
 # a ClosedFunction built from a term map, the helpers that fill or derive
@@ -323,12 +343,47 @@ def test_the_frame_path_multiplies_no_identity_factor(reg, monkeypatch):
         frame = groupgeom.invariant_frame(groupgeom.GroupChart(f))
         groupgeom.double_adjoint(frame, f, fd)
         central.append(sum(not any(map(any, a)) for a in f.adjoints()))
-    assert len(checks) == len(pairs)  # the a d^T = I check runs on every call
+    assert len(checks) == len(pairs)  # the a d^T = I check runs once per frame
     # the one product by I is the a d^T = I I of the abelian pair's check,
     # made while the last of the checks ran
     assert identity == [len(pairs)]
     assert products and 0 in central and central[-1] == 4
     assert sum(0 < c < 4 for c in central) > 10
+
+
+def test_a_frame_forms_no_prefix_product_and_checks_ad_g_once(reg, monkeypatch):
+    # the 11 duals of A_4_3 with no r-matrix row all get adjoint-block
+    # bivectors; X_2 is central, so Ad(g) = E_1 E_3 E_4 is two products
+    g = "A_4_3"
+    duals = sorted(e.dual for e in reg.bialgebras if e.g == g and (g, e.dual) not in reg.rmatrices)
+    assert len(duals) == 11
+    f = reg.instantiate(g)
+    frame = groupgeom.invariant_frame(groupgeom.GroupChart(f))
+    assert [not any(map(any, a)) for a in f.adjoints()] == [False, True, False, False]
+    mul, residual = groupgeom.cfm_mul, groupgeom.blocks_pairing_residual
+    prefix, ad, checks = [], [], []
+
+    def recorded(a, b):
+        out = mul(a, b)
+        if any(a is e for e in frame.exp_neg):  # E_-k P_(k-1)
+            prefix.append(out)
+        if any(b is e for e in frame.exp_pos) and any(a is x for x in frame.exp_pos + ad):
+            ad.append(out)  # E_1 ... E_k
+        return out
+
+    def counted(blocks):
+        checks.append(1)
+        return residual(blocks)
+
+    monkeypatch.setattr(groupgeom, "cfm_mul", recorded)
+    monkeypatch.setattr(groupgeom, "blocks_pairing_residual", counted)
+    blocks = []
+    for dual in duals:
+        fd = reg.instantiate(dual, reg.grid_bindings(g, dual, cap=1)[0])
+        blocks.append(groupgeom.double_adjoint(frame, f, fd))
+    assert not prefix
+    assert len(ad) == 2 and all(b.a is ad[-1] for b in blocks)
+    assert len(checks) == 1
 
 
 ONE_BY_ONE = ("A_4_2_m1", "A_4_3", "A2+A2")
