@@ -18,7 +18,8 @@ that Python hashes without calling back into this module.
 """
 
 from fractions import Fraction
-from math import gcd
+from itertools import repeat
+from math import gcd, isqrt
 from operator import add
 import cmath
 
@@ -748,7 +749,8 @@ def cfm_inverse_unitdet(a):
 # --------------------------------------------------------------------------
 # Symbolic matrix exponential exp(x_coord * M) for exact rational M, computed
 # on sparse CRat matrices {(i, j): CRat} that hold the nonzero entries only:
-# the spectrum over Q(i), then Putzer's recursion
+# block by block over the strongly connected components of M's pattern, with
+# Putzer's recursion inside each irreducible block of size 2 or more
 # --------------------------------------------------------------------------
 
 
@@ -829,10 +831,53 @@ def _root_candidates(value):
             yield c
 
 
+def _sqrt_crat(z):
+    """A square root of z in Q(i), or None when z has none there.  With
+    z = (a + b i)/d = (A + B i)/d^2 for A = a d and B = b d, a root is
+    (x + y i)/d with x + y i a Gaussian integer, because Z[i] is integrally
+    closed; then x^2 - y^2 = A and x^2 + y^2 = N, the norm sqrt(A^2 + B^2),
+    and the sign of y follows from 2 x y = B."""
+    a, b, d = z
+    big_a, big_b = a * d, b * d
+    norm2 = big_a * big_a + big_b * big_b
+    norm = isqrt(norm2)
+    if norm * norm != norm2:
+        return None
+    x, y = isqrt((norm + big_a) // 2), isqrt((norm - big_a) // 2)
+    if big_b < 0:
+        y = -y
+    if x * x - y * y != big_a or 2 * x * y != big_b:
+        return None
+    return _reduced(x, y, d)
+
+
+def _unsupported(message, work):
+    """UnsupportedSpectrum naming the factor `work` (CRat coefficients,
+    highest degree first) as (re, im) pairs."""
+    return UnsupportedSpectrum(message, factor=[(c.re, c.im) for c in work])
+
+
+def _low_degree_roots(work):
+    """The roots over Q(i) of a polynomial of degree 1 or 2 (coefficients
+    highest first), the quadratic ones by the formula with an exact square
+    root of the discriminant; UnsupportedSpectrum names the factor when that
+    square root is not in Q(i)."""
+    if len(work) == 2:
+        return [-work[1] / work[0]]
+    a, b, c = work
+    s = _sqrt_crat(b * b - a * c * 4)
+    if s is None:
+        raise _unsupported("characteristic factor has roots outside Q + iQ", work)
+    return [(s - b) / (a + a), (-s - b) / (a + a)]
+
+
 def _spectrum(coeffs):
     """Roots with multiplicity over Q(i) of the polynomial with CRat
     coefficients `coeffs` (highest degree first); raises UnsupportedSpectrum
-    otherwise."""
+    otherwise.  Root 0 is stripped exactly and a factor of degree 2 or less
+    is solved exactly (`_low_degree_roots`), so numpy is imported only while
+    a factor of degree 3 or more is left: its roots are estimated by
+    `np.roots` and each is confirmed by exact deflation."""
     work = list(coeffs)
     roots = []  # list of (CRat, multiplicity)
 
@@ -846,16 +891,12 @@ def _spectrum(coeffs):
             roots.append((cand, mult))
         return mult
 
-    # Strip root 0 exactly, then go through numeric candidates: numpy is
-    # imported only for a nonzero root, so a nilpotent matrix never loads it.
     try_root(CR_ZERO)
     guard = 0
-    while len(work) > 1:
+    while len(work) > 3 and guard < 64:
         import numpy as np
 
         guard += 1
-        if guard > 64:
-            break
         if any(not c.is_real() for c in work):
             # Remaining factor over Q(i): numeric roots of the complex poly.
             arr = np.array([c.to_complex() for c in work])
@@ -871,23 +912,20 @@ def _spectrum(coeffs):
             if progressed:
                 break
         if not progressed:
-            raise UnsupportedSpectrum(
-                "characteristic factor has roots outside Q + iQ",
-                factor=[(c.re, c.im) for c in work],
-            )
+            raise _unsupported("characteristic factor has roots outside Q + iQ", work)
+    if len(work) > 3:
+        raise _unsupported("failed to factor characteristic polynomial", work)
     if len(work) > 1:
-        raise UnsupportedSpectrum(
-            "failed to factor characteristic polynomial",
-            factor=[(c.re, c.im) for c in work],
-        )
+        for cand in _low_degree_roots(work):
+            try_root(cand)
     return roots
 
 
-def _blocks(mc, n):
-    """The strongly connected components of the graph i -> j on the nonzero
-    entries (i, j) of a sparse n x n matrix, as tuples of indices, each in
-    increasing order and listed by their smallest index.  Reachability is
-    one bitmask per vertex, closed by Warshall's recursion (n <= 8 here)."""
+def _reach(mc, n):
+    """For each vertex i of the graph i -> j on the nonzero entries (i, j) of
+    a sparse n x n matrix, the bitmask of the vertices reachable from i, i
+    included: one bitmask per vertex, closed by Warshall's recursion (n <= 8
+    here)."""
     reach = [1 << i for i in range(n)]
     for i, j in mc:
         reach[i] |= 1 << j
@@ -896,6 +934,13 @@ def _blocks(mc, n):
         for i in range(n):
             if reach[i] & bit:
                 reach[i] |= rk
+    return reach
+
+
+def _components(reach, n):
+    """The strongly connected components of a graph given by its `_reach`
+    bitmasks, as tuples of indices, each in increasing order and listed by
+    their smallest index."""
     blocks, seen = [], 0
     for i in range(n):
         if not seen >> i & 1:
@@ -906,72 +951,122 @@ def _blocks(mc, n):
     return blocks
 
 
-def _eigenvalues(mc, n):
-    """The eigenvalues over Q(i), with multiplicity and equal ones together,
-    of a sparse n x n CRat matrix.  Ordered by its strongly connected
-    components (`_blocks`), the matrix is block triangular, so its spectrum
-    is the union of its diagonal blocks' spectra: a 1 x 1 block gives its
-    diagonal entry, and a larger block the roots of its own characteristic
-    polynomial (`_spectrum`), whose UnsupportedSpectrum names that block's
-    factor."""
-    mult = {}
-    for block in _blocks(mc, n):
-        if len(block) == 1:
-            lam = mc.get((block[0], block[0]), CR_ZERO)
-            mult[lam] = mult.get(lam, 0) + 1
-            continue
-        at = {i: r for r, i in enumerate(block)}
-        sub = {(at[i], at[j]): c for (i, j), c in mc.items() if i in at and j in at}
-        for lam, m in _spectrum(_char_poly(sub, len(block))):
-            mult[lam] = mult.get(lam, 0) + m
-    return [lam for lam, m in mult.items() for _ in range(m)]
+def _rates_shifted(f, idx, lam):
+    """f e^{lam x_(idx+1)}: every rate in slot idx moved by lam, a bijection
+    of the term keys, so no coefficient is added or multiplied."""
+    if not lam:
+        return f
+    return ClosedFunction(
+        {(k, _with(z, idx, z[idx] + lam)): c for (k, z), c in f.terms.items()}
+    )
+
+
+def _variation(g, coord, lam):
+    """e^{lam x} int_0^x e^{-lam s} g(s) ds for x = x_coord: g with every
+    rate in x_coord shifted by -lam, one integral, and the shift back."""
+    idx = coord - 1
+    return _rates_shifted(_rates_shifted(g, idx, -lam).integral(coord), idx, lam)
+
+
+def _coupling(row, block, e, j):
+    """sum_k m_ik e[k][j] over the nonzero entries (k, m_ik) of row i of M
+    with k outside `block`, one term map that every scaled entry adds into."""
+    t = {}
+    for k, c in row:
+        if k not in block:
+            for key, v in e[k][j].terms.items():
+                _accumulate(t, key, c * v)
+    return ClosedFunction(t) if t else _CF_ZERO
+
+
+def _block_putzer(sub, s, coord):
+    """exp(x_coord S) of an irreducible s x s block S, given by its nonzero
+    entries, as {(a, b): term map}.  Putzer's recursion (E. J. Putzer, Amer.
+    Math. Monthly 73, 1966): with the eigenvalues l_1, ..., l_s of S over
+    Q + iQ (`_spectrum` of its own characteristic polynomial), listed with
+    multiplicity, exp(xS) = sum_k r_k(x) P_k, where P_1 = I,
+    P_{k+1} = (S - l_k) P_k, r_1 = e^{l_1 x} and
+    r_k = e^{l_k x} int_0^x e^{-l_k s} r_{k-1}(s) ds (`_variation`).  The
+    sum stops at the first empty P_k."""
+    lams = [lam for lam, mult in _spectrum(_char_poly(sub, s)) for _ in range(mult)]
+    acc = {}
+    p = {(a, a): CR_ONE for a in range(s)}
+    r = None
+    for k, lam in enumerate(lams):
+        r = cf_exp({coord: lam}) if r is None else _variation(r, coord, lam)
+        for ab, c in p.items():
+            t = acc.setdefault(ab, {})
+            for key, v in r.terms.items():
+                _accumulate(t, key, v * c)
+        if k + 1 < s:
+            p = _mat_mul(_shifted(sub, -lam, s), p)
+            if not p:
+                break
+    return acc
 
 
 def cf_matexp(m, coord):
-    """exp(x_coord * M) as a matrix of closed functions of x_coord alone.
+    """exp(x_coord * M) as a matrix of closed functions of x_coord alone,
+    built block by block over the strongly connected components of M's
+    nonzero pattern (the block-triangular method of C. Moler and C. Van
+    Loan, Nineteen dubious ways to compute the exponential of a matrix,
+    SIAM Review 45, 2003, sections 6-7).
 
-    Putzer's algorithm (E. J. Putzer, Amer. Math. Monthly 73, 1966): with the
-    eigenvalues l_1, ..., l_n of M over Q + iQ, listed with multiplicity,
-    exp(xM) = sum_k r_k(x) P_k, where P_1 = I, P_{k+1} = (M - l_k) P_k,
-    r_1 = e^{l_1 x} and r_k = e^{l_k x} int_0^x e^{-l_k s} r_{k-1}(s) ds,
-    valid for any order of the eigenvalues.
-    The dense rational M is read once into its nonzero entries {(i, j): CRat}.
-    Its eigenvalues come block by block (`_eigenvalues`): M is block
-    triangular in the order of the strongly connected components of its
-    nonzero pattern, so a 1 x 1 block contributes its diagonal entry with no
-    polynomial, and only a larger block goes through its characteristic
-    polynomial and `_spectrum`.  Every P_k is a sparse map, r_k is added
-    into the entries of P_k that are nonzero, and the sum stops at the first
-    empty P_k, so a nilpotent M costs its index of nilpotency.  The result is
-    verified to satisfy exp(0) = I and d/dx exp = M exp exactly.
+    The dense rational M is read once into its nonzero entries
+    {(i, j): CRat}.  Its components are listed so that each comes after
+    every component it reaches; a component reaches strictly more vertices
+    than any other component it reaches, so that order is by the number of
+    vertices reached.  M_IK is nonzero only when I reaches K, so M is block
+    triangular in that order, and so are its powers and E = exp(xM): E_IJ
+    is zero unless I reaches J.  Block by block,
+
+        E_II(x) = exp(x M_II),
+        E_IJ(x) = E_II(x) int_0^x E_II(-s) sum_{K != I} M_IK E_KJ(s) ds,
+
+    the solution of E_IJ' = M_II E_IJ + sum_{K != I} M_IK E_KJ with
+    E_IJ(0) = 0, and every E_KJ on the right belongs to a component listed
+    earlier.  A 1 x 1 block I = {i} has E_ii = e^{l x} with l = M_ii, and
+    its integrand e^{-l s} G(s) is G with every rate in x_coord shifted by
+    -l: one integral and the shift back give E_iJ (`_variation`), with no
+    product of closed functions, and equal eigenvalues of different blocks
+    give their x^p e^{l x} terms through the integral.  Only a block of size 2 or more
+    goes through its characteristic polynomial and Putzer's recursion
+    (`_block_putzer`), and products by its E_II(-s) and E_II(x).  The
+    result is verified to satisfy exp(0) = I and d/dx exp = M exp exactly.
     """
     n = len(m)
     mc = _sparse(m)
-    if not mc:
-        result = cfm_identity(n)
-        _verify_matexp(result, mc, coord)
-        return result
-    lams = _eigenvalues(mc, n)
-    acc = {}  # {(i, j): term map of the sum so far}
-    p = {(i, i): CR_ONE for i in range(n)}
-    r = None
-    for k, lam in enumerate(lams):
-        e = cf_exp({coord: lam})
-        r = e if r is None else e * (e.reciprocal() * r).integral(coord)
-        for ij, c in p.items():
-            t = acc.setdefault(ij, {})
-            for key, v in r.terms.items():
-                _accumulate(t, key, v * c)
-        if k + 1 < n:
-            p = _mat_mul(_shifted(mc, -lam, n), p)
-            if not p:
-                break
-    result = cfm_zeros(n, n)
-    for (i, j), t in acc.items():
-        if t:
-            result[i][j] = ClosedFunction(t)
-    _verify_matexp(result, mc, coord)
-    return result
+    reach = _reach(mc, n)
+    rows = [[] for _ in range(n)]  # the nonzero entries (k, m_ik) of each row
+    for (i, k), c in mc.items():
+        rows[i].append((k, c))
+    e = cfm_zeros(n, n)
+    for block in sorted(_components(reach, n), key=lambda b: reach[b[0]].bit_count()):
+        below = [j for j in range(n) if reach[block[0]] >> j & 1 and j not in block]
+        if len(block) == 1:
+            i = block[0]
+            lam = mc.get((i, i), CR_ZERO)
+            e[i][i] = cf_exp({coord: lam})
+            for j in below:
+                g = _coupling(rows[i], block, e, j)
+                if g.terms:
+                    e[i][j] = _variation(g, coord, lam)
+            continue
+        at = {i: a for a, i in enumerate(block)}
+        sub = {(at[i], at[j]): c for (i, j), c in mc.items() if i in at and j in at}
+        for (a, b), t in _block_putzer(sub, len(block), coord).items():
+            if t:
+                e[block[a]][block[b]] = ClosedFunction(t)
+        diag = [[e[i][j] for j in block] for i in block]
+        back = cfm_reflect(diag, coord)  # E_II(-s)
+        for j in below:
+            g = [_coupling(rows[i], block, e, j) for i in block]
+            if any(g):
+                h = [cf_sum_products(zip(row, g, repeat(1))).integral(coord) for row in back]
+                for i, row in zip(block, diag):
+                    e[i][j] = cf_sum_products(zip(row, h, repeat(1)))
+    _verify_matexp(e, mc, coord)
+    return e
 
 
 def cf_matexp_pm(m, coord):

@@ -322,66 +322,70 @@ class _Tokens:
 
 def parse_expr(text, line=None, filename=None, col_offset=0, extra_names=()):
     """Parse an expression string; identifiers not in x1..x4 or the function
-    set become parameter nodes (validated by callers against declarations)."""
+    set become parameter nodes (validated by callers against declarations).
+    The recursive descent runs in module-level functions that take the token
+    stream, so a parse leaves no reference cycle behind."""
     toks = _Tokens(text, line=line, filename=filename, col_offset=col_offset)
-
-    def parse_sum():
-        node = parse_term()
-        while toks.peek()[0] in ("+", "-"):
-            op = toks.next()[0]
-            rhs = parse_term()
-            node = add(node, rhs if op == "+" else neg(rhs))
-        return node
-
-    def parse_term():
-        node = parse_factor()
-        while toks.peek()[0] in ("*", "/"):
-            op = toks.next()[0]
-            rhs = parse_factor()
-            node = mul(node, rhs) if op == "*" else div(node, rhs)
-        return node
-
-    def parse_factor():
-        if toks.peek()[0] == "-":
-            toks.next()
-            return neg(parse_factor())
-        if toks.peek()[0] == "+":
-            toks.next()
-            return parse_factor()
-        node = parse_atom()
-        if toks.peek()[0] == "^":
-            toks.next()
-            sign = 1
-            if toks.peek()[0] == "-":
-                toks.next()
-                sign = -1
-            tok = toks.expect("num")
-            node = powi(node, sign * tok[1])
-        return node
-
-    def parse_atom():
-        tok = toks.next()
-        kind, val, pos = tok
-        if kind == "num":
-            return const(val)
-        if kind == "(":
-            node = parse_sum()
-            toks.expect(")")
-            return node
-        if kind == "name":
-            if val in _FUNCS:
-                toks.expect("(")
-                arg = parse_sum()
-                toks.expect(")")
-                return func(val, arg)
-            if val in _COORDS:
-                return coord(_COORDS[val])
-            return param(val)
-        toks._err(f"unexpected token {val!r}", pos)
-
-    node = parse_sum()
+    node = _parse_sum(toks)
     toks.expect("end")
     return node
+
+
+def _parse_sum(toks):
+    node = _parse_term(toks)
+    while toks.peek()[0] in ("+", "-"):
+        op = toks.next()[0]
+        rhs = _parse_term(toks)
+        node = add(node, rhs if op == "+" else neg(rhs))
+    return node
+
+
+def _parse_term(toks):
+    node = _parse_factor(toks)
+    while toks.peek()[0] in ("*", "/"):
+        op = toks.next()[0]
+        rhs = _parse_factor(toks)
+        node = mul(node, rhs) if op == "*" else div(node, rhs)
+    return node
+
+
+def _parse_factor(toks):
+    if toks.peek()[0] == "-":
+        toks.next()
+        return neg(_parse_factor(toks))
+    if toks.peek()[0] == "+":
+        toks.next()
+        return _parse_factor(toks)
+    node = _parse_atom(toks)
+    if toks.peek()[0] == "^":
+        toks.next()
+        sign = 1
+        if toks.peek()[0] == "-":
+            toks.next()
+            sign = -1
+        tok = toks.expect("num")
+        node = powi(node, sign * tok[1])
+    return node
+
+
+def _parse_atom(toks):
+    kind, val, pos = toks.next()
+    if kind == "num":
+        return const(val)
+    if kind == "(":
+        node = _parse_sum(toks)
+        toks.expect(")")
+        return node
+    if kind == "name":
+        if val in _FUNCS:
+            toks.expect("(")
+            arg = _parse_sum(toks)
+            toks.expect(")")
+            return func(val, arg)
+        if val in _COORDS:
+            return coord(_COORDS[val])
+        return param(val)
+    toks._err(f"unexpected token {val!r}", pos)
 
 
 # --------------------------------------------------------------------------

@@ -7,6 +7,7 @@ with matrices acting on the right of row vectors (row = input basis index).
 
 from dataclasses import dataclass, field
 
+from . import ratlinalg as rl
 from .closedfun import (
     cf_matexp_pm,
     cfm_const_mul,
@@ -224,7 +225,10 @@ def double_exp_factor(frame: InvariantFrame, fd: StructureConstants, i):
     their nonzero entries (`cfm_const_mul`)."""
     n = frame.base.dim
     coord = i + 1
-    b = [[-row[i] for row in plane] for plane in fd.f]
+    b = rl.zeros(n, n)  # B[j][k] = -ft^jk_(i+1), from the nonzero entries of fd
+    for j, k, l, v in fd.nonzero():
+        if l == i:
+            b[j][k] = -v
     e, em = frame.exp_pos[i], frame.exp_neg[i]
     low = cfm_zeros(n, n)
     if any(any(row) for row in b):

@@ -17,6 +17,7 @@ from math import gcd, lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_INT = {int}
 
 
 def zeros(rows, cols):
@@ -57,7 +58,11 @@ def is_zero_matrix(a):
 
 
 def _int_row(row):
-    """The row times the lcm l of its denominators, as ints, and l."""
+    """The row times the lcm l of its denominators, as ints, and l.  A row
+    of ints is returned as it is, with l = 1: the elimination never edits a
+    row in place."""
+    if set(map(type, row)) <= _INT:
+        return row, 1
     l = lcm(*[x.denominator for x in row])
     return [x.numerator * (l // x.denominator) for x in row], l
 

@@ -41,7 +41,11 @@ per call, so no derivative comes from the cache of the function.
 from unit two-forms and `grid_symplectic` searches the span of a list of
 two-forms for a nondegenerate one on the coefficient grid {1, -1, 2, -2,
 0}^k: together the retired symplectic search, the oracle of
-`find_symplectic`'s integer system and Pfaffian quadratic form.  The
+`find_symplectic`'s integer system and Pfaffian quadratic form.
+`matexp_by_putzer` runs Putzer's recursion on the whole matrix over the
+eigenvalues that `eigenvalues` gathers block by block over the strongly
+connected components that `blocks` lists, the retired path and the oracle
+of the block-triangular `cf_matexp`.  The
 helpers from `two_form` on left the package with no caller there and
 serve the tests alone.
 """
@@ -55,12 +59,24 @@ from operator import add, mul
 
 from liebialg import ratlinalg as rl
 from liebialg.closedfun import (
+    CR_ONE,
+    CR_ZERO,
     ClosedFunction,
+    _accumulate,
+    _char_poly,
+    _components,
     _invert_unit,
+    _mat_mul,
+    _reach,
+    _shifted,
+    _sparse,
+    _spectrum,
     cf_const,
+    cf_exp,
     cfm_identity,
     cfm_mul,
     cfm_transpose,
+    cfm_zeros,
 )
 from liebialg.core import TwoFormLA
 from liebialg.errors import EvalError, InputError
@@ -632,3 +648,63 @@ def rank(m):
 
 def cfm_scale(c, a):
     return [[x.scale(c) for x in row] for row in a]
+
+
+def blocks(mc, n):
+    """The strongly connected components of the graph i -> j on the nonzero
+    entries (i, j) of a sparse n x n matrix, as tuples of indices, each in
+    increasing order and listed by their smallest index."""
+    return _components(_reach(mc, n), n)
+
+
+def eigenvalues(mc, n):
+    """The eigenvalues over Q(i), with multiplicity and equal ones together,
+    of a sparse n x n CRat matrix.  Ordered by its strongly connected
+    components (`blocks`), the matrix is block triangular, so its spectrum
+    is the union of its diagonal blocks' spectra: a 1 x 1 block gives its
+    diagonal entry, and a larger block the roots of its own characteristic
+    polynomial (`_spectrum`), whose UnsupportedSpectrum names that block's
+    factor."""
+    mult = {}
+    for block in blocks(mc, n):
+        if len(block) == 1:
+            lam = mc.get((block[0], block[0]), CR_ZERO)
+            mult[lam] = mult.get(lam, 0) + 1
+            continue
+        at = {i: r for r, i in enumerate(block)}
+        sub = {(at[i], at[j]): c for (i, j), c in mc.items() if i in at and j in at}
+        for lam, m in _spectrum(_char_poly(sub, len(block))):
+            mult[lam] = mult.get(lam, 0) + m
+    return [lam for lam, m in mult.items() for _ in range(m)]
+
+
+def matexp_by_putzer(m, coord):
+    """exp(x_coord M) by Putzer's recursion on the whole matrix: with the
+    eigenvalues l_1, ..., l_n of M listed with multiplicity,
+    exp(xM) = sum_k r_k(x) P_k, P_1 = I, P_{k+1} = (M - l_k) P_k,
+    r_1 = e^{l_1 x} and r_k = e^{l_k x} int_0^x e^{-l_k s} r_{k-1}(s) ds,
+    stopping at the first empty P_k.  Not checked: the oracle of the
+    checked `cf_matexp`."""
+    n = len(m)
+    mc = _sparse(m)
+    if not mc:
+        return cfm_identity(n)
+    acc = {}
+    p = {(i, i): CR_ONE for i in range(n)}
+    r = None
+    for k, lam in enumerate(eigenvalues(mc, n)):
+        e = cf_exp({coord: lam})
+        r = e if r is None else e * (e.reciprocal() * r).integral(coord)
+        for ij, c in p.items():
+            t = acc.setdefault(ij, {})
+            for key, v in r.terms.items():
+                _accumulate(t, key, v * c)
+        if k + 1 < n:
+            p = _mat_mul(_shifted(mc, -lam, n), p)
+            if not p:
+                break
+    result = cfm_zeros(n, n)
+    for (i, j), t in acc.items():
+        if t:
+            result[i][j] = ClosedFunction(t)
+    return result

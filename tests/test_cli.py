@@ -687,21 +687,22 @@ def test_no_module_samples_at_random():
 
 
 def test_loading_the_corpus_does_not_import_numpy():
-    # numpy is imported lazily, only to find nonzero roots of the
-    # characteristic polynomial of a diagonal block of size 2 or more of an
-    # adjoint matrix (at the first binding, 13 corpus frames have one, such
-    # as VII0+R and A_4_12).  A 1 x 1 block gives its diagonal entry, so
-    # neither nilpotent frames nor those with only 1 x 1 blocks and nonzero
-    # eigenvalues (A_4_2_m1, A_4_3, A2+A2) load it.
+    # numpy is imported lazily, only to estimate the roots of a
+    # characteristic factor of degree 3 or more, which only an irreducible
+    # diagonal block of size 3 or more of an adjoint matrix has.  A 1 x 1
+    # block gives its diagonal entry, and a 2 x 2 block's quadratic is solved
+    # exactly over Q(i), so building all 47 corpus frames at their first
+    # binding (13 of them have a 2 x 2 block, such as VII0+R and A_4_12)
+    # loads it for none.
     src = os.path.dirname(os.path.dirname(os.path.abspath(liebialg.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     code = (
         "import sys; from liebialg import corpus, harness; reg = corpus.load(); "
         "bench = harness.Workbench(reg); "
-        "[bench.frame(name, {}) for name in ('A_4_1', '4A_1', 'II+R', 'A_4_2_m1', 'A_4_3', 'A2+A2')]; "
-        "print('numpy' in sys.modules)"
+        "built = [bench.frame(name, reg.grid_bindings(name, cap=1)[0]) for name in sorted(reg.frames)]; "
+        "print(len(built), 'numpy' in sys.modules)"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "False\n"
+    assert done.stdout == "47 False\n"

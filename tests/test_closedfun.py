@@ -242,18 +242,41 @@ def _dropping_one_product(exact):
     return dropped
 
 
+def _dropping_one_coupling(exact):
+    """The coupling sum `exact` with the first entry of the row outside the
+    block left out."""
+
+    def dropped(row, block, e, j):
+        return exact([(k, c) for k, c in row if k not in block][1:], block, e, j)
+
+    return dropped
+
+
 def test_matexp_checks_its_sparse_products(reg, monkeypatch):
-    # nilpotent, and a Jordan block at a nonzero eigenvalue
+    # only 1 x 1 blocks, built from coupling sums: nilpotent, and a Jordan
+    # block at a nonzero eigenvalue
     a41 = StructureConstants.from_brackets(4, {(2, 4): [(1, 1)], (3, 4): [(1, 2)]})
     a42 = reg.instantiate("A_4_2_m1")
     cases = [(a41.adjoint(3), 4), (a42.adjoint(3), 4)]
-    for m, coord in cases:
+    # a 2 x 2 block with eigenvalues -1 +- i between two 1 x 1 blocks,
+    # coupled to both: Putzer's products inside the block, coupling sums
+    # around it
+    blk = [[Fraction(0)] * 4 for _ in range(4)]
+    blk[1][2], blk[2][1], blk[2][2] = Fraction(1), Fraction(-2), Fraction(-2)
+    blk[0][1], blk[0][0], blk[2][3], blk[3][3] = Fraction(2), Fraction(1), Fraction(3), Fraction(1, 2)
+    for m, coord in cases + [(blk, 2)]:
         assert cfm_eq(cfm_mul(cf_matexp(m, coord), cf_matexp([[-x for x in r] for r in m], coord)),
                       cfm_identity(4))
+    with monkeypatch.context() as patch:
+        patch.setattr(closedfun, "_coupling", _dropping_one_coupling(closedfun._coupling))
+        for m, coord in cases + [(blk, 2)]:
+            with pytest.raises(InvariantError):
+                cf_matexp(m, coord)
     monkeypatch.setattr(closedfun, "_mat_mul", _dropping_one_product(closedfun._mat_mul))
-    for m, coord in cases:
-        with pytest.raises(InvariantError):
-            cf_matexp(m, coord)
+    for m, coord in cases:  # no product of sparse matrices outside a larger block
+        cf_matexp(m, coord)
+    with pytest.raises(InvariantError):
+        cf_matexp(blk, 2)
 
 
 def test_matexp_split_exponents_numerically():

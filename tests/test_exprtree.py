@@ -1,12 +1,14 @@
 """Expression parsing, exact substitution, conversion to closed functions,
 and rendering."""
 
+import gc
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from liebialg import corpus
 from liebialg.closedfun import cf_const, cf_coord, cf_cos, cf_exp, cfm_lower
 from liebialg.errors import CorpusSyntaxError, EvalError, InputError
 from liebialg.exprtree import _FUNCS, Expr, const, coord, param, parse_expr, to_text
@@ -18,6 +20,21 @@ from evalref import walk
 def test_parse_rational_arithmetic():
     e = parse_expr("3/4 - 2*(1/2 - 1/3)")
     assert e.eval_exact() == Fraction(3, 4) - 2 * Fraction(1, 6)
+
+
+def test_parsing_the_corpus_leaves_no_reference_cycle():
+    # the recursive descent shares no closures, so every parse is freed by
+    # reference counting and loading the corpus gives the cyclic collector
+    # nothing to find
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        corpus.load()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_parse_exp_to_closed():

@@ -21,9 +21,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from liebialg.closedfun import (  # noqa: E402
     ClosedFunction,
     CRat,
-    _blocks,
     _char_poly,
-    _eigenvalues,
     _sparse,
     cf_matexp,
     cf_matexp_pm,
@@ -43,7 +41,7 @@ from liebialg.integrable import (  # noqa: E402
     load_example,
 )
 
-from evalref import cfm_from_frac  # noqa: E402
+from evalref import blocks, cfm_from_frac, eigenvalues  # noqa: E402
 
 X = sympy.symbols("x1:5")
 
@@ -245,6 +243,51 @@ def test_matexp_of_minus_m_is_the_reflection(case):
     assert cf_matexp_pm(_fractions(M), coord) == (e, em)
 
 
+def _stratum(m):
+    """The kind of exponential a corpus adjoint has: zero; only 1 x 1 blocks,
+    all at 0 (nilpotent), at distinct nonzero eigenvalues or with a nonzero
+    one repeated; or an irreducible block with complex, repeated or real
+    eigenvalues."""
+    n, mc = len(m), _sparse(m)
+    if not mc:
+        return "zero"
+    big = [b for b in blocks(mc, n) if len(b) > 1]
+    if big:
+        at = {i: r for r, i in enumerate(big[0])}
+        lams = eigenvalues({(at[i], at[j]): c for (i, j), c in mc.items() if i in at and j in at}, len(at))
+        if any(not lam.is_real() for lam in lams):
+            return "block, complex"
+        return "block, repeated" if len(set(lams)) < len(lams) else "block, real"
+    lams = [lam for lam in eigenvalues(mc, n) if lam]
+    if not lams:
+        return "nilpotent"
+    return "repeated" if len(set(lams)) < len(lams) else "distinct"
+
+
+def test_block_exponential_matches_sympy_on_a_stratified_corpus_sample(reg):
+    # the first two distinct adjoints of each stratum, in corpus order over
+    # the full grid, against sympy's exp(x M)
+    sample, seen = {}, set()
+    for name in sorted(reg.algebras):
+        for b in reg.grid_bindings(name):
+            for i, m in enumerate(reg.instantiate(name, b).adjoints()):
+                key = (tuple(map(tuple, m)), i)
+                if key not in seen:
+                    seen.add(key)
+                    bucket = sample.setdefault(_stratum(m), [])
+                    if len(bucket) < 2:
+                        bucket.append((m, i + 1))
+    assert sorted(sample) == ["block, complex", "block, real", "block, repeated", "distinct",
+                              "nilpotent", "repeated", "zero"]
+    for cases in sample.values():
+        for m, coord in cases:
+            got = cf_matexp(m, coord)
+            want = (_sympy_matrix(m) * X[coord - 1]).exp()
+            for i, row in enumerate(got):
+                for j, f in enumerate(row):
+                    assert is_zero((to_sympy(f) - want[i, j]).rewrite(sympy.exp)), (m, coord, i, j)
+
+
 # --------------------------------------------------------------------------
 # The sparse characteristic polynomial, the block spectrum and constant
 # products on sparse 4x4 and 8x8 matrices with a known kind of spectrum
@@ -298,7 +341,7 @@ def test_sparse_char_poly_matches_sympy(m):
 @given(sparse_matrices())
 def test_block_eigenvalues_match_sympy(m):
     want = _sympy_matrix(m).eigenvals(multiple=True)
-    got = [_q(c) for c in _eigenvalues(_sparse(m), len(m))]
+    got = [_q(c) for c in eigenvalues(_sparse(m), len(m))]
     key = sympy.default_sort_key
     assert sorted(got, key=key) == sorted(map(sympy.expand, want), key=key), m
 
@@ -308,17 +351,17 @@ def _pattern(entries):
 
 
 def test_blocks_are_the_strongly_connected_components():
-    assert _blocks({}, 4) == [(0,), (1,), (2,), (3,)]
+    assert blocks({}, 4) == [(0,), (1,), (2,), (3,)]
     # a diagonal and a triangle: no edge comes back, so every block is 1 x 1
-    assert _blocks(_pattern([(0, 0), (0, 3), (1, 2), (2, 3), (0, 1)]), 4) == [(0,), (1,), (2,), (3,)]
+    assert blocks(_pattern([(0, 0), (0, 3), (1, 2), (2, 3), (0, 1)]), 4) == [(0,), (1,), (2,), (3,)]
     # the cycle 0 -> 2 -> 3 -> 0 with 1 feeding into it
-    assert _blocks(_pattern([(0, 2), (2, 3), (3, 0), (1, 0)]), 4) == [(0, 2, 3), (1,)]
+    assert blocks(_pattern([(0, 2), (2, 3), (3, 0), (1, 0)]), 4) == [(0, 2, 3), (1,)]
     # two 2-cycles, one coupled to the other, listed by their smallest index
-    assert _blocks(_pattern([(1, 3), (3, 1), (0, 2), (2, 0), (3, 0)]), 4) == [(0, 2), (1, 3)]
+    assert blocks(_pattern([(1, 3), (3, 1), (0, 2), (2, 0), (3, 0)]), 4) == [(0, 2), (1, 3)]
     # an 8-cycle is one block, its chain is eight
     cycle = [(i, (i + 1) % 8) for i in range(8)]
-    assert _blocks(_pattern(cycle), 8) == [tuple(range(8))]
-    assert _blocks(_pattern(cycle[:-1]), 8) == [(i,) for i in range(8)]
+    assert blocks(_pattern(cycle), 8) == [tuple(range(8))]
+    assert blocks(_pattern(cycle[:-1]), 8) == [(i,) for i in range(8)]
 
 
 def test_an_irrational_block_names_its_own_factor():
@@ -328,7 +371,7 @@ def test_an_irrational_block_names_its_own_factor():
     m[0][0], m[3][3] = Fraction(3), Fraction(1, 2)
     m[1][2], m[2][1] = Fraction(1), Fraction(2)
     m[0][1], m[0][3], m[2][3] = Fraction(5), Fraction(-1), Fraction(7)
-    assert _blocks(_sparse(m), 4) == [(0,), (1, 2), (3,)]
+    assert blocks(_sparse(m), 4) == [(0,), (1, 2), (3,)]
     with pytest.raises(UnsupportedSpectrum) as exc:
         cf_matexp(m, 2)
     assert exc.value.factor == [(1, 0), (0, 0), (-2, 0)]

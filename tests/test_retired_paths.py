@@ -12,7 +12,10 @@ compared with the CRat kernel it replaced on hypothesis draws, both as dicts
 and in insertion order.  `find_symplectic`'s integer system and Pfaffian
 quadratic form are compared with the Fraction system and grid search they
 replaced, on every corpus algebra at every grid binding and on drawn lists
-of two-forms, degenerate ones included."""
+of two-forms, degenerate ones included.  The block-triangular `cf_matexp`
+is compared with Putzer's recursion on the whole matrix, on every distinct
+adjoint of every corpus algebra over the full grid and on drawn
+block-triangular matrices."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -26,6 +29,7 @@ from evalref import (
     det_by_cofactors,
     grid_symplectic,
     inverse_by_cofactors,
+    matexp_by_putzer,
     minus_b_ainv,
     mul_into_by_crats,
     render_by_fractions,
@@ -40,6 +44,7 @@ from liebialg.closedfun import (
     _mul_into,
     cf_coord,
     cf_exp,
+    cf_matexp,
     cfm_det,
     cfm_inverse_unitdet,
     cfm_mul,
@@ -357,3 +362,82 @@ def test_pfaffian_criterion_matches_the_grid_search_on_drawn_forms(forms):
             for u, v in combinations(forms, 2)
         ]
         assert witness.w in sums
+
+
+def test_block_exponential_matches_putzer_on_every_corpus_adjoint(reg):
+    cases = {}
+    for name in sorted(reg.algebras):
+        for b in reg.grid_bindings(name):
+            for i, m in enumerate(reg.instantiate(name, b).adjoints()):
+                cases.setdefault((tuple(map(tuple, m)), i + 1), m)
+    assert len(cases) > 500
+    for (_, coord), m in cases.items():
+        assert _maps(cf_matexp(m, coord)) == _maps(matexp_by_putzer(m, coord)), (m, coord)
+
+
+_Q = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2))
+_NONZERO_Q = _Q.filter(bool)
+# eigenvalues of 1 x 1 blocks from a short list, so that different blocks
+# often share one
+_LAMS = [CRat(0), CRat(1), CRat(-1), CRat(Fraction(1, 2)), CRat(0, 1)]
+
+
+@st.composite
+def _irreducible_pair(draw, nilpotent):
+    """An irreducible 2 x 2 block: a +- b i, a repeated (not diagonalizable)
+    or a +- b, with b != 0; nilpotent, the repeated kind at a = 0."""
+    kind = "repeated" if nilpotent else draw(st.sampled_from(["complex", "repeated", "rational"]))
+    a, b = Fraction(0) if nilpotent else draw(_Q), draw(_NONZERO_Q)
+    if kind == "complex":
+        return [[a, -b], [b, a]]
+    if kind == "repeated":  # trace 2a, determinant a^2
+        return [[a + b, b], [-b, a - b]]
+    return [[a, b], [b, a]]
+
+
+@st.composite
+def _block_triangular(draw):
+    """(M, coord): diagonal blocks of sizes 1 and 2 on n <= 6 rows, nilpotent
+    ones or with eigenvalues in Q(i), couplings above them, and rows and
+    columns then permuted together."""
+    n = draw(st.integers(1, 6))
+    nilpotent = draw(st.booleans())
+    m = [[Fraction(0)] * n for _ in range(n)]
+    owner = []
+    while len(owner) < n:
+        start = len(owner)
+        if n - start >= 2 and draw(st.booleans()):
+            for r, row in enumerate(draw(_irreducible_pair(nilpotent))):
+                m[start + r][start : start + 2] = row
+            owner += [start, start]
+        else:
+            m[start][start] = Fraction(0) if nilpotent else draw(st.sampled_from(_LAMS))
+            owner.append(start)
+    upper = [(i, j) for i in range(n) for j in range(n) if owner[i] < owner[j]]
+    if upper:
+        for i, j in draw(st.lists(st.sampled_from(upper), max_size=2 * n, unique=True)):
+            m[i][j] = draw(_NONZERO_Q)
+    perm = draw(st.permutations(range(n)))
+    return [[m[perm[i]][perm[j]] for j in range(n)] for i in range(n)], draw(st.integers(1, 4))
+
+
+def _matrix(rows):
+    return [[x if isinstance(x, CRat) else Fraction(x) for x in row] for row in rows]
+
+
+@hyp.settings(max_examples=80, deadline=None)
+@hyp.given(_block_triangular())
+# nilpotent: a chain of three and a coupled nilpotent 2 x 2 block
+@hyp.example((_matrix([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0]]), 2))
+@hyp.example((_matrix([[0, 2, 0, 0], [0, 1, 1, 0], [0, -1, -1, 3], [0, 0, 0, 0]]), 1))
+# one eigenvalue in three coupled 1 x 1 blocks, complex in a fourth
+@hyp.example((_matrix([[1, 1, 2, 0], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, CRat(0, 1)]]), 3))
+# 2 x 2 blocks at 1 +- 2i; at 1/2 twice, beside a 1 x 1 block at 1/2; and at
+# 3 and -1, beside 1 x 1 blocks at 3 and -1
+@hyp.example((_matrix([[1, -2, 1, 0], [2, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]), 4))
+@hyp.example((_matrix([[Fraction(3, 2), 1, 0, 1], [-1, Fraction(-1, 2), 1, 0],
+                       [0, 0, Fraction(1, 2), 0], [0, 0, 0, 0]]), 1))
+@hyp.example((_matrix([[1, 2, 1, 0], [2, 1, 0, 1], [0, 0, 3, 0], [0, 0, 0, -1]]), 2))
+def test_block_exponential_matches_putzer_on_drawn_matrices(case):
+    m, coord = case
+    assert _maps(cf_matexp(m, coord)) == _maps(matexp_by_putzer(m, coord))

@@ -19,9 +19,11 @@ each minor once, `solve_affine` gets each nonzero coboundary equation once,
 whose dual slice is zero.  The frame path multiplies by no identity factor,
 the exp(0) of a zero adjoint, except in the a d^T = I check of an abelian
 g, and a frame whose adjoints have only 1 x 1 diagonal blocks builds no
-characteristic polynomial.  A frame keeps its prefix products for every
-dual: `double_adjoint` forms none, and forms and checks Ad(g) once per
-frame.  Only `groupgeom` writes that checked Ad(g)."""
+characteristic polynomial.  An exponential whose components are all 1 x 1
+builds no characteristic polynomial, finds no spectrum and multiplies no
+two closed functions, its checks included.  A frame keeps its prefix
+products for every dual: `double_adjoint` forms none, and forms and checks
+Ad(g) once per frame.  Only `groupgeom` writes that checked Ad(g)."""
 
 import glob
 import importlib
@@ -35,6 +37,8 @@ import pytest
 
 from liebialg import closedfun, core, groupgeom, ratlinalg, rmatrix
 from liebialg.harness import verify_tables
+
+from evalref import blocks
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "bench")
@@ -401,3 +405,29 @@ def test_frames_with_only_1x1_blocks_build_no_characteristic_polynomial(reg, mon
     f = reg.instantiate("VII0+R", reg.grid_bindings("VII0+R", cap=1)[0])
     with pytest.raises(AssertionError, match="characteristic polynomial"):
         groupgeom.invariant_frame(groupgeom.GroupChart(f))  # a 2 x 2 rotation block
+
+
+def test_an_exponential_of_1x1_components_makes_no_polynomial_and_no_product(reg, monkeypatch):
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} was called")
+
+        return call
+
+    cases = {}
+    for name in sorted(reg.algebras):
+        for i, m in enumerate(reg.instantiate(name, reg.grid_bindings(name, cap=1)[0]).adjoints()):
+            if all(len(b) == 1 for b in blocks(closedfun._sparse(m), 4)):
+                cases.setdefault((tuple(map(tuple, m)), i + 1), m)
+    # nilpotent ones, and ones with nonzero eigenvalues, some of them equal
+    assert any(all(not m[i][i] for i in range(4)) and any(map(any, m)) for m in cases.values())
+    assert any(len({m[i][i] for i in range(4) if m[i][i]}) < sum(1 for i in range(4) if m[i][i])
+               for m in cases.values())
+    for name in ("_char_poly", "_spectrum", "_mul_into"):
+        monkeypatch.setattr(closedfun, name, forbidden(name))
+    for (_, coord), m in cases.items():
+        closedfun.cf_matexp_pm(m, coord)
+    rotation = [[Fraction(0)] * 4 for _ in range(4)]
+    rotation[0][1], rotation[1][0] = Fraction(-1), Fraction(1)
+    with pytest.raises(AssertionError, match="_char_poly was called"):
+        closedfun.cf_matexp_pm(rotation, 1)
