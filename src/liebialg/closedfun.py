@@ -518,46 +518,36 @@ def _linear_rates(coeffs):
     return tuple(z)
 
 
+def _exp_pair(coeffs, unit, cp, cm):
+    """cp e^{z.x} + cm e^{-z.x} for z = unit times the rates of `coeffs`,
+    one term map with the key of +z first; at z = 0 the two add into one
+    coefficient, or cancel."""
+    z = tuple(v * unit for v in _linear_rates(coeffs))
+    t = {}
+    _accumulate(t, (_ZEXP, z), cp)
+    _accumulate(t, (_ZEXP, tuple(-v for v in z)), cm)
+    return ClosedFunction(t) if t else _CF_ZERO
+
+
+_HALF = CRat(Fraction(1, 2))
+_HALF_OVER_I = CRat(0, Fraction(-1, 2))  # 1/(2i)
+
+
 def cf_cos(coeffs):
     """cos(sum coeffs[i] x_i) with rational coefficients."""
-    z = _linear_rates(coeffs)
-    zi = tuple(v * CR_I for v in z)
-    zmi = tuple(-v for v in zi)
-    if zmi == zi:  # cos 0 = 1
-        return ClosedFunction({(_ZEXP, zi): CR_ONE})
-    half = CRat(Fraction(1, 2))
-    return ClosedFunction({(_ZEXP, zi): half, (_ZEXP, zmi): half})
+    return _exp_pair(coeffs, CR_I, _HALF, _HALF)
 
 
 def cf_sin(coeffs):
-    z = _linear_rates(coeffs)
-    zi = tuple(v * CRat(0, 1) for v in z)
-    zmi = tuple(-v for v in zi)
-    if zmi == zi:  # sin 0 = 0
-        return _CF_ZERO
-    c = CRat(0, Fraction(-1, 2))  # 1/(2i)
-    return ClosedFunction({(_ZEXP, zi): c, (_ZEXP, zmi): -c})
+    return _exp_pair(coeffs, CR_I, _HALF_OVER_I, -_HALF_OVER_I)
 
 
 def cf_cosh(coeffs):
-    z = _linear_rates(coeffs)
-    zm = tuple(-v for v in z)
-    half = CRat(Fraction(1, 2))
-    out = {(_ZEXP, z): half}
-    if zm != z:
-        out[(_ZEXP, zm)] = half
-    else:
-        out[(_ZEXP, z)] = CR_ONE
-    return ClosedFunction(out)
+    return _exp_pair(coeffs, CR_ONE, _HALF, _HALF)
 
 
 def cf_sinh(coeffs):
-    z = _linear_rates(coeffs)
-    zm = tuple(-v for v in z)
-    half = CRat(Fraction(1, 2))
-    if zm == z:
-        return _CF_ZERO
-    return ClosedFunction({(_ZEXP, z): half, (_ZEXP, zm): -half})
+    return _exp_pair(coeffs, CR_ONE, _HALF, -_HALF)
 
 
 # --------------------------------------------------------------------------

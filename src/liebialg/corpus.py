@@ -585,7 +585,7 @@ class Corpus:
     def pair_constraints(self, g, dual):
         return self.algebra(g).constraints + self.algebra(dual).constraints
 
-    def grid_bindings(self, g, dual=None, grid=DEFAULT_GRID, cap=None):
+    def grid_bindings(self, g, dual=None, cap=None):
         """Cartesian grid over the pair's parameters filtered by constraints.
 
         Entries without parameters yield the single empty binding.
@@ -604,7 +604,7 @@ class Corpus:
         if not params:
             return [{}]
         out = []
-        for combo in product(grid, repeat=len(params)):
+        for combo in product(DEFAULT_GRID, repeat=len(params)):
             binding = dict(zip(params, combo))
             if all(c.ok(binding) for c in constraints):
                 out.append(binding)

@@ -261,20 +261,17 @@ _COORDS = {"x1": 1, "x2": 2, "x3": 3, "x4": 4}
 
 
 class _Tokens:
-    def __init__(self, text, line=None, filename=None, col_offset=0):
+    def __init__(self, text, line=None, filename=None):
         self.text = text
         self.line = line
         self.filename = filename
-        self.col_offset = col_offset
         self.pos = 0
         self.toks = []
         self._scan()
         self.idx = 0
 
     def _err(self, msg, pos):
-        raise CorpusSyntaxError(
-            msg, line=self.line, col=pos + 1 + self.col_offset, filename=self.filename
-        )
+        raise CorpusSyntaxError(msg, line=self.line, col=pos + 1, filename=self.filename)
 
     def _scan(self):
         t = self.text
@@ -320,12 +317,12 @@ class _Tokens:
         return tok
 
 
-def parse_expr(text, line=None, filename=None, col_offset=0, extra_names=()):
+def parse_expr(text, line=None, filename=None):
     """Parse an expression string; identifiers not in x1..x4 or the function
     set become parameter nodes (validated by callers against declarations).
     The recursive descent runs in module-level functions that take the token
     stream, so a parse leaves no reference cycle behind."""
-    toks = _Tokens(text, line=line, filename=filename, col_offset=col_offset)
+    toks = _Tokens(text, line=line, filename=filename)
     node = _parse_sum(toks)
     toks.expect("end")
     return node

@@ -5,7 +5,7 @@ by coordinate exponentials uses e^{-x X_i} X_j e^{x X_i} = (e^{x Xadj_i})_j^k X_
 with matrices acting on the right of row vectors (row = input basis index).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import ratlinalg as rl
 from .closedfun import (
@@ -15,9 +15,7 @@ from .closedfun import (
     cfm_eq,
     cfm_identity,
     cfm_inverse_unitdet,
-    cfm_is_zero,
     cfm_mul,
-    cfm_sub,
     cfm_sum_products,
     cfm_transpose,
     cfm_zeros,
@@ -43,10 +41,7 @@ class InvariantFrame:
 
     prefix[k] = P_k = exp_neg[k-1] ... exp_neg[0] for k = 0 .. n, None for I:
     R and XL are read off them, and `double_adjoint` reuses them for every
-    dual.  `_ad` is Ad(g) = exp_pos[0] ... exp_pos[n-1], formed and checked
-    against P_n by the first `double_adjoint` on the frame and kept for the
-    later ones; `dataclasses.replace` does not copy it and frame equality
-    does not see it."""
+    dual."""
 
     Rmat: list  # right-invariant one-form coefficients R^i_j (row i, col j)
     XR: list  # right-invariant vector fields, XR[j][l] = component on d_l
@@ -57,7 +52,6 @@ class InvariantFrame:
     exp_neg: list
     prefix: list  # P_0 .. P_n, None for I; P_1 is exp_neg[0], P_n is Ad(g)^-1
     base: StructureConstants
-    _ad: list = field(default=None, init=False, compare=False, repr=False)
 
 
 def invariant_frame(chart: GroupChart, matexp_pm=None) -> InvariantFrame:
@@ -70,8 +64,8 @@ def invariant_frame(chart: GroupChart, matexp_pm=None) -> InvariantFrame:
     inverse.  exp(-x_m Xadj_m) is the reflection x_m -> -x_m of exp(x_m Xadj_m)
     (`cf_matexp_pm`); both pass their exact ODE checks, so the reversed
     product is the exact inverse of Ad(g).  The frame keeps every P_k for
-    `double_adjoint`; Ad(g) itself is left to the first double that needs
-    it.  `matexp_pm` stands in for `cf_matexp_pm`, say a memo of it.
+    `double_adjoint`.  `matexp_pm` stands in for `cf_matexp_pm`, say a memo
+    of it.
     """
     f = chart.base
     n = f.dim
@@ -134,25 +128,11 @@ def frame_bracket_residuals(frame: InvariantFrame, f: StructureConstants):
     return bad
 
 
-@dataclass
-class DoubleAdjointBlocks:
-    """Ad_{g^-1} on the double is [[a, 0], [b, d]]; b itself is not kept."""
-
-    a: list  # 4x4 CFMatrix, g-to-g block of Ad_{g^-1}, kept on the frame as `_ad`
-    d: list  # dual-to-dual block, (a^-1)^T by invariance of the pairing
-    pi: list  # -b a^-1, b the dual-to-g block: the bivector in the XR frame
-
-    @property
-    def ainv(self):
-        """a^-1, read off as d^T; `double_adjoint` checks a d^T = I once
-        per frame."""
-        return cfm_transpose(self.d)
-
-
 def double_adjoint(
     frame: InvariantFrame, f: StructureConstants, fd: StructureConstants, certified=False
-) -> DoubleAdjointBlocks:
-    """Ad_{g^-1} on the double as the ordered product G_1 G_2 G_3 G_4 of
+) -> list:
+    """-b a^-1, the bivector of the pair in the XR frame, from Ad_{g^-1} on
+    the double, the ordered product G_1 G_2 G_3 G_4 of
     G_k = exp(x_k Xadj_k) = [[E_k, 0], [F_k, E_-k^T]] (`double_exp_factor`,
     on the frame of g, with E_-k = E_k^-1).  The product is block lower
     triangular, [[a, 0], [b, d]] with a = E_1 ... E_4, d = E_-1^T ... E_-4^T
@@ -160,12 +140,12 @@ def double_adjoint(
     products P_k = E_-k ... E_-1 (P_0 = I) that the frame keeps,
     E_(k+1) ... E_4 a^-1 = P_k and E_-1^T ... E_-(k-1)^T = P_(k-1)^T, so
 
-        b a^-1 = sum_k P_(k-1)^T F_k P_k   and   d = P_4^T.
+        -b a^-1 = -sum_k P_(k-1)^T F_k P_k.
 
     F_k is zero when the dual slice B_k = -ft^.._k is, so the sum runs over
-    the factors whose B_k is nonzero, and b itself is never formed.  a and d
-    depend on the frame alone: the first double of a frame forms a, checks
-    a d^T = I exactly and keeps a on the frame, and later duals reuse it.
+    the factors whose B_k is nonzero; a, b and d are never formed.  E_k and
+    E_-k passed their exact ODE checks (`cf_matexp_pm`), so they are
+    exp(x_k Xadj_k) and its inverse, and a d^T = I holds with no check.
 
     `certified` says that the caller has found (f, fd) a Lie bialgebra
     (`bialgebra_failure` returned None); otherwise that is checked here.
@@ -178,29 +158,14 @@ def double_adjoint(
             raise InputError(f"pair fails the {failed} identity")
     n = f.dim
     prefix = frame.prefix
-    ident = cfm_identity(n)
     terms = []
     for i in sorted({k for _, _, k, _ in fd.nonzero()}):  # B_(i+1) != 0
         low = double_exp_factor(frame, fd, i)[1]
         if prefix[i] is None:  # P_i = I
-            terms.append((low, ident if prefix[i + 1] is None else prefix[i + 1]))
+            terms.append((low, cfm_identity(n) if prefix[i + 1] is None else prefix[i + 1]))
         else:  # then P_(i+1) != I too
             terms.append((cfm_transpose(prefix[i]), cfm_mul(low, prefix[i + 1])))
-    pi = cfm_sum_products(terms, neg=True) if terms else cfm_zeros(n, n)
-    d = ident if prefix[n] is None else cfm_transpose(prefix[n])
-    if frame._ad is not None:
-        return DoubleAdjointBlocks(frame._ad, d, pi)
-    # a = E_1 ... E_4, with the factors of a zero ad X_k, exp(0) = I, left out
-    a = None
-    for e, central in zip(frame.exp_pos, _central(f)):
-        if not central:
-            a = _times(a, e)
-    blocks = DoubleAdjointBlocks(ident if a is None else a, d, pi)
-    # invariance of the canonical pairing forces d = (a^-1)^T
-    if not cfm_is_zero(blocks_pairing_residual(blocks)):
-        raise InvariantError("pairing relation a d^T = I violated")
-    frame._ad = blocks.a
-    return blocks
+    return cfm_sum_products(terms, neg=True) if terms else cfm_zeros(n, n)
 
 
 def double_exp_factor(frame: InvariantFrame, fd: StructureConstants, i):
@@ -247,8 +212,3 @@ def double_exp_factor(frame: InvariantFrame, fd: StructureConstants, i):
                 "lower-left block of the double's exponential fails F' = B E - A^T F"
             )
     return e, low, cfm_transpose(em)
-
-
-def blocks_pairing_residual(blocks: DoubleAdjointBlocks):
-    """a d^T - I, identically zero by invariance of the pairing."""
-    return cfm_sub(cfm_mul(blocks.a, blocks.ainv), cfm_identity(len(blocks.a)))

@@ -236,8 +236,8 @@ class Workbench:
         failed = self.double(g, dual, binding)
         if failed:
             raise InputError(f"pair fails the {failed} identity")
-        blocks = double_adjoint(frame, f, self.sc(dual, binding), certified=True)
-        return pi_bivector(blocks, frame, f)
+        pi = double_adjoint(frame, f, self.sc(dual, binding), certified=True)
+        return pi_bivector(pi, frame, f)
 
     def method(self, g, dual):
         """Sklyanin when an r-matrix row exists for the pair, else the
@@ -593,18 +593,14 @@ def _shards(campaigns, jobs):
 _WORKER = {}
 
 
-def _init_worker(selector, reg):
-    bench = Workbench(reg)
-    _WORKER["campaigns"] = [list(fn.entries(reg, bench)) for fn in _campaign_order(selector)]
+def _init_worker(campaigns):
+    _WORKER["campaigns"] = campaigns
 
 
 def _run_shard(shard):
     out = []
     for c, i, name in shard:
-        entries = _WORKER["campaigns"][c]
-        if i >= len(entries) or entries[i][0] != name:
-            raise InvariantError(f"worker corpus has no entry {name!r} at {i}")
-        _name, _key, check, args = entries[i]
+        _name, _key, check, args = _WORKER["campaigns"][c][i]
         out.append((c, i, _run_entry(name, check, *args)))
     return out
 
@@ -614,10 +610,11 @@ def verify_tables(reg, selector="all", jobs=1):
     ...); 'A-B' names every table from A to B.
 
     With jobs > 1 the entries are sharded by base algebra over worker
-    processes, each of which gets the parent's parsed corpus (inherited under
-    fork, pickled under spawn) and keeps one Workbench; a campaign's seconds
-    are then the sum of its entries'.  The report order always follows the
-    selector and each campaign's entries.
+    processes, each of which gets the parent's list of entries (inherited
+    under fork, pickled under spawn), so each runs on its own copy of the
+    parent's empty Workbench; a campaign's seconds are then the sum of its
+    entries'.  The report order always follows the selector and each
+    campaign's entries.
     """
     fns = _campaign_order(selector)
     bench = Workbench(reg)
@@ -630,7 +627,7 @@ def verify_tables(reg, selector="all", jobs=1):
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(
-            workers, initializer=_init_worker, initargs=(selector, reg)
+            workers, initializer=_init_worker, initargs=(campaigns,)
         ) as pool:
             for done in pool.map(_run_shard, shards):
                 for c, i, result in done:

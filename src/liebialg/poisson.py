@@ -13,7 +13,7 @@ from .closedfun import (
 )
 from .core import StructureConstants, pfaffian4
 from .errors import InputError
-from .groupgeom import DoubleAdjointBlocks, InvariantFrame
+from .groupgeom import InvariantFrame
 from .multivec import bivector, jacobiator, linearization
 from .rmatrix import TensorElement
 
@@ -51,11 +51,11 @@ def sklyanin_bivector(frame: InvariantFrame, r: TensorElement, base=None) -> Poi
     return PoissonBivector(cfm_sub(left, right), base, "sklyanin")
 
 
-def pi_bivector(blocks: DoubleAdjointBlocks, frame: InvariantFrame, base=None) -> PoissonBivector:
-    """P^kl = (-b a^-1)^ij XR_i^k XR_j^l from the double's adjoint blocks,
-    which hold -b a^-1 as `pi`."""
+def pi_bivector(pi: list, frame: InvariantFrame, base=None) -> PoissonBivector:
+    """P^kl = pi^ij XR_i^k XR_j^l for pi = -b a^-1 of the double's adjoint
+    blocks, as `double_adjoint` returns it."""
     xr = frame.XR
-    p = cfm_mul(cfm_transpose(xr), cfm_mul(blocks.pi, xr))
+    p = cfm_mul(cfm_transpose(xr), cfm_mul(pi, xr))
     return PoissonBivector(p, base, "pi")
 
 

@@ -137,8 +137,10 @@ def rref(m):
     return red, pivots
 
 
-def _kernel_basis(red, pivots, cols):
-    """Right nullspace basis read off a reduced row echelon form."""
+def _kernel_basis(a, pivots, cols):
+    """Right nullspace basis read off the rows `a` that `_gauss_jordan`
+    reduced: pivot row r holds its pivot a[r][pivots[r]] times its row of
+    the reduced row echelon form."""
     pivset = set(pivots)
     basis = []
     for free in range(cols):
@@ -147,7 +149,9 @@ def _kernel_basis(red, pivots, cols):
         v = [ZERO] * cols
         v[free] = ONE
         for r, pc in enumerate(pivots):
-            v[pc] = -red[r][free]
+            x = a[r][free]
+            if x:
+                v[pc] = Fraction(-x, a[r][pc])
         basis.append(v)
     return basis
 
@@ -155,27 +159,30 @@ def _kernel_basis(red, pivots, cols):
 def nullspace(m):
     """Basis of the right nullspace, one vector per free column."""
     cols = len(m[0]) if m else 0
-    return _kernel_basis(*rref(m), cols)
+    a = [_int_row(row)[0] for row in m]
+    return _kernel_basis(a, _gauss_jordan(a, cols)[0], cols)
 
 
-def solve_affine(a, b, cols=None):
-    """Solve a x = b exactly, for x of `cols` unknowns (by default the
-    length of a row of a, which a system of no equations needs given).
+def solve_affine(rows, cols):
+    """Solve the augmented system `rows` exactly: each row holds the
+    coefficients of `cols` unknowns followed by its right-hand side.
 
     Returns (particular, nullspace_basis) or None when inconsistent.  With
     no pivot in the last column, the left block of the reduced augmented
-    matrix is the reduced form of a, so one reduction gives both.
+    matrix is the reduced form of the coefficients, so one reduction gives
+    both.  Only the entries read off, in the free columns and the last one,
+    become Fractions.
     """
-    rows = len(a)
-    if cols is None:
-        cols = len(a[0]) if rows else 0
-    red, pivots = rref([list(a[i]) + [b[i]] for i in range(rows)])
+    a = [_int_row(row)[0] for row in rows]
+    pivots = _gauss_jordan(a, cols + 1)[0]
     if cols in pivots:
         return None
     part = [ZERO] * cols
     for r, pc in enumerate(pivots):
-        part[pc] = red[r][cols]
-    return part, _kernel_basis(red, pivots, cols)
+        x = a[r][cols]
+        if x:
+            part[pc] = Fraction(x, a[r][pc])
+    return part, _kernel_basis(a, pivots, cols)
 
 
 def inverse(m):

@@ -154,7 +154,7 @@ def solve_coboundary(f: StructureConstants, fd: StructureConstants) -> RSolution
             eqs[base + b * d + q][b * d + p] += x
     for (a, b, i, w) in gnz:
         eqs[i * n + a * d + b][n] = -w * d1
-    sol = rl.solve_affine(*_distinct_equations(eqs[e] for e in sorted(eqs)), cols=n)
+    sol = rl.solve_affine(_distinct_equations(eqs[e] for e in sorted(eqs)), n)
     if sol is None:
         return RSolutionSet(None, [], True)
     part, null = sol
@@ -167,14 +167,14 @@ def solve_coboundary(f: StructureConstants, fd: StructureConstants) -> RSolution
 
 def _distinct_equations(eqs):
     """The nonzero equations among `eqs`, int rows of coefficients followed
-    by a right-hand side, each once, as (rows, rhs).  Copies are dropped
+    by a right-hand side, each once, in the same shape.  Copies are dropped
     first, as tuples; then each equation is divided by the gcd of its
     entries, negated when its first nonzero entry is negative, and kept at
     its first occurrence.  A zero equation has gcd 0 and is dropped.  A
     touched equation has 1.3 nonzero entries on average over the corpus
-    r-matrix pairs, so the division skips zero entries.  A zero equation or a multiple of an earlier one leaves the row
-    space as it is, and so the (unique) reduced row echelon form and the
-    solutions."""
+    r-matrix pairs, so the division skips zero entries.  A zero equation or
+    a multiple of an earlier one leaves the row space as it is, and so the
+    (unique) reduced row echelon form and the solutions."""
     seen = {}
     for eq in dict.fromkeys(map(tuple, eqs)):
         g = gcd(*eq)
@@ -182,7 +182,7 @@ def _distinct_equations(eqs):
             if next(filter(None, eq)) < 0:
                 g = -g
             seen[eq if g == 1 else tuple([x and x // g for x in eq])] = None
-    return [eq[:-1] for eq in seen], [eq[-1] for eq in seen]
+    return list(seen)
 
 
 def schouten(r: TensorElement, f: StructureConstants):

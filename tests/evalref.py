@@ -21,9 +21,10 @@ inverts them by cofactor adjugate, the oracle of the frame's XL = Ad(g)^-1 XR.
 builds the adjugate from n^2 such expansions: the oracles of the memoized
 minors of `cfm_det` and `cfm_inverse_unitdet`.  `double_adjoint_blocks`
 accumulates the blocks (a, b, d) of the double's adjoint factor by factor,
-the oracle of `double_adjoint`'s a, d and -b a^-1.  `coboundary_system` is
-the full d^3-equation system of the coboundary equation, built column by
-column from the action on the unit tensors, and `solve_coboundary_full`
+the retired path and the oracle of `double_adjoint`'s -b a^-1.
+`coboundary_system` is the full d^3-equation augmented system of the
+coboundary equation, built column by column from the action on the unit
+tensors, and `solve_coboundary_full`
 hands every one of its equations to `solve_affine`: the oracle of
 `solve_coboundary`, which hands over the distinct nonzero ones.
 `render_by_fractions` renders a closed function through Fractions, the
@@ -334,14 +335,15 @@ def minus_b_ainv(frame, fd):
 
 
 def coboundary_system(f, fd):
-    """(rows, rhs) of the coboundary equation Xadj_i^T r + r Xadj_i = Yt_i in
-    the d^2 unknowns r^pb (column p d + b), one equation per (i, a, b), zero
-    and repeated equations included, scaled to ints: column p d + b is the
-    action on the unit tensor E_pb."""
+    """The augmented rows of the coboundary equation Xadj_i^T r + r Xadj_i =
+    Yt_i in the d^2 unknowns r^pb (column p d + b) and its right-hand side
+    (column d^2), one equation per (i, a, b), zero and repeated equations
+    included, scaled to ints: column p d + b is the action on the unit
+    tensor E_pb."""
     d = f.dim
     n = d * d
     d1, d2, gnz = f.scaled_nonzero()[0], *fd.scaled_nonzero()
-    rows = [[0] * n for _ in range(d * n)]
+    rows = [[0] * (n + 1) for _ in range(d * n)]
     for col in range(n):
         unit = [[int(p * d + b == col) for b in range(d)] for p in range(d)]
         _, act = _ad_action_ints(unit, f)  # d1 (Xadj_i^T E + E Xadj_i)
@@ -349,15 +351,14 @@ def coboundary_system(f, fd):
             for a in range(d):
                 for b in range(d):
                     rows[i * n + a * d + b][col] = act[i][a][b] * d2
-    rhs = [0] * (d * n)
     for (a, b, i, w) in gnz:
-        rhs[i * n + a * d + b] = -w * d1  # Yt_i^ab = -ft^ab_i
-    return rows, rhs
+        rows[i * n + a * d + b][n] = -w * d1  # Yt_i^ab = -ft^ab_i
+    return rows
 
 
 def solve_coboundary_full(f, fd):
     """`solve_affine` on every equation of `coboundary_system`."""
-    return rl.solve_affine(*coboundary_system(f, fd))
+    return rl.solve_affine(coboundary_system(f, fd), f.dim**2)
 
 
 def _frac_text(q):

@@ -219,13 +219,17 @@ def test_verify_entry_error_fails_each_entry_not_the_run(table, module, name, mo
 
 def test_invariant_failure_fails_its_entry(tmp_path, monkeypatch, capsys):
     assert not issubclass(InvariantError, ValueError)  # never a usage error
-    monkeypatch.setattr(groupgeom, "blocks_pairing_residual", lambda blocks: cfm_identity(4))
-    path = tmp_path / "abelian.txt"
-    path.write_text(ABELIAN_CORPUS)
+    # a wrong F' fails the F' = B E - A^T F check of (A_4_1, A_4_1.i), whose
+    # dual slices are nonzero; the zero dual of the abelian row builds no F
+    monkeypatch.setattr(groupgeom, "cfm_diff", lambda m, coord: cfm_identity(len(m)))
+    path = tmp_path / "two.txt"
+    path.write_text(A41_CORPUS + ABELIAN_CORPUS)
     assert main(["--corpus", str(path), "--json", "verify", "--table", "6"]) == 1
-    (rec,) = map(json.loads, capsys.readouterr().out.splitlines())
-    assert rec["status"] == "fail"
-    assert rec["detail"].startswith("InvariantError: ")
+    bad, good = map(json.loads, capsys.readouterr().out.splitlines())
+    assert (bad["status"], good["status"]) == ("fail", "pass")
+    assert bad["detail"] == (
+        "InvariantError: lower-left block of the double's exponential fails F' = B E - A^T F"
+    )
 
 
 def test_dropped_integral_term_fails_its_entry(tmp_path, monkeypatch, capsys):
@@ -340,15 +344,18 @@ def test_shards_group_entries_by_algebra(reg, jobs):
     assert runs == [[e[0] for e in es] for es in campaigns]
 
 
-def test_worker_rejects_an_entry_it_enumerates_differently(reg, monkeypatch):
+def test_worker_runs_the_entries_the_parent_listed(reg, monkeypatch):
     monkeypatch.setattr(harness, "_WORKER", {})
-    harness._init_worker("1", reg)
-    name = harness._WORKER["campaigns"][0][0][0]
-    ((c, i, result),) = harness._run_shard([(0, 0, name)])
-    assert (c, i, result.entry, result.status) == (0, 0, name, "pass")
-    for shard in ([(0, 0, name + "?")], [(0, 10**6, name)]):
-        with pytest.raises(InvariantError):
-            harness._run_shard(shard)
+    bench = Workbench(reg)
+    fns = (harness.verify_table1, harness.verify_table2)
+    campaigns = [list(fn.entries(reg, bench)) for fn in fns]
+    harness._init_worker(campaigns)
+    assert harness._WORKER["campaigns"] is campaigns  # not enumerated again
+    shard = [(1, 2, campaigns[1][2][0]), (0, 0, campaigns[0][0][0])]
+    done = harness._run_shard(shard)
+    assert [(c, i, r.entry) for c, i, r in done] == shard
+    assert all(r.status == "pass" for _, _, r in done)
+    assert bench._sc  # the listed entries run on the Workbench they name
 
 
 def test_a_pickled_corpus_gives_the_same_report(reg):

@@ -83,6 +83,31 @@ def test_trig_of_a_zero_argument():
         assert cf_sin(zero) == cf_sinh(zero) == ClosedFunction.zero()
 
 
+def test_trig_term_maps_are_the_two_exponentials_in_order():
+    # c+ e^{z.x} + c- e^{-z.x}, the key of +z first; z = 0 adds the two
+    # coefficients into one key or cancels them
+    half, i = Fraction(1, 2), CRat(0, 1)
+    for coeffs in ({1: Fraction(2, 3), 4: -1}, {2: 3}, {3: 0}, {}):
+        rates = [CRat(Fraction(coeffs.get(k, 0))) for k in range(1, 5)]
+        for fn, unit, plus, minus in (
+            (cf_cos, i, CRat(half), CRat(half)),
+            (cf_sin, i, CRat(0, -half), CRat(0, half)),  # 1/(2i) = -i/2
+            (cf_cosh, CRat(1), CRat(half), CRat(half)),
+            (cf_sinh, CRat(1), CRat(half), CRat(-half)),
+        ):
+            z = tuple(r * unit for r in rates)
+            zm = tuple(-r for r in z)
+            mono = (0, 0, 0, 0)
+            if any(rates):
+                want = [((mono, z), plus), ((mono, zm), minus)]
+            else:
+                total = plus + minus
+                want = [((mono, z), total)] if total else []
+            got = fn(coeffs).terms
+            assert got == dict(want), (fn.__name__, coeffs)
+            assert list(got) == [key for key, _ in want], (fn.__name__, coeffs)
+
+
 def test_canonical_roundtrips_200_random():
     rng = random.Random(0)
     for _ in range(200):

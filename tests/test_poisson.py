@@ -58,8 +58,7 @@ def test_sklyanin_phase_space_example(reg, bench):
 def test_pi_zero_dual_gives_zero(reg):
     f = reg.instantiate("A_4_7")
     fr = invariant_frame(GroupChart(f))
-    blocks = double_adjoint(fr, f, StructureConstants(4))
-    P = pi_bivector(blocks, fr, f)
+    P = pi_bivector(double_adjoint(fr, f, StructureConstants(4)), fr, f)
     assert all(x.is_zero() for row in P.P for x in row)
 
 

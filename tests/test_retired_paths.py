@@ -3,7 +3,9 @@ they replaced, kept in `evalref` as oracles: the sparse `cfm_mul` against
 the sum of every product, the memoized minors of `cfm_det` and
 `cfm_inverse_unitdet` against cofactor expansions made afresh,
 `double_adjoint`'s -b a^-1 over the nonzero dual slices against the (a, b, d)
-block accumulation, `solve_coboundary` on the distinct nonzero equations
+block accumulation, with the pairing relation a d^T = I that the retired
+path checked at run time shown as Ad(g) P_n = I on the frame's own
+factors, `solve_coboundary` on the distinct nonzero equations
 against the full system, and `render_closed_function` on int triples against
 the Fraction renderer.  Each runs on every corpus frame or pair at its first
 binding and on hypothesis draws.  Term maps compare as dicts, which ignores
@@ -46,6 +48,8 @@ from liebialg.closedfun import (
     cf_exp,
     cf_matexp,
     cfm_det,
+    cfm_eq,
+    cfm_identity,
     cfm_inverse_unitdet,
     cfm_mul,
     cfm_transpose,
@@ -56,7 +60,7 @@ from liebialg.core import (
     _pfaffian_witness,
     find_symplectic,
 )
-from liebialg.groupgeom import double_adjoint
+from liebialg.groupgeom import GroupChart, _central, double_adjoint, invariant_frame
 from liebialg.render import render_closed_function
 from liebialg.rmatrix import solve_coboundary
 
@@ -104,23 +108,37 @@ def test_minus_b_ainv_matches_the_block_accumulation_on_every_corpus_pair(reg, b
             continue  # a flagged row: the pair is no Lie bialgebra
         f, fd = bench.sc(g, binding), bench.sc(dual, binding)
         frame = bench.frame(g, binding)
-        blocks = double_adjoint(frame, f, fd, certified=True)
-        assert _maps(blocks.pi) == _maps(minus_b_ainv(frame, fd)), (g, dual)
+        pi = double_adjoint(frame, f, fd, certified=True)
+        assert _maps(pi) == _maps(minus_b_ainv(frame, fd)), (g, dual)
         slices.add(len({k for _, _, k, _ in fd.nonzero()}))
         checked += 1
     assert checked > 100
     assert slices == {0, 1, 2, 3, 4}  # every count of nonzero dual slices
 
 
-def _same_solutions(got, want, label):
-    if want is None:
-        assert got.empty, label
-        return
-    part, kernel = want
-    assert not got.empty, label
-    assert len(part) == got.particular.dim**2, label
-    assert [x for row in got.particular.r for x in row] == part, label
-    assert [[x for row in t.r for x in row] for t in got.kernel_basis] == kernel, label
+def _ad_g_times_p_n(frame):
+    """Ad(g) = exp_pos[0] ... exp_pos[3], the factors of a central X_k
+    (exp(0) = I) left out, times P_n = Ad(g)^-1, the way the retired
+    `double_adjoint` formed it; I for an abelian g."""
+    a = None
+    for e, central in zip(frame.exp_pos, _central(frame.base)):
+        if not central:
+            a = e if a is None else cfm_mul(a, e)
+    p_n = frame.prefix[-1]
+    if a is None or p_n is None:
+        assert a is p_n, "Ad(g) and P_n disagree on whether g is abelian"
+        return cfm_identity(len(frame.exp_pos))
+    return cfm_mul(a, p_n)
+
+
+def test_ad_g_times_p_n_is_the_identity_on_every_corpus_frame(frames):
+    # a d^T = I with a = Ad(g) and d = P_n^T, now implied by the exact ODE
+    # checks of every exp(x Xadj_k) and exp(-x Xadj_k) and not run in src
+    central = set()
+    for name, fr in frames.items():
+        assert cfm_eq(_ad_g_times_p_n(fr), cfm_identity(4)), name
+        central.add(sum(_central(fr.base)))
+    assert {0, 1, 2} <= central  # the abelian g is a drawn example below
 
 
 def test_distinct_equations_match_the_full_system_on_every_corpus_pair(reg, bench):
@@ -154,6 +172,62 @@ def _tensors(draw):
 @hyp.example(StructureConstants(4), StructureConstants(4))  # no equation at all
 def test_distinct_equations_match_the_full_system_on_drawn_tensors(f, fd):
     _same_solutions(solve_coboundary(f, fd), solve_coboundary_full(f, fd), (f, fd))
+
+
+@st.composite
+def _lie_algebras(draw):
+    """R X_k acting on an abelian ideal spanned by the other three by a 3 x 3
+    matrix M, [X_k, X_(o_p)] = sum_q M[p][q] X_(o_q): a Lie algebra for every
+    M.  M is triangular with a rational diagonal, or a rotation-scaling
+    block a +- b i and one rational eigenvalue, with couplings above the
+    blocks, rows and columns then permuted together; a zero row of M makes
+    its X_(o_p) central.  X_k comes first or last, where det R is a single
+    exponential term (e^(x_1 tr M) or 1); in between, a rotation makes det
+    R a cosine, and the frame leaves the closed class."""
+    m = [[Fraction(0)] * 3 for _ in range(3)]
+    if draw(st.booleans()):
+        a, b = draw(_Q), draw(_NONZERO_Q)
+        m[0][0] = m[1][1] = a
+        m[0][1], m[1][0] = -b, b
+        upper = [(0, 2), (1, 2)]
+    else:
+        m[0][0], m[1][1] = draw(_Q), draw(_Q)
+        upper = [(0, 1), (0, 2), (1, 2)]
+    m[2][2] = draw(_Q)
+    for i, j in draw(st.lists(st.sampled_from(upper), unique=True)):
+        m[i][j] = draw(_NONZERO_Q)
+    perm = draw(st.permutations(range(3)))
+    k = draw(st.sampled_from([0, 3]))
+    others = [i for i in range(4) if i != k]
+    sc = StructureConstants(4)
+    for p in range(3):
+        for q in range(3):
+            v = m[perm[p]][perm[q]]
+            sc.f[k][others[p]][others[q]] = v
+            sc.f[others[p]][k][others[q]] = -v
+    return sc
+
+
+@hyp.settings(max_examples=100, deadline=None)
+@hyp.given(_lie_algebras(), _tensors())
+@hyp.example(StructureConstants(4), StructureConstants(4))  # abelian, no dual slice
+def test_ad_g_times_p_n_and_minus_b_ainv_on_drawn_lie_algebras(f, fd):
+    # the dual need not be a Lie algebra: F_k = E_-k^T int E^T B E passes
+    # F' = B E - A^T F for every B, and -b a^-1 is the same sum
+    frame = invariant_frame(GroupChart(f))
+    assert cfm_eq(_ad_g_times_p_n(frame), cfm_identity(4))
+    assert _maps(double_adjoint(frame, f, fd, certified=True)) == _maps(minus_b_ainv(frame, fd))
+
+
+def _same_solutions(got, want, label):
+    if want is None:
+        assert got.empty, label
+        return
+    part, kernel = want
+    assert not got.empty, label
+    assert len(part) == got.particular.dim**2, label
+    assert [x for row in got.particular.r for x in row] == part, label
+    assert [[x for row in t.r for x in row] for t in got.kernel_basis] == kernel, label
 
 
 def _exp_term(draw):

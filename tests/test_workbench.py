@@ -133,8 +133,7 @@ def test_memoized_frames_and_bivectors_equal_direct_ones(reg):
         direct = groupgeom.invariant_frame(groupgeom.GroupChart(f))
         frame = bench.frame(g, b)
         assert cfm_eq(frame.XL, direct.XL) and cfm_eq(frame.XR, direct.XR), g
-        blocks = groupgeom.double_adjoint(direct, f, fd)
-        P = harness.pi_bivector(blocks, direct, f)
+        P = harness.pi_bivector(groupgeom.double_adjoint(direct, f, fd), direct, f)
         assert cfm_eq(bench.bivector(g, dual, "pi", b).P, P.P), (g, dual)
 
 
