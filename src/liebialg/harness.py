@@ -303,24 +303,43 @@ def _run_entry(name, check, *args):
     return EntryResult(name, status, detail, discrepancies, time.perf_counter() - t0)
 
 
+def _each_binding(bench, at, item, bindings, entry=None, differs=None):
+    """The one binding loop: `at(bench, item, b, found)` runs at each binding
+    b, as stated once by the campaign that enumerates the entry, and returns
+    a failure detail or None, appending its Discrepancy records to `found`;
+    the first failure fails the entry.  Else the corpus `entry` (None flags
+    nothing) decides: a check that compares no printed payload (`differs`
+    None) is flagged whenever its entry is, and one that does is flagged
+    only when something differs, and else fails with the message `differs`."""
+    found = []
+    for b in bindings:
+        failure = at(bench, item, b, found)
+        if failure:
+            return "fail", failure, found
+    if found or differs is None:
+        if entry is not None and entry.status == "flagged":
+            return "flagged", entry.note, found
+        if found:
+            return "fail", differs, found
+    return "pass", "", found
+
+
 @_campaign("table1")
 def verify_table1(reg, bench):
     """Base algebras: Jacobi identity and a nondegenerate closed two-form."""
     for name in sorted(reg.algebras):
         if "." in name or name == "4A_1":
             continue  # dual variants are exercised through tables 2-9
-        yield name, name, _check_algebra, (reg, bench, name)
+        yield name, name, _each_binding, (bench, _algebra_at, name, reg.grid_bindings(name))
 
 
-def _check_algebra(reg, bench, name):
-    for b in reg.grid_bindings(name):
-        sc = bench.sc(name, b)
-        if not bench.lie(sc):
-            return "fail", f"Jacobi fails at {b}", []
-        sym = find_symplectic(sc)
-        if not sym.found:
-            return "fail", f"no symplectic form at {b} (rank {sym.max_rank})", []
-    return "pass", "", []
+def _algebra_at(bench, name, b, found):
+    sc = bench.sc(name, b)
+    if not bench.lie(sc):
+        return f"Jacobi fails at {b}"
+    sym = find_symplectic(sc)
+    if not sym.found:
+        return f"no symplectic form at {b} (rank {sym.max_rank})"
 
 
 @_campaign("table2")
@@ -329,102 +348,93 @@ def verify_table2(reg, bench):
     pairing on the double is ad-invariant by the construction of
     `core.build_double` for every antisymmetric pair, so no row checks it."""
     for be in reg.bialgebras:
-        yield be.name, be.g, _check_bialgebra, (reg, bench, be)
+        bindings = reg.grid_bindings(be.g, be.dual)
+        yield be.name, be.g, _each_binding, (bench, _bialgebra_at, be, bindings, be)
 
 
-def _check_bialgebra(reg, bench, be):
-    for b in reg.grid_bindings(be.g, be.dual):
-        failed = bench.double(be.g, be.dual, b)
-        if failed:
-            return "fail", f"{failed} fails at {b}", []
-    if be.status == "flagged":
-        return "flagged", be.note, []
-    return "pass", "", []
+def _bialgebra_at(bench, be, b, found):
+    failed = bench.double(be.g, be.dual, b)
+    if failed:
+        return f"{failed} fails at {b}"
 
 
 @_campaign("table34")
 def verify_table34(reg, bench):
     """r-matrix rows: membership, classification, and dual-direction solves."""
     for (g, dual), e in sorted(reg.rmatrices.items()):
-        yield e.name, g, _check_rmatrix_row, (reg, bench, g, dual, e)
+        bindings = reg.grid_bindings(g, dual, cap=2)
+        yield e.name, g, _each_binding, (bench, _rmatrix_row_at, e, bindings, e)
 
 
-def _check_rmatrix_row(reg, bench, g, dual, e):
-    for b in reg.grid_bindings(g, dual, cap=2):
-        f, fd = bench.sc(g, b), bench.sc(dual, b)
-        if bench.coboundary(g, dual, b).empty:
-            return "fail", f"defining system inconsistent at {b}", []
-        if (dual, g) in reg.rmatrices and bench.coboundary(dual, g, b).empty:
-            return "fail", f"dual-direction system inconsistent at {b}", []
-        for combo in product(corpus_mod.RFREE_GRID, repeat=len(e.rfree)):
-            bb = dict(b)
-            bb.update(dict(zip(e.rfree, combo)))
-            r = e.tensor(bb)
-            if not generates_cocommutator(r, f, fd):
-                return "fail", f"printed r not in the solution set at {bb}", []
-            cl = classify_r(r, f)
-            expected = e.expected_schouten(bb)
-            if expected is None:
-                if cl.kind != "triangular":
-                    return "fail", f"expected triangular, got {cl.kind} ({cl.violation})", []
-            else:
-                if not rank3_eq(cl.schouten, expected):
-                    return "fail", "[[r,r]] differs from the printed certificate", []
-                if cl.kind != "quasitriangular":
-                    return "fail", f"nonzero [[r,r]] not quasi-triangular: {cl.violation}", []
-    if e.status == "flagged":
-        return "flagged", e.note, []
-    return "pass", "", []
+def _rmatrix_row_at(bench, e, b, found):
+    f, fd = bench.sc(e.g, b), bench.sc(e.dual, b)
+    if bench.coboundary(e.g, e.dual, b).empty:
+        return f"defining system inconsistent at {b}"
+    if (e.dual, e.g) in bench.reg.rmatrices and bench.coboundary(e.dual, e.g, b).empty:
+        return f"dual-direction system inconsistent at {b}"
+    for combo in product(corpus_mod.RFREE_GRID, repeat=len(e.rfree)):
+        bb = dict(b)
+        bb.update(dict(zip(e.rfree, combo)))
+        r = e.tensor(bb)
+        if not generates_cocommutator(r, f, fd):
+            return f"printed r not in the solution set at {bb}"
+        cl = classify_r(r, f)
+        expected = e.expected_schouten(bb)
+        if expected is None:
+            if cl.kind != "triangular":
+                return f"expected triangular, got {cl.kind} ({cl.violation})"
+        else:
+            if not rank3_eq(cl.schouten, expected):
+                return "[[r,r]] differs from the printed certificate"
+            if cl.kind != "quasitriangular":
+                return f"nonzero [[r,r]] not quasi-triangular: {cl.violation}"
 
 
-def _compare_frame(reg, bench, name, binding):
-    fe = reg.frames[name]
+def _compare(found, entry, field, binding, printed, derived):
+    """Adds a Discrepancy to `found` when the printed closed function is not
+    the derived one."""
+    if printed != derived:
+        where = f"{field} at {binding or 'no params'}"
+        shown = render_closed_function(printed), render_closed_function(derived)
+        found.append(Discrepancy(entry, where, *shown))
+
+
+def _compare_frame(bench, name, binding):
+    fe = bench.reg.frames[name]
     fr = bench.frame(name, binding)
     out = []
     for side, derived in (("L", fr.XL), ("R", fr.XR)):
         for i in range(1, 5):
             stored = fe.components(side, i, binding)
             for k in range(4):
-                if stored[k] != derived[i - 1][k]:
-                    out.append(
-                        Discrepancy(
-                            f"frame {name}",
-                            f"X{side}_{i} d{k+1} at {binding or 'no params'}",
-                            render_closed_function(stored[k]),
-                            render_closed_function(derived[i - 1][k]),
-                        )
-                    )
+                field = f"X{side}_{i} d{k+1}"
+                _compare(out, f"frame {name}", field, binding, stored[k], derived[i - 1][k])
     return out
 
 
 @_campaign("table5")
 def verify_table5(reg, bench):
     """Frames: printed payload comparison plus the structural bracket relations."""
+    differs = "printed frame differs from the derivation"
     for name, fe in sorted(reg.frames.items()):
-        yield f"frame {name}", name, _check_frame, (reg, bench, name, fe)
+        bindings = reg.grid_bindings(name, cap=1)
+        yield f"frame {name}", name, _each_binding, (bench, _frame_at, name, bindings, fe, differs)
     # spot-check set: exact match mandatory except the recorded flagged slot;
     # a corpus without one of these frames skips its spot check
     for name, binding in FRAME_SPOT_CHECKS:
         if name in reg.frames:
-            yield f"frame-spot {name}", name, _spot_check_frame, (reg, bench, name, binding)
+            yield f"frame-spot {name}", name, _spot_check_frame, (bench, name, binding)
 
 
-def _check_frame(reg, bench, name, fe):
-    discrepancies = []
-    for b in reg.grid_bindings(name, cap=1):
-        discrepancies.extend(_compare_frame(reg, bench, name, b))
-        bad = frame_bracket_residuals(bench.frame(name, b), bench.sc(name, b))
-        if bad:
-            return "fail", f"frame bracket relations fail: {bad[:3]}", discrepancies
-    if not discrepancies:
-        return "pass", "", discrepancies
-    if fe.status == "flagged":
-        return "flagged", fe.note, discrepancies
-    return "fail", "printed frame differs from the derivation", discrepancies
+def _frame_at(bench, name, b, found):
+    found.extend(_compare_frame(bench, name, b))
+    bad = frame_bracket_residuals(bench.frame(name, b), bench.sc(name, b))
+    if bad:
+        return f"frame bracket relations fail: {bad[:3]}"
 
 
-def _spot_check_frame(reg, bench, name, binding):
-    disc = _compare_frame(reg, bench, name, binding)
+def _spot_check_frame(bench, name, binding):
+    disc = _compare_frame(bench, name, binding)
     allowed = [d for d in disc if "x3^3" in d.expected]
     if name == "A_4_11_b" and not allowed:
         return "fail", "expected flagged x3^3 discrepancy was not reported", disc
@@ -438,50 +448,36 @@ def verify_table67(reg, bench):
     """Bivectors: derivation, Jacobi, linearization, method agreement, and
     comparison against the printed brackets."""
     for pe in reg.poisson:
-        yield pe.name, pe.g, _check_poisson_entry, (reg, bench, pe)
+        yield pe.name, pe.g, _poisson_row, (bench, pe, reg.grid_bindings(pe.g, pe.dual, cap=1))
 
 
-def _check_poisson_entry(reg, bench, pe):
-    status, detail = "pass", ""
-    discrepancies = []
-    for b in reg.grid_bindings(pe.g, pe.dual, cap=1):
-        P = bench.bivector(pe.g, pe.dual, pe.method, b)
-        if not bench.jacobi(P):
-            status, detail = "fail", f"Poisson Jacobi fails at {b}"
-            break
-        if not linearization_check(P, bench.sc(pe.dual, b)):
-            status, detail = "fail", f"linearization mismatch at {b}"
-            break
-        if (pe.g, pe.dual) in reg.rmatrices:
-            P2 = bench.bivector(pe.g, pe.dual, "pi", b)
-            if not cfm_eq(P.P, P2.P):
-                status, detail = "fail", f"Sklyanin and adjoint-block bivectors differ at {b}"
-                break
-        printed = pe.closed_matrix(b)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if printed[i][j] != P.P[i][j]:
-                    discrepancies.append(
-                        Discrepancy(
-                            pe.name,
-                            f"{{x{i+1},x{j+1}}} at {b or 'no params'}",
-                            render_closed_function(printed[i][j]),
-                            render_closed_function(P.P[i][j]),
-                        )
-                    )
-    if status == "pass" and discrepancies:
-        if pe.status == "flagged":
-            status, detail = "flagged", pe.note
-        elif (pe.g, pe.dual) in DESIGNATED_POISSON_ROWS:
-            status, detail = "fail", "designated row differs from the printed brackets"
-        else:
-            status, detail = "fail", "printed brackets differ from the derivation"
+def _poisson_row(bench, pe, bindings):
+    differs = "printed brackets differ from the derivation"
+    if (pe.g, pe.dual) in DESIGNATED_POISSON_ROWS:
+        differs = "designated row differs from the printed brackets"
+    status, detail, found = _each_binding(bench, _poisson_at, pe, bindings, pe, differs)
     if status != "fail":
         # whether non-membership rows are genuinely degenerate is not
         # stated anywhere, so the computed rank is always reported
+        P = bench.bivector(pe.g, pe.dual, pe.method, bindings[-1])
         rank = bench.symplectic(P).max_rank
-        detail = f"{detail} [rank {rank}]".strip() if detail else f"rank {rank}"
-    return status, detail, discrepancies
+        detail = f"{detail} [rank {rank}]" if detail else f"rank {rank}"
+    return status, detail, found
+
+
+def _poisson_at(bench, pe, b, found):
+    P = bench.bivector(pe.g, pe.dual, pe.method, b)
+    if not bench.jacobi(P):
+        return f"Poisson Jacobi fails at {b}"
+    if not linearization_check(P, bench.sc(pe.dual, b)):
+        return f"linearization mismatch at {b}"
+    if (pe.g, pe.dual) in bench.reg.rmatrices:
+        if not cfm_eq(P.P, bench.bivector(pe.g, pe.dual, "pi", b).P):
+            return f"Sklyanin and adjoint-block bivectors differ at {b}"
+    printed = pe.closed_matrix(b)
+    for i in range(4):
+        for j in range(i + 1, 4):
+            _compare(found, pe.name, f"{{x{i+1},x{j+1}}}", b, printed[i][j], P.P[i][j])
 
 
 @_campaign("table89")
@@ -492,20 +488,19 @@ def verify_table89(reg, bench):
         if entry is None:
             continue
         for (g, dual) in entry.pairs:
-            yield f"{table} ({g}, {dual})", g, _check_membership_pair, (reg, bench, table, g, dual)
+            args = (bench, _membership_at, (table, g, dual), reg.grid_bindings(g, dual, cap=1))
+            yield f"{table} ({g}, {dual})", g, _each_binding, args
 
 
-def _check_membership_pair(reg, bench, table, g, dual):
-    for b in reg.grid_bindings(g, dual, cap=1):
-        cl = bench.symplectic(bench.bivector_any(g, dual, b))
-        if not cl.symplectic:
-            return "fail", f"degenerate at {b} (rank {cl.max_rank})", []
-        if cl.closed_ok is False:
-            return "fail", f"inverse two-form not closed at {b}", []
-        if table == "table8":
-            if not bench.symplectic(bench.bivector_any(dual, g, b)).symplectic:
-                return "fail", f"swapped pair degenerate at {b}", []
-    return "pass", "", []
+def _membership_at(bench, pair, b, found):
+    table, g, dual = pair
+    cl = bench.symplectic(bench.bivector_any(g, dual, b))
+    if not cl.symplectic:
+        return f"degenerate at {b} (rank {cl.max_rank})"
+    if cl.closed_ok is False:
+        return f"inverse two-form not closed at {b}"
+    if table == "table8" and not bench.symplectic(bench.bivector_any(dual, g, b)).symplectic:
+        return f"swapped pair degenerate at {b}"
 
 
 @_campaign("integrable")
@@ -513,10 +508,10 @@ def verify_integrable(reg, bench):
     """Darboux form, symmetry closure, Leibniz, and the functions that commute
     with the Hamiltonian Q2, each an exact identity."""
     for ex_id in (1, 2):
-        yield f"example {ex_id}", f"example {ex_id}", _check_example, (reg, ex_id)
+        yield f"example {ex_id}", f"example {ex_id}", _check_example, (bench, ex_id)
 
 
-def _check_example(reg, ex_id):
+def _check_example(bench, ex_id):
     from .integrable import (
         closure_check,
         commuting_check,
@@ -525,7 +520,7 @@ def _check_example(reg, ex_id):
         load_example,
     )
 
-    ex = load_example(reg, ex_id)
+    ex = load_example(bench.reg, ex_id)
     for what, check in (
         ("Darboux", darboux_check),
         ("closure", closure_check),

@@ -22,8 +22,11 @@ diagonal blocks builds no characteristic polynomial.  An exponential whose
 components are all 1 x 1 builds no characteristic polynomial, finds no
 spectrum and multiplies no two closed functions, its checks included.  A
 frame keeps its prefix products for every dual: `double_adjoint` forms
-none, and never forms Ad(g), the product of the exp(x_k Xadj_k)."""
+none, and never forms Ad(g), the product of the exp(x_k Xadj_k).  Only the
+campaigns' entry enumerations choose the parameter bindings, and only the
+binding driver reads an entry's status."""
 
+import ast
 import glob
 import importlib
 import importlib.util
@@ -85,6 +88,37 @@ def test_only_core_touches_the_cached_forms():
             continue
         with open(path, encoding="utf-8") as fh:
             assert "._nonzero" not in fh.read(), os.path.relpath(path, ROOT)
+
+
+def _is_campaign(node):
+    return isinstance(node, ast.FunctionDef) and any(
+        isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_campaign"
+        for d in node.decorator_list
+    )
+
+
+def test_only_campaigns_choose_bindings_and_only_the_driver_reads_a_flag():
+    # a check that chose its own bindings, or read its entry's status or
+    # note, would step around the one binding policy (the campaigns' entry
+    # enumerations) or the one verdict policy (`_each_binding`)
+    with open(os.path.join(PACKAGE, "harness.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    binders, readers = set(), set()
+    for top in tree.body:
+        scope = getattr(top, "name", None)  # None: a module-level statement
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr == "grid_bindings":
+                assert _is_campaign(top), (scope, node.lineno)
+                binders.add(scope)
+            if isinstance(node, ast.Attribute) and node.attr in ("status", "note"):
+                # RunReport tallies the statuses of its results, not of entries
+                assert (scope, node.attr) in (
+                    ("_each_binding", "status"), ("_each_binding", "note"), ("RunReport", "status")
+                ), (scope, node.lineno)
+                readers.add(scope)
+    # the guard is not vacuous: six campaigns state bindings, the driver reads
+    assert binders == {f"verify_table{t}" for t in ("1", "2", "34", "5", "67", "89")}
+    assert "_each_binding" in readers
 
 
 # a ClosedFunction built from a term map, the helpers that fill or derive

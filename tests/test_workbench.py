@@ -52,11 +52,12 @@ def test_table34_solves_only_the_systems_it_reads(reg, monkeypatch):
     _counted(monkeypatch, harness, "solve_coboundary", solves)
     assert harness.verify_tables(reg, "3")[0].ok
     needed = set()
-    for g, dual in reg.rmatrices:
-        for b in reg.grid_bindings(g, dual, cap=2):
-            needed.add((g, dual, harness._bkey(b)))
-            if (dual, g) in reg.rmatrices:
-                needed.add((dual, g, harness._bkey(b)))
+    for _name, _key, _check, args in harness.verify_table34.entries(reg, Workbench(reg)):
+        e, bindings = args[2], args[3]  # the row and the bindings table34 states for it
+        for b in bindings:
+            needed.add((e.g, e.dual, harness._bkey(b)))
+            if (e.dual, e.g) in reg.rmatrices:
+                needed.add((e.dual, e.g, harness._bkey(b)))
     assert len(solves) == len(needed) == 127
 
 
