@@ -26,6 +26,7 @@ from .groupgeom import GroupChart, double_adjoint, invariant_frame
 from .poisson import (
     PoissonBivector,
     linearization_check,
+    multiplicative_check,
     pi_bivector,
     poisson_jacobi_check,
     sklyanin_bivector,
@@ -59,6 +60,7 @@ __all__ = [
     "pi_bivector",
     "poisson_jacobi_check",
     "linearization_check",
+    "multiplicative_check",
     "symplectic_classify",
     "verify_isomorphism",
     "verify_automorphism",

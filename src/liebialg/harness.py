@@ -3,7 +3,7 @@
 Entry outcomes are pass / fail / flagged.  A flagged outcome records a
 discrepancy between a derived object and the printed corpus payload on an
 entry marked `status flagged`; it never fails a run.  Mathematical defects
-(Jacobi failures, missing r-matrices, broken linearizations) always fail.
+(Jacobi failures, missing r-matrices, non-multiplicative bivectors) always fail.
 """
 
 from dataclasses import dataclass, field, asdict
@@ -15,7 +15,7 @@ from itertools import product
 
 from . import corpus as corpus_mod
 from .core import bialgebra_failure, find_symplectic, jacobi_check
-from .closedfun import cf_matexp_pm, cfm_eq
+from .closedfun import cf_matexp_pm
 from .errors import ComputationError, InputError, InvariantError
 from .groupgeom import (
     GroupChart,
@@ -24,7 +24,7 @@ from .groupgeom import (
     invariant_frame,
 )
 from .poisson import (
-    linearization_check,
+    multiplicative_check,
     pi_bivector,
     poisson_jacobi_check,
     sklyanin_bivector,
@@ -224,20 +224,17 @@ class Workbench:
         )
 
     def _build_bivector(self, g, dual, method, binding):
-        f = self.sc(g, binding)
         if method == "sklyanin":
             sol = self.coboundary(g, dual, binding)
             if sol.empty:
                 raise InputError(f"({g}, {dual}) admits no r-matrix")
-            return sklyanin_bivector(
-                self.frame(g, binding), sol.particular.antisymmetric_part(), f
-            )
+            return sklyanin_bivector(self.frame(g, binding), sol.particular.antisymmetric_part())
         frame = self.frame(g, binding)
         failed = self.double(g, dual, binding)
         if failed:
             raise InputError(f"pair fails the {failed} identity")
-        pi = double_adjoint(frame, f, self.sc(dual, binding), certified=True)
-        return pi_bivector(pi, frame, f)
+        pi = double_adjoint(frame, self.sc(g, binding), self.sc(dual, binding), certified=True)
+        return pi_bivector(pi, frame)
 
     def method(self, g, dual):
         """Sklyanin when an r-matrix row exists for the pair, else the
@@ -311,6 +308,8 @@ def _each_binding(bench, at, item, bindings, entry=None, differs=None):
     nothing) decides: a check that compares no printed payload (`differs`
     None) is flagged whenever its entry is, and one that does is flagged
     only when something differs, and else fails with the message `differs`."""
+    if not bindings:
+        return "fail", "no admissible binding on the parameter grid", []
     found = []
     for b in bindings:
         failure = at(bench, item, b, found)
@@ -445,8 +444,8 @@ def _spot_check_frame(bench, name, binding):
 
 @_campaign("table67")
 def verify_table67(reg, bench):
-    """Bivectors: derivation, Jacobi, linearization, method agreement, and
-    comparison against the printed brackets."""
+    """Bivectors: one per row by the row's method, Poisson-Jacobi, the
+    Poisson-Lie identity (`multiplicative_check`), and the printed brackets."""
     for pe in reg.poisson:
         yield pe.name, pe.g, _poisson_row, (bench, pe, reg.grid_bindings(pe.g, pe.dual, cap=1))
 
@@ -469,11 +468,9 @@ def _poisson_at(bench, pe, b, found):
     P = bench.bivector(pe.g, pe.dual, pe.method, b)
     if not bench.jacobi(P):
         return f"Poisson Jacobi fails at {b}"
-    if not linearization_check(P, bench.sc(pe.dual, b)):
-        return f"linearization mismatch at {b}"
-    if (pe.g, pe.dual) in bench.reg.rmatrices:
-        if not cfm_eq(P.P, bench.bivector(pe.g, pe.dual, "pi", b).P):
-            return f"Sklyanin and adjoint-block bivectors differ at {b}"
+    bad = multiplicative_check(P, bench.frame(pe.g, b), bench.sc(pe.dual, b))
+    if bad:
+        return f"L_XL{bad[0]} P^{bad[1]}{bad[2]} is not (delta X{bad[0]})^L at {b}"
     printed = pe.closed_matrix(b)
     for i in range(4):
         for j in range(i + 1, 4):

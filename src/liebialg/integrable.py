@@ -188,7 +188,7 @@ def load_example(reg, ex_id) -> IntegrableExample:
     )
     if pe is None:
         raise InputError(f"no bracket table for ({phase}, {symmetry})")
-    P = PoissonBivector(pe.closed_matrix({}), reg.instantiate(phase), "corpus")
+    P = PoissonBivector(pe.closed_matrix({}))
     darboux = [fx.exprs[f"y{i}"] for i in range(1, 5)]
     qfuncs = [fx.exprs[f"q{i}"] for i in range(1, 5)]
     return IntegrableExample(

@@ -14,15 +14,13 @@ from .closedfun import (
 from .core import StructureConstants, pfaffian4
 from .errors import InputError
 from .groupgeom import InvariantFrame
-from .multivec import bivector, jacobiator, linearization
+from .multivec import bivector, jacobiator, lie_derivative, linearization, vector
 from .rmatrix import TensorElement
 
 
 @dataclass
 class PoissonBivector:
     P: list  # 4x4 CFMatrix, P[i][j] = {x_{i+1}, x_{j+1}}
-    base: StructureConstants
-    provenance: str  # 'sklyanin(...)' | 'pi(...)'
 
     def __post_init__(self):
         n = len(self.P)
@@ -40,23 +38,23 @@ class PoissonBivector:
         return self.P[i - 1][j - 1]
 
 
-def sklyanin_bivector(frame: InvariantFrame, r: TensorElement, base=None) -> PoissonBivector:
+def _transport(m, x):
+    """x^T m x, entry (k, l) = m^ij x_i^k x_j^l: the tensor m on the frame x."""
+    return cfm_mul(cfm_transpose(x), cfm_mul(m, x))
+
+
+def sklyanin_bivector(frame: InvariantFrame, r: TensorElement) -> PoissonBivector:
     """P = XL^T r XL - XR^T r XR for antisymmetric r (entries {x_i, x_j})."""
     if not r.is_antisymmetric():
         raise InputError("Sklyanin bracket needs an antisymmetric r")
     rcf = [[ClosedFunction.const(x) for x in row] for row in r.r]
-    xl, xr = frame.XL, frame.XR
-    left = cfm_mul(cfm_transpose(xl), cfm_mul(rcf, xl))
-    right = cfm_mul(cfm_transpose(xr), cfm_mul(rcf, xr))
-    return PoissonBivector(cfm_sub(left, right), base, "sklyanin")
+    return PoissonBivector(cfm_sub(_transport(rcf, frame.XL), _transport(rcf, frame.XR)))
 
 
-def pi_bivector(pi: list, frame: InvariantFrame, base=None) -> PoissonBivector:
+def pi_bivector(pi: list, frame: InvariantFrame) -> PoissonBivector:
     """P^kl = pi^ij XR_i^k XR_j^l for pi = -b a^-1 of the double's adjoint
     blocks, as `double_adjoint` returns it."""
-    xr = frame.XR
-    p = cfm_mul(cfm_transpose(xr), cfm_mul(pi, xr))
-    return PoissonBivector(p, base, "pi")
+    return PoissonBivector(_transport(pi, frame.XR))
 
 
 @dataclass
@@ -77,10 +75,28 @@ def poisson_jacobi_check(pb: PoissonBivector) -> PoissonJacobiReport:
     )
 
 
+def multiplicative_check(pb: PoissonBivector, frame: InvariantFrame, fd: StructureConstants):
+    """The first (i, a, b), 1-based, a < b, where L_{XL_i} P^ab is not
+    ft^jk_i XL_j^a XL_k^b, ft^jk_i = fd.f[j][k][i], or None.  With P(e) = 0
+    (`PoissonBivector`), None certifies that L_{X^L} P = (delta X)^L for all
+    X: P is the Poisson-Lie bivector of fd (Drinfeld 1983; Lu and Weinstein,
+    J. Diff. Geom. 31, 1990), and `linearization_check` is its value at e."""
+    p = bivector(pb.P)
+    for i, xl in enumerate(frame.XL):
+        got = lie_derivative(vector(xl), p)
+        ft = [[ClosedFunction.const(c[i]) for c in row] for row in fd.f]
+        want = bivector(_transport(ft, frame.XL))
+        for ab in sorted(got.keys() | want.keys()):
+            if got.get(ab) != want.get(ab):
+                return (i + 1, ab[0] + 1, ab[1] + 1)
+    return None
+
+
 def linearization_check(pb: PoissonBivector, fd: StructureConstants) -> bool:
     """d_k P^ij (0) = ft^ij_k exactly, over the full tensor, from the linear
     part of P above the diagonal (read off the cached partials of P) and
-    the antisymmetry of P."""
+    the antisymmetry of P.  No campaign runs it: `multiplicative_check`
+    implies it, and `bench/run.py` traces it."""
     lin = linearization(bivector(pb.P))
     n = len(pb.P)
     for i in range(n):

@@ -96,7 +96,7 @@ def test_criterion_5_tables67_bivectors(reg, bench):
         ("A_4_3", "A2+A2.i"),
     }
     _announce(
-        "criterion 5 (tables 6-7: exact rows, Jacobi, linearization, method agreement)",
+        "criterion 5 (tables 6-7: exact rows, Jacobi, Poisson-Lie identity)",
         rep.ok and required <= designated and len(designated) >= 20,
         f"{len(rep.results)} rows, {len(designated)} designated, "
         f"{len(rep.flagged)} flagged",

@@ -76,6 +76,23 @@ poisson A_4_1 A_4_1.i pi
   pb 2 3 = x4
 """
 
+# a family whose constraints reject every value of the parameter grid
+UNGRIDDED_CORPUS = """
+algebra X params b
+  constraint b != -2
+  constraint b != -1/2
+  constraint b != 1/3
+  constraint b != 2
+  bracket 1 2 -> b 2
+  bracket 1 3 -> b 3
+  bracket 1 4 -> b 4
+
+bialgebra X X
+
+poisson X X pi
+  pb 1 2 = 0
+"""
+
 CONTRACT_SHA256 = "c1dce0def27159364b7362a5b3cdb390de97b23b01380c5a9ef57301f0d18c3c"
 
 
@@ -178,6 +195,17 @@ def test_verify_unsupported_spectrum_fails_only_its_entry(tmp_path, capsys):
         assert recs[entry]["detail"].startswith("UnsupportedSpectrum: ")
     # the campaign carried on past the failing entry
     assert recs["pb(4A_1, 4A_1)[pi]"]["status"] == "pass"
+
+
+@pytest.mark.parametrize("table, entries", [("1-2", ["X", "(X, X)"]), ("6", ["pb(X, X)[pi]"])])
+def test_an_entry_with_no_admissible_binding_fails(tmp_path, capsys, table, entries):
+    path = tmp_path / "ungridded.txt"
+    path.write_text(UNGRIDDED_CORPUS)
+    assert main(["--corpus", str(path), "--json", "verify", "--table", table]) == 1
+    recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(r["entry"], r["status"], r["detail"]) for r in recs] == [
+        (e, "fail", "no admissible binding on the parameter grid") for e in entries
+    ]
 
 
 def test_verify_table5_unsupported_spectrum_fails_only_its_frame(tmp_path, capsys):

@@ -58,6 +58,13 @@ def test_the_entry_status_decides_only_what_the_steps_left_open(entry, differs, 
     assert len(found) == len(found_at)
 
 
+def test_an_entry_with_no_binding_fails_unchecked():
+    seen = []
+    status, detail, found = harness._each_binding(None, _step(seen=seen), "e", [], FLAGGED, DIFFERS)
+    assert (status, detail, found) == ("fail", "no admissible binding on the parameter grid", [])
+    assert seen == []
+
+
 def test_the_flagged_frame_that_matches_its_payload_passes(reg):
     # `frame VI0+R.iv` is marked flagged, but its printed payload agrees
     assert reg.frames["VI0+R.iv"].status == "flagged"

@@ -66,7 +66,7 @@ def _corrupted(P):
     mat = [row[:] for row in P.P]
     mat[0][1] = mat[0][1] + mat[0][1] + cf_coord(3, 2)
     mat[1][0] = -mat[0][1]
-    return PoissonBivector(mat, P.base, "corrupted")
+    return PoissonBivector(mat)
 
 
 def test_jacobi_and_linearization_match_the_dense_loops_on_every_table67_bivector(bivectors):

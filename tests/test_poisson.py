@@ -6,11 +6,13 @@ import pytest
 
 from liebialg.closedfun import ClosedFunction, cfm_eq
 from liebialg.core import StructureConstants
+from liebialg.errors import InputError
 from liebialg.exprtree import parse_expr
 from liebialg.groupgeom import GroupChart, double_adjoint, invariant_frame
 from liebialg.poisson import (
     PoissonBivector,
     linearization_check,
+    multiplicative_check,
     pi_bivector,
     poisson_jacobi_check,
     sklyanin_bivector,
@@ -21,6 +23,20 @@ from liebialg.rmatrix import TensorElement, solve_coboundary
 
 def _cf(text):
     return parse_expr(text).to_closed()
+
+
+@pytest.fixture(scope="module")
+def table67(reg, bench):
+    """(row, binding) for every table67 row, at the one binding its campaign
+    states."""
+    from liebialg.harness import verify_table67
+
+    return [(args[1], args[2][0]) for _, _, _, args in verify_table67.entries(reg, bench)]
+
+
+def _derived(bench, pe, b):
+    """The row's bivector by its own method, its frame and its cobracket at b."""
+    return bench.bivector(pe.g, pe.dual, pe.method, b), bench.frame(pe.g, b), bench.sc(pe.dual, b)
 
 
 @pytest.fixture(scope="module")
@@ -36,13 +52,13 @@ def a47_setup(reg):
 
 def test_sklyanin_zero_r_gives_zero(a47_setup):
     f, fd, fr, _ = a47_setup
-    P = sklyanin_bivector(fr, TensorElement.zero(), f)
+    P = sklyanin_bivector(fr, TensorElement.zero())
     assert all(x.is_zero() for row in P.P for x in row)
 
 
 def test_sklyanin_a47_brackets(a47_setup):
     f, fd, fr, r = a47_setup
-    P = sklyanin_bivector(fr, r, f)
+    P = sklyanin_bivector(fr, r)
     assert P.bracket(1, 4) == _cf("(1 - exp(-2*x4))/2")
     assert P.bracket(2, 3) == _cf("1 - exp(-2*x4)")
     assert P.bracket(1, 2) == _cf("(x2 - x3)/2")
@@ -58,7 +74,7 @@ def test_sklyanin_phase_space_example(reg, bench):
 def test_pi_zero_dual_gives_zero(reg):
     f = reg.instantiate("A_4_7")
     fr = invariant_frame(GroupChart(f))
-    P = pi_bivector(double_adjoint(fr, f, StructureConstants(4)), fr, f)
+    P = pi_bivector(double_adjoint(fr, f, StructureConstants(4)), fr)
     assert all(x.is_zero() for row in P.P for x in row)
 
 
@@ -75,27 +91,30 @@ def test_pi_a43_brackets(reg, bench):
     assert P.bracket(2, 4) == _cf("x4")
 
 
-def test_method_agreement_on_coboundary_rows(reg, bench):
-    for g, dual in (("A_4_7", "A_4_7.i"), ("A_4_12", "A_4_12.ii"), ("A2+A2", "A2+A2.v")):
-        binding = reg.grid_bindings(g, dual, cap=1)[0]
-        P1 = bench.bivector(g, dual, "sklyanin", binding)
-        P2 = bench.bivector(g, dual, "pi", binding)
-        assert cfm_eq(P1.P, P2.P)
+def test_method_agreement_on_coboundary_rows(bench, table67):
+    # table67 builds each row by its own method only; here every Sklyanin
+    # row, at its table67 binding, is built by both
+    rows = [(pe, b) for pe, b in table67 if pe.method == "sklyanin"]
+    assert len(rows) == 85
+    for pe, b in rows:
+        P1 = bench.bivector(pe.g, pe.dual, "sklyanin", b)
+        P2 = bench.bivector(pe.g, pe.dual, "pi", b)
+        assert cfm_eq(P1.P, P2.P), pe.name
 
 
 def test_jacobi_passes_on_derived(a47_setup):
     f, fd, fr, r = a47_setup
-    P = sklyanin_bivector(fr, r, f)
+    P = sklyanin_bivector(fr, r)
     assert poisson_jacobi_check(P).passed
 
 
 def test_jacobi_detects_corruption(a47_setup):
     f, fd, fr, r = a47_setup
-    P = sklyanin_bivector(fr, r, f)
+    P = sklyanin_bivector(fr, r)
     mat = [row[:] for row in P.P]
     mat[0][1] = -mat[0][1]
     mat[1][0] = -mat[1][0]
-    corrupted = PoissonBivector(mat, f, "corrupted")
+    corrupted = PoissonBivector(mat)
     rep = poisson_jacobi_check(corrupted)
     assert not rep.passed
     assert (1, 2, 3) in rep.residuals
@@ -106,7 +125,7 @@ def test_jacobi_detects_corruption(a47_setup):
 
 def test_linearization_worked_values(a47_setup):
     f, fd, fr, r = a47_setup
-    P = sklyanin_bivector(fr, r, f)
+    P = sklyanin_bivector(fr, r)
     assert linearization_check(P, fd)
     v = P.bracket(1, 2).diff(2).eval_at_zero()
     assert v.re == Fraction(1, 2) and not v.im
@@ -120,16 +139,68 @@ def test_linearization_full_tensor_comparison(reg, bench):
     assert not linearization_check(P, wrong)
 
 
-def test_zero_bivector_properties(reg):
-    f = reg.instantiate("A_4_7")
-    zero = PoissonBivector(
-        [[ClosedFunction.zero()] * 4 for _ in range(4)], f, "zero"
-    )
+def test_zero_bivector_properties(a47_setup):
+    fr = a47_setup[2]
+    zero = PoissonBivector([[ClosedFunction.zero()] * 4 for _ in range(4)])
     assert poisson_jacobi_check(zero).passed
     assert linearization_check(zero, StructureConstants(4))
+    assert multiplicative_check(zero, fr, StructureConstants(4)) is None
     cl = symplectic_classify(zero)
     assert not cl.symplectic
     assert cl.max_rank == 0
+
+
+def test_every_derived_table67_bivector_is_multiplicative(bench, table67):
+    assert len(table67) == 166
+    for pe, b in table67:
+        assert multiplicative_check(*_derived(bench, pe, b)) is None, pe.name
+
+
+def test_the_opposite_cobracket_fails_every_row(bench, table67):
+    # guards the sign convention ft^jk_i = fd.f[j][k][i] of the right side
+    failing = 0
+    for pe, b in table67:
+        P, frame, fd = _derived(bench, pe, b)
+        if fd.nonzero():
+            neg = StructureConstants(4, [[[-x for x in row] for row in m] for m in fd.f])
+            assert multiplicative_check(P, frame, neg) is not None, pe.name
+            failing += 1
+    assert failing == 166
+
+
+def test_the_identity_refutes_a_bracket_whose_linearization_is_right(reg, bench):
+    # the printed {x1,x2} is -(q1 - q2) x2^2 / 2 and the derived one
+    # +(q1 - q2) x2^2 / 2: both vanish at e with their first partials
+    pe = next(p for p in reg.poisson if p.name == "pb(A_4_9_0, A_4_9_0.v)[pi]")
+    b = {"q1": Fraction(-2), "q2": Fraction(-1, 2)}
+    printed = PoissonBivector(pe.closed_matrix(b))
+    fd = bench.sc(pe.dual, b)
+    assert linearization_check(printed, fd)
+    assert multiplicative_check(printed, bench.frame(pe.g, b), fd) == (2, 1, 2)
+
+
+def test_no_flagged_printed_row_is_poisson_lie(bench, table67):
+    refuted, nonzero_at_e = [], []
+    for pe, b in table67:
+        if pe.status != "flagged":
+            continue
+        try:
+            printed = PoissonBivector(pe.closed_matrix(b))
+        except InputError as ex:
+            assert str(ex) == "bivector does not vanish at the origin"
+            nonzero_at_e.append(pe.name)
+            continue
+        if multiplicative_check(printed, bench.frame(pe.g, b), bench.sc(pe.dual, b)):
+            refuted.append(pe.name)
+    assert refuted == [
+        "pb(A_4_1, A_4_1.iii)[sklyanin]",
+        "pb(A_4_9_0, II+R.iv)[sklyanin]",
+        "pb(A_4_5_a_ma.i, A_4_5_a_ma)[sklyanin]",
+        "pb(A_4_9_m12.iv, A_4_9_m12)[sklyanin]",
+        "pb(A_4_11_b.i, A_4_11_b)[sklyanin]",
+        "pb(VII0+R.ii, A_4_9_0)[sklyanin]",
+    ]
+    assert nonzero_at_e == ["pb(A_4_11_b, A_4_11_b.i)[sklyanin]", "pb(A2+A2, A2+A2.vi)[pi]"]
 
 
 def test_symplectic_worked_pairs(reg, bench):
@@ -164,25 +235,19 @@ def test_degenerate_pair_reports_rank(reg, bench):
     assert cl.max_rank == 2
 
 
-def test_bivector_constructor_enforces_antisymmetry(reg):
-    f = reg.instantiate("A_4_7")
+def test_bivector_constructor_enforces_antisymmetry():
     mat = [[ClosedFunction.zero()] * 4 for _ in range(4)]
     mat[0][1] = _cf("x3")
-    from liebialg.errors import InputError
-
     with pytest.raises(InputError):
-        PoissonBivector(mat, f, "bad")
+        PoissonBivector(mat)
 
 
-def test_bivector_constructor_enforces_vanishing_at_origin(reg):
-    f = reg.instantiate("A_4_7")
+def test_bivector_constructor_enforces_vanishing_at_origin():
     mat = [[ClosedFunction.zero()] * 4 for _ in range(4)]
     mat[0][1] = _cf("1 + x3")
     mat[1][0] = _cf("-1 - x3")
-    from liebialg.errors import InputError
-
     with pytest.raises(InputError):
-        PoissonBivector(mat, f, "bad")
+        PoissonBivector(mat)
 
 
 def test_rank_reported_for_every_bracket_table_row(reg, bench):

@@ -46,6 +46,22 @@ def test_a_verify_pass_computes_each_shared_intermediate_once(reg, monkeypatch):
     assert adjoints and all(args[3:] == (("certified", True),) for args in adjoints)
 
 
+def test_table67_builds_one_bivector_per_row_by_its_own_method(reg, monkeypatch):
+    builds, adjoints = [], []
+    _counted(monkeypatch, Workbench, "_build_bivector", builds)
+    _counted(monkeypatch, harness, "double_adjoint", adjoints)
+    assert harness.verify_tables(reg, "6")[0].ok
+    rows = [
+        (pe.g, pe.dual, pe.method, harness._bkey(bindings[0]))
+        for _name, _key, _check, (_bench, pe, bindings) in harness.verify_table67.entries(
+            reg, Workbench(reg)
+        )
+    ]
+    assert [(g, d, m, harness._bkey(b)) for _wb, g, d, m, b in builds] == rows
+    assert len(rows) == 166
+    assert len(adjoints) == sum(m == "pi" for _g, _d, m, _b in rows) == 81
+
+
 def test_table34_solves_only_the_systems_it_reads(reg, monkeypatch):
     # the dual direction (dual, g) is solved only where it has a row
     solves = []
@@ -134,7 +150,7 @@ def test_memoized_frames_and_bivectors_equal_direct_ones(reg):
         direct = groupgeom.invariant_frame(groupgeom.GroupChart(f))
         frame = bench.frame(g, b)
         assert cfm_eq(frame.XL, direct.XL) and cfm_eq(frame.XR, direct.XR), g
-        P = harness.pi_bivector(groupgeom.double_adjoint(direct, f, fd), direct, f)
+        P = harness.pi_bivector(groupgeom.double_adjoint(direct, f, fd), direct)
         assert cfm_eq(bench.bivector(g, dual, "pi", b).P, P.P), (g, dual)
 
 
