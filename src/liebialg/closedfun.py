@@ -603,10 +603,6 @@ def _sparse_const_mul(mc, rows, a):
     return [[ClosedFunction(t) if t else _CF_ZERO for t in row] for row in ts]
 
 
-def cfm_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def cfm_transpose(a):
     return [list(col) for col in zip(*a)]
 

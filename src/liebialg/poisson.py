@@ -5,11 +5,11 @@ from dataclasses import dataclass, field
 
 from .closedfun import (
     CR_ZERO,
-    ClosedFunction,
+    cf_sum_products,
     cfm_is_zero,
     cfm_mul,
-    cfm_sub,
     cfm_transpose,
+    cfm_zeros,
 )
 from .core import StructureConstants, pfaffian4
 from .errors import InputError
@@ -43,12 +43,53 @@ def _transport(m, x):
     return cfm_mul(cfm_transpose(x), cfm_mul(m, x))
 
 
+def _minors(x, pairs):
+    """{(j, k): {(a, b): M^{jk,ab}}} over `pairs`, j < k, where the 2 x 2
+    minor M^{jk,ab} = x_j^a x_k^b - x_k^a x_j^b, a < b, is kept when nonzero:
+    the columns of the second compound of the frame x that a transport
+    reads.  For constant antisymmetric m, (x^T m x)^ab = sum_{j<k} m^jk
+    M^{jk,ab}."""
+    n = len(x[0])
+    out = {}
+    for j, k in pairs:
+        xj, xk = x[j], x[k]
+        col = {}
+        for a in range(n):
+            for b in range(a + 1, n):
+                m = cf_sum_products([(xj[a], xk[b], 1), (xk[a], xj[b], -1)])
+                if m:
+                    col[a, b] = m
+        out[j, k] = col
+    return out
+
+
+def _wedge_sum(terms):
+    """sum of c M over `terms`, pairs (c, M) of a rational and a minor
+    column of `_minors`, as a bivector {(a, b): P^ab, a < b}: one term map
+    per (a, b), and no constant closed function."""
+    out = {}
+    for ab in sorted(set().union(*(m for _, m in terms))):
+        f = cf_sum_products((), [(c, m[ab]) for c, m in terms if ab in m])
+        if f:
+            out[ab] = f
+    return out
+
+
 def sklyanin_bivector(frame: InvariantFrame, r: TensorElement) -> PoissonBivector:
-    """P = XL^T r XL - XR^T r XR for antisymmetric r (entries {x_i, x_j})."""
+    """P = XL^T r XL - XR^T r XR for antisymmetric r (entries {x_i, x_j}):
+    P^ab = sum_{j<k} r^jk (ML^{jk,ab} - MR^{jk,ab}) over the nonzero r^jk,
+    from the 2 x 2 minors of both frames (`_minors`)."""
     if not r.is_antisymmetric():
         raise InputError("Sklyanin bracket needs an antisymmetric r")
-    rcf = [[ClosedFunction.const(x) for x in row] for row in r.r]
-    return PoissonBivector(cfm_sub(_transport(rcf, frame.XL), _transport(rcf, frame.XR)))
+    n = r.dim
+    upper = [(j, k, r.r[j][k]) for j in range(n) for k in range(j + 1, n) if r.r[j][k]]
+    pairs = [(j, k) for j, k, _ in upper]
+    ml, mr = _minors(frame.XL, pairs), _minors(frame.XR, pairs)
+    terms = [t for j, k, c in upper for t in ((c, ml[j, k]), (-c, mr[j, k]))]
+    P = cfm_zeros(n, n)
+    for (a, b), f in _wedge_sum(terms).items():
+        P[a][b], P[b][a] = f, -f
+    return PoissonBivector(P)
 
 
 def pi_bivector(pi: list, frame: InvariantFrame) -> PoissonBivector:
@@ -75,17 +116,32 @@ def poisson_jacobi_check(pb: PoissonBivector) -> PoissonJacobiReport:
     )
 
 
+def _cobracket_fields(frame: InvariantFrame, fd: StructureConstants):
+    """[(delta X_i)^L for each i] as bivectors, (delta X_i)^L ab =
+    sum_{j<k} ft^jk_i ML^{jk,ab} with ft^jk_i = fd.f[j][k][i], from the
+    2 x 2 minors of XL (`_minors`) over the (j, k) where fd has a nonzero
+    slice, built once for every i.  The sum reads only j < k, so fd must be
+    antisymmetric: InputError otherwise."""
+    if not fd.is_antisymmetric():
+        raise InputError("structure constants are not antisymmetric")
+    by_i = [[] for _ in frame.XL]
+    for j, k, i, v in fd.nonzero():
+        if j < k:
+            by_i[i].append((v, (j, k)))
+    minors = _minors(frame.XL, sorted({jk for t in by_i for _, jk in t}))
+    return [_wedge_sum([(v, minors[jk]) for v, jk in t]) for t in by_i]
+
+
 def multiplicative_check(pb: PoissonBivector, frame: InvariantFrame, fd: StructureConstants):
     """The first (i, a, b), 1-based, a < b, where L_{XL_i} P^ab is not
     ft^jk_i XL_j^a XL_k^b, ft^jk_i = fd.f[j][k][i], or None.  With P(e) = 0
     (`PoissonBivector`), None certifies that L_{X^L} P = (delta X)^L for all
     X: P is the Poisson-Lie bivector of fd (Drinfeld 1983; Lu and Weinstein,
-    J. Diff. Geom. 31, 1990), and `linearization_check` is its value at e."""
+    J. Diff. Geom. 31, 1990), and `linearization_check` is its value at e.
+    The right sides come from `_cobracket_fields`."""
     p = bivector(pb.P)
-    for i, xl in enumerate(frame.XL):
+    for i, (xl, want) in enumerate(zip(frame.XL, _cobracket_fields(frame, fd))):
         got = lie_derivative(vector(xl), p)
-        ft = [[ClosedFunction.const(c[i]) for c in row] for row in fd.f]
-        want = bivector(_transport(ft, frame.XL))
         for ab in sorted(got.keys() | want.keys()):
             if got.get(ab) != want.get(ab):
                 return (i + 1, ab[0] + 1, ab[1] + 1)

@@ -8,8 +8,8 @@ Bareiss, Math. Comp. 22, 1968, with the row gcd as the divisor).  Scaling
 rows does not change the row space, and the reduced row echelon form of a
 matrix is unique, so dividing each pivot row by its pivot when it is
 written out gives exactly the Fractions that rational Gauss-Jordan
-elimination gives.  `rref`, `nullspace`, `solve_affine`, `inverse` and
-`det` return Fractions only.
+elimination gives.  `rref`, `nullspace`, `solve_affine` and `det` return
+Fractions only.
 """
 
 from fractions import Fraction
@@ -183,15 +183,3 @@ def solve_affine(rows, cols):
         if x:
             part[pc] = Fraction(x, a[r][pc])
     return part, _kernel_basis(a, pivots, cols)
-
-
-def inverse(m):
-    """Exact inverse; raises InputError when singular."""
-    from .errors import InputError
-
-    n = len(m)
-    aug = [m[i][:] + identity(n)[i] for i in range(n)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise InputError("matrix is singular")
-    return [row[n:] for row in red]

@@ -11,7 +11,11 @@ floats and raise the same errors.  `cfm_mul_sum` is the entry-wise matrix
 product, a sum of ClosedFunction products, and the oracle of the fused
 `cfm_mul`.  `cfm_from_frac` makes a constant matrix a matrix of constant
 closed functions, so that `cfm_mul(cfm_from_frac(m), a)` is the dense oracle
-of the sparse `cfm_const_mul(m, a)`.  `mixed_matrix_residual` evaluates the mixed Jacobi residual in
+of the sparse `cfm_const_mul(m, a)`.  `transport_dense` is x^T m x for a
+constant m by two such 4 x 4 products, and `sklyanin_dense` is XL^T r XL -
+XR^T r XR from two of them: the retired path and the oracle of the 2 x 2
+minor form of the right side of `poisson.multiplicative_check` and of
+`poisson.sklyanin_bivector`.  `mixed_matrix_residual` evaluates the mixed Jacobi residual in
 matrix form, summed over nonzero entries, and `mixed_matrix_dense` the same
 form with full matrix products over every slot: the two are each other's
 oracle and, together, the oracle of the index form `core.mixed_jacobi_check`.  `left_fields_by_adjugate` builds the
@@ -47,8 +51,8 @@ two-forms for a nondegenerate one on the coefficient grid {1, -1, 2, -2,
 eigenvalues that `eigenvalues` gathers block by block over the strongly
 connected components that `blocks` lists, the retired path and the oracle
 of the block-triangular `cf_matexp`.  The
-helpers from `two_form` on left the package with no caller there and
-serve the tests alone.
+helpers from `two_form` on, and `inverse`, left the package with no caller
+there and serve the tests alone.
 """
 
 import cmath
@@ -191,6 +195,18 @@ def mul_into_by_crats(t, f, g, neg=False):
 def cfm_from_frac(m):
     """A rational or CRat matrix as constant closed functions."""
     return [[cf_const(x) for x in row] for row in m]
+
+
+def transport_dense(m, x):
+    """x^T m x for a constant matrix m, through constant closed functions
+    and two dense closed-function products."""
+    return cfm_mul(cfm_transpose(x), cfm_mul(cfm_from_frac(m), x))
+
+
+def sklyanin_dense(frame, r):
+    """XL^T r XL - XR^T r XR for a constant matrix r, entry by entry."""
+    left, right = transport_dense(r, frame.XL), transport_dense(r, frame.XR)
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(left, right)]
 
 
 def _int_mat_mul(a, b):
@@ -645,6 +661,17 @@ def ad_invariant_symmetric(rs, f):
 def rank(m):
     cols = len(m[0]) if m else 0
     return len(rl._gauss_jordan([rl._int_row(row)[0] for row in m], cols)[0])
+
+
+def inverse(m):
+    """The exact inverse of a rational matrix, read off the reduced row
+    echelon form of [m | I]; InputError when m is singular."""
+    n = len(m)
+    ident = rl.identity(n)
+    red, pivots = rl.rref([row[:] + ident[i] for i, row in enumerate(m)])
+    if pivots != list(range(n)):
+        raise InputError("matrix is singular")
+    return [row[n:] for row in red]
 
 
 def cfm_scale(c, a):

@@ -552,6 +552,29 @@ def test_crat_arithmetic_matches_fraction_pairs():
     check()
 
 
+def test_sqrt_crat_on_non_real_arguments():
+    # the norm of A + B i is sqrt(A^2 + B^2); a real argument alone does not
+    # tell A^2 + B^2 from A^2 - B^2
+    sqrt = closedfun._sqrt_crat
+    for z, root in ((CRat(3, 4), CRat(2, 1)), (CRat(0, 2), CRat(1, 1)),
+                    (CRat(Fraction(-5, 9), Fraction(12, 9)), CRat(Fraction(2, 3), Fraction(1, 1)))):
+        assert sqrt(z) in (root, -root), z
+    assert sqrt(CRat(1, 1)) is None
+
+
+def test_sqrt_crat_of_a_square_squares_back():
+    given, settings, st, pairs = _hypothesis()
+
+    @settings
+    @given(pairs)
+    def check(w):
+        w = CRat(*w)
+        r = closedfun._sqrt_crat(w * w)
+        assert r is not None and r * r == w * w
+
+    check()
+
+
 def test_crat_equality_with_ints_fractions_and_crats():
     given, settings, st, pairs = _hypothesis()
 

@@ -1,13 +1,17 @@
 """Bivector construction, verification, and symplectic classification."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from evalref import sklyanin_dense, transport_dense
+from liebialg import poisson
 from liebialg.closedfun import ClosedFunction, cfm_eq
 from liebialg.core import StructureConstants
 from liebialg.errors import InputError
 from liebialg.exprtree import parse_expr
+from liebialg.multivec import bivector
 from liebialg.groupgeom import GroupChart, double_adjoint, invariant_frame
 from liebialg.poisson import (
     PoissonBivector,
@@ -201,6 +205,50 @@ def test_no_flagged_printed_row_is_poisson_lie(bench, table67):
         "pb(VII0+R.ii, A_4_9_0)[sklyanin]",
     ]
     assert nonzero_at_e == ["pb(A_4_11_b, A_4_11_b.i)[sklyanin]", "pb(A2+A2, A2+A2.vi)[pi]"]
+
+
+def test_a_non_antisymmetric_cobracket_is_refused(bench, table67):
+    pe, b = next((pe, b) for pe, b in table67 if pe.name == "pb(A_4_7, A_4_7.i)[sklyanin]")
+    P, frame, fd = _derived(bench, pe, b)
+    f = [[row[:] for row in m] for m in fd.f]
+    j, k, i, v = fd.nonzero()[0]
+    f[j][k][i] += 1  # its partner f[k][j][i] keeps -v
+    with pytest.raises(InputError, match="structure constants are not antisymmetric"):
+        multiplicative_check(P, frame, StructureConstants(4, f))
+
+
+def test_the_right_sides_from_minors_match_the_dense_transport(bench, table67):
+    for pe, b in table67:
+        frame, fd = bench.frame(pe.g, b), bench.sc(pe.dual, b)
+        fields = poisson._cobracket_fields(frame, fd)
+        assert len(fields) == 4
+        for i, got in enumerate(fields):
+            ft = [[c[i] for c in row] for row in fd.f]
+            assert got == bivector(transport_dense(ft, frame.XL)), (pe.name, i + 1)
+
+
+def test_sklyanin_from_minors_matches_the_dense_transports(bench, table67):
+    rows = [(pe, b) for pe, b in table67 if pe.method == "sklyanin"]
+    assert len(rows) == 85
+    for pe, b in rows:
+        r = bench.coboundary(pe.g, pe.dual, b).particular.antisymmetric_part()
+        frame = bench.frame(pe.g, b)
+        assert cfm_eq(sklyanin_bivector(frame, r).P, sklyanin_dense(frame, r.r)), pe.name
+
+
+def test_sklyanin_from_minors_matches_on_drawn_r(reg, bench):
+    rng = random.Random(28)
+    frames = [bench.frame(g, {}) for g in ("A_4_1", "A_4_7", "A_4_12", "A2+A2", "VII0+R")]
+    for frame in frames:
+        for _ in range(3):
+            r = [[Fraction(0)] * 4 for _ in range(4)]
+            for j in range(4):
+                for k in range(j + 1, 4):
+                    if rng.random() < 0.7:
+                        r[j][k] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                        r[k][j] = -r[j][k]
+            P = sklyanin_bivector(frame, TensorElement(4, r))
+            assert cfm_eq(P.P, sklyanin_dense(frame, r))
 
 
 def test_symplectic_worked_pairs(reg, bench):

@@ -16,7 +16,10 @@ ad-invariant by construction; the mixed identity has one evaluator in the
 package.  The derive path does only nonzero work: a 4 x 4 inverse computes
 each minor once, `solve_affine` gets each nonzero coboundary equation once,
 `cfm_mul` multiplies no zero factor, and `double_adjoint` builds no factor
-whose dual slice is zero.  The frame path multiplies by no identity factor,
+whose dual slice is zero.  The Poisson-Lie check and the Sklyanin bracket
+read their transports off 2 x 2 minors of the frame: neither multiplies
+closed-function matrices or makes a constant closed function, and only
+`pi_bivector` transports by `cfm_mul`.  The frame path multiplies by no identity factor,
 the exp(0) of a zero adjoint, and a frame whose adjoints have only 1 x 1
 diagonal blocks builds no characteristic polynomial.  An exponential whose
 components are all 1 x 1 builds no characteristic polynomial, finds no
@@ -37,7 +40,7 @@ from fractions import Fraction
 
 import pytest
 
-from liebialg import closedfun, core, groupgeom, ratlinalg, rmatrix
+from liebialg import closedfun, core, groupgeom, harness, poisson, ratlinalg, rmatrix
 from liebialg.harness import verify_tables
 
 from evalref import blocks
@@ -308,6 +311,44 @@ def test_cfm_mul_multiplies_no_zero_factor(reg, bench, monkeypatch):
             closedfun.cfm_mul(a, b)
             pairs = sum(1 for arow in a for x, brow in zip(arow, b) for y in brow if x and y)
             assert len(calls) == pairs
+
+
+def test_only_pi_bivector_transports_by_cfm_mul(reg, monkeypatch):
+    inside, muls, consts = [], [], []
+    called = {"multiplicative_check": 0, "sklyanin_bivector": 0, "pi_bivector": 0}
+
+    def entered(name, fn):
+        def wrapped(*args):
+            called[name] += 1
+            inside.append(name)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+        return wrapped
+
+    for name in called:
+        monkeypatch.setattr(harness, name, entered(name, getattr(poisson, name)))
+    mul = closedfun.cfm_mul
+
+    def recorded_mul(a, b):
+        muls.append(inside[-1] if inside else None)
+        return mul(a, b)
+
+    for mod in (closedfun, groupgeom, poisson):
+        monkeypatch.setattr(mod, "cfm_mul", recorded_mul)
+    const = closedfun.ClosedFunction.const.__func__
+
+    def recorded_const(cls, c):
+        consts.append(inside[-1] if inside else None)
+        return const(cls, c)
+
+    monkeypatch.setattr(closedfun.ClosedFunction, "const", classmethod(recorded_const))
+    assert verify_tables(reg, "6")[0].ok
+    assert called == {"multiplicative_check": 166, "sklyanin_bivector": 85, "pi_bivector": 81}
+    assert muls.count("pi_bivector") == 2 * 81
+    assert set(muls) <= {None, "pi_bivector"}
+    assert not {"multiplicative_check", "sklyanin_bivector"} & set(consts)
 
 
 def test_double_adjoint_builds_no_factor_of_a_zero_dual_slice(reg, bench, monkeypatch):
