@@ -992,14 +992,38 @@ def _block_putzer(sub, s, coord):
 
 
 def cf_matexp(m, coord):
+    """exp(x_coord * M) for a dense rational M: `_matexp` on its nonzero
+    entries."""
+    return _matexp(_sparse(m), len(m), coord)
+
+
+def cf_matexp_pm(m, coord):
+    """(exp(x M), exp(-x M)) for a dense rational M: `cf_matexp_pm_sparse`
+    on its nonzero entries."""
+    return cf_matexp_pm_sparse(_sparse(m), len(m), coord)
+
+
+def cf_matexp_pm_sparse(mc, n, coord):
+    """(exp(x M), exp(-x M)) for x = x_coord and the n x n matrix M given by
+    its nonzero entries mc = {(i, j): CRat}.  The first is built from mc and
+    checked against it (`_matexp`); the second is its reflection in x_coord,
+    since exp(-x M) is exp(x M) at -x, and passes the same exact check on
+    the negated entries."""
+    e = _matexp(mc, n, coord)
+    em = cfm_reflect(e, coord)
+    _verify_matexp(em, {ij: -c for ij, c in mc.items()}, coord)
+    return e, em
+
+
+def _matexp(mc, n, coord):
     """exp(x_coord * M) as a matrix of closed functions of x_coord alone,
+    for the n x n matrix M given by its nonzero entries mc = {(i, j): CRat},
     built block by block over the strongly connected components of M's
     nonzero pattern (the block-triangular method of C. Moler and C. Van
     Loan, Nineteen dubious ways to compute the exponential of a matrix,
     SIAM Review 45, 2003, sections 6-7).
 
-    The dense rational M is read once into its nonzero entries
-    {(i, j): CRat}.  Its components are listed so that each comes after
+    The components of M are listed so that each comes after
     every component it reaches; a component reaches strictly more vertices
     than any other component it reaches, so that order is by the number of
     vertices reached.  M_IK is nonzero only when I reaches K, so M is block
@@ -1018,10 +1042,9 @@ def cf_matexp(m, coord):
     give their x^p e^{l x} terms through the integral.  Only a block of size 2 or more
     goes through its characteristic polynomial and Putzer's recursion
     (`_block_putzer`), and products by its E_II(-s) and E_II(x).  The
-    result is verified to satisfy exp(0) = I and d/dx exp = M exp exactly.
+    result is verified to satisfy exp(0) = I and d/dx exp = M exp exactly,
+    on the same entries mc.
     """
-    n = len(m)
-    mc = _sparse(m)
     reach = _reach(mc, n)
     rows = [[] for _ in range(n)]  # the nonzero entries (k, m_ik) of each row
     for (i, k), c in mc.items():
@@ -1053,17 +1076,6 @@ def cf_matexp(m, coord):
                     e[i][j] = cf_sum_products(zip(row, h, repeat(1)))
     _verify_matexp(e, mc, coord)
     return e
-
-
-def cf_matexp_pm(m, coord):
-    """(exp(x M), exp(-x M)) for x = x_coord.  The second is the reflection
-    of the first in x_coord, since exp(-x M) is exp(x M) at -x; it passes the
-    same exact check as a cf_matexp result of -M, on the negated nonzero
-    entries of M."""
-    e = cf_matexp(m, coord)
-    em = cfm_reflect(e, coord)
-    _verify_matexp(em, {ij: -c for ij, c in _sparse(m).items()}, coord)
-    return e, em
 
 
 def _verify_matexp(e, mc, coord):

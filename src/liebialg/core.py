@@ -41,17 +41,20 @@ class StructureConstants:
 
     @classmethod
     def from_brackets(cls, dim, brackets):
-        """Build from {(i, j): [(coeff, k), ...]} with 1-based indices, i < j."""
-        sc = cls(dim)
+        """Build from {(i, j): [(coeff, k), ...]} with 1-based indices, i < j,
+        through :meth:`from_entries`: the terms are summed into sparse
+        entries (i, j, k) and (j, i, k), and the zero sums dropped."""
+        acc = {}
         for (i, j), terms in brackets.items():
             if not (1 <= i <= dim and 1 <= j <= dim) or i == j:
                 raise InputError(f"bad bracket indices ({i},{j})")
             for coeff, k in terms:
+                if not 1 <= k <= dim:
+                    raise InputError(f"bad bracket index {k} in [X_{i}, X_{j}]")
                 c = _as_frac(coeff)
-                sc.f[i - 1][j - 1][k - 1] += c
-                sc.f[j - 1][i - 1][k - 1] -= c
-        sc._nonzero = None
-        return sc
+                for key, v in (((i - 1, j - 1, k - 1), c), ((j - 1, i - 1, k - 1), -c)):
+                    acc[key] = acc.get(key, 0) + v
+        return cls.from_entries(dim, [key + (v,) for key, v in acc.items() if v])
 
     @classmethod
     def from_entries(cls, dim, entries):

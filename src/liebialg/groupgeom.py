@@ -6,10 +6,12 @@ with matrices acting on the right of row vectors (row = input basis index).
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import ratlinalg as rl
 from .closedfun import (
-    cf_matexp_pm,
+    CRat,
+    cf_matexp_pm_sparse,
     cfm_const_mul,
     cfm_diff,
     cfm_eq,
@@ -61,34 +63,46 @@ def invariant_frame(chart: GroupChart, matexp_pm=None) -> InvariantFrame:
     ... exp(-x_1 Xadj_1), and XR = (R^-1)^T.  P_n completes the product to
     Ad(g)^-1 = exp(-x4 Xadj_4) exp(-x3 Xadj_3) exp(-x2 Xadj_2) exp(-x1 Xadj_1),
     and theta_L = Ad_{g^-1} theta_R gives XL = Ad(g)^-1 XR with no second
-    inverse.  exp(-x_m Xadj_m) is the reflection x_m -> -x_m of exp(x_m Xadj_m)
-    (`cf_matexp_pm`); both pass their exact ODE checks, so the reversed
-    product is the exact inverse of Ad(g).  The frame keeps every P_k for
-    `double_adjoint`.  `matexp_pm` stands in for `cf_matexp_pm`, say a memo
-    of it.
+    inverse.  Each Xadj_i enters as the sparse map of its nonzero entries
+    (`adjoint_maps`, read off the integer form of the structure constants),
+    and exp(-x_m Xadj_m) is the reflection x_m -> -x_m of exp(x_m Xadj_m)
+    (`cf_matexp_pm_sparse`); both pass their exact ODE checks, so the
+    reversed product is the exact inverse of Ad(g).  The frame keeps every
+    P_k for `double_adjoint`.  `matexp_pm(mc, n, coord)` stands in for
+    `cf_matexp_pm_sparse`, say a memo of it.
     """
     f = chart.base
     n = f.dim
-    adj = f.adjoints()
-    matexp_pm = matexp_pm or cf_matexp_pm
-    pairs = [matexp_pm(adj[i], i + 1) for i in range(n)]
+    matexp_pm = matexp_pm or cf_matexp_pm_sparse
+    maps = adjoint_maps(f)
+    pairs = [matexp_pm(mc, n, i + 1) for i, mc in enumerate(maps)]
     exp_pos = [e for e, _ in pairs]
     exp_neg = [em for _, em in pairs]
 
-    # None stands for I while every factor so far has been exp(0) = I
+    # None stands for I while every factor so far has been exp(0) = I, the
+    # exponential of an empty map
     ident = cfm_identity(n)
-    central = _central(f)
     prefix = [None]
     for j in range(n):
-        prefix.append(_times(None if central[j] else exp_neg[j], prefix[j]))
+        prefix.append(_times(exp_neg[j] if maps[j] else None, prefix[j]))
 
     rmat = cfm_transpose([(ident if p is None else p)[j] for j, p in enumerate(prefix[:n])])
     xr = cfm_transpose(cfm_inverse_unitdet(rmat))
     return InvariantFrame(rmat, xr, _times(prefix[n], xr), exp_pos, exp_neg, prefix, f)
 
 
+def adjoint_maps(f: StructureConstants):
+    """[{(j, k): CRat} for each i]: the nonzero entries (Xadj_i)_j^k = -f_ij^k
+    of every adjoint matrix, read in one pass over the integer form D f."""
+    den, ints = f.scaled_nonzero()
+    maps = [{} for _ in range(f.dim)]
+    for (i, j, k, w) in ints:
+        maps[i][(j, k)] = CRat(-w if den == 1 else Fraction(-w, den))
+    return maps
+
+
 def _central(f: StructureConstants):
-    """[ad X_i = 0 for each i]: exp(x_i Xadj_i) is then I (`cf_matexp`)."""
+    """[ad X_i = 0 for each i]: exp(x_i Xadj_i) is then I."""
     moved = {i for i, _, _, _ in f.nonzero()}
     return [i not in moved for i in range(f.dim)]
 

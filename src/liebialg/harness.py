@@ -15,7 +15,7 @@ from itertools import product
 
 from . import corpus as corpus_mod
 from .core import bialgebra_failure, find_symplectic, jacobi_check
-from .closedfun import cf_matexp_pm
+from .closedfun import cf_matexp_pm_sparse
 from .errors import ComputationError, InputError, InvariantError
 from .groupgeom import (
     GroupChart,
@@ -148,7 +148,9 @@ class Workbench:
 
       sc          structure constants per (algebra, binding)
       frame       invariant frame per (algebra, binding)
-      matexp_pm   (exp(x M), exp(-x M)) per (entries of M, coordinate)
+      matexp_pm   (exp(x M), exp(-x M)) per (coordinate, size, the sparse
+                  map of M's nonzero CRat entries); CRat is canonical, so
+                  equal matrices share one entry
       coboundary  r-matrix solution set per ordered (g, dual, binding)
       lie         Jacobi verdict per structure-constant tensor
       double      the first identity (g, dual) fails as a Lie bialgebra, or
@@ -187,16 +189,11 @@ class Workbench:
             lambda: invariant_frame(GroupChart(self.sc(name, binding)), self.matexp_pm),
         )
 
-    def matexp_pm(self, m, coord):
-        """`cf_matexp_pm(m, coord)`, keyed by the nonzero entries of the
-        rational matrix m."""
-        key = (coord, len(m)) + tuple(
-            (i, j, x.numerator, x.denominator)
-            for i, row in enumerate(m)
-            for j, x in enumerate(row)
-            if x
-        )
-        return _memo(self._matexps, key, lambda: cf_matexp_pm(m, coord))
+    def matexp_pm(self, mc, n, coord):
+        """`cf_matexp_pm_sparse(mc, n, coord)` for the n x n matrix with the
+        nonzero entries mc = {(i, j): CRat}, keyed by those entries."""
+        key = (coord, n, frozenset(mc.items()))
+        return _memo(self._matexps, key, lambda: cf_matexp_pm_sparse(mc, n, coord))
 
     def coboundary(self, g, dual, binding):
         """The r-matrix solution set of the ordered pair (g, dual)."""

@@ -1,15 +1,20 @@
 """Exact linear algebra over the rationals (lists of lists of Fraction).
 
-Elimination runs on Python ints, not on Fractions.  Each row is scaled by
-the lcm of its denominators; a row is cleared against a pivot row by an
-integer combination and then divided by the gcd of its entries, so the
-entries stay small ints (integer-preserving elimination after E. H.
-Bareiss, Math. Comp. 22, 1968, with the row gcd as the divisor).  Scaling
-rows does not change the row space, and the reduced row echelon form of a
-matrix is unique, so dividing each pivot row by its pivot when it is
-written out gives exactly the Fractions that rational Gauss-Jordan
-elimination gives.  `rref`, `nullspace`, `solve_affine` and `det` return
-Fractions only.
+One elimination, on sparse rows of Python ints: a row is the map {column:
+int} of its nonzero entries.  A dense row enters it scaled by the lcm of its
+denominators.  Rows are taken one at a time: each is cleared in the pivot
+columns found so far, by an integer combination with their pivot rows, and
+when anything is left, its first nonzero column becomes a new pivot, which
+is then cleared from the earlier pivot rows.  Every combination is divided
+by the gcd of its entries, so the entries stay small ints
+(integer-preserving elimination after E. H. Bareiss, Math. Comp. 22, 1968,
+with the row gcd as the divisor).  A zero row, or a copy of an earlier one,
+clears to nothing and is dropped.  Scaling rows does not change the row
+space, and the reduced row echelon form of a matrix is unique, so dividing
+each pivot row by its pivot when it is written out gives exactly the
+Fractions that rational Gauss-Jordan elimination gives.  `rref`,
+`nullspace`, `solve_affine` and `det` take and return Fractions;
+`solve_sparse` takes the int rows themselves.
 """
 
 from fractions import Fraction
@@ -17,7 +22,6 @@ from math import gcd, lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-_INT = {int}
 
 
 def zeros(rows, cols):
@@ -58,100 +62,104 @@ def is_zero_matrix(a):
 
 
 def _int_row(row):
-    """The row times the lcm l of its denominators, as ints, and l.  A row
-    of ints is returned as it is, with l = 1: the elimination never edits a
-    row in place."""
-    if set(map(type, row)) <= _INT:
-        return row, 1
+    """(the nonzero entries of the dense row times the lcm l of its
+    denominators, as {column: int}, and l); an int entry has denominator 1."""
     l = lcm(*[x.denominator for x in row])
-    return [x.numerator * (l // x.denominator) for x in row], l
+    return {c: x.numerator * (l // x.denominator) for c, x in enumerate(row) if x}, l
 
 
-def _gauss_jordan(a, cols):
-    """Reduce the int rows `a` in place until each pivot is the only nonzero
-    entry of its column, with the pivot rows first.
+def _combine(row, c, top):
+    """(p row - q top over the gcd g of its entries, p, g), with p = top[c]
+    and q = row[c], so that column c is cleared; zero entries are dropped."""
+    p, q = top[c], row[c]
+    out = dict(row) if p == 1 else {k: p * x for k, x in row.items()}
+    for k, y in top.items():
+        v = out.get(k, 0) - q * y
+        if v:
+            out[k] = v
+        else:
+            del out[k]
+    g = gcd(*out.values())
+    if g < 2:  # 0 for a row that cleared to nothing
+        return out, p, 1
+    return {k: x // g for k, x in out.items()}, p, g
 
-    A row with entry q in the pivot column is replaced by p*row - q*pivot_row
-    (p the pivot) and divided by the gcd g of its entries.  Returns the pivot
-    columns and (num, den): the steps multiplied the determinant by num/den.
-    """
-    rows = len(a)
-    pivots = []
+
+def _eliminate(rows):
+    """Reduce the sparse int rows `rows` one at a time (module docstring).
+
+    Returns (pivot, num, den): pivot maps each pivot column to its row, in
+    the order of the rows that became pivots, and every other pivot row is
+    zero in that column; each combination scaled the determinant of the
+    rows by p/g, and num/den is the product of those factors."""
+    pivot = {}
     num = den = 1
-    for c in range(cols):
-        r = len(pivots)
-        if r == rows:
-            break
-        piv = next((i for i in range(r, rows) if a[i][c]), None)
-        if piv is None:
+    for row in rows:
+        for c in [c for c in row if c in pivot]:
+            # the pivot rows are zero in each other's pivot columns, so
+            # clearing c adds no entry in another one
+            row, p, g = _combine(row, c, pivot[c])
+            num *= p
+            den *= g
+        if not row:
             continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-            num = -num
-        top = a[r]
-        p = top[c]
-        for i, row in enumerate(a):
-            q = row[c]
-            if q and i != r:
-                row = [p * x - q * y for x, y in zip(row, top)]
-                g = gcd(*row)
-                if g > 1:
-                    row = [x // g for x in row]
-                    den *= g
-                a[i] = row
+        lead = min(row)
+        for c, top in pivot.items():
+            if lead in top:
+                pivot[c], p, g = _combine(top, lead, row)
                 num *= p
-        pivots.append(c)
-    return pivots, num, den
+                den *= g
+        pivot[lead] = row
+    return pivot, num, den
 
 
 def det(m):
-    """Determinant by the integer elimination of :func:`rref`."""
+    """Determinant by the integer elimination."""
     n = len(m)
-    a = []
-    scale = 1
+    rows, scale = [], 1
     for row in m:
         ints, l = _int_row(row)
-        a.append(ints)
+        rows.append(ints)
         scale *= l
-    pivots, num, den = _gauss_jordan(a, n)
-    if len(pivots) < n:
+    pivot, num, den = _eliminate(rows)
+    if len(pivot) < n:
         return ZERO
-    diag = 1
-    for i in range(n):
-        diag *= a[i][i]
-    # the elimination left diag(a) = det(m) * scale * num / den
+    # row k ends as the diagonal entry in column order[k], and the product of
+    # those entries times the sign of `order` is det(m) * scale * num / den
+    order = list(pivot)
+    diag = -1 if sum(c > d for k, c in enumerate(order) for d in order[k + 1 :]) & 1 else 1
+    for c, row in pivot.items():
+        diag *= row[c]
     return Fraction(diag * den, num * scale)
 
 
 def rref(m):
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
+    """Reduced row echelon form; returns (matrix, pivot column list).  Pivot
+    row c holds row[c] times its row of that form."""
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    a = [_int_row(row)[0] for row in m]
-    pivots = _gauss_jordan(a, cols)[0]
-    red = [
-        [Fraction(x, a[r][c]) if x else ZERO for x in a[r]]
-        for r, c in enumerate(pivots)
-    ]
-    red.extend([ZERO] * cols for _ in range(rows - len(pivots)))
-    return red, pivots
+    pivot = _eliminate([_int_row(row)[0] for row in m])[0]
+    red = [[ZERO] * cols for _ in range(rows)]
+    for out, c in zip(red, sorted(pivot)):
+        row = pivot[c]
+        for k, x in row.items():
+            out[k] = Fraction(x, row[c])
+    return red, sorted(pivot)
 
 
-def _kernel_basis(a, pivots, cols):
-    """Right nullspace basis read off the rows `a` that `_gauss_jordan`
-    reduced: pivot row r holds its pivot a[r][pivots[r]] times its row of
-    the reduced row echelon form."""
-    pivset = set(pivots)
+def _kernel_basis(pivot, cols):
+    """Right nullspace basis of the first `cols` columns, one vector per free
+    column, read off the pivot rows of `_eliminate`."""
     basis = []
     for free in range(cols):
-        if free in pivset:
+        if free in pivot:
             continue
         v = [ZERO] * cols
         v[free] = ONE
-        for r, pc in enumerate(pivots):
-            x = a[r][free]
+        for c, row in pivot.items():
+            x = row.get(free)
             if x:
-                v[pc] = Fraction(-x, a[r][pc])
+                v[c] = Fraction(-x, row[c])
         basis.append(v)
     return basis
 
@@ -159,27 +167,29 @@ def _kernel_basis(a, pivots, cols):
 def nullspace(m):
     """Basis of the right nullspace, one vector per free column."""
     cols = len(m[0]) if m else 0
-    a = [_int_row(row)[0] for row in m]
-    return _kernel_basis(a, _gauss_jordan(a, cols)[0], cols)
+    return _kernel_basis(_eliminate([_int_row(row)[0] for row in m])[0], cols)
 
 
 def solve_affine(rows, cols):
     """Solve the augmented system `rows` exactly: each row holds the
     coefficients of `cols` unknowns followed by its right-hand side.
+    Returns (particular, nullspace_basis) or None when inconsistent
+    (`solve_sparse` on the rows' nonzero entries)."""
+    return solve_sparse([_int_row(row)[0] for row in rows], cols)
 
-    Returns (particular, nullspace_basis) or None when inconsistent.  With
-    no pivot in the last column, the left block of the reduced augmented
-    matrix is the reduced form of the coefficients, so one reduction gives
-    both.  Only the entries read off, in the free columns and the last one,
-    become Fractions.
-    """
-    a = [_int_row(row)[0] for row in rows]
-    pivots = _gauss_jordan(a, cols + 1)[0]
-    if cols in pivots:
+
+def solve_sparse(rows, cols):
+    """`solve_affine` on sparse int rows {column: int}, the right-hand side
+    in column `cols`.  With no pivot in that column, the left block of the
+    reduced augmented matrix is the reduced form of the coefficients, so one
+    reduction gives both.  Only the entries read off, in the free columns
+    and the last one, become Fractions."""
+    pivot = _eliminate(rows)[0]
+    if cols in pivot:
         return None
     part = [ZERO] * cols
-    for r, pc in enumerate(pivots):
-        x = a[r][cols]
+    for c, row in pivot.items():
+        x = row.get(cols)
         if x:
-            part[pc] = Fraction(x, a[r][pc])
-    return part, _kernel_basis(a, pivots, cols)
+            part[c] = Fraction(x, row[c])
+    return part, _kernel_basis(pivot, cols)

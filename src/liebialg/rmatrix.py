@@ -11,7 +11,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import gcd
 
 from . import ratlinalg as rl
 from .core import StructureConstants
@@ -142,19 +141,28 @@ def solve_coboundary(f: StructureConstants, fd: StructureConstants) -> RSolution
     # they are
     d1, fnz = f.scaled_nonzero()
     d2, gnz = fd.scaled_nonzero()
-    # only the equations that a nonzero entry touches, by index, each its n
-    # coefficients followed by its right-hand side
-    eqs = defaultdict(lambda: [0] * (n + 1))
+    # only the equations that a nonzero entry touches, by index, each the
+    # sparse row {column: int} of its nonzero coefficients, with the
+    # right-hand side in column n
+    eqs = defaultdict(dict)
     for (i, p, q, v) in fnz:
         x = -v * d2  # d1 d2 (Xadj_i)_p^q
         base = i * n
         for b in range(d):
             # (Xadj_i^T r)^qb gains x r^pb, (r Xadj_i)^bq gains r^bp x
-            eqs[base + q * d + b][p * d + b] += x
-            eqs[base + b * d + q][b * d + p] += x
+            for e, col in ((base + q * d + b, p * d + b), (base + b * d + q, b * d + p)):
+                row = eqs[e]
+                s = row.get(col, 0) + x
+                if s:
+                    row[col] = s
+                else:
+                    del row[col]
     for (a, b, i, w) in gnz:
         eqs[i * n + a * d + b][n] = -w * d1
-    sol = rl.solve_affine(_distinct_equations(eqs[e] for e in sorted(eqs)), n)
+    # a zero equation or a copy of another leaves the solutions as they are,
+    # so each distinct nonzero equation is handed over once; a multiple of an
+    # earlier one clears to nothing in the elimination
+    sol = rl.solve_sparse({frozenset(row.items()): row for row in eqs.values() if row}.values(), n)
     if sol is None:
         return RSolutionSet(None, [], True)
     part, null = sol
@@ -163,26 +171,6 @@ def solve_coboundary(f: StructureConstants, fd: StructureConstants) -> RSolution
         return TensorElement(d, [list(v[i * d : (i + 1) * d]) for i in range(d)])
 
     return RSolutionSet(unflatten(part), [unflatten(v) for v in null], False)
-
-
-def _distinct_equations(eqs):
-    """The nonzero equations among `eqs`, int rows of coefficients followed
-    by a right-hand side, each once, in the same shape.  Copies are dropped
-    first, as tuples; then each equation is divided by the gcd of its
-    entries, negated when its first nonzero entry is negative, and kept at
-    its first occurrence.  A zero equation has gcd 0 and is dropped.  A
-    touched equation has 1.3 nonzero entries on average over the corpus
-    r-matrix pairs, so the division skips zero entries.  A zero equation or
-    a multiple of an earlier one leaves the row space as it is, and so the
-    (unique) reduced row echelon form and the solutions."""
-    seen = {}
-    for eq in dict.fromkeys(map(tuple, eqs)):
-        g = gcd(*eq)
-        if g:
-            if next(filter(None, eq)) < 0:
-                g = -g
-            seen[eq if g == 1 else tuple([x and x // g for x in eq])] = None
-    return list(seen)
 
 
 def schouten(r: TensorElement, f: StructureConstants):

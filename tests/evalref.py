@@ -29,8 +29,11 @@ the retired path and the oracle of `double_adjoint`'s -b a^-1.
 `coboundary_system` is the full d^3-equation augmented system of the
 coboundary equation, built column by column from the action on the unit
 tensors, and `solve_coboundary_full`
-hands every one of its equations to `solve_affine`: the oracle of
-`solve_coboundary`, which hands over the distinct nonzero ones.
+hands every one of its equations to `solve_affine_dense`, the retired
+column-by-column elimination `gauss_jordan_dense` on dense int rows: the
+oracle of `solve_coboundary`, which hands the distinct nonzero ones to the
+sparse elimination of `ratlinalg`.  `rank` runs the same dense loop, and
+`tests/test_ratlinalg.py` checks it against sympy.
 `render_by_fractions` renders a closed function through Fractions, the
 oracle of `render_closed_function`.  `mul_into_by_crats` adds a product into
 a term map with CRat arithmetic and a key summed slot by slot for every
@@ -372,9 +375,63 @@ def coboundary_system(f, fd):
     return rows
 
 
+def _dense_int_row(row):
+    """The dense row times the lcm of its denominators, as ints."""
+    l = math.lcm(*[x.denominator for x in row])
+    return [x.numerator * (l // x.denominator) for x in row]
+
+
+def gauss_jordan_dense(a, cols):
+    """Reduce the dense int rows `a` in place, column by column, until each
+    pivot is the only nonzero entry of its column, with the pivot rows
+    first; returns the pivot columns.  A row with entry q in the pivot column
+    is replaced by p*row - q*pivot_row (p the pivot) and divided by the gcd
+    of its entries."""
+    rows = len(a)
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        piv = next((i for i in range(r, rows) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        top = a[r]
+        p = top[c]
+        for i, row in enumerate(a):
+            q = row[c]
+            if q and i != r:
+                row = [p * x - q * y for x, y in zip(row, top)]
+                g = math.gcd(*row)
+                a[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+    return pivots
+
+
+def solve_affine_dense(rows, cols):
+    """`ratlinalg.solve_affine` by `gauss_jordan_dense` on every row."""
+    a = [_dense_int_row(row) for row in rows]
+    pivots = gauss_jordan_dense(a, cols + 1)
+    if cols in pivots:
+        return None
+    part = [rl.ZERO] * cols
+    for r, pc in enumerate(pivots):
+        part[pc] = Fraction(a[r][cols], a[r][pc])
+    basis = []
+    for free in range(cols):
+        if free not in pivots:
+            v = [rl.ZERO] * cols
+            v[free] = rl.ONE
+            for r, pc in enumerate(pivots):
+                v[pc] = Fraction(-a[r][free], a[r][pc])
+            basis.append(v)
+    return part, basis
+
+
 def solve_coboundary_full(f, fd):
-    """`solve_affine` on every equation of `coboundary_system`."""
-    return rl.solve_affine(coboundary_system(f, fd), f.dim**2)
+    """`solve_affine_dense` on every equation of `coboundary_system`."""
+    return solve_affine_dense(coboundary_system(f, fd), f.dim**2)
 
 
 def _frac_text(q):
@@ -660,7 +717,7 @@ def ad_invariant_symmetric(rs, f):
 
 def rank(m):
     cols = len(m[0]) if m else 0
-    return len(rl._gauss_jordan([rl._int_row(row)[0] for row in m], cols)[0])
+    return len(gauss_jordan_dense([_dense_int_row(row) for row in m], cols))
 
 
 def inverse(m):

@@ -1,6 +1,8 @@
 """Invariant frames and the adjoint blocks of the double."""
 
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +22,7 @@ from liebialg.closedfun import (
 from liebialg.core import StructureConstants, build_double
 from liebialg.errors import InputError, InvariantError, NonUnitDeterminant
 from liebialg.exprtree import parse_expr
+from liebialg.render import render_closed_function
 from liebialg.groupgeom import (
     GroupChart,
     double_adjoint,
@@ -256,3 +259,23 @@ def test_corrupted_constant_product_fails_the_lower_block_check(reg, bench, monk
                 double_exp_factor(frame, fd, i)
         checked.append(i)
     assert len(checked) >= 2
+
+
+# R of VII0+R.iii has determinant 1 - q x2 at each grid value of q: a pole of
+# the frame at x2 = 1/q, outside the closed class of unit determinants
+VII0_R_III_DETERMINANTS = {
+    Fraction(-2): "1 + 2*x2",
+    Fraction(-1, 2): "1 + 1/2*x2",
+    Fraction(1, 3): "1 - 1/3*x2",
+    Fraction(2): "1 - 2*x2",
+}
+
+
+def test_the_vii0_r_iii_chart_has_the_determinant_1_minus_q_x2(reg):
+    bindings = reg.grid_bindings("VII0+R.iii")
+    assert sorted(b["q"] for b in bindings) == sorted(VII0_R_III_DETERMINANTS)
+    for b in bindings:
+        text = VII0_R_III_DETERMINANTS[b["q"]]
+        assert render_closed_function(_cf("1") - _cf("x2").scale(b["q"])) == text
+        with pytest.raises(NonUnitDeterminant, match=re.escape(f"determinant {text} is not")):
+            invariant_frame(GroupChart(reg.instantiate("VII0+R.iii", b)))

@@ -5,8 +5,12 @@ the sum of every product, the memoized minors of `cfm_det` and
 `double_adjoint`'s -b a^-1 over the nonzero dual slices against the (a, b, d)
 block accumulation, with the pairing relation a d^T = I that the retired
 path checked at run time shown as Ad(g) P_n = I on the frame's own
-factors, `solve_coboundary` on the distinct nonzero equations
-against the full system, and `render_closed_function` on int triples against
+factors, `solve_coboundary` on the distinct nonzero equations, eliminated
+on sparse int rows, against the full system under the retired dense
+elimination (also on every pair-binding of Table 2, both orders, and of the
+r-matrix rows), the frame's adjoint maps and exponentials against the dense
+adjoints and `cf_matexp` (on every corpus algebra at every grid binding),
+and `render_closed_function` on int triples against
 the Fraction renderer.  Each runs on every corpus frame or pair at its first
 binding and on hypothesis draws.  Term maps compare as dicts, which ignores
 the order of their keys.  The integer term-product kernel `_mul_into` is
@@ -44,6 +48,7 @@ from liebialg.closedfun import (
     ClosedFunction,
     CRat,
     _mul_into,
+    _sparse,
     cf_coord,
     cf_exp,
     cf_matexp,
@@ -52,6 +57,7 @@ from liebialg.closedfun import (
     cfm_identity,
     cfm_inverse_unitdet,
     cfm_mul,
+    cfm_reflect,
     cfm_transpose,
 )
 from liebialg.core import (
@@ -60,7 +66,9 @@ from liebialg.core import (
     _pfaffian_witness,
     find_symplectic,
 )
-from liebialg.groupgeom import GroupChart, _central, double_adjoint, invariant_frame
+from liebialg.errors import NonUnitDeterminant
+from liebialg.groupgeom import GroupChart, _central, adjoint_maps, double_adjoint, invariant_frame
+from liebialg.harness import _bkey
 from liebialg.render import render_closed_function
 from liebialg.rmatrix import solve_coboundary
 
@@ -148,6 +156,22 @@ def test_distinct_equations_match_the_full_system_on_every_corpus_pair(reg, benc
         f, fd = bench.sc(g, binding), bench.sc(dual, binding)
         _same_solutions(solve_coboundary(f, fd), solve_coboundary_full(f, fd), (g, dual))
     assert len(pairs) > 150
+
+
+def test_sparse_elimination_matches_the_dense_one_on_every_pair_binding(reg, bench):
+    # every Table 2 pair in both orders and every r-matrix row, each at
+    # every grid binding: 824 pair-bindings, 642 of them distinct
+    pairs = [(be.g, be.dual) for be in reg.bialgebras]
+    pairs += [(dual, g) for g, dual in pairs] + sorted(reg.rmatrices)
+    cases = [(g, dual, _bkey(b)) for g, dual in pairs for b in reg.grid_bindings(g, dual)]
+    assert len(cases) == 824
+    inconsistent = 0
+    for g, dual, key in sorted(set(cases)):
+        f, fd = bench.sc(g, dict(key)), bench.sc(dual, dict(key))
+        want = solve_coboundary_full(f, fd)  # the retired dense elimination
+        _same_solutions(solve_coboundary(f, fd), want, (g, dual, key))
+        inconsistent += want is None
+    assert len(set(cases)) == 642 and 0 < inconsistent < 642
 
 
 _SMALL = st.integers(-2, 2)
@@ -447,6 +471,30 @@ def test_block_exponential_matches_putzer_on_every_corpus_adjoint(reg):
     assert len(cases) > 500
     for (_, coord), m in cases.items():
         assert _maps(cf_matexp(m, coord)) == _maps(matexp_by_putzer(m, coord)), (m, coord)
+
+
+def test_frame_adjoints_and_exponentials_match_the_dense_route_on_every_corpus_algebra(reg):
+    # the frame reads each ad X_i off the integer form of the structure
+    # constants; the retired route made the dense adjoint and converted it
+    # (`_sparse`) before each exponential
+    built, limits = 0, set()
+    for name in sorted(reg.algebras):
+        for b in reg.grid_bindings(name):
+            sc = reg.instantiate(name, b)
+            dense = [sc.adjoint(i) for i in range(4)]
+            assert adjoint_maps(sc) == [_sparse(m) for m in dense], (name, b)
+            try:
+                frame = invariant_frame(GroupChart(sc))
+            except NonUnitDeterminant:
+                limits.add(name)
+                continue
+            for i, m in enumerate(dense):
+                e = cf_matexp(m, i + 1)
+                assert _maps(frame.exp_pos[i]) == _maps(e), (name, b, i)
+                assert _maps(frame.exp_neg[i]) == _maps(cfm_reflect(e, i + 1)), (name, b, i)
+            built += 1
+    assert limits == {"VII0+R.iii"}  # the chart limit, pinned in test_groupgeom
+    assert built > 200
 
 
 _Q = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2))

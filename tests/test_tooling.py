@@ -4,9 +4,11 @@ name: every name it lists must still resolve in liebialg, or
 cached forms of a `StructureConstants`.  The frame path inverts one matrix by
 adjugate per frame and none per double, which the trace's
 `closedfun.cfm_inverse_unitdet.calls` counts.  A frame computes its four
-exponentials through the module global `closedfun.cf_matexp`, each from a
-dense Fraction matrix, which the trace's `closedfun.cf_matexp4.calls` and
-`closedfun.cf_matexp.distinct_ratio` count and key.  Only `closedfun` builds
+exponentials through the sparse core `cf_matexp_pm_sparse`, each from the
+map of an adjoint's nonzero CRat entries read off the integer form of the
+structure constants: it builds no dense adjoint and converts none
+(`closedfun._sparse`), so it never enters the dense adapter
+`closedfun.cf_matexp` that the trace spans.  Only `closedfun` builds
 term maps or touches the derivative cache of a `ClosedFunction`, and one
 verify pass differentiates each function at most once per coordinate and
 never differentiates the zero function.  A verify pass decides every Lie
@@ -14,7 +16,8 @@ bialgebra on its two 4-dimensional halves: no 8-dimensional tensor reaches
 `jacobi_check`, and no campaign builds the double, whose pairing is
 ad-invariant by construction; the mixed identity has one evaluator in the
 package.  The derive path does only nonzero work: a 4 x 4 inverse computes
-each minor once, `solve_affine` gets each nonzero coboundary equation once,
+each minor once, the elimination gets each distinct nonzero coboundary
+equation once, as a sparse int row,
 `cfm_mul` multiplies no zero factor, and `double_adjoint` builds no factor
 whose dual slice is zero.  The Poisson-Lie check and the Sklyanin bracket
 read their transports off 2 x 2 minors of the frame: neither multiplies
@@ -43,7 +46,7 @@ import pytest
 from liebialg import closedfun, core, groupgeom, harness, poisson, ratlinalg, rmatrix
 from liebialg.harness import verify_tables
 
-from evalref import blocks
+from evalref import blocks, coboundary_system
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "bench")
@@ -186,23 +189,30 @@ def test_one_adjugate_per_frame_and_none_per_double(reg, monkeypatch):
         calls.clear()
 
 
-def test_four_dense_exponentials_per_frame(reg, monkeypatch):
+def test_four_sparse_exponentials_per_frame(reg, monkeypatch):
     calls = []
-    exact = closedfun.cf_matexp
+    exact = groupgeom.cf_matexp_pm_sparse
 
-    def counted(m, coord):
-        calls.append((m, coord))
-        return exact(m, coord)
+    def counted(mc, n, coord):
+        calls.append((mc, n, coord))
+        return exact(mc, n, coord)
 
-    monkeypatch.setattr(closedfun, "cf_matexp", counted)
+    def dense(*args):
+        raise AssertionError("the frame path read or converted a dense adjoint")
+
+    monkeypatch.setattr(groupgeom, "cf_matexp_pm_sparse", counted)
+    for attr in ("adjoints", "adjoint"):
+        monkeypatch.setattr(core.StructureConstants, attr, dense)
+    for attr in ("_sparse", "cf_matexp", "cf_matexp_pm"):
+        monkeypatch.setattr(closedfun, attr, dense)
     for g in ("A_4_7", "VII0+R", "A_4_1", "A_4_12"):
         f = reg.instantiate(g, reg.grid_bindings(g, cap=1)[0])
         groupgeom.invariant_frame(groupgeom.GroupChart(f))
-        assert [coord for _, coord in calls] == [1, 2, 3, 4], g
-        for m, _ in calls:
-            assert type(m) is list and len(m) == 4, g
-            assert all(type(row) is list and len(row) == 4 for row in m), g
-            assert all(type(x) is Fraction for row in m for x in row), g
+        assert [(n, coord) for _, n, coord in calls] == [(4, 1), (4, 2), (4, 3), (4, 4)], g
+        for mc, _, _ in calls:
+            assert type(mc) is dict, g
+            assert all(type(v) is closedfun.CRat and v for v in mc.values()), g
+        assert any(mc for mc, _, _ in calls), g
         calls.clear()
 
 
@@ -266,33 +276,37 @@ def test_a_4x4_inverse_computes_each_minor_once(reg, bench, monkeypatch):
 
 
 def test_solve_affine_gets_each_nonzero_coboundary_equation_once(reg, monkeypatch):
+    # `solve_coboundary` hands its equations to `solve_sparse`, the sparse
+    # form of `solve_affine`, as int rows {column: int}
     systems = []
-    solve = ratlinalg.solve_affine
+    solve = ratlinalg.solve_sparse
 
     def recorded(rows, cols):
-        systems.append(rows)
+        rows = list(rows)
+        systems.append((rows, cols))
         return solve(rows, cols)
 
-    monkeypatch.setattr(ratlinalg, "solve_affine", recorded)
+    def dense(rows, cols):
+        raise AssertionError("the coboundary system went through the dense solve_affine")
+
+    monkeypatch.setattr(ratlinalg, "solve_sparse", recorded)
+    monkeypatch.setattr(ratlinalg, "solve_affine", dense)
     for g, dual in sorted(reg.rmatrices):
         binding = reg.grid_bindings(g, dual, cap=1)[0]
-        rmatrix.solve_coboundary(reg.instantiate(g, binding), reg.instantiate(dual, binding))
+        f, fd = reg.instantiate(g, binding), reg.instantiate(dual, binding)
+        rmatrix.solve_coboundary(f, fd)
+        rows, cols = systems[-1]
+        assert cols == 16
+        for row in rows:
+            assert type(row) is dict and row, (g, dual)
+            assert all(type(x) is int and x for x in row.values()), (g, dual)
+        # each distinct nonzero equation of the full system, once
+        received = [frozenset(row.items()) for row in rows]
+        full = {frozenset((c, x) for c, x in enumerate(eq) if x) for eq in coboundary_system(f, fd)}
+        assert len(received) == len(set(received)), (g, dual)
+        assert set(received) == full - {frozenset()}, (g, dual)
     assert len(systems) == len(reg.rmatrices)
-    for rows in systems:
-        # each augmented equation scaled by its first nonzero entry: a zero
-        # equation has none, and proportional ones scale to the same tuple
-        scaled = []
-        for eq in rows:
-            lead = next((x for x in eq if x), None)
-            assert lead is not None
-            scaled.append(tuple(Fraction(x, lead) for x in eq))
-        assert len(set(scaled)) == len(scaled)
-    assert sum(map(len, systems)) < 32 * len(systems)
-    # a negated or scaled copy is the same equation; 0 = 1 is kept
-    rows = rmatrix._distinct_equations(
-        [[1, 2, 1], [-2, -4, -2], [0, 0, 0], [3, 6, 3], [0, 0, 1], [0, 3, 0]]
-    )
-    assert rows == [(1, 2, 1), (0, 0, 1), (0, 1, 0)]
+    assert sum(len(rows) for rows, _ in systems) < 32 * len(systems)
 
 
 def test_cfm_mul_multiplies_no_zero_factor(reg, bench, monkeypatch):

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from liebialg import closedfun, core, groupgeom, harness
-from liebialg.closedfun import cfm_eq
+from liebialg import core, groupgeom, harness
+from liebialg.closedfun import CRat, _sparse, cfm_eq
 from liebialg.errors import InputError, InvariantError
 from liebialg.harness import Workbench
 
@@ -23,7 +23,7 @@ def _counted(monkeypatch, owner, attr, record):
 
 def test_a_verify_pass_computes_each_shared_intermediate_once(reg, monkeypatch):
     matexps, solves, mixed, lie, doubles, adjoints = [], [], [], [], [], []
-    _counted(monkeypatch, closedfun, "cf_matexp", matexps)
+    _counted(monkeypatch, harness, "cf_matexp_pm_sparse", matexps)
     _counted(monkeypatch, harness, "solve_coboundary", solves)
     _counted(monkeypatch, core, "mixed_jacobi_check", mixed)
     _counted(monkeypatch, harness, "jacobi_check", lie)
@@ -32,7 +32,7 @@ def test_a_verify_pass_computes_each_shared_intermediate_once(reg, monkeypatch):
     runs = harness.verify_tables(reg, "all")
     assert all(rep.ok for rep in runs)
 
-    keys = [(tuple(map(tuple, m)), coord) for m, coord in matexps]
+    keys = [(frozenset(mc.items()), n, coord) for mc, n, coord in matexps]
     assert keys and len(keys) == len(set(keys))
     # structure constants compare by value, so equal tensors of two names
     # at one binding would count as one input
@@ -88,8 +88,8 @@ MEMOS = {
     "frame": (harness, "invariant_frame", lambda b: b.frame("A_4_7", {})),
     "matexp_pm": (
         harness,
-        "cf_matexp_pm",
-        lambda b: b.matexp_pm(b.reg.instantiate("A_4_7").adjoint(3), 4),
+        "cf_matexp_pm_sparse",
+        lambda b: b.matexp_pm(groupgeom.adjoint_maps(b.reg.instantiate("A_4_7"))[3], 4, 4),
     ),
     "coboundary": (
         harness, "solve_coboundary", lambda b: b.coboundary("A_4_7", "A_4_7.i", {})
@@ -156,9 +156,11 @@ def test_memoized_frames_and_bivectors_equal_direct_ones(reg):
 
 def test_matexp_memo_key_is_the_matrix_value(reg):
     bench = Workbench(reg)
-    m = reg.instantiate("A_4_7").adjoint(3)
-    e = bench.matexp_pm(m, 4)
-    same = [[Fraction(x.numerator, x.denominator) for x in row] for row in m]
-    assert bench.matexp_pm(same, 4) is e
-    assert bench.matexp_pm(m, 3) is not e
-    assert bench.matexp_pm([[2 * x for x in row] for row in m], 4) is not e
+    mc = groupgeom.adjoint_maps(reg.instantiate("A_4_7"))[3]
+    e = bench.matexp_pm(mc, 4, 4)
+    # a fresh map of equal entries, in another order, and the dense route's
+    same = {ij: CRat(c.re, c.im) for ij, c in reversed(mc.items())}
+    assert bench.matexp_pm(same, 4, 4) is e
+    assert bench.matexp_pm(_sparse(reg.instantiate("A_4_7").adjoint(3)), 4, 4) is e
+    assert bench.matexp_pm(mc, 4, 3) is not e
+    assert bench.matexp_pm({ij: c * 2 for ij, c in mc.items()}, 4, 4) is not e
