@@ -409,6 +409,13 @@ _CF_ZERO = ClosedFunction({})
 def _derivative(f, idx):
     """The partial derivative of a nonzero f in x_{idx+1}, from its terms."""
     acc = {}
+    _derivative_into(acc, f, idx)
+    return ClosedFunction(acc) if acc else _CF_ZERO
+
+
+def _derivative_into(acc, f, idx):
+    """acc += d f / d x_{idx+1} on a term map, dropping coefficients that
+    cancel."""
     for (k, z), c in f.terms.items():
         if k[idx]:
             kk = list(k)
@@ -416,7 +423,6 @@ def _derivative(f, idx):
             _accumulate(acc, (tuple(kk), z), c * k[idx])
         if z[idx]:
             _accumulate(acc, (k, z), c * z[idx])
-    return ClosedFunction(acc) if acc else _CF_ZERO
 
 
 def _with(t, idx, v):
@@ -497,6 +503,18 @@ def cf_sum_products(products, scaled=()):
         for key, v in h.terms.items():
             _accumulate(t, key, c * v)
     return ClosedFunction(t) if t else _CF_ZERO
+
+
+def cf_is_negation(f, g):
+    """Whether g = -f, from the two term maps, with no negated copy built."""
+    gt = g.terms
+    if len(f.terms) != len(gt):
+        return False
+    for key, (a, b, d) in f.terms.items():
+        c = gt.get(key)
+        if c is None or c[0] != -a or c[1] != -b or c[2] != d:
+            return False
+    return True
 
 
 def cf_const(c):
@@ -585,13 +603,7 @@ def cfm_sum_products(pairs, neg=False):
     return [[ClosedFunction(t) if t else _CF_ZERO for t in trow] for trow in ts]
 
 
-def cfm_const_mul(m, a):
-    """m a for a constant matrix m of rationals or CRats, over its nonzero
-    entries (`_sparse_const_mul`)."""
-    return _sparse_const_mul(_sparse(m), len(m), a)
-
-
-def _sparse_const_mul(mc, rows, a):
+def cfm_const_mul_sparse(mc, rows, a):
     """m a for the constant matrix m with `rows` rows and nonzero entries
     mc = {(i, l): CRat}: row i adds up the rows l of a scaled by m_il, so no
     constant ClosedFunction is made and no term key is recomputed."""
@@ -607,12 +619,33 @@ def cfm_transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def cfm_diff(a, i):
-    """d a / d x_i entry by entry, computed afresh and not cached: the
-    exponential checks differentiate each entry once and only compare."""
-    if not 1 <= i <= NCOORD:
-        raise InputError(f"coordinate index {i} out of range")
-    return [[_derivative(x, i - 1) if x.terms else x for x in row] for row in a]
+def derivative_is(x, coord, mc, y):
+    """Whether d x / d x_coord = m y, for the constant matrix m given by its
+    nonzero entries mc = {(r, l): CRat}.  Entry (r, j) is one residual term
+    map: the partial of x[r][j], computed afresh and not cached, minus
+    sum_l m_rl y[l][j], added into one dict that must come out empty.  Term
+    maps are canonical, so this is the decision of comparing the two
+    matrices, with neither built.  An entry with x[r][j] zero and row r of m
+    empty is zero on both sides and is skipped."""
+    if not 1 <= coord <= NCOORD:
+        raise InputError(f"coordinate index {coord} out of range")
+    idx = coord - 1
+    rows = [[] for _ in x]  # the nonzero entries (l, -m_rl) of each row
+    for (r, l), c in mc.items():
+        rows[r].append((l, -c))
+    for xrow, mrow in zip(x, rows):
+        for j, f in enumerate(xrow):
+            if not (f.terms or mrow):
+                continue
+            acc = {}
+            if f.terms:
+                _derivative_into(acc, f, idx)
+            for l, c in mrow:
+                for key, v in y[l][j].terms.items():
+                    _accumulate(acc, key, c * v)
+            if acc:
+                return False
+    return True
 
 
 def cfm_reflect(a, i):
@@ -722,14 +755,22 @@ def cfm_inverse_unitdet(a):
     memo = {}
     dinv = _invert_unit(_minor(a, idx, idx, memo))
     signed = (dinv, -dinv)
-    # inverse[i][j] = (-1)^(i+j) minor(rows != j, cols != i) / det
-    return [
-        [
-            _minor(a, idx[:j] + idx[j + 1 :], idx[:i] + idx[i + 1 :], memo) * signed[(i + j) & 1]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    # with det = 1 or -1 an entry is its cofactor or the negative: no product
+    unit = dinv.terms.get((_ZEXP, _ZRATE)) if len(dinv.terms) == 1 else None
+    flip = {CR_ONE: 0, -CR_ONE: 1}.get(unit)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            # inverse[i][j] = (-1)^(i+j) minor(rows != j, cols != i) / det
+            m = _minor(a, idx[:j] + idx[j + 1 :], idx[:i] + idx[i + 1 :], memo)
+            odd = (i + j) & 1
+            if flip is None:
+                row.append(m * signed[odd])
+            else:
+                row.append(-m if odd != flip and m.terms else m)
+        out.append(row)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -1080,10 +1121,11 @@ def _matexp(mc, n, coord):
 
 def _verify_matexp(e, mc, coord):
     """Exact check that e = exp(x_coord M) for M given by its nonzero entries
-    mc = {(i, j): CRat}: e(0) = I and e' = M e (`_sparse_const_mul`)."""
+    mc = {(i, j): CRat}: e(0) = I, and e' = M e decided entry by entry on one
+    residual term map (`derivative_is`), so neither e' nor M e is built."""
     for i, row in enumerate(e):
         for j, f in enumerate(row):
             if (f.eval_at_zero() != (CR_ONE if i == j else CR_ZERO)) if f.terms else i == j:
                 raise InvariantError("matexp(0) != I")
-    if not cfm_eq(cfm_diff(e, coord), _sparse_const_mul(mc, len(e), e)):
+    if not derivative_is(e, coord, mc, e):
         raise InvariantError("matexp does not satisfy its defining ODE")

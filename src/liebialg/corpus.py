@@ -33,11 +33,12 @@ from importlib import resources
 
 from .core import StructureConstants
 from .errors import CorpusSyntaxError, EvalError, InputError
-from .exprtree import Expr, parse_expr, to_text
+from .exprtree import Expr, linear_parts, parse_expr, to_text
 from .rmatrix import TensorElement
 
 DEFAULT_GRID = (Fraction(-2), Fraction(-1, 2), Fraction(1, 3), Fraction(2))
 RFREE_GRID = (Fraction(0), Fraction(1))
+_D_NAMES = ("d1", "d2", "d3", "d4")  # the coordinate fields a frame line is linear in
 
 
 @dataclass
@@ -167,15 +168,19 @@ class FrameEntry:
     kind: str = "frame"
 
     def components(self, side, i, binding):
-        """Field i of side 'L'/'R' as 4 ClosedFunction components."""
+        """Field i of side 'L'/'R' as 4 ClosedFunction components: the
+        binding substituted once, then the coefficients of d1..d4 read in
+        one walk (`exprtree.linear_parts`).  InputError names the frame and
+        the field when the field is not linear in d1..d4 or has a term free
+        of them."""
         table = self.xl if side == "L" else self.xr
-        e = table[i].subs_params(binding)
-        comps = []
-        zero = {f"d{k}": Fraction(0) for k in range(1, 5)}
-        for k in range(1, 5):
-            sel = dict(zero)
-            sel[f"d{k}"] = Fraction(1)
-            comps.append(e.subs_params(sel).to_closed())
+        parts = linear_parts(table[i].subs_params(binding), _D_NAMES)
+        where = f"frame {self.name}: x{side.lower()} {i}"
+        if parts is None:
+            raise InputError(f"{where} is not linear in d1..d4")
+        free, comps = parts
+        if free:
+            raise InputError(f"{where} has a term free of d1..d4")
         return comps
 
 
@@ -218,12 +223,23 @@ _BLOCK_KEYWORDS = (
 
 
 def parse(text, filename="<corpus>"):
-    """Parse corpus text into a list of entries with location diagnostics."""
+    """Parse corpus text into a list of entries with location diagnostics.
+    Equal expression texts in one file share one tree: a tree is never
+    changed after its parse, and only a parse that succeeds is kept, so a
+    text that fails is parsed again where it recurs and every diagnostic
+    names its own line."""
     entries = []
     current = None
+    trees = {}
 
     def err(msg, lineno, col=None):
         raise CorpusSyntaxError(msg, line=lineno, col=col, filename=filename)
+
+    def expr(body, lineno):
+        tree = trees.get(body)
+        if tree is None:
+            tree = trees[body] = parse_expr(body, line=lineno, filename=filename)
+        return tree
 
     def close():
         nonlocal current
@@ -244,7 +260,7 @@ def parse(text, filename="<corpus>"):
         if current is None:
             err(f"payload line outside any block: {head!r}", lineno)
         try:
-            _payload_line(current, head, words, line, err, lineno, filename)
+            _payload_line(current, head, words, line, err, lineno, expr)
         except EvalError as ex:  # a constant division by zero in the text
             err(str(ex), lineno)
     close()
@@ -286,7 +302,7 @@ def _open_block(head, words, err, lineno):
     return FixtureEntry(words[1])
 
 
-def _payload_line(entry, head, words, line, err, lineno, filename):
+def _payload_line(entry, head, words, line, err, lineno, expr):
     if head == "source":
         entry.source = line[len("source") :].strip()
         return
@@ -305,8 +321,8 @@ def _payload_line(entry, head, words, line, err, lineno, filename):
         lhs, rhs = body.split("!=", 1)
         entry.constraints.append(
             Constraint(
-                parse_expr(lhs, line=lineno, filename=filename),
-                parse_expr(rhs, line=lineno, filename=filename),
+                expr(lhs, lineno),
+                expr(rhs, lineno),
             )
         )
         return
@@ -326,7 +342,7 @@ def _payload_line(entry, head, words, line, err, lineno, filename):
                 err(f"bad bracket term {chunk.strip()!r}", lineno)
             terms.append(
                 (
-                    parse_expr(cw[0], line=lineno, filename=filename),
+                    expr(cw[0], lineno),
                     _index(cw[1], err, lineno),
                 )
             )
@@ -343,7 +359,7 @@ def _payload_line(entry, head, words, line, err, lineno, filename):
                 err(f"bad r term {chunk.strip()!r}", lineno)
             entry.terms.append(
                 (
-                    parse_expr(cw[0], line=lineno, filename=filename),
+                    expr(cw[0], lineno),
                     _index(cw[1], err, lineno),
                     _index(cw[3], err, lineno),
                     cw[2],
@@ -365,7 +381,7 @@ def _payload_line(entry, head, words, line, err, lineno, filename):
                 err(f"bad schouten term {chunk.strip()!r}", lineno)
             entry.schouten_terms.append(
                 (
-                    parse_expr(cw[0], line=lineno, filename=filename),
+                    expr(cw[0], lineno),
                     _index(cw[1], err, lineno),
                     _index(cw[2], err, lineno),
                     _index(cw[3], err, lineno),
@@ -383,7 +399,7 @@ def _payload_line(entry, head, words, line, err, lineno, filename):
         key = (_index(lw[0], err, lineno), _index(lw[1], err, lineno))
         if key in entry.brackets:
             err(f"duplicate pb {key}", lineno)
-        entry.brackets[key] = parse_expr(right, line=lineno, filename=filename)
+        entry.brackets[key] = expr(right, lineno)
         return
     if head in ("xl", "xr") and entry.kind == "frame":
         body = line[2:].strip()
@@ -394,7 +410,7 @@ def _payload_line(entry, head, words, line, err, lineno, filename):
         table = entry.xl if head == "xl" else entry.xr
         if i in table:
             err(f"duplicate {head} {i}", lineno)
-        table[i] = parse_expr(right, line=lineno, filename=filename)
+        table[i] = expr(right, lineno)
         return
     if head == "pair" and entry.kind == "membership":
         if len(words) != 3:
@@ -409,15 +425,15 @@ def _payload_line(entry, head, words, line, err, lineno, filename):
         if head == "ref":
             entry.refs[key] = rhs
         elif head == "expr":
-            entry.exprs[key] = parse_expr(rhs, line=lineno, filename=filename)
+            entry.exprs[key] = expr(rhs, lineno)
         elif head == "val":
-            entry.vals[key] = parse_expr(rhs, line=lineno, filename=filename)
+            entry.vals[key] = expr(rhs, lineno)
         else:
             rows = []
             for rtext in rhs.split(";"):
                 rows.append(
                     [
-                        parse_expr(cell, line=lineno, filename=filename)
+                        expr(cell, lineno)
                         for cell in rtext.split()
                     ]
                 )
@@ -429,10 +445,10 @@ def _payload_line(entry, head, words, line, err, lineno, filename):
 
 
 def _index(tok, err, lineno):
-    try:
-        v = int(tok)
-    except ValueError:
+    # ASCII digits only: int() also reads other scripts' digits, signs and "1_0"
+    if not (tok.isascii() and tok.isdigit()):
         err(f"expected a basis index, found {tok!r}", lineno)
+    v = int(tok)
     if not 1 <= v <= 8:
         err(f"basis index {v} out of range", lineno)
     return v

@@ -108,27 +108,11 @@ class Expr:
         if op == "div":
             return self.args[0].to_closed() * self.args[1].to_closed().reciprocal()
         if op == "pow":
-            base = self.args[0].to_closed()
-            p = self.args[1]
-            if p < 0:
-                base, p = base.reciprocal(), -p
-            acc = cf_const(1)
-            for _ in range(p):
-                acc = acc * base
-            return acc
+            return _power(self.args[0].to_closed(), self.args[1])
         if op == "neg":
             return -self.args[0].to_closed()
         if op in _FUNCS:
-            coeffs = _linear_form(self.args[0])
-            if op == "exp":
-                return cf_exp(coeffs)
-            if op == "sin":
-                return cf_sin(coeffs)
-            if op == "cos":
-                return cf_cos(coeffs)
-            if op == "sinh":
-                return cf_sinh(coeffs)
-            return cf_cosh(coeffs)
+            return _CLOSED_FUNCS[op](_linear_form(self.args[0].to_closed()))
         raise InputError(f"unknown node {op}")
 
     # bench/run.py --trace 1 counts the calls of diff and evalf by name, so
@@ -142,9 +126,20 @@ class Expr:
         return self.subs_params(params or {}).to_closed().eval(point)
 
 
-def _linear_form(e):
-    """Argument of exp/trig: homogeneous linear with rational coefficients."""
-    f = e.to_closed()
+def _power(base, p):
+    """base^p for a closed function base and an int p; a negative p goes
+    through the reciprocal of base."""
+    if p < 0:
+        base, p = base.reciprocal(), -p
+    acc = cf_const(1)
+    for _ in range(p):
+        acc = acc * base
+    return acc
+
+
+def _linear_form(f):
+    """Argument of exp/trig, as a closed function: homogeneous linear with
+    rational coefficients, returned as {coordinate (1-based): Fraction}."""
     coeffs = {}
     for (k, z), c in f.terms.items():
         if any(zi for zi in z) or min(k) < 0:
@@ -161,6 +156,78 @@ def _linear_form(e):
         idx = next(i for i, ki in enumerate(k) if ki)
         coeffs[idx + 1] = c.re
     return coeffs
+
+
+_CLOSED_FUNCS = {"exp": cf_exp, "sin": cf_sin, "cos": cf_cos, "sinh": cf_sinh, "cosh": cf_cosh}
+
+
+class _NotLinear(Exception):
+    """A node that is not linear in the names `linear_parts` reads."""
+
+
+def linear_parts(e, names):
+    """(c, [v_1, ..., v_n]) with e = c + sum_k v_k names[k], the c and v_k
+    closed functions free of the parameters `names`, read off the tree in
+    one walk that converts every other node as `Expr.to_closed` does; each
+    v_k is zero when no name occurs.  None when e is not linear in them: a
+    product or power of two of them, or one in a denominator or in the
+    argument of exp or a trigonometric function."""
+    slots = {name: k for k, name in enumerate(names)}
+    try:
+        c, v = _parts(e, slots)
+    except _NotLinear:
+        return None
+    return c, [ClosedFunction.zero()] * len(names) if v is None else v
+
+
+def _parts(e, slots):
+    """(c, v) for `linear_parts`, with v None when no name occurs in e."""
+    op = e.op
+    if op == "param" and e.args[0] in slots:
+        v = [ClosedFunction.zero()] * len(slots)
+        v[slots[e.args[0]]] = cf_const(1)
+        return ClosedFunction.zero(), v
+    if op in ("const", "coord", "param"):
+        return e.to_closed(), None
+    if op == "add":
+        c, v = ClosedFunction.zero(), None
+        for a in e.args:
+            ca, va = _parts(a, slots)
+            c = c + ca
+            if va is not None:
+                v = va if v is None else [x + y for x, y in zip(v, va)]
+        return c, v
+    if op == "neg":
+        c, v = _parts(e.args[0], slots)
+        return -c, None if v is None else [-x for x in v]
+    if op == "mul":
+        # (c + v.d) (ca + va.d) is linear while v or va is None
+        c, v = cf_const(1), None
+        for a in e.args:
+            ca, va = _parts(a, slots)
+            if va is not None:
+                if v is not None:
+                    raise _NotLinear
+                v = [c * x for x in va]
+            elif v is not None:
+                v = [x * ca for x in v]
+            c = c * ca
+        return c, v
+    if op == "div":
+        cd, vd = _parts(e.args[1], slots)
+        if vd is not None:
+            raise _NotLinear
+        inv = cd.reciprocal()
+        c, v = _parts(e.args[0], slots)
+        return c * inv, None if v is None else [x * inv for x in v]
+    c, v = _parts(e.args[0], slots)
+    if v is not None:
+        raise _NotLinear
+    if op == "pow":
+        return _power(c, e.args[1]), None
+    if op in _FUNCS:
+        return _CLOSED_FUNCS[op](_linear_form(c)), None
+    raise InputError(f"unknown node {op}")
 
 
 # --------------------------------------------------------------------------
@@ -258,6 +325,9 @@ _REBUILD = {"add": add, "mul": mul, "div": div, "neg": neg}
 # --------------------------------------------------------------------------
 
 _COORDS = {"x1": 1, "x2": 2, "x3": 3, "x4": 4}
+_DIGITS = frozenset("0123456789")
+_NAME_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_NAME_CHARS = _NAME_START | _DIGITS
 
 
 class _Tokens:
@@ -274,6 +344,8 @@ class _Tokens:
         raise CorpusSyntaxError(msg, line=self.line, col=pos + 1, filename=self.filename)
 
     def _scan(self):
+        # digits and names are ASCII only: str.isdigit and str.isalnum also
+        # accept superscripts, subscripts and other scripts' digits
         t = self.text
         i = 0
         while i < len(t):
@@ -281,16 +353,16 @@ class _Tokens:
             if ch.isspace():
                 i += 1
                 continue
-            if ch.isdigit():
+            if ch in _DIGITS:
                 j = i
-                while j < len(t) and t[j].isdigit():
+                while j < len(t) and t[j] in _DIGITS:
                     j += 1
                 self.toks.append(("num", int(t[i:j]), i))
                 i = j
                 continue
-            if ch.isalpha() or ch == "_":
+            if ch in _NAME_START:
                 j = i
-                while j < len(t) and (t[j].isalnum() or t[j] == "_"):
+                while j < len(t) and t[j] in _NAME_CHARS:
                     j += 1
                 self.toks.append(("name", t[i:j], i))
                 i = j

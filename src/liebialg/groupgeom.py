@@ -8,19 +8,17 @@ with matrices acting on the right of row vectors (row = input basis index).
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import ratlinalg as rl
 from .closedfun import (
     CRat,
     cf_matexp_pm_sparse,
-    cfm_const_mul,
-    cfm_diff,
-    cfm_eq,
+    cfm_const_mul_sparse,
     cfm_identity,
     cfm_inverse_unitdet,
     cfm_mul,
     cfm_sum_products,
     cfm_transpose,
     cfm_zeros,
+    derivative_is,
 )
 from .core import StructureConstants, bialgebra_failure, jacobi_check
 from .errors import InputError, InvariantError
@@ -99,12 +97,6 @@ def adjoint_maps(f: StructureConstants):
     for (i, j, k, w) in ints:
         maps[i][(j, k)] = CRat(-w if den == 1 else Fraction(-w, den))
     return maps
-
-
-def _central(f: StructureConstants):
-    """[ad X_i = 0 for each i]: exp(x_i Xadj_i) is then I."""
-    moved = {i for i, _, _, _ in f.nonzero()}
-    return [i not in moved for i in range(f.dim)]
 
 
 def _times(a, b):
@@ -198,30 +190,35 @@ def double_exp_factor(frame: InvariantFrame, fd: StructureConstants, i):
     TAC 1978).  E and E_- passed their own exact checks; F is checked
     exactly against F(0) = 0 and F' = B E - A^T F.  From any integrand X E,
     F' = E_-^T X E - A^T F, so the integrand is built as (E^T B) E and the
-    check's B E apart from it: a wrong constant product fails the check.  The
-    check's right side is one constant product [B | -A^T] [E; F], with
-    -A^T[j][k] = f_(i+1)k^j.  The products by constant matrices run over
-    their nonzero entries (`cfm_const_mul`)."""
+    check's B E apart from it: a wrong constant product fails the check.
+    Both constant matrices are maps of their nonzero CRat entries, read off
+    the nonzero entries of fd and of `frame.base`: B^T for the integrand's
+    E^T B = (B^T E)^T (`cfm_const_mul_sparse`), and the check's [B | -A^T],
+    with -A^T[j][k] = f_(i+1)k^j, against the stacked [E; F]: the check
+    decides F' = [B | -A^T] [E; F] on one residual term map per entry
+    (`derivative_is`) and builds neither side."""
     n = frame.base.dim
     coord = i + 1
-    b = rl.zeros(n, n)  # B[j][k] = -ft^jk_(i+1), from the nonzero entries of fd
+    bt, check = {}, {}  # B^T and [B | -A^T], B[j][k] = -ft^jk_(i+1)
     for j, k, l, v in fd.nonzero():
         if l == i:
-            b[j][k] = -v
+            bt[k, j] = check[j, k] = CRat(-v)
     e, em = frame.exp_pos[i], frame.exp_neg[i]
     low = cfm_zeros(n, n)
-    if any(any(row) for row in b):
-        etb = cfm_transpose(cfm_const_mul(cfm_transpose(b), e))
+    if bt:
+        for a, k, j, v in frame.base.nonzero():
+            if a == i:
+                check[j, n + k] = CRat(v)
+        etb = cfm_transpose(cfm_const_mul_sparse(bt, n, e))
         # with A = 0, E = E_- = I, so the integrand is E^T B and F its integral
-        central = _central(frame.base)[i]
+        central = len(check) == len(bt)
         inner = etb if central else cfm_mul(etb, e)
         low = [[x.integral(coord) for x in row] for row in inner]
         if not central:
             low = cfm_mul(cfm_transpose(em), low)
         if any(x.eval_at_zero() for row in low for x in row):
             raise InvariantError("lower-left block of the double's exponential is nonzero at 0")
-        check = [rb + list(col) for rb, col in zip(b, zip(*frame.base.f[i]))]
-        if not cfm_eq(cfm_diff(low, coord), cfm_const_mul(check, e + low)):
+        if not derivative_is(low, coord, check, e + low):
             raise InvariantError(
                 "lower-left block of the double's exponential fails F' = B E - A^T F"
             )

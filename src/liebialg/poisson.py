@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 
 from .closedfun import (
     CR_ZERO,
+    cf_is_negation,
     cf_sum_products,
     cfm_is_zero,
     cfm_mul,
@@ -20,16 +21,23 @@ from .rmatrix import TensorElement
 
 @dataclass
 class PoissonBivector:
+    """A bivector P on the chart, checked on construction: P is
+    antisymmetric (a zero diagonal, and each P[j][i], i < j, has the term
+    map of P[i][j] with every coefficient negated; no negated copy is
+    built) and vanishes at the origin, which antisymmetry lets it check
+    above the diagonal only."""
+
     P: list  # 4x4 CFMatrix, P[i][j] = {x_{i+1}, x_{j+1}}
 
     def __post_init__(self):
         n = len(self.P)
         for i in range(n):
-            for j in range(n):
-                if self.P[i][j] != -self.P[j][i]:
-                    raise InputError("bivector is not antisymmetric")
+            if self.P[i][i] or not all(
+                cf_is_negation(self.P[i][j], self.P[j][i]) for j in range(i + 1, n)
+            ):
+                raise InputError("bivector is not antisymmetric")
         for i in range(n):
-            for j in range(n):
+            for j in range(i + 1, n):
                 if self.P[i][j].eval_at_zero():
                     raise InputError("bivector does not vanish at the origin")
 

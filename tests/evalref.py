@@ -11,7 +11,15 @@ floats and raise the same errors.  `cfm_mul_sum` is the entry-wise matrix
 product, a sum of ClosedFunction products, and the oracle of the fused
 `cfm_mul`.  `cfm_from_frac` makes a constant matrix a matrix of constant
 closed functions, so that `cfm_mul(cfm_from_frac(m), a)` is the dense oracle
-of the sparse `cfm_const_mul(m, a)`.  `transport_dense` is x^T m x for a
+of the sparse `cfm_const_mul(m, a)`, the dense adapter of
+`closedfun.cfm_const_mul_sparse`.  `derivative_is_by_matrices` builds
+d x / d x_coord (`cfm_diff`, afresh through `fresh_diff`) and m y and
+compares them: the retired route of the exponential and lower-block checks,
+and the oracle of the one residual term map of `closedfun.derivative_is`.
+`components_by_substitution` reads a printed frame field by five
+substitutions and four conversions, the retired route and the oracle of
+`FrameEntry.components`.  `central_coords` lists the coordinates whose adjoint is zero, which the retired
+`groupgeom._central` gave the lower-block integrand.  `transport_dense` is x^T m x for a
 constant m by two such 4 x 4 products, and `sklyanin_dense` is XL^T r XL -
 XR^T r XR from two of them: the retired path and the oracle of the 2 x 2
 minor form of the right side of `poisson.multiplicative_check` and of
@@ -81,6 +89,8 @@ from liebialg.closedfun import (
     _spectrum,
     cf_const,
     cf_exp,
+    cfm_const_mul_sparse,
+    cfm_eq,
     cfm_identity,
     cfm_mul,
     cfm_transpose,
@@ -198,6 +208,46 @@ def mul_into_by_crats(t, f, g, neg=False):
 def cfm_from_frac(m):
     """A rational or CRat matrix as constant closed functions."""
     return [[cf_const(x) for x in row] for row in m]
+
+
+def cfm_const_mul(m, a):
+    """m a for a constant matrix m of rationals or CRats, through the sparse
+    `cfm_const_mul_sparse` on its nonzero entries."""
+    return cfm_const_mul_sparse(_sparse(m), len(m), a)
+
+
+def cfm_diff(a, i):
+    """d a / d x_i entry by entry, each partial computed afresh."""
+    return [[fresh_diff(x, i) for x in row] for row in a]
+
+
+def dense_of(mc, rows, cols):
+    """The rows x cols matrix with the nonzero entries mc = {(r, l): CRat}."""
+    return [[mc.get((r, l), CR_ZERO) for l in range(cols)] for r in range(rows)]
+
+
+def derivative_is_by_matrices(x, coord, mc, y):
+    """Whether d x / d x_coord = m y, by building both sides as matrices and
+    comparing them: the retired route and the oracle of the one residual map
+    per entry of `closedfun.derivative_is`."""
+    m = dense_of(mc, len(x), len(y))
+    return cfm_eq(cfm_diff(x, coord), cfm_const_mul(m, y))
+
+
+def components_by_substitution(fe, side, i, binding):
+    """Field i of side 'L'/'R' of a corpus frame as 4 closed functions, by
+    the retired route: the binding substituted, then d_k = 1 and the other
+    d's = 0 substituted and converted, once for each k.  The oracle of the
+    one-walk `FrameEntry.components`."""
+    e = (fe.xl if side == "L" else fe.xr)[i].subs_params(binding)
+    zero = {f"d{k}": Fraction(0) for k in range(1, 5)}
+    return [e.subs_params({**zero, f"d{k}": Fraction(1)}).to_closed() for k in range(1, 5)]
+
+
+def central_coords(f):
+    """[ad X_i = 0 for each i]: exp(x_i Xadj_i) is then I."""
+    moved = {i for i, _, _, _ in f.nonzero()}
+    return [i not in moved for i in range(f.dim)]
 
 
 def transport_dense(m, x):

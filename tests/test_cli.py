@@ -13,7 +13,7 @@ import pytest
 import liebialg
 from liebialg import corpus as corpus_mod
 from liebialg import core, groupgeom, harness, integrable
-from liebialg.closedfun import ClosedFunction, cfm_identity
+from liebialg.closedfun import ClosedFunction, cf_const, cf_coord
 from liebialg.cli import _report_lines, main
 from liebialg.errors import (
     EvalError,
@@ -248,8 +248,16 @@ def test_verify_entry_error_fails_each_entry_not_the_run(table, module, name, mo
 def test_invariant_failure_fails_its_entry(tmp_path, monkeypatch, capsys):
     assert not issubclass(InvariantError, ValueError)  # never a usage error
     # a wrong F' fails the F' = B E - A^T F check of (A_4_1, A_4_1.i), whose
-    # dual slices are nonzero; the zero dual of the abelian row builds no F
-    monkeypatch.setattr(groupgeom, "cfm_diff", lambda m, coord: cfm_identity(len(m)))
+    # dual slices are nonzero; the zero dual of the abelian row builds no F.
+    # The check is handed x_coord I for F, so the F' it decides on is I
+    exact = groupgeom.derivative_is
+
+    def wrong_derivative(x, coord, mc, y):
+        n = len(x)
+        planted = [[cf_coord(coord) if r == j else cf_const(0) for j in range(n)] for r in range(n)]
+        return exact(planted, coord, mc, y)
+
+    monkeypatch.setattr(groupgeom, "derivative_is", wrong_derivative)
     path = tmp_path / "two.txt"
     path.write_text(A41_CORPUS + ABELIAN_CORPUS)
     assert main(["--corpus", str(path), "--json", "verify", "--table", "6"]) == 1
@@ -481,6 +489,16 @@ def test_corpus_constant_division_by_zero_exit_two(tmp_path, capsys):
     path.write_text("algebra X\n  bracket 1 2 -> 1/0 3\n")
     assert main(["--corpus", str(path), "verify", "--table", "1"]) == 2
     assert "div0.txt:2:" in capsys.readouterr().err
+
+
+def test_corpus_non_ascii_digit_exit_two_with_its_location(tmp_path, capsys):
+    # "2²" once reached int() whole and ended the run with a bare
+    # "invalid literal for int()" and no location
+    path = tmp_path / "sup.txt"
+    path.write_text("algebra X\n  bracket 1 2 -> 2² 3\n", encoding="utf-8")
+    assert main(["--corpus", str(path), "verify", "--table", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.strip() == "error: sup.txt:2:2: unexpected character '²'"
 
 
 def test_python_m_liebialg_help():

@@ -19,6 +19,7 @@ from liebialg.closedfun import (
     cf_exp,
     cf_matexp,
     cf_matexp_pm,
+    cf_matexp_pm_sparse,
     cf_sin,
     cf_sinh,
     cfm_eq,
@@ -26,6 +27,7 @@ from liebialg.closedfun import (
     cfm_identity,
     cfm_inverse_unitdet,
     cfm_mul,
+    derivative_is,
 )
 from liebialg.core import StructureConstants
 from liebialg.errors import (
@@ -36,9 +38,10 @@ from liebialg.errors import (
     UnsupportedSpectrum,
 )
 from liebialg.exprtree import parse_expr
+from liebialg.groupgeom import adjoint_maps
 from liebialg.render import render_closed_function
 
-from evalref import cfm_mul_sum, outcome, term_loop
+from evalref import cfm_mul_sum, derivative_is_by_matrices, inverse_by_cofactors, outcome, term_loop
 
 
 def _random_cf(rng, depth=3):
@@ -479,6 +482,87 @@ def test_fused_product_matches_the_sum_of_products():
 
     check()
     assert any(cancelled)
+
+
+def _corpus_exponential_maps(reg):
+    """Every distinct (map of nonzero adjoint entries, coordinate) over the
+    corpus algebras at every grid binding."""
+    seen = {}
+    for name in sorted(reg.algebras):
+        for binding in reg.grid_bindings(name):
+            for i, mc in enumerate(adjoint_maps(reg.instantiate(name, binding))):
+                seen.setdefault((frozenset(mc.items()), i + 1), mc)
+    return [(mc, coord) for (_, coord), mc in seen.items()]
+
+
+def test_derivative_is_agrees_with_the_matrix_comparison_on_every_corpus_exponential(reg):
+    cases = _corpus_exponential_maps(reg)
+    assert len(cases) > 100
+    outcomes = set()
+    for mc, coord in cases:
+        e, em = cf_matexp_pm_sparse(mc, 4, coord)
+        neg = {k: -c for k, c in mc.items()}
+        # both signs, and each exponential against the other sign's map,
+        # which it solves only when M = 0
+        for x, m, want in ((e, mc, True), (em, neg, True), (e, neg, not mc), (em, mc, not mc)):
+            got = derivative_is(x, coord, m, x)
+            assert got == derivative_is_by_matrices(x, coord, m, x) == want, (mc, coord)
+            outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_derivative_is_reads_zero_entries_against_their_rows():
+    x1, zero = cf_coord(1), ClosedFunction.zero()
+    # d 0 = 0 but m y = x1 in entry (0, 0); m's row 1 is empty and x is 0 there
+    assert not derivative_is([[zero], [zero]], 1, {(0, 0): CRat(1)}, [[x1]])
+    assert derivative_is([[zero], [zero]], 1, {}, [[x1]])
+    assert not derivative_is([[zero], [x1]], 1, {(0, 0): CRat(1)}, [[zero]])
+    assert derivative_is([[x1 * x1]], 1, {(0, 0): CRat(2)}, [[x1]])
+    with pytest.raises(InputError):
+        derivative_is([[x1]], 5, {}, [[x1]])
+
+
+def test_dropping_one_residual_term_raises(reg, monkeypatch):
+    cases = [(mc, coord) for mc, coord in _corpus_exponential_maps(reg) if mc]
+    exact = closedfun._derivative_into
+
+    def lossy(acc, f, idx):
+        exact(acc, f, idx)
+        if acc:
+            del acc[next(iter(acc))]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(closedfun, "_derivative_into", lossy)
+        for mc, coord in cases:
+            with pytest.raises(InvariantError, match="defining ODE"):
+                cf_matexp_pm_sparse(mc, 4, coord)
+    # a term of the exponential itself dropped, from an entry that is not
+    # the constant 0 or 1
+    one = cf_const(1)
+    for mc, coord in cases:
+        e, _ = cf_matexp_pm_sparse(mc, 4, coord)
+        r, j, key = next((r, j, key) for r, row in enumerate(e) for j, f in enumerate(row)
+                         for key in f.terms if f != one)
+        terms = dict(e[r][j].terms)
+        del terms[key]
+        lossy_e = [list(row) for row in e]
+        lossy_e[r][j] = ClosedFunction(terms)
+        with pytest.raises(InvariantError):
+            closedfun._verify_matexp(lossy_e, mc, coord)
+
+
+def _pcf(text):
+    return parse_expr(text).to_closed()
+
+
+def test_a_unit_determinant_of_minus_one_inverts_by_signed_cofactors():
+    a = [[_pcf("exp(x1)"), _pcf("x2")], [_pcf("0"), _pcf("-exp(-x1)")]]
+    inv = cfm_inverse_unitdet(a)
+    assert cfm_eq(cfm_mul(a, inv), cfm_identity(2))
+    assert inv == inverse_by_cofactors(a)
+    b = [[_pcf("x1"), _pcf("1"), _pcf("0")], [_pcf("1"), _pcf("0"), _pcf("0")], [_pcf("x3"), _pcf("x2"), _pcf("1")]]
+    assert cfm_eq(cfm_mul(b, cfm_inverse_unitdet(b)), cfm_identity(3))
+    assert cfm_inverse_unitdet(b) == inverse_by_cofactors(b)
 
 
 def test_inverse_of_exponential_matrix():

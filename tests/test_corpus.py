@@ -1,12 +1,15 @@
 """Corpus format: parsing, diagnostics, canonical serialization, instantiation."""
 
+import re
 from fractions import Fraction
 from importlib import resources
 
 import pytest
 
+from evalref import components_by_substitution
 from liebialg import corpus as corpus_mod
 from liebialg.errors import CorpusSyntaxError, InputError
+from liebialg.exprtree import parse_expr, to_text
 
 SAMPLE = """
 # a comment
@@ -191,6 +194,85 @@ def test_frames_extract_linear_components(reg):
         full = fe.xl[2].subs_params(dvals).to_closed().eval(p)
         parts = sum(float(dvals[f"d{k+1}"]) * comps[k].eval(p) for k in range(4))
         assert abs(full - parts) < 1e-9
+
+
+def test_components_equal_the_substitution_route_on_every_frame_field(reg):
+    fields = 0
+    for name, fe in sorted(reg.frames.items()):
+        for binding in reg.grid_bindings(name):
+            for side, table in (("L", fe.xl), ("R", fe.xr)):
+                for i in sorted(table):
+                    got = fe.components(side, i, binding)
+                    assert got == components_by_substitution(fe, side, i, binding), (name, side, i)
+                    fields += 1
+    assert fields >= 376
+
+
+FRAME_HEAD = """algebra demo
+  bracket 1 4 -> 1 1
+frame demo
+  xl 1 = d1
+  xl 3 = d3
+  xl 4 = d4
+"""
+
+
+@pytest.mark.parametrize(
+    "field, why",
+    [
+        ("d1 + x2", "has a term free of d1..d4"),
+        ("x2", "has a term free of d1..d4"),
+        ("d1*d2", "is not linear in d1..d4"),
+        ("d2^2", "is not linear in d1..d4"),
+        ("x1/d2", "is not linear in d1..d4"),
+        ("exp(d2)", "is not linear in d1..d4"),
+        ("exp(x1)*(d1 + x4*d2)*d3", "is not linear in d1..d4"),
+    ],
+)
+def test_a_field_not_linear_and_homogeneous_in_d_is_rejected(field, why):
+    reg = corpus_mod.Corpus(corpus_mod.parse(FRAME_HEAD + f"  xl 2 = {field}\n"))
+    fe = reg.frames["demo"]
+    assert fe.components("L", 1, {})[0] == parse_expr("1").to_closed()
+    with pytest.raises(InputError, match=re.escape(f"frame demo: xl 2 {why}")):
+        fe.components("L", 2, {})
+
+
+def test_a_linear_field_reads_its_coefficients():
+    reg = corpus_mod.Corpus(corpus_mod.parse(FRAME_HEAD + "  xl 2 = -(exp(x4)*(d2 - x4*d1))/x1 + 0*d3\n"))
+    got = reg.frames["demo"].components("L", 2, {})
+    want = ["x4*exp(x4)/x1", "-exp(x4)/x1", "0", "0"]
+    assert got == [parse_expr(w).to_closed() for w in want]
+
+
+def test_equal_texts_in_one_file_share_one_tree():
+    text = "algebra a\n  bracket 1 2 -> 1 + b 3\n  bracket 1 3 -> 1 + b 2\n  bracket 2 3 -> 1 4\n"
+    first, second = corpus_mod.parse(text), corpus_mod.parse(text)
+    (e12, _), = first[0].brackets[1, 2]
+    (e13, _), = first[0].brackets[1, 3]
+    assert e12 is e13 and to_text(e12) == "(1 + b)"
+    # each parse has its own trees
+    assert second[0].brackets[1, 2][0][0] is not e12
+    assert second[0].brackets[1, 2][0][0] == e12
+
+
+def test_packaged_frames_share_a_tree_per_distinct_text():
+    text = resources.files("liebialg").joinpath("data", "frames.txt").read_text("utf-8")
+    frames = corpus_mod.parse(text, filename="frames.txt")
+    trees = [e for f in frames if f.kind == "frame" for e in (*f.xl.values(), *f.xr.values())]
+    assert len({id(e) for e in trees}) == len({to_text(e) for e in trees}) < len(trees)
+
+
+def test_a_recurring_bad_text_is_reported_at_its_first_line():
+    text = "algebra a\n  bracket 1 2 -> 1 3\n  bracket 1 3 -> 2² 2\n  bracket 2 3 -> 2² 4\n"
+    with pytest.raises(CorpusSyntaxError) as exc:
+        corpus_mod.parse(text, filename="f.txt")
+    assert (exc.value.filename, exc.value.line, exc.value.col) == ("f.txt", 3, 2)
+
+
+@pytest.mark.parametrize("tok", ["١", "+1", "1_0", "²"])
+def test_a_basis_index_is_ascii_digits(tok):
+    with pytest.raises(CorpusSyntaxError, match="expected a basis index"):
+        corpus_mod.parse(f"algebra x\n  bracket {tok} 2 -> 1 3\n")
 
 
 def test_poisson_closed_matrix_antisymmetric(reg):

@@ -82,6 +82,23 @@ def test_parse_error_reports_location():
     assert exc.value.col is not None
 
 
+@pytest.mark.parametrize(
+    "text, col, char",
+    [("2²", 2, "²"), ("x1²", 3, "²"), ("x₁", 2, "₁"), ("٣*x1", 1, "٣"), ("bé", 2, "é")],
+)
+def test_digits_and_names_are_ascii(text, col, char):
+    # str.isdigit and str.isalnum accept superscripts, subscripts and other
+    # scripts' digits; the tokenizer takes none of them
+    with pytest.raises(CorpusSyntaxError, match=f"unexpected character {char!r}") as exc:
+        parse_expr(text, line=7, filename="f.txt")
+    assert (exc.value.filename, exc.value.line, exc.value.col) == ("f.txt", 7, col)
+
+
+def test_ascii_names_and_digits_still_parse():
+    e = parse_expr("_b2*x1 + 10*Q_9")
+    assert e.subs_params({"_b2": 1, "Q_9": Fraction(1, 10)}).to_closed() == parse_expr("x1 + 1").to_closed()
+
+
 def test_parse_error_unbalanced():
     with pytest.raises(CorpusSyntaxError):
         parse_expr("(1 + 2")

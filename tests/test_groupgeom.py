@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from evalref import double_adjoint_blocks, left_fields_by_adjugate
+from evalref import derivative_is_by_matrices, double_adjoint_blocks, left_fields_by_adjugate
 from liebialg import groupgeom
 from liebialg.closedfun import (
+    CR_ZERO,
+    _sparse,
     cf_matexp,
     cfm_eq,
     cfm_eval,
@@ -229,34 +231,81 @@ def test_dual_block_transpose_is_the_adjugate_inverse(reg, bench):
         assert cfm_eq(cfm_transpose(d), cfm_inverse_unitdet(a)), (g, dual)
 
 
+def test_derivative_is_agrees_on_every_double_factor_of_the_poisson_rows(reg, bench, monkeypatch):
+    # the lower block's check map [B | -A^T] against [E; F], as the factor
+    # hands it over, and with B negated, which F solves only when B = 0
+    handed = []
+    check = groupgeom.derivative_is
+
+    def recorded(x, coord, mc, y):
+        handed.append((x, coord, mc, y))
+        return check(x, coord, mc, y)
+
+    monkeypatch.setattr(groupgeom, "derivative_is", recorded)
+    rows = factors = 0
+    for pe in reg.poisson:
+        binding = reg.grid_bindings(pe.g, pe.dual, cap=1)[0]
+        frame, fd = bench.frame(pe.g, binding), reg.instantiate(pe.dual, binding)
+        for i in range(4):
+            b = _dual_block(fd, i)
+            if not any(map(any, b)):
+                continue
+            handed.clear()
+            e, low, _ = double_exp_factor(frame, fd, i)
+            minus_at = [[-x for x in row] for row in zip(*frame.base.adjoint(i))]
+            want = _sparse([rb + ra for rb, ra in zip(b, minus_at)])
+            assert len(handed) == 1 and handed[0][2] == want, (pe.name, i)
+            x, coord, mc, y = handed[0]
+            assert x is low and coord == i + 1 and y == e + low
+            wrong = {(j, k): -c if k < 4 else c for (j, k), c in mc.items()}
+            assert check(x, coord, mc, y) and derivative_is_by_matrices(x, coord, mc, y)
+            assert not check(x, coord, wrong, y)
+            assert not derivative_is_by_matrices(x, coord, wrong, y)
+            factors += 1
+        rows += 1
+    assert rows == 166 and factors > 166
+
+
 @pytest.mark.parametrize("side", ["B E", "B^T E"])
 def test_corrupted_constant_product_fails_the_lower_block_check(reg, bench, monkeypatch, side):
-    # the check's B E, part of the one product [B | -A^T] [E; F], and the
-    # integrand's E^T B = (B^T E)^T are separate products, so a wrong one of
+    # the check's B E, part of the map [B | -A^T] that F' is decided against,
+    # and the integrand's E^T B = (B^T E)^T are separate, so a wrong one of
     # either makes F' differ from B E - A^T F
     fd = reg.instantiate("A_4_7.i")
     frame = bench.frame("A_4_7", {})
-    exact = groupgeom.cfm_const_mul
+    check, integrand = groupgeom.derivative_is, groupgeom.cfm_const_mul_sparse
     checked = []
     for i in range(4):
         b = _dual_block(fd, i)
-        bt = [list(col) for col in zip(*b)]
-        if b == bt:
-            continue  # a corruption could not tell the two products apart
+        if not any(map(any, b)):
+            continue
         double_exp_factor(frame, fd, i)  # passes with the exact products
         minus_at = [[-x for x in row] for row in zip(*frame.base.adjoint(i))]
-        target = [rb + ra for rb, ra in zip(b, minus_at)] if side == "B E" else bt
+        bt = [list(col) for col in zip(*b)]
+        seen = []
 
-        def corrupted(m, a, _target=target, _coord=i + 1):
-            out = exact(m, a)
-            if m == _target:
-                out[0][0] = out[0][0] + _cf(f"x{_coord}")
+        def corrupted_check(x, coord, mc, y, _want=_sparse([rb + ra for rb, ra in zip(b, minus_at)])):
+            assert mc == _want  # the check's map is [B | -A^T]
+            seen.append(mc)
+            wrong = dict(mc)
+            wrong[0, 0] = wrong.get((0, 0), CR_ZERO) + 1  # B[0][0] off by one
+            return check(x, coord, {k: c for k, c in wrong.items() if c}, y)
+
+        def corrupted_integrand(mc, rows, a, _want=_sparse(bt), _coord=i + 1):
+            assert mc == _want  # the integrand's map is B^T
+            seen.append(mc)
+            out = integrand(mc, rows, a)
+            out[0][0] = out[0][0] + _cf(f"x{_coord}")
             return out
 
         with monkeypatch.context() as mp:
-            mp.setattr(groupgeom, "cfm_const_mul", corrupted)
+            if side == "B E":
+                mp.setattr(groupgeom, "derivative_is", corrupted_check)
+            else:
+                mp.setattr(groupgeom, "cfm_const_mul_sparse", corrupted_integrand)
             with pytest.raises(InvariantError, match="F' = B E - A\\^T F"):
                 double_exp_factor(frame, fd, i)
+        assert len(seen) == 1
         checked.append(i)
     assert len(checked) >= 2
 

@@ -25,9 +25,9 @@ from liebialg.closedfun import (  # noqa: E402
     _sparse,
     cf_matexp,
     cf_matexp_pm,
-    cfm_const_mul,
     cfm_mul,
     cfm_reflect,
+    derivative_is,
 )
 from liebialg.errors import UnsupportedSpectrum  # noqa: E402
 from liebialg.exprtree import parse_expr, to_text  # noqa: E402
@@ -41,7 +41,15 @@ from liebialg.integrable import (  # noqa: E402
     load_example,
 )
 
-from evalref import blocks, cfm_from_frac, eigenvalues  # noqa: E402
+from evalref import (  # noqa: E402
+    blocks,
+    cfm_const_mul,
+    cfm_diff,
+    cfm_from_frac,
+    dense_of,
+    derivative_is_by_matrices,
+    eigenvalues,
+)
 
 X = sympy.symbols("x1:5")
 
@@ -403,6 +411,31 @@ def test_constant_product_matches_the_dense_product(m, data):
     got, want = cfm_const_mul(m, a), cfm_mul(cfm_from_frac(m), a)
     assert [[g.terms for g in row] for row in got] == [[w.terms for w in row] for row in want]
     assert all(c for row in got for g in row for c in g.terms.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_derivative_is_matches_the_matrix_comparison(data):
+    # x = m z and y = z' give x' = m y; a drawn perturbation of x may break it
+    rows, inner, cols = (data.draw(st.integers(1, k)) for k in (4, 8, 4))
+    coord = data.draw(st.integers(1, 4))
+    mc = data.draw(st.dictionaries(
+        st.tuples(st.integers(0, rows - 1), st.integers(0, inner - 1)),
+        st.sampled_from([CRat(-2), CRat(1), CRat(1, 1), CRat(Fraction(1, 2))]),
+        max_size=6,
+    ))
+    z = data.draw(st.lists(st.lists(laurent(2), min_size=cols, max_size=cols), min_size=inner, max_size=inner))
+    y = cfm_diff(z, coord)
+    x = cfm_const_mul(dense_of(mc, rows, inner), z)
+    perturbed = data.draw(st.sampled_from([None, "add", "zero"]))
+    if perturbed:
+        # a term map added to an entry, or the entry zeroed: a zero x[r][j]
+        # against a nonzero (m y)[r][j] must still be read
+        r, j = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))
+        x[r][j] = x[r][j] + data.draw(laurent(2)) if perturbed == "add" else ClosedFunction.zero()
+    want = derivative_is_by_matrices(x, coord, mc, y)
+    assert derivative_is(x, coord, mc, y) == want
+    assert want or perturbed
 
 
 # --------------------------------------------------------------------------

@@ -290,6 +290,34 @@ def test_bivector_constructor_enforces_antisymmetry():
         PoissonBivector(mat)
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        {(0, 1): "x3", (1, 0): "-x3"},
+        {(0, 1): "x3"},
+        {(1, 0): "x3"},
+        {(2, 2): "x1"},
+        {(0, 1): "x3 + x1*x2", (1, 0): "-x3 + x1*x2"},
+        {(0, 1): "x3 + x1*x2", (1, 0): "-x3"},
+        {(0, 1): "x3", (1, 0): "-x3 - x4"},
+        {(0, 3): "sin(x2)", (3, 0): "-sin(x2)", (1, 2): "exp(x1)*x4", (2, 1): "-exp(x1)*x4"},
+        {(0, 3): "sin(x2)", (3, 0): "sin(-x2)", (1, 2): "cos(x1)*x4", (2, 1): "cos(x1)*x4"},
+        {(0, 1): "2*x3", (1, 0): "-x3"},
+    ],
+)
+def test_bivector_constructor_decides_antisymmetry_on_term_maps(entries):
+    # the retired decision: P[i][j] == -P[j][i] over all 16 entries, each
+    # through a negated copy
+    mat = [[ClosedFunction.zero()] * 4 for _ in range(4)]
+    for (i, j), text in entries.items():
+        mat[i][j] = _cf(text)
+    if all(mat[i][j] == -mat[j][i] for i in range(4) for j in range(4)):
+        assert PoissonBivector(mat).P is mat
+    else:
+        with pytest.raises(InputError, match="bivector is not antisymmetric"):
+            PoissonBivector(mat)
+
+
 def test_bivector_constructor_enforces_vanishing_at_origin():
     mat = [[ClosedFunction.zero()] * 4 for _ in range(4)]
     mat[0][1] = _cf("1 + x3")

@@ -30,6 +30,7 @@ import pytest
 
 from evalref import (
     ce_differential,
+    central_coords,
     cfm_mul_sum,
     closed_two_forms_by_fractions,
     det_by_cofactors,
@@ -67,7 +68,7 @@ from liebialg.core import (
     find_symplectic,
 )
 from liebialg.errors import NonUnitDeterminant
-from liebialg.groupgeom import GroupChart, _central, adjoint_maps, double_adjoint, invariant_frame
+from liebialg.groupgeom import GroupChart, adjoint_maps, double_adjoint, invariant_frame
 from liebialg.harness import _bkey
 from liebialg.render import render_closed_function
 from liebialg.rmatrix import solve_coboundary
@@ -129,7 +130,7 @@ def _ad_g_times_p_n(frame):
     (exp(0) = I) left out, times P_n = Ad(g)^-1, the way the retired
     `double_adjoint` formed it; I for an abelian g."""
     a = None
-    for e, central in zip(frame.exp_pos, _central(frame.base)):
+    for e, central in zip(frame.exp_pos, central_coords(frame.base)):
         if not central:
             a = e if a is None else cfm_mul(a, e)
     p_n = frame.prefix[-1]
@@ -145,7 +146,7 @@ def test_ad_g_times_p_n_is_the_identity_on_every_corpus_frame(frames):
     central = set()
     for name, fr in frames.items():
         assert cfm_eq(_ad_g_times_p_n(fr), cfm_identity(4)), name
-        central.add(sum(_central(fr.base)))
+        central.add(sum(central_coords(fr.base)))
     assert {0, 1, 2} <= central  # the abelian g is a drawn example below
 
 
