@@ -19,11 +19,15 @@ from .render import render_closed_function
 
 
 # argparse reports an ArgumentTypeError raised by a type function with its
-# own message; any other ValueError only as "invalid <function name> value"
+# own message; any other ValueError only as "invalid <function name> value".
+# Numbers are ASCII only, as in the corpus: int, float and Fraction also read
+# other scripts' digits.
 def _parse_param(text):
     name, eq, val = text.partition("=")
     if not (eq and name.strip()):
         raise argparse.ArgumentTypeError(f"needs NAME=RAT, got {text!r}")
+    if not val.isascii():
+        raise argparse.ArgumentTypeError(f"{val.strip()!r} is not a rational number")
     try:
         return name.strip(), Fraction(val.strip())
     except ZeroDivisionError:
@@ -34,6 +38,8 @@ def _parse_param(text):
 
 def _duration(text):
     try:
+        if not text.isascii():
+            raise ValueError
         x = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
@@ -51,7 +57,7 @@ def _step(text):
 
 def _jobs(text):
     try:
-        n = int(text)
+        n = int(text) if text.isascii() else 0
     except ValueError:
         n = 0
     if n < 1:

@@ -1038,12 +1038,6 @@ def cf_matexp(m, coord):
     return _matexp(_sparse(m), len(m), coord)
 
 
-def cf_matexp_pm(m, coord):
-    """(exp(x M), exp(-x M)) for a dense rational M: `cf_matexp_pm_sparse`
-    on its nonzero entries."""
-    return cf_matexp_pm_sparse(_sparse(m), len(m), coord)
-
-
 def cf_matexp_pm_sparse(mc, n, coord):
     """(exp(x M), exp(-x M)) for x = x_coord and the n x n matrix M given by
     its nonzero entries mc = {(i, j): CRat}.  The first is built from mc and

@@ -14,8 +14,6 @@ from math import lcm
 from . import ratlinalg as rl
 from .errors import InputError
 
-Rat = Fraction
-
 
 def _as_frac(x):
     return x if isinstance(x, Fraction) else Fraction(x)

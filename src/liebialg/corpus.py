@@ -24,7 +24,8 @@ of a line and owns the indented/keyword payload lines that follow:
 Shared payload lines: `source TEXT` (table/row anchor for reports),
 `status flagged`, `note TEXT`.  `#` starts a comment.  Expressions follow the
 grammar of exprtree.parse_expr (rationals, x1..x4, declared parameters,
-+ - * / ^, exp/sin/cos/sinh/cosh, parentheses).
++ - * / ^, exp/sin/cos/sinh/cosh, parentheses).  An algebra's constraints
+and bracket coefficients name only the parameters its header declares.
 """
 
 from dataclasses import dataclass, field
@@ -47,10 +48,12 @@ class Constraint:
     rhs: Expr
 
     def ok(self, binding):
+        """Whether the binding satisfies lhs != rhs; a side with no value at
+        the binding (a zero denominator) rejects it."""
         try:
             return self.lhs.eval_exact(binding) != self.rhs.eval_exact(binding)
-        except Exception:
-            return True  # constraints over unbound params never reject
+        except EvalError:
+            return False
 
     def text(self):
         return f"{to_text(self.lhs)} != {to_text(self.rhs)}"
@@ -321,8 +324,8 @@ def _payload_line(entry, head, words, line, err, lineno, expr):
         lhs, rhs = body.split("!=", 1)
         entry.constraints.append(
             Constraint(
-                expr(lhs, lineno),
-                expr(rhs, lineno),
+                _over_params(expr(lhs, lineno), entry, err, lineno),
+                _over_params(expr(rhs, lineno), entry, err, lineno),
             )
         )
         return
@@ -342,7 +345,7 @@ def _payload_line(entry, head, words, line, err, lineno, expr):
                 err(f"bad bracket term {chunk.strip()!r}", lineno)
             terms.append(
                 (
-                    expr(cw[0], lineno),
+                    _over_params(expr(cw[0], lineno), entry, err, lineno),
                     _index(cw[1], err, lineno),
                 )
             )
@@ -454,6 +457,28 @@ def _index(tok, err, lineno):
     return v
 
 
+def _names(e):
+    """The parameters and coordinates that the tree e names."""
+    if e.op == "param":
+        yield e.args[0]
+    elif e.op == "coord":
+        yield f"x{e.args[0]}"
+    else:
+        for a in e.args:
+            if isinstance(a, Expr):
+                yield from _names(a)
+
+
+def _over_params(e, entry, err, lineno):
+    """e, when it names only the algebra's declared parameters: a constraint
+    or bracket coefficient over anything else would have no value at any
+    binding."""
+    stray = sorted(set(_names(e)) - set(entry.params))
+    if stray:
+        err(f"{entry.name} declares no parameter {', '.join(stray)}", lineno)
+    return e
+
+
 def validate_references(entries):
     """Cross-entry name resolution (run after all corpus files are merged)."""
     algebras = {e.name for e in entries if e.kind == "algebra"}
@@ -475,83 +500,6 @@ def validate_references(entries):
 # --------------------------------------------------------------------------
 # serialization (canonical, re-parseable)
 # --------------------------------------------------------------------------
-
-
-def _tail(entry):
-    out = []
-    if entry.source:
-        out.append(f"  source {entry.source}")
-    if entry.status:
-        out.append(f"  status {entry.status}")
-    if entry.note:
-        out.append(f"  note {entry.note}")
-    return out
-
-
-def serialize(entries):
-    lines = []
-    for e in entries:
-        if e.kind == "algebra":
-            head = f"algebra {e.name}"
-            if e.params:
-                head += " params " + " ".join(e.params)
-            lines.append(head)
-            for c in e.constraints:
-                lines.append(f"  constraint {c.text()}")
-            for (i, j) in sorted(e.brackets):
-                terms = ", ".join(
-                    f"{to_text(expr)} {k}" for (expr, k) in e.brackets[(i, j)]
-                )
-                lines.append(f"  bracket {i} {j} -> {terms}")
-        elif e.kind == "bialgebra":
-            lines.append(f"bialgebra {e.g} {e.dual}")
-        elif e.kind == "rmatrix":
-            lines.append(f"rmatrix {e.g} {e.dual}")
-            if e.terms:  # a block without an r line reads as r = 0
-                body = " ; ".join(
-                    f"{to_text(expr)} {i} {knd} {j}" for (expr, i, j, knd) in e.terms
-                )
-                lines.append(f"  r {body}")
-            if e.rfree:
-                lines.append("  rfree " + " ".join(e.rfree))
-            if e.schouten_terms is None:
-                lines.append("  schouten zero")
-            else:
-                body = " ; ".join(
-                    f"{to_text(expr)} {i} {j} {k}"
-                    for (expr, i, j, k) in e.schouten_terms
-                )
-                lines.append(f"  schouten {body}")
-        elif e.kind == "poisson":
-            lines.append(f"poisson {e.g} {e.dual} {e.method}")
-            for (i, j) in sorted(e.brackets):
-                lines.append(f"  pb {i} {j} = {to_text(e.brackets[(i, j)])}")
-        elif e.kind == "frame":
-            lines.append(f"frame {e.name}")
-            for i in sorted(e.xl):
-                lines.append(f"  xl {i} = {to_text(e.xl[i])}")
-            for i in sorted(e.xr):
-                lines.append(f"  xr {i} = {to_text(e.xr[i])}")
-        elif e.kind == "membership":
-            lines.append(f"membership {e.table}")
-            for (g, dual) in e.pairs:
-                lines.append(f"  pair {g} {dual}")
-        else:
-            lines.append(f"fixture {e.name}")
-            for k in sorted(e.refs):
-                lines.append(f"  ref {k} = {e.refs[k]}")
-            for k in sorted(e.vals):
-                lines.append(f"  val {k} = {to_text(e.vals[k])}")
-            for k in sorted(e.exprs):
-                lines.append(f"  expr {k} = {to_text(e.exprs[k])}")
-            for k in sorted(e.matrices):
-                body = " ; ".join(
-                    " ".join(to_text(c) for c in row) for row in e.matrices[k]
-                )
-                lines.append(f"  matrix {k} = {body}")
-        lines.extend(_tail(e))
-        lines.append("")
-    return "\n".join(lines)
 
 
 # --------------------------------------------------------------------------
@@ -630,57 +578,6 @@ class Corpus:
 
     def instantiate(self, name, binding=None) -> StructureConstants:
         return self.algebra(name).structure_constants(binding)
-
-
-def to_json(entries):
-    """JSON-ready structure for the parsed corpus (expressions as text)."""
-    out = []
-    for e in entries:
-        rec = {"kind": e.kind, "source": e.source, "status": e.status, "note": e.note}
-        if e.kind == "algebra":
-            rec["name"] = e.name
-            rec["params"] = list(e.params)
-            rec["constraints"] = [c.text() for c in e.constraints]
-            rec["brackets"] = {
-                f"{i},{j}": [[to_text(expr), k] for (expr, k) in terms]
-                for (i, j), terms in sorted(e.brackets.items())
-            }
-        elif e.kind == "bialgebra":
-            rec["g"], rec["dual"] = e.g, e.dual
-        elif e.kind == "rmatrix":
-            rec["g"], rec["dual"] = e.g, e.dual
-            rec["terms"] = [
-                [to_text(expr), i, knd, j] for (expr, i, j, knd) in e.terms
-            ]
-            rec["rfree"] = list(e.rfree)
-            rec["schouten"] = (
-                None
-                if e.schouten_terms is None
-                else [[to_text(expr), i, j, k] for (expr, i, j, k) in e.schouten_terms]
-            )
-        elif e.kind == "poisson":
-            rec["g"], rec["dual"], rec["method"] = e.g, e.dual, e.method
-            rec["brackets"] = {
-                f"{i},{j}": to_text(expr) for (i, j), expr in sorted(e.brackets.items())
-            }
-        elif e.kind == "frame":
-            rec["name"] = e.name
-            rec["xl"] = {str(i): to_text(x) for i, x in sorted(e.xl.items())}
-            rec["xr"] = {str(i): to_text(x) for i, x in sorted(e.xr.items())}
-        elif e.kind == "membership":
-            rec["table"] = e.table
-            rec["pairs"] = [list(p) for p in e.pairs]
-        else:
-            rec["name"] = e.name
-            rec["refs"] = dict(e.refs)
-            rec["vals"] = {k: to_text(v) for k, v in sorted(e.vals.items())}
-            rec["exprs"] = {k: to_text(v) for k, v in sorted(e.exprs.items())}
-            rec["matrices"] = {
-                k: [[to_text(c) for c in row] for row in m]
-                for k, m in sorted(e.matrices.items())
-            }
-        out.append(rec)
-    return out
 
 
 def load(paths=None) -> Corpus:

@@ -88,32 +88,10 @@ class Expr:
         raise InputError(f"node {op!r} has no exact rational value")
 
     def to_closed(self) -> ClosedFunction:
-        op = self.op
-        if op == "const":
-            return cf_const(self.args[0])
-        if op == "coord":
-            return cf_coord(self.args[0])
-        if op == "param":
-            raise InputError(f"unbound parameter {self.args[0]!r}")
-        if op == "add":
-            acc = ClosedFunction.zero()
-            for a in self.args:
-                acc = acc + a.to_closed()
-            return acc
-        if op == "mul":
-            acc = cf_const(1)
-            for a in self.args:
-                acc = acc * a.to_closed()
-            return acc
-        if op == "div":
-            return self.args[0].to_closed() * self.args[1].to_closed().reciprocal()
-        if op == "pow":
-            return _power(self.args[0].to_closed(), self.args[1])
-        if op == "neg":
-            return -self.args[0].to_closed()
-        if op in _FUNCS:
-            return _CLOSED_FUNCS[op](_linear_form(self.args[0].to_closed()))
-        raise InputError(f"unknown node {op}")
+        """The tree as a closed function: the walk of `linear_parts` with no
+        name read linearly.  InputError for an unbound parameter or a node
+        outside the class."""
+        return _parts(self, {})[0]
 
     # bench/run.py --trace 1 counts the calls of diff and evalf by name, so
     # both stay, as thin views of the closed function
@@ -168,7 +146,7 @@ class _NotLinear(Exception):
 def linear_parts(e, names):
     """(c, [v_1, ..., v_n]) with e = c + sum_k v_k names[k], the c and v_k
     closed functions free of the parameters `names`, read off the tree in
-    one walk that converts every other node as `Expr.to_closed` does; each
+    the one walk that converts every other node, `Expr.to_closed`'s; each
     v_k is zero when no name occurs.  None when e is not linear in them: a
     product or power of two of them, or one in a denominator or in the
     argument of exp or a trigonometric function."""
@@ -187,8 +165,12 @@ def _parts(e, slots):
         v = [ClosedFunction.zero()] * len(slots)
         v[slots[e.args[0]]] = cf_const(1)
         return ClosedFunction.zero(), v
-    if op in ("const", "coord", "param"):
-        return e.to_closed(), None
+    if op == "const":
+        return cf_const(e.args[0]), None
+    if op == "coord":
+        return cf_coord(e.args[0]), None
+    if op == "param":
+        raise InputError(f"unbound parameter {e.args[0]!r}")
     if op == "add":
         c, v = ClosedFunction.zero(), None
         for a in e.args:
@@ -214,11 +196,11 @@ def _parts(e, slots):
             c = c * ca
         return c, v
     if op == "div":
+        c, v = _parts(e.args[0], slots)
         cd, vd = _parts(e.args[1], slots)
         if vd is not None:
             raise _NotLinear
         inv = cd.reciprocal()
-        c, v = _parts(e.args[0], slots)
         return c * inv, None if v is None else [x * inv for x in v]
     c, v = _parts(e.args[0], slots)
     if v is not None:

@@ -150,8 +150,8 @@ def double_adjoint(
 
     F_k is zero when the dual slice B_k = -ft^.._k is, so the sum runs over
     the factors whose B_k is nonzero; a, b and d are never formed.  E_k and
-    E_-k passed their exact ODE checks (`cf_matexp_pm`), so they are
-    exp(x_k Xadj_k) and its inverse, and a d^T = I holds with no check.
+    E_-k passed their exact ODE checks (`cf_matexp_pm_sparse`), so they
+    are exp(x_k Xadj_k) and its inverse, and a d^T = I holds with no check.
 
     `certified` says that the caller has found (f, fd) a Lie bialgebra
     (`bialgebra_failure` returned None); otherwise that is checked here.

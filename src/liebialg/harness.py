@@ -550,7 +550,9 @@ def _campaign_order(selector):
             lo, dash, hi = (part.strip() for part in item.partition("-"))
             if not dash:
                 keys += [lo] if lo else []
-            elif lo.isdigit() and hi.isdigit() and 1 <= int(lo) <= int(hi) <= 9:
+            elif (lo + hi).isascii() and lo.isdigit() and hi.isdigit() and (
+                1 <= int(lo) <= int(hi) <= 9
+            ):
                 keys += [str(n) for n in range(int(lo), int(hi) + 1)]
             else:
                 raise InputError(f"bad table range {item.strip()!r}")

@@ -13,8 +13,8 @@ clears to nothing and is dropped.  Scaling rows does not change the row
 space, and the reduced row echelon form of a matrix is unique, so dividing
 each pivot row by its pivot when it is written out gives exactly the
 Fractions that rational Gauss-Jordan elimination gives.  `rref`,
-`nullspace`, `solve_affine` and `det` take and return Fractions;
-`solve_sparse` takes the int rows themselves.
+`nullspace` and `det` take and return Fractions; `solve_sparse` takes the
+int rows themselves.
 """
 
 from fractions import Fraction
@@ -170,17 +170,10 @@ def nullspace(m):
     return _kernel_basis(_eliminate([_int_row(row)[0] for row in m])[0], cols)
 
 
-def solve_affine(rows, cols):
-    """Solve the augmented system `rows` exactly: each row holds the
-    coefficients of `cols` unknowns followed by its right-hand side.
-    Returns (particular, nullspace_basis) or None when inconsistent
-    (`solve_sparse` on the rows' nonzero entries)."""
-    return solve_sparse([_int_row(row)[0] for row in rows], cols)
-
-
 def solve_sparse(rows, cols):
-    """`solve_affine` on sparse int rows {column: int}, the right-hand side
-    in column `cols`.  With no pivot in that column, the left block of the
+    """Solve the augmented system of sparse int rows {column: int} exactly,
+    the right-hand side in column `cols`: (particular, nullspace_basis), or
+    None when it is inconsistent.  With no pivot in that column, the left block of the
     reduced augmented matrix is the reduced form of the coefficients, so one
     reduction gives both.  Only the entries read off, in the free columns
     and the last one, become Fractions."""

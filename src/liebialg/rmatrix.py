@@ -327,27 +327,3 @@ def classify_r(r: TensorElement, f: StructureConstants) -> RClassification:
         violation.append("[[r,r]] is not ad-invariant")
     return RClassification("invalid", s, True, anti, inv, "; ".join(violation))
 
-
-def cocommutator_from_r(r: TensorElement, f: StructureConstants) -> StructureConstants:
-    """Dual structure constants ft^ab_i = -(Xadj_i^T r + r Xadj_i)^ab.
-
-    Raises InputError when the result is not antisymmetric, which signals a
-    non-ad-invariant symmetric part of r.
-    """
-    s, action = _ad_action(r.r, f)
-    fd = StructureConstants.from_entries(
-        f.dim,
-        [
-            (a, b, i, Fraction(-x, s))
-            for i, m in enumerate(action)
-            for a, row in enumerate(m)
-            for b, x in enumerate(row)
-            if x
-        ],
-    )
-    if not fd.is_antisymmetric():
-        raise InputError(
-            "induced cobracket is not antisymmetric: symmetric part of r is "
-            "not ad-invariant"
-        )
-    return fd

@@ -63,7 +63,13 @@ eigenvalues that `eigenvalues` gathers block by block over the strongly
 connected components that `blocks` lists, the retired path and the oracle
 of the block-triangular `cf_matexp`.  The
 helpers from `two_form` on, and `inverse`, left the package with no caller
-there and serve the tests alone.
+there and serve the tests alone.  So did four that no command reached:
+`solve_affine`, the dense-row front of `ratlinalg.solve_sparse` that the
+sympy comparisons drive; `cocommutator_from_r`, the cobracket that an r
+generates, the oracle of `rmatrix.generates_cocommutator` and of the
+corpus's r-matrix rows; `cf_matexp_pm`, the dense adapter of
+`closedfun.cf_matexp_pm_sparse`; and `serialize`, the corpus writer that
+re-prints a parse for the round-trip and fuzz tests of `corpus.parse`.
 """
 
 import cmath
@@ -89,6 +95,7 @@ from liebialg.closedfun import (
     _spectrum,
     cf_const,
     cf_exp,
+    cf_matexp_pm_sparse,
     cfm_const_mul_sparse,
     cfm_eq,
     cfm_identity,
@@ -96,10 +103,11 @@ from liebialg.closedfun import (
     cfm_transpose,
     cfm_zeros,
 )
-from liebialg.core import TwoFormLA
+from liebialg.core import StructureConstants, TwoFormLA
 from liebialg.errors import EvalError, InputError
+from liebialg.exprtree import to_text
 from liebialg.groupgeom import double_exp_factor
-from liebialg.rmatrix import TensorElement, _ad_action_ints
+from liebialg.rmatrix import TensorElement, _ad_action, _ad_action_ints
 
 _FUNCS = {"exp": math.exp, "sin": math.sin, "cos": math.cos, "sinh": math.sinh,
           "cosh": math.cosh}
@@ -459,8 +467,16 @@ def gauss_jordan_dense(a, cols):
     return pivots
 
 
+def solve_affine(rows, cols):
+    """Solve the augmented system `rows` exactly: each row holds the
+    coefficients of `cols` unknowns followed by its right-hand side.
+    Returns (particular, nullspace_basis) or None when inconsistent
+    (`ratlinalg.solve_sparse` on the rows' nonzero entries)."""
+    return rl.solve_sparse([rl._int_row(row)[0] for row in rows], cols)
+
+
 def solve_affine_dense(rows, cols):
-    """`ratlinalg.solve_affine` by `gauss_jordan_dense` on every row."""
+    """`solve_affine` by `gauss_jordan_dense` on every row."""
     a = [_dense_int_row(row) for row in rows]
     pivots = gauss_jordan_dense(a, cols + 1)
     if cols in pivots:
@@ -736,6 +752,31 @@ def cocommutator(fd):
     return CocommutatorTensor(n, d)
 
 
+def cocommutator_from_r(r, f):
+    """Dual structure constants ft^ab_i = -(Xadj_i^T r + r Xadj_i)^ab.
+
+    Raises InputError when the result is not antisymmetric, which signals a
+    non-ad-invariant symmetric part of r.
+    """
+    s, action = _ad_action(r.r, f)
+    fd = StructureConstants.from_entries(
+        f.dim,
+        [
+            (a, b, i, Fraction(-x, s))
+            for i, m in enumerate(action)
+            for a, row in enumerate(m)
+            for b, x in enumerate(row)
+            if x
+        ],
+    )
+    if not fd.is_antisymmetric():
+        raise InputError(
+            "induced cobracket is not antisymmetric: symmetric part of r is "
+            "not ad-invariant"
+        )
+    return fd
+
+
 def ce_differential(w, f):
     """(dw)(X_i,X_j,X_k) = -w([X_i,X_j],X_k) + w([X_i,X_k],X_j) - w([X_j,X_k],X_i)
     of a two-form w, as the fully antisymmetric rank-3 tensor in nested
@@ -843,3 +884,88 @@ def matexp_by_putzer(m, coord):
         if t:
             result[i][j] = ClosedFunction(t)
     return result
+
+
+def cf_matexp_pm(m, coord):
+    """(exp(x M), exp(-x M)) for a dense rational M: `cf_matexp_pm_sparse`
+    on its nonzero entries."""
+    return cf_matexp_pm_sparse(_sparse(m), len(m), coord)
+
+
+def _tail(entry):
+    out = []
+    if entry.source:
+        out.append(f"  source {entry.source}")
+    if entry.status:
+        out.append(f"  status {entry.status}")
+    if entry.note:
+        out.append(f"  note {entry.note}")
+    return out
+
+
+def serialize(entries):
+    """Corpus text of parsed entries, which `corpus.parse` reads back to
+    equal entries."""
+    lines = []
+    for e in entries:
+        if e.kind == "algebra":
+            head = f"algebra {e.name}"
+            if e.params:
+                head += " params " + " ".join(e.params)
+            lines.append(head)
+            for c in e.constraints:
+                lines.append(f"  constraint {c.text()}")
+            for (i, j) in sorted(e.brackets):
+                terms = ", ".join(
+                    f"{to_text(expr)} {k}" for (expr, k) in e.brackets[(i, j)]
+                )
+                lines.append(f"  bracket {i} {j} -> {terms}")
+        elif e.kind == "bialgebra":
+            lines.append(f"bialgebra {e.g} {e.dual}")
+        elif e.kind == "rmatrix":
+            lines.append(f"rmatrix {e.g} {e.dual}")
+            if e.terms:  # a block without an r line reads as r = 0
+                body = " ; ".join(
+                    f"{to_text(expr)} {i} {knd} {j}" for (expr, i, j, knd) in e.terms
+                )
+                lines.append(f"  r {body}")
+            if e.rfree:
+                lines.append("  rfree " + " ".join(e.rfree))
+            if e.schouten_terms is None:
+                lines.append("  schouten zero")
+            else:
+                body = " ; ".join(
+                    f"{to_text(expr)} {i} {j} {k}"
+                    for (expr, i, j, k) in e.schouten_terms
+                )
+                lines.append(f"  schouten {body}")
+        elif e.kind == "poisson":
+            lines.append(f"poisson {e.g} {e.dual} {e.method}")
+            for (i, j) in sorted(e.brackets):
+                lines.append(f"  pb {i} {j} = {to_text(e.brackets[(i, j)])}")
+        elif e.kind == "frame":
+            lines.append(f"frame {e.name}")
+            for i in sorted(e.xl):
+                lines.append(f"  xl {i} = {to_text(e.xl[i])}")
+            for i in sorted(e.xr):
+                lines.append(f"  xr {i} = {to_text(e.xr[i])}")
+        elif e.kind == "membership":
+            lines.append(f"membership {e.table}")
+            for (g, dual) in e.pairs:
+                lines.append(f"  pair {g} {dual}")
+        else:
+            lines.append(f"fixture {e.name}")
+            for k in sorted(e.refs):
+                lines.append(f"  ref {k} = {e.refs[k]}")
+            for k in sorted(e.vals):
+                lines.append(f"  val {k} = {to_text(e.vals[k])}")
+            for k in sorted(e.exprs):
+                lines.append(f"  expr {k} = {to_text(e.exprs[k])}")
+            for k in sorted(e.matrices):
+                body = " ; ".join(
+                    " ".join(to_text(c) for c in row) for row in e.matrices[k]
+                )
+                lines.append(f"  matrix {k} = {body}")
+        lines.extend(_tail(e))
+        lines.append("")
+    return "\n".join(lines)

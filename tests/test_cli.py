@@ -129,7 +129,8 @@ def test_table_selector_campaigns(selector, campaigns):
     assert [fn.table for fn in harness._campaign_order(selector)] == campaigns
 
 
-@pytest.mark.parametrize("selector", ["9-3", "0-2", "1-10", "3-", "1-integrable"])
+# "\u0661-\u0662" is 1-2 in Arabic-Indic digits, which int() also reads
+@pytest.mark.parametrize("selector", ["9-3", "0-2", "1-10", "3-", "1-integrable", "\u0661-\u0662"])
 def test_verify_bad_table_range_exit_two(selector, capsys):
     assert main(["verify", "--table", selector]) == 2
     assert "bad table range" in capsys.readouterr().err
@@ -629,6 +630,13 @@ PRIVATE_NAME = re.compile(r"(?<![\w./-])_[A-Za-z]\w*")
         (["verify", "--jobs", "x"], "argument --jobs: must be an integer >= 1, got 'x'"),
         (["integrable", "--example", "1", "--t-end", "x"], "argument --t-end: not a number: 'x'"),
         (["integrable", "--example", "1", "--dt", "x"], "argument --dt: not a number: 'x'"),
+        # numbers are ASCII: int, float and Fraction also read other digits
+        (["derive", "fields", "--algebra", "A_4_11_b", "--param", "b=\u0661"],
+         "argument --param: '\u0661' is not a rational number"),
+        (["verify", "--jobs", "\u0662"], "argument --jobs: must be an integer >= 1, got '\u0662'"),
+        (["integrable", "--example", "1", "--t-end", "\u0661"],
+         "argument --t-end: not a number: '\u0661'"),
+        (["integrable", "--example", "1", "--dt", "\u0661"], "argument --dt: not a number: '\u0661'"),
     ],
 )
 def test_bad_option_value_names_the_problem(argv, message, capsys):

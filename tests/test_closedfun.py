@@ -18,7 +18,6 @@ from liebialg.closedfun import (
     cf_cosh,
     cf_exp,
     cf_matexp,
-    cf_matexp_pm,
     cf_matexp_pm_sparse,
     cf_sin,
     cf_sinh,
@@ -41,7 +40,14 @@ from liebialg.exprtree import parse_expr
 from liebialg.groupgeom import adjoint_maps
 from liebialg.render import render_closed_function
 
-from evalref import cfm_mul_sum, derivative_is_by_matrices, inverse_by_cofactors, outcome, term_loop
+from evalref import (
+    cf_matexp_pm,
+    cfm_mul_sum,
+    derivative_is_by_matrices,
+    inverse_by_cofactors,
+    outcome,
+    term_loop,
+)
 
 
 def _random_cf(rng, depth=3):

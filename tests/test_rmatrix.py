@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from evalref import ad_invariant_symmetric, symmetric_part
+from evalref import ad_invariant_symmetric, cocommutator_from_r, symmetric_part
 from liebialg import corpus as corpus_mod
 from liebialg.core import StructureConstants
 from liebialg.errors import InputError
@@ -14,7 +14,6 @@ from liebialg.rmatrix import (
     TensorElement,
     ad_invariant_rank3,
     classify_r,
-    cocommutator_from_r,
     generates_cocommutator,
     is_totally_antisymmetric,
     rank3_eq,

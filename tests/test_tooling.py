@@ -43,10 +43,11 @@ from fractions import Fraction
 
 import pytest
 
+import liebialg
 from liebialg import closedfun, core, groupgeom, harness, poisson, ratlinalg, rmatrix
 from liebialg.harness import verify_tables
 
-from evalref import blocks, coboundary_system
+from evalref import blocks, cf_matexp_pm, coboundary_system
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "bench")
@@ -82,6 +83,151 @@ def test_every_traced_name_resolves(bench_run):
     assert len(names) > 30
     for name in names:
         assert callable(_resolve(name)), name
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+# {"module.name": "one-line reason"}: top-level definitions that may stay in
+# the package with nothing below reaching them
+UNREACHED_ALLOWED = {}
+
+
+def _bound_names(node):
+    if isinstance(node, DEFINITIONS):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
+def unreached(sources, roots):
+    """The top-level definitions (`def`, `class`, assignment) of `sources`,
+    {module: text}, that nothing reaches from the dotted names `roots`, as
+    sorted dotted names.  Also roots: every module-level statement that is
+    not a definition or an import, every dunder such as `__version__`, and
+    every definition handed to one of the package's own decorators, which
+    may register it (the campaigns).  A definition, or a method, reaches
+    every top-level definition named by a `Name` it mentions (or by the
+    name that an import renames), and every top-level definition and method
+    named by an attribute it mentions.  Matching by name alone
+    over-approximates reach, so code that is used is never reported."""
+    defs, methods, renamed, todo, tops = {}, {}, {}, [], []
+    for mod, text in sources.items():
+        tree = ast.parse(text)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                renamed.update((a.asname, a.name) for a in node.names if a.asname)
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            names = _bound_names(node)
+            if not names:
+                todo.append(node)
+            for name in names:
+                dotted = f"{mod}.{name}"
+                defs.setdefault(name, {}).setdefault(dotted, []).append(node)
+                if dotted in roots or name.startswith("__"):
+                    todo.append(dotted)
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, DEFINITIONS):
+                        methods.setdefault(item.name, []).append(item)
+            tops.append((mod, node))
+    for mod, node in tops:
+        for dec in getattr(node, "decorator_list", ()):
+            called = dec.func if isinstance(dec, ast.Call) else dec
+            if isinstance(called, ast.Name) and renamed.get(called.id, called.id) in defs:
+                todo.append(f"{mod}.{node.name}")
+    nodes = {dotted: ns for by_module in defs.values() for dotted, ns in by_module.items()}
+    seen = set()
+    while todo:
+        unit = todo.pop()
+        key = unit if isinstance(unit, str) else id(unit)
+        if key in seen:
+            continue
+        seen.add(key)
+        for node in nodes[unit] if isinstance(unit, str) else [unit]:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    todo += defs.get(sub.id, {})
+                    todo += defs.get(renamed.get(sub.id), {})
+                elif isinstance(sub, ast.Attribute):
+                    todo += defs.get(sub.attr, {})
+                    todo += methods.get(sub.attr, ())
+    return sorted(d for d in nodes if d not in seen)
+
+
+def _package_roots(bench_run):
+    roots = {"cli.main"}
+    roots |= {f"{getattr(liebialg, n).__module__.rpartition('.')[2]}.{n}" for n in liebialg.__all__}
+    # traced by name in bench/run.py until the bench reads a trace that the
+    # package writes itself (ROADMAP item 6)
+    traced = [f"{mod}.{fn}" for mod, fns in bench_run.SPANNED.items() for fn in fns]
+    roots |= {".".join(name.split(".")[:2]) for name in traced + list(bench_run.COUNTED)}
+    return roots
+
+
+def test_every_top_level_definition_is_reached(bench_run):
+    # a command, the stated API or the bench's tracer reaches every
+    # definition in the package; code that only tests use lives in tests/
+    sources = {}
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            sources[os.path.basename(path)[:-3]] = fh.read()
+    assert {"cli", "core", "closedfun", "__init__"} <= set(sources)
+    found = unreached(sources, _package_roots(bench_run))
+    assert [d for d in found if d not in UNREACHED_ALLOWED] == []
+    assert all(reason.strip() for reason in UNREACHED_ALLOWED.values())
+    assert sorted(UNREACHED_ALLOWED) == found  # no stale entry
+
+
+def test_the_reachability_guard_flags_a_planted_definition():
+    sources = {
+        "a": (
+            "from . import b\n"
+            "from .b import register as enrol\n"
+            "def main():\n"
+            "    return b.helper(b.Engine().start())\n"
+            "@enrol\n"
+            "def campaign():\n"
+            "    return LIMIT\n"
+            "LIMIT = 3\n"
+            "__version__ = '1'\n"
+        ),
+        "b": (
+            "REGISTRY = []\n"
+            "def register(fn):\n"
+            "    REGISTRY.append(fn)\n"
+            "    return fn\n"
+            "class Engine:\n"
+            "    def start(self):\n"
+            "        return _started()\n"
+            "def _started():\n"
+            "    return 1\n"
+            "def helper(x):\n"
+            "    return x\n"
+            "def planted():\n"
+            "    return helper(_started())\n"
+        ),
+    }
+    # `helper` and the method `start` are reached through attributes,
+    # `_started` through the method, `campaign` through a renamed package
+    # decorator and `LIMIT` through `campaign`
+    assert unreached(sources, {"a.main"}) == ["b.planted"]
+    assert unreached(sources, {"a.main", "b.planted"}) == []
+    assert unreached(sources, set()) == ["a.main", "b.Engine", "b._started", "b.helper", "b.planted"]
+
+
+def test_readme_python_api_names_all():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    paragraph = section.strip().split("\n\n", 1)[0]
+    named = re.findall(r"`([A-Za-z_]\w*)`", paragraph)
+    assert len(named) == len(set(named))
+    assert set(named) == set(liebialg.__all__)
+    assert len(liebialg.__all__) == len(set(liebialg.__all__)) == 23
 
 
 def test_only_core_touches_the_cached_forms():
@@ -203,7 +349,7 @@ def test_four_sparse_exponentials_per_frame(reg, monkeypatch):
     monkeypatch.setattr(groupgeom, "cf_matexp_pm_sparse", counted)
     for attr in ("adjoints", "adjoint"):
         monkeypatch.setattr(core.StructureConstants, attr, dense)
-    for attr in ("_sparse", "cf_matexp", "cf_matexp_pm"):
+    for attr in ("_sparse", "cf_matexp"):
         monkeypatch.setattr(closedfun, attr, dense)
     for g in ("A_4_7", "VII0+R", "A_4_1", "A_4_12"):
         f = reg.instantiate(g, reg.grid_bindings(g, cap=1)[0])
@@ -276,8 +422,8 @@ def test_a_4x4_inverse_computes_each_minor_once(reg, bench, monkeypatch):
 
 
 def test_solve_affine_gets_each_nonzero_coboundary_equation_once(reg, monkeypatch):
-    # `solve_coboundary` hands its equations to `solve_sparse`, the sparse
-    # form of `solve_affine`, as int rows {column: int}
+    # `solve_coboundary` hands its equations to `solve_sparse` as int rows
+    # {column: int}
     systems = []
     solve = ratlinalg.solve_sparse
 
@@ -286,11 +432,7 @@ def test_solve_affine_gets_each_nonzero_coboundary_equation_once(reg, monkeypatc
         systems.append((rows, cols))
         return solve(rows, cols)
 
-    def dense(rows, cols):
-        raise AssertionError("the coboundary system went through the dense solve_affine")
-
     monkeypatch.setattr(ratlinalg, "solve_sparse", recorded)
-    monkeypatch.setattr(ratlinalg, "solve_affine", dense)
     for g, dual in sorted(reg.rmatrices):
         binding = reg.grid_bindings(g, dual, cap=1)[0]
         f, fd = reg.instantiate(g, binding), reg.instantiate(dual, binding)
@@ -481,8 +623,8 @@ def test_an_exponential_of_1x1_components_makes_no_polynomial_and_no_product(reg
     for name in ("_char_poly", "_spectrum", "_mul_into"):
         monkeypatch.setattr(closedfun, name, forbidden(name))
     for (_, coord), m in cases.items():
-        closedfun.cf_matexp_pm(m, coord)
+        cf_matexp_pm(m, coord)
     rotation = [[Fraction(0)] * 4 for _ in range(4)]
     rotation[0][1], rotation[1][0] = Fraction(-1), Fraction(1)
     with pytest.raises(AssertionError, match="_char_poly was called"):
-        closedfun.cf_matexp_pm(rotation, 1)
+        cf_matexp_pm(rotation, 1)
