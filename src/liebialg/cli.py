@@ -112,9 +112,26 @@ def cmd_verify(args):
     return 1 if any(not rep.ok for rep in runs) else 0
 
 
+def _binding(reg, args):
+    """The --param values, when each NAME comes once and --algebra or --dual
+    declares it; otherwise a usage error that names it."""
+    names = [n for n in (args.algebra, args.dual) if n]
+    declared = {p for n in names for p in reg.algebra(n).params}
+    binding = {}
+    for name, val in args.param or []:
+        if name in binding:
+            problem = f"{name!r} is given twice"
+            raise argparse.ArgumentError(None, f"argument --param: {problem}")
+        if name not in declared:
+            problem = f"no parameter {name!r} in {' or '.join(names)}"
+            raise argparse.ArgumentError(None, f"argument --param: {problem}")
+        binding[name] = val
+    return binding
+
+
 def cmd_derive(args):
     reg = _load(args)
-    binding = dict(args.param or [])
+    binding = _binding(reg, args)
     bench = Workbench(reg)
     out = {}
     if args.what == "fields":
@@ -258,6 +275,8 @@ def main(argv=None):
         if getattr(args, "what", None) in ("rmatrix", "poisson") and not args.dual:
             raise InputError("--dual is required for this derivation")
         return args.fn(args)
+    except argparse.ArgumentError as ex:  # a usage error found past parsing
+        parser.error(str(ex))
     except (InputError, CorpusSyntaxError, FileNotFoundError, ValueError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2

@@ -26,6 +26,12 @@ Shared payload lines: `source TEXT` (table/row anchor for reports),
 grammar of exprtree.parse_expr (rationals, x1..x4, declared parameters,
 + - * / ^, exp/sin/cos/sinh/cosh, parentheses).  An algebra's constraints
 and bracket coefficients name only the parameters its header declares.
+
+A key appears once in its table of a block (a bracket or pb pair, an xl or
+xr index, a fixture key), and a block takes one schouten line.  Across the
+corpus a block's kind and name are unique, every algebra name a block names
+is an algebra of the corpus, and an rfree name is not a parameter of its
+pair.
 """
 
 from dataclasses import dataclass, field
@@ -59,16 +65,39 @@ class Constraint:
         return f"{to_text(self.lhs)} != {to_text(self.rhs)}"
 
 
+@dataclass(kw_only=True)
+class _Entry:
+    """The payload lines every block takes.  A subclass sets `kind`, its
+    header keyword, and `named_algebras`, the algebra names the block
+    names."""
+
+    source: str = ""
+    status: str = ""
+    note: str = ""
+    named_algebras = ()
+
+    @property
+    def key(self):
+        """The block's key in its `Corpus` table."""
+        return self.name
+
+    def resolve(self, algebras):
+        """Check the block against the corpus's {name: AlgebraEntry}: every
+        algebra name it names is there."""
+        for n in self.named_algebras:
+            if n not in algebras:
+                raise CorpusSyntaxError(
+                    f"unresolved algebra name {n!r} in {self.kind} block {self.name}"
+                )
+
+
 @dataclass
-class AlgebraEntry:
+class AlgebraEntry(_Entry):
     name: str
     params: list = field(default_factory=list)
     constraints: list = field(default_factory=list)
     brackets: dict = field(default_factory=dict)  # (i, j) -> [(Expr, k)]
-    source: str = ""
-    status: str = ""
-    note: str = ""
-    kind: str = "algebra"
+    kind = "algebra"
 
     def structure_constants(self, binding=None) -> StructureConstants:
         binding = binding or {}
@@ -87,13 +116,20 @@ class AlgebraEntry:
 
 
 @dataclass
-class BialgebraEntry:
+class _PairEntry(_Entry):
+    """A block headed by an algebra and its dual."""
+
     g: str
     dual: str
-    source: str = ""
-    status: str = ""
-    note: str = ""
-    kind: str = "bialgebra"
+
+    @property
+    def named_algebras(self):
+        return (self.g, self.dual)
+
+
+@dataclass
+class BialgebraEntry(_PairEntry):
+    kind = "bialgebra"
 
     @property
     def name(self):
@@ -101,20 +137,30 @@ class BialgebraEntry:
 
 
 @dataclass
-class RMatrixEntry:
-    g: str
-    dual: str
+class RMatrixEntry(_PairEntry):
     terms: list = field(default_factory=list)  # (Expr, i, j, kind)
     rfree: list = field(default_factory=list)
     schouten_terms: list = None  # None -> zero; else [(Expr, i, j, k)]
-    source: str = ""
-    status: str = ""
-    note: str = ""
-    kind: str = "rmatrix"
+    kind = "rmatrix"
 
     @property
     def name(self):
         return f"r({self.g}, {self.dual})"
+
+    @property
+    def key(self):
+        return (self.g, self.dual)
+
+    def resolve(self, algebras):
+        """Also: no rfree name is a parameter of the pair, which the r-free
+        {0, 1} product would rebind for r alone."""
+        super().resolve(algebras)
+        params = {p for n in self.named_algebras for p in algebras[n].params}
+        clash = [p for p in self.rfree if p in params]
+        if clash:
+            raise CorpusSyntaxError(
+                f"{self.name}: rfree {', '.join(clash)} is a parameter of its pair"
+            )
 
     def tensor(self, binding) -> TensorElement:
         return TensorElement.from_terms(
@@ -134,15 +180,10 @@ class RMatrixEntry:
 
 
 @dataclass
-class PoissonEntry:
-    g: str
-    dual: str
+class PoissonEntry(_PairEntry):
     method: str  # 'sklyanin' | 'pi'
     brackets: dict = field(default_factory=dict)  # (i, j) -> Expr
-    source: str = ""
-    status: str = ""
-    note: str = ""
-    kind: str = "poisson"
+    kind = "poisson"
 
     @property
     def name(self):
@@ -161,14 +202,15 @@ class PoissonEntry:
 
 
 @dataclass
-class FrameEntry:
+class FrameEntry(_Entry):
     name: str
     xl: dict = field(default_factory=dict)  # i -> Expr over x's and d1..d4
     xr: dict = field(default_factory=dict)
-    source: str = ""
-    status: str = ""
-    note: str = ""
-    kind: str = "frame"
+    kind = "frame"
+
+    @property
+    def named_algebras(self):
+        return (self.name,)
 
     def components(self, side, i, binding):
         """Field i of side 'L'/'R' as 4 ClosedFunction components: the
@@ -188,41 +230,35 @@ class FrameEntry:
 
 
 @dataclass
-class MembershipEntry:
+class MembershipEntry(_Entry):
     table: str  # 'table8' | 'table9'
     pairs: list = field(default_factory=list)
-    source: str = ""
-    status: str = ""
-    note: str = ""
-    kind: str = "membership"
+    kind = "membership"
 
     @property
     def name(self):
         return self.table
 
+    @property
+    def named_algebras(self):
+        return [n for pair in self.pairs for n in pair]
+
 
 @dataclass
-class FixtureEntry:
+class FixtureEntry(_Entry):
     name: str
     refs: dict = field(default_factory=dict)
     exprs: dict = field(default_factory=dict)
     matrices: dict = field(default_factory=dict)
     vals: dict = field(default_factory=dict)
-    source: str = ""
-    status: str = ""
-    note: str = ""
-    kind: str = "fixture"
+    kind = "fixture"
 
 
-_BLOCK_KEYWORDS = (
-    "algebra",
-    "bialgebra",
-    "rmatrix",
-    "poisson",
-    "frame",
-    "membership",
-    "fixture",
-)
+_BLOCKS = {  # header keyword -> entry class
+    cls.kind: cls
+    for cls in (AlgebraEntry, BialgebraEntry, RMatrixEntry, PoissonEntry,
+                FrameEntry, MembershipEntry, FixtureEntry)
+}
 
 
 def parse(text, filename="<corpus>"):
@@ -232,23 +268,23 @@ def parse(text, filename="<corpus>"):
     text that fails is parsed again where it recurs and every diagnostic
     names its own line."""
     entries = []
-    current = None
     trees = {}
+    seen = set()  # the keys of the open block's once-only payload lines
+    lineno = 0
 
-    def err(msg, lineno, col=None):
-        raise CorpusSyntaxError(msg, line=lineno, col=col, filename=filename)
+    def err(msg):
+        raise CorpusSyntaxError(msg, line=lineno, filename=filename)
 
-    def expr(body, lineno):
+    def expr(body):
         tree = trees.get(body)
         if tree is None:
             tree = trees[body] = parse_expr(body, line=lineno, filename=filename)
         return tree
 
-    def close():
-        nonlocal current
-        if current is not None:
-            entries.append(current)
-            current = None
+    def once(*key):
+        if key in seen:
+            err("duplicate " + " ".join(map(str, key)))
+        seen.add(key)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.partition("#")[0].strip()
@@ -256,204 +292,144 @@ def parse(text, filename="<corpus>"):
             continue
         words = line.split()
         head = words[0]
-        if head in _BLOCK_KEYWORDS:
-            close()
-            current = _open_block(head, words, err, lineno)
+        if head in _BLOCKS:
+            entries.append(_open_block(head, words, err))
+            seen.clear()
             continue
-        if current is None:
-            err(f"payload line outside any block: {head!r}", lineno)
+        if not entries:
+            err(f"payload line outside any block: {head!r}")
         try:
-            _payload_line(current, head, words, line, err, lineno, expr)
+            _payload_line(entries[-1], head, line, err, expr, once)
         except EvalError as ex:  # a constant division by zero in the text
-            err(str(ex), lineno)
-    close()
+            err(str(ex))
     return entries
 
 
-def _open_block(head, words, err, lineno):
+def _open_block(head, words, err):
     if head == "algebra":
         if len(words) < 2:
-            err("algebra needs a name", lineno)
-        params = []
-        if len(words) > 2:
-            if words[2] != "params":
-                err(f"expected 'params', found {words[2]!r}", lineno)
-            params = words[3:]
-        return AlgebraEntry(words[1], params=params)
-    if head == "bialgebra":
-        if len(words) != 3:
-            err("bialgebra needs exactly two names", lineno)
-        return BialgebraEntry(words[1], words[2])
-    if head == "rmatrix":
-        if len(words) != 3:
-            err("rmatrix needs exactly two names", lineno)
-        return RMatrixEntry(words[1], words[2])
+            err("algebra needs a name")
+        if len(words) > 2 and words[2] != "params":
+            err(f"expected 'params', found {words[2]!r}")
+        return AlgebraEntry(words[1], params=words[3:])
     if head == "poisson":
         if len(words) != 4 or words[3] not in ("sklyanin", "pi"):
-            err("poisson needs two names and a method (sklyanin|pi)", lineno)
-        return PoissonEntry(words[1], words[2], words[3])
-    if head == "frame":
-        if len(words) != 2:
-            err("frame needs a name", lineno)
-        return FrameEntry(words[1])
-    if head == "membership":
+            err("poisson needs two names and a method (sklyanin|pi)")
+    elif head == "membership":
         if len(words) != 2 or words[1] not in ("table8", "table9"):
-            err("membership needs table8 or table9", lineno)
-        return MembershipEntry(words[1])
-    if len(words) != 2:
-        err("fixture needs a name", lineno)
-    return FixtureEntry(words[1])
-
-
-def _payload_line(entry, head, words, line, err, lineno, expr):
-    if head == "source":
-        entry.source = line[len("source") :].strip()
-        return
-    if head == "status":
-        if len(words) != 2 or words[1] != "flagged":
-            err("status must be 'flagged'", lineno)
-        entry.status = "flagged"
-        return
-    if head == "note":
-        entry.note = line[len("note") :].strip()
-        return
-    if head == "constraint" and entry.kind == "algebra":
-        body = line[len("constraint") :]
-        if "!=" not in body:
-            err("constraint must be of the form EXPR != EXPR", lineno)
-        lhs, rhs = body.split("!=", 1)
-        entry.constraints.append(
-            Constraint(
-                _over_params(expr(lhs, lineno), entry, err, lineno),
-                _over_params(expr(rhs, lineno), entry, err, lineno),
-            )
-        )
-        return
-    if head == "bracket" and entry.kind == "algebra":
-        body = line[len("bracket") :].strip()
-        if "->" not in body:
-            err("bracket must be 'bracket i j -> coeff k [, coeff k]'", lineno)
-        left, right = body.split("->", 1)
-        lw = left.split()
-        if len(lw) != 2:
-            err("bracket needs two basis indices", lineno)
-        i, j = _index(lw[0], err, lineno), _index(lw[1], err, lineno)
-        terms = []
-        for chunk in right.split(","):
-            cw = chunk.strip().rsplit(maxsplit=1)
-            if len(cw) != 2:
-                err(f"bad bracket term {chunk.strip()!r}", lineno)
-            terms.append(
-                (
-                    _over_params(expr(cw[0], lineno), entry, err, lineno),
-                    _index(cw[1], err, lineno),
-                )
-            )
-        key = (i, j)
-        if key in entry.brackets:
-            err(f"duplicate bracket {key}", lineno)
-        entry.brackets[key] = terms
-        return
-    if head == "r" and entry.kind == "rmatrix":
-        body = line[1:].strip()
-        for chunk in body.split(";"):
-            cw = chunk.strip().rsplit(maxsplit=3)
-            if len(cw) != 4 or cw[2] not in ("wedge", "tensor"):
-                err(f"bad r term {chunk.strip()!r}", lineno)
-            entry.terms.append(
-                (
-                    expr(cw[0], lineno),
-                    _index(cw[1], err, lineno),
-                    _index(cw[3], err, lineno),
-                    cw[2],
-                )
-            )
-        return
-    if head == "rfree" and entry.kind == "rmatrix":
-        entry.rfree.extend(words[1:])
-        return
-    if head == "schouten" and entry.kind == "rmatrix":
-        if words[1:] == ["zero"]:
-            entry.schouten_terms = None
-            return
-        body = line[len("schouten") :].strip()
-        entry.schouten_terms = entry.schouten_terms or []
-        for chunk in body.split(";"):
-            cw = chunk.strip().rsplit(maxsplit=3)
-            if len(cw) != 4:
-                err(f"bad schouten term {chunk.strip()!r}", lineno)
-            entry.schouten_terms.append(
-                (
-                    expr(cw[0], lineno),
-                    _index(cw[1], err, lineno),
-                    _index(cw[2], err, lineno),
-                    _index(cw[3], err, lineno),
-                )
-            )
-        return
-    if head == "pb" and entry.kind == "poisson":
-        body = line[len("pb") :].strip()
-        if "=" not in body:
-            err("pb must be 'pb i j = EXPR'", lineno)
-        left, right = body.split("=", 1)
-        lw = left.split()
-        if len(lw) != 2:
-            err("pb needs two coordinate indices", lineno)
-        key = (_index(lw[0], err, lineno), _index(lw[1], err, lineno))
-        if key in entry.brackets:
-            err(f"duplicate pb {key}", lineno)
-        entry.brackets[key] = expr(right, lineno)
-        return
-    if head in ("xl", "xr") and entry.kind == "frame":
-        body = line[2:].strip()
-        if "=" not in body:
-            err(f"{head} must be '{head} i = EXPR'", lineno)
-        left, right = body.split("=", 1)
-        i = _index(left.strip(), err, lineno)
-        table = entry.xl if head == "xl" else entry.xr
-        if i in table:
-            err(f"duplicate {head} {i}", lineno)
-        table[i] = expr(right, lineno)
-        return
-    if head == "pair" and entry.kind == "membership":
+            err("membership needs table8 or table9")
+    elif head in ("bialgebra", "rmatrix"):
         if len(words) != 3:
-            err("pair needs two names", lineno)
-        entry.pairs.append((words[1], words[2]))
-        return
-    if entry.kind == "fixture" and head in ("ref", "expr", "matrix", "val"):
-        body = line[len(head) :].strip()
-        if "=" not in body:
-            err(f"{head} must be '{head} KEY = ...'", lineno)
-        key, rhs = (s.strip() for s in body.split("=", 1))
-        if head == "ref":
-            entry.refs[key] = rhs
-        elif head == "expr":
-            entry.exprs[key] = expr(rhs, lineno)
-        elif head == "val":
-            entry.vals[key] = expr(rhs, lineno)
-        else:
-            rows = []
-            for rtext in rhs.split(";"):
-                rows.append(
-                    [
-                        expr(cell, lineno)
-                        for cell in rtext.split()
-                    ]
+            err(f"{head} needs exactly two names")
+    elif len(words) != 2:
+        err(f"{head} needs a name")
+    return _BLOCKS[head](*words[1:])
+
+
+def _payload_line(entry, head, line, err, expr, once):
+    body = line[len(head) :].strip()
+    match head:
+        case "source" | "note":
+            setattr(entry, head, body)
+        case "status":
+            if body != "flagged":
+                err("status must be 'flagged'")
+            entry.status = "flagged"
+        case "constraint" if entry.kind == "algebra":
+            lhs, rhs = _sides(head, body, "!=", "EXPR != EXPR", err)
+            entry.constraints.append(
+                Constraint(
+                    _over_params(expr(lhs), entry, err),
+                    _over_params(expr(rhs), entry, err),
                 )
-            if any(len(r) != len(rows[0]) for r in rows):
-                err("matrix rows have unequal lengths", lineno)
-            entry.matrices[key] = rows
-        return
-    err(f"unknown payload keyword {head!r} in {entry.kind} block", lineno)
+            )
+        case "bracket" if entry.kind == "algebra":
+            shape = "i j -> COEFF k [, COEFF k ...]"
+            left, right = _sides(head, body, "->", shape, err)
+            key = _two_indices(head, left, err)
+            once(head, key)
+            entry.brackets[key] = [
+                (_over_params(expr(c), entry, err), _index(k, err))
+                for c, k in _terms(head, right, ",", 2, err)
+            ]
+        case "r" if entry.kind == "rmatrix":
+            for c, i, knd, j in _terms(head, body, ";", 4, err):
+                if knd not in ("wedge", "tensor"):
+                    err(f"bad r term {' '.join((c, i, knd, j))!r}")
+                entry.terms.append((expr(c), _index(i, err), _index(j, err), knd))
+        case "rfree" if entry.kind == "rmatrix":
+            entry.rfree.extend(body.split())
+        case "schouten" if entry.kind == "rmatrix":
+            once(head)
+            if body != "zero":
+                entry.schouten_terms = [
+                    (expr(c), _index(i, err), _index(j, err), _index(k, err))
+                    for c, i, j, k in _terms(head, body, ";", 4, err)
+                ]
+        case "pb" if entry.kind == "poisson":
+            left, right = _sides(head, body, "=", "i j = EXPR", err)
+            key = _two_indices(head, left, err)
+            once(head, key)
+            entry.brackets[key] = expr(right)
+        case "xl" | "xr" if entry.kind == "frame":
+            left, right = _sides(head, body, "=", "i = EXPR", err)
+            i = _index(left.strip(), err)
+            once(head, i)
+            (entry.xl if head == "xl" else entry.xr)[i] = expr(right)
+        case "pair" if entry.kind == "membership":
+            names = body.split()
+            if len(names) != 2:
+                err("pair needs two names")
+            entry.pairs.append(tuple(names))
+        case "ref" | "expr" | "matrix" | "val" if entry.kind == "fixture":
+            key, rhs = (s.strip() for s in _sides(head, body, "=", "KEY = ...", err))
+            once(head, key)
+            if head == "ref":
+                entry.refs[key] = rhs
+            elif head == "matrix":
+                rows = [[expr(cell) for cell in row.split()] for row in rhs.split(";")]
+                if any(len(r) != len(rows[0]) for r in rows):
+                    err("matrix rows have unequal lengths")
+                entry.matrices[key] = rows
+            else:
+                (entry.exprs if head == "expr" else entry.vals)[key] = expr(rhs)
+        case _:
+            err(f"unknown payload keyword {head!r} in {entry.kind} block")
 
 
-def _index(tok, err, lineno):
+def _sides(head, body, sep, shape, err):
+    """LEFT and RIGHT of the body of a `head LEFT sep RIGHT` line."""
+    if sep not in body:
+        err(f"{head} must be '{head} {shape}'")
+    return body.split(sep, 1)
+
+
+def _terms(head, body, sep, width, err):
+    """The `sep`-separated terms of body, each split into `width` words from
+    the right, so that the leading coefficient may hold spaces."""
+    out = []
+    for chunk in body.split(sep):
+        words = chunk.strip().rsplit(maxsplit=width - 1)
+        if len(words) != width:
+            err(f"bad {head} term {chunk.strip()!r}")
+        out.append(words)
+    return out
+
+
+def _two_indices(head, left, err):
+    words = left.split()
+    if len(words) != 2:
+        err(f"{head} needs two indices")
+    return _index(words[0], err), _index(words[1], err)
+
+
+def _index(tok, err):
     # ASCII digits only: int() also reads other scripts' digits, signs and "1_0"
     if not (tok.isascii() and tok.isdigit()):
-        err(f"expected a basis index, found {tok!r}", lineno)
+        err(f"expected a basis index, found {tok!r}")
     v = int(tok)
     if not 1 <= v <= 8:
-        err(f"basis index {v} out of range", lineno)
+        err(f"basis index {v} out of range")
     return v
 
 
@@ -469,37 +445,14 @@ def _names(e):
                 yield from _names(a)
 
 
-def _over_params(e, entry, err, lineno):
+def _over_params(e, entry, err):
     """e, when it names only the algebra's declared parameters: a constraint
     or bracket coefficient over anything else would have no value at any
     binding."""
     stray = sorted(set(_names(e)) - set(entry.params))
     if stray:
-        err(f"{entry.name} declares no parameter {', '.join(stray)}", lineno)
+        err(f"{entry.name} declares no parameter {', '.join(stray)}")
     return e
-
-
-def validate_references(entries):
-    """Cross-entry name resolution (run after all corpus files are merged)."""
-    algebras = {e.name for e in entries if e.kind == "algebra"}
-    for e in entries:
-        refs = []
-        if e.kind in ("bialgebra", "rmatrix", "poisson"):
-            refs = [e.g, e.dual]
-        elif e.kind == "frame":
-            refs = [e.name]
-        elif e.kind == "membership":
-            refs = [n for pair in e.pairs for n in pair]
-        for n in refs:
-            if n not in algebras:
-                raise CorpusSyntaxError(
-                    f"unresolved algebra name {n!r} in {e.kind} block {getattr(e, 'name', '')}"
-                )
-
-
-# --------------------------------------------------------------------------
-# serialization (canonical, re-parseable)
-# --------------------------------------------------------------------------
 
 
 # --------------------------------------------------------------------------
@@ -511,66 +464,50 @@ class Corpus:
     """Indexed view over a list of parsed entries."""
 
     def __init__(self, entries):
-        validate_references(entries)
+        """One pass indexes each block by kind and key, rejecting a repeated
+        one; the blocks that name algebras are resolved after it, since a
+        block may come before the algebras it names."""
         self.entries = entries
-        self.algebras = {}
-        self.bialgebras = []
-        self.rmatrices = {}
-        self.poisson = []
-        self.frames = {}
-        self.memberships = {}
-        self.fixtures = {}
+        index = {kind: {} for kind in _BLOCKS}
+        referring = []
         for e in entries:
-            if e.kind == "algebra":
-                if e.name in self.algebras:
-                    raise InputError(f"duplicate algebra {e.name}")
-                self.algebras[e.name] = e
-            elif e.kind == "bialgebra":
-                self.bialgebras.append(e)
-            elif e.kind == "rmatrix":
-                self.rmatrices[(e.g, e.dual)] = e
-            elif e.kind == "poisson":
-                self.poisson.append(e)
-            elif e.kind == "frame":
-                self.frames[e.name] = e
-            elif e.kind == "membership":
-                self.memberships[e.table] = e
-            else:
-                self.fixtures[e.name] = e
+            table, key = index[e.kind], e.key
+            if key in table:
+                raise InputError(f"duplicate {e.kind} {e.name}")
+            table[key] = e
+            if e.named_algebras:
+                referring.append(e)
+        self.algebras = index["algebra"]
+        for e in referring:
+            e.resolve(self.algebras)
+        self.bialgebras = list(index["bialgebra"].values())
+        self.rmatrices = index["rmatrix"]
+        self.poisson = list(index["poisson"].values())
+        self.frames = index["frame"]
+        self.memberships = index["membership"]
+        self.fixtures = index["fixture"]
 
     def algebra(self, name) -> AlgebraEntry:
         if name not in self.algebras:
             raise InputError(f"unknown algebra {name!r}")
         return self.algebras[name]
 
-    def pair_params(self, g, dual):
-        return sorted(set(self.algebra(g).params) | set(self.algebra(dual).params))
-
-    def pair_constraints(self, g, dual):
-        return self.algebra(g).constraints + self.algebra(dual).constraints
-
     def grid_bindings(self, g, dual=None, cap=None):
-        """Cartesian grid over the pair's parameters filtered by constraints.
+        """Cartesian grid over the parameters of g, or of the pair, filtered
+        by their constraints.
 
         Entries without parameters yield the single empty binding.
         """
         from itertools import product
 
-        params = (
-            self.pair_params(g, dual) if dual is not None else self.algebra(g).params
-        )
-        params = sorted(set(params))
-        constraints = (
-            self.pair_constraints(g, dual)
-            if dual is not None
-            else self.algebra(g).constraints
-        )
+        algebras = [self.algebra(n) for n in (g, dual) if n is not None]
+        params = sorted({p for a in algebras for p in a.params})
         if not params:
             return [{}]
         out = []
         for combo in product(DEFAULT_GRID, repeat=len(params)):
             binding = dict(zip(params, combo))
-            if all(c.ok(binding) for c in constraints):
+            if all(c.ok(binding) for a in algebras for c in a.constraints):
                 out.append(binding)
                 if cap is not None and len(out) >= cap:
                     break
@@ -581,25 +518,22 @@ class Corpus:
 
 
 def load(paths=None) -> Corpus:
-    """Load a corpus from explicit files, a directory, or the packaged data."""
+    """Load a corpus from the packaged data, a file or directory path, or a
+    list of file paths; a path is a str."""
     import os
+    from pathlib import Path
 
-    if paths is None:
-        entries = []
-        pkg = resources.files("liebialg").joinpath("data")
-        for item in sorted(pkg.iterdir(), key=lambda p: p.name):
-            if item.name.endswith(".txt"):
-                entries.extend(parse(item.read_text("utf-8"), filename=item.name))
-        return Corpus(entries)
-    if isinstance(paths, (str, bytes)) and os.path.isdir(paths):
-        files = sorted(
-            os.path.join(paths, n) for n in os.listdir(paths) if n.endswith(".txt")
-        )
-        paths = files
-    elif isinstance(paths, (str, bytes)):
+    if isinstance(paths, bytes):
+        raise InputError("a corpus path is a str, not bytes")
+    if isinstance(paths, str) and not os.path.isdir(paths):
         paths = [paths]
+    if paths is None or isinstance(paths, str):
+        folder = Path(paths) if paths else resources.files("liebialg").joinpath("data")
+        files = [f for f in folder.iterdir() if f.name.endswith(".txt")]
+        files.sort(key=lambda f: f.name)
+    else:
+        files = [Path(p) for p in paths]
     entries = []
-    for p in paths:
-        with open(p, "r", encoding="utf-8") as fh:
-            entries.extend(parse(fh.read(), filename=os.path.basename(p)))
+    for f in files:
+        entries.extend(parse(f.read_text("utf-8"), filename=f.name))
     return Corpus(entries)

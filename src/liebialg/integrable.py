@@ -31,11 +31,6 @@ class IntegrableExample:
     name: str = ""
 
 
-def bracket(P: PoissonBivector, f: ClosedFunction, g: ClosedFunction) -> ClosedFunction:
-    """Exact {f, g} = sum_ij P^ij d_i f d_j g, as X_f(g) with X_f^j = P^ij d_i f."""
-    return apply(interior(bivector(P.P), jet(f)), jet(g))
-
-
 @dataclass
 class ClosureReport:
     failing: list  # labels "{a,b}" of the brackets whose identity fails

@@ -70,6 +70,9 @@ generates, the oracle of `rmatrix.generates_cocommutator` and of the
 corpus's r-matrix rows; `cf_matexp_pm`, the dense adapter of
 `closedfun.cf_matexp_pm_sparse`; and `serialize`, the corpus writer that
 re-prints a parse for the round-trip and fuzz tests of `corpus.parse`.
+`jet_bracket`, the Poisson bracket of two functions through the jets of
+`liebialg.multivec`, left `integrable` for the same reason: its closure and
+Darboux checks compose those steps themselves.
 """
 
 import cmath
@@ -107,6 +110,7 @@ from liebialg.core import StructureConstants, TwoFormLA
 from liebialg.errors import EvalError, InputError
 from liebialg.exprtree import to_text
 from liebialg.groupgeom import double_exp_factor
+from liebialg.multivec import apply, bivector, interior, jet
 from liebialg.rmatrix import TensorElement, _ad_action, _ad_action_ints
 
 _FUNCS = {"exp": math.exp, "sin": math.sin, "cos": math.cos, "sinh": math.sinh,
@@ -656,6 +660,12 @@ def poisson_bracket(p, f, g):
             if p[i][j] and df[i] and dg[j]:
                 acc = acc + p[i][j] * df[i] * dg[j]
     return acc
+
+
+def jet_bracket(P, f, g):
+    """Exact {f, g} = sum_ij P^ij d_i f d_j g of a PoissonBivector, as X_f(g)
+    with X_f^j = P^ij d_i f."""
+    return apply(interior(bivector(P.P), jet(f)), jet(g))
 
 
 def closed_two_forms_by_fractions(f):

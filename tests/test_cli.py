@@ -637,6 +637,13 @@ PRIVATE_NAME = re.compile(r"(?<![\w./-])_[A-Za-z]\w*")
         (["integrable", "--example", "1", "--t-end", "\u0661"],
          "argument --t-end: not a number: '\u0661'"),
         (["integrable", "--example", "1", "--dt", "\u0661"], "argument --dt: not a number: '\u0661'"),
+        # a NAME the algebra does not declare, or a repeated one, was ignored
+        (["derive", "fields", "--algebra", "A_4_7", "--param", "zz=1"],
+         "argument --param: no parameter 'zz' in A_4_7"),
+        (["derive", "fields", "--algebra", "A_4_11_b", "--param", "b=1", "--param", "b=2"],
+         "argument --param: 'b' is given twice"),
+        (["derive", "rmatrix", "--algebra", "A_4_9_b", "--dual", "A_4_9_b.i", "--param", "q=1"],
+         "argument --param: no parameter 'q' in A_4_9_b or A_4_9_b.i"),
     ],
 )
 def test_bad_option_value_names_the_problem(argv, message, capsys):

@@ -1,6 +1,7 @@
 """Corpus format: parsing, diagnostics, round trips through the reference
 writer `evalref.serialize`, instantiation."""
 
+import hashlib
 import re
 from fractions import Fraction
 from importlib import resources
@@ -152,6 +153,77 @@ def test_out_of_range_index_rejected():
 def test_unresolved_reference_rejected():
     with pytest.raises(CorpusSyntaxError):
         corpus_mod.Corpus(corpus_mod.parse("bialgebra ghost ghost2\n"))
+
+
+@pytest.mark.parametrize(
+    "block, message",
+    [
+        ("frame demo\n  xl 1 = d1\n", "duplicate frame demo"),
+        ("rmatrix demo demo_dual\n  schouten zero\n", "duplicate rmatrix r(demo, demo_dual)"),
+        ("membership table8\n", "duplicate membership table8"),
+        ("fixture sample\n", "duplicate fixture sample"),
+        ("bialgebra demo demo_dual\n", "duplicate bialgebra (demo, demo_dual)"),
+        ("poisson demo demo_dual sklyanin\n", "duplicate poisson pb(demo, demo_dual)[sklyanin]"),
+    ],
+)
+def test_a_repeated_block_is_rejected_naming_its_kind_and_key(block, message):
+    # the second block replaced the first, whose payload was never checked
+    with pytest.raises(InputError, match=re.escape(message)):
+        corpus_mod.Corpus(corpus_mod.parse(SAMPLE + block))
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        "fixture f\n  ref k = a\n  ref k = b\n",
+        "fixture f\n  expr k = x1\n  expr k = x2\n",
+        "fixture f\n  val k = 1\n  val k = 2\n",
+        "fixture f\n  matrix k = 1 0 ; 0 1\n  matrix k = 1\n",
+        "rmatrix g d\n  schouten 1 1 2 3\n  schouten zero\n",
+        "rmatrix g d\n  schouten zero\n  schouten 1 1 2 3\n",
+        "rmatrix g d\n  schouten 1 1 2 3\n  schouten 1 1 2 4\n",
+        "algebra a\n  bracket 1 2 -> 1 3\n  bracket 1 2 -> 1 4\n",
+        "poisson g d pi\n  pb 1 2 = 1\n  pb 1 2 = 2\n",
+        "frame a\n  xl 1 = d1\n  xl 1 = d2\n",
+    ],
+)
+def test_a_repeated_key_or_schouten_line_is_located(payload):
+    # a second fixture key overwrote the first, and a second schouten line
+    # dropped or extended the printed certificate; the bracket, pb and xl
+    # tables already took each key once, by the same rule
+    with pytest.raises(CorpusSyntaxError, match="duplicate") as exc:
+        corpus_mod.parse(payload, filename="f.txt")
+    assert (exc.value.filename, exc.value.line) == ("f.txt", 3)
+
+
+@pytest.mark.parametrize("side", ["g", "d"])
+def test_an_rfree_name_is_not_a_parameter_of_its_pair(side):
+    # the r-free {0, 1} product would bind it for r alone, while f and fd
+    # stay at the grid value
+    text = (
+        f"algebra g{' params b' if side == 'g' else ''}\n"
+        f"algebra d{' params b' if side == 'd' else ''}\n"
+        "rmatrix g d\n  r b 1 wedge 2\n  rfree b\n"
+    )
+    with pytest.raises(CorpusSyntaxError, match=re.escape("r(g, d): rfree b is a parameter of its pair")):
+        corpus_mod.Corpus(corpus_mod.parse(text))
+    corpus_mod.Corpus(corpus_mod.parse(text.replace("rfree b", "rfree c").replace("r b", "r c")))
+
+
+def test_load_takes_str_paths(tmp_path):
+    path = tmp_path / "one.txt"
+    path.write_text("algebra a\n", encoding="utf-8")
+    assert list(corpus_mod.load(str(tmp_path)).algebras) == ["a"]
+    assert list(corpus_mod.load([str(path)]).algebras) == ["a"]
+    with pytest.raises(InputError, match="a corpus path is a str"):
+        corpus_mod.load(str(tmp_path).encode())
+
+
+def test_the_packaged_corpus_parses_to_pinned_entries(reg):
+    # the verify contract prints no fixture and no r-matrix certificate, so
+    # this hash is what sees a change to a parsed entry
+    digest = hashlib.sha256(serialize(reg.entries).encode()).hexdigest()
+    assert digest == "538436dc292659a9a92db555a079a5f1a4a33e5b6377a9cc2fb16938ff624199"
 
 
 def test_serialize_roundtrip_sample():

@@ -4,12 +4,12 @@ import copy
 
 import pytest
 
+from evalref import jet_bracket as bracket
 from liebialg.closedfun import ClosedFunction
 from liebialg.errors import EvalError, InputError
 from liebialg.exprtree import add, const, parse_expr
 from liebialg.integrable import (
     MAX_STEPS,
-    bracket,
     closure_check,
     commuting_check,
     conserved,

@@ -107,23 +107,25 @@ def unreached(sources, roots):
     sorted dotted names.  Also roots: every module-level statement that is
     not a definition or an import, every dunder such as `__version__`, and
     every definition handed to one of the package's own decorators, which
-    may register it (the campaigns).  A definition, or a method, reaches
-    every top-level definition named by a `Name` it mentions (or by the
-    name that an import renames), and every top-level definition and method
-    named by an attribute it mentions.  Matching by name alone
-    over-approximates reach, so code that is used is never reported."""
-    defs, methods, renamed, todo, tops = {}, {}, {}, [], []
+    may register it (the campaigns).  A definition, or a method, reaches the
+    top-level definition that each `Name` it mentions resolves to: one of
+    its own module, or one that a `from .m import n [as a]` line of its
+    module brings in, followed through re-exports.  It also reaches every
+    top-level definition and method named by an attribute it mentions.
+    Matching attributes by name alone over-approximates reach, so code that
+    is used is never reported."""
+    defs, methods, imports, todo, tops = {}, {}, {}, [], []
     for mod, text in sources.items():
         tree = ast.parse(text)
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                renamed.update((a.asname, a.name) for a in node.names if a.asname)
+            if isinstance(node, ast.ImportFrom) and node.level and node.module:
+                imports.update(((mod, a.asname or a.name), (node.module, a.name)) for a in node.names)
         for node in tree.body:
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
             names = _bound_names(node)
             if not names:
-                todo.append(node)
+                todo.append((mod, node))
             for name in names:
                 dotted = f"{mod}.{name}"
                 defs.setdefault(name, {}).setdefault(dotted, []).append(node)
@@ -132,26 +134,40 @@ def unreached(sources, roots):
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, DEFINITIONS):
-                        methods.setdefault(item.name, []).append(item)
+                        methods.setdefault(item.name, []).append((mod, item))
             tops.append((mod, node))
+    nodes = {dotted: ns for by_module in defs.values() for dotted, ns in by_module.items()}
+
+    def resolve(mod, name):
+        # an import cycle ends the walk after one step per module
+        for _ in sources:
+            if f"{mod}.{name}" in nodes:
+                return [f"{mod}.{name}"]
+            if (mod, name) not in imports:
+                break
+            mod, name = imports[mod, name]
+        return []
+
     for mod, node in tops:
         for dec in getattr(node, "decorator_list", ()):
             called = dec.func if isinstance(dec, ast.Call) else dec
-            if isinstance(called, ast.Name) and renamed.get(called.id, called.id) in defs:
+            if isinstance(called, ast.Name) and resolve(mod, called.id):
                 todo.append(f"{mod}.{node.name}")
-    nodes = {dotted: ns for by_module in defs.values() for dotted, ns in by_module.items()}
     seen = set()
     while todo:
         unit = todo.pop()
-        key = unit if isinstance(unit, str) else id(unit)
+        if isinstance(unit, str):
+            key, mod, units = unit, unit.partition(".")[0], nodes[unit]
+        else:
+            (mod, node), key = unit, id(unit[1])
+            units = [node]
         if key in seen:
             continue
         seen.add(key)
-        for node in nodes[unit] if isinstance(unit, str) else [unit]:
+        for node in units:
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Name):
-                    todo += defs.get(sub.id, {})
-                    todo += defs.get(renamed.get(sub.id), {})
+                    todo += resolve(mod, sub.id)
                 elif isinstance(sub, ast.Attribute):
                     todo += defs.get(sub.attr, {})
                     todo += methods.get(sub.attr, ())
@@ -217,6 +233,16 @@ def test_the_reachability_guard_flags_a_planted_definition():
     assert unreached(sources, {"a.main"}) == ["b.planted"]
     assert unreached(sources, {"a.main", "b.planted"}) == []
     assert unreached(sources, set()) == ["a.main", "b.Engine", "b._started", "b.helper", "b.planted"]
+    # a `Name` reaches what its own module defines or imports under it, not
+    # every definition that shares the name: b's `run` and `step` shadow
+    # nothing that `a` calls, whether renamed on import or re-exported by `c`
+    shadowed = {
+        "a": "from .c import run as go, step\ndef main():\n    return go() + step()\n",
+        "b": "def run():\n    return 0\ndef step():\n    return 3\n",
+        "c": "from .d import step\ndef run():\n    return 1\n",
+        "d": "def step():\n    return 2\n",
+    }
+    assert unreached(shadowed, {"a.main"}) == ["b.run", "b.step"]
 
 
 def test_readme_python_api_names_all():
