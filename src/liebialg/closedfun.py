@@ -1033,24 +1033,22 @@ def _block_putzer(sub, s, coord):
 
 
 def cf_matexp(m, coord):
-    """exp(x_coord * M) for a dense rational M: `_matexp` on its nonzero
-    entries."""
-    return _matexp(_sparse(m), len(m), coord)
+    """exp(x_coord * M) for a dense rational M: `cf_matexp_sparse` on its
+    nonzero entries."""
+    return cf_matexp_sparse(_sparse(m), len(m), coord)
 
 
-def cf_matexp_pm_sparse(mc, n, coord):
-    """(exp(x M), exp(-x M)) for x = x_coord and the n x n matrix M given by
-    its nonzero entries mc = {(i, j): CRat}.  The first is built from mc and
-    checked against it (`_matexp`); the second is its reflection in x_coord,
-    since exp(-x M) is exp(x M) at -x, and passes the same exact check on
-    the negated entries."""
-    e = _matexp(mc, n, coord)
-    em = cfm_reflect(e, coord)
-    _verify_matexp(em, {ij: -c for ij, c in mc.items()}, coord)
-    return e, em
+def cf_matexp_reflected(em, mc, coord):
+    """exp(x M) for x = x_coord and the matrix M given by its nonzero entries
+    mc = {(i, j): CRat}, read off em = exp(-x M): exp(x M) is exp(-x M) at
+    -x, so it is em's reflection in x_coord, and it passes the exact check
+    on mc itself."""
+    e = cfm_reflect(em, coord)
+    _verify_matexp(e, mc, coord)
+    return e
 
 
-def _matexp(mc, n, coord):
+def cf_matexp_sparse(mc, n, coord):
     """exp(x_coord * M) as a matrix of closed functions of x_coord alone,
     for the n x n matrix M given by its nonzero entries mc = {(i, j): CRat},
     built block by block over the strongly connected components of M's

@@ -51,7 +51,7 @@ class StructureConstants:
                     raise InputError(f"bad bracket index {k} in [X_{i}, X_{j}]")
                 c = _as_frac(coeff)
                 for key, v in (((i - 1, j - 1, k - 1), c), ((j - 1, i - 1, k - 1), -c)):
-                    acc[key] = acc.get(key, 0) + v
+                    acc[key] = acc[key] + v if key in acc else v
         return cls.from_entries(dim, [key + (v,) for key, v in acc.items() if v])
 
     @classmethod

@@ -28,8 +28,9 @@ grammar of exprtree.parse_expr (rationals, x1..x4, declared parameters,
 and bracket coefficients name only the parameters its header declares.
 
 A key appears once in its table of a block (a bracket or pb pair, an xl or
-xr index, a fixture key), and a block takes one schouten line.  Across the
-corpus a block's kind and name are unique, every algebra name a block names
+xr index, a fixture key), and a block takes at most one schouten, source,
+note and status line.  Across the corpus a block's kind and name are
+unique, every algebra name a block names (a fixture's ref values included)
 is an algebra of the corpus, and an rfree name is not a parameter of its
 pair.
 """
@@ -253,6 +254,10 @@ class FixtureEntry(_Entry):
     vals: dict = field(default_factory=dict)
     kind = "fixture"
 
+    @property
+    def named_algebras(self):
+        return tuple(self.refs.values())
+
 
 _BLOCKS = {  # header keyword -> entry class
     cls.kind: cls
@@ -330,8 +335,10 @@ def _payload_line(entry, head, line, err, expr, once):
     body = line[len(head) :].strip()
     match head:
         case "source" | "note":
+            once(head)
             setattr(entry, head, body)
         case "status":
+            once(head)
             if body != "flagged":
                 err("status must be 'flagged'")
             entry.status = "flagged"

@@ -7,10 +7,12 @@ with matrices acting on the right of row vectors (row = input basis index).
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .closedfun import (
     CRat,
-    cf_matexp_pm_sparse,
+    cf_matexp_reflected,
+    cf_matexp_sparse,
     cfm_const_mul_sparse,
     cfm_identity,
     cfm_inverse_unitdet,
@@ -40,42 +42,52 @@ class InvariantFrame:
     exponentials and prefix products they are built from.
 
     prefix[k] = P_k = exp_neg[k-1] ... exp_neg[0] for k = 0 .. n, None for I:
-    R and XL are read off them, and `double_adjoint` reuses them for every
-    dual."""
+    R is read off them, and `double_adjoint` reuses them for every dual.
+    XL and exp_pos are built on their first read and then kept: fields,
+    Sklyanin bivectors and the Poisson-Lie check read XL, and only the
+    adjoint-block construction reads exp_pos (`double_exp_factor`)."""
 
     Rmat: list  # right-invariant one-form coefficients R^i_j (row i, col j)
     XR: list  # right-invariant vector fields, XR[j][l] = component on d_l
-    XL: list  # left-invariant vector fields
-    exp_pos: list  # exp_pos[i] = exp(x_{i+1} Xadj_{i+1}), a 4x4 CFMatrix
-    # exp_neg[i] = exp(-x_{i+1} Xadj_{i+1}), the inverse of exp_pos[i] and
-    # its reflection x_{i+1} -> -x_{i+1}
-    exp_neg: list
+    exp_neg: list  # exp_neg[i] = exp(-x_{i+1} Xadj_{i+1}), a 4x4 CFMatrix
     prefix: list  # P_0 .. P_n, None for I; P_1 is exp_neg[0], P_n is Ad(g)^-1
     base: StructureConstants
 
+    @cached_property
+    def XL(self):
+        """The left-invariant vector fields: theta_L = Ad_{g^-1} theta_R and
+        P_n = Ad(g)^-1, so XL = P_n XR, with no second inverse."""
+        return _times(self.prefix[-1], self.XR)
 
-def invariant_frame(chart: GroupChart, matexp_pm=None) -> InvariantFrame:
+    @cached_property
+    def exp_pos(self):
+        """exp_pos[i] = exp(x_{i+1} Xadj_{i+1}), the inverse of exp_neg[i]:
+        its reflection x_{i+1} -> -x_{i+1}, which passes the exact check on
+        Xadj_{i+1} itself (`cf_matexp_reflected`)."""
+        pairs = zip(self.exp_neg, adjoint_maps(self.base))
+        return [cf_matexp_reflected(em, mc, i + 1) for i, (em, mc) in enumerate(pairs)]
+
+
+def invariant_frame(chart: GroupChart, matexp=None) -> InvariantFrame:
     """Assemble R symbolically and invert it to the frame fields.
 
     R column j is row j of the prefix product P_(j-1) = exp(-x_(j-1) Xadj_(j-1))
     ... exp(-x_1 Xadj_1), and XR = (R^-1)^T.  P_n completes the product to
     Ad(g)^-1 = exp(-x4 Xadj_4) exp(-x3 Xadj_3) exp(-x2 Xadj_2) exp(-x1 Xadj_1),
-    and theta_L = Ad_{g^-1} theta_R gives XL = Ad(g)^-1 XR with no second
-    inverse.  Each Xadj_i enters as the sparse map of its nonzero entries
-    (`adjoint_maps`, read off the integer form of the structure constants),
-    and exp(-x_m Xadj_m) is the reflection x_m -> -x_m of exp(x_m Xadj_m)
-    (`cf_matexp_pm_sparse`); both pass their exact ODE checks, so the
-    reversed product is the exact inverse of Ad(g).  The frame keeps every
-    P_k for `double_adjoint`.  `matexp_pm(mc, n, coord)` stands in for
-    `cf_matexp_pm_sparse`, say a memo of it.
+    which gives XL = P_n XR on its first read.  Each -Xadj_i enters as the
+    sparse map of its nonzero entries (`adjoint_maps`, read off the integer
+    form of the structure constants), and exp(-x_m Xadj_m) is built from it
+    and passes its exact ODE check (`cf_matexp_sparse`), so the reversed
+    product is the exact inverse of Ad(g).  The frame keeps every P_k for
+    `double_adjoint`; exp(x_m Xadj_m) is built only when it is read
+    (`InvariantFrame.exp_pos`).  `matexp(mc, n, coord)` stands in for
+    `cf_matexp_sparse`, say a memo of it.
     """
     f = chart.base
     n = f.dim
-    matexp_pm = matexp_pm or cf_matexp_pm_sparse
-    maps = adjoint_maps(f)
-    pairs = [matexp_pm(mc, n, i + 1) for i, mc in enumerate(maps)]
-    exp_pos = [e for e, _ in pairs]
-    exp_neg = [em for _, em in pairs]
+    matexp = matexp or cf_matexp_sparse
+    maps = adjoint_maps(f, sign=-1)
+    exp_neg = [matexp(mc, n, i + 1) for i, mc in enumerate(maps)]
 
     # None stands for I while every factor so far has been exp(0) = I, the
     # exponential of an empty map
@@ -86,16 +98,18 @@ def invariant_frame(chart: GroupChart, matexp_pm=None) -> InvariantFrame:
 
     rmat = cfm_transpose([(ident if p is None else p)[j] for j, p in enumerate(prefix[:n])])
     xr = cfm_transpose(cfm_inverse_unitdet(rmat))
-    return InvariantFrame(rmat, xr, _times(prefix[n], xr), exp_pos, exp_neg, prefix, f)
+    return InvariantFrame(rmat, xr, exp_neg, prefix, f)
 
 
-def adjoint_maps(f: StructureConstants):
-    """[{(j, k): CRat} for each i]: the nonzero entries (Xadj_i)_j^k = -f_ij^k
-    of every adjoint matrix, read in one pass over the integer form D f."""
+def adjoint_maps(f: StructureConstants, sign=1):
+    """[{(j, k): CRat} for each i]: the nonzero entries of sign Xadj_i, with
+    (Xadj_i)_j^k = -f_ij^k, for every adjoint matrix, read in one pass over
+    the integer form D f."""
     den, ints = f.scaled_nonzero()
     maps = [{} for _ in range(f.dim)]
     for (i, j, k, w) in ints:
-        maps[i][(j, k)] = CRat(-w if den == 1 else Fraction(-w, den))
+        w = -sign * w
+        maps[i][(j, k)] = CRat(w if den == 1 else Fraction(w, den))
     return maps
 
 
@@ -149,9 +163,12 @@ def double_adjoint(
         -b a^-1 = -sum_k P_(k-1)^T F_k P_k.
 
     F_k is zero when the dual slice B_k = -ft^.._k is, so the sum runs over
-    the factors whose B_k is nonzero; a, b and d are never formed.  E_k and
-    E_-k passed their exact ODE checks (`cf_matexp_pm_sparse`), so they
-    are exp(x_k Xadj_k) and its inverse, and a d^T = I holds with no check.
+    the factors whose B_k is nonzero; a, b and d are never formed.  E_-k
+    passed its exact ODE check when the frame was built
+    (`cf_matexp_sparse`) and E_k passes its own on the frame's first read of
+    it (`InvariantFrame.exp_pos`), so they are exp(x_k Xadj_k) and its
+    inverse, and a d^T = I holds with no check.  exp_pos is read only when
+    some B_k is nonzero, and nothing here reads the frame's XL.
 
     `certified` says that the caller has found (f, fd) a Lie bialgebra
     (`bialgebra_failure` returned None); otherwise that is checked here.
@@ -182,12 +199,13 @@ def double_exp_factor(frame: InvariantFrame, fd: StructureConstants, i):
     Xadj = [[A, 0], [B, -A^T]] with A = Xadj_{i+1} of g, read from
     `frame.base`, and B[j][k] = -ft^jk_{i+1}, read from fd (the layout
     `build_double` gives), so its exponential is [[E, 0], [F, E_-^T]] with
-    E = exp(x A) and E_- = exp(-x A) held by the frame and
+    E = exp(x A) and E_- = exp(-x A) from the frame (`exp_pos`, built on its
+    first read, and `exp_neg`) and
 
         F(x) = E_-(x)^T int_0^x E(s)^T B E(s) ds
 
     (C. Van Loan, Computing integrals involving the matrix exponential, IEEE
-    TAC 1978).  E and E_- passed their own exact checks; F is checked
+    TAC 1978).  E and E_- pass their own exact checks; F is checked
     exactly against F(0) = 0 and F' = B E - A^T F.  From any integrand X E,
     F' = E_-^T X E - A^T F, so the integrand is built as (E^T B) E and the
     check's B E apart from it: a wrong constant product fails the check.

@@ -15,7 +15,7 @@ from itertools import product
 
 from . import corpus as corpus_mod
 from .core import bialgebra_failure, find_symplectic, jacobi_check
-from .closedfun import cf_matexp_pm_sparse
+from .closedfun import cf_matexp_sparse
 from .errors import ComputationError, InputError, InvariantError
 from .groupgeom import (
     GroupChart,
@@ -146,11 +146,13 @@ class Workbench:
 
     Each memo is a dict keyed by what its result depends on:
 
-      sc          structure constants per (algebra, binding)
-      frame       invariant frame per (algebra, binding)
-      matexp_pm   (exp(x M), exp(-x M)) per (coordinate, size, the sparse
-                  map of M's nonzero CRat entries); CRat is canonical, so
-                  equal matrices share one entry
+      sc          structure constants per (algebra, the values of its own
+                  parameters): a pair's bindings that differ only in the
+                  other algebra's parameters share one entry
+      frame       invariant frame, keyed like sc
+      matexp      exp(x M) per (coordinate, size, the sparse map of M's
+                  nonzero CRat entries); CRat is canonical, so equal
+                  matrices share one entry
       coboundary  r-matrix solution set per ordered (g, dual, binding)
       lie         Jacobi verdict per structure-constant tensor
       double      the first identity (g, dual) fails as a Lie bialgebra, or
@@ -176,24 +178,30 @@ class Workbench:
         self._jacobi = {}
         self._symplectic = {}
 
+    def _own(self, name, binding):
+        """(name, the values in `binding` of the algebra's own parameters):
+        all that its structure constants depend on."""
+        params = self.reg.algebra(name).params
+        return (name, tuple((p, binding[p]) for p in params if p in binding))
+
     def sc(self, name, binding):
         """The structure constants of `name` at `binding`."""
         return _memo(
-            self._sc, (name, _bkey(binding)), lambda: self.reg.instantiate(name, binding)
+            self._sc, self._own(name, binding), lambda: self.reg.instantiate(name, binding)
         )
 
     def frame(self, name, binding):
         return _memo(
             self._frames,
-            (name, _bkey(binding)),
-            lambda: invariant_frame(GroupChart(self.sc(name, binding)), self.matexp_pm),
+            self._own(name, binding),
+            lambda: invariant_frame(GroupChart(self.sc(name, binding)), self.matexp),
         )
 
-    def matexp_pm(self, mc, n, coord):
-        """`cf_matexp_pm_sparse(mc, n, coord)` for the n x n matrix with the
+    def matexp(self, mc, n, coord):
+        """`cf_matexp_sparse(mc, n, coord)` for the n x n matrix with the
         nonzero entries mc = {(i, j): CRat}, keyed by those entries."""
         key = (coord, n, frozenset(mc.items()))
-        return _memo(self._matexps, key, lambda: cf_matexp_pm_sparse(mc, n, coord))
+        return _memo(self._matexps, key, lambda: cf_matexp_sparse(mc, n, coord))
 
     def coboundary(self, g, dual, binding):
         """The r-matrix solution set of the ordered pair (g, dual)."""

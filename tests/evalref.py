@@ -67,8 +67,9 @@ there and serve the tests alone.  So did four that no command reached:
 `solve_affine`, the dense-row front of `ratlinalg.solve_sparse` that the
 sympy comparisons drive; `cocommutator_from_r`, the cobracket that an r
 generates, the oracle of `rmatrix.generates_cocommutator` and of the
-corpus's r-matrix rows; `cf_matexp_pm`, the dense adapter of
-`closedfun.cf_matexp_pm_sparse`; and `serialize`, the corpus writer that
+corpus's r-matrix rows; `cf_matexp_pm_sparse` with its dense adapter
+`cf_matexp_pm`, the pair (exp(x M), exp(-x M)) built the way a frame builds
+it; and `serialize`, the corpus writer that
 re-prints a parse for the round-trip and fuzz tests of `corpus.parse`.
 `jet_bracket`, the Poisson bracket of two functions through the jets of
 `liebialg.multivec`, left `integrable` for the same reason: its closure and
@@ -98,7 +99,8 @@ from liebialg.closedfun import (
     _spectrum,
     cf_const,
     cf_exp,
-    cf_matexp_pm_sparse,
+    cf_matexp_reflected,
+    cf_matexp_sparse,
     cfm_const_mul_sparse,
     cfm_eq,
     cfm_identity,
@@ -894,6 +896,16 @@ def matexp_by_putzer(m, coord):
         if t:
             result[i][j] = ClosedFunction(t)
     return result
+
+
+def cf_matexp_pm_sparse(mc, n, coord):
+    """(exp(x M), exp(-x M)) for x = x_coord and the n x n matrix M given by
+    its nonzero entries mc, the way a frame builds them: exp(-x M) from the
+    negated entries (`closedfun.cf_matexp_sparse`, with its exact check),
+    and exp(x M) as its reflection in x_coord, checked on mc itself
+    (`closedfun.cf_matexp_reflected`)."""
+    em = cf_matexp_sparse({ij: -c for ij, c in mc.items()}, n, coord)
+    return cf_matexp_reflected(em, mc, coord), em
 
 
 def cf_matexp_pm(m, coord):

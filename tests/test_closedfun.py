@@ -18,7 +18,6 @@ from liebialg.closedfun import (
     cf_cosh,
     cf_exp,
     cf_matexp,
-    cf_matexp_pm_sparse,
     cf_sin,
     cf_sinh,
     cfm_eq,
@@ -42,6 +41,7 @@ from liebialg.render import render_closed_function
 
 from evalref import (
     cf_matexp_pm,
+    cf_matexp_pm_sparse,
     cfm_mul_sum,
     derivative_is_by_matrices,
     inverse_by_cofactors,

@@ -196,6 +196,29 @@ def test_a_repeated_key_or_schouten_line_is_located(payload):
     assert (exc.value.filename, exc.value.line) == ("f.txt", 3)
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["source Table 2", "note printed twice", "status flagged"],
+)
+@pytest.mark.parametrize("block", ["algebra a", "fixture f", "poisson g d pi"])
+def test_a_repeated_shared_line_is_located(block, line):
+    # the last one silently won: a second source or note replaced the first
+    corpus_mod.parse(f"{block}\n  {line}\n")
+    with pytest.raises(CorpusSyntaxError, match="duplicate " + line.split()[0]) as exc:
+        corpus_mod.parse(f"{block}\n  {line}\n  {line}\n", filename="f.txt")
+    assert (exc.value.filename, exc.value.line) == ("f.txt", 3)
+
+
+def test_a_fixture_ref_names_an_algebra_of_the_corpus():
+    # a misspelt ref surfaced only when a test read it
+    text = "algebra a\nfixture f\n  ref phase = {}\n  expr k = x1\n"
+    assert corpus_mod.Corpus(corpus_mod.parse(text.format("a"))).fixtures["f"].refs == {
+        "phase": "a"
+    }
+    with pytest.raises(CorpusSyntaxError, match="unresolved algebra name 'ghost' in fixture block f"):
+        corpus_mod.Corpus(corpus_mod.parse(text.format("ghost")))
+
+
 @pytest.mark.parametrize("side", ["g", "d"])
 def test_an_rfree_name_is_not_a_parameter_of_its_pair(side):
     # the r-free {0, 1} product would bind it for r alone, while f and fd

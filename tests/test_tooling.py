@@ -4,9 +4,9 @@ name: every name it lists must still resolve in liebialg, or
 cached forms of a `StructureConstants`.  The frame path inverts one matrix by
 adjugate per frame and none per double, which the trace's
 `closedfun.cfm_inverse_unitdet.calls` counts.  A frame computes its four
-exponentials through the sparse core `cf_matexp_pm_sparse`, each from the
-map of an adjoint's nonzero CRat entries read off the integer form of the
-structure constants: it builds no dense adjoint and converts none
+exponentials exp(-x_i Xadj_i) through the sparse core `cf_matexp_sparse`,
+each from the map of an adjoint's nonzero CRat entries read off the integer
+form of the structure constants: it builds no dense adjoint and converts none
 (`closedfun._sparse`), so it never enters the dense adapter
 `closedfun.cf_matexp` that the trace spans.  Only `closedfun` builds
 term maps or touches the derivative cache of a `ClosedFunction`, and one
@@ -28,11 +28,15 @@ diagonal blocks builds no characteristic polynomial.  An exponential whose
 components are all 1 x 1 builds no characteristic polynomial, finds no
 spectrum and multiplies no two closed functions, its checks included.  A
 frame keeps its prefix products for every dual: `double_adjoint` forms
-none, and never forms Ad(g), the product of the exp(x_k Xadj_k).  Only the
+none, and never forms Ad(g), the product of the exp(x_k Xadj_k).  A frame
+builds exp(x_k Xadj_k) and XL only where they are read: a fields derivation
+and a Sklyanin bivector reflect no 4 x 4 exponential and check none on a
++ad map, and an adjoint-block bivector forms no XL.  Only the
 campaigns' entry enumerations choose the parameter bindings, and only the
 binding driver reads an entry's status."""
 
 import ast
+import functools
 import glob
 import importlib
 import importlib.util
@@ -44,7 +48,7 @@ from fractions import Fraction
 import pytest
 
 import liebialg
-from liebialg import closedfun, core, groupgeom, harness, poisson, ratlinalg, rmatrix
+from liebialg import cli, closedfun, core, groupgeom, harness, poisson, ratlinalg, rmatrix
 from liebialg.harness import verify_tables
 
 from evalref import blocks, cf_matexp_pm, coboundary_system
@@ -363,7 +367,7 @@ def test_one_adjugate_per_frame_and_none_per_double(reg, monkeypatch):
 
 def test_four_sparse_exponentials_per_frame(reg, monkeypatch):
     calls = []
-    exact = groupgeom.cf_matexp_pm_sparse
+    exact = groupgeom.cf_matexp_sparse
 
     def counted(mc, n, coord):
         calls.append((mc, n, coord))
@@ -372,7 +376,7 @@ def test_four_sparse_exponentials_per_frame(reg, monkeypatch):
     def dense(*args):
         raise AssertionError("the frame path read or converted a dense adjoint")
 
-    monkeypatch.setattr(groupgeom, "cf_matexp_pm_sparse", counted)
+    monkeypatch.setattr(groupgeom, "cf_matexp_sparse", counted)
     for attr in ("adjoints", "adjoint"):
         monkeypatch.setattr(core.StructureConstants, attr, dense)
     for attr in ("_sparse", "cf_matexp"):
@@ -410,6 +414,84 @@ def test_a_verify_pass_builds_no_double(reg, monkeypatch):
     assert sizes and set(sizes) == {4}
     assert builders == []
     assert not hasattr(core, "_matrix_residual")
+
+
+def _recording_exponential_builds(monkeypatch):
+    """Records the row count of every reflected matrix and the (map,
+    coordinate) of every exact exponential check in `closedfun`."""
+    reflected, checked = [], []
+    reflect, verify = closedfun.cfm_reflect, closedfun._verify_matexp
+
+    def reflect_recorded(a, i):
+        reflected.append(len(a))
+        return reflect(a, i)
+
+    def verify_recorded(e, mc, coord):
+        checked.append((frozenset(mc.items()), coord))
+        return verify(e, mc, coord)
+
+    monkeypatch.setattr(closedfun, "cfm_reflect", reflect_recorded)
+    monkeypatch.setattr(closedfun, "_verify_matexp", verify_recorded)
+    return reflected, checked
+
+
+def _plus_ad_checks(reg, name, binding):
+    """The (map, coordinate) of each nonzero +ad X_i of `name`, the check of
+    exp(x_i Xadj_i)."""
+    maps = groupgeom.adjoint_maps(reg.instantiate(name, binding))
+    return {(frozenset(mc.items()), i + 1) for i, mc in enumerate(maps) if mc}
+
+
+def test_fields_and_sklyanin_bivectors_build_no_exp_pos(reg, monkeypatch, capsys):
+    # only the adjoint-block construction reads exp(x Xadj): a fields
+    # derivation and a Sklyanin bivector reflect no 4 x 4 exponential (the
+    # only reflections left are of diagonal blocks inside `cf_matexp_sparse`)
+    # and run no exact check on a +ad map
+    reflected, checked = _recording_exponential_builds(monkeypatch)
+    for name in ("A_4_7", "VII0+R", "A_4_1", "A_4_12", "A2+A2"):
+        assert cli.main(["derive", "fields", "--algebra", name]) == 0
+        assert "XL_1" in capsys.readouterr().out
+        assert checked and not set(checked) & _plus_ad_checks(reg, name, {}), name
+        assert all(n < 4 for n in reflected), name
+        reflected.clear()
+        checked.clear()
+    rows = [(pe.g, pe.dual) for pe in reg.poisson if pe.method == "sklyanin"]
+    assert ("VII0+R", "II+R.xiv") in rows  # a 2 x 2 rotation block
+    for g, dual in rows[::4] + [("VII0+R", "II+R.xiv")]:
+        b = reg.grid_bindings(g, dual, cap=1)[0]
+        harness.Workbench(reg).bivector(g, dual, "sklyanin", b)
+        assert checked and not set(checked) & _plus_ad_checks(reg, g, b), (g, dual)
+        assert all(n < 4 for n in reflected), (g, dual)
+        reflected.clear()
+        checked.clear()
+
+
+def test_pi_bivectors_form_no_left_fields(reg, monkeypatch):
+    # XL = P_n XR is read by fields, Sklyanin bivectors and the Poisson-Lie
+    # check, not by the adjoint-block construction
+    mul = groupgeom.cfm_mul
+    right = []
+
+    def recorded(a, b):
+        right.append(b)
+        return mul(a, b)
+
+    monkeypatch.setattr(groupgeom, "cfm_mul", recorded)
+    _, checked = _recording_exponential_builds(monkeypatch)
+    rows = [(pe.g, pe.dual) for pe in reg.poisson if pe.method == "pi"]
+    assert len(rows) == 81
+    for g, dual in rows[::4]:
+        b = reg.grid_bindings(g, dual, cap=1)[0]
+        bench = harness.Workbench(reg)
+        bench.bivector(g, dual, "pi", b)
+        frame = bench.frame(g, b)
+        assert "XL" not in vars(frame), (g, dual)
+        assert not any(x is frame.XR for x in right), (g, dual)
+        # exp(x Xadj) is read here, and each of its four factors is checked
+        assert "exp_pos" in vars(frame), (g, dual)
+        assert _plus_ad_checks(reg, g, b) <= set(checked), (g, dual)
+        right.clear()
+        checked.clear()
 
 
 def _first_frames(reg, bench, names):
@@ -519,6 +601,20 @@ def test_only_pi_bivector_transports_by_cfm_mul(reg, monkeypatch):
 
     for mod in (closedfun, groupgeom, poisson):
         monkeypatch.setattr(mod, "cfm_mul", recorded_mul)
+    # a frame builds XL = P_n XR on its first read, which may come inside
+    # either check: that product is the frame's, not a transport
+    left_fields = groupgeom.InvariantFrame.XL.func
+
+    def frame_xl(frame):
+        inside.append("XL")
+        try:
+            return left_fields(frame)
+        finally:
+            inside.pop()
+
+    lazy = functools.cached_property(frame_xl)
+    lazy.__set_name__(groupgeom.InvariantFrame, "XL")
+    monkeypatch.setattr(groupgeom.InvariantFrame, "XL", lazy)
     const = closedfun.ClosedFunction.const.__func__
 
     def recorded_const(cls, c):
@@ -529,7 +625,14 @@ def test_only_pi_bivector_transports_by_cfm_mul(reg, monkeypatch):
     assert verify_tables(reg, "6")[0].ok
     assert called == {"multiplicative_check": 166, "sklyanin_bivector": 85, "pi_bivector": 81}
     assert muls.count("pi_bivector") == 2 * 81
-    assert set(muls) <= {None, "pi_bivector"}
+    assert set(muls) <= {None, "pi_bivector", "XL"}
+    # one XL product per frame the rows read, none for an abelian g (P_n = I)
+    bench = harness.Workbench(reg)
+    frames = {}
+    for _name, _key, _check, (_bench, pe, (b,)) in harness.verify_table67.entries(reg, bench):
+        fr = bench.frame(pe.g, b)
+        frames[id(fr)] = fr.prefix[-1] is not None
+    assert muls.count("XL") == sum(frames.values()) > 0
     assert not {"multiplicative_check", "sklyanin_bivector"} & set(consts)
 
 

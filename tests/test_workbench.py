@@ -23,7 +23,7 @@ def _counted(monkeypatch, owner, attr, record):
 
 def test_a_verify_pass_computes_each_shared_intermediate_once(reg, monkeypatch):
     matexps, solves, mixed, lie, doubles, adjoints = [], [], [], [], [], []
-    _counted(monkeypatch, harness, "cf_matexp_pm_sparse", matexps)
+    _counted(monkeypatch, harness, "cf_matexp_sparse", matexps)
     _counted(monkeypatch, harness, "solve_coboundary", solves)
     _counted(monkeypatch, core, "mixed_jacobi_check", mixed)
     _counted(monkeypatch, harness, "jacobi_check", lie)
@@ -86,10 +86,10 @@ def _a47(bench):
 MEMOS = {
     "sc": ("reg", "instantiate", lambda b: b.sc("A_4_7", {})),
     "frame": (harness, "invariant_frame", lambda b: b.frame("A_4_7", {})),
-    "matexp_pm": (
+    "matexp": (
         harness,
-        "cf_matexp_pm_sparse",
-        lambda b: b.matexp_pm(groupgeom.adjoint_maps(b.reg.instantiate("A_4_7"))[3], 4, 4),
+        "cf_matexp_sparse",
+        lambda b: b.matexp(groupgeom.adjoint_maps(b.reg.instantiate("A_4_7"))[3], 4, 4),
     ),
     "coboundary": (
         harness, "solve_coboundary", lambda b: b.coboundary("A_4_7", "A_4_7.i", {})
@@ -157,10 +157,53 @@ def test_memoized_frames_and_bivectors_equal_direct_ones(reg):
 def test_matexp_memo_key_is_the_matrix_value(reg):
     bench = Workbench(reg)
     mc = groupgeom.adjoint_maps(reg.instantiate("A_4_7"))[3]
-    e = bench.matexp_pm(mc, 4, 4)
+    e = bench.matexp(mc, 4, 4)
     # a fresh map of equal entries, in another order, and the dense route's
     same = {ij: CRat(c.re, c.im) for ij, c in reversed(mc.items())}
-    assert bench.matexp_pm(same, 4, 4) is e
-    assert bench.matexp_pm(_sparse(reg.instantiate("A_4_7").adjoint(3)), 4, 4) is e
-    assert bench.matexp_pm(mc, 4, 3) is not e
-    assert bench.matexp_pm({ij: c * 2 for ij, c in mc.items()}, 4, 4) is not e
+    assert bench.matexp(same, 4, 4) is e
+    assert bench.matexp(_sparse(reg.instantiate("A_4_7").adjoint(3)), 4, 4) is e
+    assert bench.matexp(mc, 4, 3) is not e
+    assert bench.matexp({ij: c * 2 for ij, c in mc.items()}, 4, 4) is not e
+    # one exponential per map: a frame's exp(-x Xadj) is the memo's entry for
+    # the negated map, and its exp(x Xadj) is no memo entry
+    before = len(bench._matexps)
+    frame = bench.frame("A_4_7", {})
+    neg = {ij: -c for ij, c in mc.items()}
+    assert frame.exp_neg[3] is bench.matexp(neg, 4, 4) is not e
+    assert frame.exp_pos[3] is not e and frame.exp_pos[3] == e
+    assert len(bench._matexps) == before + 4
+
+
+def test_structure_constants_and_frames_are_keyed_on_the_algebras_own_parameters(reg):
+    # A_4_1 has no parameter and its dual A_4_9_0.i has q: the pair's
+    # bindings differ in q alone, so they share A_4_1's tensor and frame
+    g, dual = "A_4_1", "A_4_9_0.i"
+    assert not reg.algebra(g).params and reg.algebra(dual).params == ["q"]
+    bindings = reg.grid_bindings(g, dual)
+    assert len(bindings) > 1
+    bench = Workbench(reg)
+    sc, frame = bench.sc(g, bindings[0]), bench.frame(g, bindings[0])
+    for b in bindings[1:]:
+        assert bench.sc(g, b) is sc and bench.frame(g, b) is frame
+    assert len({id(bench.sc(dual, b)) for b in bindings}) == len(bindings)
+    assert bench.sc(g, {}) is sc
+
+
+def test_a_verify_pass_instantiates_each_algebra_once_per_value_of_its_parameters(
+    reg, monkeypatch
+):
+    calls, frames = [], []
+    _counted(monkeypatch, reg, "instantiate", calls)
+    _counted(monkeypatch, harness, "invariant_frame", frames)
+    assert all(rep.ok for rep in harness.verify_tables(reg, "all"))
+    # the Workbench passes a binding; integrable instantiates its fixture's
+    # symmetry algebra itself, with none
+    own = [
+        (name, tuple((p, b[0][p]) for p in reg.algebra(name).params))
+        for name, *b in calls
+        if b
+    ]
+    assert own and len(own) == len(set(own))
+    # one frame per tensor: each frame's structure constants are built once
+    bases = [chart.base for (chart, _matexp) in frames]
+    assert bases and len({id(f) for f in bases}) == len(bases)
