@@ -133,6 +133,16 @@ class JacobiReport:
         return self.passed
 
 
+def _bump(acc, key, v):
+    """acc[key] += v, with a zero sum dropped from acc."""
+    s = acc.get(key)
+    v = v if s is None else s + v
+    if v:
+        acc[key] = v
+    elif s is not None:
+        del acc[key]
+
+
 def jacobi_check(sc: StructureConstants) -> JacobiReport:
     """Residual J_ijm^n = sum_k (f_ij^k f_km^n + f_ik^n f_mj^k + f_jk^n f_im^k)."""
     if not sc.is_antisymmetric():
@@ -154,28 +164,13 @@ def jacobi_check(sc: StructureConstants) -> JacobiReport:
     for (i, j, m, n), v in acc.items():
         # T_ijm^n enters J at the slots (i,j,m), (m,i,j) and (j,m,i)
         for key in ((i, j, m, n), (m, i, j, n), (j, m, i, n)):
-            s = total.get(key)
-            t = v if s is None else s + v
-            if t:
-                total[key] = t
-            elif s is not None:
-                del total[key]
+            _bump(total, key, v)
     den2 = den * den
     res = {
         (i + 1, j + 1, m + 1, n + 1): Fraction(v, den2)
         for (i, j, m, n), v in total.items()
     }
     return JacobiReport(not res, res)
-
-
-def _bump(acc, key, v):
-    """acc[key] += v, with a zero sum dropped from acc."""
-    s = acc.get(key)
-    v = v if s is None else s + v
-    if v:
-        acc[key] = v
-    elif s is not None:
-        del acc[key]
 
 
 def mixed_jacobi_check(f: StructureConstants, fd: StructureConstants):

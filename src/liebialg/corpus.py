@@ -27,9 +27,10 @@ grammar of exprtree.parse_expr (rationals, x1..x4, declared parameters,
 + - * / ^, exp/sin/cos/sinh/cosh, parentheses).  An algebra's constraints
 and bracket coefficients name only the parameters its header declares.
 
-A key appears once in its table of a block (a bracket or pb pair, an xl or
-xr index, a fixture key), and a block takes at most one schouten, source,
-note and status line.  Across the corpus a block's kind and name are
+A basis index (in bracket, r, schouten, pb, xl and xr lines) is 1..4: every
+block is 4-dimensional.  A key appears once in its table of a block (a
+bracket or pb pair, an xl or xr index, a fixture key), and a block takes at
+most one schouten, source, note and status line.  Across the corpus a block's kind and name are
 unique, every algebra name a block names (a fixture's ref values included)
 is an algebra of the corpus, and an rfree name is not a parameter of its
 pair.
@@ -39,10 +40,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
-from .core import StructureConstants
+from .core import StructureConstants, _bump
 from .errors import CorpusSyntaxError, EvalError, InputError
 from .exprtree import Expr, linear_parts, parse_expr, to_text
-from .rmatrix import TensorElement
+from .rmatrix import TensorElement, wedge3
 
 DEFAULT_GRID = (Fraction(-2), Fraction(-1, 2), Fraction(1, 3), Fraction(2))
 RFREE_GRID = (Fraction(0), Fraction(1))
@@ -169,14 +170,14 @@ class RMatrixEntry(_PairEntry):
         )
 
     def expected_schouten(self, binding):
-        from .rmatrix import rank3_add, wedge3
-
+        """The printed [[r, r]] as a rank-3 map (see `rmatrix.wedge3`), or
+        None for `schouten zero`."""
         if not self.schouten_terms:
             return None
-        acc = None
+        acc = {}
         for (e, i, j, k) in self.schouten_terms:
-            t = wedge3(i, j, k, e.eval_exact(binding))
-            acc = t if acc is None else rank3_add(acc, t)
+            for key, v in wedge3(i, j, k, e.eval_exact(binding)).items():
+                _bump(acc, key, v)
         return acc
 
 
@@ -435,8 +436,8 @@ def _index(tok, err):
     if not (tok.isascii() and tok.isdigit()):
         err(f"expected a basis index, found {tok!r}")
     v = int(tok)
-    if not 1 <= v <= 8:
-        err(f"basis index {v} out of range")
+    if not 1 <= v <= 4:  # every block is 4-dimensional
+        err(f"basis index {v} out of range 1..4")
     return v
 
 

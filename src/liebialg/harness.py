@@ -34,7 +34,6 @@ from .render import render_closed_function
 from .rmatrix import (
     classify_r,
     generates_cocommutator,
-    rank3_eq,
     solve_coboundary,
 )
 
@@ -388,7 +387,7 @@ def _rmatrix_row_at(bench, e, b, found):
             if cl.kind != "triangular":
                 return f"expected triangular, got {cl.kind} ({cl.violation})"
         else:
-            if not rank3_eq(cl.schouten, expected):
+            if cl.schouten != expected:
                 return "[[r,r]] differs from the printed certificate"
             if cl.kind != "quasitriangular":
                 return f"nonzero [[r,r]] not quasi-triangular: {cl.violation}"

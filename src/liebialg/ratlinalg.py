@@ -39,22 +39,8 @@ def transpose(m):
     return [list(col) for col in zip(*m)]
 
 
-def scaled_ints(m):
-    """(D, D * m as rows of ints), with D the lcm of the denominators of m."""
-    den = lcm(*[x.denominator for row in m for x in row])
-    return den, [[x.numerator * (den // x.denominator) for x in row] for row in m]
-
-
 def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(c, a):
-    return [[c * x for x in row] for row in a]
 
 
 def is_zero_matrix(a):

@@ -5,6 +5,11 @@ The defining linear system (per adjoint conventions in core):
     Yt_i = Xadj_i^T r + r Xadj_i          (Yt_i)^ab = -ft^ab_i
 
 so a tensor r generates the cocommutator ft^ab_i = -(Xadj_i^T r + r Xadj_i)^ab.
+
+Every check runs on sparse integer maps: r scaled to ints is {(p, b): int}
+over its nonzero entries, and the action above is the one generator
+`_ad_terms`.  A rank-3 tensor such as [[r, r]] is {(a, b, c): value} over
+its nonzero entries, 0-based, so the zero tensor is the empty map.
 """
 
 from collections import defaultdict
@@ -13,7 +18,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from . import ratlinalg as rl
-from .core import StructureConstants
+from .core import StructureConstants, _bump
 from .errors import InputError
 
 
@@ -58,18 +63,6 @@ class TensorElement:
         d = self.dim
         return all(self.r[i][j] == -self.r[j][i] for i in range(d) for j in range(d))
 
-    def is_zero(self):
-        return rl.is_zero_matrix(self.r)
-
-    def __add__(self, other):
-        return TensorElement(self.dim, rl.mat_add(self.r, other.r))
-
-    def __sub__(self, other):
-        return TensorElement(self.dim, rl.mat_sub(self.r, other.r))
-
-    def scale(self, c):
-        return TensorElement(self.dim, rl.mat_scale(Fraction(c), self.r))
-
     def __eq__(self, other):
         return isinstance(other, TensorElement) and self.r == other.r
 
@@ -90,44 +83,42 @@ class RSolutionSet:
     empty: bool
 
 
-def _ad_action(r, f: StructureConstants):
-    """(s, [s (Xadj_i^T r + r Xadj_i) for each i]) for the matrix r, with s
-    a positive int that makes every entry an int."""
-    dr, ri = rl.scaled_ints(r)
-    d1, out = _ad_action_ints(ri, f)
-    return d1 * dr, out
+def _ints(r):
+    """(D, {(p, b): D r^pb}) over the nonzero entries of the matrix r, with D
+    the lcm of the denominators."""
+    flat, den = rl._int_row([x for row in r for x in row])
+    return den, {divmod(col, len(r)): x for col, x in flat.items()}
 
 
-def _ad_action_ints(ri, f: StructureConstants):
-    """(d1, [d1 (Xadj_i^T m + m Xadj_i) for each i]) for an int matrix m, with
-    d1 the scale of f's integer form."""
-    d = f.dim
-    d1, fnz = f.scaled_nonzero()
-    out = [[[0] * d for _ in range(d)] for _ in range(d)]
-    for (i, p, q, v) in fnz:
-        # d1 (Xadj_i)_p^q = -v enters (Xadj_i^T m)^qb and (m Xadj_i)^bq
-        o = out[i]
-        oq, rp = o[q], ri[p]
-        for b in range(d):
-            oq[b] -= v * rp[b]
-            o[b][q] -= ri[b][p] * v
-    return d1, out
-
-
-def _coboundary_residuals(r, f: StructureConstants, fd: StructureConstants):
-    """Matrices s (Xadj_i^T r + r Xadj_i - Yt_i) for each i, with s a
-    positive int that makes every entry an int."""
-    s, out = _ad_action(r, f)
-    d2, gnz = fd.scaled_nonzero()
-    out = [[[x * d2 for x in row] for row in m] for m in out]
-    for (a, b, i, w) in gnz:
-        out[i][a][b] += w * s  # -Yt_i^ab = ft^ab_i
-    return out
+def _ad_terms(m, f: StructureConstants):
+    """The terms of d1 (Xadj_i^T m + m Xadj_i) for each i, with d1 the scale
+    of f's integer form and m a sparse int matrix {(p, c): int}: each is
+    ((i, a, b), (p, c), w), entry (i, a, b) gaining w from the entry m^pc.
+    Terms at one entry are not summed."""
+    rows, cols = defaultdict(list), defaultdict(list)
+    for (p, c), x in m.items():
+        rows[p].append((c, x))
+        cols[c].append((p, x))
+    for (i, p, q, v) in f.scaled_nonzero()[1]:
+        # d1 (Xadj_i)_p^q = -v enters (Xadj_i^T m)^qc with m^pc and
+        # (m Xadj_i)^cq with m^cp
+        for c, x in rows[p]:
+            yield (i, q, c), (p, c), -v * x
+        for c, x in cols[p]:
+            yield (i, c, q), (c, p), -v * x
 
 
 def generates_cocommutator(r: TensorElement, f, fd) -> bool:
     """Exact membership test: r solves the defining system for (f, fd)."""
-    return not any(any(row) for m in _coboundary_residuals(r.r, f, fd) for row in m)
+    dr, ri = _ints(r.r)
+    d1, d2, gnz = f.scaled_nonzero()[0], *fd.scaled_nonzero()
+    # the residual Xadj_i^T r + r Xadj_i - Yt_i, times d1 d2 dr
+    acc = {}
+    for key, _, w in _ad_terms(ri, f):
+        _bump(acc, key, w * d2)
+    for (a, b, i, w) in gnz:
+        _bump(acc, (i, a, b), w * d1 * dr)  # -Yt_i^ab = ft^ab_i
+    return not acc
 
 
 def solve_coboundary(f: StructureConstants, fd: StructureConstants) -> RSolutionSet:
@@ -138,25 +129,16 @@ def solve_coboundary(f: StructureConstants, fd: StructureConstants) -> RSolution
     n = d * d
     # equation (i, a, b) is row i n + a d + b, times d1 d2 so that every
     # coefficient is an int; scaling an equation leaves the solutions as
-    # they are
-    d1, fnz = f.scaled_nonzero()
-    d2, gnz = fd.scaled_nonzero()
+    # they are.  Column p d + c is the action on the unit tensor E_pc: the
+    # terms of the all-ones m that come from its entry (p, c)
+    d1, d2, gnz = f.scaled_nonzero()[0], *fd.scaled_nonzero()
     # only the equations that a nonzero entry touches, by index, each the
     # sparse row {column: int} of its nonzero coefficients, with the
     # right-hand side in column n
     eqs = defaultdict(dict)
-    for (i, p, q, v) in fnz:
-        x = -v * d2  # d1 d2 (Xadj_i)_p^q
-        base = i * n
-        for b in range(d):
-            # (Xadj_i^T r)^qb gains x r^pb, (r Xadj_i)^bq gains r^bp x
-            for e, col in ((base + q * d + b, p * d + b), (base + b * d + q, b * d + p)):
-                row = eqs[e]
-                s = row.get(col, 0) + x
-                if s:
-                    row[col] = s
-                else:
-                    del row[col]
+    ones = {(p, c): 1 for p in range(d) for c in range(d)}
+    for (i, a, b), (p, c), w in _ad_terms(ones, f):
+        _bump(eqs[i * n + a * d + b], p * d + c, w * d2)
     for (a, b, i, w) in gnz:
         eqs[i * n + a * d + b][n] = -w * d1
     # a zero equation or a copy of another leaves the solutions as they are,
@@ -177,123 +159,80 @@ def schouten(r: TensorElement, f: StructureConstants):
     """[[r, r]] for antisymmetric r, expanded over structure constants:
 
     S^abc = f_ik^a r^ib r^kc + f_jk^b r^aj r^kc + f_jl^c r^aj r^bl
+
+    as the map {(a, b, c): Fraction} over its nonzero entries, 0-based.
     """
-    return _unscale3(*_schouten_ints(*rl.scaled_ints(r.r), f))
+    dr, ri = _ints(r.r)
+    s = f.scaled_nonzero()[0] * dr * dr
+    return {key: Fraction(w, s) for key, w in _schouten_ints(ri, f).items()}
 
 
-def _unscale3(s, t):
-    """The rank-3 tensor t / s as Fractions."""
-    return [[[Fraction(x, s) if x else rl.ZERO for x in row] for row in p] for p in t]
-
-
-def _schouten_ints(dr, rr, f: StructureConstants):
-    """(s, s [[r, r]] as ints), with s a positive int, for r = rr / dr and rr
-    an antisymmetric int matrix."""
-    d = len(rr)
-    if any(rr[i][j] != -rr[j][i] for i in range(d) for j in range(i, d)):
+def _schouten_ints(ri, f: StructureConstants):
+    """d1 [[m, m]] as a map of ints, with d1 the scale of f's integer form,
+    for an antisymmetric sparse int matrix m {(p, q): int}."""
+    if any(ri.get((q, p)) != -x for (p, q), x in ri.items()):
         raise InputError("Schouten bracket input must be antisymmetric")
-    d1, nz = f.scaled_nonzero()
-    out = [[[0] * d for _ in range(d)] for _ in range(d)]
-    for (i, k, a, v) in nz:
-        for b in range(d):
-            rib = rr[i][b]
-            if not rib:
-                continue
-            for c in range(d):
-                if rr[k][c]:
-                    out[a][b][c] += v * rib * rr[k][c]
-    for (j, k, b, v) in nz:
-        for a in range(d):
-            raj = rr[a][j]
-            if not raj:
-                continue
-            for c in range(d):
-                if rr[k][c]:
-                    out[a][b][c] += v * raj * rr[k][c]
-    for (j, l, c, v) in nz:
-        for a in range(d):
-            raj = rr[a][j]
-            if not raj:
-                continue
-            for b in range(d):
-                if rr[b][l]:
-                    out[a][b][c] += v * raj * rr[b][l]
-    return d1 * dr * dr, out
-
-
-def rank3_zero(t):
-    return all(not x for p in t for row in p for x in row)
-
-
-def rank3_eq(s, t):
-    return all(
-        s[a][b][c] == t[a][b][c]
-        for a in range(len(s))
-        for b in range(len(s))
-        for c in range(len(s))
-    )
+    rows = defaultdict(list)
+    for (p, q), x in ri.items():
+        rows[p].append((q, x))
+    out = {}
+    # with m^aj = -m^ja the three sums of `schouten` are one product
+    # f_jk^x m^jp m^kq, entering S at (x, p, q) and (p, q, x) and, with
+    # its sign changed, at (p, x, q)
+    for (j, k, x, v) in f.scaled_nonzero()[1]:
+        for p, a in rows[j]:
+            for q, b in rows[k]:
+                w = v * a * b
+                _bump(out, (x, p, q), w)
+                _bump(out, (p, q, x), w)
+                _bump(out, (p, x, q), -w)
+    return out
 
 
 def is_totally_antisymmetric(t):
-    d = len(t)
-    for a in range(d):
-        for b in range(d):
-            for c in range(d):
-                v = t[a][b][c]
-                if t[b][a][c] != -v or t[a][c][b] != -v:
-                    return False
-    return True
+    """Whether each swap of two slots changes the sign of the rank-3 map t.
+    The nonzero entries suffice: a zero entry with a nonzero partner fails
+    at that partner."""
+    return all(
+        t.get((b, a, c)) == -v and t.get((a, c, b)) == -v for (a, b, c), v in t.items()
+    )
 
 
-def wedge3(i, j, k, coeff=1, dim=4):
-    """coeff * X_i ^ X_j ^ X_k: full antisymmetrization, coefficient +coeff
-    on the (i, j, k) slot."""
-    t = [[[rl.ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+def wedge3(i, j, k, coeff=1):
+    """coeff * X_i ^ X_j ^ X_k, 1-based, as a rank-3 map: +coeff at (i, j, k)
+    and its cyclic shifts, -coeff at the other three orders, 0-based; six
+    entries for three distinct indices and a nonzero coeff, none otherwise."""
+    c = Fraction(coeff)
     base = (i - 1, j - 1, k - 1)
+    t = {}
     for perm in permutations(range(3)):
         sign = 1 if perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1
-        a, b, c = (base[perm[0]], base[perm[1]], base[perm[2]])
-        t[a][b][c] += Fraction(coeff) * sign
+        _bump(t, tuple(base[s] for s in perm), sign * c)
     return t
 
 
-def rank3_add(s, t):
-    d = len(s)
-    return [
-        [[s[a][b][c] + t[a][b][c] for c in range(d)] for b in range(d)]
-        for a in range(d)
-    ]
-
-
-def _ad_annihilates(m, f: StructureConstants) -> bool:
-    """Xadj_i^T m + m Xadj_i = 0 for all i, for an int matrix m."""
-    return not any(any(row) for a in _ad_action_ints(m, f)[1] for row in a)
-
-
 def ad_invariant_rank3(t, f: StructureConstants) -> bool:
-    """The adjoint action extended as a derivation to g^(x)3 annihilates t:
+    """The adjoint action extended as a derivation to g^(x)3 annihilates the
+    rank-3 map t:
 
     sum_m (f_im^a t^mbc + f_im^b t^amc + f_im^c t^abm) = 0 for all i, a, b, c.
     """
-    d = f.dim
-    _, flat = rl.scaled_ints([row for p in t for row in p])
-    ti = [flat[a * d : (a + 1) * d] for a in range(d)]
-    _, nz = f.scaled_nonzero()
-    out = [[[[0] * d for _ in range(d)] for _ in range(d)] for _ in range(d)]
-    for (i, m, x, w) in nz:
-        o = out[i]
-        for u in range(d):
-            for v in range(d):
-                o[x][u][v] += w * ti[m][u][v]
-                o[u][x][v] += w * ti[u][m][v]
-                o[u][v][x] += w * ti[u][v][m]
-    return not any(any(row) for oi in out for p in oi for row in p)
+    by_slot = [defaultdict(list) for _ in range(3)]
+    for key, v in t.items():
+        for s in range(3):
+            by_slot[s][key[s]].append((key, v))
+    acc = {}
+    for (i, m, x, w) in f.scaled_nonzero()[1]:
+        for s in range(3):
+            for key, v in by_slot[s][m]:
+                _bump(acc, (i, *key[:s], x, *key[s + 1 :]), w * v)
+    return not acc
 
 
 @dataclass
 class RClassification:
     kind: str  # 'triangular' | 'quasitriangular' | 'invalid'
-    schouten: list  # [[r_a, r_a]]
+    schouten: dict  # [[r_a, r_a]] as a rank-3 map
     symmetric_invariant: bool
     schouten_antisymmetric: bool = True
     schouten_invariant: bool = True
@@ -301,20 +240,29 @@ class RClassification:
 
 
 def classify_r(r: TensorElement, f: StructureConstants) -> RClassification:
-    """Triangular / quasi-triangular / invalid with an explicit certificate."""
+    """Triangular / quasi-triangular / invalid with an explicit certificate;
+    `schouten` is [[r_a, r_a]] of the antisymmetric part as the map of
+    `schouten`."""
     # with R = D r as ints, 2 D r_s = R + R^T and 2 D r_a = R - R^T
-    dr, ri = rl.scaled_ints(r.r)
-    d = r.dim
-    sym_ok = _ad_annihilates([[ri[i][j] + ri[j][i] for j in range(d)] for i in range(d)], f)
-    # the checks below run on the int tensor scale * [[r_a, r_a]]
-    ra = [[ri[i][j] - ri[j][i] for j in range(d)] for i in range(d)]
-    scale, si = _schouten_ints(2 * dr, ra, f)
-    s = _unscale3(scale, si)
+    dr, ri = _ints(r.r)
+    sym, ra = {}, {}
+    for (p, q), x in ri.items():
+        for key, sign in (((p, q), 1), ((q, p), -1)):
+            _bump(sym, key, x)
+            _bump(ra, key, sign * x)
+    acc = {}
+    for key, _, w in _ad_terms(sym, f):
+        _bump(acc, key, w)
+    sym_ok = not acc
+    # the checks below run on the int map scale * [[r_a, r_a]]
+    si = _schouten_ints(ra, f)
+    scale = f.scaled_nonzero()[0] * 4 * dr * dr
+    s = {key: Fraction(w, scale) for key, w in si.items()}
     if not sym_ok:
         return RClassification(
             "invalid", s, False, violation="symmetric part is not ad-invariant"
         )
-    if rank3_zero(si):
+    if not si:
         return RClassification("triangular", s, True)
     anti = is_totally_antisymmetric(si)
     inv = ad_invariant_rank3(si, f)
@@ -326,4 +274,3 @@ def classify_r(r: TensorElement, f: StructureConstants) -> RClassification:
     if not inv:
         violation.append("[[r,r]] is not ad-invariant")
     return RClassification("invalid", s, True, anti, inv, "; ".join(violation))
-

@@ -35,13 +35,23 @@ minors of `cfm_det` and `cfm_inverse_unitdet`.  `double_adjoint_blocks`
 accumulates the blocks (a, b, d) of the double's adjoint factor by factor,
 the retired path and the oracle of `double_adjoint`'s -b a^-1.
 `coboundary_system` is the full d^3-equation augmented system of the
-coboundary equation, built column by column from the action on the unit
-tensors, and `solve_coboundary_full`
+coboundary equation, built column by column from the action of the dense
+adjoints `StructureConstants.adjoint(i)` on the unit tensors, and
+`solve_coboundary_full`
 hands every one of its equations to `solve_affine_dense`, the retired
 column-by-column elimination `gauss_jordan_dense` on dense int rows: the
 oracle of `solve_coboundary`, which hands the distinct nonzero ones to the
 sparse elimination of `ratlinalg`.  `rank` runs the same dense loop, and
 `tests/test_ratlinalg.py` checks it against sympy.
+`ad_action_dense` is Xadj_i^T r + r Xadj_i by full matrix products with
+the same dense adjoints: with it, `generates_dense`, `cocommutator_from_r`
+and `ad_invariant_symmetric` read none of `rmatrix`'s sparse kernel.
+`schouten_dense` (the retired three-loop Schouten bracket on the dense int
+form of r), the dense rank-3 checks `is_totally_antisymmetric_dense` and
+`ad_invariant_rank3_dense`, `wedge3_dense`, `rank3_add` and
+`classify_r_dense`, the retired classification built from them, are the
+oracles of `rmatrix`'s rank-3 maps; `rank3_map` and `rank3_dense` convert
+between the two forms.
 `render_by_fractions` renders a closed function through Fractions, the
 oracle of `render_closed_function`.  `mul_into_by_crats` adds a product into
 a term map with CRat arithmetic and a key summed slot by slot for every
@@ -80,7 +90,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from operator import add, mul
 
 from liebialg import ratlinalg as rl
@@ -113,7 +123,7 @@ from liebialg.errors import EvalError, InputError
 from liebialg.exprtree import to_text
 from liebialg.groupgeom import double_exp_factor
 from liebialg.multivec import apply, bivector, interior, jet
-from liebialg.rmatrix import TensorElement, _ad_action, _ad_action_ints
+from liebialg.rmatrix import RClassification, TensorElement
 
 _FUNCS = {"exp": math.exp, "sin": math.sin, "cos": math.cos, "sinh": math.sinh,
           "cosh": math.cosh}
@@ -427,13 +437,15 @@ def coboundary_system(f, fd):
     n = d * d
     d1, d2, gnz = f.scaled_nonzero()[0], *fd.scaled_nonzero()
     rows = [[0] * (n + 1) for _ in range(d * n)]
-    for col in range(n):
-        unit = [[int(p * d + b == col) for b in range(d)] for p in range(d)]
-        _, act = _ad_action_ints(unit, f)  # d1 (Xadj_i^T E + E Xadj_i)
-        for i in range(d):
-            for a in range(d):
-                for b in range(d):
-                    rows[i * n + a * d + b][col] = act[i][a][b] * d2
+    for i in range(d):
+        # d1 d2 Xadj_i, from the dense adjoint, zero entries included
+        x = [[int(v * d1 * d2) for v in row] for row in f.adjoint(i)]
+        for p, c in product(range(d), repeat=2):
+            # the unit tensor E_pc: (Xadj_i^T E_pc)^kc = x_p^k and
+            # (E_pc Xadj_i)^pk = x_c^k
+            for k in range(d):
+                rows[i * n + k * d + c][p * d + c] += x[p][k]
+                rows[i * n + p * d + k][p * d + c] += x[c][k]
     for (a, b, i, w) in gnz:
         rows[i * n + a * d + b][n] = -w * d1  # Yt_i^ab = -ft^ab_i
     return rows
@@ -770,12 +782,11 @@ def cocommutator_from_r(r, f):
     Raises InputError when the result is not antisymmetric, which signals a
     non-ad-invariant symmetric part of r.
     """
-    s, action = _ad_action(r.r, f)
     fd = StructureConstants.from_entries(
         f.dim,
         [
-            (a, b, i, Fraction(-x, s))
-            for i, m in enumerate(action)
+            (a, b, i, -x)
+            for i, m in enumerate(ad_action_dense(r.r, f))
             for a, row in enumerate(m)
             for b, x in enumerate(row)
             if x
@@ -815,7 +826,141 @@ def symmetric_part(t):
 
 def ad_invariant_symmetric(rs, f):
     """Xadj_i^T rs + rs Xadj_i = 0 for all i."""
-    return not any(any(row) for a in _ad_action_ints(rl.scaled_ints(rs.r)[1], f)[1] for row in a)
+    return not any(any(row) for a in ad_action_dense(rs.r, f) for row in a)
+
+
+def ad_action_dense(r, f):
+    """[Xadj_i^T r + r Xadj_i for each i] for a Fraction matrix r, by full
+    matrix products with the dense adjoints `StructureConstants.adjoint(i)`."""
+    n = range(f.dim)
+    out = []
+    for i in n:
+        x = f.adjoint(i)
+        out.append(
+            [[sum((x[k][a] * r[k][b] + r[a][k] * x[k][b] for k in n), rl.ZERO) for b in n] for a in n]
+        )
+    return out
+
+
+def generates_dense(r, f, fd):
+    """Xadj_i^T r + r Xadj_i = -ft_i for every i, entry by entry."""
+    act = ad_action_dense(r.r, f)
+    return all(act[i][a][b] == -fd.f[a][b][i] for i, a, b in product(range(f.dim), repeat=3))
+
+
+def scaled_ints(m):
+    """(D, D * m as rows of ints), with D the lcm of the denominators of m."""
+    den = math.lcm(*[x.denominator for row in m for x in row])
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in m]
+
+
+def schouten_dense(r, f):
+    """[[r, r]] as a dense rank-3 Fraction tensor: the retired
+    `rmatrix.schouten`, three loops over the dense int form of r."""
+    return _unscale3(*_schouten_ints_dense(*scaled_ints(r.r), f))
+
+
+def _unscale3(s, t):
+    """The rank-3 tensor t / s as Fractions."""
+    return [[[Fraction(x, s) if x else rl.ZERO for x in row] for row in p] for p in t]
+
+
+def _schouten_ints_dense(dr, rr, f):
+    """(s, s [[r, r]] as ints), with s a positive int, for r = rr / dr and rr
+    an antisymmetric int matrix."""
+    d = len(rr)
+    if any(rr[i][j] != -rr[j][i] for i in range(d) for j in range(i, d)):
+        raise InputError("Schouten bracket input must be antisymmetric")
+    d1, nz = f.scaled_nonzero()
+    out = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for (i, k, a, v) in nz:
+        for b in range(d):
+            for c in range(d):
+                out[a][b][c] += v * rr[i][b] * rr[k][c]
+    for (j, k, b, v) in nz:
+        for a in range(d):
+            for c in range(d):
+                out[a][b][c] += v * rr[a][j] * rr[k][c]
+    for (j, l, c, v) in nz:
+        for a in range(d):
+            for b in range(d):
+                out[a][b][c] += v * rr[a][j] * rr[b][l]
+    return d1 * dr * dr, out
+
+
+def rank3_zero(t):
+    return all(not x for p in t for row in p for x in row)
+
+
+def rank3_add(s, t):
+    d = len(s)
+    return [[[s[a][b][c] + t[a][b][c] for c in range(d)] for b in range(d)] for a in range(d)]
+
+
+def rank3_map(t):
+    """The dense rank-3 tensor t as the map {(a, b, c): value} of its nonzero
+    entries, the form of `rmatrix`."""
+    return {(a, b, c): x for a, p in enumerate(t) for b, row in enumerate(p) for c, x in enumerate(row) if x}
+
+
+def rank3_dense(t, dim=4):
+    """The rank-3 map t as a dense tensor of Fractions."""
+    out = [[[rl.ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+    for (a, b, c), x in t.items():
+        out[a][b][c] = Fraction(x)
+    return out
+
+
+def wedge3_dense(i, j, k, coeff=1, dim=4):
+    """coeff * X_i ^ X_j ^ X_k, 1-based, as a dense rank-3 tensor."""
+    t = [[[rl.ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+    base = (i - 1, j - 1, k - 1)
+    for perm in permutations(range(3)):
+        sign = 1 if perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1
+        a, b, c = (base[perm[0]], base[perm[1]], base[perm[2]])
+        t[a][b][c] += Fraction(coeff) * sign
+    return t
+
+
+def is_totally_antisymmetric_dense(t):
+    n = range(len(t))
+    return all(
+        t[b][a][c] == -t[a][b][c] and t[a][c][b] == -t[a][b][c] for a, b, c in product(n, repeat=3)
+    )
+
+
+def ad_invariant_rank3_dense(t, f):
+    """sum_m (f_im^a t^mbc + f_im^b t^amc + f_im^c t^abm) = 0 for all i, a, b,
+    c, every index summed, zero entries included."""
+    n, ff = range(f.dim), f.f
+    return all(
+        sum(
+            (ff[i][m][a] * t[m][b][c] + ff[i][m][b] * t[a][m][c] + ff[i][m][c] * t[a][b][m] for m in n),
+            rl.ZERO,
+        )
+        == 0
+        for i, a, b, c in product(n, repeat=4)
+    )
+
+
+def classify_r_dense(r, f):
+    """The retired `rmatrix.classify_r` on dense tensors, with the dense
+    oracles above: the `schouten` of its result is a dense tensor."""
+    s = schouten_dense(r.antisymmetric_part(), f)
+    if not ad_invariant_symmetric(symmetric_part(r), f):
+        return RClassification("invalid", s, False, violation="symmetric part is not ad-invariant")
+    if rank3_zero(s):
+        return RClassification("triangular", s, True)
+    anti = is_totally_antisymmetric_dense(s)
+    inv = ad_invariant_rank3_dense(s, f)
+    if anti and inv:
+        return RClassification("quasitriangular", s, True, anti, inv)
+    violation = []
+    if not anti:
+        violation.append("[[r,r]] is not totally antisymmetric")
+    if not inv:
+        violation.append("[[r,r]] is not ad-invariant")
+    return RClassification("invalid", s, True, anti, inv, "; ".join(violation))
 
 
 def rank(m):

@@ -150,6 +150,26 @@ def test_out_of_range_index_rejected():
         corpus_mod.parse("algebra x\n  bracket 1 9 -> 1 1\n")
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        "algebra x\n  bracket 1 2 -> 1 3\n  bracket 1 3 -> 1 5\n",
+        "rmatrix g d\n  r 1 1 wedge 2\n  r 1 1 wedge 5\n",
+        "rmatrix g d\n  rfree c\n  schouten 1 1 2 5\n",
+        "poisson g d pi\n  pb 1 2 = x3\n  pb 1 5 = x3\n",
+        "frame x\n  xl 1 = d1\n  xl 5 = x1*d1\n",
+        "frame x\n  xr 1 = d1\n  xr 5 = x1*d1\n",
+    ],
+    ids=["bracket", "r", "schouten", "pb", "xl", "xr"],
+)
+def test_a_basis_index_above_four_is_located(payload):
+    # every block is 4-dimensional: index 5 crashed `verify` with an
+    # IndexError, and an `xl 5` or `xr 5` line was never compared
+    with pytest.raises(CorpusSyntaxError, match="basis index 5 out of range 1..4") as exc:
+        corpus_mod.parse(payload, filename="f.txt")
+    assert (exc.value.filename, exc.value.line) == ("f.txt", 3)
+
+
 def test_unresolved_reference_rejected():
     with pytest.raises(CorpusSyntaxError):
         corpus_mod.Corpus(corpus_mod.parse("bialgebra ghost ghost2\n"))

@@ -21,7 +21,16 @@ replaced, on every corpus algebra at every grid binding and on drawn lists
 of two-forms, degenerate ones included.  The block-triangular `cf_matexp`
 is compared with Putzer's recursion on the whole matrix, on every distinct
 adjoint of every corpus algebra over the full grid and on drawn
-block-triangular matrices."""
+block-triangular matrices.  The r-matrix layer's sparse maps are compared
+with the dense tensors it replaced: `schouten`, `generates_cocommutator`,
+`ad_invariant_rank3` and `classify_r` against the retired three-loop
+Schouten bracket, the dense adjoint action from
+`StructureConstants.adjoint` and the dense rank-3 checks, on every corpus
+r-matrix row at its first binding, where the printed certificate is also
+summed densely, and on drawn tensors r, antisymmetric and general, over
+drawn corpus algebras; `is_totally_antisymmetric` and `ad_invariant_rank3`
+also on drawn rank-3 maps, sums of wedges with entries that break their
+antisymmetry."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -29,19 +38,29 @@ from itertools import combinations
 import pytest
 
 from evalref import (
+    ad_action_dense,
+    ad_invariant_rank3_dense,
     ce_differential,
     central_coords,
     cfm_mul_sum,
+    classify_r_dense,
     closed_two_forms_by_fractions,
     det_by_cofactors,
+    generates_dense,
     grid_symplectic,
+    is_totally_antisymmetric_dense,
     inverse_by_cofactors,
     matexp_by_putzer,
     minus_b_ainv,
     mul_into_by_crats,
+    rank3_add,
+    rank3_dense,
+    rank3_map,
     render_by_fractions,
+    schouten_dense,
     solve_coboundary_full,
     two_form_det,
+    wedge3_dense,
 )
 from liebialg.closedfun import (
     _ZEXP,
@@ -71,7 +90,17 @@ from liebialg.errors import NonUnitDeterminant
 from liebialg.groupgeom import GroupChart, adjoint_maps, double_adjoint, invariant_frame
 from liebialg.harness import _bkey
 from liebialg.render import render_closed_function
-from liebialg.rmatrix import solve_coboundary
+from liebialg.errors import InputError
+from liebialg.rmatrix import (
+    TensorElement,
+    ad_invariant_rank3,
+    classify_r,
+    generates_cocommutator,
+    is_totally_antisymmetric,
+    schouten,
+    solve_coboundary,
+    wedge3,
+)
 
 hyp = pytest.importorskip("hypothesis")
 st = hyp.strategies
@@ -564,3 +593,100 @@ def _matrix(rows):
 def test_block_exponential_matches_putzer_on_drawn_matrices(case):
     m, coord = case
     assert _maps(cf_matexp(m, coord)) == _maps(matexp_by_putzer(m, coord))
+
+
+def _same_r_verdicts(r, f, fd):
+    """The sparse r-matrix checks of (r, f, fd) against the dense oracles."""
+    assert generates_cocommutator(r, f, fd) is generates_dense(r, f, fd)
+    if r.is_antisymmetric():
+        s = schouten(r, f)
+        assert s == rank3_map(schouten_dense(r, f))
+        assert ad_invariant_rank3(s, f) is ad_invariant_rank3_dense(rank3_dense(s), f)
+    else:
+        with pytest.raises(InputError):
+            schouten(r, f)
+        with pytest.raises(InputError):
+            schouten_dense(r, f)
+    got, want = classify_r(r, f), classify_r_dense(r, f)
+    assert got.schouten == rank3_map(want.schouten)
+    flags = ("kind", "symmetric_invariant", "schouten_antisymmetric", "schouten_invariant", "violation")
+    assert [getattr(got, a) for a in flags] == [getattr(want, a) for a in flags]
+    return got.kind
+
+
+def _generated(r, f):
+    """The dual tensor ft^ab_i = -(Xadj_i^T r + r Xadj_i)^ab that r
+    generates, antisymmetric or not."""
+    act = ad_action_dense(r.r, f)
+    return StructureConstants.from_entries(
+        4, [(a, b, i, -x) for i, m in enumerate(act) for a, row in enumerate(m) for b, x in enumerate(row) if x]
+    )
+
+
+def test_r_matrix_maps_match_the_dense_oracles_on_every_corpus_row(reg, bench):
+    kinds = set()
+    for (g, dual), e in sorted(reg.rmatrices.items()):
+        b = dict(_first(reg, g, dual), **{p: Fraction(1) for p in e.rfree})
+        f, fd = bench.sc(g, b), bench.sc(dual, b)
+        r = e.tensor(b)
+        kinds.add(_same_r_verdicts(r, f, fd))
+        assert generates_cocommutator(r, f, fd), (g, dual)
+        want = None
+        for (c, i, j, k) in e.schouten_terms or ():
+            t = wedge3_dense(i, j, k, c.eval_exact(b))
+            want = t if want is None else rank3_add(want, t)
+        assert e.expected_schouten(b) == (None if want is None else rank3_map(want)), (g, dual)
+    assert kinds == {"triangular", "quasitriangular"}
+
+
+@st.composite
+def _drawn_r(draw, antisymmetric):
+    """A 4 x 4 r with a few small rational entries at drawn slots, each
+    mirrored with its sign changed when r is to be antisymmetric."""
+    r = [[Fraction(0)] * 4 for _ in range(4)]
+    for _ in range(draw(st.integers(0, 4))):
+        i, j, c = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(_Q)
+        r[i][j] += c
+        if antisymmetric:
+            r[j][i] -= c
+    return TensorElement(4, r)
+
+
+@hyp.settings(max_examples=120, deadline=None)
+@hyp.given(st.data(), st.booleans())
+def test_r_matrix_maps_match_the_dense_oracles_on_drawn_tensors(reg, bench, data, antisymmetric):
+    names = st.sampled_from(sorted(reg.algebras))
+    f, other = (bench.sc(n, _first(reg, n)) for n in (data.draw(names), data.draw(names)))
+    r = data.draw(_drawn_r(antisymmetric))
+    exact = _generated(r, f)
+    assert generates_cocommutator(r, f, exact)
+    _same_r_verdicts(r, f, data.draw(st.sampled_from([exact, other])))
+
+
+@st.composite
+def _rank3_maps(draw):
+    """A sum of drawn wedges X_i ^ X_j ^ X_k, plus at most two entries that
+    break its total antisymmetry, each alone or with its partner under one
+    swap of two slots, negated, as a rank-3 map."""
+    t = {}
+    idx = st.integers(1, 4)
+    for _ in range(draw(st.integers(0, 3))):
+        for key, v in wedge3(draw(idx), draw(idx), draw(idx), draw(_Q)).items():
+            t[key] = t.get(key, 0) + v
+    for _ in range(draw(st.integers(0, 2))):
+        a, b, c = (draw(idx) - 1 for _ in range(3))
+        v = draw(_NONZERO_Q)
+        t[a, b, c] = t.get((a, b, c), 0) + v
+        partner = draw(st.sampled_from([None, (b, a, c), (a, c, b)]))
+        if partner:
+            t[partner] = t.get(partner, 0) - v
+    return {key: v for key, v in t.items() if v}
+
+
+@hyp.settings(max_examples=120, deadline=None)
+@hyp.given(st.data(), _rank3_maps())
+def test_rank3_map_checks_match_the_dense_oracles_on_drawn_maps(reg, bench, data, t):
+    name = data.draw(st.sampled_from(sorted(reg.algebras)))
+    f = bench.sc(name, _first(reg, name))
+    assert is_totally_antisymmetric(t) is is_totally_antisymmetric_dense(rank3_dense(t))
+    assert ad_invariant_rank3(t, f) is ad_invariant_rank3_dense(rank3_dense(t), f)

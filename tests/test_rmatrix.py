@@ -6,7 +6,16 @@ from itertools import product
 
 import pytest
 
-from evalref import ad_invariant_symmetric, cocommutator_from_r, symmetric_part
+from evalref import (
+    ad_invariant_rank3_dense,
+    ad_invariant_symmetric,
+    cocommutator_from_r,
+    generates_dense,
+    rank3_dense,
+    rank3_map,
+    symmetric_part,
+    wedge3_dense,
+)
 from liebialg import corpus as corpus_mod
 from liebialg.core import StructureConstants
 from liebialg.errors import InputError
@@ -16,8 +25,6 @@ from liebialg.rmatrix import (
     classify_r,
     generates_cocommutator,
     is_totally_antisymmetric,
-    rank3_eq,
-    rank3_zero,
     schouten,
     solve_coboundary,
     wedge3,
@@ -72,11 +79,11 @@ def test_kernel_elements_solve_homogeneous_system():
 
 def test_schouten_zero_on_abelian():
     r = TensorElement.from_terms([(3, 1, 2, "wedge"), (2, 2, 4, "tensor"), (2, 4, 2, "tensor")])
-    assert rank3_zero(schouten(r.antisymmetric_part(), ABELIAN))
+    assert schouten(r.antisymmetric_part(), ABELIAN) == {}
 
 
 def test_schouten_triangular_worked_row():
-    assert rank3_zero(schouten(R47, A47))
+    assert schouten(R47, A47) == {}
 
 
 def test_schouten_quasitriangular_row():
@@ -84,8 +91,18 @@ def test_schouten_quasitriangular_row():
     r = TensorElement.from_terms([(-1, 1, 2, "wedge"), (1, 3, 4, "wedge")])
     s = schouten(r, g)
     assert is_totally_antisymmetric(s)
-    assert rank3_eq(s, wedge3(1, 2, 4, -1))
+    assert s == wedge3(1, 2, 4, -1)
     assert ad_invariant_rank3(s, g)
+
+
+def test_wedge3_is_the_map_of_the_dense_wedge():
+    t = wedge3(2, 4, 1, Fraction(-2, 3))
+    assert len(t) == 6 and t[(1, 3, 0)] == Fraction(-2, 3) and t[(3, 1, 0)] == Fraction(2, 3)
+    assert t == rank3_map(wedge3_dense(2, 4, 1, Fraction(-2, 3)))
+    assert is_totally_antisymmetric(t)
+    # a repeated index or a zero coefficient is the zero tensor, the empty map
+    assert wedge3(1, 1, 2, 3) == wedge3(1, 2, 3, 0) == {}
+    assert not is_totally_antisymmetric({(0, 1, 2): 1, (1, 0, 2): -1})
 
 
 def test_schouten_requires_antisymmetric_input():
@@ -127,7 +144,7 @@ def test_classify_quasitriangular_dual_side(reg):
     )
     cl = classify_r(r, f)
     assert cl.kind == "quasitriangular"
-    assert rank3_eq(cl.schouten, wedge3(2, 3, 4, 1))
+    assert cl.schouten == wedge3(2, 3, 4, 1)
 
 
 def test_classify_flags_noninvariant_symmetric_part():
@@ -238,37 +255,15 @@ def _bruteforce_schouten(r, f):
     ]
 
 
-def _bruteforce_ad_action(r, f, i):
-    """Xadj_i^T r + r Xadj_i with (Xadj_i)_j^k = -f_ij^k."""
-    x = [[-f.f[i][j][k] for k in range(4)] for j in range(4)]
-    n = range(4)
-    return [
-        [sum((x[k][a] * r[k][b] + r[a][k] * x[k][b] for k in n), Fraction(0)) for b in n]
-        for a in n
-    ]
-
-
-def _bruteforce_rank3_invariant(t, f):
-    n = range(4)
-    return all(
-        sum(
-            (f.f[i][m][a] * t[m][b][c] + f.f[i][m][b] * t[a][m][c] + f.f[i][m][c] * t[a][b][m] for m in n),
-            Fraction(0),
-        )
-        == 0
-        for i, a, b, c in product(n, repeat=4)
-    )
-
-
 def test_schouten_matches_bruteforce():
     rng = random.Random(17)
     for _ in range(60):
         f = _random_algebra(rng)
         r = _random_r(rng)
         s = schouten(r, f)
-        assert s == _bruteforce_schouten(r, f)
-        assert all(type(x) is Fraction for p in s for row in p for x in row)
-        assert ad_invariant_rank3(s, f) is _bruteforce_rank3_invariant(s, f)
+        assert s == rank3_map(_bruteforce_schouten(r, f))
+        assert all(type(x) is Fraction and x for x in s.values())
+        assert ad_invariant_rank3(s, f) is ad_invariant_rank3_dense(rank3_dense(s), f)
 
 
 def test_rank3_invariance_matches_bruteforce_on_certificates():
@@ -277,7 +272,7 @@ def test_rank3_invariance_matches_bruteforce_on_certificates():
     for _ in range(40):
         t = wedge3(*rng.sample((1, 2, 3, 4), 3), Fraction(rng.randint(1, 3), rng.choice((2, 3, 6))))
         for f in (g, _random_algebra(rng)):
-            assert ad_invariant_rank3(t, f) is _bruteforce_rank3_invariant(t, f)
+            assert ad_invariant_rank3(t, f) is ad_invariant_rank3_dense(rank3_dense(t), f)
     assert ad_invariant_rank3(wedge3(1, 2, 4, Fraction(-1, 6)), g)
 
 
@@ -287,12 +282,6 @@ def test_coboundary_and_invariance_checks_match_bruteforce():
         f = _random_algebra(rng)
         r = _random_r(rng, antisymmetric=rng.random() < 0.5)
         fd = cocommutator_from_r(r, f) if r.is_antisymmetric() else _random_algebra(rng)
-        want = all(
-            _bruteforce_ad_action(r.r, f, i)[a][b] == -fd.f[a][b][i]
-            for i, a, b in product(range(4), repeat=3)
-        )
-        assert generates_cocommutator(r, f, fd) is want
-        rs = symmetric_part(r)
-        assert ad_invariant_symmetric(rs, f) is all(
-            not x for i in range(4) for row in _bruteforce_ad_action(rs.r, f, i) for x in row
-        )
+        assert generates_cocommutator(r, f, fd) is generates_dense(r, f, fd)
+        # the classification's check of the symmetric part
+        assert classify_r(r, f).symmetric_invariant is ad_invariant_symmetric(symmetric_part(r), f)

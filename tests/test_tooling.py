@@ -17,7 +17,8 @@ bialgebra on its two 4-dimensional halves: no 8-dimensional tensor reaches
 ad-invariant by construction; the mixed identity has one evaluator in the
 package.  The derive path does only nonzero work: a 4 x 4 inverse computes
 each minor once, the elimination gets each distinct nonzero coboundary
-equation once, as a sparse int row,
+equation once, as a sparse int row, the solve, the membership test and the
+classification of an r-matrix reach the one coboundary kernel,
 `cfm_mul` multiplies no zero factor, and `double_adjoint` builds no factor
 whose dual slice is zero.  The Poisson-Lie check and the Sklyanin bracket
 read their transports off 2 x 2 minors of the frame: neither multiplies
@@ -557,6 +558,32 @@ def test_solve_affine_gets_each_nonzero_coboundary_equation_once(reg, monkeypatc
         assert set(received) == full - {frozenset()}, (g, dual)
     assert len(systems) == len(reg.rmatrices)
     assert sum(len(rows) for rows, _ in systems) < 32 * len(systems)
+
+
+def test_the_r_matrix_checks_reach_the_one_coboundary_kernel(reg, monkeypatch):
+    # `rmatrix._ad_terms` states the action Xadj_i^T m + m Xadj_i once: the
+    # solve reads its rows off the all-ones m, the membership test sums it
+    # on r, and the classification requires it to vanish on r + r^T
+    reached = []
+    terms = rmatrix._ad_terms
+
+    def recorded(m, f):
+        reached.append(dict(m))
+        return terms(m, f)
+
+    monkeypatch.setattr(rmatrix, "_ad_terms", recorded)
+    e = reg.rmatrices["A_4_1", "A_4_1.iii"]
+    f, fd = reg.instantiate("A_4_1"), reg.instantiate("A_4_1.iii")
+    # a = b = c = 1: X1(x)X1 + X1(x)X3 + X3(x)X1 - X2(x)X2 and three wedges
+    r = e.tensor({p: Fraction(1) for p in e.rfree})
+    rmatrix.solve_coboundary(f, fd)
+    assert reached == [{(p, b): 1 for p in range(4) for b in range(4)}]
+    reached.clear()
+    assert rmatrix.generates_cocommutator(r, f, fd)
+    assert reached == [rmatrix._ints(r.r)[1]]
+    reached.clear()
+    assert rmatrix.classify_r(r, f).kind == "triangular"
+    assert reached == [{(0, 0): 2, (0, 2): 2, (2, 0): 2, (1, 1): -2}]  # r + r^T
 
 
 def test_cfm_mul_multiplies_no_zero_factor(reg, bench, monkeypatch):
