@@ -176,11 +176,7 @@ def _field_text(row):
 
 
 def _tensor_text(t):
-    parts = []
-    for i in range(4):
-        for j in range(4):
-            if t.r[i][j]:
-                parts.append(f"{t.r[i][j]} X{i+1}(x)X{j+1}")
+    parts = [f"{x} X{i+1}(x)X{j+1}" for (i, j), x in sorted(t.entries.items())]
     return " + ".join(parts) if parts else "0"
 
 
@@ -255,7 +251,7 @@ def build_parser():
     d.add_argument("--method", default="auto", choices=["auto", "sklyanin", "pi"])
     d.add_argument("--param", action="append", type=_parse_param,
                    metavar="NAME=RAT")
-    d.set_defaults(fn=cmd_derive)
+    d.set_defaults(fn=cmd_derive, usage_error=d.error)
 
     i = sub.add_parser("integrable", help="run the integrable-system checks")
     i.add_argument("--example", type=int, choices=[1, 2], required=True)
@@ -276,7 +272,7 @@ def main(argv=None):
             raise InputError("--dual is required for this derivation")
         return args.fn(args)
     except argparse.ArgumentError as ex:  # a usage error found past parsing
-        parser.error(str(ex))
+        getattr(args, "usage_error", parser.error)(str(ex))
     except (InputError, CorpusSyntaxError, FileNotFoundError, ValueError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2

@@ -33,7 +33,9 @@ bracket or pb pair, an xl or xr index, a fixture key), and a block takes at
 most one schouten, source, note and status line.  Across the corpus a block's kind and name are
 unique, every algebra name a block names (a fixture's ref values included)
 is an algebra of the corpus, and an rfree name is not a parameter of its
-pair.
+pair.  The r and schouten lines of an rmatrix block name only parameters of
+its pair and its rfree names, and a pb line only parameters of its pair and
+x1..x4.
 """
 
 from dataclasses import dataclass, field
@@ -128,6 +130,16 @@ class _PairEntry(_Entry):
     def named_algebras(self):
         return (self.g, self.dual)
 
+    def _only(self, line, exprs, allowed, what):
+        """Reject a payload line that names anything outside `allowed`: it
+        would have no value at any binding of the pair."""
+        names = set()
+        for e in exprs:
+            _names(e, names)
+        stray = sorted(names - allowed)
+        if stray:
+            raise CorpusSyntaxError(f"{self.name}: {line} names {', '.join(stray)}, not {what}")
+
 
 @dataclass
 class BialgebraEntry(_PairEntry):
@@ -155,7 +167,8 @@ class RMatrixEntry(_PairEntry):
 
     def resolve(self, algebras):
         """Also: no rfree name is a parameter of the pair, which the r-free
-        {0, 1} product would rebind for r alone."""
+        {0, 1} product would rebind for r alone, and the r and schouten
+        lines name only the pair's parameters and the rfree names."""
         super().resolve(algebras)
         params = {p for n in self.named_algebras for p in algebras[n].params}
         clash = [p for p in self.rfree if p in params]
@@ -163,6 +176,9 @@ class RMatrixEntry(_PairEntry):
             raise CorpusSyntaxError(
                 f"{self.name}: rfree {', '.join(clash)} is a parameter of its pair"
             )
+        allowed, what = params | set(self.rfree), "a parameter of the pair or an rfree name"
+        self._only("an r line", [t[0] for t in self.terms], allowed, what)
+        self._only("the schouten line", [t[0] for t in self.schouten_terms or ()], allowed, what)
 
     def tensor(self, binding) -> TensorElement:
         return TensorElement.from_terms(
@@ -191,13 +207,21 @@ class PoissonEntry(_PairEntry):
     def name(self):
         return f"pb({self.g}, {self.dual})[{self.method}]"
 
+    def resolve(self, algebras):
+        """Also: each pb line names only the pair's parameters and x1..x4."""
+        super().resolve(algebras)
+        allowed = {p for n in self.named_algebras for p in algebras[n].params}
+        allowed |= {"x1", "x2", "x3", "x4"}
+        for (i, j), e in sorted(self.brackets.items()):
+            self._only(f"pb {i} {j}", [e], allowed, "a parameter of the pair or x1..x4")
+
     def closed_matrix(self, binding):
         """Printed brackets as an antisymmetric 4x4 matrix of ClosedFunction."""
         from .closedfun import ClosedFunction
 
         m = [[ClosedFunction.zero() for _ in range(4)] for _ in range(4)]
         for (i, j), e in self.brackets.items():
-            cf = e.subs_params(binding).to_closed()
+            cf = e.to_closed(binding)
             m[i - 1][j - 1] = m[i - 1][j - 1] + cf
             m[j - 1][i - 1] = m[j - 1][i - 1] - cf
         return m
@@ -216,12 +240,12 @@ class FrameEntry(_Entry):
 
     def components(self, side, i, binding):
         """Field i of side 'L'/'R' as 4 ClosedFunction components: the
-        binding substituted once, then the coefficients of d1..d4 read in
-        one walk (`exprtree.linear_parts`).  InputError names the frame and
-        the field when the field is not linear in d1..d4 or has a term free
-        of them."""
+        coefficients of d1..d4 read in one walk, with the parameters read
+        from the binding (`exprtree.linear_parts`).  InputError names the
+        frame and the field when the field is not linear in d1..d4 or has a
+        term free of them."""
         table = self.xl if side == "L" else self.xr
-        parts = linear_parts(table[i].subs_params(binding), _D_NAMES)
+        parts = linear_parts(table[i], _D_NAMES, binding)
         where = f"frame {self.name}: x{side.lower()} {i}"
         if parts is None:
             raise InputError(f"{where} is not linear in d1..d4")
@@ -441,23 +465,24 @@ def _index(tok, err):
     return v
 
 
-def _names(e):
-    """The parameters and coordinates that the tree e names."""
+def _names(e, out):
+    """out with the parameters and coordinates that the tree e names added."""
     if e.op == "param":
-        yield e.args[0]
+        out.add(e.args[0])
     elif e.op == "coord":
-        yield f"x{e.args[0]}"
-    else:
+        out.add(f"x{e.args[0]}")
+    elif e.op != "const":
         for a in e.args:
             if isinstance(a, Expr):
-                yield from _names(a)
+                _names(a, out)
+    return out
 
 
 def _over_params(e, entry, err):
     """e, when it names only the algebra's declared parameters: a constraint
     or bracket coefficient over anything else would have no value at any
     binding."""
-    stray = sorted(set(_names(e)) - set(entry.params))
+    stray = sorted(_names(e, set()) - set(entry.params))
     if stray:
         err(f"{entry.name} declares no parameter {', '.join(stray)}")
     return e

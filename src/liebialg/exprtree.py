@@ -1,11 +1,12 @@
 """Expression trees over the chart coordinates, with an exact-friendly parser.
 
 Node set: constants, coordinates x1..x4, named parameters, +, -, *, /,
-integer powers, exp, sin, cos, sinh, cosh.  A tree is a parse result: it
-substitutes parameters, evaluates exactly when it is arithmetic only, and
-converts to ClosedFunction whenever it stays inside that class (quotients
-and negative powers of single terms only, linear arguments to exp/trig).
-Derivatives and numeric values are taken on the closed function.
+integer powers, exp, sin, cos, sinh, cosh.  A tree is a parse result and is
+never rebuilt: it evaluates exactly when it is arithmetic only, and converts
+to ClosedFunction at a binding of its parameters whenever it stays inside
+that class (quotients and negative powers of single terms only, linear
+arguments to exp/trig).  Derivatives and numeric values are taken on the
+closed function.
 """
 
 from fractions import Fraction
@@ -41,25 +42,6 @@ class Expr:
     def __repr__(self):
         return to_text(self)
 
-    def subs_params(self, binding):
-        """Replace parameters by exact rationals; unknown names stay symbolic.
-        The tree is rebuilt through the smart constructors, so a factor that
-        becomes 0 prunes its product and a denominator that becomes the
-        constant 0 raises EvalError here."""
-        op = self.op
-        if op == "param":
-            if self.args[0] in binding:
-                return const(binding[self.args[0]])
-            return self
-        if op in ("const", "coord"):
-            return self
-        if op == "pow":
-            return powi(self.args[0].subs_params(binding), self.args[1])
-        args = [a.subs_params(binding) for a in self.args]
-        if op in _REBUILD:
-            return _REBUILD[op](*args)
-        return Expr(op, tuple(args))
-
     def eval_exact(self, params=None):
         """Exact rational value; defined only for arithmetic-only trees."""
         op = self.op
@@ -87,11 +69,12 @@ class Expr:
             return -self.args[0].eval_exact(params)
         raise InputError(f"node {op!r} has no exact rational value")
 
-    def to_closed(self) -> ClosedFunction:
-        """The tree as a closed function: the walk of `linear_parts` with no
+    def to_closed(self, binding=None) -> ClosedFunction:
+        """The tree as a closed function, each parameter read from the
+        binding as the walk reaches it: the walk of `linear_parts` with no
         name read linearly.  InputError for an unbound parameter or a node
-        outside the class."""
-        return _parts(self, {})[0]
+        outside the class, EvalError for a denominator that is 0 there."""
+        return _parts(self, {}, binding or {})[0]
 
     # bench/run.py --trace 1 counts the calls of diff and evalf by name, so
     # both stay, as thin views of the closed function
@@ -101,7 +84,7 @@ class Expr:
 
     def evalf(self, point, params=None):
         """Float value at a 4-point, through the closed function's evaluator."""
-        return self.subs_params(params or {}).to_closed().eval(point)
+        return self.to_closed(params).eval(point)
 
 
 def _power(base, p):
@@ -143,50 +126,55 @@ class _NotLinear(Exception):
     """A node that is not linear in the names `linear_parts` reads."""
 
 
-def linear_parts(e, names):
+def linear_parts(e, names, binding):
     """(c, [v_1, ..., v_n]) with e = c + sum_k v_k names[k], the c and v_k
     closed functions free of the parameters `names`, read off the tree in
-    the one walk that converts every other node, `Expr.to_closed`'s; each
-    v_k is zero when no name occurs.  None when e is not linear in them: a
-    product or power of two of them, or one in a denominator or in the
-    argument of exp or a trigonometric function."""
+    the one walk that converts every other node, `Expr.to_closed`'s, with
+    the other parameters read from the binding; each v_k is zero when no
+    name occurs.  None when e is not linear in them: a product or power of
+    two of them, or one in a denominator or in the argument of exp or a
+    trigonometric function."""
     slots = {name: k for k, name in enumerate(names)}
     try:
-        c, v = _parts(e, slots)
+        c, v = _parts(e, slots, binding)
     except _NotLinear:
         return None
     return c, [ClosedFunction.zero()] * len(names) if v is None else v
 
 
-def _parts(e, slots):
-    """(c, v) for `linear_parts`, with v None when no name occurs in e."""
+def _parts(e, slots, binding):
+    """(c, v) for `linear_parts`, with v None when no name occurs in e; a
+    bound parameter is the constant of its value."""
     op = e.op
-    if op == "param" and e.args[0] in slots:
-        v = [ClosedFunction.zero()] * len(slots)
-        v[slots[e.args[0]]] = cf_const(1)
-        return ClosedFunction.zero(), v
     if op == "const":
         return cf_const(e.args[0]), None
     if op == "coord":
         return cf_coord(e.args[0]), None
     if op == "param":
-        raise InputError(f"unbound parameter {e.args[0]!r}")
+        name = e.args[0]
+        if name in binding:
+            return cf_const(Fraction(binding[name])), None
+        if name not in slots:
+            raise InputError(f"unbound parameter {name!r}")
+        v = [ClosedFunction.zero()] * len(slots)
+        v[slots[name]] = cf_const(1)
+        return ClosedFunction.zero(), v
     if op == "add":
         c, v = ClosedFunction.zero(), None
         for a in e.args:
-            ca, va = _parts(a, slots)
+            ca, va = _parts(a, slots, binding)
             c = c + ca
             if va is not None:
                 v = va if v is None else [x + y for x, y in zip(v, va)]
         return c, v
     if op == "neg":
-        c, v = _parts(e.args[0], slots)
+        c, v = _parts(e.args[0], slots, binding)
         return -c, None if v is None else [-x for x in v]
     if op == "mul":
         # (c + v.d) (ca + va.d) is linear while v or va is None
         c, v = cf_const(1), None
         for a in e.args:
-            ca, va = _parts(a, slots)
+            ca, va = _parts(a, slots, binding)
             if va is not None:
                 if v is not None:
                     raise _NotLinear
@@ -196,13 +184,13 @@ def _parts(e, slots):
             c = c * ca
         return c, v
     if op == "div":
-        c, v = _parts(e.args[0], slots)
-        cd, vd = _parts(e.args[1], slots)
+        c, v = _parts(e.args[0], slots, binding)
+        cd, vd = _parts(e.args[1], slots, binding)
         if vd is not None:
             raise _NotLinear
         inv = cd.reciprocal()
         return c * inv, None if v is None else [x * inv for x in v]
-    c, v = _parts(e.args[0], slots)
+    c, v = _parts(e.args[0], slots, binding)
     if v is not None:
         raise _NotLinear
     if op == "pow":
@@ -296,10 +284,6 @@ def func(name, arg):
     if name not in _FUNCS:
         raise InputError(f"unknown function {name!r}")
     return Expr(name, (arg,))
-
-
-# the constructor that `Expr.subs_params` rebuilds each n-ary node with
-_REBUILD = {"add": add, "mul": mul, "div": div, "neg": neg}
 
 
 # --------------------------------------------------------------------------

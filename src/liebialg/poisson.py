@@ -90,7 +90,7 @@ def sklyanin_bivector(frame: InvariantFrame, r: TensorElement) -> PoissonBivecto
     if not r.is_antisymmetric():
         raise InputError("Sklyanin bracket needs an antisymmetric r")
     n = r.dim
-    upper = [(j, k, r.r[j][k]) for j in range(n) for k in range(j + 1, n) if r.r[j][k]]
+    upper = sorted((j, k, c) for (j, k), c in r.entries.items() if j < k)
     pairs = [(j, k) for j, k, _ in upper]
     ml, mr = _minors(frame.XL, pairs), _minors(frame.XR, pairs)
     terms = [t for j, k, c in upper for t in ((c, ml[j, k]), (-c, mr[j, k]))]

@@ -47,11 +47,13 @@ def is_zero_matrix(a):
     return all(not x for row in a for x in row)
 
 
-def _int_row(row):
-    """(the nonzero entries of the dense row times the lcm l of its
-    denominators, as {column: int}, and l); an int entry has denominator 1."""
-    l = lcm(*[x.denominator for x in row])
-    return {c: x.numerator * (l // x.denominator) for c, x in enumerate(row) if x}, l
+def _int_map(items):
+    """({key: l x} over the (key, x) pairs with x nonzero, and l, the lcm of
+    their denominators); an int has denominator 1.  A dense row enters as
+    `enumerate(row)`, a sparse map as its items."""
+    items = [(k, x) for k, x in items if x]
+    l = lcm(*[x.denominator for _, x in items])
+    return {k: x.numerator * (l // x.denominator) for k, x in items}, l
 
 
 def _combine(row, c, top):
@@ -104,7 +106,7 @@ def det(m):
     n = len(m)
     rows, scale = [], 1
     for row in m:
-        ints, l = _int_row(row)
+        ints, l = _int_map(enumerate(row))
         rows.append(ints)
         scale *= l
     pivot, num, den = _eliminate(rows)
@@ -124,7 +126,7 @@ def rref(m):
     row c holds row[c] times its row of that form."""
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    pivot = _eliminate([_int_row(row)[0] for row in m])[0]
+    pivot = _eliminate([_int_map(enumerate(row))[0] for row in m])[0]
     red = [[ZERO] * cols for _ in range(rows)]
     for out, c in zip(red, sorted(pivot)):
         row = pivot[c]
@@ -153,7 +155,7 @@ def _kernel_basis(pivot, cols):
 def nullspace(m):
     """Basis of the right nullspace, one vector per free column."""
     cols = len(m[0]) if m else 0
-    return _kernel_basis(_eliminate([_int_row(row)[0] for row in m])[0], cols)
+    return _kernel_basis(_eliminate([_int_map(enumerate(row))[0] for row in m])[0], cols)
 
 
 def solve_sparse(rows, cols):

@@ -6,9 +6,9 @@ The defining linear system (per adjoint conventions in core):
 
 so a tensor r generates the cocommutator ft^ab_i = -(Xadj_i^T r + r Xadj_i)^ab.
 
-Every check runs on sparse integer maps: r scaled to ints is {(p, b): int}
-over its nonzero entries, and the action above is the one generator
-`_ad_terms`.  A rank-3 tensor such as [[r, r]] is {(a, b, c): value} over
+Every check runs on sparse maps: a TensorElement holds r as {(p, b):
+Fraction} over its nonzero entries, which scaled to ints is {(p, b): int},
+and the action above is the one generator `_ad_terms`.  A rank-3 tensor such as [[r, r]] is {(a, b, c): value} over
 its nonzero entries, 0-based, so the zero tensor is the empty map.
 """
 
@@ -23,56 +23,55 @@ from .errors import InputError
 
 
 class TensorElement:
-    """Element r = r^ij X_i (x) X_j of g (x) g as an exact 4x4 matrix."""
+    """Element r = r^ij X_i (x) X_j of g (x) g, stored as the map
+    `entries` {(i, j): Fraction} of its nonzero entries, 0-based."""
 
-    __slots__ = ("dim", "r")
+    __slots__ = ("dim", "entries")
 
-    def __init__(self, dim, r):
+    def __init__(self, entries, dim=4):
         self.dim = dim
-        self.r = r
+        self.entries = entries
 
     @classmethod
     def zero(cls, dim=4):
-        return cls(dim, rl.zeros(dim, dim))
+        return cls({}, dim)
 
     @classmethod
     def from_terms(cls, terms, dim=4):
         """terms: iterable of (coeff, i, j, kind) with kind 'tensor' or 'wedge',
         1-based indices.  A wedge contributes X_i(x)X_j - X_j(x)X_i."""
-        r = rl.zeros(dim, dim)
+        m = {}
         for coeff, i, j, kind in terms:
             c = Fraction(coeff)
-            r[i - 1][j - 1] += c
+            _bump(m, (i - 1, j - 1), c)
             if kind == "wedge":
-                r[j - 1][i - 1] -= c
+                _bump(m, (j - 1, i - 1), -c)
             elif kind != "tensor":
                 raise InputError(f"unknown term kind {kind!r}")
-        return cls(dim, r)
+        return cls(m, dim)
+
+    @property
+    def r(self):
+        """r as a dense dim x dim matrix of Fractions, built afresh from the
+        map: a view, so changing it leaves r as it is."""
+        n = range(self.dim)
+        return [[self.entries.get((i, j), rl.ZERO) for j in n] for i in n]
 
     def antisymmetric_part(self):
-        d = self.dim
-        return TensorElement(
-            d,
-            [
-                [(self.r[i][j] - self.r[j][i]) / 2 for j in range(d)]
-                for i in range(d)
-            ],
-        )
+        half = {}
+        for (i, j), x in self.entries.items():
+            _bump(half, (i, j), x / 2)
+            _bump(half, (j, i), -x / 2)
+        return TensorElement(half, self.dim)
 
     def is_antisymmetric(self):
-        d = self.dim
-        return all(self.r[i][j] == -self.r[j][i] for i in range(d) for j in range(d))
+        return all(self.entries.get((j, i)) == -x for (i, j), x in self.entries.items())
 
     def __eq__(self, other):
-        return isinstance(other, TensorElement) and self.r == other.r
+        return isinstance(other, TensorElement) and (self.dim, self.entries) == (other.dim, other.entries)
 
     def __repr__(self):
-        terms = []
-        d = self.dim
-        for i in range(d):
-            for j in range(d):
-                if self.r[i][j]:
-                    terms.append(f"{self.r[i][j]}*X{i+1}(x)X{j+1}")
+        terms = [f"{x}*X{i+1}(x)X{j+1}" for (i, j), x in sorted(self.entries.items())]
         return "TensorElement(" + (" + ".join(terms) or "0") + ")"
 
 
@@ -81,13 +80,6 @@ class RSolutionSet:
     particular: TensorElement
     kernel_basis: list
     empty: bool
-
-
-def _ints(r):
-    """(D, {(p, b): D r^pb}) over the nonzero entries of the matrix r, with D
-    the lcm of the denominators."""
-    flat, den = rl._int_row([x for row in r for x in row])
-    return den, {divmod(col, len(r)): x for col, x in flat.items()}
 
 
 def _ad_terms(m, f: StructureConstants):
@@ -110,7 +102,7 @@ def _ad_terms(m, f: StructureConstants):
 
 def generates_cocommutator(r: TensorElement, f, fd) -> bool:
     """Exact membership test: r solves the defining system for (f, fd)."""
-    dr, ri = _ints(r.r)
+    ri, dr = rl._int_map(r.entries.items())
     d1, d2, gnz = f.scaled_nonzero()[0], *fd.scaled_nonzero()
     # the residual Xadj_i^T r + r Xadj_i - Yt_i, times d1 d2 dr
     acc = {}
@@ -150,7 +142,7 @@ def solve_coboundary(f: StructureConstants, fd: StructureConstants) -> RSolution
     part, null = sol
 
     def unflatten(v):
-        return TensorElement(d, [list(v[i * d : (i + 1) * d]) for i in range(d)])
+        return TensorElement({divmod(k, d): x for k, x in enumerate(v) if x}, d)
 
     return RSolutionSet(unflatten(part), [unflatten(v) for v in null], False)
 
@@ -162,7 +154,7 @@ def schouten(r: TensorElement, f: StructureConstants):
 
     as the map {(a, b, c): Fraction} over its nonzero entries, 0-based.
     """
-    dr, ri = _ints(r.r)
+    ri, dr = rl._int_map(r.entries.items())
     s = f.scaled_nonzero()[0] * dr * dr
     return {key: Fraction(w, s) for key, w in _schouten_ints(ri, f).items()}
 
@@ -244,7 +236,7 @@ def classify_r(r: TensorElement, f: StructureConstants) -> RClassification:
     `schouten` is [[r_a, r_a]] of the antisymmetric part as the map of
     `schouten`."""
     # with R = D r as ints, 2 D r_s = R + R^T and 2 D r_a = R - R^T
-    dr, ri = _ints(r.r)
+    ri, dr = rl._int_map(r.entries.items())
     sym, ra = {}, {}
     for (p, q), x in ri.items():
         for key, sign in (((p, q), 1), ((q, p), -1)):

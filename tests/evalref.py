@@ -16,9 +16,16 @@ of the sparse `cfm_const_mul(m, a)`, the dense adapter of
 d x / d x_coord (`cfm_diff`, afresh through `fresh_diff`) and m y and
 compares them: the retired route of the exponential and lower-block checks,
 and the oracle of the one residual term map of `closedfun.derivative_is`.
+`subs_params` rebuilds a tree with its bound parameters replaced by
+constants, the retired `Expr.subs_params`: on it,
 `components_by_substitution` reads a printed frame field by five
-substitutions and four conversions, the retired route and the oracle of
-`FrameEntry.components`.  `central_coords` lists the coordinates whose adjoint is zero, which the retired
+substitutions and four conversions and `closed_matrix_by_substitution` the
+printed brackets of a poisson row by one substitution and one conversion
+per bracket, the retired routes and the oracles of the one-walk
+`FrameEntry.components` and `PoissonEntry.closed_matrix`.  `tensor_dense`
+builds a printed r as a dense Fraction matrix term by term, the retired
+route and the oracle of the sparse map of `RMatrixEntry.tensor`.
+`central_coords` lists the coordinates whose adjoint is zero, which the retired
 `groupgeom._central` gave the lower-block integrand.  `transport_dense` is x^T m x for a
 constant m by two such 4 x 4 products, and `sklyanin_dense` is XL^T r XL -
 XR^T r XR from two of them: the retired path and the oracle of the 2 x 2
@@ -93,6 +100,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from operator import add, mul
 
+from liebialg import exprtree as et
 from liebialg import ratlinalg as rl
 from liebialg.closedfun import (
     CR_ONE,
@@ -258,14 +266,67 @@ def derivative_is_by_matrices(x, coord, mc, y):
     return cfm_eq(cfm_diff(x, coord), cfm_const_mul(m, y))
 
 
+# the constructor that `subs_params` rebuilds each n-ary node with
+_REBUILD = {"add": et.add, "mul": et.mul, "div": et.div, "neg": et.neg}
+
+
+def subs_params(e, binding):
+    """The tree e with its bound parameters replaced by exact rationals, the
+    others left symbolic: the retired `Expr.subs_params`.  The tree is
+    rebuilt through the smart constructors, so a factor that becomes 0
+    prunes its product and a denominator that becomes the constant 0 raises
+    EvalError here."""
+    op = e.op
+    if op == "param":
+        return et.const(binding[e.args[0]]) if e.args[0] in binding else e
+    if op in ("const", "coord"):
+        return e
+    if op == "pow":
+        return et.powi(subs_params(e.args[0], binding), e.args[1])
+    args = [subs_params(a, binding) for a in e.args]
+    if op in _REBUILD:
+        return _REBUILD[op](*args)
+    return et.Expr(op, tuple(args))
+
+
 def components_by_substitution(fe, side, i, binding):
     """Field i of side 'L'/'R' of a corpus frame as 4 closed functions, by
     the retired route: the binding substituted, then d_k = 1 and the other
     d's = 0 substituted and converted, once for each k.  The oracle of the
     one-walk `FrameEntry.components`."""
-    e = (fe.xl if side == "L" else fe.xr)[i].subs_params(binding)
+    e = subs_params((fe.xl if side == "L" else fe.xr)[i], binding)
     zero = {f"d{k}": Fraction(0) for k in range(1, 5)}
-    return [e.subs_params({**zero, f"d{k}": Fraction(1)}).to_closed() for k in range(1, 5)]
+    return [subs_params(e, {**zero, f"d{k}": Fraction(1)}).to_closed() for k in range(1, 5)]
+
+
+def closed_matrix_by_substitution(pe, binding):
+    """The printed brackets of a corpus poisson row as a 4 x 4 matrix of
+    closed functions, each tree rebuilt at the binding and then converted:
+    the retired route and the oracle of `PoissonEntry.closed_matrix`."""
+    m = cfm_zeros(4, 4)
+    for (i, j), e in pe.brackets.items():
+        cf = subs_params(e, binding).to_closed()
+        m[i - 1][j - 1] = m[i - 1][j - 1] + cf
+        m[j - 1][i - 1] = m[j - 1][i - 1] - cf
+    return m
+
+
+def tensor_of(m):
+    """The TensorElement of a dense square Fraction matrix."""
+    return TensorElement({(i, j): x for i, row in enumerate(m) for j, x in enumerate(row) if x}, len(m))
+
+
+def tensor_dense(e, binding):
+    """The printed r of a corpus rmatrix row as a dense 4 x 4 Fraction
+    matrix, term by term: the retired `TensorElement.from_terms` loop and
+    the oracle of `RMatrixEntry.tensor`."""
+    r = rl.zeros(4, 4)
+    for c, i, j, kind in e.terms:
+        c = c.eval_exact(binding)
+        r[i - 1][j - 1] += c
+        if kind == "wedge":
+            r[j - 1][i - 1] -= c
+    return r
 
 
 def central_coords(f):
@@ -490,7 +551,7 @@ def solve_affine(rows, cols):
     coefficients of `cols` unknowns followed by its right-hand side.
     Returns (particular, nullspace_basis) or None when inconsistent
     (`ratlinalg.solve_sparse` on the rows' nonzero entries)."""
-    return rl.solve_sparse([rl._int_row(row)[0] for row in rows], cols)
+    return rl.solve_sparse([rl._int_map(enumerate(row))[0] for row in rows], cols)
 
 
 def solve_affine_dense(rows, cols):
@@ -821,7 +882,7 @@ def ce_differential(w, f):
 
 def symmetric_part(t):
     d = t.dim
-    return TensorElement(d, [[(t.r[i][j] + t.r[j][i]) / 2 for j in range(d)] for i in range(d)])
+    return tensor_of([[(t.r[i][j] + t.r[j][i]) / 2 for j in range(d)] for i in range(d)])
 
 
 def ad_invariant_symmetric(rs, f):

@@ -463,6 +463,26 @@ def test_derive_zero_denominator_parameter_exit_two(capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # found after parsing, by the corpus
+        ["derive", "poisson", "--algebra", "A_4_7", "--dual", "A_4_7.i", "--param", "q=1"],
+        # found while parsing, by the type function
+        ["derive", "fields", "--algebra", "A_4_11_b", "--param", "b=1/0"],
+    ],
+)
+def test_a_derive_param_error_names_the_derive_command(argv, capsys):
+    with pytest.raises(SystemExit) as ex:
+        main(argv)
+    assert ex.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: liebialg derive ")
+    assert [line for line in err.splitlines() if "error:" in line][0].startswith(
+        "liebialg derive: error: argument --param: "
+    )
+
+
 def test_derive_unsupported_spectrum_exit_one(tmp_path, capsys):
     for cls in (UnsupportedSpectrum, NonUnitDeterminant, EvalError):
         assert not issubclass(cls, ValueError)  # never a usage error

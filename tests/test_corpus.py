@@ -5,11 +5,19 @@ import hashlib
 import re
 from fractions import Fraction
 from importlib import resources
+from itertools import product
 
 import pytest
 
-from evalref import components_by_substitution, serialize
+from evalref import (
+    closed_matrix_by_substitution,
+    components_by_substitution,
+    scaled_ints,
+    serialize,
+    tensor_dense,
+)
 from liebialg import corpus as corpus_mod
+from liebialg import ratlinalg
 from liebialg.errors import CorpusSyntaxError, InputError
 from liebialg.exprtree import parse_expr, to_text
 
@@ -253,6 +261,29 @@ def test_an_rfree_name_is_not_a_parameter_of_its_pair(side):
     corpus_mod.Corpus(corpus_mod.parse(text.replace("rfree b", "rfree c").replace("r b", "r c")))
 
 
+@pytest.mark.parametrize(
+    "block, message",
+    [
+        # each loaded and then failed its verify row, with no line named
+        ("rmatrix g d\n  r c 1 wedge 2\n",
+         "r(g, d): an r line names c, not a parameter of the pair or an rfree name"),
+        ("rmatrix g d\n  r x1 1 wedge 2\n",
+         "r(g, d): an r line names x1, not a parameter of the pair or an rfree name"),
+        ("rmatrix g d\n  r a 1 wedge 2\n  rfree a\n  schouten k 1 2 3\n",
+         "r(g, d): the schouten line names k, not a parameter of the pair or an rfree name"),
+        ("poisson g d pi\n  pb 1 2 = k*x1\n",
+         "pb(g, d)[pi]: pb 1 2 names k, not a parameter of the pair or x1..x4"),
+    ],    ids=["r-undeclared", "r-coordinate", "schouten-undeclared", "pb-undeclared"],
+)
+def test_a_pair_payload_names_only_the_pair_parameters(block, message):
+    text = "algebra g params b\nalgebra d params q\n" + block
+    with pytest.raises(CorpusSyntaxError, match=re.escape(message)):
+        corpus_mod.Corpus(corpus_mod.parse(text))
+    # the pair's parameters, the rfree names and, in a pb line, x1..x4 load
+    fixed = text.replace("r c ", "r b ").replace("r x1 ", "r q ").replace("k", "b*q")
+    corpus_mod.Corpus(corpus_mod.parse(fixed))
+
+
 def test_load_takes_str_paths(tmp_path):
     path = tmp_path / "one.txt"
     path.write_text("algebra a\n", encoding="utf-8")
@@ -329,7 +360,7 @@ def test_frames_extract_linear_components(reg):
     for _ in range(5):
         p = [rng.uniform(-1, 1) for _ in range(4)]
         dvals = {f"d{k}": Fraction(rng.randint(-3, 3)) for k in range(1, 5)}
-        full = fe.xl[2].subs_params(dvals).to_closed().eval(p)
+        full = fe.xl[2].to_closed(dvals).eval(p)
         parts = sum(float(dvals[f"d{k+1}"]) * comps[k].eval(p) for k in range(4))
         assert abs(full - parts) < 1e-9
 
@@ -344,6 +375,35 @@ def test_components_equal_the_substitution_route_on_every_frame_field(reg):
                     assert got == components_by_substitution(fe, side, i, binding), (name, side, i)
                     fields += 1
     assert fields >= 376
+
+
+def test_printed_brackets_equal_the_substitution_route_on_the_full_grid(reg):
+    # every grid binding of the pair, with no cap: the contract reads a
+    # row at its first binding only
+    bindings = 0
+    for pe in reg.poisson:
+        for b in reg.grid_bindings(pe.g, pe.dual):
+            assert pe.closed_matrix(b) == closed_matrix_by_substitution(pe, b), (pe.name, b)
+            bindings += 1
+    assert bindings == 369
+
+
+def test_printed_r_equals_the_dense_route_on_the_full_grid(reg):
+    # every grid binding of the pair, with no cap, and every {0, 1}
+    # combination of the rfree names: the sparse map is the dense matrix's
+    # nonzero entries, and its integer form the dense route's
+    tensors = 0
+    for (g, dual), e in sorted(reg.rmatrices.items()):
+        for b in reg.grid_bindings(g, dual):
+            for combo in product(corpus_mod.RFREE_GRID, repeat=len(e.rfree)):
+                bb = {**b, **dict(zip(e.rfree, combo))}
+                r, dense = e.tensor(bb), tensor_dense(e, bb)
+                assert r.r == dense, (e.name, bb)
+                den, rows = scaled_ints(dense)
+                flat = {(i, j): x for i, row in enumerate(rows) for j, x in enumerate(row) if x}
+                assert ratlinalg._int_map(r.entries.items()) == (flat, den), (e.name, bb)
+                tensors += 1
+    assert tensors == 762
 
 
 FRAME_HEAD = """algebra demo

@@ -1,5 +1,5 @@
-"""Expression parsing, exact substitution, conversion to closed functions,
-and rendering."""
+"""Expression parsing, exact evaluation, conversion to closed functions at a
+binding, and rendering."""
 
 import gc
 import math
@@ -14,7 +14,7 @@ from liebialg.errors import CorpusSyntaxError, EvalError, InputError
 from liebialg.exprtree import _FUNCS, Expr, const, coord, param, parse_expr, to_text
 from liebialg.render import render_closed_function
 
-from evalref import walk
+from evalref import subs_params, walk
 
 
 def test_parse_rational_arithmetic():
@@ -53,26 +53,55 @@ def test_parse_power_and_division():
 
 def test_parse_parameters_and_substitution():
     e = parse_expr("(1+b)^2")
-    assert e.subs_params({"b": Fraction(1, 2)}).eval_exact() == Fraction(9, 4)
+    assert e.eval_exact({"b": Fraction(1, 2)}) == Fraction(9, 4)
+    assert e.to_closed({"b": Fraction(1, 2)}) == cf_const(Fraction(9, 4))
 
 
 def test_substitution_rebuilds_through_the_smart_constructors():
-    # a factor substituted to 0 prunes its product before any conversion,
-    # even one whose other factor has no closed form
+    # the retired substitution, kept as the oracle of the one walk: a factor
+    # substituted to 0 prunes its product before any conversion, even one
+    # whose other factor has no closed form
     e = parse_expr("d1*exp(x1^2) + d2*x3")
-    assert e.subs_params({"d1": 0, "d2": 1}) == coord(3)
-    assert e.subs_params({"d1": 0, "d2": 0}) == const(0)
+    assert subs_params(e, {"d1": 0, "d2": 1}) == coord(3)
+    assert subs_params(e, {"d1": 0, "d2": 0}) == const(0)
     with pytest.raises(InputError):
-        e.subs_params({"d1": 1, "d2": 0}).to_closed()
+        subs_params(e, {"d1": 1, "d2": 0}).to_closed()
     # a denominator that becomes the constant 0 fails at substitution, one
     # that sums to 0 in the conversion, with the same error class
-    assert parse_expr("-(b*2)/b").subs_params({"b": 3}).eval_exact() == -2
+    assert subs_params(parse_expr("-(b*2)/b"), {"b": 3}).eval_exact() == -2
     with pytest.raises(EvalError, match="division by constant zero"):
-        parse_expr("x1/b").subs_params({"b": 0})
+        subs_params(parse_expr("x1/b"), {"b": 0})
     with pytest.raises(EvalError):
-        parse_expr("x1/(b - 1)").subs_params({"b": 1}).to_closed()
+        subs_params(parse_expr("x1/(b - 1)"), {"b": 1}).to_closed()
     # parameters left unbound stay symbolic
-    assert parse_expr("q*x2").subs_params({}) == parse_expr("q*x2")
+    assert subs_params(parse_expr("q*x2"), {}) == parse_expr("q*x2")
+
+
+def test_the_walk_reads_each_parameter_from_the_binding(monkeypatch):
+    built = []
+    init = Expr.__init__
+
+    def counted(self, op, args):
+        built.append(op)
+        init(self, op, args)
+
+    trees = [parse_expr(t) for t in ("x1/b", "x1/(b - 1)", "q*x2", "d1*exp(x1^2)", "-(b*2)/b*x3")]
+    monkeypatch.setattr(Expr, "__init__", counted)
+    # a denominator that is 0 at the binding is an EvalError, whether it is
+    # the parameter itself or sums to 0, and an unbound name an InputError
+    with pytest.raises(EvalError):
+        trees[0].to_closed({"b": 0})
+    with pytest.raises(EvalError):
+        trees[1].to_closed({"b": 1})
+    with pytest.raises(InputError, match="unbound parameter 'q'"):
+        trees[2].to_closed({})
+    # a factor with no closed form is rejected at every binding, where the
+    # substitution pruned it away behind a factor bound to 0
+    with pytest.raises(InputError):
+        trees[3].to_closed({"d1": 0})
+    assert trees[4].to_closed({"b": 3}) == cf_coord(3).scale(-2)
+    assert trees[2].to_closed({"q": 3}) == cf_coord(2).scale(3)
+    assert built == []  # no tree is rebuilt
 
 
 def test_parse_error_reports_location():
@@ -96,7 +125,7 @@ def test_digits_and_names_are_ascii(text, col, char):
 
 def test_ascii_names_and_digits_still_parse():
     e = parse_expr("_b2*x1 + 10*Q_9")
-    assert e.subs_params({"_b2": 1, "Q_9": Fraction(1, 10)}).to_closed() == parse_expr("x1 + 1").to_closed()
+    assert e.to_closed({"_b2": 1, "Q_9": Fraction(1, 10)}) == parse_expr("x1 + 1").to_closed()
 
 
 def test_parse_error_unbalanced():
@@ -217,7 +246,7 @@ def test_compiled_expr_matches_tree_walk():
     @hyp.given(_trees(st), st.lists(value, min_size=4, max_size=4))
     def check(e, point):
         try:
-            f = e.subs_params(params).to_closed()
+            f = e.to_closed(params)
         except (InputError, EvalError):  # outside the closed class
             return
         try:
@@ -243,7 +272,7 @@ def test_compiled_expr_errors():
     for src in ("(x2 - 1)^-1", "q + x2"):
         with pytest.raises(InputError):
             parse_expr(src).to_closed()
-    assert parse_expr("q*x2").subs_params({"q": Fraction(3, 2)}).to_closed().eval(p) == 1.5
+    assert parse_expr("q*x2").to_closed({"q": Fraction(3, 2)}).eval(p) == 1.5
 
 
 def test_compiled_integrable_functions_match_tree_walk(reg, points):
@@ -270,7 +299,7 @@ def test_compiled_integrable_functions_match_tree_walk(reg, points):
 
 def test_evalf_and_diff_are_views_of_the_closed_function():
     e = parse_expr("q*exp(-x4)*x1/x2")
-    f = e.subs_params({"q": 3}).to_closed()
+    f = e.to_closed({"q": 3})
     p = (0.5, -2.0, 1.0, 0.25)
     assert e.evalf(p, {"q": 3}) == f.eval(p)
     assert parse_expr("x1/x2").diff(2) == parse_expr("-x1/x2^2").to_closed()

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from evalref import sklyanin_dense, transport_dense
+from evalref import sklyanin_dense, tensor_of, transport_dense
 from liebialg import poisson
 from liebialg.closedfun import ClosedFunction, cfm_eq
 from liebialg.core import StructureConstants
@@ -247,7 +247,7 @@ def test_sklyanin_from_minors_matches_on_drawn_r(reg, bench):
                     if rng.random() < 0.7:
                         r[j][k] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                         r[k][j] = -r[j][k]
-            P = sklyanin_bivector(frame, TensorElement(4, r))
+            P = sklyanin_bivector(frame, tensor_of(r))
             assert cfm_eq(P.P, sklyanin_dense(frame, r))
 
 

@@ -58,6 +58,7 @@ from evalref import (
     rank3_map,
     render_by_fractions,
     schouten_dense,
+    tensor_of,
     solve_coboundary_full,
     two_form_det,
     wedge3_dense,
@@ -649,7 +650,7 @@ def _drawn_r(draw, antisymmetric):
         r[i][j] += c
         if antisymmetric:
             r[j][i] -= c
-    return TensorElement(4, r)
+    return tensor_of(r)
 
 
 @hyp.settings(max_examples=120, deadline=None)

@@ -14,6 +14,7 @@ from evalref import (
     rank3_dense,
     rank3_map,
     symmetric_part,
+    tensor_of,
     wedge3_dense,
 )
 from liebialg import corpus as corpus_mod
@@ -228,7 +229,7 @@ def _random_r(rng, antisymmetric=True):
         r[i][j] += c
         if antisymmetric:
             r[j][i] -= c
-    return TensorElement(4, r)
+    return tensor_of(r)
 
 
 def _bruteforce_schouten(r, f):

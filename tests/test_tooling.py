@@ -580,7 +580,7 @@ def test_the_r_matrix_checks_reach_the_one_coboundary_kernel(reg, monkeypatch):
     assert reached == [{(p, b): 1 for p in range(4) for b in range(4)}]
     reached.clear()
     assert rmatrix.generates_cocommutator(r, f, fd)
-    assert reached == [rmatrix._ints(r.r)[1]]
+    assert reached == [ratlinalg._int_map(r.entries.items())[0]]
     reached.clear()
     assert rmatrix.classify_r(r, f).kind == "triangular"
     assert reached == [{(0, 0): 2, (0, 2): 2, (2, 0): 2, (1, 1): -2}]  # r + r^T

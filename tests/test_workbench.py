@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from liebialg import core, groupgeom, harness
+from liebialg import core, exprtree, groupgeom, harness, ratlinalg
 from liebialg.closedfun import CRat, _sparse, cfm_eq
 from liebialg.errors import InputError, InvariantError
 from liebialg.harness import Workbench
@@ -207,3 +207,21 @@ def test_a_verify_pass_instantiates_each_algebra_once_per_value_of_its_parameter
     # one frame per tensor: each frame's structure constants are built once
     bases = [chart.base for (chart, _matexp) in frames]
     assert bases and len({id(f) for f in bases}) == len(bases)
+
+
+def test_table34_builds_no_dense_r(reg, monkeypatch):
+    # each printed r is its sparse map from the text on: no dense 4 x 4
+    # matrix on the way to the checks
+    dense = []
+    _counted(monkeypatch, ratlinalg, "zeros", dense)
+    assert harness.verify_tables(reg, "3-4")[0].ok
+    assert dense == []
+
+
+def test_tables_5_to_7_rebuild_no_expression_tree(reg, monkeypatch):
+    # printed frame fields and brackets are converted in one walk of their
+    # parsed trees, reading each parameter from the binding
+    built = []
+    _counted(monkeypatch, exprtree.Expr, "__init__", built)
+    assert all(rep.ok for rep in harness.verify_tables(reg, "5-7"))
+    assert built == []
