@@ -30,6 +30,7 @@ from .errors import (
     NonUnitDeterminant,
     UnsupportedSpectrum,
 )
+from .ratlinalg import _bump
 
 NCOORD = 4
 
@@ -330,17 +331,17 @@ class ClosedFunction:
             if p < 0:
                 raise InputError(f"integral from 0 of a negative power of x{i}")
             if not lam:
-                _accumulate(acc, (_with(k, idx, p + 1), z), c / (p + 1))
+                _bump(acc, (_with(k, idx, p + 1), z), c / (p + 1))
                 continue
             # int s^p e^{lam s} = e^{lam s} sum_j w_j s^{p-j} with
             # w_j = c (-1)^j p!/(p-j)! / lam^(j+1); at s = 0 it is w_p
             inv = CR_ONE / lam
             w = c * inv
             for j in range(p + 1):
-                _accumulate(acc, (_with(k, idx, p - j), z), w)
+                _bump(acc, (_with(k, idx, p - j), z), w)
                 if j < p:
                     w = -w * (p - j) * inv
-            _accumulate(acc, (_with(k, idx, 0), _with(z, idx, CR_ZERO)), -w)
+            _bump(acc, (_with(k, idx, 0), _with(z, idx, CR_ZERO)), -w)
         return ClosedFunction(acc)
 
     def reflect(self, i):
@@ -420,9 +421,9 @@ def _derivative_into(acc, f, idx):
         if k[idx]:
             kk = list(k)
             kk[idx] -= 1
-            _accumulate(acc, (tuple(kk), z), c * k[idx])
+            _bump(acc, (tuple(kk), z), c * k[idx])
         if z[idx]:
-            _accumulate(acc, (k, z), c * z[idx])
+            _bump(acc, (k, z), c * z[idx])
 
 
 def _with(t, idx, v):
@@ -479,17 +480,6 @@ def _mul_into(t, f, g, neg=False):
                     del t[key]
 
 
-def _accumulate(acc, key, v):
-    """acc[key] += v in a term map, dropping a coefficient that cancels."""
-    s = acc.get(key)
-    if s is not None:
-        v = s + v
-    if v:
-        acc[key] = v
-    elif s is not None:
-        del acc[key]
-
-
 def cf_sum_products(products, scaled=()):
     """sum of s f g over `products`, triples (f, g, s) with s = 1 or -1, plus
     sum of c h over `scaled`, pairs (c, h) with c rational: one term map
@@ -501,7 +491,7 @@ def cf_sum_products(products, scaled=()):
     for c, h in scaled:
         c = _crat(c)
         for key, v in h.terms.items():
-            _accumulate(t, key, c * v)
+            _bump(t, key, c * v)
     return ClosedFunction(t) if t else _CF_ZERO
 
 
@@ -542,8 +532,8 @@ def _exp_pair(coeffs, unit, cp, cm):
     coefficient, or cancel."""
     z = tuple(v * unit for v in _linear_rates(coeffs))
     t = {}
-    _accumulate(t, (_ZEXP, z), cp)
-    _accumulate(t, (_ZEXP, tuple(-v for v in z)), cm)
+    _bump(t, (_ZEXP, z), cp)
+    _bump(t, (_ZEXP, tuple(-v for v in z)), cm)
     return ClosedFunction(t) if t else _CF_ZERO
 
 
@@ -611,7 +601,7 @@ def cfm_const_mul_sparse(mc, rows, a):
     for (i, l), c in mc.items():
         for t, f in zip(ts[i], a[l]):
             for key, v in f.terms.items():
-                _accumulate(t, key, c * v)
+                _bump(t, key, c * v)
     return [[ClosedFunction(t) if t else _CF_ZERO for t in row] for row in ts]
 
 
@@ -642,7 +632,7 @@ def derivative_is(x, coord, mc, y):
                 _derivative_into(acc, f, idx)
             for l, c in mrow:
                 for key, v in y[l][j].terms.items():
-                    _accumulate(acc, key, c * v)
+                    _bump(acc, key, c * v)
             if acc:
                 return False
     return True
@@ -795,7 +785,7 @@ def _mat_mul(a, b):
     out = {}
     for (i, l), x in a.items():
         for j, y in brows.get(l, ()):
-            _accumulate(out, (i, j), x * y)
+            _bump(out, (i, j), x * y)
     return out
 
 
@@ -804,7 +794,7 @@ def _shifted(a, c, n):
     out = dict(a)
     if c:
         for i in range(n):
-            _accumulate(out, (i, i), c)
+            _bump(out, (i, i), c)
     return out
 
 
@@ -1002,7 +992,7 @@ def _coupling(row, block, e, j):
     for k, c in row:
         if k not in block:
             for key, v in e[k][j].terms.items():
-                _accumulate(t, key, c * v)
+                _bump(t, key, c * v)
     return ClosedFunction(t) if t else _CF_ZERO
 
 
@@ -1024,7 +1014,7 @@ def _block_putzer(sub, s, coord):
         for ab, c in p.items():
             t = acc.setdefault(ab, {})
             for key, v in r.terms.items():
-                _accumulate(t, key, v * c)
+                _bump(t, key, v * c)
         if k + 1 < s:
             p = _mat_mul(_shifted(sub, -lam, s), p)
             if not p:

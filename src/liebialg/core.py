@@ -13,6 +13,7 @@ from math import lcm
 
 from . import ratlinalg as rl
 from .errors import InputError
+from .ratlinalg import _bump
 
 
 def _as_frac(x):
@@ -20,9 +21,11 @@ def _as_frac(x):
 
 
 def _forms(nz):
-    """(nz, (D, [(i, j, k, D * value)])) with D the lcm of the denominators."""
+    """[nz, (D, [(i, j, k, D * value)]), None] with D the lcm of the
+    denominators; the last slot holds the Jacobi verdict once it is decided."""
     den = lcm(*[v.denominator for (_, _, _, v) in nz])
-    return nz, (den, [(i, j, k, v.numerator * (den // v.denominator)) for (i, j, k, v) in nz])
+    ints = [(i, j, k, v.numerator * (den // v.denominator)) for (i, j, k, v) in nz]
+    return [nz, (den, ints), None]
 
 
 class StructureConstants:
@@ -67,8 +70,8 @@ class StructureConstants:
         return sc
 
     def _cached(self):
-        # the nonzero list and the integer form share one slot, so setting
-        # `_nonzero = None` after an in-place edit clears both
+        # the nonzero list, the integer form and the Jacobi verdict share one
+        # slot, so setting `_nonzero = None` after an in-place edit clears all
         if self._nonzero is None:
             self._nonzero = _forms(
                 [
@@ -89,6 +92,14 @@ class StructureConstants:
         """(D, [(i, j, k, D * value)]) over :meth:`nonzero`, with D the lcm of
         the denominators, so that every scaled value is an int; cached."""
         return self._cached()[1]
+
+    def is_lie(self):
+        """Whether the tensor passes Jacobi (`jacobi_check`), decided once and
+        kept with the cached forms; a check that raises keeps nothing."""
+        forms = self._cached()
+        if forms[2] is None:
+            forms[2] = jacobi_check(self).passed
+        return forms[2]
 
     def is_antisymmetric(self):
         # f_ij^k = -f_ji^k pairs entry (i, j, k) with (j, i, k); a pair of
@@ -131,16 +142,6 @@ class JacobiReport:
 
     def __bool__(self):
         return self.passed
-
-
-def _bump(acc, key, v):
-    """acc[key] += v, with a zero sum dropped from acc."""
-    s = acc.get(key)
-    v = v if s is None else s + v
-    if v:
-        acc[key] = v
-    elif s is not None:
-        del acc[key]
 
 
 def jacobi_check(sc: StructureConstants) -> JacobiReport:
@@ -216,7 +217,7 @@ def mixed_jacobi_check(f: StructureConstants, fd: StructureConstants):
     return JacobiReport(not res, res)
 
 
-def bialgebra_failure(f: StructureConstants, fd: StructureConstants, is_lie=None):
+def bialgebra_failure(f: StructureConstants, fd: StructureConstants):
     """The first identity that the pair (f, fd) fails as a Lie bialgebra:
     None when it passes them all, "mixed Jacobi" when bracket and cobracket
     are not compatible, else "double Jacobi" when f or fd fails Jacobi.
@@ -224,13 +225,12 @@ def bialgebra_failure(f: StructureConstants, fd: StructureConstants, is_lie=None
     The double of `build_double` satisfies Jacobi exactly when f and fd do
     and the pair satisfies mixed Jacobi (Drinfeld 1983; Chari-Pressley, A
     Guide to Quantum Groups, 1994, 1.3), so the 8-dimensional identity is
-    decided on the two 4-dimensional halves.  `is_lie(sc)` stands in for
-    `jacobi_check(sc).passed`, say a memo of it.
+    decided on the two 4-dimensional halves, whose verdicts they keep
+    (`StructureConstants.is_lie`).
     """
     if not mixed_jacobi_check(f, fd).passed:
         return "mixed Jacobi"
-    is_lie = is_lie or (lambda sc: jacobi_check(sc).passed)
-    if not (is_lie(f) and is_lie(fd)):
+    if not (f.is_lie() and fd.is_lie()):
         return "double Jacobi"
     return None
 
@@ -387,7 +387,7 @@ def find_symplectic(f: StructureConstants) -> SymplecticReport:
     """
     if f.dim != 4:
         raise InputError(f"symplectic search needs dimension 4, not {f.dim}")
-    if not jacobi_check(f).passed:
+    if not f.is_lie():
         raise InputError("structure constants fail the Jacobi identity")
     basis = closed_two_forms(f)
     witness, max_rank = _pfaffian_witness(basis)

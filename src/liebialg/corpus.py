@@ -34,17 +34,19 @@ most one schouten, source, note and status line.  Across the corpus a block's ki
 unique, every algebra name a block names (a fixture's ref values included)
 is an algebra of the corpus, and an rfree name is not a parameter of its
 pair.  The r and schouten lines of an rmatrix block name only parameters of
-its pair and its rfree names, and a pb line only parameters of its pair and
-x1..x4.
+its pair and its rfree names, a pb line only parameters of its pair and
+x1..x4, and an xl or xr line only parameters of its algebra, x1..x4 and
+d1..d4.  A fixture key is an identifier.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
-from .core import StructureConstants, _bump
+from .core import StructureConstants
 from .errors import CorpusSyntaxError, EvalError, InputError
 from .exprtree import Expr, linear_parts, parse_expr, to_text
+from .ratlinalg import _bump
 from .rmatrix import TensorElement, wedge3
 
 DEFAULT_GRID = (Fraction(-2), Fraction(-1, 2), Fraction(1, 3), Fraction(2))
@@ -94,6 +96,16 @@ class _Entry:
                     f"unresolved algebra name {n!r} in {self.kind} block {self.name}"
                 )
 
+    def _only(self, line, exprs, allowed, what):
+        """Reject a payload line that names anything outside `allowed`: it
+        would have no value at any binding of the block."""
+        names = set()
+        for e in exprs:
+            _names(e, names)
+        stray = sorted(names - allowed)
+        if stray:
+            raise CorpusSyntaxError(f"{self.name}: {line} names {', '.join(stray)}, not {what}")
+
 
 @dataclass
 class AlgebraEntry(_Entry):
@@ -129,16 +141,6 @@ class _PairEntry(_Entry):
     @property
     def named_algebras(self):
         return (self.g, self.dual)
-
-    def _only(self, line, exprs, allowed, what):
-        """Reject a payload line that names anything outside `allowed`: it
-        would have no value at any binding of the pair."""
-        names = set()
-        for e in exprs:
-            _names(e, names)
-        stray = sorted(names - allowed)
-        if stray:
-            raise CorpusSyntaxError(f"{self.name}: {line} names {', '.join(stray)}, not {what}")
 
 
 @dataclass
@@ -238,15 +240,27 @@ class FrameEntry(_Entry):
     def named_algebras(self):
         return (self.name,)
 
+    def resolve(self, algebras):
+        """Also: each xl and xr line names only the algebra's parameters,
+        x1..x4 and d1..d4."""
+        super().resolve(algebras)
+        allowed = {*algebras[self.name].params, "x1", "x2", "x3", "x4", *_D_NAMES}
+        what = "a parameter of the algebra, x1..x4 or d1..d4"
+        for head, table in (("xl", self.xl), ("xr", self.xr)):
+            for i, e in sorted(table.items()):
+                self._only(f"{head} {i}", [e], allowed, what)
+
     def components(self, side, i, binding):
         """Field i of side 'L'/'R' as 4 ClosedFunction components: the
         coefficients of d1..d4 read in one walk, with the parameters read
         from the binding (`exprtree.linear_parts`).  InputError names the
-        frame and the field when the field is not linear in d1..d4 or has a
-        term free of them."""
+        frame and the field when the block has no such line, or when the
+        field is not linear in d1..d4 or has a term free of them."""
         table = self.xl if side == "L" else self.xr
-        parts = linear_parts(table[i], _D_NAMES, binding)
         where = f"frame {self.name}: x{side.lower()} {i}"
+        if i not in table:
+            raise InputError(f"{where} is missing")
+        parts = linear_parts(table[i], _D_NAMES, binding)
         if parts is None:
             raise InputError(f"{where} is not linear in d1..d4")
         free, comps = parts
@@ -415,6 +429,8 @@ def _payload_line(entry, head, line, err, expr, once):
             entry.pairs.append(tuple(names))
         case "ref" | "expr" | "matrix" | "val" if entry.kind == "fixture":
             key, rhs = (s.strip() for s in _sides(head, body, "=", "KEY = ...", err))
+            if not key.isidentifier():
+                err(f"{head} key must be an identifier, found {key!r}")
             once(head, key)
             if head == "ref":
                 entry.refs[key] = rhs

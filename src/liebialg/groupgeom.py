@@ -22,7 +22,7 @@ from .closedfun import (
     cfm_zeros,
     derivative_is,
 )
-from .core import StructureConstants, bialgebra_failure, jacobi_check
+from .core import StructureConstants, bialgebra_failure
 from .errors import InputError, InvariantError
 from .multivec import bracket, vector
 
@@ -32,7 +32,7 @@ class GroupChart:
     base: StructureConstants
 
     def __post_init__(self):
-        if not jacobi_check(self.base).passed:
+        if not self.base.is_lie():
             raise InputError("chart base algebra fails the Jacobi identity")
 
 

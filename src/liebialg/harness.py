@@ -14,7 +14,7 @@ import time
 from itertools import product
 
 from . import corpus as corpus_mod
-from .core import bialgebra_failure, find_symplectic, jacobi_check
+from .core import bialgebra_failure, find_symplectic
 from .closedfun import cf_matexp_sparse
 from .errors import ComputationError, InputError, InvariantError
 from .groupgeom import (
@@ -26,7 +26,6 @@ from .groupgeom import (
 from .poisson import (
     multiplicative_check,
     pi_bivector,
-    poisson_jacobi_check,
     sklyanin_bivector,
     symplectic_classify,
 )
@@ -153,12 +152,12 @@ class Workbench:
                   nonzero CRat entries); CRat is canonical, so equal
                   matrices share one entry
       coboundary  r-matrix solution set per ordered (g, dual, binding)
-      lie         Jacobi verdict per structure-constant tensor
       double      the first identity (g, dual) fails as a Lie bialgebra, or
                   None, per (g, dual, binding); no 8-dimensional double
       bivector    bivector per (g, dual, method, binding)
-      jacobi      Poisson-Jacobi verdict per bivector
-      symplectic  symplectic classification per bivector
+
+    Jacobi and Poisson-Jacobi verdicts are no memos here: the values keep
+    them (`StructureConstants.is_lie`, `PoissonBivector.is_poisson`).
 
     Only results are memoized: a request whose computation raises raises
     again on the next request.  Results are shared, not copied, so callers
@@ -171,11 +170,8 @@ class Workbench:
         self._frames = {}
         self._matexps = {}
         self._coboundaries = {}
-        self._lie = {}
         self._doubles = {}
         self._bivectors = {}
-        self._jacobi = {}
-        self._symplectic = {}
 
     def _own(self, name, binding):
         """(name, the values in `binding` of the algebra's own parameters):
@@ -211,12 +207,12 @@ class Workbench:
         )
 
     def double(self, g, dual, binding):
-        """`bialgebra_failure` of the pair (g, dual), with its Jacobi verdicts
-        from `lie`: None, "mixed Jacobi" or "double Jacobi"."""
+        """`bialgebra_failure` of the pair (g, dual): None, "mixed Jacobi" or
+        "double Jacobi"."""
         return _memo(
             self._doubles,
             (g, dual, _bkey(binding)),
-            lambda: bialgebra_failure(self.sc(g, binding), self.sc(dual, binding), self.lie),
+            lambda: bialgebra_failure(self.sc(g, binding), self.sc(dual, binding)),
         )
 
     def bivector(self, g, dual, method, binding):
@@ -248,23 +244,6 @@ class Workbench:
     def bivector_any(self, g, dual, binding):
         """The bivector of (g, dual) by `method(g, dual)`."""
         return self.bivector(g, dual, self.method(g, dual), binding)
-
-    # the three memos below are keyed by the identity of their argument; each
-    # entry holds it, so its id is not reused while it is memoized
-
-    def lie(self, sc):
-        """Whether the structure constants sc pass Jacobi."""
-        return _memo(self._lie, id(sc), lambda: (sc, jacobi_check(sc).passed))[1]
-
-    def jacobi(self, P):
-        """Whether the bivector P passes Poisson-Jacobi."""
-        return _memo(self._jacobi, id(P), lambda: (P, poisson_jacobi_check(P).passed))[1]
-
-    def symplectic(self, P):
-        """`symplectic_classify(P)`, reusing P's Poisson-Jacobi verdict."""
-        return _memo(
-            self._symplectic, id(P), lambda: (P, symplectic_classify(P, lambda: self.jacobi(P)))
-        )[1]
 
 
 def _campaign(table):
@@ -338,7 +317,7 @@ def verify_table1(reg, bench):
 
 def _algebra_at(bench, name, b, found):
     sc = bench.sc(name, b)
-    if not bench.lie(sc):
+    if not sc.is_lie():
         return f"Jacobi fails at {b}"
     sym = find_symplectic(sc)
     if not sym.found:
@@ -463,14 +442,14 @@ def _poisson_row(bench, pe, bindings):
         # whether non-membership rows are genuinely degenerate is not
         # stated anywhere, so the computed rank is always reported
         P = bench.bivector(pe.g, pe.dual, pe.method, bindings[-1])
-        rank = bench.symplectic(P).max_rank
+        rank = symplectic_classify(P).max_rank
         detail = f"{detail} [rank {rank}]" if detail else f"rank {rank}"
     return status, detail, found
 
 
 def _poisson_at(bench, pe, b, found):
     P = bench.bivector(pe.g, pe.dual, pe.method, b)
-    if not bench.jacobi(P):
+    if not P.is_poisson:
         return f"Poisson Jacobi fails at {b}"
     bad = multiplicative_check(P, bench.frame(pe.g, b), bench.sc(pe.dual, b))
     if bad:
@@ -495,12 +474,12 @@ def verify_table89(reg, bench):
 
 def _membership_at(bench, pair, b, found):
     table, g, dual = pair
-    cl = bench.symplectic(bench.bivector_any(g, dual, b))
+    cl = symplectic_classify(bench.bivector_any(g, dual, b))
     if not cl.symplectic:
         return f"degenerate at {b} (rank {cl.max_rank})"
     if cl.closed_ok is False:
         return f"inverse two-form not closed at {b}"
-    if table == "table8" and not bench.symplectic(bench.bivector_any(dual, g, b)).symplectic:
+    if table == "table8" and not symplectic_classify(bench.bivector_any(dual, g, b)).symplectic:
         return f"swapped pair degenerate at {b}"
 
 

@@ -171,21 +171,27 @@ def load_example(reg, ex_id) -> IntegrableExample:
 
     The phase-space bivector is the corpus bracket payload of the
     (phase, symmetry) pair, which the acceptance suite separately proves
-    equal to the derived one.
+    equal to the derived one.  InputError names a key the fixture lacks.
     """
     fx = reg.fixtures.get(f"example{ex_id}")
     if fx is None:
         raise InputError(f"no fixture for example {ex_id}")
-    phase = fx.refs["phase"]
-    symmetry = fx.refs["symmetry"]
+
+    def need(table, key):
+        if key not in table:
+            raise InputError(f"fixture {fx.name} has no {key}")
+        return table[key]
+
+    phase = need(fx.refs, "phase")
+    symmetry = need(fx.refs, "symmetry")
     pe = next(
         (p for p in reg.poisson if p.g == phase and p.dual == symmetry), None
     )
     if pe is None:
         raise InputError(f"no bracket table for ({phase}, {symmetry})")
     P = PoissonBivector(pe.closed_matrix({}))
-    darboux = [fx.exprs[f"y{i}"] for i in range(1, 5)]
-    qfuncs = [fx.exprs[f"q{i}"] for i in range(1, 5)]
+    darboux = [need(fx.exprs, f"y{i}") for i in range(1, 5)]
+    qfuncs = [need(fx.exprs, f"q{i}") for i in range(1, 5)]
     return IntegrableExample(
         id=ex_id,
         bivector=P,

@@ -2,6 +2,7 @@
 symplectic classification."""
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .closedfun import (
     CR_ZERO,
@@ -44,6 +45,12 @@ class PoissonBivector:
     def bracket(self, i, j):
         """{x_i, x_j} as a closed function (1-based)."""
         return self.P[i - 1][j - 1]
+
+    @cached_property
+    def is_poisson(self):
+        """Whether P passes Poisson-Jacobi (`poisson_jacobi_check`), decided
+        on the first read and kept; a check that raises keeps nothing."""
+        return poisson_jacobi_check(self).passed
 
 
 def _transport(m, x):
@@ -188,18 +195,16 @@ class SymplecticReport:
         return self.symplectic
 
 
-def symplectic_classify(pb: PoissonBivector, jacobi=None) -> SymplecticReport:
+def symplectic_classify(pb: PoissonBivector) -> SymplecticReport:
     """Exact classification of a 4x4 bivector.
 
     P is generically invertible iff its Pfaffian (`core.pfaffian4`, the
     criterion of `find_symplectic` too) is a nonzero closed function;
     otherwise its generic rank is 2 or 0.  For invertible P, Omega = P^{-1}
-    is closed iff P satisfies the Poisson-Jacobi identity.  `jacobi`, when
-    given, returns that verdict for P (say from a memo) in place of a
-    `poisson_jacobi_check`; it is called only for invertible P.
+    is closed iff P satisfies the Poisson-Jacobi identity, whose verdict P
+    keeps (`PoissonBivector.is_poisson`); it is read only for invertible P.
     """
     if pfaffian4(pb.P):
-        closed = jacobi() if jacobi else poisson_jacobi_check(pb).passed
-        return SymplecticReport(True, closed, 4)
+        return SymplecticReport(True, pb.is_poisson, 4)
     return SymplecticReport(False, None, 0 if cfm_is_zero(pb.P) else 2)
 

@@ -24,6 +24,17 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _bump(acc, key, v):
+    """acc[key] += v, with a zero sum dropped from acc: the one sparse
+    accumulator, of int, Fraction and CRat maps alike."""
+    s = acc.get(key)
+    v = v if s is None else s + v
+    if v:
+        acc[key] = v
+    elif s is not None:
+        del acc[key]
+
+
 def zeros(rows, cols):
     return [[ZERO] * cols for _ in range(rows)]
 

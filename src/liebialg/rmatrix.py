@@ -18,8 +18,9 @@ from fractions import Fraction
 from itertools import permutations
 
 from . import ratlinalg as rl
-from .core import StructureConstants, _bump
+from .core import StructureConstants
 from .errors import InputError
+from .ratlinalg import _bump
 
 
 class TensorElement:

@@ -106,7 +106,6 @@ from liebialg.closedfun import (
     CR_ONE,
     CR_ZERO,
     ClosedFunction,
-    _accumulate,
     _char_poly,
     _components,
     _invert_unit,
@@ -1092,7 +1091,7 @@ def matexp_by_putzer(m, coord):
         for ij, c in p.items():
             t = acc.setdefault(ij, {})
             for key, v in r.terms.items():
-                _accumulate(t, key, v * c)
+                rl._bump(t, key, v * c)
         if k + 1 < n:
             p = _mat_mul(_shifted(mc, -lam, n), p)
             if not p:

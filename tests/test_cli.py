@@ -544,15 +544,19 @@ def test_integrable_example_checks(capsys):
     assert "darboux pass" in out and "closure pass" in out
 
 
-def test_integrable_names_the_failing_brackets(tmp_path, capsys):
-    # example 2 with the printed y2, which has x3 where x2 closes the brackets
+def _edited_corpus(path, old, new):
+    """The packaged corpus files, written to `path` with `old` replaced by
+    `new` wherever it occurs."""
     data = liebialg.__path__[0] + "/data"
     for name in os.listdir(data):
         if name.endswith(".txt"):
             text = open(os.path.join(data, name), encoding="utf-8").read()
-            (tmp_path / name).write_text(text.replace(
-                "y2 = -(2*exp(x3)*x1*x4 + x2)/x1", "y2 = -(2*exp(x3)*x1*x4 + x3)/x1"
-            ))
+            (path / name).write_text(text.replace(old, new), encoding="utf-8")
+
+
+def test_integrable_names_the_failing_brackets(tmp_path, capsys):
+    # example 2 with the printed y2, which has x3 where x2 closes the brackets
+    _edited_corpus(tmp_path, "y2 = -(2*exp(x3)*x1*x4 + x2)/x1", "y2 = -(2*exp(x3)*x1*x4 + x3)/x1")
     assert main(["--corpus", str(tmp_path), "integrable", "--example", "2"]) == 1
     out = capsys.readouterr().out
     assert "example 2: darboux FAIL {y1,y2} {y2,y3} {y2,y4}\n" in out
@@ -561,6 +565,31 @@ def test_integrable_names_the_failing_brackets(tmp_path, capsys):
     recs = {r["entry"]: r for r in map(json.loads, capsys.readouterr().out.splitlines())}
     assert recs["example 1"]["status"] == "pass"
     assert recs["example 2"]["detail"] == "Darboux brackets fail: {y1,y2}, {y2,y3}, {y2,y4}"
+
+
+@pytest.mark.parametrize(
+    "old, new, located",
+    [
+        ("ref phase = A_4_9_m12", "ref = A_4_9_m12", "fixtures.txt:24: ref key must"),
+        ("expr y1 = x2", "expr = x2", "fixtures.txt:26: expr key must"),
+        ("expr y1 = x2", "expr 21 = x2", "fixtures.txt:26: expr key must"),
+        ("expr y1 = x2", "expr y9 = x2", None),
+    ],
+)
+def test_a_fixture_that_lost_a_key_fails_to_load_or_fails_its_example(
+    tmp_path, capsys, old, new, located
+):
+    # each made verify raise KeyError out of the integrable campaign
+    _edited_corpus(tmp_path, old, new)
+    argv = ["--corpus", str(tmp_path), "--json", "verify", "--table", "integrable"]
+    if located:
+        assert main(argv) == 2
+        assert located in capsys.readouterr().err
+        return
+    assert main(argv) == 1
+    recs = {r["entry"]: r for r in map(json.loads, capsys.readouterr().out.splitlines())}
+    assert recs["example 1"]["detail"] == "InputError: fixture example1 has no y1"
+    assert recs["example 2"]["status"] == "pass"
 
 
 def test_integrable_zero_duration(capsys):

@@ -162,9 +162,9 @@ def test_bialgebra_failure_names_the_first_identity_the_double_fails():
         else:
             assert failed == (None if jacobi_check(build_double(f, fd).sc).passed
                               else "double Jacobi")
-        # a memo of the Jacobi verdicts gives the same label
-        verdicts = {id(sc): jacobi_check(sc).passed for sc in (f, fd)}
-        assert bialgebra_failure(f, fd, lambda sc: verdicts[id(sc)]) == failed
+        # the halves keep their Jacobi verdicts, and the label reads them
+        assert [sc.is_lie() for sc in (f, fd)] == [jacobi_check(sc).passed for sc in (f, fd)]
+        assert bialgebra_failure(f, fd) == failed
         labels.append(failed)
     assert {None, "mixed Jacobi", "double Jacobi"} <= set(labels)
 
@@ -501,6 +501,7 @@ def _fresh_forms(sc):
 
 def _assert_coherent(sc, rng):
     assert (sc.nonzero(), sc.scaled_nonzero()) == _fresh_forms(sc)
+    assert sc.is_lie() == jacobi_check(sc).passed
     i, j = rng.sample(range(sc.dim), 2)
     k = rng.randrange(sc.dim)
     delta = Fraction(rng.choice((-1, 1)), rng.choice((2, 3, 5)))
@@ -509,6 +510,8 @@ def _assert_coherent(sc, rng):
     sc._nonzero = None
     assert (sc.nonzero(), sc.scaled_nonzero()) == _fresh_forms(sc)
     assert sc.is_antisymmetric()
+    # the reset cleared the kept Jacobi verdict with the forms
+    assert sc.is_lie() == jacobi_check(sc).passed
 
 
 def test_cached_forms_follow_the_tensor_on_the_corpus(reg):

@@ -17,7 +17,7 @@ from evalref import (
     tensor_dense,
 )
 from liebialg import corpus as corpus_mod
-from liebialg import ratlinalg
+from liebialg import harness, ratlinalg
 from liebialg.errors import CorpusSyntaxError, InputError
 from liebialg.exprtree import parse_expr, to_text
 
@@ -284,6 +284,26 @@ def test_a_pair_payload_names_only_the_pair_parameters(block, message):
     corpus_mod.Corpus(corpus_mod.parse(fixed))
 
 
+@pytest.mark.parametrize("field, stray", [("xl 1 = k*d1", "k"), ("xr 2 = d2 + q*x1*d1", "q")])
+def test_a_frame_field_names_only_its_algebra_parameters(field, stray):
+    # each loaded and then failed its table5 row, with no line named
+    text = f"algebra g params b\nalgebra d params q\nframe g\n  {field}\n"
+    message = f"g: {field[:4]} names {stray}, not a parameter of the algebra, x1..x4 or d1..d4"
+    with pytest.raises(CorpusSyntaxError, match=re.escape(message)):
+        corpus_mod.Corpus(corpus_mod.parse(text))
+    # the algebra's parameters, x1..x4 and d1..d4 load
+    corpus_mod.Corpus(corpus_mod.parse(text.replace(f"{stray}*", "b*x4*")))
+
+
+@pytest.mark.parametrize("line", ["ref = a", "expr = x2", "expr 21 = x2", "val y1 y2 = 1"])
+def test_a_fixture_key_is_an_identifier(line):
+    # an empty or numeric key loaded, and the example that lost its key
+    # then raised KeyError out of the campaign
+    with pytest.raises(CorpusSyntaxError, match="key must be an identifier") as exc:
+        corpus_mod.parse(f"fixture f\n  {line}\n", filename="f.txt")
+    assert (exc.value.filename, exc.value.line) == ("f.txt", 2)
+
+
 def test_load_takes_str_paths(tmp_path):
     path = tmp_path / "one.txt"
     path.write_text("algebra a\n", encoding="utf-8")
@@ -506,46 +526,91 @@ def _packaged_texts():
     ]
 
 
-def test_parse_of_edited_corpus_text_rejects_or_round_trips(monkeypatch):
+@pytest.fixture
+def hyp(monkeypatch):
+    """Hypothesis, with its draws fixed by `derandomize` alone."""
     hyp = pytest.importorskip("hypothesis")
-    st = hyp.strategies
     # derandomize fixes the seed, but Hypothesis also mixes into its draws the
     # literals of every non-test module imported so far (its local constant
     # pool), so which tests were collected would change the examples drawn
     from hypothesis.internal.conjecture import providers
 
     monkeypatch.setattr(providers.HypothesisProvider, "_maybe_draw_constant", lambda *a, **k: None)
+    return hyp
+
+
+EXTRA_TOKENS = ["", "1/0", "0/0", "x9", "->", "=", ";", ",", "#", "--", "(", ")", "99", "-0"]
+
+
+def _edit_one_line(data, lines, vocab):
+    """`lines` with one drawn line given one token replaced, deleted or
+    inserted from `vocab`, or cut short."""
+    from hypothesis import strategies as st
+
+    lines = list(lines)
+    at = data.draw(st.integers(0, len(lines) - 1))
+    line = lines[at]
+    indent = line[: len(line) - len(line.lstrip())]
+    toks = line.split()
+    op = data.draw(st.sampled_from(("replace", "delete", "insert", "truncate")))
+    pos = data.draw(st.integers(0, max(len(toks) - 1, 0)))
+    if op == "truncate":
+        line = line[: data.draw(st.integers(0, len(line)))]
+    else:
+        if op == "insert" or not toks:
+            toks.insert(pos, data.draw(st.sampled_from(vocab)))
+        elif op == "replace":
+            toks[pos] = data.draw(st.sampled_from(vocab))
+        else:
+            del toks[pos]
+        line = indent + " ".join(toks)
+    lines[at] = line
+    return "\n".join(lines)
+
+
+def test_parse_of_edited_corpus_text_rejects_or_round_trips(hyp):
+    st = hyp.strategies
     texts = _packaged_texts()
-    vocab = sorted({tok for _, text in texts for tok in text.split()})
-    vocab += ["", "1/0", "0/0", "x9", "->", "=", ";", ",", "#", "--", "(", ")", "99", "-0"]
+    vocab = sorted({tok for _, text in texts for tok in text.split()}) + EXTRA_TOKENS
 
     @hyp.settings(max_examples=300, deadline=None, derandomize=True)
     @hyp.given(st.data())
     def check(data):
         name, text = data.draw(st.sampled_from(texts))
-        lines = text.splitlines()
-        at = data.draw(st.integers(0, len(lines) - 1))
-        line = lines[at]
-        indent = line[: len(line) - len(line.lstrip())]
-        toks = line.split()
-        op = data.draw(st.sampled_from(("replace", "delete", "insert", "truncate")))
-        pos = data.draw(st.integers(0, max(len(toks) - 1, 0)))
-        if op == "truncate":
-            line = line[: data.draw(st.integers(0, len(line)))]
-        else:
-            if op == "insert" or not toks:
-                toks.insert(pos, data.draw(st.sampled_from(vocab)))
-            elif op == "replace":
-                toks[pos] = data.draw(st.sampled_from(vocab))
-            else:
-                del toks[pos]
-            line = indent + " ".join(toks)
-        lines[at] = line
         try:
-            entries = corpus_mod.parse("\n".join(lines), filename=name)
+            entries = corpus_mod.parse(_edit_one_line(data, text.splitlines(), vocab), filename=name)
         except CorpusSyntaxError:
             return
         once = serialize(entries)
         assert serialize(corpus_mod.parse(once)) == once
+
+    check()
+
+
+def test_an_edited_fixture_or_frame_fails_to_load_or_fails_only_its_entries(hyp):
+    # an edited fixture key, or a frame block that lost a field, loaded and
+    # then made verify raise KeyError out of its campaign
+    st = hyp.strategies
+    texts = dict(_packaged_texts())
+    parsed = {name: corpus_mod.parse(text, filename=name) for name, text in texts.items()}
+    edited = ["fixtures.txt", "frames.txt"]
+    vocab = sorted({tok for n in edited for tok in texts[n].split()}) + EXTRA_TOKENS + ["k"]
+    campaigns = (harness.verify_table5, harness.verify_integrable)
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+    @hyp.given(st.data())
+    def check(data):
+        name = data.draw(st.sampled_from(edited))
+        text = _edit_one_line(data, texts[name].splitlines(), vocab)
+        try:
+            entries = corpus_mod.parse(text, filename=name)
+            c = corpus_mod.Corpus(
+                [e for n, es in parsed.items() for e in (entries if n == name else es)]
+            )
+        except (CorpusSyntaxError, InputError):
+            return
+        runs = harness.verify_tables(c, "5,integrable")
+        bench = harness.Workbench(c)
+        assert [len(r.results) for r in runs] == [len(list(v.entries(c, bench))) for v in campaigns]
 
     check()

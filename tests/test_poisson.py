@@ -260,20 +260,18 @@ def test_symplectic_worked_pairs(reg, bench):
     assert symplectic_classify(P2).symplectic
 
 
-def test_symplectic_classify_reads_a_known_jacobi_verdict(reg, bench):
+def test_symplectic_classify_reads_a_known_jacobi_verdict(reg, bench, monkeypatch):
     asked = []
-
-    def verdict():
-        asked.append(1)
-        return False
-
-    P = bench.bivector("A_4_7", "A_4_7.i", "sklyanin", {})
-    cl = symplectic_classify(P, verdict)
-    assert (cl.symplectic, cl.closed_ok, asked) == (True, False, [1])
+    monkeypatch.setattr(poisson, "poisson_jacobi_check", asked.append)
+    # fresh bivectors of shared matrices, so that a planted verdict stays here
+    P = PoissonBivector(bench.bivector("A_4_7", "A_4_7.i", "sklyanin", {}).P)
+    P.is_poisson = False
+    cl = symplectic_classify(P)
+    assert (cl.symplectic, cl.closed_ok, asked) == (True, False, [])
     # a degenerate bivector needs no verdict
-    P = bench.bivector("A_4_1", "A_4_1.i", "pi", {})
-    assert symplectic_classify(P, verdict).max_rank == 2
-    assert asked == [1]
+    P = PoissonBivector(bench.bivector("A_4_1", "A_4_1.i", "pi", {}).P)
+    assert symplectic_classify(P).max_rank == 2
+    assert asked == [] and "is_poisson" not in vars(P)
 
 
 def test_degenerate_pair_reports_rank(reg, bench):

@@ -423,7 +423,7 @@ def test_pfaffian_criterion_matches_the_grid_search_on_every_corpus_algebra(reg,
     for name in sorted(reg.algebras):
         for b in reg.grid_bindings(name):
             sc = bench.sc(name, b)
-            if not bench.lie(sc):
+            if not sc.is_lie():
                 continue
             rep = find_symplectic(sc)
             basis = closed_two_forms_by_fractions(sc)

@@ -305,9 +305,11 @@ def test_only_campaigns_choose_bindings_and_only_the_driver_reads_a_flag():
 
 
 # a ClosedFunction built from a term map, the helpers that fill or derive
-# term maps, the derivative cache, or an edit of a `terms` map
+# term maps, the derivative cache, or an edit of a `terms` map, the shared
+# accumulator's included
 TERM_MAP_ACCESS = re.compile(
-    r"\bClosedFunction\(|\b(_mul_into|_accumulate|_derivative|_set_terms|_set_cache)\b"
+    r"\bClosedFunction\(|\b(_mul_into|_derivative|_set_terms|_set_cache)\b"
+    r"|\b_bump\([^,]*\.terms\b"
     r"|\._d\b|\.terms\s*(\[[^\]]*\]\s*)?=[^=]|\.terms\.(update|pop|popitem|clear|setdefault)\("
     r"|\bdel\b[^\n]*\.terms\b"
 )

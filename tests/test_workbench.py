@@ -1,11 +1,12 @@
-"""The Workbench memos: one computation per distinct input in a verify pass,
-none for a request that raised, and the same results as direct calls."""
+"""The Workbench memos and the verdicts that values keep: one computation
+per distinct input in a verify pass, none for a request that raised, and
+the same results as direct calls."""
 
 from fractions import Fraction
 
 import pytest
 
-from liebialg import core, exprtree, groupgeom, harness, ratlinalg
+from liebialg import core, exprtree, groupgeom, harness, poisson, ratlinalg
 from liebialg.closedfun import CRat, _sparse, cfm_eq
 from liebialg.errors import InputError, InvariantError
 from liebialg.harness import Workbench
@@ -22,11 +23,19 @@ def _counted(monkeypatch, owner, attr, record):
 
 
 def test_a_verify_pass_computes_each_shared_intermediate_once(reg, monkeypatch):
-    matexps, solves, mixed, lie, doubles, adjoints = [], [], [], [], [], []
+    matexps, solves, mixed, lie, jacobi, doubles, adjoints = [], [], [], [], [], [], []
     _counted(monkeypatch, harness, "cf_matexp_sparse", matexps)
     _counted(monkeypatch, harness, "solve_coboundary", solves)
     _counted(monkeypatch, core, "mixed_jacobi_check", mixed)
-    _counted(monkeypatch, harness, "jacobi_check", lie)
+    # each Jacobi check, counted in every module that may call it by name
+    for attr, owners, record in (
+        ("jacobi_check", (core, harness, groupgeom), lie),
+        ("poisson_jacobi_check", (poisson, harness), jacobi),
+    ):
+        exact = getattr(owners[0], attr)
+        for owner in owners:
+            if getattr(owner, attr, None) is exact:
+                _counted(monkeypatch, owner, attr, record)
     _counted(monkeypatch, core, "build_double", doubles)
     _counted(monkeypatch, harness, "double_adjoint", adjoints)
     runs = harness.verify_tables(reg, "all")
@@ -38,8 +47,10 @@ def test_a_verify_pass_computes_each_shared_intermediate_once(reg, monkeypatch):
     # at one binding would count as one input
     assert solves and len(solves) == len(set(solves))
     assert mixed and len(mixed) == len(set(mixed))
-    # one Jacobi check per tensor the Workbench holds
-    assert lie and len(lie) == len({id(sc) for (sc,) in lie})
+    # one Jacobi check per tensor the Workbench holds, and one
+    # Poisson-Jacobi check per bivector
+    assert len(lie) == len({id(sc) for (sc,) in lie}) == 229
+    assert len(jacobi) == len({id(P) for (P,) in jacobi}) == 174
     # no double at all: its pairing is ad-invariant by construction
     assert doubles == [] and not hasattr(harness, "build_double")
     # every adjoint-block bivector is of a pair the Workbench has certified
@@ -81,8 +92,9 @@ def _a47(bench):
     return bench.bivector("A_4_7", "A_4_7.i", "sklyanin", {})
 
 
-# (owner, attribute, request): the request's memo computes through the
-# attribute, and a request that returns counts as a success
+# (owner, attribute, request): the request's memo, or the verdict its value
+# keeps, computes through the attribute, and a request that returns counts
+# as a success
 MEMOS = {
     "sc": ("reg", "instantiate", lambda b: b.sc("A_4_7", {})),
     "frame": (harness, "invariant_frame", lambda b: b.frame("A_4_7", {})),
@@ -94,11 +106,13 @@ MEMOS = {
     "coboundary": (
         harness, "solve_coboundary", lambda b: b.coboundary("A_4_7", "A_4_7.i", {})
     ),
-    "lie": (harness, "jacobi_check", lambda b: b.lie(b.sc("A_4_7", {}))),
+    "lie": (core, "jacobi_check", lambda b: b.sc("A_4_7", {}).is_lie()),
     "double": (harness, "bialgebra_failure", lambda b: b.double("A_4_7", "A_4_7.i", {})),
     "bivector": (harness, "sklyanin_bivector", _a47),
-    "jacobi": (harness, "poisson_jacobi_check", lambda b: b.jacobi(_a47(b))),
-    "symplectic": (harness, "symplectic_classify", lambda b: b.symplectic(_a47(b))),
+    "jacobi": (poisson, "poisson_jacobi_check", lambda b: _a47(b).is_poisson),
+    "symplectic": (
+        poisson, "poisson_jacobi_check", lambda b: harness.symplectic_classify(_a47(b))
+    ),
 }
 
 
