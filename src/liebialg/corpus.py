@@ -24,19 +24,19 @@ of a line and owns the indented/keyword payload lines that follow:
 Shared payload lines: `source TEXT` (table/row anchor for reports),
 `status flagged`, `note TEXT`.  `#` starts a comment.  Expressions follow the
 grammar of exprtree.parse_expr (rationals, x1..x4, declared parameters,
-+ - * / ^, exp/sin/cos/sinh/cosh, parentheses).  An algebra's constraints
-and bracket coefficients name only the parameters its header declares.
++ - * / ^, exp/sin/cos/sinh/cosh, parentheses).
 
 A basis index (in bracket, r, schouten, pb, xl and xr lines) is 1..4: every
 block is 4-dimensional.  A key appears once in its table of a block (a
 bracket or pb pair, an xl or xr index, a fixture key), and a block takes at
-most one schouten, source, note and status line.  Across the corpus a block's kind and name are
-unique, every algebra name a block names (a fixture's ref values included)
-is an algebra of the corpus, and an rfree name is not a parameter of its
-pair.  The r and schouten lines of an rmatrix block name only parameters of
-its pair and its rfree names, a pb line only parameters of its pair and
-x1..x4, and an xl or xr line only parameters of its algebra, x1..x4 and
-d1..d4.  A fixture key is an identifier.
+most one schouten, source, note and status line.  A fixture key is an
+identifier.  Across the corpus a block's kind and name are unique, every
+algebra name a block names (a fixture's ref values included) is an algebra
+of the corpus, and an rfree name is not a parameter of its pair.  A payload
+expression names only the parameters of the algebras its block names and
+the free names of its kind: an algebra's constraints and brackets its own
+parameters, r and schouten lines the rfree names, pb lines x1..x4, and xl
+and xr lines x1..x4 and d1..d4.  Every error names its file and line.
 """
 
 from dataclasses import dataclass, field
@@ -51,6 +51,7 @@ from .rmatrix import TensorElement, wedge3
 
 DEFAULT_GRID = (Fraction(-2), Fraction(-1, 2), Fraction(1, 3), Fraction(2))
 RFREE_GRID = (Fraction(0), Fraction(1))
+_X_NAMES = ("x1", "x2", "x3", "x4")
 _D_NAMES = ("d1", "d2", "d3", "d4")  # the coordinate fields a frame line is linear in
 
 
@@ -73,14 +74,21 @@ class Constraint:
 
 @dataclass(kw_only=True)
 class _Entry:
-    """The payload lines every block takes.  A subclass sets `kind`, its
-    header keyword, and `named_algebras`, the algebra names the block
-    names."""
+    """The payload lines every block takes, and where it was read: the file,
+    the header's line, and `line_names`, (line, label, names) for each
+    payload line whose expressions name anything.  A subclass sets `kind`,
+    its header keyword; `named_algebras`, the algebra names the block names;
+    and `free_names`, what its expressions may name besides those algebras'
+    parameters, which `rule` states."""
 
     source: str = ""
     status: str = ""
     note: str = ""
+    filename: str = field(default=None, compare=False, repr=False)
+    line: int = field(default=None, compare=False, repr=False)
+    line_names: list = field(default_factory=list, compare=False, repr=False)
     named_algebras = ()
+    free_names = frozenset()
 
     @property
     def key(self):
@@ -89,22 +97,22 @@ class _Entry:
 
     def resolve(self, algebras):
         """Check the block against the corpus's {name: AlgebraEntry}: every
-        algebra name it names is there."""
+        algebra name it names is there, and each payload line names only
+        their parameters and the free names; anything else would have no
+        value at any binding of the block."""
         for n in self.named_algebras:
             if n not in algebras:
-                raise CorpusSyntaxError(
-                    f"unresolved algebra name {n!r} in {self.kind} block {self.name}"
-                )
+                raise self.error(f"unresolved algebra name {n!r} in {self.kind} block {self.name}")
+        allowed = self.free_names.union(*(algebras[n].params for n in self.named_algebras))
+        for line, label, names in self.line_names:
+            stray = sorted(n for n in names if n not in allowed)
+            if stray:
+                what = f"{', '.join(stray)}, not {self.rule}"
+                raise self.error(f"{self.name}: {label} names {what}", line)
 
-    def _only(self, line, exprs, allowed, what):
-        """Reject a payload line that names anything outside `allowed`: it
-        would have no value at any binding of the block."""
-        names = set()
-        for e in exprs:
-            _names(e, names)
-        stray = sorted(names - allowed)
-        if stray:
-            raise CorpusSyntaxError(f"{self.name}: {line} names {', '.join(stray)}, not {what}")
+    def error(self, message, line=None):
+        """A CorpusSyntaxError at `line` of the block's file, or at its header."""
+        return CorpusSyntaxError(message, line=line or self.line, filename=self.filename)
 
 
 @dataclass
@@ -114,6 +122,11 @@ class AlgebraEntry(_Entry):
     constraints: list = field(default_factory=list)
     brackets: dict = field(default_factory=dict)  # (i, j) -> [(Expr, k)]
     kind = "algebra"
+    rule = "a declared parameter"
+
+    @property
+    def free_names(self):
+        return frozenset(self.params)
 
     def structure_constants(self, binding=None) -> StructureConstants:
         binding = binding or {}
@@ -158,6 +171,7 @@ class RMatrixEntry(_PairEntry):
     rfree: list = field(default_factory=list)
     schouten_terms: list = None  # None -> zero; else [(Expr, i, j, k)]
     kind = "rmatrix"
+    rule = "a parameter of the pair or an rfree name"
 
     @property
     def name(self):
@@ -167,20 +181,18 @@ class RMatrixEntry(_PairEntry):
     def key(self):
         return (self.g, self.dual)
 
+    @property
+    def free_names(self):
+        return frozenset(self.rfree)
+
     def resolve(self, algebras):
         """Also: no rfree name is a parameter of the pair, which the r-free
-        {0, 1} product would rebind for r alone, and the r and schouten
-        lines name only the pair's parameters and the rfree names."""
+        {0, 1} product would rebind for r alone."""
         super().resolve(algebras)
-        params = {p for n in self.named_algebras for p in algebras[n].params}
+        params = algebras[self.g].params + algebras[self.dual].params
         clash = [p for p in self.rfree if p in params]
         if clash:
-            raise CorpusSyntaxError(
-                f"{self.name}: rfree {', '.join(clash)} is a parameter of its pair"
-            )
-        allowed, what = params | set(self.rfree), "a parameter of the pair or an rfree name"
-        self._only("an r line", [t[0] for t in self.terms], allowed, what)
-        self._only("the schouten line", [t[0] for t in self.schouten_terms or ()], allowed, what)
+            raise self.error(f"{self.name}: rfree {', '.join(clash)} is a parameter of its pair")
 
     def tensor(self, binding) -> TensorElement:
         return TensorElement.from_terms(
@@ -204,18 +216,12 @@ class PoissonEntry(_PairEntry):
     method: str  # 'sklyanin' | 'pi'
     brackets: dict = field(default_factory=dict)  # (i, j) -> Expr
     kind = "poisson"
+    free_names = frozenset(_X_NAMES)
+    rule = "a parameter of the pair or x1..x4"
 
     @property
     def name(self):
         return f"pb({self.g}, {self.dual})[{self.method}]"
-
-    def resolve(self, algebras):
-        """Also: each pb line names only the pair's parameters and x1..x4."""
-        super().resolve(algebras)
-        allowed = {p for n in self.named_algebras for p in algebras[n].params}
-        allowed |= {"x1", "x2", "x3", "x4"}
-        for (i, j), e in sorted(self.brackets.items()):
-            self._only(f"pb {i} {j}", [e], allowed, "a parameter of the pair or x1..x4")
 
     def closed_matrix(self, binding):
         """Printed brackets as an antisymmetric 4x4 matrix of ClosedFunction."""
@@ -235,20 +241,12 @@ class FrameEntry(_Entry):
     xl: dict = field(default_factory=dict)  # i -> Expr over x's and d1..d4
     xr: dict = field(default_factory=dict)
     kind = "frame"
+    free_names = frozenset(_X_NAMES + _D_NAMES)
+    rule = "a parameter of the algebra, x1..x4 or d1..d4"
 
     @property
     def named_algebras(self):
         return (self.name,)
-
-    def resolve(self, algebras):
-        """Also: each xl and xr line names only the algebra's parameters,
-        x1..x4 and d1..d4."""
-        super().resolve(algebras)
-        allowed = {*algebras[self.name].params, "x1", "x2", "x3", "x4", *_D_NAMES}
-        what = "a parameter of the algebra, x1..x4 or d1..d4"
-        for head, table in (("xl", self.xl), ("xr", self.xr)):
-            for i, e in sorted(table.items()):
-                self._only(f"{head} {i}", [e], allowed, what)
 
     def components(self, side, i, binding):
         """Field i of side 'L'/'R' as 4 ClosedFunction components: the
@@ -306,24 +304,33 @@ _BLOCKS = {  # header keyword -> entry class
 
 
 def parse(text, filename="<corpus>"):
-    """Parse corpus text into a list of entries with location diagnostics.
-    Equal expression texts in one file share one tree: a tree is never
-    changed after its parse, and only a parse that succeeds is kept, so a
-    text that fails is parsed again where it recurs and every diagnostic
-    names its own line."""
+    """Parse corpus text into a list of entries with location diagnostics;
+    each entry keeps its file and header line, and the names each labelled
+    payload line uses, for `Corpus` to check.  Equal expression texts in one
+    file share one tree: a tree is never changed after its parse, and only a
+    parse that succeeds is kept, so a text that fails is parsed again where
+    it recurs and every diagnostic names its own line."""
     entries = []
-    trees = {}
+    trees = {}  # text -> (tree, the names it uses)
     seen = set()  # the keys of the open block's once-only payload lines
     lineno = 0
 
     def err(msg):
         raise CorpusSyntaxError(msg, line=lineno, filename=filename)
 
-    def expr(body):
-        tree = trees.get(body)
-        if tree is None:
-            tree = trees[body] = parse_expr(body, line=lineno, filename=filename)
-        return tree
+    def expr(body, label=None):
+        """The tree of `body`; on a labelled line its names join the line's
+        record (line, label, the names the line uses)."""
+        hit = trees.get(body)
+        if hit is None:
+            tree = parse_expr(body, line=lineno, filename=filename)
+            hit = trees[body] = tree, tuple(_names(tree, set()))
+        if label and hit[1]:
+            records, names = entries[-1].line_names, hit[1]
+            if records and records[-1][0] == lineno:  # a later expression of the line
+                names = tuple({*records.pop()[2], *names})
+            records.append((lineno, label, names))
+        return hit[0]
 
     def once(*key):
         if key in seen:
@@ -338,6 +345,7 @@ def parse(text, filename="<corpus>"):
         head = words[0]
         if head in _BLOCKS:
             entries.append(_open_block(head, words, err))
+            entries[-1].filename, entries[-1].line = filename, lineno
             seen.clear()
             continue
         if not entries:
@@ -383,45 +391,40 @@ def _payload_line(entry, head, line, err, expr, once):
             entry.status = "flagged"
         case "constraint" if entry.kind == "algebra":
             lhs, rhs = _sides(head, body, "!=", "EXPR != EXPR", err)
-            entry.constraints.append(
-                Constraint(
-                    _over_params(expr(lhs), entry, err),
-                    _over_params(expr(rhs), entry, err),
-                )
-            )
+            entry.constraints.append(Constraint(expr(lhs, head), expr(rhs, head)))
         case "bracket" if entry.kind == "algebra":
             shape = "i j -> COEFF k [, COEFF k ...]"
             left, right = _sides(head, body, "->", shape, err)
             key = _two_indices(head, left, err)
             once(head, key)
+            label = "bracket %d %d" % key
             entry.brackets[key] = [
-                (_over_params(expr(c), entry, err), _index(k, err))
-                for c, k in _terms(head, right, ",", 2, err)
+                (expr(c, label), _index(k, err)) for c, k in _terms(head, right, ",", 2, err)
             ]
         case "r" if entry.kind == "rmatrix":
             for c, i, knd, j in _terms(head, body, ";", 4, err):
                 if knd not in ("wedge", "tensor"):
                     err(f"bad r term {' '.join((c, i, knd, j))!r}")
-                entry.terms.append((expr(c), _index(i, err), _index(j, err), knd))
+                entry.terms.append((expr(c, "an r line"), _index(i, err), _index(j, err), knd))
         case "rfree" if entry.kind == "rmatrix":
             entry.rfree.extend(body.split())
         case "schouten" if entry.kind == "rmatrix":
             once(head)
             if body != "zero":
                 entry.schouten_terms = [
-                    (expr(c), _index(i, err), _index(j, err), _index(k, err))
+                    (expr(c, "the schouten line"), _index(i, err), _index(j, err), _index(k, err))
                     for c, i, j, k in _terms(head, body, ";", 4, err)
                 ]
         case "pb" if entry.kind == "poisson":
             left, right = _sides(head, body, "=", "i j = EXPR", err)
             key = _two_indices(head, left, err)
             once(head, key)
-            entry.brackets[key] = expr(right)
+            entry.brackets[key] = expr(right, "pb %d %d" % key)
         case "xl" | "xr" if entry.kind == "frame":
             left, right = _sides(head, body, "=", "i = EXPR", err)
             i = _index(left.strip(), err)
             once(head, i)
-            (entry.xl if head == "xl" else entry.xr)[i] = expr(right)
+            (entry.xl if head == "xl" else entry.xr)[i] = expr(right, f"{head} {i}")
         case "pair" if entry.kind == "membership":
             names = body.split()
             if len(names) != 2:
@@ -483,25 +486,16 @@ def _index(tok, err):
 
 def _names(e, out):
     """out with the parameters and coordinates that the tree e names added."""
-    if e.op == "param":
+    op = e.op
+    if op == "param":
         out.add(e.args[0])
-    elif e.op == "coord":
-        out.add(f"x{e.args[0]}")
-    elif e.op != "const":
+    elif op == "coord":
+        out.add(_X_NAMES[e.args[0] - 1])
+    elif op != "const":
         for a in e.args:
             if isinstance(a, Expr):
                 _names(a, out)
     return out
-
-
-def _over_params(e, entry, err):
-    """e, when it names only the algebra's declared parameters: a constraint
-    or bracket coefficient over anything else would have no value at any
-    binding."""
-    stray = sorted(_names(e, set()) - set(entry.params))
-    if stray:
-        err(f"{entry.name} declares no parameter {', '.join(stray)}")
-    return e
 
 
 # --------------------------------------------------------------------------
@@ -514,20 +508,17 @@ class Corpus:
 
     def __init__(self, entries):
         """One pass indexes each block by kind and key, rejecting a repeated
-        one; the blocks that name algebras are resolved after it, since a
-        block may come before the algebras it names."""
+        one; every block is resolved after it, since a block may come before
+        the algebras it names."""
         self.entries = entries
         index = {kind: {} for kind in _BLOCKS}
-        referring = []
         for e in entries:
-            table, key = index[e.kind], e.key
-            if key in table:
-                raise InputError(f"duplicate {e.kind} {e.name}")
-            table[key] = e
-            if e.named_algebras:
-                referring.append(e)
+            first = index[e.kind].setdefault(e.key, e)
+            if first is not e:
+                where = f"{first.filename}:{first.line}"
+                raise e.error(f"duplicate {e.kind} {e.name}, first at {where}")
         self.algebras = index["algebra"]
-        for e in referring:
+        for e in entries:
             e.resolve(self.algebras)
         self.bialgebras = list(index["bialgebra"].values())
         self.rmatrices = index["rmatrix"]

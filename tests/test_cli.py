@@ -592,6 +592,27 @@ def test_a_fixture_that_lost_a_key_fails_to_load_or_fails_its_example(
     assert recs["example 2"]["status"] == "pass"
 
 
+@pytest.mark.parametrize(
+    "name, old, new, table, message",
+    [
+        ("frames.txt", "xl 1 = d1", "xl 1 = k*d1", "5",
+         "A_4_1: xl 1 names k, not a parameter of the algebra, x1..x4 or d1..d4"),
+        ("poisson.txt", "pb 1 2 = x3 - x4^4/2", "pb 1 2 = x3 - k*x4^4/2", "6",
+         "pb(A_4_1, A_4_1.iii)[sklyanin]: pb 1 2 names k, not a parameter of the pair or x1..x4"),
+    ],
+    ids=["xl", "pb"],
+)
+def test_a_payload_line_with_a_stray_name_fails_to_load_at_its_line(
+    tmp_path, capsys, name, old, new, table, message
+):
+    # each loaded and then failed its verify row, or failed to load with no line
+    _edited_corpus(tmp_path, old, new)
+    line = (tmp_path / name).read_text(encoding="utf-8").splitlines().index("  " + new) + 1
+    assert main(["--corpus", str(tmp_path), "--json", "verify", "--table", table]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {name}:{line}: {message}\n")
+
+
 def test_integrable_zero_duration(capsys):
     rc = main(
         ["integrable", "--example", "1", "--integrate", "--t-end", "0", "--dt", "1e-3"]

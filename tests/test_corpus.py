@@ -104,8 +104,12 @@ def test_constraint_violation_rejected():
 def test_an_algebra_line_names_only_declared_parameters(line):
     # an undeclared name has no value at any binding: such a constraint
     # never rejected one, and such a coefficient failed only at instantiation
-    with pytest.raises(CorpusSyntaxError, match="x declares no parameter") as exc:
-        corpus_mod.parse(f"algebra x params b\n  bracket 1 4 -> b 1\n  {line}\n", filename="f.txt")
+    label = "constraint" if line.startswith("constraint") else "bracket 1 2"
+    stray = next(n for n in ("p", "x1", "x2") if re.search(rf"\b{n}\b", line))
+    message = f"x: {label} names {stray}, not a declared parameter"
+    text = f"algebra x params b\n  bracket 1 4 -> b 1\n  {line}\n"
+    with pytest.raises(CorpusSyntaxError, match=re.escape(message)) as exc:
+        corpus_mod.Corpus(corpus_mod.parse(text, filename="f.txt"))
     assert (exc.value.filename, exc.value.line) == ("f.txt", 3)
 
 
@@ -179,8 +183,9 @@ def test_a_basis_index_above_four_is_located(payload):
 
 
 def test_unresolved_reference_rejected():
-    with pytest.raises(CorpusSyntaxError):
-        corpus_mod.Corpus(corpus_mod.parse("bialgebra ghost ghost2\n"))
+    with pytest.raises(CorpusSyntaxError, match="unresolved algebra name 'ghost'") as exc:
+        corpus_mod.Corpus(corpus_mod.parse("algebra a\nbialgebra ghost ghost2\n", filename="f.txt"))
+    assert (exc.value.filename, exc.value.line) == ("f.txt", 2)
 
 
 @pytest.mark.parametrize(
@@ -195,9 +200,13 @@ def test_unresolved_reference_rejected():
     ],
 )
 def test_a_repeated_block_is_rejected_naming_its_kind_and_key(block, message):
-    # the second block replaced the first, whose payload was never checked
-    with pytest.raises(InputError, match=re.escape(message)):
-        corpus_mod.Corpus(corpus_mod.parse(SAMPLE + block))
+    # the second block replaced the first, whose payload was never checked;
+    # the error is at the second header and names where the first is
+    first = SAMPLE.splitlines().index(block.splitlines()[0]) + 1
+    message += f", first at f.txt:{first}"
+    with pytest.raises(CorpusSyntaxError, match=re.escape(message)) as exc:
+        corpus_mod.Corpus(corpus_mod.parse(SAMPLE + block, filename="f.txt"))
+    assert (exc.value.filename, exc.value.line) == ("f.txt", SAMPLE.count("\n") + 1)
 
 
 @pytest.mark.parametrize(
@@ -256,8 +265,9 @@ def test_an_rfree_name_is_not_a_parameter_of_its_pair(side):
         f"algebra d{' params b' if side == 'd' else ''}\n"
         "rmatrix g d\n  r b 1 wedge 2\n  rfree b\n"
     )
-    with pytest.raises(CorpusSyntaxError, match=re.escape("r(g, d): rfree b is a parameter of its pair")):
-        corpus_mod.Corpus(corpus_mod.parse(text))
+    with pytest.raises(CorpusSyntaxError, match=re.escape("r(g, d): rfree b is a parameter of its pair")) as exc:
+        corpus_mod.Corpus(corpus_mod.parse(text, filename="f.txt"))
+    assert (exc.value.filename, exc.value.line) == ("f.txt", 3)  # the block's header
     corpus_mod.Corpus(corpus_mod.parse(text.replace("rfree b", "rfree c").replace("r b", "r c")))
 
 
@@ -277,8 +287,9 @@ def test_an_rfree_name_is_not_a_parameter_of_its_pair(side):
 )
 def test_a_pair_payload_names_only_the_pair_parameters(block, message):
     text = "algebra g params b\nalgebra d params q\n" + block
-    with pytest.raises(CorpusSyntaxError, match=re.escape(message)):
-        corpus_mod.Corpus(corpus_mod.parse(text))
+    with pytest.raises(CorpusSyntaxError, match=re.escape(message)) as exc:
+        corpus_mod.Corpus(corpus_mod.parse(text, filename="f.txt"))
+    assert (exc.value.filename, exc.value.line) == ("f.txt", text.count("\n"))  # the last line
     # the pair's parameters, the rfree names and, in a pb line, x1..x4 load
     fixed = text.replace("r c ", "r b ").replace("r x1 ", "r q ").replace("k", "b*q")
     corpus_mod.Corpus(corpus_mod.parse(fixed))
@@ -289,8 +300,9 @@ def test_a_frame_field_names_only_its_algebra_parameters(field, stray):
     # each loaded and then failed its table5 row, with no line named
     text = f"algebra g params b\nalgebra d params q\nframe g\n  {field}\n"
     message = f"g: {field[:4]} names {stray}, not a parameter of the algebra, x1..x4 or d1..d4"
-    with pytest.raises(CorpusSyntaxError, match=re.escape(message)):
-        corpus_mod.Corpus(corpus_mod.parse(text))
+    with pytest.raises(CorpusSyntaxError, match=re.escape(message)) as exc:
+        corpus_mod.Corpus(corpus_mod.parse(text, filename="f.txt"))
+    assert (exc.value.filename, exc.value.line) == ("f.txt", 4)
     # the algebra's parameters, x1..x4 and d1..d4 load
     corpus_mod.Corpus(corpus_mod.parse(text.replace(f"{stray}*", "b*x4*")))
 
@@ -587,30 +599,46 @@ def test_parse_of_edited_corpus_text_rejects_or_round_trips(hyp):
     check()
 
 
-def test_an_edited_fixture_or_frame_fails_to_load_or_fails_only_its_entries(hyp):
+# each packaged file: the campaigns that read it (every campaign reads
+# algebras.txt) and how many edits of it to draw, fewer where they cost more
+READERS = {
+    "algebras.txt": ("all", 15),
+    "bialgebras.txt": ("2", 20),
+    "fixtures.txt": ("integrable", 30),
+    "frames.txt": ("5", 30),
+    "membership.txt": ("8", 20),
+    "poisson.txt": ("6,integrable", 15),
+    "rmatrices.txt": ("3,8", 20),
+}
+
+
+def test_an_edited_corpus_file_fails_to_load_or_fails_only_its_entries(hyp):
     # an edited fixture key, or a frame block that lost a field, loaded and
-    # then made verify raise KeyError out of its campaign
+    # then made verify raise KeyError out of its campaign; a frame or pb
+    # line naming a stray parameter failed to load with no line
     st = hyp.strategies
     texts = dict(_packaged_texts())
-    parsed = {name: corpus_mod.parse(text, filename=name) for name, text in texts.items()}
-    edited = ["fixtures.txt", "frames.txt"]
-    vocab = sorted({tok for n in edited for tok in texts[n].split()}) + EXTRA_TOKENS + ["k"]
-    campaigns = (harness.verify_table5, harness.verify_integrable)
+    assert sorted(texts) == sorted(READERS)
+    parsed = {n: corpus_mod.parse(text, filename=n) for n, text in texts.items()}
+    vocab = sorted({tok for text in texts.values() for tok in text.split()}) + EXTRA_TOKENS + ["k"]
 
-    @hyp.settings(max_examples=60, deadline=None, derandomize=True)
-    @hyp.given(st.data())
-    def check(data):
-        name = data.draw(st.sampled_from(edited))
+    def check(data, name, selector):
         text = _edit_one_line(data, texts[name].splitlines(), vocab)
         try:
             entries = corpus_mod.parse(text, filename=name)
             c = corpus_mod.Corpus(
                 [e for n, es in parsed.items() for e in (entries if n == name else es)]
             )
-        except (CorpusSyntaxError, InputError):
+        except CorpusSyntaxError as ex:
+            # an edited algebra can make a block of another file name it wrongly
+            assert ex.filename == name or name == "algebras.txt", ex
+            assert 1 <= ex.line <= len(texts[ex.filename].splitlines()), ex
             return
-        runs = harness.verify_tables(c, "5,integrable")
+        runs = harness.verify_tables(c, selector)
         bench = harness.Workbench(c)
+        campaigns = harness._campaign_order(selector)
         assert [len(r.results) for r in runs] == [len(list(v.entries(c, bench))) for v in campaigns]
 
-    check()
+    for name, (selector, examples) in READERS.items():
+        settings = hyp.settings(max_examples=examples, deadline=None, derandomize=True)
+        settings(hyp.given(st.data(), st.just(name), st.just(selector))(check))()
