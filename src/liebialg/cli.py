@@ -152,10 +152,8 @@ def cmd_derive(args):
         if method == "auto":
             method = bench.method(args.algebra, args.dual)
         P = bench.bivector(args.algebra, args.dual, method, binding)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if P.P[i][j]:
-                    out[f"{{x{i+1},x{j+1}}}"] = render_closed_function(P.P[i][j])
+        for (a, b), f in P.p.items():
+            out[f"{{x{a+1},x{b+1}}}"] = render_closed_function(f)
         out["method"] = method
     else:
         raise InputError(f"unknown derivation {args.what!r}")

@@ -687,10 +687,6 @@ def cfm_eq(a, b):
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def cfm_is_zero(a):
-    return all(x.is_zero() for row in a for x in row)
-
-
 def cfm_det(a):
     """Determinant by cofactor expansion over memoized minors (intended for
     n <= 4)."""

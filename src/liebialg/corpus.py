@@ -4,7 +4,7 @@ Line-oriented UTF-8 format.  A block opens with a header keyword at the start
 of a line and owns the indented/keyword payload lines that follow:
 
     algebra NAME [params p1 p2 ...]
-      bracket i j -> COEFF k [, COEFF k ...]
+      bracket i j -> COEFF k [, COEFF k ...]      (i != j)
       constraint EXPR != EXPR
     bialgebra G DUAL
     rmatrix G DUAL
@@ -12,7 +12,7 @@ of a line and owns the indented/keyword payload lines that follow:
       rfree p1 [p2 ...]
       schouten zero | schouten COEFF i j k
     poisson G DUAL sklyanin|pi
-      pb i j = EXPR
+      pb i j = EXPR                               (i != j)
     frame NAME
       xl i = EXPR in d1..d4
       xr i = EXPR in d1..d4
@@ -27,16 +27,18 @@ grammar of exprtree.parse_expr (rationals, x1..x4, declared parameters,
 + - * / ^, exp/sin/cos/sinh/cosh, parentheses).
 
 A basis index (in bracket, r, schouten, pb, xl and xr lines) is 1..4: every
-block is 4-dimensional.  A key appears once in its table of a block (a
-bracket or pb pair, an xl or xr index, a fixture key), and a block takes at
-most one schouten, source, note and status line.  A fixture key is an
-identifier.  Across the corpus a block's kind and name are unique, every
-algebra name a block names (a fixture's ref values included) is an algebra
-of the corpus, and an rfree name is not a parameter of its pair.  A payload
-expression names only the parameters of the algebras its block names and
-the free names of its kind: an algebra's constraints and brackets its own
-parameters, r and schouten lines the rfree names, pb lines x1..x4, and xl
-and xr lines x1..x4 and d1..d4.  Every error names its file and line.
+block is 4-dimensional.  A bracket or pb pair is an unordered pair of
+distinct indices, written in either order (`pb j i = E` states {x_i, x_j} =
+-E).  A key appears once in its table of a block (a bracket or pb pair, an
+xl or xr index, a fixture key), and a block takes at most one schouten,
+source, note and status line.  A fixture key is an identifier.  Across the
+corpus a block's kind and name are unique, every algebra name a block names
+(a fixture's ref values included) is an algebra of the corpus, and an rfree
+name is not a parameter of its pair.  A payload expression names only the
+parameters of the algebras its block names and the free names of its kind:
+an algebra's constraints and brackets its own parameters, r and schouten
+lines the rfree names, pb lines x1..x4, and xl and xr lines x1..x4 and
+d1..d4.  Every error names its file and line.
 """
 
 from dataclasses import dataclass, field
@@ -75,8 +77,9 @@ class Constraint:
 @dataclass(kw_only=True)
 class _Entry:
     """The payload lines every block takes, and where it was read: the file,
-    the header's line, and `line_names`, (line, label, names) for each
-    payload line whose expressions name anything.  A subclass sets `kind`,
+    the header's line, `line_names`, (line, label, names) for each payload
+    line whose expressions name anything, and `named_at`, {name: line} for
+    the algebra names of `pair` and `ref` lines.  A subclass sets `kind`,
     its header keyword; `named_algebras`, the algebra names the block names;
     and `free_names`, what its expressions may name besides those algebras'
     parameters, which `rule` states."""
@@ -87,6 +90,7 @@ class _Entry:
     filename: str = field(default=None, compare=False, repr=False)
     line: int = field(default=None, compare=False, repr=False)
     line_names: list = field(default_factory=list, compare=False, repr=False)
+    named_at: dict = field(default_factory=dict, compare=False, repr=False)
     named_algebras = ()
     free_names = frozenset()
 
@@ -102,7 +106,8 @@ class _Entry:
         value at any binding of the block."""
         for n in self.named_algebras:
             if n not in algebras:
-                raise self.error(f"unresolved algebra name {n!r} in {self.kind} block {self.name}")
+                what = f"unresolved algebra name {n!r} in {self.kind} block {self.name}"
+                raise self.error(what, self.named_at.get(n))
         allowed = self.free_names.union(*(algebras[n].params for n in self.named_algebras))
         for line, label, names in self.line_names:
             stray = sorted(n for n in names if n not in allowed)
@@ -214,7 +219,7 @@ class RMatrixEntry(_PairEntry):
 @dataclass
 class PoissonEntry(_PairEntry):
     method: str  # 'sklyanin' | 'pi'
-    brackets: dict = field(default_factory=dict)  # (i, j) -> Expr
+    brackets: dict = field(default_factory=dict)  # (i, j) -> Expr, i != j, as printed
     kind = "poisson"
     free_names = frozenset(_X_NAMES)
     rule = "a parameter of the pair or x1..x4"
@@ -223,16 +228,15 @@ class PoissonEntry(_PairEntry):
     def name(self):
         return f"pb({self.g}, {self.dual})[{self.method}]"
 
-    def closed_matrix(self, binding):
-        """Printed brackets as an antisymmetric 4x4 matrix of ClosedFunction."""
-        from .closedfun import ClosedFunction
-
-        m = [[ClosedFunction.zero() for _ in range(4)] for _ in range(4)]
+    def closed_map(self, binding):
+        """The printed brackets as the bivector {(a, b): P^ab, a < b}, 0-based,
+        over the nonzero ones; a `pb j i` line, j > i, gives P^ij negated."""
+        out = {}
         for (i, j), e in self.brackets.items():
-            cf = e.to_closed(binding)
-            m[i - 1][j - 1] = m[i - 1][j - 1] + cf
-            m[j - 1][i - 1] = m[j - 1][i - 1] - cf
-        return m
+            f = e.to_closed(binding)
+            if f:
+                out[min(i, j) - 1, max(i, j) - 1] = f if i < j else -f
+        return out
 
 
 @dataclass
@@ -351,9 +355,11 @@ def parse(text, filename="<corpus>"):
         if not entries:
             err(f"payload line outside any block: {head!r}")
         try:
-            _payload_line(entries[-1], head, line, err, expr, once)
+            named = _payload_line(entries[-1], head, line, err, expr, once)
         except EvalError as ex:  # a constant division by zero in the text
             err(str(ex))
+        for n in named or ():
+            entries[-1].named_at.setdefault(n, lineno)
     return entries
 
 
@@ -379,6 +385,8 @@ def _open_block(head, words, err):
 
 
 def _payload_line(entry, head, line, err, expr, once):
+    """Reads one payload line into `entry`; returns the algebra names a
+    `pair` or `ref` line names."""
     body = line[len(head) :].strip()
     match head:
         case "source" | "note":
@@ -396,7 +404,7 @@ def _payload_line(entry, head, line, err, expr, once):
             shape = "i j -> COEFF k [, COEFF k ...]"
             left, right = _sides(head, body, "->", shape, err)
             key = _two_indices(head, left, err)
-            once(head, key)
+            once(head, *sorted(key))
             label = "bracket %d %d" % key
             entry.brackets[key] = [
                 (expr(c, label), _index(k, err)) for c, k in _terms(head, right, ",", 2, err)
@@ -418,7 +426,7 @@ def _payload_line(entry, head, line, err, expr, once):
         case "pb" if entry.kind == "poisson":
             left, right = _sides(head, body, "=", "i j = EXPR", err)
             key = _two_indices(head, left, err)
-            once(head, key)
+            once(head, *sorted(key))
             entry.brackets[key] = expr(right, "pb %d %d" % key)
         case "xl" | "xr" if entry.kind == "frame":
             left, right = _sides(head, body, "=", "i = EXPR", err)
@@ -430,6 +438,7 @@ def _payload_line(entry, head, line, err, expr, once):
             if len(names) != 2:
                 err("pair needs two names")
             entry.pairs.append(tuple(names))
+            return names
         case "ref" | "expr" | "matrix" | "val" if entry.kind == "fixture":
             key, rhs = (s.strip() for s in _sides(head, body, "=", "KEY = ...", err))
             if not key.isidentifier():
@@ -437,6 +446,7 @@ def _payload_line(entry, head, line, err, expr, once):
             once(head, key)
             if head == "ref":
                 entry.refs[key] = rhs
+                return (rhs,)
             elif head == "matrix":
                 rows = [[expr(cell) for cell in row.split()] for row in rhs.split(";")]
                 if any(len(r) != len(rows[0]) for r in rows):
@@ -471,7 +481,10 @@ def _two_indices(head, left, err):
     words = left.split()
     if len(words) != 2:
         err(f"{head} needs two indices")
-    return _index(words[0], err), _index(words[1], err)
+    i, j = _index(words[0], err), _index(words[1], err)
+    if i == j:
+        err(f"{head} needs two distinct indices, found {i} {j}")
+    return i, j
 
 
 def _index(tok, err):

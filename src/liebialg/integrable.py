@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .closedfun import ClosedFunction, cfm_lower
 from .core import StructureConstants
 from .errors import EvalError, InputError
-from .multivec import apply, bivector, interior, jet
+from .multivec import apply, interior, jet
 from .poisson import PoissonBivector
 
 CANONICAL_PAIRS = ((1, 3), (2, 4))  # {y1,y3} = {y2,y4} = 1, all else 0
@@ -44,9 +44,8 @@ def _pairs_check(P, funcs, name, want):
     """The brackets {f_i, f_j}, i < j, of closed functions against
     want(i, j), each function differentiated once and each field X_{f_i}
     built once."""
-    p = bivector(P.P)
     jets = [jet(f) for f in funcs]
-    fields = [interior(p, d) for d in jets]
+    fields = [interior(P.p, d) for d in jets]
     return ClosureReport([
         f"{{{name}{i},{name}{j}}}"
         for i in range(1, 5)
@@ -83,7 +82,7 @@ def conserved(ex: IntegrableExample, hamiltonian: int) -> list:
 def commuting_check(ex: IntegrableExample, hamiltonian: int) -> ClosureReport:
     """{Q_j, Q_h} is identically 0 for every j in conserved(ex, h)."""
     jets = [jet(q.to_closed()) for q in ex.qfuncs]
-    p = bivector(ex.bivector.P)
+    p = ex.bivector.p
     h = hamiltonian
     return ClosureReport([
         f"{{Q{j},Q{h}}}"
@@ -106,7 +105,7 @@ def _hamiltonian_field(P: PoissonBivector, h: ClosedFunction) -> list:
     """X_H = {H, .} as closed functions: X_H^i = {H, x_i} = P^{ji} d_j H.
     The opposite sign sends the documented example-1 trajectory into the
     x2 = 0 singular locus at exactly t = 1."""
-    field = interior(bivector(P.P), jet(h))
+    field = interior(P.p, jet(h))
     return [field.get(i, ClosedFunction.zero()) for i in range(4)]
 
 
@@ -156,7 +155,7 @@ def leibniz_check(ex: IntegrableExample) -> ClosureReport:
     """Antisymmetry {Q1,Q2} = -{Q2,Q1} and the Leibniz rule
     {Q1,Q2Q3} = Q2{Q1,Q3} + Q3{Q1,Q2}, as identities."""
     f, g, h = (q.to_closed() for q in ex.qfuncs[:3])
-    p = bivector(ex.bivector.P)
+    p = ex.bivector.p
     df, dg, dh, dgh = (jet(e) for e in (f, g, h, g * h))
     xf = interior(p, df)
     fg = apply(xf, dg)
@@ -189,7 +188,7 @@ def load_example(reg, ex_id) -> IntegrableExample:
     )
     if pe is None:
         raise InputError(f"no bracket table for ({phase}, {symmetry})")
-    P = PoissonBivector(pe.closed_matrix({}))
+    P = PoissonBivector(pe.closed_map({}))
     darboux = [need(fx.exprs, f"y{i}") for i in range(1, 5)]
     qfuncs = [need(fx.exprs, f"q{i}") for i in range(1, 5)]
     return IntegrableExample(

@@ -29,12 +29,6 @@ def vector(row):
     return {a: f for a, f in enumerate(row) if f}
 
 
-def bivector(p):
-    """The sparse form {(a, b): P^ab, a < b} of an antisymmetric matrix."""
-    n = len(p)
-    return {(a, b): p[a][b] for a in range(n) for b in range(a + 1, n) if p[a][b]}
-
-
 def _rows(p):
     """{c: [(b, f, s)]} with P^cb = s f, for every nonzero P^cb."""
     rows = {}

@@ -4,58 +4,51 @@ symplectic classification."""
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .closedfun import (
-    CR_ZERO,
-    cf_is_negation,
-    cf_sum_products,
-    cfm_is_zero,
-    cfm_mul,
-    cfm_transpose,
-    cfm_zeros,
-)
-from .core import StructureConstants, pfaffian4
+from .closedfun import NCOORD, ClosedFunction, cf_is_negation, cf_sum_products, cfm_mul, cfm_zeros
+from .core import StructureConstants
 from .errors import InputError
 from .groupgeom import InvariantFrame
-from .multivec import bivector, jacobiator, lie_derivative, linearization, vector
+from .multivec import jacobiator, lie_derivative, linearization, vector
 from .rmatrix import TensorElement
+
+_PAIRS = tuple((a, b) for a in range(NCOORD) for b in range(a + 1, NCOORD))  # a < b, in order
 
 
 @dataclass
 class PoissonBivector:
-    """A bivector P on the chart, checked on construction: P is
-    antisymmetric (a zero diagonal, and each P[j][i], i < j, has the term
-    map of P[i][j] with every coefficient negated; no negated copy is
-    built) and vanishes at the origin, which antisymmetry lets it check
-    above the diagonal only."""
+    """A bivector P on the chart as the map {(a, b): P^ab} of its nonzero
+    components above the diagonal, 0 <= a < b < 4, 0-based (P^ba = -P^ab,
+    the form of `multivec`).  Construction drops zero components and checks
+    that every key is such a pair and that P vanishes at the origin."""
 
-    P: list  # 4x4 CFMatrix, P[i][j] = {x_{i+1}, x_{j+1}}
+    p: dict  # (a, b) -> ClosedFunction, P^ab = {x_{a+1}, x_{b+1}}
 
     def __post_init__(self):
-        n = len(self.P)
-        for i in range(n):
-            if self.P[i][i] or not all(
-                cf_is_negation(self.P[i][j], self.P[j][i]) for j in range(i + 1, n)
-            ):
-                raise InputError("bivector is not antisymmetric")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.P[i][j].eval_at_zero():
-                    raise InputError("bivector does not vanish at the origin")
+        for key, f in self.p.items():
+            if key not in _PAIRS:
+                raise InputError(f"bivector key {key!r} is not a pair (a, b), 0 <= a < b < 4")
+            if f.eval_at_zero():
+                raise InputError("bivector does not vanish at the origin")
+        self.p = {key: f for key, f in self.p.items() if f}
+
+    @property
+    def P(self):
+        """The dense 4x4 view (P[b][a] = -P^ab), built on each read."""
+        m = cfm_zeros(NCOORD, NCOORD)
+        for (a, b), f in self.p.items():
+            m[a][b], m[b][a] = f, -f
+        return m
 
     def bracket(self, i, j):
         """{x_i, x_j} as a closed function (1-based)."""
-        return self.P[i - 1][j - 1]
+        f = self.p.get((min(i, j) - 1, max(i, j) - 1), ClosedFunction.zero())
+        return f if i <= j else -f
 
     @cached_property
     def is_poisson(self):
         """Whether P passes Poisson-Jacobi (`poisson_jacobi_check`), decided
         on the first read and kept; a check that raises keeps nothing."""
         return poisson_jacobi_check(self).passed
-
-
-def _transport(m, x):
-    """x^T m x, entry (k, l) = m^ij x_i^k x_j^l: the tensor m on the frame x."""
-    return cfm_mul(cfm_transpose(x), cfm_mul(m, x))
 
 
 def _minors(x, pairs):
@@ -96,21 +89,29 @@ def sklyanin_bivector(frame: InvariantFrame, r: TensorElement) -> PoissonBivecto
     from the 2 x 2 minors of both frames (`_minors`)."""
     if not r.is_antisymmetric():
         raise InputError("Sklyanin bracket needs an antisymmetric r")
-    n = r.dim
     upper = sorted((j, k, c) for (j, k), c in r.entries.items() if j < k)
     pairs = [(j, k) for j, k, _ in upper]
     ml, mr = _minors(frame.XL, pairs), _minors(frame.XR, pairs)
     terms = [t for j, k, c in upper for t in ((c, ml[j, k]), (-c, mr[j, k]))]
-    P = cfm_zeros(n, n)
-    for (a, b), f in _wedge_sum(terms).items():
-        P[a][b], P[b][a] = f, -f
-    return PoissonBivector(P)
+    return PoissonBivector(_wedge_sum(terms))
 
 
 def pi_bivector(pi: list, frame: InvariantFrame) -> PoissonBivector:
-    """P^kl = pi^ij XR_i^k XR_j^l for pi = -b a^-1 of the double's adjoint
-    blocks, as `double_adjoint` returns it."""
-    return PoissonBivector(_transport(pi, frame.XR))
+    """P^ab = pi^ij XR_i^a XR_j^b, a < b, the upper entries of XR^T (pi XR),
+    for pi = -b a^-1 as `double_adjoint` returns it.  As XR is invertible,
+    P is antisymmetric iff pi is: a zero diagonal, and each pi[j][i], i < j,
+    the term map of pi[i][j] negated (`cf_is_negation`)."""
+    n = len(pi)
+    for i in range(n):
+        if pi[i][i] or not all(cf_is_negation(pi[i][j], pi[j][i]) for j in range(i + 1, n)):
+            raise InputError("bivector is not antisymmetric")
+    x = frame.XR
+    y = cfm_mul(pi, x)
+    return PoissonBivector({
+        (a, b): f
+        for a, b in _PAIRS
+        if (f := cf_sum_products([(xi[a], yi[b], 1) for xi, yi in zip(x, y)]))
+    })
 
 
 @dataclass
@@ -125,7 +126,7 @@ class PoissonJacobiReport:
 def poisson_jacobi_check(pb: PoissonBivector) -> PoissonJacobiReport:
     """J^ijk = sum_l (P^il d_l P^jk + P^jl d_l P^ki + P^kl d_l P^ij), i < j < k,
     from the sparse Jacobiator; residuals are keyed 1-based."""
-    res = jacobiator(bivector(pb.P))
+    res = jacobiator(pb.p)
     return PoissonJacobiReport(
         not res, {(i + 1, j + 1, k + 1): v for (i, j, k), v in res.items()}
     )
@@ -154,9 +155,8 @@ def multiplicative_check(pb: PoissonBivector, frame: InvariantFrame, fd: Structu
     X: P is the Poisson-Lie bivector of fd (Drinfeld 1983; Lu and Weinstein,
     J. Diff. Geom. 31, 1990), and `linearization_check` is its value at e.
     The right sides come from `_cobracket_fields`."""
-    p = bivector(pb.P)
     for i, (xl, want) in enumerate(zip(frame.XL, _cobracket_fields(frame, fd))):
-        got = lie_derivative(vector(xl), p)
+        got = lie_derivative(vector(xl), pb.p)
         for ab in sorted(got.keys() | want.keys()):
             if got.get(ab) != want.get(ab):
                 return (i + 1, ab[0] + 1, ab[1] + 1)
@@ -164,25 +164,20 @@ def multiplicative_check(pb: PoissonBivector, frame: InvariantFrame, fd: Structu
 
 
 def linearization_check(pb: PoissonBivector, fd: StructureConstants) -> bool:
-    """d_k P^ij (0) = ft^ij_k exactly, over the full tensor, from the linear
-    part of P above the diagonal (read off the cached partials of P) and
-    the antisymmetry of P.  No campaign runs it: `multiplicative_check`
-    implies it, and `bench/run.py` traces it."""
-    lin = linearization(bivector(pb.P))
-    n = len(pb.P)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if i < j:
-                    v = lin.get((i, j, k), CR_ZERO)
-                elif i > j:
-                    v = -lin.get((j, i, k), CR_ZERO)
-                else:
-                    v = CR_ZERO
-                x = fd.f[i][j][k]
-                if (v or x) and (not v.is_real() or v.re != x):
-                    return False
-    return True
+    """d_k P^ij (0) = ft^ij_k exactly, over the full tensor: fd is
+    antisymmetric, as P is, and the linear part of P above the diagonal
+    (read off the cached partials of P) has the nonzero entries of fd with
+    i < j.  No campaign runs it: `multiplicative_check` implies it, and
+    `bench/run.py` traces it."""
+    want = {(i, j, k): v for i, j, k, v in fd.nonzero() if i < j}
+    lin = linearization(pb.p)
+    return fd.is_antisymmetric() and lin.keys() == want.keys() and all(
+        v.is_real() and v.re == want[key] for key, v in lin.items()
+    )
+
+
+# Pf(P) = P^01 P^23 - P^02 P^13 + P^03 P^12, as (pair, pair, sign)
+_PFAFFIAN = (((0, 1), (2, 3), 1), ((0, 2), (1, 3), -1), ((0, 3), (1, 2), 1))
 
 
 @dataclass
@@ -199,12 +194,15 @@ def symplectic_classify(pb: PoissonBivector) -> SymplecticReport:
     """Exact classification of a 4x4 bivector.
 
     P is generically invertible iff its Pfaffian (`core.pfaffian4`, the
-    criterion of `find_symplectic` too) is a nonzero closed function;
-    otherwise its generic rank is 2 or 0.  For invertible P, Omega = P^{-1}
-    is closed iff P satisfies the Poisson-Jacobi identity, whose verdict P
-    keeps (`PoissonBivector.is_poisson`); it is read only for invertible P.
+    criterion of `find_symplectic` too), one sum over the products of
+    nonzero components, is a nonzero closed function; otherwise its generic
+    rank is 2, or 0 for P = 0.  For invertible P, Omega = P^{-1} is closed
+    iff P satisfies the Poisson-Jacobi identity, whose verdict P keeps
+    (`PoissonBivector.is_poisson`); it is read only for invertible P.
     """
-    if pfaffian4(pb.P):
+    p = pb.p
+    pf = [(p[u], p[v], s) for u, v, s in _PFAFFIAN if u in p and v in p]
+    if cf_sum_products(pf):
         return SymplecticReport(True, pb.is_poisson, 4)
-    return SymplecticReport(False, None, 0 if cfm_is_zero(pb.P) else 2)
+    return SymplecticReport(False, None, 2 if p else 0)
 

@@ -22,15 +22,21 @@ constants, the retired `Expr.subs_params`: on it,
 substitutions and four conversions and `closed_matrix_by_substitution` the
 printed brackets of a poisson row by one substitution and one conversion
 per bracket, the retired routes and the oracles of the one-walk
-`FrameEntry.components` and `PoissonEntry.closed_matrix`.  `tensor_dense`
-builds a printed r as a dense Fraction matrix term by term, the retired
-route and the oracle of the sparse map of `RMatrixEntry.tensor`.
+`FrameEntry.components` and, read through `bivector`, of
+`PoissonEntry.closed_map`.  `tensor_dense` builds a printed r as a dense
+Fraction matrix term by term, the retired route and the oracle of the
+sparse map of `RMatrixEntry.tensor`.
 `central_coords` lists the coordinates whose adjoint is zero, which the retired
-`groupgeom._central` gave the lower-block integrand.  `transport_dense` is x^T m x for a
-constant m by two such 4 x 4 products, and `sklyanin_dense` is XL^T r XL -
-XR^T r XR from two of them: the retired path and the oracle of the 2 x 2
-minor form of the right side of `poisson.multiplicative_check` and of
-`poisson.sklyanin_bivector`.  `mixed_matrix_residual` evaluates the mixed Jacobi residual in
+`groupgeom._central` gave the lower-block integrand.  `transport_dense` is x^T m x by
+two dense 4 x 4 products, the retired `poisson._transport` and the oracle
+of the upper entries that `poisson.pi_bivector` forms, and `sklyanin_dense`
+is XL^T r XL - XR^T r XR from two of them: the retired path and the oracle
+of the 2 x 2 minor form of the right side of
+`poisson.multiplicative_check` and of `poisson.sklyanin_bivector`.
+`bivector` reads such a dense antisymmetric matrix as the sparse map
+{(a, b): P^ab, a < b} that `PoissonBivector` keeps, and `cfm_is_zero`
+says whether a matrix of closed functions is zero: both left the package
+when no module there built a dense bivector.  `mixed_matrix_residual` evaluates the mixed Jacobi residual in
 matrix form, summed over nonzero entries, and `mixed_matrix_dense` the same
 form with full matrix products over every slot: the two are each other's
 oracle and, together, the oracle of the index form `core.mixed_jacobi_check`.  `left_fields_by_adjugate` builds the
@@ -129,7 +135,7 @@ from liebialg.core import StructureConstants, TwoFormLA
 from liebialg.errors import EvalError, InputError
 from liebialg.exprtree import to_text
 from liebialg.groupgeom import double_exp_factor
-from liebialg.multivec import apply, bivector, interior, jet
+from liebialg.multivec import apply, interior, jet
 from liebialg.rmatrix import RClassification, TensorElement
 
 _FUNCS = {"exp": math.exp, "sin": math.sin, "cos": math.cos, "sinh": math.sinh,
@@ -301,7 +307,8 @@ def components_by_substitution(fe, side, i, binding):
 def closed_matrix_by_substitution(pe, binding):
     """The printed brackets of a corpus poisson row as a 4 x 4 matrix of
     closed functions, each tree rebuilt at the binding and then converted:
-    the retired route and the oracle of `PoissonEntry.closed_matrix`."""
+    the retired route and, read through `bivector`, the oracle of
+    `PoissonEntry.closed_map`."""
     m = cfm_zeros(4, 4)
     for (i, j), e in pe.brackets.items():
         cf = subs_params(e, binding).to_closed()
@@ -335,15 +342,27 @@ def central_coords(f):
 
 
 def transport_dense(m, x):
-    """x^T m x for a constant matrix m, through constant closed functions
-    and two dense closed-function products."""
-    return cfm_mul(cfm_transpose(x), cfm_mul(cfm_from_frac(m), x))
+    """x^T m x for a matrix m of closed functions, by two dense products."""
+    return cfm_mul(cfm_transpose(x), cfm_mul(m, x))
 
 
 def sklyanin_dense(frame, r):
     """XL^T r XL - XR^T r XR for a constant matrix r, entry by entry."""
-    left, right = transport_dense(r, frame.XL), transport_dense(r, frame.XR)
+    m = cfm_from_frac(r)
+    left, right = transport_dense(m, frame.XL), transport_dense(m, frame.XR)
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(left, right)]
+
+
+def bivector(p):
+    """The sparse form {(a, b): P^ab, a < b} of an antisymmetric matrix, over
+    its nonzero entries: the retired `multivec.bivector`, which met the
+    dense bivector of every construction with the sparse form of `multivec`."""
+    n = len(p)
+    return {(a, b): p[a][b] for a in range(n) for b in range(a + 1, n) if p[a][b]}
+
+
+def cfm_is_zero(a):
+    return all(x.is_zero() for row in a for x in row)
 
 
 def _int_mat_mul(a, b):
@@ -739,7 +758,7 @@ def poisson_bracket(p, f, g):
 def jet_bracket(P, f, g):
     """Exact {f, g} = sum_ij P^ij d_i f d_j g of a PoissonBivector, as X_f(g)
     with X_f^j = P^ij d_i f."""
-    return apply(interior(bivector(P.P), jet(f)), jet(g))
+    return apply(interior(P.p, jet(f)), jet(g))
 
 
 def closed_two_forms_by_fractions(f):

@@ -10,6 +10,7 @@ from itertools import product
 import pytest
 
 from evalref import (
+    bivector,
     closed_matrix_by_substitution,
     components_by_substitution,
     scaled_ints,
@@ -20,6 +21,7 @@ from liebialg import corpus as corpus_mod
 from liebialg import harness, ratlinalg
 from liebialg.errors import CorpusSyntaxError, InputError
 from liebialg.exprtree import parse_expr, to_text
+from liebialg.poisson import PoissonBivector
 
 SAMPLE = """
 # a comment
@@ -234,6 +236,53 @@ def test_a_repeated_key_or_schouten_line_is_located(payload):
 
 
 @pytest.mark.parametrize(
+    "payload, message",
+    [
+        # each loaded: {x1,x1} cancelled to 0, [X1,X1] failed at instantiate
+        ("poisson g d pi\n  pb 1 2 = x2\n  pb 1 1 = x1\n", "pb needs two distinct indices"),
+        ("algebra a\n  bracket 1 2 -> 1 3\n  bracket 1 1 -> 1 2\n", "bracket needs two distinct"),
+        # each loaded as the sum of its two lines: {x1,x2} = x2 - x3 and
+        # [X1,X2] = X3 - X4
+        ("poisson g d pi\n  pb 1 2 = x2\n  pb 2 1 = x3\n", "duplicate pb 1 2"),
+        ("algebra a\n  bracket 1 2 -> 1 3\n  bracket 2 1 -> 1 4\n", "duplicate bracket 1 2"),
+        ("poisson g d pi\n  pb 4 1 = x2\n  pb 1 4 = x2\n", "duplicate pb 1 4"),
+    ],
+)
+def test_a_bracket_or_pb_pair_is_unordered_distinct_and_once(payload, message):
+    with pytest.raises(CorpusSyntaxError, match=message) as exc:
+        corpus_mod.parse(payload, filename="f.txt")
+    assert (exc.value.filename, exc.value.line) == ("f.txt", 3)
+
+
+def test_a_reversed_bracket_or_pb_line_states_the_negated_pair():
+    text = "algebra a\n  bracket 2 1 -> 1 3\npoisson a a pi\n  pb 2 1 = x3\n  pb 4 3 = -x1\n"
+    c = corpus_mod.Corpus(corpus_mod.parse(text))
+    f = c.instantiate("a").f
+    assert (f[0][1][2], f[1][0][2]) == (-1, 1)
+    x1, x3 = (parse_expr(v).to_closed() for v in ("x1", "x3"))
+    assert c.poisson[0].closed_map({}) == {(0, 1): -x3, (2, 3): x1}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "algebra a\nmembership table8\n  pair a a\n  pair a ghost\n",
+        "algebra a\nfixture f\n  expr k = x1\n  ref phase = ghost\n",
+        "algebra a\nfixture f\n  ref phase = a\n  ref symmetry = ghost\n",
+    ],
+)
+def test_an_unresolved_pair_or_ref_name_is_located_at_its_line(text):
+    # it was reported at the block's header, line 2
+    with pytest.raises(CorpusSyntaxError, match="unresolved algebra name 'ghost'") as exc:
+        corpus_mod.Corpus(corpus_mod.parse(text, filename="m.txt"))
+    assert (exc.value.filename, exc.value.line) == ("m.txt", 4)
+    # a name in a header stays at the header
+    with pytest.raises(CorpusSyntaxError, match="unresolved algebra name 'ghost'") as exc:
+        corpus_mod.Corpus(corpus_mod.parse("algebra a\n\nbialgebra a ghost\n", filename="m.txt"))
+    assert exc.value.line == 3
+
+
+@pytest.mark.parametrize(
     "line",
     ["source Table 2", "note printed twice", "status flagged"],
 )
@@ -415,7 +464,7 @@ def test_printed_brackets_equal_the_substitution_route_on_the_full_grid(reg):
     bindings = 0
     for pe in reg.poisson:
         for b in reg.grid_bindings(pe.g, pe.dual):
-            assert pe.closed_matrix(b) == closed_matrix_by_substitution(pe, b), (pe.name, b)
+            assert pe.closed_map(b) == bivector(closed_matrix_by_substitution(pe, b)), (pe.name, b)
             bindings += 1
     assert bindings == 369
 
@@ -506,11 +555,19 @@ def test_a_basis_index_is_ascii_digits(tok):
 
 
 def test_poisson_closed_matrix_antisymmetric(reg):
-    pe = next(p for p in reg.poisson if p.g == "A_4_7")
-    m = pe.closed_matrix({})
+    # the one row with reversed lines, pb 4 1 and pb 3 2: each folds into
+    # the pair above the diagonal with its sign
+    pe = next(p for p in reg.poisson if p.name == "pb(A_4_9_1, A_4_9_1.i)[sklyanin]")
+    assert sorted(pe.brackets) == [(1, 2), (1, 3), (3, 2), (4, 1)]
+    p = pe.closed_map({})
+    assert sorted(p) == [(0, 1), (0, 2), (0, 3), (1, 2)]
+    assert p[0, 3] == -pe.brackets[4, 1].to_closed({})
+    assert p[1, 2] == -pe.brackets[3, 2].to_closed({})
+    m = PoissonBivector(p).P
     for i in range(4):
         for j in range(4):
             assert m[i][j] == -m[j][i]
+    assert m[3][0] == pe.brackets[4, 1].to_closed({})
 
 
 def test_q_zero_binding_rejected_for_scaled_dual(reg):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from evalref import derivative_is_by_matrices, double_adjoint_blocks, left_fields_by_adjugate
+from evalref import cfm_is_zero, derivative_is_by_matrices, double_adjoint_blocks, left_fields_by_adjugate
 from liebialg import groupgeom
 from liebialg.closedfun import (
     CR_ZERO,
@@ -16,7 +16,6 @@ from liebialg.closedfun import (
     cfm_eval,
     cfm_identity,
     cfm_inverse_unitdet,
-    cfm_is_zero,
     cfm_mul,
     cfm_transpose,
     cfm_zeros,

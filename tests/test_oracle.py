@@ -30,7 +30,7 @@ from liebialg.closedfun import (  # noqa: E402
 )
 from liebialg.errors import UnsupportedSpectrum  # noqa: E402
 from liebialg.exprtree import parse_expr, to_text  # noqa: E402
-from liebialg.multivec import bivector, bracket as field_bracket, jacobiator, lie_derivative, vector  # noqa: E402
+from liebialg.multivec import bracket as field_bracket, jacobiator, lie_derivative, vector  # noqa: E402
 from liebialg.integrable import (  # noqa: E402
     CANONICAL_PAIRS,
     _hamiltonian_field,
@@ -135,8 +135,9 @@ WEIGHTS = sympy.symbols("t0:14")
     st.lists(laurent(1), min_size=6, max_size=6),
 )
 def test_schouten_kernel_matches_sympy(vs, ws, ps):
+    p = {ab: f for ab, f in zip(PAIRS, ps) if f}
     P = [[ClosedFunction.zero()] * 4 for _ in range(4)]
-    for (a, b), f in zip(PAIRS, ps):
+    for (a, b), f in p.items():
         P[a][b], P[b][a] = f, -f
     V, W = [to_sympy(f) for f in vs], [to_sympy(f) for f in ws]
     S = [[to_sympy(f) for f in row] for row in P]
@@ -149,11 +150,11 @@ def test_schouten_kernel_matches_sympy(vs, ws, ps):
     vw = field_bracket(vector(vs), vector(ws))
     for k in range(4):
         residuals.append(to_sympy(vw.get(k, zero)) - along(V, W[k]) + along(W, V[k]))
-    lv = lie_derivative(vector(vs), bivector(P))
+    lv = lie_derivative(vector(vs), p)
     for a, b in PAIRS:
         want = along(V, S[a][b]) - sympy_bracket(S, V[a], X[b]) - sympy_bracket(S, X[a], V[b])
         residuals.append(to_sympy(lv.get((a, b), zero)) - want)
-    jac = jacobiator(bivector(P))
+    jac = jacobiator(p)
     for i, j, k in [(i, j, k) for i, j in PAIRS for k in range(j + 1, 4)]:
         want = sum(sympy_bracket(S, X[x], S[y][z]) for x, y, z in ((i, j, k), (j, k, i), (k, i, j)))
         residuals.append(to_sympy(jac.get((i, j, k), zero)) - want)

@@ -5,13 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from evalref import sklyanin_dense, tensor_of, transport_dense
+from evalref import bivector, cfm_from_frac, sklyanin_dense, tensor_of, transport_dense
 from liebialg import poisson
 from liebialg.closedfun import ClosedFunction, cfm_eq
 from liebialg.core import StructureConstants
 from liebialg.errors import InputError
 from liebialg.exprtree import parse_expr
-from liebialg.multivec import bivector
 from liebialg.groupgeom import GroupChart, double_adjoint, invariant_frame
 from liebialg.poisson import (
     PoissonBivector,
@@ -57,7 +56,7 @@ def a47_setup(reg):
 def test_sklyanin_zero_r_gives_zero(a47_setup):
     f, fd, fr, _ = a47_setup
     P = sklyanin_bivector(fr, TensorElement.zero())
-    assert all(x.is_zero() for row in P.P for x in row)
+    assert P.p == {}
 
 
 def test_sklyanin_a47_brackets(a47_setup):
@@ -79,7 +78,7 @@ def test_pi_zero_dual_gives_zero(reg):
     f = reg.instantiate("A_4_7")
     fr = invariant_frame(GroupChart(f))
     P = pi_bivector(double_adjoint(fr, f, StructureConstants(4)), fr)
-    assert all(x.is_zero() for row in P.P for x in row)
+    assert P.p == {}
 
 
 def test_pi_a41_brackets(reg, bench):
@@ -103,7 +102,7 @@ def test_method_agreement_on_coboundary_rows(bench, table67):
     for pe, b in rows:
         P1 = bench.bivector(pe.g, pe.dual, "sklyanin", b)
         P2 = bench.bivector(pe.g, pe.dual, "pi", b)
-        assert cfm_eq(P1.P, P2.P), pe.name
+        assert P1.p == P2.p, pe.name
 
 
 def test_jacobi_passes_on_derived(a47_setup):
@@ -115,10 +114,7 @@ def test_jacobi_passes_on_derived(a47_setup):
 def test_jacobi_detects_corruption(a47_setup):
     f, fd, fr, r = a47_setup
     P = sklyanin_bivector(fr, r)
-    mat = [row[:] for row in P.P]
-    mat[0][1] = -mat[0][1]
-    mat[1][0] = -mat[1][0]
-    corrupted = PoissonBivector(mat)
+    corrupted = PoissonBivector({**P.p, (0, 1): -P.bracket(1, 2)})
     rep = poisson_jacobi_check(corrupted)
     assert not rep.passed
     assert (1, 2, 3) in rep.residuals
@@ -145,7 +141,7 @@ def test_linearization_full_tensor_comparison(reg, bench):
 
 def test_zero_bivector_properties(a47_setup):
     fr = a47_setup[2]
-    zero = PoissonBivector([[ClosedFunction.zero()] * 4 for _ in range(4)])
+    zero = PoissonBivector({})
     assert poisson_jacobi_check(zero).passed
     assert linearization_check(zero, StructureConstants(4))
     assert multiplicative_check(zero, fr, StructureConstants(4)) is None
@@ -177,7 +173,7 @@ def test_the_identity_refutes_a_bracket_whose_linearization_is_right(reg, bench)
     # +(q1 - q2) x2^2 / 2: both vanish at e with their first partials
     pe = next(p for p in reg.poisson if p.name == "pb(A_4_9_0, A_4_9_0.v)[pi]")
     b = {"q1": Fraction(-2), "q2": Fraction(-1, 2)}
-    printed = PoissonBivector(pe.closed_matrix(b))
+    printed = PoissonBivector(pe.closed_map(b))
     fd = bench.sc(pe.dual, b)
     assert linearization_check(printed, fd)
     assert multiplicative_check(printed, bench.frame(pe.g, b), fd) == (2, 1, 2)
@@ -189,7 +185,7 @@ def test_no_flagged_printed_row_is_poisson_lie(bench, table67):
         if pe.status != "flagged":
             continue
         try:
-            printed = PoissonBivector(pe.closed_matrix(b))
+            printed = PoissonBivector(pe.closed_map(b))
         except InputError as ex:
             assert str(ex) == "bivector does not vanish at the origin"
             nonzero_at_e.append(pe.name)
@@ -224,7 +220,7 @@ def test_the_right_sides_from_minors_match_the_dense_transport(bench, table67):
         assert len(fields) == 4
         for i, got in enumerate(fields):
             ft = [[c[i] for c in row] for row in fd.f]
-            assert got == bivector(transport_dense(ft, frame.XL)), (pe.name, i + 1)
+            assert got == bivector(transport_dense(cfm_from_frac(ft), frame.XL)), (pe.name, i + 1)
 
 
 def test_sklyanin_from_minors_matches_the_dense_transports(bench, table67):
@@ -251,6 +247,26 @@ def test_sklyanin_from_minors_matches_on_drawn_r(reg, bench):
             assert cfm_eq(P.P, sklyanin_dense(frame, r))
 
 
+def test_every_derivable_table67_bivector_reads_as_its_dense_oracle(bench, table67):
+    # the dense view of the sparse map, for every row by each method that
+    # derives it, against the retired dense constructions: XR^T pi XR, and
+    # XL^T r XL - XR^T r XR
+    built = {"sklyanin": 0, "pi": 0}
+    for pe, b in table67:
+        frame = bench.frame(pe.g, b)
+        pi = double_adjoint(frame, bench.sc(pe.g, b), bench.sc(pe.dual, b))
+        oracles = {"pi": transport_dense(pi, frame.XR)}
+        sol = bench.coboundary(pe.g, pe.dual, b)
+        if not sol.empty:
+            oracles["sklyanin"] = sklyanin_dense(frame, sol.particular.antisymmetric_part().r)
+        for method, want in oracles.items():
+            P = bench.bivector(pe.g, pe.dual, method, b).P
+            assert all(P[i][j] == -P[j][i] for i in range(4) for j in range(4)), (pe.name, method)
+            assert cfm_eq(P, want), (pe.name, method)
+            built[method] += 1
+    assert built == {"sklyanin": 85, "pi": 166}
+
+
 def test_symplectic_worked_pairs(reg, bench):
     P = bench.bivector("A_4_7", "A_4_7.i", "sklyanin", {})
     cl = symplectic_classify(P)
@@ -263,13 +279,13 @@ def test_symplectic_worked_pairs(reg, bench):
 def test_symplectic_classify_reads_a_known_jacobi_verdict(reg, bench, monkeypatch):
     asked = []
     monkeypatch.setattr(poisson, "poisson_jacobi_check", asked.append)
-    # fresh bivectors of shared matrices, so that a planted verdict stays here
-    P = PoissonBivector(bench.bivector("A_4_7", "A_4_7.i", "sklyanin", {}).P)
+    # fresh bivectors of shared maps, so that a planted verdict stays here
+    P = PoissonBivector(bench.bivector("A_4_7", "A_4_7.i", "sklyanin", {}).p)
     P.is_poisson = False
     cl = symplectic_classify(P)
     assert (cl.symplectic, cl.closed_ok, asked) == (True, False, [])
     # a degenerate bivector needs no verdict
-    P = PoissonBivector(bench.bivector("A_4_1", "A_4_1.i", "pi", {}).P)
+    P = PoissonBivector(bench.bivector("A_4_1", "A_4_1.i", "pi", {}).p)
     assert symplectic_classify(P).max_rank == 2
     assert asked == [] and "is_poisson" not in vars(P)
 
@@ -281,11 +297,19 @@ def test_degenerate_pair_reports_rank(reg, bench):
     assert cl.max_rank == 2
 
 
-def test_bivector_constructor_enforces_antisymmetry():
+def test_bivector_constructor_enforces_antisymmetry(a47_setup):
+    # pi_bivector checks pi, as P = XR^T pi XR is antisymmetric iff pi is
+    fr = a47_setup[2]
     mat = [[ClosedFunction.zero()] * 4 for _ in range(4)]
     mat[0][1] = _cf("x3")
-    with pytest.raises(InputError):
-        PoissonBivector(mat)
+    with pytest.raises(InputError, match="bivector is not antisymmetric"):
+        pi_bivector(mat, fr)
+
+
+@pytest.mark.parametrize("key", [(1, 0), (2, 2), (0, 4), (-1, 1), 1])
+def test_bivector_constructor_takes_only_keys_above_the_diagonal(key):
+    with pytest.raises(InputError, match="is not a pair"):
+        PoissonBivector({key: _cf("x3")})
 
 
 @pytest.mark.parametrize(
@@ -303,25 +327,24 @@ def test_bivector_constructor_enforces_antisymmetry():
         {(0, 1): "2*x3", (1, 0): "-x3"},
     ],
 )
-def test_bivector_constructor_decides_antisymmetry_on_term_maps(entries):
-    # the retired decision: P[i][j] == -P[j][i] over all 16 entries, each
-    # through a negated copy
+def test_bivector_constructor_decides_antisymmetry_on_term_maps(a47_setup, entries):
+    # the retired decision: pi[i][j] == -pi[j][i] over all 16 entries, each
+    # through a negated copy; an antisymmetric pi gives the retired dense
+    # transport XR^T pi XR
+    fr = a47_setup[2]
     mat = [[ClosedFunction.zero()] * 4 for _ in range(4)]
     for (i, j), text in entries.items():
         mat[i][j] = _cf(text)
     if all(mat[i][j] == -mat[j][i] for i in range(4) for j in range(4)):
-        assert PoissonBivector(mat).P is mat
+        assert cfm_eq(pi_bivector(mat, fr).P, transport_dense(mat, fr.XR))
     else:
         with pytest.raises(InputError, match="bivector is not antisymmetric"):
-            PoissonBivector(mat)
+            pi_bivector(mat, fr)
 
 
 def test_bivector_constructor_enforces_vanishing_at_origin():
-    mat = [[ClosedFunction.zero()] * 4 for _ in range(4)]
-    mat[0][1] = _cf("1 + x3")
-    mat[1][0] = _cf("-1 - x3")
-    with pytest.raises(InputError):
-        PoissonBivector(mat)
+    with pytest.raises(InputError, match="bivector does not vanish at the origin"):
+        PoissonBivector({(0, 1): _cf("1 + x3")})
 
 
 def test_rank_reported_for_every_bracket_table_row(reg, bench):
