@@ -15,6 +15,13 @@ Coefficients and rates are CRats: elements (a + b i)/d of Q(i) kept as a
 reduced int triple (a, b, d) with d > 0 and gcd(a, b, d) = 1.  A CRat is a
 tuple, so a term key (monomial, rates) is a tuple of ints and int triples
 that Python hashes without calling back into this module.
+
+Zero is one object: every CRat this module makes for the value 0 is
+CR_ZERO, and every all-zero rate tuple it makes is _ZRATE, so the kernels
+test zero rates by identity.  Identity is only a fast path: a zero that is
+another object takes the general path and gives an equal term map.  The
+sums and products of the kernels (`_acc`, `_mul_into`, the rate sums) run
+on the int triples, with no call into CRat's operators.
 """
 
 from fractions import Fraction
@@ -30,13 +37,15 @@ from .errors import (
     NonUnitDeterminant,
     UnsupportedSpectrum,
 )
-from .ratlinalg import _bump
 
 NCOORD = 4
 
 
 def _reduced(a, b, d):
-    """CRat (a + b i)/d from ints with d > 0, divided by gcd(a, b, d)."""
+    """CRat (a + b i)/d from ints with d > 0, divided by gcd(a, b, d); the
+    shared CR_ZERO for a = b = 0."""
+    if not (a or b):
+        return CR_ZERO
     if d != 1:
         g = gcd(a, b, d)
         if g != 1:
@@ -50,7 +59,8 @@ class CRat(tuple):
     """Complex rational (a + b i)/d, stored as the int triple (a, b, d).
 
     The triple is canonical: d > 0 and gcd(a, b, d) = 1, so zero is
-    (0, 0, 1) and two CRats are equal iff their triples are.  Hashing is
+    (0, 0, 1), made as the one object CR_ZERO, and two CRats are equal iff
+    their triples are.  Hashing is
     tuple hashing; equality with another CRat is tuple equality, and ints
     and Fractions compare by value.  `re` and `im` are exact Fractions.
     """
@@ -59,11 +69,13 @@ class CRat(tuple):
 
     def __new__(cls, re=0, im=0):
         if type(re) is int and type(im) is int:
-            return _new(cls, (re, im, 1))
+            return _new(cls, (re, im, 1)) if re or im else CR_ZERO
         if not isinstance(re, Fraction):
             re = Fraction(re)
         if not isinstance(im, Fraction):
             im = Fraction(im)
+        if not (re or im):
+            return CR_ZERO
         # re and im are in lowest terms, so over lcm(p, q) the triple is too
         p, q = re.denominator, im.denominator
         if p == q:
@@ -85,15 +97,7 @@ class CRat(tuple):
     def __add__(self, o):
         if type(o) is not CRat:
             o = _crat(o)
-        a1, b1, d1 = self
-        a2, b2, d2 = o
-        if not (a2 or b2):
-            return self
-        if not (a1 or b1):
-            return o
-        if d1 == d2:
-            return _reduced(a1 + a2, b1 + b2, d1)
-        return _reduced(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
+        return _cadd(self, o)
 
     __radd__ = __add__
 
@@ -106,9 +110,7 @@ class CRat(tuple):
     def __mul__(self, o):
         if type(o) is not CRat:
             o = _crat(o)
-        a1, b1, d1 = self
-        a2, b2, d2 = o
-        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
+        return _cmul(self, o)
 
     __rmul__ = __mul__
 
@@ -125,11 +127,11 @@ class CRat(tuple):
 
     def __neg__(self):
         a, b, d = self
-        return _new(CRat, (-a, -b, d))
+        return _new(CRat, (-a, -b, d)) if a or b else CR_ZERO
 
     def conjugate(self):
         a, b, d = self
-        return _new(CRat, (a, -b, d))
+        return _new(CRat, (a, -b, d)) if b else self
 
     def __bool__(self):
         return bool(self[0] or self[1])
@@ -169,11 +171,57 @@ _new = tuple.__new__
 _tuple_eq = tuple.__eq__
 
 
-CR_ZERO = CRat(0)
+CR_ZERO = _new(CRat, (0, 0, 1))
 CR_ONE = CRat(1)
 CR_I = CRat(0, 1)
 _ZRATE = (CR_ZERO,) * NCOORD
 _ZEXP = (0,) * NCOORD
+
+
+def _cadd(u, v):
+    """u + v for CRats, on the int triples."""
+    a1, b1, d1 = u
+    a2, b2, d2 = v
+    if not (a2 or b2):
+        return u
+    if not (a1 or b1):
+        return v
+    if d1 == d2:
+        return _reduced(a1 + a2, b1 + b2, d1)
+    return _reduced(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
+
+
+def _cmul(u, v):
+    """u v for CRats, on the int triples."""
+    a1, b1, d1 = u
+    a2, b2, d2 = v
+    return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
+
+
+def _acc(t, key, c):
+    """t[key] += c for a CRat c, the sum formed on the int triples
+    (`_cadd`); a zero sum is dropped from t, so a zero c adds nothing."""
+    s = t.get(key)
+    v = c if s is None else _cadd(s, c)
+    if v[0] or v[1]:
+        t[key] = v
+    elif s is not None:
+        del t[key]
+
+
+def _rates(z):
+    """The rate tuple of the CRats z: the shared _ZRATE when all are zero."""
+    for a, b, _ in z:
+        if a or b:
+            return tuple(z)
+    return _ZRATE
+
+
+def _rate_sum(z1, z2):
+    """The rates z1 + z2, slot by slot: a CR_ZERO slot takes the other's,
+    and two other slots add on their int triples."""
+    return _rates([v if u is CR_ZERO else u if v is CR_ZERO else _cadd(u, v)
+                   for u, v in zip(z1, z2)])
 
 
 def _crat(x):
@@ -234,10 +282,7 @@ class ClosedFunction:
     @classmethod
     def exp_linear(cls, rates):
         """exp(sum rates[i] * x_i) from {coord(1-based): CRat-like}."""
-        z = [CR_ZERO] * NCOORD
-        for i, r in rates.items():
-            z[i - 1] = _crat(r)
-        return cls({(_ZEXP, tuple(z)): CR_ONE})
+        return cls({(_ZEXP, _linear_rates(rates)): CR_ONE})
 
     # -- ring operations ---------------------------------------------------
     def __add__(self, o):
@@ -249,12 +294,7 @@ class ClosedFunction:
             return self
         t = dict(self.terms)
         for key, c in o.terms.items():
-            s = t.get(key)
-            c2 = c if s is None else s + c
-            if c2:
-                t[key] = c2
-            elif s is not None:
-                del t[key]
+            _acc(t, key, c)
         return ClosedFunction(t)
 
     def __sub__(self, o):
@@ -280,7 +320,7 @@ class ClosedFunction:
                 raise EvalError("division by zero")
             raise InputError(f"1/f leaves the closed class: f has {len(self.terms)} terms")
         ((k, z), c), = self.terms.items()
-        return ClosedFunction({(tuple(-e for e in k), tuple(-v for v in z)): CR_ONE / c})
+        return ClosedFunction({(tuple(-e for e in k), _rates([-v for v in z])): CR_ONE / c})
 
     def scale(self, c):
         c = _crat(c)
@@ -330,18 +370,22 @@ class ClosedFunction:
             p, lam = k[idx], z[idx]
             if p < 0:
                 raise InputError(f"integral from 0 of a negative power of x{i}")
-            if not lam:
-                _bump(acc, (_with(k, idx, p + 1), z), c / (p + 1))
+            if not (lam[0] or lam[1]):
+                a, b, d = c
+                _acc(acc, (_with(k, idx, p + 1), z), _reduced(a, b, d * (p + 1)))
                 continue
             # int s^p e^{lam s} = e^{lam s} sum_j w_j s^{p-j} with
             # w_j = c (-1)^j p!/(p-j)! / lam^(j+1); at s = 0 it is w_p
             inv = CR_ONE / lam
-            w = c * inv
+            w = _cmul(c, inv)
             for j in range(p + 1):
-                _bump(acc, (_with(k, idx, p - j), z), w)
+                _acc(acc, (_with(k, idx, p - j), z), w)
                 if j < p:
-                    w = -w * (p - j) * inv
-            _bump(acc, (_with(k, idx, 0), _with(z, idx, CR_ZERO)), -w)
+                    a, b, d = _cmul(w, inv)
+                    w = _reduced(-a * (p - j), -b * (p - j), d)
+            a, b, d = w
+            key = (_with(k, idx, 0), _rates(_with(z, idx, CR_ZERO)))
+            _acc(acc, key, _new(CRat, (-a, -b, d)))
         return ClosedFunction(acc)
 
     def reflect(self, i):
@@ -352,7 +396,7 @@ class ClosedFunction:
         idx = i - 1
         return ClosedFunction(
             {
-                (k, _with(z, idx, -z[idx]) if z[idx] else z): -c if k[idx] & 1 else c
+                (k, z if z[idx] is CR_ZERO else _with(z, idx, -z[idx])): -c if k[idx] & 1 else c
                 for (k, z), c in self.terms.items()
             }
         )
@@ -361,7 +405,7 @@ class ClosedFunction:
     def conjugate(self):
         return ClosedFunction(
             {
-                (k, tuple(z.conjugate() for z in zs)): c.conjugate()
+                (k, _rates([z.conjugate() for z in zs])): c.conjugate()
                 for (k, zs), c in self.terms.items()
             }
         )
@@ -390,7 +434,7 @@ class ClosedFunction:
             if min(k) < 0:
                 raise InputError("a term with a negative exponent has a pole at the origin")
             if k == _ZEXP:
-                acc = acc + c
+                acc = _cadd(acc, c)
         return acc
 
     def __repr__(self):
@@ -405,6 +449,7 @@ class ClosedFunction:
 _set_terms = ClosedFunction.__dict__["terms"].__set__
 _set_cache = ClosedFunction.__dict__["_d"].__set__
 _CF_ZERO = ClosedFunction({})
+_CF_ONE = ClosedFunction({(_ZEXP, _ZRATE): CR_ONE})
 
 
 def _derivative(f, idx):
@@ -418,12 +463,12 @@ def _derivative_into(acc, f, idx):
     """acc += d f / d x_{idx+1} on a term map, dropping coefficients that
     cancel."""
     for (k, z), c in f.terms.items():
-        if k[idx]:
-            kk = list(k)
-            kk[idx] -= 1
-            _bump(acc, (tuple(kk), z), c * k[idx])
-        if z[idx]:
-            _bump(acc, (k, z), c * z[idx])
+        p, lam = k[idx], z[idx]
+        if p:
+            a, b, d = c
+            _acc(acc, (_with(k, idx, p - 1), z), _reduced(a * p, b * p, d))
+        if lam is not CR_ZERO:
+            _acc(acc, (k, z), _cmul(c, lam))
 
 
 def _with(t, idx, v):
@@ -433,16 +478,17 @@ def _with(t, idx, v):
 
 def _mul_into(t, f, g, neg=False):
     """t += f * g (t -= f * g with `neg`) on term maps, dropping
-    coefficients that cancel.  A zero monomial or a zero rate tuple in a
-    factor leaves the other factor's as the key's, and each coefficient
-    product is formed on the int triples, with a gcd only when the
-    denominator is not 1."""
+    coefficients that cancel.  A zero monomial or the zero rate tuple
+    _ZRATE in a factor leaves the other factor's as the key's, other rates
+    add slot by slot (`_rate_sum`), and each coefficient is formed on the
+    int triples: a product, or a product added to the key's coefficient,
+    reduced with one gcd, and only when the denominator is not 1."""
     gterms = g.terms.items()
     for (k1, z1), (a1, b1, d1) in f.terms.items():
         if neg:
             a1, b1 = -a1, -b1
         k1_zero = k1 == _ZEXP
-        z1_zero = z1 is _ZRATE or z1 == _ZRATE
+        z1_zero = z1 is _ZRATE
         for (k2, z2), (a2, b2, d2) in gterms:
             if k1_zero:
                 k = k2
@@ -455,29 +501,32 @@ def _mul_into(t, f, g, neg=False):
             elif z2 is _ZRATE:
                 z = z1
             else:
-                z = tuple(map(add, z1, z2))
+                z = _rate_sum(z1, z2)
             if b1 or b2:
                 a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
             else:
                 a, b = a1 * a2, 0
             d = d1 * d2
+            key = (k, z)
+            s = t.get(key)
+            if s is not None:
+                a2, b2, d2 = s
+                if d == d2:
+                    a += a2
+                    b += b2
+                else:
+                    a, b, d = a * d2 + a2 * d, b * d2 + b2 * d, d * d2
+                if not (a or b):
+                    del t[key]
+                    continue
+            # a product of nonzero coefficients is nonzero: only a sum cancels
             if d != 1:
                 h = gcd(a, b, d)
                 if h != 1:
                     a //= h
                     b //= h
                     d //= h
-            key = (k, z)
-            c = _new(CRat, (a, b, d))
-            s = t.get(key)
-            if s is None:  # a product of nonzero coefficients is nonzero
-                t[key] = c
-            else:
-                c = s + c
-                if c:
-                    t[key] = c
-                else:
-                    del t[key]
+            t[key] = _new(CRat, (a, b, d))
 
 
 def cf_sum_products(products, scaled=()):
@@ -491,7 +540,7 @@ def cf_sum_products(products, scaled=()):
     for c, h in scaled:
         c = _crat(c)
         for key, v in h.terms.items():
-            _bump(t, key, c * v)
+            _acc(t, key, _cmul(c, v))
     return ClosedFunction(t) if t else _CF_ZERO
 
 
@@ -520,20 +569,23 @@ def cf_exp(rates):
 
 
 def _linear_rates(coeffs):
+    """The rate tuple of {coord (1-based): CRat-like}."""
     z = [CR_ZERO] * NCOORD
     for i, c in coeffs.items():
-        z[i - 1] = _crat(c)
-    return tuple(z)
+        c = _crat(c)
+        if c[0] or c[1]:
+            z[i - 1] = c
+    return _rates(z)
 
 
 def _exp_pair(coeffs, unit, cp, cm):
     """cp e^{z.x} + cm e^{-z.x} for z = unit times the rates of `coeffs`,
     one term map with the key of +z first; at z = 0 the two add into one
     coefficient, or cancel."""
-    z = tuple(v * unit for v in _linear_rates(coeffs))
+    z = _rates([_cmul(v, unit) for v in _linear_rates(coeffs)])
     t = {}
-    _bump(t, (_ZEXP, z), cp)
-    _bump(t, (_ZEXP, tuple(-v for v in z)), cm)
+    _acc(t, (_ZEXP, z), cp)
+    _acc(t, (_ZEXP, _rates([-v for v in z])), cm)
     return ClosedFunction(t) if t else _CF_ZERO
 
 
@@ -564,7 +616,7 @@ def cf_sinh(coeffs):
 
 
 def cfm_identity(n):
-    return [[cf_const(1) if i == j else _CF_ZERO for j in range(n)] for i in range(n)]
+    return [[_CF_ONE if i == j else _CF_ZERO for j in range(n)] for i in range(n)]
 
 
 def cfm_zeros(rows, cols):
@@ -601,7 +653,7 @@ def cfm_const_mul_sparse(mc, rows, a):
     for (i, l), c in mc.items():
         for t, f in zip(ts[i], a[l]):
             for key, v in f.terms.items():
-                _bump(t, key, c * v)
+                _acc(t, key, _cmul(c, v))
     return [[ClosedFunction(t) if t else _CF_ZERO for t in row] for row in ts]
 
 
@@ -621,8 +673,8 @@ def derivative_is(x, coord, mc, y):
         raise InputError(f"coordinate index {coord} out of range")
     idx = coord - 1
     rows = [[] for _ in x]  # the nonzero entries (l, -m_rl) of each row
-    for (r, l), c in mc.items():
-        rows[r].append((l, -c))
+    for (r, l), (a, b, d) in mc.items():
+        rows[r].append((l, _new(CRat, (-a, -b, d))))
     for xrow, mrow in zip(x, rows):
         for j, f in enumerate(xrow):
             if not (f.terms or mrow):
@@ -632,7 +684,7 @@ def derivative_is(x, coord, mc, y):
                 _derivative_into(acc, f, idx)
             for l, c in mrow:
                 for key, v in y[l][j].terms.items():
-                    _bump(acc, key, c * v)
+                    _acc(acc, key, _cmul(c, v))
             if acc:
                 return False
     return True
@@ -701,7 +753,7 @@ def _minor(a, rows, cols, memo):
     minor that several expansions share is computed once.  The empty minor,
     the cofactor of a 1 x 1 matrix, is 1."""
     if len(rows) < 2:
-        return a[rows[0]][cols[0]] if rows else cf_const(1)
+        return a[rows[0]][cols[0]] if rows else _CF_ONE
     key = (rows, cols)
     m = memo.get(key)
     if m is None:
@@ -781,16 +833,15 @@ def _mat_mul(a, b):
     out = {}
     for (i, l), x in a.items():
         for j, y in brows.get(l, ()):
-            _bump(out, (i, j), x * y)
+            _acc(out, (i, j), _cmul(x, y))
     return out
 
 
 def _shifted(a, c, n):
     """a + c I for a sparse n x n CRat matrix a."""
     out = dict(a)
-    if c:
-        for i in range(n):
-            _bump(out, (i, i), c)
+    for i in range(n):
+        _acc(out, (i, i), c)
     return out
 
 
@@ -967,10 +1018,10 @@ def _components(reach, n):
 def _rates_shifted(f, idx, lam):
     """f e^{lam x_(idx+1)}: every rate in slot idx moved by lam, a bijection
     of the term keys, so no coefficient is added or multiplied."""
-    if not lam:
+    if not (lam[0] or lam[1]):
         return f
     return ClosedFunction(
-        {(k, _with(z, idx, z[idx] + lam)): c for (k, z), c in f.terms.items()}
+        {(k, _rates(_with(z, idx, _cadd(z[idx], lam)))): c for (k, z), c in f.terms.items()}
     )
 
 
@@ -988,7 +1039,7 @@ def _coupling(row, block, e, j):
     for k, c in row:
         if k not in block:
             for key, v in e[k][j].terms.items():
-                _bump(t, key, c * v)
+                _acc(t, key, _cmul(c, v))
     return ClosedFunction(t) if t else _CF_ZERO
 
 
@@ -1010,7 +1061,7 @@ def _block_putzer(sub, s, coord):
         for ab, c in p.items():
             t = acc.setdefault(ab, {})
             for key, v in r.terms.items():
-                _bump(t, key, v * c)
+                _acc(t, key, _cmul(v, c))
         if k + 1 < s:
             p = _mat_mul(_shifted(sub, -lam, s), p)
             if not p:
@@ -1103,7 +1154,7 @@ def _verify_matexp(e, mc, coord):
     residual term map (`derivative_is`), so neither e' nor M e is built."""
     for i, row in enumerate(e):
         for j, f in enumerate(row):
-            if (f.eval_at_zero() != (CR_ONE if i == j else CR_ZERO)) if f.terms else i == j:
+            if not _tuple_eq(f.eval_at_zero(), CR_ONE if i == j else CR_ZERO):
                 raise InvariantError("matexp(0) != I")
     if not derivative_is(e, coord, mc, e):
         raise InvariantError("matexp does not satisfy its defining ODE")

@@ -5,7 +5,7 @@ by coordinate exponentials uses e^{-x X_i} X_j e^{x X_i} = (e^{x Xadj_i})_j^k X_
 with matrices acting on the right of row vectors (row = input basis index).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -43,15 +43,17 @@ class InvariantFrame:
 
     prefix[k] = P_k = exp_neg[k-1] ... exp_neg[0] for k = 0 .. n, None for I:
     R is read off them, and `double_adjoint` reuses them for every dual.
-    XL and exp_pos are built on their first read and then kept: fields,
-    Sklyanin bivectors and the Poisson-Lie check read XL, and only the
-    adjoint-block construction reads exp_pos (`double_exp_factor`)."""
+    XL is built on its first read and then kept, and so is each factor
+    exp(x_k Xadj_k) (`exp_pos_at`): fields, Sklyanin bivectors and the
+    Poisson-Lie check read XL, and only the adjoint-block construction reads
+    a factor (`double_exp_factor`), the factor of each nonzero dual slice."""
 
     Rmat: list  # right-invariant one-form coefficients R^i_j (row i, col j)
     XR: list  # right-invariant vector fields, XR[j][l] = component on d_l
     exp_neg: list  # exp_neg[i] = exp(-x_{i+1} Xadj_{i+1}), a 4x4 CFMatrix
     prefix: list  # P_0 .. P_n, None for I; P_1 is exp_neg[0], P_n is Ad(g)^-1
     base: StructureConstants
+    _exp_pos: dict = field(default_factory=dict, repr=False, compare=False)
 
     @cached_property
     def XL(self):
@@ -59,13 +61,20 @@ class InvariantFrame:
         P_n = Ad(g)^-1, so XL = P_n XR, with no second inverse."""
         return _times(self.prefix[-1], self.XR)
 
-    @cached_property
+    def exp_pos_at(self, i):
+        """exp(x_{i+1} Xadj_{i+1}), the inverse of exp_neg[i]: its reflection
+        x_{i+1} -> -x_{i+1}, which passes the exact check on Xadj_{i+1}
+        itself (`cf_matexp_reflected`).  Built on its first read and kept."""
+        e = self._exp_pos.get(i)
+        if e is None:
+            mc = adjoint_maps(self.base)[i]
+            e = self._exp_pos[i] = cf_matexp_reflected(self.exp_neg[i], mc, i + 1)
+        return e
+
+    @property
     def exp_pos(self):
-        """exp_pos[i] = exp(x_{i+1} Xadj_{i+1}), the inverse of exp_neg[i]:
-        its reflection x_{i+1} -> -x_{i+1}, which passes the exact check on
-        Xadj_{i+1} itself (`cf_matexp_reflected`)."""
-        pairs = zip(self.exp_neg, adjoint_maps(self.base))
-        return [cf_matexp_reflected(em, mc, i + 1) for i, (em, mc) in enumerate(pairs)]
+        """[exp(x_{i+1} Xadj_{i+1}) for every i], each from `exp_pos_at`."""
+        return [self.exp_pos_at(i) for i in range(len(self.exp_neg))]
 
 
 def invariant_frame(chart: GroupChart, matexp=None) -> InvariantFrame:
@@ -80,7 +89,7 @@ def invariant_frame(chart: GroupChart, matexp=None) -> InvariantFrame:
     and passes its exact ODE check (`cf_matexp_sparse`), so the reversed
     product is the exact inverse of Ad(g).  The frame keeps every P_k for
     `double_adjoint`; exp(x_m Xadj_m) is built only when it is read
-    (`InvariantFrame.exp_pos`).  `matexp(mc, n, coord)` stands in for
+    (`InvariantFrame.exp_pos_at`).  `matexp(mc, n, coord)` stands in for
     `cf_matexp_sparse`, say a memo of it.
     """
     f = chart.base
@@ -166,9 +175,9 @@ def double_adjoint(
     the factors whose B_k is nonzero; a, b and d are never formed.  E_-k
     passed its exact ODE check when the frame was built
     (`cf_matexp_sparse`) and E_k passes its own on the frame's first read of
-    it (`InvariantFrame.exp_pos`), so they are exp(x_k Xadj_k) and its
-    inverse, and a d^T = I holds with no check.  exp_pos is read only when
-    some B_k is nonzero, and nothing here reads the frame's XL.
+    it (`InvariantFrame.exp_pos_at`), so they are exp(x_k Xadj_k) and its
+    inverse, and a d^T = I holds with no check.  E_k is read only when B_k
+    is nonzero, and nothing here reads the frame's XL.
 
     `certified` says that the caller has found (f, fd) a Lie bialgebra
     (`bialgebra_failure` returned None); otherwise that is checked here.
@@ -199,8 +208,8 @@ def double_exp_factor(frame: InvariantFrame, fd: StructureConstants, i):
     Xadj = [[A, 0], [B, -A^T]] with A = Xadj_{i+1} of g, read from
     `frame.base`, and B[j][k] = -ft^jk_{i+1}, read from fd (the layout
     `build_double` gives), so its exponential is [[E, 0], [F, E_-^T]] with
-    E = exp(x A) and E_- = exp(-x A) from the frame (`exp_pos`, built on its
-    first read, and `exp_neg`) and
+    E = exp(x A) and E_- = exp(-x A) from the frame (`exp_pos_at`, built on
+    its first read, and `exp_neg`) and
 
         F(x) = E_-(x)^T int_0^x E(s)^T B E(s) ds
 
@@ -221,7 +230,7 @@ def double_exp_factor(frame: InvariantFrame, fd: StructureConstants, i):
     for j, k, l, v in fd.nonzero():
         if l == i:
             bt[k, j] = check[j, k] = CRat(-v)
-    e, em = frame.exp_pos[i], frame.exp_neg[i]
+    e, em = frame.exp_pos_at(i), frame.exp_neg[i]
     low = cfm_zeros(n, n)
     if bt:
         for a, k, j, v in frame.base.nonzero():

@@ -25,8 +25,9 @@ ONE = Fraction(1)
 
 
 def _bump(acc, key, v):
-    """acc[key] += v, with a zero sum dropped from acc: the one sparse
-    accumulator, of int, Fraction and CRat maps alike."""
+    """acc[key] += v, with a zero sum dropped from acc: the sparse
+    accumulator of int and Fraction maps.  CRat maps have their own in
+    `closedfun`, which adds on the int triples."""
     s = acc.get(key)
     v = v if s is None else s + v
     if v:

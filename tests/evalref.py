@@ -69,6 +69,12 @@ between the two forms.
 oracle of `render_closed_function`.  `mul_into_by_crats` adds a product into
 a term map with CRat arithmetic and a key summed slot by slot for every
 pair of terms, the oracle of the inline integer kernel `closedfun._mul_into`.
+With `bump_by_crats`, the CRat path that `ratlinalg._bump` gave up, the
+loops `sum_products_by_crats`, `derivative_into_by_crats`,
+`integral_by_crats`, `eval_at_zero_by_crats` and `derivative_is_by_crats`
+are the retired CRat-operator kernels of `cf_sum_products`,
+`_derivative_into`, `ClosedFunction.integral`, `eval_at_zero` and
+`derivative_is`, and their oracles: those now add on the int triples.
 The dense Schouten loops are the oracles of the sparse kernel in
 `liebialg.multivec` and of its call sites: `vf_commutator` and
 `frame_bracket_residuals` of vector fields given as component rows,
@@ -112,6 +118,7 @@ from liebialg.closedfun import (
     CR_ONE,
     CR_ZERO,
     ClosedFunction,
+    CRat,
     _char_poly,
     _components,
     _invert_unit,
@@ -223,6 +230,18 @@ def cfm_mul_sum(a, b):
     return out
 
 
+def bump_by_crats(acc, key, v):
+    """acc[key] += v by CRat's operators, with a zero sum dropped from acc
+    and a kept key left in its place: the retired CRat path of
+    `ratlinalg._bump`."""
+    s = acc.get(key)
+    v = v if s is None else s + v
+    if v:
+        acc[key] = v
+    elif s is not None:
+        del acc[key]
+
+
 def mul_into_by_crats(t, f, g, neg=False):
     """t += f * g (t -= f * g with `neg`) on term maps: every key summed
     slot by slot, every coefficient a CRat product, a coefficient that
@@ -232,14 +251,81 @@ def mul_into_by_crats(t, f, g, neg=False):
             c1 = -c1
         for (k2, z2), c2 in g.terms.items():
             key = (tuple(map(add, k1, k2)), tuple(map(add, z1, z2)))
-            c = c1 * c2
-            s = t.get(key)
-            if s is not None:
-                c = s + c
-            if c:
-                t[key] = c
-            elif s is not None:
-                del t[key]
+            bump_by_crats(t, key, c1 * c2)
+
+
+def sum_products_by_crats(products, scaled=()):
+    """The term map of sum s f g over (f, g, s) plus sum c h over (c, h), by
+    CRat's operators: the retired loop of `closedfun.cf_sum_products`."""
+    t = {}
+    for f, g, s in products:
+        mul_into_by_crats(t, f, g, s < 0)
+    for c, h in scaled:
+        for key, v in h.terms.items():
+            bump_by_crats(t, key, v * c)
+    return t
+
+
+def derivative_into_by_crats(acc, f, idx):
+    """acc += d f / d x_{idx+1} on a term map by CRat's operators: the
+    retired loop of `closedfun._derivative_into`."""
+    for (k, z), c in f.terms.items():
+        if k[idx]:
+            kk = list(k)
+            kk[idx] -= 1
+            bump_by_crats(acc, (tuple(kk), z), c * k[idx])
+        if z[idx]:
+            bump_by_crats(acc, (k, z), c * z[idx])
+
+
+def integral_by_crats(f, i):
+    """The term map of int_0^x_i f by CRat's operators: the retired loop of
+    `ClosedFunction.integral`."""
+    idx = i - 1
+    acc = {}
+    for (k, z), c in f.terms.items():
+        p, lam = k[idx], z[idx]
+        if p < 0:
+            raise InputError(f"integral from 0 of a negative power of x{i}")
+        if not lam:
+            bump_by_crats(acc, (k[:idx] + (p + 1,) + k[idx + 1 :], z), c / (p + 1))
+            continue
+        inv = CR_ONE / lam
+        w = c * inv
+        for j in range(p + 1):
+            bump_by_crats(acc, (k[:idx] + (p - j,) + k[idx + 1 :], z), w)
+            if j < p:
+                w = -w * (p - j) * inv
+        bump_by_crats(acc, (k[:idx] + (0,) + k[idx + 1 :], z[:idx] + (CR_ZERO,) + z[idx + 1 :]), -w)
+    return acc
+
+
+def eval_at_zero_by_crats(f):
+    """f at the origin by CRat's operators: the retired
+    `ClosedFunction.eval_at_zero`."""
+    acc = CR_ZERO
+    for (k, _), c in f.terms.items():
+        if min(k) < 0:
+            raise InputError("a term with a negative exponent has a pole at the origin")
+        if not any(k):
+            acc = acc + c
+    return acc
+
+
+def derivative_is_by_crats(x, coord, mc, y):
+    """Whether d x / d x_coord = m y, one residual term map per entry by
+    CRat's operators: the retired loop of `closedfun.derivative_is`."""
+    for r, xrow in enumerate(x):
+        for j, f in enumerate(xrow):
+            acc = {}
+            derivative_into_by_crats(acc, f, coord - 1)
+            for (r2, l), c in mc.items():
+                if r2 == r:
+                    for key, v in y[l][j].terms.items():
+                        bump_by_crats(acc, key, -c * v)
+            if acc:
+                return False
+    return True
 
 
 def cfm_from_frac(m):
@@ -1110,7 +1196,7 @@ def matexp_by_putzer(m, coord):
         for ij, c in p.items():
             t = acc.setdefault(ij, {})
             for key, v in r.terms.items():
-                rl._bump(t, key, v * c)
+                bump_by_crats(t, key, v * c)
         if k + 1 < n:
             p = _mat_mul(_shifted(mc, -lam, n), p)
             if not p:

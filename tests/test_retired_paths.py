@@ -15,10 +15,14 @@ the Fraction renderer.  Each runs on every corpus frame or pair at its first
 binding and on hypothesis draws.  Term maps compare as dicts, which ignores
 the order of their keys.  The integer term-product kernel `_mul_into` is
 compared with the CRat kernel it replaced on hypothesis draws, both as dicts
-and in insertion order.  `find_symplectic`'s integer system and Pfaffian
-quadratic form are compared with the Fraction system and grid search they
-replaced, on every corpus algebra at every grid binding and on drawn lists
-of two-forms, degenerate ones included.  The block-triangular `cf_matexp`
+and in insertion order, and so are `cf_sum_products`, `_derivative_into`,
+`integral`, `eval_at_zero` and `derivative_is`, which add on int triples,
+with the CRat-operator loops they replaced; the draws hold zeros and zero
+rate tuples that are not the shared `CR_ZERO` and `_ZRATE`.
+`find_symplectic`'s integer system and Pfaffian quadratic form are compared
+with the Fraction system and grid search they replaced, on every corpus
+algebra at every grid binding and on drawn lists of two-forms, degenerate
+ones included.  The block-triangular `cf_matexp`
 is compared with Putzer's recursion on the whole matrix, on every distinct
 adjoint of every corpus algebra over the full grid and on drawn
 block-triangular matrices.  The r-matrix layer's sparse maps are compared
@@ -52,12 +56,17 @@ from evalref import (
     inverse_by_cofactors,
     matexp_by_putzer,
     minus_b_ainv,
+    derivative_into_by_crats,
+    derivative_is_by_crats,
+    eval_at_zero_by_crats,
+    integral_by_crats,
     mul_into_by_crats,
     rank3_add,
     rank3_dense,
     rank3_map,
     render_by_fractions,
     schouten_dense,
+    sum_products_by_crats,
     tensor_of,
     solve_coboundary_full,
     two_form_det,
@@ -66,8 +75,10 @@ from evalref import (
 from liebialg.closedfun import (
     _ZEXP,
     _ZRATE,
+    CR_ZERO,
     ClosedFunction,
     CRat,
+    _derivative_into,
     _mul_into,
     _sparse,
     cf_coord,
@@ -80,6 +91,8 @@ from liebialg.closedfun import (
     cfm_mul,
     cfm_reflect,
     cfm_transpose,
+    cf_sum_products,
+    derivative_is,
 )
 from liebialg.core import (
     StructureConstants,
@@ -368,35 +381,62 @@ def test_int_triple_renderer_matches_the_fraction_renderer_on_drawn_functions(f)
 
 
 # zero monomials and zero rate tuples equal to, but not the objects
-# `_ZEXP` and `_ZRATE`, beside the shared ones and a few nonzero keys
+# `_ZEXP` and `_ZRATE`, and a zero that is not the shared CR_ZERO in rate
+# slots, beside the shared ones and nonzero keys, Laurent ones included:
+# each takes the general path of the kernels, which must give the same maps
+_NC_ZERO = tuple.__new__(CRat, (0, 0, 1))
 _ZEXP_COPY = tuple([0] * 4)
 _ZRATE_COPY = tuple(CRat(0) for _ in range(4))
-_MONOMIALS = [_ZEXP, _ZEXP_COPY, (1, 0, 0, 0), (0, -1, 0, 2), (-1, 0, 0, 0)]
+_MONOMIALS = [_ZEXP, _ZEXP_COPY, (1, 0, 0, 0), (0, -1, 0, 2), (-1, 0, 0, 0), (2, 0, 1, 0),
+              (1, 1, 0, 0), (0, 2, 0, 0)]
 _RATES = [
     _ZRATE,
     _ZRATE_COPY,
+    (_NC_ZERO,) * 4,
     (CRat(1), CRat(0), CRat(0), CRat(0)),
+    (CRat(1), _NC_ZERO, CR_ZERO, CR_ZERO),
+    (CRat(-1), CRat(0), CRat(0), CRat(0)),
     (CRat(0, 1), CRat(0), CRat(0), CRat(0)),
     (CRat(0, -1), CRat(0), CRat(0), CRat(0)),
     (CRat(Fraction(-1, 2)), CRat(0), CRat(0, -1), CRat(0)),
+    (CR_ZERO, CRat(Fraction(2, 3), 1), CR_ZERO, CRat(-2)),
+    (CR_ZERO, CRat(Fraction(-2, 3), -1), _NC_ZERO, CRat(2)),
 ]
 # real, imaginary, complex and fractional coefficients, negatives included,
 # so that products collide and cancel, and products such as 2 (1/2) whose
-# triple must be reduced
+# triple must be reduced; and drawn ones
 _COEFFS = [CRat(1), CRat(-1), CRat(2), CRat(Fraction(1, 2)), CRat(Fraction(-1, 2)),
            CRat(Fraction(-2, 3)), CRat(Fraction(3, 2)), CRat(0, 1), CRat(0, -1),
            CRat(Fraction(1, 2), Fraction(-1, 3)), CRat(2, -1)]
+_FRACS = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+_DRAWN_COEFFS = st.one_of(st.sampled_from(_COEFFS), st.builds(CRat, _FRACS, _FRACS).filter(bool))
 
 
 def _term_maps(min_size):
     keys = st.tuples(st.sampled_from(_MONOMIALS), st.sampled_from(_RATES))
-    return st.dictionaries(keys, st.sampled_from(_COEFFS), min_size=min_size, max_size=4).map(
+    return st.dictionaries(keys, _DRAWN_COEFFS, min_size=min_size, max_size=4).map(
         ClosedFunction
     )
 
 
+def _same_map(got, want):
+    """Equal term maps, in the same insertion order, of nonzero CRats."""
+    assert got == want
+    assert list(got.items()) == list(want.items())
+    assert all(type(c) is CRat and (c[0] or c[1]) for c in got.values())
+
+
+def _result(fn, *args):
+    """fn(*args), or the type of the InputError it raised."""
+    try:
+        return fn(*args)
+    except InputError as exc:
+        return type(exc)
+
+
 _F = ClosedFunction({(_ZEXP, _ZRATE): CRat(1, 1), ((1, 0, 0, 0), _ZRATE_COPY): CRat(Fraction(1, 2))})
-_G = ClosedFunction({(_ZEXP_COPY, _RATES[3]): CRat(0, 1), ((0, -1, 0, 2), _ZRATE): CRat(-1)})
+_G = ClosedFunction({(_ZEXP_COPY, (CRat(0, 1),) + _ZRATE[1:]): CRat(0, 1),
+                     ((0, -1, 0, 2), _ZRATE): CRat(-1)})
 
 
 def _product(f, g, neg=False):
@@ -413,9 +453,45 @@ def test_integer_kernel_matches_the_crat_kernel_on_drawn_term_maps(f, g, start, 
     got, want = dict(start.terms), dict(start.terms)
     _mul_into(got, f, g, neg)
     mul_into_by_crats(want, f, g, neg)
-    assert got == want
-    assert list(got.items()) == list(want.items())
-    assert all(type(c) is CRat and c for c in got.values())
+    _same_map(got, want)
+
+
+_NC = ClosedFunction({(_ZEXP, (_NC_ZERO,) * 4): CRat(1, 1),
+                      ((1, 0, 0, 0), (CRat(1), _NC_ZERO, CR_ZERO, CR_ZERO)): CRat(Fraction(1, 2))})
+_NC2 = ClosedFunction({((0, 1, 0, 0), _ZRATE_COPY): CRat(-1, 1),
+                       ((1, 0, 0, 0), (CRat(-1), CR_ZERO, CR_ZERO, CR_ZERO)): CRat(2)})
+
+
+@hyp.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@hyp.given(_term_maps(1), _term_maps(0), _term_maps(0), _DRAWN_COEFFS, st.integers(1, 4))
+@hyp.example(_NC, _NC2, _NC, CRat(-1), 1)  # hand-built zeros that are not CR_ZERO or _ZRATE
+@hyp.example(_NC2, _NC, _NC2, CRat(Fraction(1, 2), 3), 2)
+def test_closed_function_kernels_match_their_crat_oracles_on_drawn_term_maps(f, g, h, c, i):
+    # products and scaled maps into one term map, some of them cancelling
+    products, scaled = [(f, g, 1), (g, h, -1), (h, g, 1)], [(c, f), (-c, h), (2, g)]
+    _same_map(cf_sum_products(products, scaled).terms, sum_products_by_crats(products, scaled))
+    for start in (dict(h.terms), dict(f.terms)):
+        got, want = dict(start), dict(start)
+        _derivative_into(got, f, i - 1)
+        derivative_into_by_crats(want, f, i - 1)
+        _same_map(got, want)
+    for fn in (f, g, h):
+        got, want = _result(fn.integral, i), _result(integral_by_crats, fn, i)
+        if isinstance(want, dict):
+            _same_map(got.terms, want)
+        else:
+            assert got is want
+        got, want = _result(fn.eval_at_zero), _result(eval_at_zero_by_crats, fn)
+        assert type(got) is type(want) and got == want
+    # d f / d x_i against itself, a multiple and a drawn matrix
+    acc = {}
+    derivative_into_by_crats(acc, f, i - 1)
+    df = ClosedFunction(acc)
+    cases = [([[f]], {(0, 0): CRat(1)}, [[df]]), ([[f]], {(0, 0): c}, [[df]]),
+             ([[f, g]], {(0, 0): c, (0, 1): CRat(-1)}, [[h, f], [g, df]])]
+    for x, mc, y in cases:
+        assert derivative_is(x, i, mc, y) == derivative_is_by_crats(x, i, mc, y)
+    assert derivative_is([[f]], i, {(0, 0): CRat(1)}, [[df]])
 
 
 def test_pfaffian_criterion_matches_the_grid_search_on_every_corpus_algebra(reg, bench):

@@ -9,9 +9,11 @@ each from the map of an adjoint's nonzero CRat entries read off the integer
 form of the structure constants: it builds no dense adjoint and converts none
 (`closedfun._sparse`), so it never enters the dense adapter
 `closedfun.cf_matexp` that the trace spans.  Only `closedfun` builds
-term maps or touches the derivative cache of a `ClosedFunction`, and one
-verify pass differentiates each function at most once per coordinate and
-never differentiates the zero function.  A verify pass decides every Lie
+term maps or touches the derivative cache of a `ClosedFunction`; only it
+tests a zero by identity with the shared CR_ZERO or _ZRATE or calls
+`tuple.__new__`, and it adds CRat maps with its own accumulator, not
+`ratlinalg._bump`.  One verify pass differentiates each function at most
+once per coordinate and never differentiates the zero function.  A verify pass decides every Lie
 bialgebra on its two 4-dimensional halves: no 8-dimensional tensor reaches
 `jacobi_check`, and no campaign builds the double, whose pairing is
 ad-invariant by construction; the mixed identity has one evaluator in the
@@ -32,9 +34,10 @@ frame keeps its prefix products for every dual: `double_adjoint` forms
 none, and never forms Ad(g), the product of the exp(x_k Xadj_k).  A frame
 builds exp(x_k Xadj_k) and XL only where they are read: a fields derivation
 and a Sklyanin bivector reflect no 4 x 4 exponential and check none on a
-+ad map, and an adjoint-block bivector forms no XL.  Only the
-campaigns' entry enumerations choose the parameter bindings, and only the
-binding driver reads an entry's status."""
++ad map, and an adjoint-block bivector forms no XL and builds and checks
+exactly the exp(x_k Xadj_k) of its nonzero dual slices B_k, each once.
+Only the campaigns' entry enumerations choose the parameter bindings, and
+only the binding driver reads an entry's status."""
 
 import ast
 import functools
@@ -44,6 +47,7 @@ import importlib.util
 import os
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -273,6 +277,30 @@ def test_only_core_touches_the_cached_forms():
             assert "._nonzero" not in fh.read(), os.path.relpath(path, ROOT)
 
 
+# an identity test against the shared zero or zero rates, or a call of
+# `tuple.__new__`, which makes a CRat past its canonical constructor
+SHARED_ZERO_IDENTITY = re.compile(
+    r"\bis\s+(not\s+)?(CR_ZERO|_ZRATE)\b|\b(CR_ZERO|_ZRATE)\s+is\b"
+    r"|\btuple\.__new__\b"
+)
+
+
+def test_only_closedfun_tests_zeros_by_identity():
+    # the shared zero is a fast path of the closed-function kernel alone: a
+    # zero made elsewhere need not be CR_ZERO, and one accumulator adds CRat
+    # maps, on their int triples, so closedfun takes no `_bump` from ratlinalg
+    paths = sorted(glob.glob(os.path.join(PACKAGE, "**", "*.py"), recursive=True))
+    assert os.path.join(PACKAGE, "closedfun.py") in paths
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        if os.path.basename(path) == "closedfun.py":
+            assert SHARED_ZERO_IDENTITY.search(text)  # the pattern still names them
+            assert not re.search(r"\b_bump\b", text)
+        else:
+            assert not SHARED_ZERO_IDENTITY.search(text), os.path.relpath(path, ROOT)
+
+
 def test_no_module_reads_the_dense_bivector_view():
     # `PoissonBivector.P` is built on each read for the bench and the tests;
     # the package reads the sparse map `.p`
@@ -315,10 +343,10 @@ def test_only_campaigns_choose_bindings_and_only_the_driver_reads_a_flag():
 
 
 # a ClosedFunction built from a term map, the helpers that fill or derive
-# term maps, the derivative cache, or an edit of a `terms` map, the shared
-# accumulator's included
+# term maps (the CRat accumulator `_acc` among them), the derivative cache,
+# or an edit of a `terms` map, through the sparse accumulator `_bump` too
 TERM_MAP_ACCESS = re.compile(
-    r"\bClosedFunction\(|\b(_mul_into|_derivative|_set_terms|_set_cache)\b"
+    r"\bClosedFunction\(|\b(_mul_into|_derivative|_acc|_set_terms|_set_cache)\b"
     r"|\b_bump\([^,]*\.terms\b"
     r"|\._d\b|\.terms\s*(\[[^\]]*\]\s*)?=[^=]|\.terms\.(update|pop|popitem|clear|setdefault)\("
     r"|\bdel\b[^\n]*\.terms\b"
@@ -493,6 +521,7 @@ def test_pi_bivectors_form_no_left_fields(reg, monkeypatch):
     _, checked = _recording_exponential_builds(monkeypatch)
     rows = [(pe.g, pe.dual) for pe in reg.poisson if pe.method == "pi"]
     assert len(rows) == 81
+    skipped = 0
     for g, dual in rows[::4]:
         b = reg.grid_bindings(g, dual, cap=1)[0]
         bench = harness.Workbench(reg)
@@ -500,11 +529,18 @@ def test_pi_bivectors_form_no_left_fields(reg, monkeypatch):
         frame = bench.frame(g, b)
         assert "XL" not in vars(frame), (g, dual)
         assert not any(x is frame.XR for x in right), (g, dual)
-        # exp(x Xadj) is read here, and each of its four factors is checked
-        assert "exp_pos" in vars(frame), (g, dual)
-        assert _plus_ad_checks(reg, g, b) <= set(checked), (g, dual)
+        # exactly the factors exp(x_k Xadj_k) of the nonzero dual slices B_k
+        # are read, and each one is checked once, on its +ad map
+        slices = sorted({k for _, _, k, _ in reg.instantiate(dual, b).nonzero()})
+        assert sorted(frame._exp_pos) == slices, (g, dual)
+        maps = groupgeom.adjoint_maps(reg.instantiate(g, b))
+        want = {(frozenset(maps[k].items()), k + 1) for k in slices if maps[k]}
+        plus = _plus_ad_checks(reg, g, b)
+        assert Counter(c for c in checked if c in plus) == Counter(want), (g, dual)
+        skipped += len(plus) - len(want)
         right.clear()
         checked.clear()
+    assert skipped  # some nonzero +ad factor is left unbuilt
 
 
 def _first_frames(reg, bench, names):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from liebialg import core, exprtree, groupgeom, harness, poisson, ratlinalg
-from liebialg.closedfun import CRat, _sparse, cfm_eq
+from liebialg.closedfun import _ZRATE, CR_ZERO, ClosedFunction, CRat, _sparse, cfm_eq
 from liebialg.errors import InputError, InvariantError
 from liebialg.harness import Workbench
 
@@ -239,3 +239,57 @@ def test_tables_5_to_7_rebuild_no_expression_tree(reg, monkeypatch):
     _counted(monkeypatch, exprtree.Expr, "__init__", built)
     assert all(rep.ok for rep in harness.verify_tables(reg, "5-7"))
     assert built == []
+
+
+def _functions(x):
+    """The closed functions in x: a ClosedFunction, or lists and dicts of
+    them, None standing for an identity factor; each with its cached
+    derivatives."""
+    if isinstance(x, ClosedFunction):
+        yield x
+        for d in getattr(x, "_d", ()):
+            if d is not None:
+                yield from _functions(d)
+    elif isinstance(x, dict):
+        for v in x.values():
+            yield from _functions(v)
+    elif isinstance(x, list):
+        for v in x:
+            yield from _functions(v)
+
+
+def test_every_stored_zero_rate_and_coefficient_is_canonical(reg, monkeypatch):
+    # the kernels' fast paths test zero rates by identity: after a verify
+    # pass, every zero rate slot is CR_ZERO, every all-zero rate tuple is
+    # _ZRATE and no coefficient is zero, in every frame and bivector kept
+    benches = []
+
+    class Recorded(Workbench):
+        def __init__(self, reg):
+            super().__init__(reg)
+            benches.append(self)
+
+    monkeypatch.setattr(harness, "Workbench", Recorded)
+    assert all(r.ok for r in harness.verify_tables(reg, "all"))
+    (bench,) = benches
+    parts = []
+    for frame in bench._frames.values():
+        held = vars(frame)
+        parts += [frame.Rmat, frame.XR, frame.exp_neg, frame.prefix, held.get("XL", [])]
+        parts.append(frame._exp_pos)
+    parts += [b.p for b in bench._bivectors.values()]
+    seen, rates = set(), 0
+    for f in _functions(parts):
+        if id(f) in seen:
+            continue
+        seen.add(id(f))
+        for (_, z), c in f.terms.items():
+            assert type(c) is CRat and (c[0] or c[1]), f
+            if not any(a or b for a, b, _ in z):
+                assert z is _ZRATE, f
+            for v in z:
+                assert (v[0] or v[1]) or v is CR_ZERO, f
+                rates += v is not CR_ZERO
+    assert len(bench._frames) > 40 and bench._bivectors
+    assert any(frame._exp_pos for frame in bench._frames.values())
+    assert len(seen) > 1000 and rates > 1000
